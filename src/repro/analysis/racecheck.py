@@ -198,6 +198,11 @@ class AccessSite:
     #: strong reference pinning a local numpy buffer so its address range
     #: cannot be recycled while the record lives
     pin: Any = field(default=None, repr=False)
+    #: ``(component, tick)`` standing for the whole of ``vc``: a clock
+    #: dominates ``vc`` exactly when it has reached ``tick`` on
+    #: ``component`` (see :meth:`RaceDetector.record_access`); None when
+    #: no single component does, and clocks are compared entry by entry
+    epoch: Optional[tuple] = field(default=None, repr=False)
 
     def describe(self) -> str:
         rw = "write" if self.write else "read"
@@ -298,15 +303,36 @@ class RaceDetector:
         return f"local buffers@img{key[1]}"
 
     def record_access(self, target: Any, rank: int, write: bool, vc: dict,
-                      op: str, thread: ThreadClock) -> None:
+                      op: str, thread: ThreadClock,
+                      epoch: Optional[tuple] = None) -> None:
+        """Check one access against the shadow state and record it.
+
+        ``epoch`` is the ``(component, tick)`` that first appears with
+        this clock: an activation's own component at a direct access, an
+        operation's component at its local (1) or global (2) tick.  A
+        component only ever travels inside a clock that already contains
+        everything its owner knew at that tick — releases publish whole
+        clocks, operation ticks are published on top of the operation's
+        base, and later bases of the same activation only grow — so
+        "reached ``tick`` on ``component``" is equivalent to dominating
+        this whole clock, and later accesses order themselves against
+        this record with one lookup instead of a walk over ``vc`` (whose
+        size grows with the synchronization history).  The caller passes
+        None when the equivalence does not hold: a predicated copy's
+        base grows when its event fires, after its local tick may
+        already have been joined."""
         key, lo, hi, pin = self._location(target, rank)
         site = AccessSite(op=op, write=write, thread=thread.name, lo=lo,
-                          hi=hi, time=self.machine.sim.now, vc=vc, pin=pin)
+                          hi=hi, time=self.machine.sim.now, vc=vc, pin=pin,
+                          epoch=epoch)
         self.machine.stats.incr("race.accesses")
         records = self._shadow.setdefault(key, [])
         keep = []
         for old in records:
-            ordered = old.vc is vc or vc_leq(old.vc, vc)
+            reached = old.epoch
+            ordered = (old.vc is vc
+                       or (vc.get(reached[0], 0) >= reached[1]
+                           if reached is not None else vc_leq(old.vc, vc)))
             overlaps = old.hi > lo and hi > old.lo
             if overlaps and (old.write or write) and not ordered:
                 self._report(key, old, site)
@@ -326,7 +352,8 @@ class RaceDetector:
         th.mut += 1
         self.record_access(
             target, rank, write, dict(th.vc),
-            op or ("local.write" if write else "local.read"), th)
+            op or ("local.write" if write else "local.read"), th,
+            epoch=(th.tid, th.vc[th.tid]))
 
     def _report(self, key: tuple, old: AccessSite, new: AccessSite) -> None:
         sig = (key, old.op, old.thread, new.op, new.thread)
@@ -415,21 +442,22 @@ class RaceDetector:
         # untouched and both effects are remote.
         src_vc = vcg if path == "fwd" else vcl
         dest_vc = vcg if path in ("put", "fwd") else vcl
-        self._record_endpoint(src, th, f"copy.{path}.src", False, src_vc)
-        self._record_endpoint(dest, th, f"copy.{path}.dest", True, dest_vc)
+        for loc, end, write, vc in ((src, "src", False, src_vc),
+                                    (dest, "dest", True, dest_vc)):
+            self.record_access(
+                loc.ref if loc.ref is not None else loc.buffer, loc.rank,
+                write, vc, f"copy.{path}.{end}", th,
+                epoch=(None if pre is not None
+                       else (rcop.oid, 2 if vc is vcg else 1)))
         if src_ev is not None:
             self.event_release(src_ev, src_vc)
         if dest_ev is not None:
             self.event_release(dest_ev, dest_vc)
 
-    def _record_endpoint(self, loc, th: ThreadClock, op: str, write: bool,
-                         vc: dict) -> None:
-        target = loc.ref if loc.ref is not None else loc.buffer
-        self.record_access(target, loc.rank, write, vc, op, th)
-
-    def spawn_begin(self, ctx, op, implicit: bool) -> OpClock:
+    def spawn_begin(self, ctx, implicit: bool) -> OpClock:
+        """Snapshot clocks at spawn initiation; the caller stores the
+        returned clock on the handle once the message gives it one."""
         rcop, th = self._op_begin(ctx.activation, "spawn")
-        op.rc = rcop
         if implicit:
             th.issued[rcop.oid] = 2
         return rcop

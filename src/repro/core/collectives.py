@@ -73,8 +73,11 @@ class _CollState:
 
 
 def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_UP, _make_up_handler(machine))
-    machine.am.ensure_registered(_DOWN, _make_down_handler(machine))
+    am = machine.am
+    if am.is_registered(_UP):
+        return
+    am.register(_UP, _make_up_handler(machine))
+    am.register(_DOWN, _make_down_handler(machine))
 
 
 def _make_up_handler(machine):

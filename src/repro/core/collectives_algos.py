@@ -63,13 +63,17 @@ class _RingState:
 
 
 def _ensure_handlers(machine) -> None:
+    am = machine.am
+    if am.is_registered(_RING):
+        return
+
     def handle_ring(ctx, team_id, seq, step, chunk_idx):
         state = machine.coll_state(ctx.image, team_id, seq, _make_state(machine))
         state.chunks[(step, chunk_idx)] = ctx.payload
         state.cond.wake()
 
-    machine.am.ensure_registered(_RING, handle_ring)
-    machine.am.ensure_registered(_PIPE, handle_ring)  # same buffering
+    am.register(_RING, handle_ring)
+    am.register(_PIPE, handle_ring)  # same buffering
 
 
 def _make_state(machine):

@@ -31,7 +31,7 @@ be the finish team or a subset, §III-A.1 — enforced here).
 
 from __future__ import annotations
 
-import itertools
+from functools import partial
 from typing import Any, Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from repro.sim.tasks import Future, all_of
 from repro.runtime.sizeof import sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
-from repro.core.completion import AsyncOp, chain
+from repro.core.completion import RESOLVED, AsyncOp, chain
 from repro.core import collectives as sync
 from repro.core import finish as fin
 
@@ -73,7 +73,10 @@ class _AState:
         self.src_event = None
         self.local_event = None
         self.down_payload: Any = None
-        self.pair_futures: list[Future] = []
+        #: injection futures of my tree sends, straight off their receipts
+        self.injected: list[Future] = []
+        #: my tree sends not yet acknowledged
+        self.unacked = 0
         self.phase2 = False  # allreduce: broadcast phase underway
 
 
@@ -93,10 +96,12 @@ def _check_finish_team(ctx, team: Team, implicit: bool) -> Optional[tuple]:
 
 
 def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_BCAST, _make_bcast_handler(machine))
-    machine.am.ensure_registered(_REDUCE_UP, _make_reduce_up_handler(machine))
-    machine.am.ensure_registered(_SUBTREE_DONE,
-                                 _make_subtree_done_handler(machine))
+    am = machine.am
+    if am.is_registered(_BCAST):
+        return
+    am.register(_BCAST, _make_bcast_handler(machine))
+    am.register(_REDUCE_UP, _make_reduce_up_handler(machine))
+    am.register(_SUBTREE_DONE, _make_subtree_done_handler(machine))
 
 
 # --------------------------------------------------------------------- #
@@ -160,20 +165,14 @@ def _resolve_event(ctx, ev):
 
 
 def _resolve_local_data(machine, world_rank: int, state: _AState) -> None:
-    injected = [f for f in state.pair_futures if f.name.endswith("inj")]
-    done = all_of(injected, "acoll.ld") if injected else _resolved()
+    done = (all_of(state.injected, "acoll.ld") if state.injected
+            else RESOLVED)
     chain(done, state.op.local_data)
     if state.src_event is not None:
         done.add_done_callback(
             lambda _f: machine.post_event(state.src_event,
                                           from_rank=world_rank))
     _maybe_local_op(machine, world_rank, state)
-
-
-def _resolved() -> Future:
-    f = Future("resolved")
-    f.set_result(None)
-    return f
 
 
 def _maybe_local_op(machine, world_rank: int, state: _AState) -> None:
@@ -183,42 +182,49 @@ def _maybe_local_op(machine, world_rank: int, state: _AState) -> None:
         # The local call has not happened yet (data raced ahead of the
         # SPMD program) — the call itself will re-run this check.
         return
-    acked = [f for f in state.pair_futures if f.name.endswith("ack")]
-    if not state.my_work_done or not all(f.done for f in acked):
-        for f in acked:
-            if not f.done:
-                f.add_done_callback(
-                    lambda _g: _maybe_local_op(machine, world_rank, state))
-        return
+    if not state.my_work_done or state.unacked:
+        return  # re-checked as each ack lands (_on_ack)
     state.op.local_op.set_result(None)
     if state.local_event is not None:
         machine.post_event(state.local_event, from_rank=world_rank)
 
 
+def _tree_send(machine, src_w: int, dst: int, handler: str, team: Team,
+               seq: int, root: int, radix: int, state: _AState,
+               payload: Any, cause):
+    """Send one counted, acknowledged tree message of this collective and
+    return its receipt, whose futures are the pairwise completion the
+    handle's ``local_data``/``local_op`` are composed from."""
+    stamp = fin.count_send(machine, src_w, state.key, dst=dst, cause=cause)
+    receipt = machine.am.request_nb(
+        src_w, dst, handler,
+        args=(team.id, seq, root, radix, state.key, fin.wire_tag(stamp)),
+        payload=payload, payload_size=sizeof(payload),
+        category=AMCategory.LONG, want_ack=True, kind=handler,
+    )
+    state.injected.append(receipt.injected)
+    state.unacked += 1
+    receipt.delivered.add_done_callback(
+        partial(_on_ack, machine, src_w, state))
+    if state.key is not None:
+        receipt.delivered.add_done_callback(
+            partial(fin.count_delivery_outcome, machine, src_w, state.key,
+                    stamp))
+    return receipt
+
+
+def _on_ack(machine, world_rank: int, state: _AState, _fut) -> None:
+    state.unacked -= 1
+    _maybe_local_op(machine, world_rank, state)
+
+
 def _bcast_forward(machine, team: Team, my_tr: int, seq: int, root: int,
                    radix: int, state: _AState, data: np.ndarray,
                    cause=None) -> None:
+    src_w = team.world_rank(my_tr)
     for child_tr in team.tree_children(my_tr, root, radix):
-        dst = team.world_rank(child_tr)
-        src_w = team.world_rank(my_tr)
-        stamp = fin.count_send(machine, src_w, state.key, dst=dst,
-                               cause=cause)
-        receipt = machine.am.request_nb(
-            src_w, dst, _BCAST,
-            args=(team.id, seq, root, radix, state.key,
-                  fin.wire_tag(stamp)),
-            payload=data, payload_size=sizeof(data),
-            category=AMCategory.LONG, want_ack=True, kind="acoll.bcast",
-        )
-        inj = Future(f"bcast{seq}.inj")
-        ack = Future(f"bcast{seq}.ack")
-        chain(receipt.injected, inj)
-        chain(receipt.delivered, ack)
-        state.pair_futures.extend([inj, ack])
-        if state.key is not None:
-            receipt.delivered.add_done_callback(
-                lambda f, k=state.key, s=stamp, w=src_w:
-                fin.count_delivery_outcome(machine, w, k, s, f))
+        _tree_send(machine, src_w, team.world_rank(child_tr), _BCAST, team,
+                   seq, root, radix, state, data, cause)
     state.my_work_done = True
 
 
@@ -395,24 +401,9 @@ def _reduce_try_combine(machine, team: Team, my_tr: int, seq: int,
                 machine.post_event(state.src_event, from_rank=w)
             _maybe_local_op(machine, w, state)
     else:
-        dst = team.world_rank(parent_tr)
-        stamp = fin.count_send(machine, w, state.key, dst=dst, cause=cause)
-        receipt = machine.am.request_nb(
-            w, dst, _REDUCE_UP,
-            args=(team.id, seq, root, radix, state.key,
-                  fin.wire_tag(stamp)),
-            payload=combined, payload_size=sizeof(combined),
-            category=AMCategory.LONG, want_ack=True, kind="acoll.reduce_up",
-        )
-        inj = Future(f"reduce{seq}.inj")
-        ack = Future(f"reduce{seq}.ack")
-        chain(receipt.injected, inj)
-        chain(receipt.delivered, ack)
-        state.pair_futures.extend([inj, ack])
-        if state.key is not None:
-            receipt.delivered.add_done_callback(
-                lambda f, k=state.key, s=stamp:
-                fin.count_delivery_outcome(machine, w, k, s, f))
+        inj = _tree_send(machine, w, team.world_rank(parent_tr), _REDUCE_UP,
+                         team, seq, root, radix, state, combined,
+                         cause).injected
         if state.phase2:
             # Non-root in an allreduce: completion comes with the
             # downward broadcast (handled by the bcast handler, which
@@ -434,9 +425,6 @@ def _reduce_try_combine(machine, team: Team, my_tr: int, seq: int,
 # --------------------------------------------------------------------- #
 # Composite asynchronous collectives
 # --------------------------------------------------------------------- #
-
-_composite_seq = itertools.count()
-
 
 def _composite(ctx, kind: str, team: Optional[Team], src_event, local_event,
                body) -> AsyncOp:
@@ -480,7 +468,6 @@ def _composite(ctx, kind: str, team: Optional[Team], src_event, local_event,
             fin.count_completed(machine, ctx.rank, key, recv_stamp)
 
     machine.start_internal_task(runner(), name=f"{kind}_async@{ctx.rank}")
-    op.initiated.set_result(None)
     if implicit:
         ctx.activation.register(op.make_pending(
             reads_local=True, writes_local=True, released=op.global_done))

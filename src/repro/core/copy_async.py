@@ -33,10 +33,12 @@ enclosing ``finish`` frame.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Optional, Union
 
 import numpy as np
 
+from repro.sim.tasks import Future
 from repro.runtime.coarray import CoarrayRef
 from repro.runtime.event import EventRef, EventVar
 from repro.net.active_messages import AMCategory
@@ -108,20 +110,43 @@ def _event_ref(ctx, ev) -> Optional[EventRef]:
 
 
 def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_PUT, _make_put_handler(machine))
-    machine.am.ensure_registered(_GET_REQ, _make_get_req_handler(machine))
-    machine.am.ensure_registered(_DATA, _make_data_handler(machine))
-    machine.am.ensure_registered(_FWD, _make_fwd_handler(machine))
-    machine.am.ensure_registered(_DONE, _make_done_handler(machine))
+    am = machine.am
+    if am.is_registered(_PUT):
+        return
+    am.register(_PUT, _make_put_handler(machine))
+    am.register(_GET_REQ, _make_get_req_handler(machine))
+    am.register(_DATA, _make_data_handler(machine))
+    am.register(_FWD, _make_fwd_handler(machine))
+    am.register(_DONE, _make_done_handler(machine))
+
+
+# Finish accounting: each side resolves its frame once and counts on it.
+
+def _count_send(frame, dst: int, cause) -> tuple:
+    """Count a message sent on ``frame`` (None outside a finish): the
+    frame key and epoch tag to put on the wire, and the sender stamp."""
+    if frame is None:
+        return None, None, None
+    stamp = frame.on_send(dst, cause)
+    return frame.key, stamp[0], stamp
+
+
+def _count_received(machine, ctx, key, tag) -> tuple:
+    """Count a message landing at its handler: the receiver's frame and
+    the receive stamp (None, None for an uncounted message)."""
+    if key is None:
+        return None, None
+    frame = fin.frame_at(machine, ctx.image, key)
+    return frame, frame.on_received(bool(tag), ctx.src)
 
 
 def _make_put_handler(machine):
     def handle_put(ctx, ref: CoarrayRef, key, tag, dest_event,
                    done_token, done_rank):
-        recv_stamp = fin.count_received(machine, ctx.image, key, tag,
-                                        src=ctx.src)
+        frame, recv_stamp = _count_received(machine, ctx, key, tag)
         ref.write(ctx.payload)
-        fin.count_completed(machine, ctx.image, key, recv_stamp)
+        if frame is not None:
+            frame.on_completed(recv_stamp)
         if dest_event is not None:
             machine.post_event(dest_event, from_rank=ctx.image)
         if done_token is not None:
@@ -135,64 +160,56 @@ def _make_put_handler(machine):
 def _make_get_req_handler(machine):
     def handle_get_req(ctx, ref: CoarrayRef, token, key, tag, src_event,
                        reply_rank):
-        recv_stamp = fin.count_received(machine, ctx.image, key, tag,
-                                        src=ctx.src)
+        frame, recv_stamp = _count_received(machine, ctx, key, tag)
         data = ref.read()
         if src_event is not None:
             machine.post_event(src_event, from_rank=ctx.image)
-        reply_stamp = fin.count_send(machine, ctx.image, key, dst=reply_rank,
-                                     cause=recv_stamp)
+        _key, reply_tag, reply_stamp = _count_send(frame, reply_rank,
+                                                   recv_stamp)
         receipt = machine.am.request_nb(
             ctx.image, reply_rank, _DATA,
-            args=(token, key, fin.wire_tag(reply_stamp)),
+            args=(token, key, reply_tag),
             payload=data, payload_size=int(np.asarray(data).nbytes),
-            category=AMCategory.LONG, want_ack=(key is not None),
+            category=AMCategory.LONG, want_ack=(frame is not None),
             kind="copy.data",
         )
-        if key is not None:
-            src_img = ctx.image
+        if frame is not None:
             receipt.delivered.add_done_callback(
-                lambda f: fin.count_delivery_outcome(machine, src_img, key,
-                                                     reply_stamp, f))
-        fin.count_completed(machine, ctx.image, key, recv_stamp)
+                partial(frame.on_delivery_outcome, reply_stamp))
+            frame.on_completed(recv_stamp)
     return handle_get_req
 
 
 def _make_data_handler(machine):
     def handle_data(ctx, token, key, reply_tag):
-        recv_stamp = fin.count_received(machine, ctx.image, key, reply_tag,
-                                        src=ctx.src)
+        frame, recv_stamp = _count_received(machine, ctx, key, reply_tag)
         complete = machine.scratch.pop(("copy.token", token))
         complete(ctx.payload)
-        fin.count_completed(machine, ctx.image, key, recv_stamp)
+        if frame is not None:
+            frame.on_completed(recv_stamp)
     return handle_data
 
 
 def _make_fwd_handler(machine):
     def handle_fwd(ctx, src_ref: CoarrayRef, dest_ref: CoarrayRef, key, tag,
                    src_event, dest_event, done_token, done_rank):
-        recv_stamp = fin.count_received(machine, ctx.image, key, tag,
-                                        src=ctx.src)
+        frame, recv_stamp = _count_received(machine, ctx, key, tag)
         data = src_ref.read()
         if src_event is not None:
             machine.post_event(src_event, from_rank=ctx.image)
-        put_stamp = fin.count_send(machine, ctx.image, key,
-                                   dst=dest_ref.world_rank,
-                                   cause=recv_stamp)
-        src_img = ctx.image
+        _key, put_tag, put_stamp = _count_send(frame, dest_ref.world_rank,
+                                               recv_stamp)
         receipt = machine.am.request_nb(
             ctx.image, dest_ref.world_rank, _PUT,
-            args=(dest_ref, key, fin.wire_tag(put_stamp), dest_event,
-                  done_token, done_rank),
+            args=(dest_ref, key, put_tag, dest_event, done_token, done_rank),
             payload=data, payload_size=int(np.asarray(data).nbytes),
-            category=AMCategory.LONG, want_ack=(key is not None),
+            category=AMCategory.LONG, want_ack=(frame is not None),
             kind="copy.put",
         )
-        if key is not None:
+        if frame is not None:
             receipt.delivered.add_done_callback(
-                lambda f: fin.count_delivery_outcome(machine, src_img, key,
-                                                     put_stamp, f))
-        fin.count_completed(machine, ctx.image, key, recv_stamp)
+                partial(frame.on_delivery_outcome, put_stamp))
+            frame.on_completed(recv_stamp)
     return handle_fwd
 
 
@@ -228,15 +245,23 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
 
     implicit = src_event is None and dest_event is None and not _explicit
     frame = ctx.activation.current_frame() if implicit else None
-    key = frame.key if frame is not None else None
-
-    op = AsyncOp("copy")
     machine.stats.incr("copy.initiated")
 
     src_local = s.rank == ctx.rank
     dest_local = d.rank == ctx.rank
+    start = (_start_local if src_local and dest_local else
+             _start_put if src_local else
+             _start_get if dest_local else _start_forward)
 
-    op.initiated.set_result(None)
+    # An unpredicated copy is under way before its handle exists, so the
+    # handle is the started copy's completion points themselves.  A
+    # predicated one hands its handle out first and follows them later.
+    if pre is None:
+        op = AsyncOp("copy", *start(ctx, machine, d, s, frame, src_ev,
+                                    dest_ev))
+    else:
+        op = AsyncOp("copy")
+    pending = None
     if implicit:
         pending = op.make_pending(
             reads_local=src_local, writes_local=dest_local,
@@ -244,40 +269,43 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
         )
         ctx.activation.register(pending)
 
-    rcop = (machine.racecheck.copy_begin(ctx, op, implicit,
-                                         predicated=pre is not None)
-            if machine.racecheck is not None else None)
+    racecheck = machine.racecheck
+    rcop = (racecheck.copy_begin(ctx, op, implicit,
+                                 predicated=pre is not None)
+            if racecheck is not None else None)
+    if pre is None:
+        if rcop is not None:
+            racecheck.copy_started(ctx, rcop, implicit, d, s, pre, src_ev,
+                                   dest_ev)
+        return op
+
+    if pending is not None:
+        pending.started = False
 
     def launch() -> None:
-        if op.pending_op is not None:
-            op.pending_op.started = True
+        if pending is not None:
+            pending.started = True
         if rcop is not None:
-            machine.racecheck.copy_started(ctx, rcop, implicit, d, s, pre,
-                                           src_ev, dest_ev)
-        if src_local and dest_local:
-            _start_local(ctx, machine, op, d, s, src_ev, dest_ev)
-        elif src_local:
-            _start_put(ctx, machine, op, d, s, key, src_ev, dest_ev)
-        elif dest_local:
-            _start_get(ctx, machine, op, d, s, key, src_ev, dest_ev)
-        else:
-            _start_forward(ctx, machine, op, d, s, key, src_ev, dest_ev)
+            racecheck.copy_started(ctx, rcop, implicit, d, s, pre, src_ev,
+                                   dest_ev)
+        local_data, local_op, global_done = start(
+            ctx, machine, d, s, frame, src_ev, dest_ev)
+        chain(local_data, op.local_data)
+        chain(local_op, op.local_op)
+        chain(global_done, op.global_done)
 
-    if pre is None:
-        launch()
-    else:
-        if op.pending_op is not None:
-            op.pending_op.started = False
-        machine.when_event(pre, ctx.rank, launch)
+    machine.when_event(pre, ctx.rank, launch)
     return op
 
 
-def _start_local(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc,
-                 src_ev, dest_ev) -> None:
-    """Both endpoints on the initiator: a memcpy at memory bandwidth."""
+def _start_local(ctx, machine, d: _Loc, s: _Loc, frame,
+                 src_ev, dest_ev) -> tuple:
+    """Both endpoints on the initiator: a memcpy at memory bandwidth;
+    every completion point is the moment it lands."""
     data = s.read()
     delay = max(machine.params.o_send,
                 machine.params.transfer_time(s.nbytes))
+    done = Future("copy.local")
 
     def apply() -> None:
         d.write(data)
@@ -285,94 +313,84 @@ def _start_local(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc,
             machine.post_event(src_ev, from_rank=ctx.rank)
         if dest_ev is not None:
             machine.post_event(dest_ev, from_rank=ctx.rank)
-        op.local_data.set_result(None)
-        op.local_op.set_result(None)
-        op.global_done.set_result(None)
+        done.set_result(None)
 
     machine.sim.schedule(delay, apply)
+    return done, done, done
 
 
-def _start_put(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
-               src_ev, dest_ev) -> None:
-    """Source on the initiator, destination remote: one data message."""
+def _start_put(ctx, machine, d: _Loc, s: _Loc, frame,
+               src_ev, dest_ev) -> tuple:
+    """Source on the initiator, destination remote: one data message,
+    whose receipt is the copy's completion."""
     data = s.read()
-    stamp = fin.count_send(machine, ctx.rank, key, dst=d.rank,
-                           cause=ctx.activation.cause)
+    key, tag, stamp = _count_send(frame, d.rank, ctx.activation.cause)
     receipt = machine.am.request_nb(
         ctx.rank, d.rank, _PUT,
-        args=(d.ref, key, fin.wire_tag(stamp), dest_ev, None, None),
+        args=(d.ref, key, tag, dest_ev, None, None),
         payload=data, payload_size=s.nbytes,
         category=AMCategory.LONG, want_ack=True, kind="copy.put",
     )
-    # Local data completion: the NIC has read the source buffer.
-    chain(receipt.injected, op.local_data)
     if src_ev is not None:
         receipt.injected.add_done_callback(
             lambda _f: machine.post_event(src_ev, from_rank=ctx.rank))
-    # Local operation completion == global completion for a put from the
+    if frame is not None:
+        receipt.delivered.add_done_callback(
+            partial(frame.on_delivery_outcome, stamp))
+    # Local data completion: the NIC has read the source buffer.  Local
+    # operation completion == global completion for a put from the
     # initiator (§I: "for an asynchronous copy from p to q initiated by
     # p, local data completion and local operation completion are
     # equivalent" — on the *source* side; delivery is what the ack tells
     # us, which is both this image's last pairwise communication and the
     # operation's global completion).
-    chain(receipt.delivered, op.local_op)
-    chain(receipt.delivered, op.global_done)
-    receipt.delivered.add_done_callback(
-        lambda f: fin.count_delivery_outcome(machine, ctx.rank, key, stamp,
-                                             f))
+    return receipt.injected, receipt.delivered, receipt.delivered
 
 
-def _start_get(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
-               src_ev, dest_ev) -> None:
-    """Source remote, destination on the initiator: request + reply."""
+def _start_get(ctx, machine, d: _Loc, s: _Loc, frame,
+               src_ev, dest_ev) -> tuple:
+    """Source remote, destination on the initiator: request + reply;
+    every completion point is the reply landing in the destination."""
     token = next(_tokens)
+    done = Future("copy.get")
 
     def complete(data) -> None:
         d.write(data)
         if dest_ev is not None:
             machine.post_event(dest_ev, from_rank=ctx.rank)
-        op.local_data.set_result(None)
-        op.local_op.set_result(None)
-        op.global_done.set_result(None)
+        done.set_result(None)
 
     machine.scratch[("copy.token", token)] = complete
-    stamp = fin.count_send(machine, ctx.rank, key, dst=s.rank,
-                           cause=ctx.activation.cause)
+    key, tag, stamp = _count_send(frame, s.rank, ctx.activation.cause)
     receipt = machine.am.request_nb(
         ctx.rank, s.rank, _GET_REQ,
-        args=(s.ref, token, key, fin.wire_tag(stamp), src_ev, ctx.rank),
-        category=AMCategory.SHORT, want_ack=(key is not None),
+        args=(s.ref, token, key, tag, src_ev, ctx.rank),
+        category=AMCategory.SHORT, want_ack=(frame is not None),
         kind="copy.get_req",
     )
-    if key is not None:
+    if frame is not None:
         receipt.delivered.add_done_callback(
-            lambda f: fin.count_delivery_outcome(machine, ctx.rank, key,
-                                                 stamp, f))
+            partial(frame.on_delivery_outcome, stamp))
+    return done, done, done
 
 
-def _start_forward(ctx, machine, op: AsyncOp, d: _Loc, s: _Loc, key,
-                   src_ev, dest_ev) -> None:
+def _start_forward(ctx, machine, d: _Loc, s: _Loc, frame,
+                   src_ev, dest_ev) -> tuple:
     """Both endpoints remote: control to the source image, which puts to
     the destination; the destination confirms back to the initiator."""
     token = next(_tokens)
-
-    def complete(_ignored) -> None:
-        op.global_done.set_result(None)
-
-    machine.scratch[("copy.token", token)] = complete
-    stamp = fin.count_send(machine, ctx.rank, key, dst=s.rank,
-                           cause=ctx.activation.cause)
+    global_done = Future("copy.fwd")
+    machine.scratch[("copy.token", token)] = global_done.set_result
+    key, tag, stamp = _count_send(frame, s.rank, ctx.activation.cause)
     receipt = machine.am.request_nb(
         ctx.rank, s.rank, _FWD,
-        args=(s.ref, d.ref, key, fin.wire_tag(stamp), src_ev, dest_ev,
-              token, ctx.rank),
+        args=(s.ref, d.ref, key, tag, src_ev, dest_ev, token, ctx.rank),
         category=AMCategory.SHORT, want_ack=True, kind="copy.fwd",
     )
+    if frame is not None:
+        receipt.delivered.add_done_callback(
+            partial(frame.on_delivery_outcome, stamp))
     # The initiator's buffers are never touched: its local-data point is
     # the injection of the control message (argument evaluation done);
     # its last pairwise communication is that message's delivery.
-    chain(receipt.injected, op.local_data)
-    chain(receipt.delivered, op.local_op)
-    receipt.delivered.add_done_callback(
-        lambda f: fin.count_delivery_outcome(machine, ctx.rank, key, stamp,
-                                             f))
+    return receipt.injected, receipt.delivered, global_done

@@ -182,10 +182,11 @@ class FinishFrame:
         #: confirmation can be healed by replaying the algebra in
         #: reverse (:meth:`unreconcile`)
         self._reconcile_stamps: dict[int, tuple] = {}
-        #: outbound spawn ledger [(spawn_id, dst, fn, args, name)], kept
-        #: only while a failure service with recovery is attached; popped
-        #: per-destination by reconcile_failure for re-execution.
-        self.ledger: list[tuple] = []
+        #: outbound spawn ledger {spawn_id: (dst, fn, args, name)} in
+        #: send order, kept only while a failure service with recovery is
+        #: attached; an entry leaves when its send fails (re-executed at
+        #: once) or, per destination, in reconcile_failure.
+        self.ledger: dict[int, tuple] = {}
 
     # -- epoch machinery ------------------------------------------------- #
 
@@ -278,6 +279,15 @@ class FinishFrame:
         self.machine.stats.incr("finish.sends_failed")
         self.cond.wake()
 
+    def on_delivery_outcome(self, stamp: tuple, fut) -> None:
+        """Done-callback body for a counted send's ``delivered`` future:
+        count it delivered on success, uncount the send if the transport
+        reported the peer failed."""
+        if fut.exception() is None:
+            self.on_delivered(stamp)
+        else:
+            self.on_send_failed(stamp)
+
     def on_received(self, tag_odd: bool, src: Optional[int] = None
                     ) -> tuple[bool, int, Optional[int]]:
         """Count an incoming message; returns the receiver-side stamp to
@@ -307,12 +317,13 @@ class FinishFrame:
 
     # -- failure reconciliation ----------------------------------------- #
 
-    def reconcile_failure(self, dead: int) -> list[tuple]:
+    def reconcile_failure(self, dead: int) -> dict[int, tuple]:
         """Remove every count paired with ``dead`` (see module docstring)
-        and return the popped ledger entries destined to it, so the
-        caller can re-execute the lost shipped functions.  Idempotent."""
+        and return the popped ledger entries destined to it (in send
+        order), so the caller can re-execute the lost shipped functions.
+        Idempotent."""
         if dead in self.reconciled:
-            return []
+            return {}
         self.reconciled.add(dead)
         # Collapse both epochs first so the subtraction has one target
         # and any in-progress detector wave restarts on the gen bump.
@@ -328,10 +339,11 @@ class FinishFrame:
         self.c_delivered -= d
         self.c_received -= r
         self.c_completed -= c
-        lost = [e for e in self.ledger if e[1] == dead]
-        if lost:
-            self.ledger = [e for e in self.ledger if e[1] != dead]
-        self._reconcile_stamps[dead] = (d, r, c, tuple(lost))
+        lost = {spawn_id: entry for spawn_id, entry in self.ledger.items()
+                if entry[0] == dead}
+        for spawn_id in lost:
+            del self.ledger[spawn_id]
+        self._reconcile_stamps[dead] = (d, r, c, lost)
         self.machine.stats.incr("finish.reconciled")
         self.cond.wake()
         return lost
@@ -347,7 +359,7 @@ class FinishFrame:
         if peer not in self.reconciled:
             return
         self.reconciled.discard(peer)
-        d, r, c, lost = self._reconcile_stamps.pop(peer, (0, 0, 0, ()))
+        d, r, c, lost = self._reconcile_stamps.pop(peer, (0, 0, 0, {}))
         # Collapse to even first: the subtraction targeted the even
         # epoch, and the gen bump restarts any in-progress detector
         # wave — the membership it snapshotted just changed.
@@ -366,11 +378,10 @@ class FinishFrame:
         self.c_delivered += d
         self.c_received += r
         self.c_completed += c
-        if lost:
-            # The popped spawn-ledger entries go back on the books: the
-            # peer is alive, so they were delivered (or quarantined and
-            # flushed), not lost.
-            self.ledger.extend(lost)
+        # The popped spawn-ledger entries go back on the books: the
+        # peer is alive, so they were delivered (or quarantined and
+        # flushed), not lost.
+        self.ledger.update(lost)
         self.machine.stats.incr("finish.unreconciled")
         self.cond.wake()
 
@@ -502,7 +513,11 @@ def stall_report(machine, blocked: list) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Message-side helpers (used by spawn / copy_async / async collectives)
+# Message-side helpers: counting by (image, frame key), for callers that
+# carry a key rather than a frame (async collectives, whose state can be
+# created by an arriving message).  spawn and copy_async resolve their
+# frame once per side — the initiator holds it, a handler calls
+# frame_at — and count on it directly.
 # --------------------------------------------------------------------- #
 
 def frame_at(machine, world_rank: int, key: tuple) -> FinishFrame:
@@ -559,13 +574,8 @@ def count_delivery_outcome(machine, world_rank: int, key: Optional[tuple],
     """Done-callback body for a counted send's ``delivered`` future:
     count it delivered on success, uncount the send if the transport
     reported the peer failed."""
-    if key is None or stamp is None:
-        return
-    frame = frame_at(machine, world_rank, key)
-    if fut.exception() is None:
-        frame.on_delivered(stamp)
-    else:
-        frame.on_send_failed(stamp)
+    if key is not None and stamp is not None:
+        frame_at(machine, world_rank, key).on_delivery_outcome(stamp, fut)
 
 
 def count_completed(machine, world_rank: int, key: Optional[tuple],
@@ -633,6 +643,9 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
     algorithm = termination.get_detector(detector)
     rounds = yield from algorithm(ctx, frame)
     state.finish_stack.pop()
+    # Everything this activation initiated in the block is now globally
+    # complete: its pending-op records have nothing left to order.
+    ctx.activation.prune()
     if ctx.machine.racecheck is not None:
         ctx.machine.racecheck.finish_exit(ctx.activation, frame.key)
     ctx.machine.stats.incr("finish.completed")

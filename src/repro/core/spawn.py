@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+from functools import partial
 from typing import Any, Generator, Optional
 
 import numpy as np
@@ -38,15 +39,14 @@ from repro.runtime.memory_model import Activation
 from repro.runtime.sizeof import sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
-from repro.core.completion import AsyncOp, chain
+from repro.net.transport import PeerFailedError
+from repro.core.completion import RESOLVED, AsyncOp
 from repro.core import finish as fin
 
 _EXEC = "spawn.exec"
-
-
-def _peer_failed_error():
-    from repro.net.transport import PeerFailedError
-    return PeerFailedError
+#: machine.scratch key: {shipped function: its activation name}, which
+#: doubles as the record of functions already validated
+_FN_NAMES = "spawn.fn_names"
 
 #: fixed descriptor bytes per spawn (function id, frame key, tag, header)
 SPAWN_HEADER_BYTES = 32
@@ -57,32 +57,51 @@ REF_BYTES = 16
 _BY_REFERENCE = (CoarrayRef, ImageSection, Coarray, EventVar, EventRef, Team)
 
 
-def _arg_wire_size(arg: Any) -> int:
-    if isinstance(arg, _BY_REFERENCE):
-        return REF_BYTES
-    return sizeof(arg)
+def _pack(args: tuple) -> tuple[int, tuple]:
+    """Simulated wire size of a spawn's argument list, and the arguments
+    as they travel.  Value arguments are *copied* to the target (paper
+    §II-C.2) and weigh their bytes; only coarray sections, events and
+    teams travel by reference, as one descriptor each.  Copying at
+    initiation models the runtime packing the argument buffer."""
+    size = SPAWN_HEADER_BYTES
+    shipped = []
+    for arg in args:
+        if isinstance(arg, _BY_REFERENCE):
+            size += REF_BYTES
+        else:
+            size += sizeof(arg)
+            if isinstance(arg, np.ndarray):
+                arg = np.copy(arg)
+            elif isinstance(arg, (list, dict, set, bytearray)):
+                arg = copy.deepcopy(arg)
+            # immutables need no copy
+        shipped.append(arg)
+    return size, tuple(shipped)
 
 
 def payload_size(args: tuple) -> int:
     """Simulated wire size of a spawn's argument list."""
-    return SPAWN_HEADER_BYTES + sum(_arg_wire_size(a) for a in args)
-
-
-def _marshal(arg: Any) -> Any:
-    """Value arguments are *copied* to the target (paper §II-C.2); only
-    coarray sections, events and teams travel by reference.  Copying at
-    initiation models the runtime packing the argument buffer."""
-    if isinstance(arg, _BY_REFERENCE):
-        return arg
-    if isinstance(arg, np.ndarray):
-        return np.copy(arg)
-    if isinstance(arg, (list, dict, set, bytearray)):
-        return copy.deepcopy(arg)
-    return arg  # immutables need no copy
+    return _pack(args)[0]
 
 
 def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_EXEC, _make_exec_handler(machine))
+    if not machine.am.is_registered(_EXEC):
+        machine.am.register(_EXEC, _make_exec_handler(machine))
+
+
+def _activation_name(machine, fn) -> str:
+    """The name shipped executions of ``fn`` run under; validates ``fn``
+    the first time this machine sees it."""
+    names = machine.scratch.setdefault(_FN_NAMES, {})
+    name = names.get(fn)
+    if name is None:
+        if not inspect.isgeneratorfunction(fn):
+            raise TypeError(
+                f"spawned function {fn!r} must be a generator function "
+                "(def f(image, ...): ... yield ...)"
+            )
+        name = names[fn] = getattr(fn, "__name__", "fn")
+    return name
 
 
 def _make_exec_handler(machine):
@@ -91,9 +110,10 @@ def _make_exec_handler(machine):
         # Count reception before the function body runs: the message has
         # landed even if the task runs long (Fig. 7 separates received
         # from completed for exactly this reason).
-        recv_stamp = fin.count_received(machine, ctx.image, key, tag,
-                                        src=ctx.src)
-        frame = fin.frame_at(machine, ctx.image, key) if key is not None else None
+        frame = recv_stamp = None
+        if key is not None:
+            frame = fin.frame_at(machine, ctx.image, key)
+            recv_stamp = frame.on_received(bool(tag), ctx.src)
         # Recovery idempotency: when a failure service with recovery is
         # attached, every execution is recorded under its spawn id and a
         # duplicate arrival skips the body (but still balances the
@@ -122,7 +142,8 @@ def _make_exec_handler(machine):
                 # Publish the body's final clock before the completion
                 # count/event can let a finish or waiter proceed.
                 machine.racecheck.activation_done(activation, key, event_ref)
-            fin.count_completed(machine, ctx.image, key, recv_stamp)
+            if frame is not None:
+                frame.on_completed(recv_stamp)
             if event_ref is not None:
                 machine.post_event(event_ref, from_rank=ctx.image)
     return handle_exec
@@ -136,14 +157,12 @@ def spawn(ctx, fn, target: int, *args: Any,
 
     ``fn`` must be a generator function taking the target-side image
     handle as its first parameter.  Use with ``yield from`` (the call may
-    block on flow-control credits).  Returns the operation handle.
+    block on flow-control credits).  Returns the operation handle: the
+    spawn is one message, so the handle's completion points are the
+    message's (:meth:`AsyncOp.of_message`).
     """
-    if not inspect.isgeneratorfunction(fn):
-        raise TypeError(
-            f"spawned function {fn!r} must be a generator function "
-            "(def f(image, ...): ... yield ...)"
-        )
     machine = ctx.machine
+    fn_name = _activation_name(machine, fn)
     _ensure_handlers(machine)
     team = team if team is not None else ctx.team_world
     dst = team.world_rank(target)
@@ -153,18 +172,16 @@ def spawn(ctx, fn, target: int, *args: Any,
         event_ref = event if isinstance(event, EventRef) else event.ref_for(ctx.rank)
 
     implicit = event is None
-    frame = ctx.activation.current_frame() if implicit else None
-    key = frame.key if frame is not None else None
+    activation = ctx.activation
+    frame = activation.current_frame() if implicit else None
 
-    op = AsyncOp("spawn")
-    name = f"{getattr(fn, '__name__', 'fn')}@{dst}"
-    size = payload_size(args)
-    shipped_args = tuple(_marshal(a) for a in args)
+    name = f"{fn_name}@{dst}"
+    size, shipped_args = _pack(args)
     spawn_id = machine.next_spawn_id()
 
     failure = machine.failure
-    if (implicit and frame is not None and failure is not None
-            and failure.recover and dst != ctx.rank
+    recover = frame is not None and failure is not None and failure.recover
+    if (recover and dst != ctx.rank
             and (dst in failure.suspects or dst in machine.dead_images)):
         # Fault-tolerant reroute: the destination is already known dead,
         # so shipping would only fail after a detector round-trip.  Run
@@ -173,71 +190,70 @@ def spawn(ctx, fn, target: int, *args: Any,
         machine.stats.incr("spawn.rerouted")
         _run_local(machine, ctx.rank, frame, fn, shipped_args, spawn_id,
                    name)
-        op.initiated.set_result(None)
-        op.local_data.set_result(None)
-        op.local_op.set_result(None)
-        op.global_done.set_result(None)
-        if implicit:
-            ctx.activation.register(
-                op.make_pending(reads_local=True, writes_local=False,
-                                released=op.local_op,
-                                op_id=machine.next_op_id()))
+        op = AsyncOp("spawn", RESOLVED, RESOLVED, RESOLVED)
+        activation.register(
+            op.make_pending(reads_local=True, writes_local=False,
+                            released=op.local_op,
+                            op_id=machine.next_op_id()))
         return op
 
-    stamp = fin.count_send(machine, ctx.rank, key, dst=dst,
-                           cause=ctx.activation.cause)
-    if (implicit and frame is not None and failure is not None
-            and failure.recover):
-        frame.ledger.append((spawn_id, dst, fn, shipped_args, name))
+    key = stamp = tag = None
+    if frame is not None:
+        key = frame.key
+        stamp = frame.on_send(dst, activation.cause)
+        tag = stamp[0]
+        if recover:
+            frame.ledger[spawn_id] = (dst, fn, shipped_args, name)
     machine.stats.incr("spawn.initiated")
-    rc_vc = None
+    rcop = rc_vc = None
     if machine.racecheck is not None:
-        rcop = machine.racecheck.spawn_begin(ctx, op, implicit)
+        rcop = machine.racecheck.spawn_begin(ctx, implicit)
         rc_vc = rcop.vc_local()
     receipt = yield from machine.am.request(
         ctx.rank, dst, _EXEC,
-        args=(fn, shipped_args, key, fin.wire_tag(stamp), event_ref, name,
-              rc_vc, spawn_id),
+        args=(fn, shipped_args, key, tag, event_ref, name, rc_vc, spawn_id),
         payload_size=size, category=AMCategory.MEDIUM,
         want_ack=True, kind="spawn",
     )
-    op.initiated.set_result(None)
-    chain(receipt.injected, op.local_data)
-    chain(receipt.delivered, op.local_op)
-
-    def _delivery_outcome(f):
-        fin.count_delivery_outcome(machine, ctx.rank, key, stamp, f)
-        # Recovery: a send the transport failed definitively (fresh sends
-        # fail before transmission; in-flight ones only once the peer is
-        # confirmed dead) never runs its function at the destination.
-        # Re-execute it here now — reconciliation cannot, because the
-        # on_send_failed subtraction already rebalanced the frame, so a
-        # finish may conclude before the peer is ever confirmed.
-        if (frame is not None and failure is not None and failure.recover
-                and ctx.rank not in machine.dead_images
-                and isinstance(f.exception(), _peer_failed_error())):
-            for i, entry in enumerate(frame.ledger):
-                if entry[0] == spawn_id:
-                    del frame.ledger[i]
-                    machine.stats.incr("spawn.recovered")
-                    _run_local(machine, ctx.rank, frame, fn, shipped_args,
-                               spawn_id, name)
-                    break
-
-    receipt.delivered.add_done_callback(_delivery_outcome)
     # The initiator cannot observe execution completion without an event;
     # global completion is finish's business.  local_op is the strongest
     # initiator-side guarantee the handle itself carries.
-    chain(receipt.delivered, op.global_done)
+    op = AsyncOp.of_message("spawn", receipt)
+    op.rc = rcop
+    if frame is not None:
+        receipt.delivered.add_done_callback(
+            partial(_delivery_outcome, frame, stamp, spawn_id))
 
     if implicit:
-        ctx.activation.register(
+        activation.register(
             op.make_pending(reads_local=True, writes_local=False,
                             released=op.local_op,
                             op_id=machine.next_op_id()))
         if machine.racecheck is not None:
-            machine.racecheck.spawn_registered(ctx.activation, op)
+            machine.racecheck.spawn_registered(activation, op)
     return op
+
+
+def _delivery_outcome(frame, stamp: tuple, spawn_id: int, fut) -> None:
+    """Done-callback of a counted spawn's delivery ack, on the spawner's
+    ``frame``: count the outcome, and re-execute a lost spawn."""
+    frame.on_delivery_outcome(stamp, fut)
+    # Recovery: a send the transport failed definitively (fresh sends
+    # fail before transmission; in-flight ones only once the peer is
+    # confirmed dead) never runs its function at the destination.
+    # Re-execute it here now — reconciliation cannot, because the
+    # on_send_failed subtraction already rebalanced the frame, so a
+    # finish may conclude before the peer is ever confirmed.  The ledger
+    # has the entry only if recovery is armed.
+    machine = frame.machine
+    if (isinstance(fut.exception(), PeerFailedError)
+            and frame.world_rank not in machine.dead_images):
+        entry = frame.ledger.pop(spawn_id, None)
+        if entry is not None:
+            machine.stats.incr("spawn.recovered")
+            _dst, fn, args, name = entry
+            _run_local(machine, frame.world_rank, frame, fn, args,
+                       spawn_id, name)
 
 
 # --------------------------------------------------------------------- #
@@ -280,9 +296,9 @@ def _run_local(machine, rank: int, frame, fn, args: tuple,
     machine.start_internal_task(body(), name=f"respawn.{name}", owner=rank)
 
 
-def reexecute_lost(machine, rank: int, frame, entries: list) -> None:
+def reexecute_lost(machine, rank: int, frame, entries: dict) -> None:
     """Recovery hook: re-run the ledger entries ``reconcile_failure``
     popped for a dead destination, on the surviving spawner ``rank``."""
     machine.stats.incr("spawn.recovered", len(entries))
-    for spawn_id, _dst, fn, args, name in entries:
+    for spawn_id, (_dst, fn, args, name) in entries.items():
         _run_local(machine, rank, frame, fn, args, spawn_id, name)

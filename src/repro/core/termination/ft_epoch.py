@@ -48,8 +48,11 @@ _VERDICT = "ft.verdict"
 
 
 def _ensure_handlers(machine) -> None:
-    machine.am.ensure_registered(_REPORT, _make_report_handler(machine))
-    machine.am.ensure_registered(_VERDICT, _make_verdict_handler(machine))
+    am = machine.am
+    if am.is_registered(_REPORT):
+        return
+    am.register(_REPORT, _make_report_handler(machine))
+    am.register(_VERDICT, _make_verdict_handler(machine))
 
 
 def _verdict_slot(key, r) -> tuple:

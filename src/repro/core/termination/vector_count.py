@@ -47,6 +47,10 @@ def _flags(machine, key: tuple) -> dict:
 
 
 def _ensure_handlers(machine) -> None:
+    am = machine.am
+    if am.is_registered(_REPORT):
+        return
+
     def handle_report(ctx, key, team_rank, version, sent_to, completed,
                       team_size):
         state = _owner_state(machine, key, team_size)
@@ -60,8 +64,8 @@ def _ensure_handlers(machine) -> None:
         _flags(machine, key)[ctx.image] = True
         frame_at(machine, ctx.image, key).cond.wake()
 
-    machine.am.ensure_registered(_REPORT, handle_report)
-    machine.am.ensure_registered(_ALL_DONE, handle_done)
+    am.register(_REPORT, handle_report)
+    am.register(_ALL_DONE, handle_done)
 
 
 def _record_report(machine, owner_world: int, key, state: _OwnerState,

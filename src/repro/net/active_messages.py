@@ -30,6 +30,10 @@ class AMCategory(enum.Enum):
     LONG = "long"
 
 
+#: per-category message counter keys
+_CATEGORY_STAT = {category: f"am.{category.value}" for category in AMCategory}
+
+
 class AMSizeError(ValueError):
     """Payload too large for the requested AM category."""
 
@@ -72,6 +76,9 @@ class AMLayer:
         self.params = network.params
         self.credits = credit_manager
         self._handlers: dict[str, Callable] = {}
+        #: names of the generator-function handlers (decided once, at
+        #: registration: these run as tasks, the rest inline)
+        self._task_handlers: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Handler registry
@@ -82,13 +89,22 @@ class AMLayer:
         delivery; plain callables run inline."""
         if name in self._handlers:
             raise ValueError(f"AM handler {name!r} already registered")
-        self._handlers[name] = fn
+        self._install(name, fn)
 
     def ensure_registered(self, name: str, fn: Callable) -> None:
-        """Idempotent registration (used by layers that lazily install
-        their handlers)."""
+        """Idempotent registration."""
         if name not in self._handlers:
-            self._handlers[name] = fn
+            self._install(name, fn)
+
+    def _install(self, name: str, fn: Callable) -> None:
+        self._handlers[name] = fn
+        if inspect.isgeneratorfunction(fn):
+            self._task_handlers.add(name)
+
+    def is_registered(self, name: str) -> bool:
+        """Whether a handler is installed under ``name`` — how the layers
+        that install their handlers lazily do so once per machine."""
+        return name in self._handlers
 
     # ------------------------------------------------------------------ #
     # Requests
@@ -128,7 +144,7 @@ class AMLayer:
             kind=kind or f"am.{handler}",
             on_deliver=self._on_deliver,
         )
-        self.network.stats.incr(f"am.{category.value}")
+        self.network.stats.incr(_CATEGORY_STAT[category])
         return self.network.send(msg, want_ack=want_ack,
                                  best_effort=best_effort)
 
@@ -165,7 +181,7 @@ class AMLayer:
         handler_name, args, payload = msg.payload
         fn = self._handlers[handler_name]
         ctx = HandlerContext(self, msg.dst, msg.src, msg, payload)
-        if inspect.isgeneratorfunction(fn):
+        if handler_name in self._task_handlers:
             # Handler tasks run on behalf of the destination image, so a
             # fail-stop crash of that image halts them too.
             Task(self.sim, fn(ctx, *args),

@@ -154,8 +154,8 @@ class DeliveryReceipt:
 
     def __init__(self, message: Message, want_ack: bool):
         self.message = message
-        self.injected = Future(f"msg{message.seq}.injected")
-        self.delivered = Future(f"msg{message.seq}.delivered") if want_ack else None
+        self.injected = Future("injected")
+        self.delivered = Future("delivered") if want_ack else None
 
 
 class _PendingSend:
@@ -244,6 +244,8 @@ class Network:
         #: per-network message sequence (reproducible across back-to-back
         #: simulations in one process)
         self._msg_seq = itertools.count()
+        #: message kind -> its ``net.kind.<kind>`` counter key
+        self._kind_stat: dict[str, str] = {}
         # reliable-protocol state
         self._tx_next: dict[tuple, int] = {}
         self._tx_pending: dict[tuple, _PendingSend] = {}
@@ -379,7 +381,10 @@ class Network:
         inject_end = self._inject(msg)
 
         self.stats.incr("net.bytes", msg.size)
-        self.stats.incr(f"net.kind.{msg.kind}")
+        kind_stat = self._kind_stat.get(msg.kind)
+        if kind_stat is None:
+            kind_stat = self._kind_stat[msg.kind] = f"net.kind.{msg.kind}"
+        self.stats.incr(kind_stat)
 
         self.sim.schedule_at(inject_end, receipt.injected.set_result, None)
 

@@ -27,6 +27,10 @@ _GRANT = "lock.grant"
 
 
 def _ensure_handlers(machine: "Machine") -> None:
+    am = machine.am
+    if am.is_registered(_ACQ):
+        return
+
     def handle_acquire(ctx, lock_name: str, token: int) -> None:
         lock = machine.lock_by_name(lock_name)
         lock._acquire_at(ctx.image, ctx.src, token)
@@ -39,9 +43,9 @@ def _ensure_handlers(machine: "Machine") -> None:
         fut = machine.scratch.pop(("lock.grant", token))
         fut.set_result(None)
 
-    machine.am.ensure_registered(_ACQ, handle_acquire)
-    machine.am.ensure_registered(_REL, handle_release)
-    machine.am.ensure_registered(_GRANT, handle_grant)
+    am.register(_ACQ, handle_acquire)
+    am.register(_REL, handle_release)
+    am.register(_GRANT, handle_grant)
 
 
 class LockVar:

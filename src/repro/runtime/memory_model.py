@@ -135,8 +135,11 @@ class Activation:
     of the hottest allocations in the runtime (DESIGN.md §13).
     """
 
-    __slots__ = ("image_state", "finish_frame", "name", "_pending", "rc",
-                 "cause")
+    __slots__ = ("image_state", "finish_frame", "name", "_pending",
+                 "_prune_at", "rc", "cause")
+
+    #: registrations before the first amortised prune
+    _PRUNE_MIN = 32
 
     def __init__(self, image_state: "ImageState",
                  finish_frame=None, name: str = "main"):
@@ -144,6 +147,7 @@ class Activation:
         self.finish_frame = finish_frame
         self.name = name
         self._pending: list[PendingOp] = []
+        self._prune_at = self._PRUNE_MIN
         #: race-detector thread clock (analysis.racecheck), when enabled
         self.rc = None
         #: the finish receive stamp of the message that started this
@@ -168,18 +172,29 @@ class Activation:
     # -- registration ---------------------------------------------------- #
 
     def register(self, op: PendingOp) -> PendingOp:
-        self._pending.append(op)
+        """Record ``op`` until it completes.  Completed records are
+        dropped here too, whenever the list has doubled since the last
+        sweep: an activation that only ever initiates (spawns under one
+        long ``finish``, never a ``cofence`` or ``event_notify``) would
+        otherwise keep every operation's record and futures alive until
+        it returns."""
+        pending = self._pending
+        pending.append(op)
+        if len(pending) >= self._prune_at:
+            self.prune()
         return op
 
-    def _prune(self) -> None:
+    def prune(self) -> None:
+        """Drop the records of completed operations."""
         self._pending = [
             op for op in self._pending
             if not (op.local_data.done and op.released.done)
         ]
+        self._prune_at = max(self._PRUNE_MIN, 2 * len(self._pending))
 
     @property
     def pending(self) -> list[PendingOp]:
-        self._prune()
+        self.prune()
         return list(self._pending)
 
     # -- what fences wait on ---------------------------------------------- #
@@ -188,7 +203,7 @@ class Activation:
         """Local-data futures a cofence with this downward filter must
         await: every pending implicit op whose class set is NOT allowed
         to defer completion past the fence."""
-        self._prune()
+        self.prune()
         return [
             op.local_data for op in self._pending
             if not op.local_data.done
@@ -200,7 +215,7 @@ class Activation:
         cannot overtake the remote effects of earlier implicit ops.
         Predicate-gated ops that have not started are exempt (see
         :attr:`PendingOp.started`)."""
-        self._prune()
+        self.prune()
         return [op.released for op in self._pending
                 if op.started and not op.released.done]
 

@@ -41,6 +41,7 @@ from repro.runtime.image import Image, ImageState
 from repro.runtime.lock import LockVar
 from repro.runtime.memory_model import Activation
 from repro.runtime.team import Team
+from repro.core.finish import FinishFrame
 
 _EVENT_POST = "event.post"
 
@@ -421,8 +422,6 @@ class Machine:
     def get_or_create_frame(self, world_rank: int, key: tuple):
         """Finish frame for (image, key); lazily created because shipped
         functions can land before the image enters its own block."""
-        from repro.core.finish import FinishFrame
-
         full_key = (world_rank, key)
         frame = self._frames.get(full_key)
         if frame is None:

@@ -210,7 +210,7 @@ class Task:
         self.sim = sim
         self.gen = gen
         self.name = name or f"task-{self.tid}"
-        self.done_future = Future(f"{self.name}.done")
+        self.done_future = Future("task.done")
         #: The simulated image this task executes on behalf of, or None
         #: for infrastructure tasks that survive any image's crash.  Only
         #: owned tasks are registered with the simulator's kill registry.

@@ -7,6 +7,8 @@ completion level (local data / local operation / global).
 import numpy as np
 import pytest
 
+from repro import FaultPlan, PeerFailedError, run_spmd
+
 
 def _setup(m):
     m.coarray("T", shape=8, dtype=np.float64)
@@ -194,28 +196,82 @@ class TestSpawnRow:
         assert results[1] == [6.0] * 8
 
 
+def _noop(img):
+    yield from img.compute(1e-7)
+
+
 class TestCompletionOrderInvariant:
-    @pytest.mark.parametrize("case", ["put", "get", "forward"])
-    def test_ld_le_lo_le_global(self, spmd, fast_params, case):
-        order = {}
+    # A forward's global_done rides a separate confirmation message, so
+    # a lost ack of the control message can heal after it: the order is
+    # pinned under faults only for the single-message and get paths.
+    @pytest.mark.parametrize("case,chaos", [
+        ("put", False), ("get", False), ("forward", False), ("spawn", False),
+        ("put", True), ("get", True), ("spawn", True)])
+    def test_ld_le_lo_le_global(self, fast_params, case, chaos):
+        """Fig. 1's order holds for every operation, in simulated time —
+        also when its message is dropped, retransmitted or duplicated
+        under the reliable transport."""
+        rounds = 12
+        order = [{} for _ in range(rounds)]
 
         def kernel(img):
             T = img.machine.coarray_by_name("T")
             yield from img.barrier()
             if img.rank == 0:
-                if case == "put":
-                    op = img.copy_async(T.ref(1), np.ones(8))
-                elif case == "get":
-                    op = img.copy_async(np.zeros(8), T.ref(1))
-                else:
-                    op = img.copy_async(T.ref(2), T.ref(1))
-                for name, fut in (("ld", op.local_data),
-                                  ("lo", op.local_op),
-                                  ("gd", op.global_done)):
-                    fut.add_done_callback(
-                        lambda _f, n=name: order.setdefault(n, img.now))
-                yield op.global_done
+                for stamps in order:
+                    if case == "put":
+                        op = img.copy_async(T.ref(1), np.ones(8))
+                    elif case == "get":
+                        op = img.copy_async(np.zeros(8), T.ref(1))
+                    elif case == "forward":
+                        op = img.copy_async(T.ref(2), T.ref(1))
+                    else:
+                        op = yield from img.spawn(_noop, 1)
+                    assert op.initiated.done
+                    for name, fut in (("ld", op.local_data),
+                                      ("lo", op.local_op),
+                                      ("gd", op.global_done)):
+                        fut.add_done_callback(
+                            lambda _f, n=name, s=stamps:
+                            s.setdefault(n, img.now))
+                    yield op.global_done
+                    yield op.local_data
             yield from img.barrier()
 
-        spmd(kernel, n=3, setup=_setup, params=fast_params(3))
-        assert order["ld"] <= order["lo"] <= order["gd"]
+        faults = (FaultPlan(drop=0.25, duplicate=0.25, seed=11) if chaos
+                  else None)
+        machine, _ = run_spmd(kernel, 3, setup=_setup, faults=faults,
+                              params=fast_params(3, reliable=chaos))
+        for stamps in order:
+            assert stamps["ld"] <= stamps["lo"] <= stamps["gd"]
+        if chaos:
+            assert machine.stats["net.retransmits"] > 0
+            assert machine.stats["net.dups"] > 0
+
+
+class TestPeerFailureOnTheHandle:
+    @pytest.mark.parametrize("case", ["put", "spawn"])
+    def test_confirmed_dead_destination_fails_local_op_and_global_done(
+            self, case):
+        """The handle *is* the message's receipt: a send the transport
+        abandons shows as PeerFailedError on the operation's own
+        completion points, and local data completion still resolves."""
+
+        def kernel(img):
+            T = img.machine.coarray_by_name("T")
+            if img.rank != 0:
+                return None
+            img.machine.network.confirm_dead(1)
+            if case == "put":
+                op = img.copy_async(T.ref(1), np.ones(8))
+            else:
+                op = yield from img.spawn(_noop, 1)
+            for fut in (op.local_op, op.global_done):
+                with pytest.raises(PeerFailedError) as caught:
+                    yield fut
+                assert caught.value.peer == 1
+            yield op.local_data
+            return "source buffer released"
+
+        _m, results = run_spmd(kernel, 2, setup=_setup)
+        assert results[0] == "source buffer released"

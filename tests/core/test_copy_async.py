@@ -208,9 +208,13 @@ class TestPredicate:
             if img.rank == 0:
                 op = img.copy_async(T.ref(1), np.full(8, 9.0), pre_event=go)
                 yield from img.compute(5e-6)
-                assert not op.local_data.done  # gated on the predicate
+                # gated on the predicate: initiated, nothing else
+                assert op.initiated.done
+                assert not (op.local_data.done or op.local_op.done
+                            or op.global_done.done)
                 yield from img.event_notify(go)
                 yield op.global_done
+                assert op.local_data.done and op.local_op.done
             yield from img.barrier()
             return T.local_at(img.rank).tolist()
 

@@ -103,12 +103,44 @@ class TestReconcileFailure:
 
     def test_ledger_entries_for_dead_destination_popped(self):
         _m, fr = make_frame()
-        fr.ledger.append((0, 2, None, (), "a"))
-        fr.ledger.append((1, 1, None, (), "b"))
-        fr.ledger.append((2, 2, None, (), "c"))
+        fr.ledger[0] = (2, None, (), "a")
+        fr.ledger[1] = (1, None, (), "b")
+        fr.ledger[2] = (2, None, (), "c")
         lost = fr.reconcile_failure(2)
-        assert [e[0] for e in lost] == [0, 2]
-        assert [e[0] for e in fr.ledger] == [1]
+        assert list(lost) == [0, 2]
+        assert list(fr.ledger) == [1]
+
+    def test_ledger_pops_by_spawn_id(self):
+        """A failed send leaves the ledger by id, wherever it sits, and
+        cannot leave twice."""
+        _m, fr = make_frame()
+        for spawn_id in (7, 3, 9):
+            fr.ledger[spawn_id] = (2, None, (), f"s{spawn_id}")
+        assert fr.ledger.pop(3, None) == (2, None, (), "s3")
+        assert fr.ledger.pop(3, None) is None
+        assert list(fr.ledger) == [7, 9]
+
+    def test_ledger_reconcile_unreconcile_round_trip_keeps_order(self):
+        """Re-execution order is ledger order: reconcile hands the dead
+        destination's entries back in send order, survivors keep theirs,
+        and healing re-books the popped entries after everything sent
+        since — the order the list-based ledger produced."""
+        _m, fr = make_frame()
+        fr.ledger[10] = (2, None, (), "a")
+        fr.ledger[11] = (1, None, (), "b")
+        fr.ledger[12] = (2, None, (), "c")
+        fr.ledger[13] = (3, None, (), "d")
+        lost = fr.reconcile_failure(2)
+        assert list(lost.items()) == [(10, (2, None, (), "a")),
+                                      (12, (2, None, (), "c"))]
+        assert list(fr.ledger) == [11, 13]
+        fr.ledger[14] = (1, None, (), "e")       # sent while 2 was out
+        fr.unreconcile(2)
+        assert list(fr.ledger) == [11, 13, 14, 10, 12]
+        assert fr.ledger[12] == (2, None, (), "c")
+        assert 2 not in fr.reconciled
+        # healed: a second confirmation pops the same entries again
+        assert list(fr.reconcile_failure(2)) == [10, 12]
 
     def test_folds_odd_into_even_first(self):
         """Reconciliation collapses both epochs so the subtraction has a

@@ -1,0 +1,104 @@
+"""Per-message object budget of the spawn and put paths (DESIGN.md §9).
+
+Counts, not timings: one remote implicit spawn (or unpredicated put)
+inside a finish, measured in a window where nothing else on the machine
+moves, may allocate at most the futures its one message needs, look its
+finish frame up at most once per side, and build no handler closure.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import copy_async as copy_mod
+from repro.core import spawn as spawn_mod
+from repro.runtime.program import Machine
+from repro.sim.tasks import Future
+
+
+class _Counts:
+    """Counts calls of the patched functions while ``on`` is set."""
+
+    def __init__(self, monkeypatch):
+        self.on = False
+        self.seen = {}
+        self._monkeypatch = monkeypatch
+
+    def patch(self, owner, attr, label):
+        original = getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            if self.on:
+                self.seen[label] = self.seen.get(label, 0) + 1
+            return original(*args, **kwargs)
+
+        self._monkeypatch.setattr(owner, attr, counting)
+
+    def __getitem__(self, label):
+        return self.seen.get(label, 0)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    c = _Counts(monkeypatch)
+    c.patch(Future, "__init__", "futures")
+    c.patch(Machine, "get_or_create_frame", "frame_lookups")
+    c.patch(spawn_mod, "_make_exec_handler", "closures")
+    for name in ("_make_put_handler", "_make_get_req_handler",
+                 "_make_data_handler", "_make_fwd_handler",
+                 "_make_done_handler"):
+        c.patch(copy_mod, name, "closures")
+    return c
+
+
+def _touch(img):
+    yield from img.compute(1e-7)
+
+
+def _one_op_in_a_quiet_window(counts, spmd, issue):
+    """Rank 0 warms the path up once, waits until every other image is
+    parked in ``finish_end``, then issues one operation with counting on
+    and keeps counting until it has completed on the target."""
+
+    def kernel(img):
+        yield from img.finish_begin()
+        if img.rank == 0:
+            op = yield from issue(img)           # first use: registers
+            yield op.global_done
+            yield from img.compute(1e-3)         # the others park
+            counts.on = True
+            op = yield from issue(img)
+            yield op.global_done
+            yield from img.compute(1e-4)         # target-side completion
+            counts.on = False
+        yield from img.finish_end()
+
+    machine, _ = spmd(kernel, n=2,
+                      setup=lambda m: m.coarray("T", shape=8))
+    return machine
+
+
+def test_remote_implicit_spawn_budget(counts, spmd):
+    def issue(img):
+        return (yield from img.spawn(_touch, 1))
+
+    machine = _one_op_in_a_quiet_window(counts, spmd, issue)
+    assert machine.stats["spawn.executed"] == 2
+    # the receipt's injected + delivered, and the handler task's done
+    assert 0 < counts["futures"] <= 3
+    # the spawner holds its frame; the exec handler looks its own up once
+    assert counts["frame_lookups"] <= 2
+    assert counts["closures"] == 0
+
+
+def test_unpredicated_put_budget(counts, spmd):
+    def issue(img):
+        T = img.machine.coarray_by_name("T")
+        return img.copy_async(T.ref(1), np.ones(8))
+        yield  # a generator, like the spawn variant
+
+    machine = _one_op_in_a_quiet_window(counts, spmd, issue)
+    assert machine.stats["net.kind.copy.put"] == 2
+    # the receipt's injected + delivered; the put handler runs inline
+    assert 0 < counts["futures"] <= 2
+    assert counts["frame_lookups"] <= 1
+    assert counts["closures"] == 0

@@ -124,17 +124,23 @@ class TestRecoveryMechanics:
             yield from img.finish_begin()
             if img.rank == 0:
                 yield from img.compute(2e-3)  # outlive detection
-                yield from img.spawn(_mark, 1)
+                op = yield from img.spawn(_mark, 1)
+                # nothing was sent: the handle comes back fully resolved
+                resolved.extend(f.done for f in (
+                    op.initiated, op.local_data, op.local_op,
+                    op.global_done))
             yield from img.finish_end()
 
         def _mark(img):
             done_on.append(img.rank)
             yield from img.compute(1e-6)
 
+        resolved = []
         m, _ = run_spmd(kernel, 2, faults=FaultPlan().crash_at(1, 1e-4),
                         failure_detection=FailureConfig(recover=True))
         assert done_on == [0]
         assert m.stats["spawn.rerouted"] == 1
+        assert resolved == [True] * 4
 
     def test_crash_after_work_done_recovers_nothing(self):
         """A crash after the shipped function completed (and the finish

@@ -80,6 +80,40 @@ class TestActivation:
         assert act.pending == []
         assert act.fence_waits(allowed_set(None)) == []
 
+    def test_register_sweeps_completed_ops_amortised(self):
+        """An activation that only initiates — never a cofence, notify or
+        ``.pending`` — must not keep every completed op alive: register
+        itself sweeps whenever the list doubled, and never drops an op
+        that is still in flight."""
+        act = Activation(_FakeState())
+        live = [act.register(make_op()) for _ in range(5)]
+        for _ in range(1000):
+            op = act.register(make_op())
+            op.local_data.set_result(None)
+            op.local_op.set_result(None)
+        assert len(act._pending) <= 2 * Activation._PRUNE_MIN
+        assert act.pending == live
+
+    def test_finish_end_leaves_no_pending_records(self):
+        """The RandomAccess shape: a main program that only spawns inside
+        finish blocks.  Global completion is what ``finish_end``
+        guarantees, so nothing it covered stays on record."""
+        from repro.runtime.program import run_spmd
+
+        def touch(img):
+            yield from img.compute(1e-7)
+
+        def kernel(img):
+            for _ in range(4):
+                yield from img.finish_begin()
+                for _ in range(100):
+                    yield from img.spawn(touch, (img.rank + 1) % img.nimages)
+                yield from img.finish_end()
+            return len(img.activation._pending)
+
+        _, left = run_spmd(kernel, 2)
+        assert left == [0, 0]
+
     def test_release_waits(self):
         act = Activation(_FakeState())
         op = act.register(make_op())
