@@ -11,6 +11,8 @@ The workload bodies live in module-level ``run_*`` functions so that
 pytest-benchmark tests below.
 """
 
+from repro.net.topology import MachineParams
+from repro.net.transport import Message, Network
 from repro.sim.engine import Simulator
 from repro.sim.tasks import Delay, Task
 from repro.runtime.program import run_spmd
@@ -18,6 +20,7 @@ from repro.runtime.program import run_spmd
 RAW_EVENTS = 50_000
 TASK_STEPS, TASK_COUNT = 2_000, 8
 AM_ROUNDS, AM_IMAGES = 300, 4
+WIRE_MSGS, WIRE_WAVE, WIRE_IMAGES, WIRE_JITTER = 10_000, 100, 8, 0.02
 
 
 def run_raw_event_loop(n: int = RAW_EVENTS) -> int:
@@ -65,6 +68,25 @@ def run_am_round_trip(rounds: int = AM_ROUNDS, images: int = AM_IMAGES) -> int:
     return machine.stats["spawn.executed"]
 
 
+def run_wire_throughput(msgs: int = WIRE_MSGS, wave: int = WIRE_WAVE,
+                        images: int = WIRE_IMAGES) -> int:
+    """The transport alone: acked ``Network.send``s on a clean, jittered
+    wire, a wave at a time, each wave drained (the AM round trip above
+    runs at ``jitter = 0`` and never reaches the per-message jitter
+    draw)."""
+    sim = Simulator()
+    net = Network(sim, MachineParams.uniform(images, jitter=WIRE_JITTER),
+                  seed=1)
+    acked = 0
+    for _ in range(msgs // wave):
+        receipts = [net.send(Message(i % images, (i + 1) % images, 64, None),
+                             want_ack=True)
+                    for i in range(wave)]
+        sim.run()
+        acked += sum(r.delivered.done for r in receipts)
+    return acked
+
+
 def test_raw_event_loop_throughput(benchmark):
     assert benchmark(run_raw_event_loop) == RAW_EVENTS
 
@@ -75,3 +97,7 @@ def test_task_switch_throughput(benchmark):
 
 def test_am_round_trip_throughput(benchmark):
     assert benchmark(run_am_round_trip) == AM_IMAGES * AM_ROUNDS
+
+
+def test_wire_throughput(benchmark):
+    assert benchmark(run_wire_throughput) == WIRE_MSGS

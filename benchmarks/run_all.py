@@ -1,6 +1,6 @@
 """Perf-regression harness for the simulation substrate.
 
-Measures the three ``bench_simulator_throughput`` workloads with a plain
+Measures the ``bench_simulator_throughput`` workloads with a plain
 ``time.perf_counter`` best-of-rounds protocol and writes
 ``BENCH_simulator.json`` next to the repo root.  The file keeps two
 sections:
@@ -42,9 +42,11 @@ from bench_simulator_throughput import (  # noqa: E402
     RAW_EVENTS,
     TASK_COUNT,
     TASK_STEPS,
+    WIRE_MSGS,
     run_am_round_trip,
     run_raw_event_loop,
     run_task_switch,
+    run_wire_throughput,
 )
 from bench_fuzz_throughput import (  # noqa: E402
     FUZZ_SCHEDULES,
@@ -63,6 +65,8 @@ BENCHES = [
      TASK_STEPS * TASK_COUNT, "task switches"),
     ("test_am_round_trip_throughput", run_am_round_trip,
      AM_IMAGES * AM_ROUNDS, AM_IMAGES * AM_ROUNDS, "spawns"),
+    ("test_wire_throughput", run_wire_throughput, WIRE_MSGS, WIRE_MSGS,
+     "messages"),
     ("test_fuzz_schedule_throughput", run_fuzz_schedules, FUZZ_SCHEDULES,
      FUZZ_SCHEDULES, "schedules"),
 ]

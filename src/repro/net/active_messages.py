@@ -30,10 +30,6 @@ class AMCategory(enum.Enum):
     LONG = "long"
 
 
-#: per-category message counter keys
-_CATEGORY_STAT = {category: f"am.{category.value}" for category in AMCategory}
-
-
 class AMSizeError(ValueError):
     """Payload too large for the requested AM category."""
 
@@ -75,10 +71,17 @@ class AMLayer:
         self.sim = network.sim
         self.params = network.params
         self.credits = credit_manager
-        self._handlers: dict[str, Callable] = {}
-        #: names of the generator-function handlers (decided once, at
-        #: registration: these run as tasks, the rest inline)
-        self._task_handlers: set[str] = set()
+        #: handler name -> ``(fn, runs_as_task, default_kind)``, decided
+        #: once at registration: generator functions run as tasks, the
+        #: rest inline; a request that names no kind travels as
+        #: ``am.<handler>``
+        self._handlers: dict[str, tuple] = {}
+        #: category -> ``(counter key, largest payload it carries)``
+        self._categories = {
+            AMCategory.SHORT: ("am.short", 0),
+            AMCategory.MEDIUM: ("am.medium", self.params.am_medium_max),
+            AMCategory.LONG: ("am.long", float("inf")),
+        }
 
     # ------------------------------------------------------------------ #
     # Handler registry
@@ -97,9 +100,8 @@ class AMLayer:
             self._install(name, fn)
 
     def _install(self, name: str, fn: Callable) -> None:
-        self._handlers[name] = fn
-        if inspect.isgeneratorfunction(fn):
-            self._task_handlers.add(name)
+        self._handlers[name] = (fn, inspect.isgeneratorfunction(fn),
+                                f"am.{name}")
 
     def is_registered(self, name: str) -> bool:
         """Whether a handler is installed under ``name`` — how the layers
@@ -110,17 +112,15 @@ class AMLayer:
     # Requests
     # ------------------------------------------------------------------ #
 
-    def _check_size(self, category: AMCategory, payload_size: int) -> None:
+    def _size_error(self, category: AMCategory,
+                    payload_size: int) -> AMSizeError:
         if payload_size < 0:
-            raise AMSizeError(f"negative payload size {payload_size}")
-        if category is AMCategory.SHORT and payload_size > 0:
-            raise AMSizeError("SHORT active messages carry no payload")
-        if (category is AMCategory.MEDIUM
-                and payload_size > self.params.am_medium_max):
-            raise AMSizeError(
-                f"MEDIUM payload {payload_size}B exceeds "
-                f"am_medium_max={self.params.am_medium_max}B"
-            )
+            return AMSizeError(f"negative payload size {payload_size}")
+        if category is AMCategory.SHORT:
+            return AMSizeError("SHORT active messages carry no payload")
+        return AMSizeError(
+            f"MEDIUM payload {payload_size}B exceeds "
+            f"am_medium_max={self.params.am_medium_max}B")
 
     def request_nb(self, src: int, dst: int, handler: str,
                    args: tuple = (), payload: Any = None,
@@ -136,15 +136,18 @@ class AMLayer:
         local-data completion.  ``best_effort`` bypasses the reliable
         protocol (heartbeat traffic).
         """
-        if handler not in self._handlers:
+        record = self._handlers.get(handler)
+        if record is None:
             raise KeyError(f"unknown AM handler {handler!r}")
-        self._check_size(category, payload_size)
+        category_stat, max_size = self._categories[category]
+        if not 0 <= payload_size <= max_size:
+            raise self._size_error(category, payload_size)
         msg = Message(
             src, dst, payload_size, (handler, args, payload),
-            kind=kind or f"am.{handler}",
+            kind=kind or record[2],
             on_deliver=self._on_deliver,
         )
-        self.network.stats.incr(_CATEGORY_STAT[category])
+        self.network.stats.incr(category_stat)
         return self.network.send(msg, want_ack=want_ack,
                                  best_effort=best_effort)
 
@@ -179,9 +182,9 @@ class AMLayer:
 
     def _on_deliver(self, msg: Message) -> None:
         handler_name, args, payload = msg.payload
-        fn = self._handlers[handler_name]
+        fn, runs_as_task, _ = self._handlers[handler_name]
         ctx = HandlerContext(self, msg.dst, msg.src, msg, payload)
-        if handler_name in self._task_handlers:
+        if runs_as_task:
             # Handler tasks run on behalf of the destination image, so a
             # fail-stop crash of that image halts them too.
             Task(self.sim, fn(ctx, *args),

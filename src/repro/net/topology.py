@@ -33,14 +33,19 @@ class Topology:
         self.n_images = n_images
 
     def latency(self, src: int, dst: int) -> float:
-        raise NotImplementedError
-
-    def _check(self, src: int, dst: int) -> None:
+        """Wire latency of the pair, range-checked."""
         if not (0 <= src < self.n_images and 0 <= dst < self.n_images):
             raise ValueError(
                 f"image pair ({src}, {dst}) out of range for "
                 f"{self.n_images} images"
             )
+        return self.latency_unchecked(src, dst)
+
+    def latency_unchecked(self, src: int, dst: int) -> float:
+        """:meth:`latency` for ranks the caller has already validated —
+        the transport checks a message's ranks once, in ``send``, and
+        looks every transmission's latency up through here."""
+        raise NotImplementedError
 
 
 class UniformTopology(Topology):
@@ -54,8 +59,7 @@ class UniformTopology(Topology):
         self.wire_latency = wire_latency
         self.self_latency = self_latency
 
-    def latency(self, src: int, dst: int) -> float:
-        self._check(src, dst)
+    def latency_unchecked(self, src: int, dst: int) -> float:
         return self.self_latency if src == dst else self.wire_latency
 
 
@@ -82,8 +86,7 @@ class HierarchicalTopology(Topology):
     def node_of(self, image: int) -> int:
         return image // self.images_per_node
 
-    def latency(self, src: int, dst: int) -> float:
-        self._check(src, dst)
+    def latency_unchecked(self, src: int, dst: int) -> float:
         if src == dst:
             return self.self_latency
         if self.node_of(src) == self.node_of(dst):
@@ -139,8 +142,7 @@ class TorusTopology(Topology):
             total += min(delta, extent - delta)
         return total
 
-    def latency(self, src: int, dst: int) -> float:
-        self._check(src, dst)
+    def latency_unchecked(self, src: int, dst: int) -> float:
         if src == dst:
             return self.self_latency
         return self.base_latency + self.per_hop * self.hops(src, dst)
@@ -166,8 +168,7 @@ class HypercubeTopology(Topology):
     def hops(src: int, dst: int) -> int:
         return (src ^ dst).bit_count()
 
-    def latency(self, src: int, dst: int) -> float:
-        self._check(src, dst)
+    def latency_unchecked(self, src: int, dst: int) -> float:
         if src == dst:
             return self.self_latency
         return self.base_latency + self.per_hop * self.hops(src, dst)

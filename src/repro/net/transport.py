@@ -11,7 +11,8 @@ Cost model per message (see :class:`repro.net.topology.MachineParams`):
    wire (optionally jittered, which can reorder messages between a pair —
    the termination detector must tolerate this).
 3. *Delivery*: at arrival the receiver is charged ``o_recv`` and the
-   message's ``on_deliver`` callback runs.
+   message's ``on_deliver`` callback runs.  One arrival is one simulator
+   event.
 4. *Ack* (optional): a NIC-level acknowledgment arrives back at the sender
    ``ack_latency_factor * latency`` later — the transport-level "local
    operation completion" event.
@@ -40,11 +41,16 @@ reliability does not move any completion time until faults actually
 strike.  Retransmits, drops and duplicates are counted in ``Stats``
 (``net.retransmits`` / ``net.drops`` / ``net.dups`` / ...) and surfaced
 in the chrome trace as instant events.
+
+Every time handed to the simulator is a plain ``float`` (DESIGN.md §9.6):
+message sizes are coerced to ``int`` where the message is built, NIC-free
+times live in a list, and jitter factors are drawn in blocks and unboxed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
@@ -64,6 +70,9 @@ from repro.net.faults import FaultPlan
 #: jitter/fault sequences (they used to share one fixed-seed stream).
 _FALLBACK_JITTER_SS = np.random.SeedSequence(0xC0FFEE)
 _FALLBACK_FAULT_SS = np.random.SeedSequence(0xFA117)
+
+#: Jitter factors drawn from the generator per refill.
+_JITTER_BLOCK = 512
 
 
 class RetryExhaustedError(RuntimeError):
@@ -120,6 +129,10 @@ class Message:
     def __init__(self, src: int, dst: int, size: int, payload: Any,
                  kind: str = "msg",
                  on_deliver: Optional[Callable[["Message"], None]] = None):
+        if type(size) is not int:
+            # An ``np.int64`` byte count would turn the injection time,
+            # and every event time downstream of it, into ``np.float64``.
+            size = operator.index(size)
         if size < 0:
             raise ValueError(f"negative message size {size}")
         self.seq: Optional[int] = None
@@ -162,10 +175,10 @@ class _PendingSend:
     """Sender-side state of one reliably-sent message."""
 
     __slots__ = ("msg", "receipt", "link", "lseq", "attempt", "acked",
-                 "timer", "scripted_drop", "rto0")
+                 "timer", "rto0")
 
     def __init__(self, msg: Message, receipt: DeliveryReceipt,
-                 link: tuple, lseq: int, scripted_drop: bool, rto0: float):
+                 link: tuple, lseq: int, rto0: float):
         self.msg = msg
         self.receipt = receipt
         self.link = link
@@ -173,7 +186,6 @@ class _PendingSend:
         self.attempt = 0          # retransmissions performed so far
         self.acked = False
         self.timer = None
-        self.scripted_drop = scripted_drop  # consume on first transmission
         self.rto0 = rto0
 
 
@@ -230,12 +242,17 @@ class Network:
         self.params = params
         self.stats = stats if stats is not None else Stats()
         self.tracer = tracer
-        self._nic_free_at = np.zeros(params.n_images, dtype=np.float64)
+        #: per-image time the NIC injection port next frees
+        self._nic_free_at: list[float] = [0.0] * params.n_images
         if params.jitter > 0.0 and jitter_rng is None:
             jitter_rng = np.random.default_rng(
                 _FALLBACK_JITTER_SS.spawn(1)[0] if seed is None
                 else np.random.SeedSequence(seed))
         self._jitter_rng = jitter_rng
+        #: prefetched jitter factors, next draw last (see _transmit).  The
+        #: generator must not be shared: a machine hands over a stream
+        #: of its pool that nothing else reads.
+        self._jitter_draws: list[float] = []
         self.faults = faults
         if faults is not None and faults.seed is None and faults._rng is None:
             faults.bind(np.random.default_rng(
@@ -250,10 +267,6 @@ class Network:
         self._tx_next: dict[tuple, int] = {}
         self._tx_pending: dict[tuple, _PendingSend] = {}
         self._rx_states: dict[tuple, _RxState] = {}
-        #: open delivery batches keyed by ``(src, dst, delivery_time)`` —
-        #: back-to-back arrivals landing at the same instant on a link
-        #: share one simulator event (see _schedule_delivery)
-        self._arrivals: dict[tuple, list] = {}
         #: short human-readable records of lost transmissions (bounded;
         #: the liveness watchdog quotes these in its diagnostic)
         self.lost: list[str] = []
@@ -265,8 +278,7 @@ class Network:
         #: pending retransmissions fail with :class:`PeerFailedError`
         self._dead: set[int] = set()
         #: suspected-dead images (shared with the failure detector;
-        #: includes every confirmed image, so the send fast path needs
-        #: only this one membership check).  Sends to a *merely*
+        #: includes every confirmed image).  Sends to a *merely*
         #: suspected peer park in the quarantine; sends to a confirmed
         #: one fail fast.
         self.suspects: set[int] = set()
@@ -276,7 +288,7 @@ class Network:
         #: wrong; a delivery from a confirmed peer resurrects it.
         self.confirmed: set[int] = set()
         #: quarantined traffic per suspected destination: FIFO of
-        #: ``("send", msg, receipt, best_effort)`` fresh sends and
+        #: ``("send", msg, receipt)`` fresh sends and
         #: ``("pend", pend)`` parked retransmissions, flushed in order on
         #: unsuspect, failed with PeerFailedError on confirmation
         self._quarantine: dict[int, list] = {}
@@ -284,7 +296,7 @@ class Network:
         #: with PeerFailedError(suspected=True)
         self.quarantine_cap = 256
         #: liveness piggyback hook: called as ``fn(src, dst)`` whenever a
-        #: delivery batch from ``src`` lands at ``dst`` — any delivered
+        #: copy from ``src`` lands at ``dst`` — any delivered
         #: traffic doubles as a heartbeat for the failure detector
         self.on_delivery: Optional[Callable[[int, int], None]] = None
         #: crash trigger hook: called as ``fn(image)`` (via call_soon, so
@@ -313,35 +325,39 @@ class Network:
         detector heartbeats use this; a reliable heartbeat to a dead
         peer would retransmit forever).
         """
+        src = msg.src
+        dst = msg.dst
+        n = len(self._nic_free_at)
+        if not (0 <= src < n and 0 <= dst < n):
+            # The one range check a message gets: the NIC table and every
+            # latency lookup downstream trust it.
+            raise ValueError(
+                f"image pair ({src}, {dst}) out of range for {n} images")
         msg.seq = next(self._msg_seq)
         receipt = DeliveryReceipt(msg, want_ack)
+        self.stats.incr("net.msgs")
 
-        if msg.src != msg.dst and (msg.dst in self._dead
-                                   or msg.dst in self.suspects):
-            self.stats.incr("net.msgs")
-            if msg.dst in self._dead or msg.dst in self.confirmed:
+        if src != dst and (dst in self._dead or dst in self.suspects):
+            if dst in self._dead or dst in self.confirmed:
                 # Fail fast: the destination is crashed (or the detector
                 # confirmed it dead).  The receipt surfaces a typed
                 # error instead of the protocol spinning to the retry
                 # cap against a downed link.
                 self._fail_fresh_send(msg, receipt)
-            elif best_effort:
-                # Fire-and-forget traffic (heartbeats) transmits even
-                # toward a suspect: these are exactly the probes that can
-                # prove the suspicion wrong.  Parking them would make a
-                # mutual suspicion (a healed partition) permanent — no
-                # probe could ever cross, so no side could ever unsuspect
-                # the other.
-                self._send_now(msg, receipt, best_effort)
-            else:
+                return receipt
+            if not best_effort:
                 # Merely suspected: the verdict may be wrong (straggler,
                 # partition), so park instead of failing — quarantined
                 # traffic flushes on unsuspect, fails on confirmation.
-                self._park(msg, receipt, best_effort)
-            return receipt
+                self._park(msg, receipt)
+                return receipt
+            # Fire-and-forget traffic (heartbeats) transmits even toward
+            # a suspect: these are exactly the probes that can prove the
+            # suspicion wrong.  Parking them would make a mutual
+            # suspicion (a healed partition) permanent — no probe could
+            # ever cross, so no side could ever unsuspect the other.
 
-        self.stats.incr("net.msgs")
-        self._send_now(msg, receipt, best_effort)
+        self._transmit(msg, receipt, best_effort)
         return receipt
 
     def _fail_fresh_send(self, msg: Message, receipt: DeliveryReceipt) -> None:
@@ -354,8 +370,7 @@ class Network:
                 peer=msg.dst, suspected=msg.dst not in self._dead))
         self.sim.call_soon(receipt.injected.set_result, None)
 
-    def _park(self, msg: Message, receipt: DeliveryReceipt,
-              best_effort: bool) -> None:
+    def _park(self, msg: Message, receipt: DeliveryReceipt) -> None:
         queue = self._quarantine.setdefault(msg.dst, [])
         if len(queue) >= self.quarantine_cap:
             # Bounded: the newest send overflows with a typed failure
@@ -371,144 +386,143 @@ class Network:
             self.sim.call_soon(receipt.injected.set_result, None)
             return
         self.stats.incr("net.quarantined")
-        queue.append(("send", msg, receipt, best_effort))
-
-    def _send_now(self, msg: Message, receipt: DeliveryReceipt,
-                  best_effort: bool) -> None:
-        """Inject and transmit one fresh send (``net.msgs`` already
-        counted by the caller — sends count once even when they sat in
-        quarantine first)."""
-        inject_end = self._inject(msg)
-
-        self.stats.incr("net.bytes", msg.size)
-        kind_stat = self._kind_stat.get(msg.kind)
-        if kind_stat is None:
-            kind_stat = self._kind_stat[msg.kind] = f"net.kind.{msg.kind}"
-        self.stats.incr(kind_stat)
-
-        self.sim.schedule_at(inject_end, receipt.injected.set_result, None)
-
-        f = self.faults
-        scripted = (f.take_scripted_drop(msg.kind) if f is not None else False)
-        if f is not None and f.count_send(msg.src) and self.on_crash is not None:
-            # The send that crosses the crash_after_n_sends threshold is
-            # the image's last act: it completes, then the crash fires.
-            self.sim.call_soon(self.on_crash, msg.src)
-        if self.params.reliable and not best_effort:
-            link = (msg.src, msg.dst)
-            lseq = self._tx_next.get(link, 0)
-            self._tx_next[link] = lseq + 1
-            pend = _PendingSend(msg, receipt, link, lseq, scripted,
-                                self._nominal_rto(msg))
-            self._tx_pending[(link, lseq)] = pend
-            self._transmit_reliable(pend, inject_end)
-        else:
-            self._transmit_unreliable(msg, receipt, inject_end, scripted)
+        queue.append(("send", msg, receipt))
 
     # ------------------------------------------------------------------ #
-    # Shared wire mechanics
+    # The wire: one transmission, one arrival (DESIGN.md §9.6)
     # ------------------------------------------------------------------ #
 
-    def _inject(self, msg: Message) -> float:
-        """Occupy the source NIC for one transmission; returns the time
-        injection ends (source buffer fully read)."""
+    def _transmit(self, msg: Message, receipt: DeliveryReceipt,
+                  best_effort: bool = False,
+                  pend: Optional[_PendingSend] = None) -> None:
+        """Put one copy of ``msg`` on the wire: occupy the source NIC,
+        then schedule the arrival and, on the reliable path, the
+        retransmission timer.
+
+        ``pend`` is the sender-side record when this is a
+        retransmission.  It is None for a message's first transmission,
+        which also does the once-per-message work: byte and kind
+        counters, the ``injected`` event, scripted faults and — unless
+        ``best_effort`` — the reliable protocol's sender state.
+        (``net.msgs`` is counted in :meth:`send`, so a send that sat in
+        quarantine first still counts once.)"""
         p = self.params
-        start = max(self.sim.now, float(self._nic_free_at[msg.src]))
-        cost = p.o_send + p.transfer_time(msg.size)
-        if self.faults is not None:
-            released = self.faults.release_time(msg.src, start)
+        sim = self.sim
+        stats = self.stats
+        f = self.faults
+        src = msg.src
+        dst = msg.dst
+
+        # Injection: the source NIC is a serial resource, busy until the
+        # source buffer has been read.
+        cost = service = p.o_send + msg.size / p.bandwidth
+        nic_free_at = self._nic_free_at
+        start = nic_free_at[src]
+        now = sim.now
+        if now > start:
+            start = now
+        if f is not None:
+            released = f.release_time(src, start)
             if released > start:
-                self.stats.incr("net.nic_stalls")
+                stats.incr("net.nic_stalls")
                 start = released
-            if self.faults.stragglers:
+            if f.stragglers:
                 # A straggling image's NIC serves slower: its heartbeats
                 # and data sends alike stretch by the service factor.
-                cost *= self.faults.service_factor(msg.src, start)
-        inject_end = start + cost
-        self._nic_free_at[msg.src] = inject_end
-        return inject_end
+                service = cost * f.service_factor(src, start)
+        inject_end = nic_free_at[src] = start + service
 
-    def _wire_latency(self, msg: Message) -> float:
-        lat = self.params.topology.latency(msg.src, msg.dst)
+        lat = p.topology.latency_unchecked(src, dst)
+        scripted = False
+        if pend is None:
+            stats.incr("net.bytes", msg.size)
+            kind_stat = self._kind_stat.get(msg.kind)
+            if kind_stat is None:
+                kind_stat = self._kind_stat[msg.kind] = f"net.kind.{msg.kind}"
+            stats.incr(kind_stat)
+            sim.schedule_at(inject_end, receipt.injected.set_result, None)
+            if f is not None:
+                scripted = f.take_scripted_drop(msg.kind)
+                if f.count_send(src) and self.on_crash is not None:
+                    # The send that crosses the crash_after_n_sends
+                    # threshold is the image's last act: it completes,
+                    # then the crash fires.
+                    sim.call_soon(self.on_crash, src)
+            if p.reliable and not best_effort:
+                link = (src, dst)
+                lseq = self._tx_next.get(link, 0)
+                self._tx_next[link] = lseq + 1
+                pend = self._tx_pending[(link, lseq)] = _PendingSend(
+                    msg, receipt, link, lseq, self._nominal_rto(cost, lat))
+
         source = self.schedule_source
         if source is not None:
             # Controlled mode: the wire's nondeterminism is an explicit
-            # choice among discrete lag steps instead of a jitter draw.
-            # Step 0 is the nominal latency (baseline), step k adds
-            # ``lag_slack * k / (steps - 1)`` of the latency on top —
-            # enough spread to reorder back-to-back messages on a link.
-            if msg.src == msg.dst:
-                return lat  # loopback models memory, never reorders
+            # choice among discrete lag steps instead of a jitter draw
+            # (none is consumed).  Step 0 is the nominal latency
+            # (baseline), step k adds ``lag_slack * k / (steps - 1)`` of
+            # the latency on top — enough spread to reorder back-to-back
+            # messages on a link.  Loopback models memory and never
+            # reorders.  Every other lag is branchable: the latency
+            # choice is made at send time, before any later message that
+            # could overtake this one even exists, so "nothing else in
+            # flight" proves nothing about commutativity.
             steps = source.lag_steps
-            if steps <= 1:
-                return lat
-            # Every non-loopback lag is branchable: the latency choice
-            # is made at send time, before any later message that could
-            # overtake this one even exists, so "nothing else in flight"
-            # proves nothing about commutativity.
-            point = ChoicePoint(
-                "lag", steps,
-                key=f"{msg.kind}:{msg.src}->{msg.dst}")
-            k = source.choose(point)
-            if not 0 <= k < steps:
-                raise ValueError(
-                    f"schedule source chose lag step {k} of {steps}")
-            return lat * (1.0 + source.lag_slack * k / (steps - 1))
-        if self.params.jitter > 0.0:
-            lat *= 1.0 + self.params.jitter * float(
-                self._jitter_rng.uniform(-1.0, 1.0))
-        return lat
+            if src != dst and steps > 1:
+                k = source.choose(ChoicePoint(
+                    "lag", steps, key=f"{msg.kind}:{src}->{dst}"))
+                if not 0 <= k < steps:
+                    raise ValueError(
+                        f"schedule source chose lag step {k} of {steps}")
+                lat *= 1.0 + source.lag_slack * k / (steps - 1)
+        elif p.jitter > 0.0:
+            draws = self._jitter_draws
+            if not draws:
+                # A block of draws is, value for value, the stream that
+                # many scalar ``uniform(-1, 1)`` calls would produce;
+                # reversed, so taking them in order is ``pop()``.
+                draws = self._jitter_draws = self._jitter_rng.uniform(
+                    -1.0, 1.0, size=_JITTER_BLOCK).tolist()
+                draws.reverse()
+            lat *= 1.0 + p.jitter * draws.pop()
 
-    def _schedule_delivery(self, src: int, dst: int, t: float,
-                           fn: Callable, *args: Any) -> None:
-        """Schedule a receiver-side delivery callback at time ``t``,
-        coalescing with any delivery already due at the same instant on
-        the same directed link.  With a serial NIC and ``o_send > 0``
-        same-instant arrivals essentially never happen, but zero-overhead
-        configurations produce long trains of them; one shared event then
-        replaces N heap entries.  Batch order is scheduling order, which
-        is exactly the (time, seq) order separate events would fire in."""
-        key = (src, dst, t)
-        batch = self._arrivals.get(key)
-        if batch is not None:
-            batch.append((fn, args))
-            self.stats.incr("net.deliveries_coalesced")
-            return
-        self._arrivals[key] = batch = [(fn, args)]
-        self.sim.schedule_at(t, self._run_delivery_batch, key, batch)
-
-    def _run_delivery_batch(self, key: tuple, batch: list) -> None:
-        del self._arrivals[key]
-        if self._dead and (key[0] in self._dead or key[1] in self._dead):
-            # The link went down while these copies were in flight:
-            # a dead source's packets are discarded, a dead destination
-            # processes nothing.
-            self.stats.incr("net.dead_link_discards", len(batch))
-            if key[1] in self._dead and key[0] not in self._dead:
-                # A live sender's receipts must fail, not dangle: the
-                # unreliable path has no retransmit timer that would
-                # otherwise notice the downed link.
-                for fn, args in batch:
-                    self._fail_discarded(fn, args, key[1])
-            return
-        if self.on_delivery is not None:
-            self.on_delivery(key[0], key[1])
-        for fn, args in batch:
-            fn(*args)
-
-    def _fail_discarded(self, fn: Callable, args: tuple, peer: int) -> None:
-        """Surface PeerFailedError for one discarded delivery-batch entry
-        whose destination crashed in flight.  Reliable sends are skipped:
-        their retransmit timer reaches the same verdict on its own."""
-        if fn != self._deliver:
-            return
-        receipt = args[1]
-        if receipt.delivered is not None and not receipt.delivered.done:
-            self.stats.incr("net.peer_failed")
-            receipt.delivered.set_exception(PeerFailedError(
-                f"delivery of {receipt.message!r} discarded: image "
-                f"{peer} crashed with the message in flight",
-                peer=peer, suspected=False))
+        extra = 0.0
+        dropped = duplicated = False
+        if f is not None and src != dst:
+            extra = f.extra_latency(lat)
+            dropped = scripted or f.roll_drop(src, dst)
+            if not dropped and f.gray and f.link_down(src, dst, inject_end):
+                # Partition / flap window: the wire itself is severed.
+                # Pure in time — no rng draw, so scripting a partition
+                # never shifts the drop/duplicate decision stream.
+                stats.incr("net.link_down_drops")
+                dropped = True
+            if dropped:
+                self._record_drop(msg, inject_end)
+            else:
+                duplicated = f.roll_duplicate()
+        if not dropped:
+            arrive = inject_end + lat + extra
+            if self.tracer is not None:
+                flow_args = {"bytes": msg.size}
+                if pend is not None:
+                    flow_args["attempt"] = pend.attempt
+                self.tracer.flow(msg.kind, src, inject_end, dst, arrive,
+                                 args=flow_args)
+            sim.schedule_at(arrive + p.o_recv, self._run_delivery_batch,
+                            msg, receipt, pend, lat)
+            if duplicated:
+                # The reliable receiver suppresses the second copy;
+                # without the protocol the handler really runs twice
+                # (chaos mode).
+                stats.incr("net.dups")
+                arrive += f.duplicate_lag(lat)
+                sim.schedule_at(arrive + p.o_recv, self._run_delivery_batch,
+                                msg, receipt, pend, lat)
+        if pend is not None:
+            rto = pend.rto0 * (p.rto_backoff ** pend.attempt)
+            pend.timer = sim.schedule_at(inject_end + rto,
+                                         self._retransmit, pend)
 
     def _record_drop(self, msg: Message, t: float) -> None:
         self.stats.incr("net.drops")
@@ -520,51 +534,65 @@ class Network:
             self.tracer.instant(msg.src, f"drop {msg.kind}", t,
                                 args={"dst": msg.dst, "seq": msg.seq})
 
-    # ------------------------------------------------------------------ #
-    # Unreliable path (the original perfect-wire model, plus faults)
-    # ------------------------------------------------------------------ #
-
-    def _transmit_unreliable(self, msg: Message, receipt: DeliveryReceipt,
-                             inject_end: float, scripted: bool) -> None:
-        lat = self._wire_latency(msg)
-        f = self.faults
-        extra = 0.0
-        duplicated = False
-        if f is not None and msg.src != msg.dst:
-            extra = f.extra_latency(lat)
-            if scripted or f.roll_drop(msg.src, msg.dst):
-                self._record_drop(msg, inject_end)
+    # The arrival event of one copy.  Nothing is batched (the name
+    # predates the removal of delivery coalescing); it stays because
+    # benchmarks/e2e/trace.py binds its span site by this name.
+    def _run_delivery_batch(self, msg: Message, receipt: DeliveryReceipt,
+                            pend: Optional[_PendingSend], lat: float) -> None:
+        src = msg.src
+        dst = msg.dst
+        dead = self._dead
+        if dead and (src in dead or dst in dead):
+            # The link went down while this copy was in flight: a dead
+            # source's packets are discarded, a dead destination
+            # processes nothing.
+            self.stats.incr("net.dead_link_discards")
+            delivered = receipt.delivered
+            if (pend is None and src not in dead and delivered is not None
+                    and not delivered.done):
+                # A live sender's receipt must fail, not dangle: the
+                # unreliable path has no retransmit timer that would
+                # otherwise notice the downed link (a reliable send's
+                # timer reaches the same verdict on its own).
+                self.stats.incr("net.peer_failed")
+                delivered.set_exception(PeerFailedError(
+                    f"delivery of {msg!r} discarded: image {dst} crashed "
+                    "with the message in flight",
+                    peer=dst, suspected=False))
+            return
+        if self.on_delivery is not None:
+            self.on_delivery(src, dst)
+        if pend is None:
+            if msg.on_deliver is not None:
+                msg.on_deliver(msg)
+            delivered = receipt.delivered
+            if delivered is None or delivered.done:
                 return
-            if f.gray and f.link_down(msg.src, msg.dst, inject_end):
-                # Partition / flap window: the wire itself is severed.
-                # Pure in time — no rng draw, so scripting a partition
-                # never shifts the drop/duplicate decision stream.
-                self.stats.incr("net.link_down_drops")
-                self._record_drop(msg, inject_end)
-                return
-            duplicated = f.roll_duplicate()
-        arrive = inject_end + lat + extra
-        if self.tracer is not None:
-            self.tracer.flow(msg.kind, msg.src, inject_end, msg.dst,
-                             arrive, args={"bytes": msg.size})
-        self._schedule_delivery(msg.src, msg.dst, arrive + self.params.o_recv,
-                                self._deliver, msg, receipt, lat)
-        if duplicated:
-            # Without the reliable protocol there is no receiver-side
-            # suppression: the handler really runs twice (chaos mode).
-            self.stats.incr("net.dups")
-            arrive2 = arrive + f.duplicate_lag(lat)
-            self._schedule_delivery(msg.src, msg.dst,
-                                    arrive2 + self.params.o_recv,
-                                    self._deliver, msg, receipt, lat)
-
-    def _deliver(self, msg: Message, receipt: DeliveryReceipt,
-                 lat: float) -> None:
-        if msg.on_deliver is not None:
-            msg.on_deliver(msg)
-        if receipt.delivered is not None and not receipt.delivered.done:
-            ack_delay = self.params.ack_latency_factor * lat
-            self.sim.schedule(ack_delay, self._resolve_delivered, receipt)
+            acked, arg = self._resolve_delivered, receipt
+        else:
+            rx = self._rx_states.get(pend.link)
+            if rx is None:
+                rx = self._rx_states[pend.link] = _RxState()
+            if rx.record(pend.lseq):
+                # Duplicate copy (injected dup or retransmission
+                # overlap): suppress the handler but re-ack, healing a
+                # lost ack.
+                self.stats.incr("net.dups_suppressed")
+            elif msg.on_deliver is not None:
+                msg.on_deliver(msg)
+            f = self.faults
+            if f is not None and src != dst:
+                if f.roll_ack_drop(dst, src):
+                    self.stats.incr("net.ack_drops")
+                    return
+                if f.gray and f.link_down(dst, src, self.sim.now):
+                    # The reverse link is severed: the ack is lost on
+                    # the wire.
+                    self.stats.incr("net.link_down_drops")
+                    self.stats.incr("net.ack_drops")
+                    return
+            acked, arg = self._on_ack, pend
+        self.sim.schedule(self.params.ack_latency_factor * lat, acked, arg)
 
     @staticmethod
     def _resolve_delivered(receipt: DeliveryReceipt) -> None:
@@ -572,59 +600,16 @@ class Network:
             receipt.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
-    # Reliable path
+    # Reliable protocol: timers, acks, abandonment
     # ------------------------------------------------------------------ #
 
-    def _nominal_rto(self, msg: Message) -> float:
+    def _nominal_rto(self, cost: float, lat: float) -> float:
         """First retransmission timeout: ``rto_safety`` × the message's
-        nominal (jitter-free) round trip."""
+        nominal round trip, from its injection cost and wire latency
+        before stragglers and jitter stretch them."""
         p = self.params
-        lat = p.topology.latency(msg.src, msg.dst)
-        rtt = (p.o_send + p.transfer_time(msg.size) + lat + p.o_recv
-               + p.ack_latency_factor * lat)
-        return p.rto_safety * rtt
-
-    def _transmit_reliable(self, pend: _PendingSend,
-                           inject_end: float) -> None:
-        msg = pend.msg
-        f = self.faults
-        lat = self._wire_latency(msg)
-        extra = 0.0
-        dropped = False
-        duplicated = False
-        if f is not None and msg.src != msg.dst:
-            extra = f.extra_latency(lat)
-            if pend.scripted_drop:
-                pend.scripted_drop = False
-                dropped = True
-            else:
-                dropped = f.roll_drop(msg.src, msg.dst)
-            if not dropped and f.gray and f.link_down(msg.src, msg.dst,
-                                                      inject_end):
-                self.stats.incr("net.link_down_drops")
-                dropped = True
-            if not dropped:
-                duplicated = f.roll_duplicate()
-        if dropped:
-            self._record_drop(msg, inject_end)
-        else:
-            arrive = inject_end + lat + extra
-            if self.tracer is not None:
-                self.tracer.flow(msg.kind, msg.src, inject_end, msg.dst,
-                                 arrive, args={"bytes": msg.size,
-                                               "attempt": pend.attempt})
-            self._schedule_delivery(msg.src, msg.dst,
-                                    arrive + self.params.o_recv,
-                                    self._deliver_reliable, pend, lat)
-            if duplicated:
-                self.stats.incr("net.dups")
-                arrive2 = arrive + f.duplicate_lag(lat)
-                self._schedule_delivery(msg.src, msg.dst,
-                                        arrive2 + self.params.o_recv,
-                                        self._deliver_reliable, pend, lat)
-        rto = pend.rto0 * (self.params.rto_backoff ** pend.attempt)
-        pend.timer = self.sim.schedule_at(inject_end + rto,
-                                          self._retransmit, pend)
+        return p.rto_safety * (cost + lat + p.o_recv
+                               + p.ack_latency_factor * lat)
 
     def _retransmit(self, pend: _PendingSend) -> None:
         if pend.acked:
@@ -667,41 +652,14 @@ class Network:
                 link_stats=self.link_retransmits,
             )
         self.stats.incr("net.retransmits")
-        self.stats.incr(f"net.retransmits.{pend.msg.kind}")
+        self.stats.incr(f"net.retransmits.{msg.kind}")
         self.link_retransmits[pend.link] = (
             self.link_retransmits.get(pend.link, 0) + 1)
         if self.tracer is not None:
-            self.tracer.instant(pend.msg.src,
-                                f"rexmit {pend.msg.kind}", self.sim.now,
-                                args={"dst": pend.msg.dst,
+            self.tracer.instant(msg.src, f"rexmit {msg.kind}", self.sim.now,
+                                args={"dst": msg.dst,
                                       "attempt": pend.attempt})
-        inject_end = self._inject(pend.msg)
-        self._transmit_reliable(pend, inject_end)
-
-    def _deliver_reliable(self, pend: _PendingSend, lat: float) -> None:
-        msg = pend.msg
-        rx = self._rx_states.get(pend.link)
-        if rx is None:
-            rx = self._rx_states[pend.link] = _RxState()
-        if rx.record(pend.lseq):
-            # Duplicate copy (injected dup or retransmission overlap):
-            # suppress the handler but re-ack, healing a lost ack.
-            self.stats.incr("net.dups_suppressed")
-        elif msg.on_deliver is not None:
-            msg.on_deliver(msg)
-        f = self.faults
-        if (f is not None and msg.src != msg.dst
-                and f.roll_ack_drop(msg.dst, msg.src)):
-            self.stats.incr("net.ack_drops")
-            return
-        if (f is not None and msg.src != msg.dst and f.gray
-                and f.link_down(msg.dst, msg.src, self.sim.now)):
-            # The reverse link is severed: the ack is lost on the wire.
-            self.stats.incr("net.link_down_drops")
-            self.stats.incr("net.ack_drops")
-            return
-        ack_delay = self.params.ack_latency_factor * lat
-        self.sim.schedule(ack_delay, self._on_ack, pend)
+        self._transmit(msg, pend.receipt, pend=pend)
 
     def _fail_pending(self, pend: _PendingSend, exc: BaseException) -> None:
         """Abandon a reliably-sent message: pop protocol state, stop the
@@ -727,7 +685,7 @@ class Network:
         self._dead.add(image)
         self.stats.incr("net.images_dead")
         # The dead image's own unacked sends die with it (cancel the
-        # timers now; delivery batches already in flight are discarded by
+        # timers now; copies already in flight are discarded by
         # _run_delivery_batch).  Sends *to* it are left to fail at their
         # next retransmission timer — the moment the transport would
         # have touched the downed link.
@@ -761,13 +719,12 @@ class Network:
         self.stats.incr("net.quarantine_flushed", len(queue))
         for entry in queue:
             if entry[0] == "send":
-                _, msg, receipt, best_effort = entry
-                self._send_now(msg, receipt, best_effort)
+                self._transmit(entry[1], entry[2])
             else:
                 pend = entry[1]
                 if pend.acked or pend.msg.src in self._dead:
                     continue
-                self._transmit_reliable(pend, self._inject(pend.msg))
+                self._transmit(pend.msg, pend.receipt, pend=pend)
 
     def confirm_dead(self, image: int) -> None:
         """Level two: the detector confirms ``image`` dead.  Future
@@ -787,7 +744,7 @@ class Network:
         verdict = "confirmed dead" if suspected else "crashed"
         for entry in queue:
             if entry[0] == "send":
-                _, msg, receipt, _ = entry
+                _, msg, receipt = entry
                 self.stats.incr("net.peer_failed")
                 if receipt.delivered is not None and not receipt.delivered.done:
                     receipt.delivered.set_exception(PeerFailedError(
@@ -823,7 +780,7 @@ class Network:
 
     def nic_busy_until(self, image: int) -> float:
         """When the image's NIC injection port next frees (diagnostic)."""
-        return float(self._nic_free_at[image])
+        return self._nic_free_at[image]
 
     def unacked(self) -> list[str]:
         """Human-readable descriptions of reliably-sent messages still

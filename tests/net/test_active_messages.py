@@ -67,7 +67,7 @@ class TestHandlerDispatch:
         fn = lambda ctx: None
         am.ensure_registered("h", fn)
         am.ensure_registered("h", lambda ctx: None)  # ignored
-        assert am._handlers["h"] is fn
+        assert am._handlers["h"][0] is fn
 
 
 class TestSizeRules:

@@ -1,5 +1,6 @@
 """Unit tests for the message transport layer."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
@@ -140,9 +141,90 @@ class TestJitterAndStats:
         assert stats["net.msgs"] == 1
 
 
+class TestJitterStream:
+    """Jitter factors are drawn from the generator in blocks; the
+    latencies must be those of one scalar ``uniform(-1, 1)`` draw per
+    message, in send order."""
+
+    JITTER = 0.25
+    WIRE, LOOPBACK = 1e-6, 1e-7
+    SEED = 7
+
+    def make(self):
+        # No overheads, size-0 messages, all sent at t=0: a message's
+        # arrival time *is* its jittered latency, to the last bit.
+        sim = Simulator()
+        params = MachineParams(
+            topology=UniformTopology(4, wire_latency=self.WIRE,
+                                     self_latency=self.LOOPBACK),
+            o_send=0.0, o_recv=0.0, jitter=self.JITTER)
+        return sim, Network(sim, params, seed=self.SEED)
+
+    def latencies(self, sim, net, pairs):
+        arrived = {}
+        for tag, (src, dst) in enumerate(pairs):
+            net.send(Message(
+                src, dst, 0, tag,
+                on_deliver=lambda m: arrived.__setitem__(m.payload, sim.now)))
+        sim.run()
+        return [arrived[tag] for tag in range(len(pairs))]
+
+    def reference(self, pairs, rng=None):
+        if rng is None:
+            rng = np.random.default_rng(np.random.SeedSequence(self.SEED))
+        return [(self.LOOPBACK if src == dst else self.WIRE)
+                * (1.0 + self.JITTER * float(rng.uniform(-1.0, 1.0)))
+                for src, dst in pairs]
+
+    def test_block_draws_equal_scalar_draws_across_refills(self):
+        # 1200 sends cross the 512-draw block boundary twice; every
+        # third one is a loopback, which draws like any other message.
+        pairs = [(i % 4, i % 4) if i % 3 == 0 else (i % 4, (i + 1) % 4)
+                 for i in range(1200)]
+        runs = []
+        for _ in range(2):  # back-to-back machines, same seed
+            sim, net = self.make()
+            runs.append(self.latencies(sim, net, pairs))
+        assert runs[0] == self.reference(pairs)
+        assert runs[1] == runs[0]
+
+    def test_controlled_run_consumes_no_draws(self):
+        class NominalLag:
+            lag_steps = 1
+            lag_slack = 0.5
+
+        sim, net = self.make()
+        pairs = [(0, 1), (1, 1), (2, 3)]
+        net.schedule_source = NominalLag()
+        assert self.latencies(sim, net, pairs) == [
+            self.WIRE, self.LOOPBACK, self.WIRE]
+        # back to jitter: the stream starts at its first draw, shifted
+        # only by the clock
+        net.schedule_source = None
+        t0 = sim.now
+        assert self.latencies(sim, net, pairs) == [
+            t0 + lat for lat in self.reference(pairs)]
+
+
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         Message(0, 1, -5, None)
+
+
+def test_numpy_integer_size_becomes_int():
+    msg = Message(0, 1, np.int64(4096), None)
+    assert type(msg.size) is int and msg.size == 4096
+    with pytest.raises(TypeError):
+        Message(0, 1, 4096.0, None)
+
+
+def test_out_of_range_ranks_rejected_before_any_state_changes():
+    sim, net = make_net()
+    for src, dst in ((0, 4), (4, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            net.send(Message(src, dst, 8, None))
+    assert net.stats["net.msgs"] == 0
+    assert sim.pending_events == 0
 
 
 class TestFallbackRngSeeding:

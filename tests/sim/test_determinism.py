@@ -1,10 +1,11 @@
 """Determinism regression tests for the overhauled hot path.
 
-The event-queue and task-layer optimizations (staging slot, ready deque,
-synchronous continuations, delivery coalescing) are only admissible if
-they are *invisible*: the same program must produce bit-for-bit the same
-simulated execution — same stats, same final virtual time, same trace —
-run after run in one process, and with the race detector on or off.
+The event-queue, task-layer and wire-path optimizations (staging slot,
+ready deque, synchronous continuations, block jitter draws) are only
+admissible if they are *invisible*: the same program must produce
+bit-for-bit the same simulated execution — same stats, same final virtual
+time, same trace — run after run in one process, and with the race
+detector on or off.
 
 These tests run the two paper kernels (UTS and RandomAccess) end to end
 and fingerprint each run.
