@@ -1,31 +1,42 @@
-"""Synchronous (blocking) team collectives.
+"""Team collectives (paper §II-C.3): one staged tree engine.
 
-These are the building blocks the runtime itself relies on — most
-importantly the team ``allreduce`` that drives finish's termination
-detection (paper Fig. 7, line 8) and the team barrier that replaces
-Fortran 2008's ``SYNC ALL`` (§V).
-
-All collectives are implemented with real tree messages over the active
-message layer (radix-2 by default), so their simulated cost is the
-expected ``O(log p)`` wire latencies — the constant the paper's Fig. 12
+Every collective is one row of :func:`start` — an *up* phase (combine
+the members' contributions towards the root) and/or a *down* phase (fan
+the root's value out), a contribution, and a pure local ``finalize``;
+DESIGN.md §3.3 ("The tree engine") has the table.  Both phases run over
+a ``radix``-ary tree rooted at ``root`` with real active messages
+(``coll.up`` / ``coll.down``), so the simulated cost is the expected
+``O(log p)`` wire latencies — the constant the paper's Fig. 12
 micro-benchmark exposes.
+
+A *blocking* collective (this module's public functions — among them the
+``allreduce`` that drives finish's termination detection, Fig. 7 line 8,
+and the barrier that replaces ``SYNC ALL``, §V) is that start followed
+by one wait on the record's result.  Its messages are neither
+acknowledged nor counted against an enclosing finish: a blocking
+collective is complete when it returns.  The ``*_async`` twins in
+:mod:`repro.core.collectives_async` are the same start with a handle.
 
 Collective calls on a team must be issued in the same order by every
 member (SPMD discipline); a per-image, per-team sequence number matches
-the calls up.  Messages here are *not* counted against enclosing finish
-blocks: a blocking collective is complete when it returns.
+the calls up, so a tree message may reach an image before that image's
+own call does.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
-from repro.sim.tasks import Future
+from repro.sim.tasks import Future, all_of
+from repro.runtime.event import event_ref
 from repro.runtime.sizeof import sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
+from repro.core.completion import AsyncOp, chain
+from repro.core import finish as fin
 
 
 _UP = "coll.up"
@@ -38,6 +49,10 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
     "max": lambda a, b: a if a >= b else b,
     "min": lambda a, b: a if a <= b else b,
 }
+
+
+class CollectiveUsageError(RuntimeError):
+    """Misuse of an asynchronous collective (team/finish mismatch...)."""
 
 
 def op_function(op: Any) -> Callable[[Any, Any], Any]:
@@ -53,122 +68,421 @@ def op_function(op: Any) -> Callable[[Any, Any], Any]:
         ) from None
 
 
-class _CollState:
-    """Per-image state of one collective instance.
+# --------------------------------------------------------------------- #
+# The engine
+# --------------------------------------------------------------------- #
 
-    Instances are keyed (image, team, seq) and may be created either by
-    the local call or by an early-arriving tree message.
+class _Coll:
+    """One image's record of one collective instance.
+
+    Records are keyed (image, team, seq) in the machine's table and are
+    created by whichever comes first, the local call or a tree message.
+    A record leaves the table when the local call has happened and its
+    last completion point has resolved (the result for a blocking call,
+    ``local_op`` for a handle), so whatever is still listed after the
+    event queue drained is stalled.
     """
 
+    __slots__ = ("world", "team", "me", "route", "parent", "children",
+                 "called", "value", "combine", "finalize", "down",
+                 "child_values", "sent_up", "arrived", "arrived_value",
+                 "result", "op", "buf", "src_event", "local_event",
+                 "acked", "key", "unacked")
+
     def __init__(self) -> None:
-        self.have_own = False
-        self.value: Any = None
-        self.op: Optional[Callable] = None
-        self.radix = 2
-        self.root = 0
+        self.team: Optional[Team] = None   # bound on first touch (_record)
+        self.called = False
         self.child_values: list[Any] = []
         self.sent_up = False
-        self.down = Future("coll.down")
-        self.is_reduce_only = False
+        self.arrived = False
+        self.arrived_value: Any = None
+        #: the value this image ends up with — what a blocking call
+        #: returns, and a handle's ``local_data``
+        self.result = Future("coll.result")
+        #: the handle, or None for a blocking call
+        self.op: Optional[AsyncOp] = None
+        self.buf: Optional[np.ndarray] = None
+        self.src_event = None
+        self.local_event = None
+        #: whether my tree sends ask for a delivery ack, and the finish
+        #: frame key they are counted under (None: not counted).  Set by
+        #: the local call — or, while that has not happened yet, by the
+        #: tree message being forwarded, which carries both.
+        self.acked = False
+        self.key: Optional[tuple] = None
+        self.unacked = 0
+
+
+def _record(machine, world: int, team: Team, seq: int, root: int,
+            radix: int) -> _Coll:
+    rec = machine.coll_state(world, team.id, seq, _Coll)
+    if rec.team is None:
+        rec.team = team
+        rec.world = world
+        me = rec.me = team.rank_of(world)
+        rec.route = (team.id, seq, root, radix)
+        rec.parent = team.tree_parent(me, root, radix)
+        rec.children = team.tree_children(me, root, radix)
+    return rec
 
 
 def _ensure_handlers(machine) -> None:
     am = machine.am
     if am.is_registered(_UP):
         return
-    am.register(_UP, _make_up_handler(machine))
-    am.register(_DOWN, _make_down_handler(machine))
+    for name, on_message in ((_UP, _on_up), (_DOWN, _on_down)):
+        am.register(name, partial(_handle, machine, on_message))
 
 
-def _make_up_handler(machine):
-    def handle_up(ctx, team_id: int, seq: int, root: int, radix: int):
-        state = machine.coll_state(ctx.image, team_id, seq, _CollState)
-        state.child_values.append(ctx.payload)
-        _try_combine(machine, ctx.image, team_id, seq, state, root, radix)
-    return handle_up
-
-
-def _make_down_handler(machine):
-    def handle_down(ctx, team_id: int, seq: int, root: int, radix: int):
-        team = machine.team_by_id(team_id)
-        my_tr = team.rank_of(ctx.image)
-        state = machine.coll_state(ctx.image, team_id, seq, _CollState)
-        _send_down(machine, team, my_tr, seq, root, radix, ctx.payload)
-        state.down.set_result(ctx.payload)
-    return handle_down
-
-
-def _send_down(machine, team: Team, my_tr: int, seq: int, root: int,
-               radix: int, value: Any) -> None:
-    for child_tr in team.tree_children(my_tr, root, radix):
-        machine.am.request_nb(
-            team.world_rank(my_tr), team.world_rank(child_tr), _DOWN,
-            args=(team.id, seq, root, radix),
-            payload=value, payload_size=sizeof(value),
-            category=AMCategory.LONG, kind="coll.down",
-        )
-
-
-def _try_combine(machine, world_rank: int, team_id: int, seq: int,
-                 state: _CollState, root: int, radix: int) -> None:
-    if not state.have_own or state.sent_up:
-        return
-    team = machine.team_by_id(team_id)
-    my_tr = team.rank_of(world_rank)
-    children = team.tree_children(my_tr, root, radix)
-    if len(state.child_values) < len(children):
-        return
-    state.sent_up = True
-    combined = state.value
-    for v in state.child_values:
-        combined = state.op(combined, v)
-    parent_tr = team.tree_parent(my_tr, root, radix)
-    if parent_tr is None:
-        # I am the root: begin the downward phase (or finish, for reduce).
-        if not state.is_reduce_only:
-            _send_down(machine, team, my_tr, seq, root, radix, combined)
-        state.down.set_result(combined)
+def _handle(machine, on_message, ctx, team_id, seq, root, radix, acked, key,
+            tag) -> None:
+    rec = _record(machine, ctx.image, machine.team_by_id(team_id), seq,
+                  root, radix)
+    if not rec.called:
+        # The tree got here ahead of this image's own call: what must be
+        # forwarded before it moves on the sender's terms.
+        rec.acked, rec.key = acked, key
+    if key is None:
+        on_message(machine, rec, ctx.payload, None)
     else:
-        machine.am.request_nb(
-            world_rank, team.world_rank(parent_tr), _UP,
-            args=(team_id, seq, root, radix),
-            payload=combined, payload_size=sizeof(combined),
-            category=AMCategory.LONG, kind="coll.up",
+        # Counted against the sender's finish frame: received now,
+        # completed once this image's share of the forwarding is done.
+        stamp = fin.count_received(machine, ctx.image, key, tag, src=ctx.src)
+        on_message(machine, rec, ctx.payload, stamp)
+        fin.count_completed(machine, ctx.image, key, stamp)
+
+
+def _on_up(machine, rec: _Coll, payload: Any, cause) -> None:
+    rec.child_values.append(payload)
+    _try_combine(machine, rec, cause)
+
+
+def _on_down(machine, rec: _Coll, payload: Any, cause) -> None:
+    _fan_out(machine, rec, payload, cause)
+    if rec.called:
+        _deliver(machine, rec, payload)
+    else:
+        rec.arrived = True
+        rec.arrived_value = payload
+
+
+def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
+          cause) -> Future:
+    """Send one tree message to team rank ``to``; returns its injection
+    future.  With a handle the message is acknowledged — the ack is the
+    pairwise completion ``local_op`` is composed from — and, under
+    implicit completion, counted against ``rec.key``'s finish frame."""
+    src = rec.world
+    dst = rec.team.world_rank(to)
+    key = rec.key
+    stamp = tag = None
+    if key is not None:
+        stamp = fin.count_send(machine, src, key, dst=dst, cause=cause)
+        tag = stamp[0]
+    receipt = machine.am.request_nb(
+        src, dst, handler, args=rec.route + (rec.acked, key, tag),
+        payload=payload, payload_size=sizeof(payload),
+        category=AMCategory.LONG, want_ack=rec.acked, kind=handler,
+    )
+    if rec.acked:
+        rec.unacked += 1
+        receipt.delivered.add_done_callback(partial(_on_ack, machine, rec))
+        if key is not None:
+            receipt.delivered.add_done_callback(
+                partial(fin.count_delivery_outcome, machine, src, key, stamp))
+    return receipt.injected
+
+
+def _fan_out(machine, rec: _Coll, value: Any, cause) -> list[Future]:
+    return [_send(machine, rec, child, _DOWN, value, cause)
+            for child in rec.children]
+
+
+def _try_combine(machine, rec: _Coll, cause) -> None:
+    """Up phase: once the local call and every child's value are in,
+    combine them and pass the result to the parent — or, on the root,
+    end the up phase."""
+    if (not rec.called or rec.sent_up
+            or len(rec.child_values) < len(rec.children)):
+        return
+    rec.sent_up = True
+    combined = rec.value
+    for v in rec.child_values:
+        combined = rec.combine(combined, v)
+    if rec.parent is None:
+        if rec.down:
+            _fan_out(machine, rec, combined, cause)
+        _deliver(machine, rec, combined)
+    else:
+        injected = _send(machine, rec, rec.parent, _UP, combined, cause)
+        if not rec.down:
+            # A non-root's role in a rooted collective ends with its
+            # upward send; nothing comes back.
+            _deliver(machine, rec, None, after=[injected])
+
+
+def _deliver(machine, rec: _Coll, value: Any, after=()) -> None:
+    """This image's share of the data movement is over: ``value`` is what
+    the tree left here.  Finalize it, write the destination buffer and
+    resolve the result.  ``after`` lists the injections of the sends that
+    carried my own contribution away; a handle's ``local_data`` waits for
+    them (the source may be overwritten only then), a blocking call does
+    not — its caller is suspended anyway."""
+    if after and rec.op is not None:
+        all_of(after, "coll.injected").add_done_callback(
+            lambda _f: _deliver(machine, rec, value))
+        return
+    try:
+        if rec.finalize is not None:
+            value = rec.finalize(rec.team, rec.me, value)
+        if rec.buf is not None:
+            rec.buf[...] = value
+    except Exception as exc:  # noqa: BLE001 - handed on, see below
+        # This runs inside an AM handler, but the failure (unequal sort
+        # contributions, a user-supplied operator) is the caller's: it
+        # shows on the result, like a transport failure on a receipt.
+        rec.result.set_exception(exc)
+    else:
+        rec.result.set_result(value)
+    if rec.op is None:
+        machine.drop_coll_state(rec.world, rec.route[0], rec.route[1])
+        return
+    if rec.src_event is not None:
+        machine.post_event(rec.src_event, from_rank=rec.world)
+    _maybe_local_op(machine, rec)
+
+
+def _on_ack(machine, rec: _Coll, _delivered) -> None:
+    rec.unacked -= 1
+    _maybe_local_op(machine, rec)
+
+
+def _maybe_local_op(machine, rec: _Coll) -> None:
+    """Local operation completion of a handle: my result is here and all
+    my tree sends are acknowledged.  Re-checked as each ack lands and at
+    the local call (forwards may be sent, even acknowledged, before it)."""
+    if rec.op is None or rec.unacked or not rec.result.done:
+        return
+    chain(rec.result, rec.op.local_op)
+    if rec.local_event is not None:
+        machine.post_event(rec.local_event, from_rank=rec.world)
+    machine.drop_coll_state(rec.world, rec.route[0], rec.route[1])
+
+
+def _finish_key(ctx, team: Team) -> Optional[tuple]:
+    """The key of the finish frame an implicitly-completed collective is
+    counted under (None outside finish), enforcing the §III-A.1 rule that
+    its team is the finish team or a subset."""
+    frame = ctx.activation.current_frame()
+    if frame is None:
+        return None
+    if team is not frame.team and not team.is_subset_of(frame.team):
+        raise CollectiveUsageError(
+            f"async collective team {team.id} is not a subset of the "
+            f"enclosing finish team {frame.team.id} (paper §III-A.1)"
         )
-        if state.is_reduce_only:
-            # Non-root's role in a rooted reduce ends with its upward send.
-            state.down.set_result(None)
+    return frame.key
+
+
+def member(ctx, team: Optional[Team]) -> tuple[Team, int]:
+    """``(team, my team rank)`` with the world team as default; raises
+    ValueError for a non-member."""
+    team = team if team is not None else ctx.team_world
+    return team, team.rank_of(ctx.rank)
+
+
+def start(ctx, kind: str, team: Optional[Team], value: Any, *,
+          root: int = 0, radix: int = 2, up: bool = True, down: bool = True,
+          combine: Optional[Callable[[Any, Any], Any]] = None,
+          finalize: Optional[Callable[[Team, int, Any], Any]] = None,
+          handle: Optional[tuple] = None, stat: Optional[str] = None
+          ) -> _Coll:
+    """Begin one collective on this image and return its record.
+
+    ``value`` is my contribution (ignored on non-roots of a down-only
+    collective); ``combine`` merges two contributions on the way up;
+    ``finalize(team, me, value)`` turns what the tree leaves here into
+    what this image ends up with.  ``handle`` is None for a blocking call
+    — wait on ``record.result`` — or ``(buf, src_event, local_event)``
+    for an asynchronous one, whose handle is ``record.op``: ``buf`` is
+    written where the result lands, the events and implicit completion
+    are as :mod:`repro.core.collectives_async` describes.
+    """
+    machine = ctx.machine
+    _ensure_handlers(machine)
+    world = ctx.rank
+    # Everything that can reject the call comes before it takes a
+    # sequence number or a record.
+    team, me = member(ctx, team)
+    if handle is None:
+        machine.stats.incr(stat or "coll." + kind)
+    else:
+        buf, src_event, local_event = handle
+        implicit = src_event is None and local_event is None
+        key = _finish_key(ctx, team) if implicit else None
+        src_event = event_ref(src_event, world)
+        local_event = event_ref(local_event, world)
+        machine.stats.incr("acoll." + kind)
+    rec = _record(machine, world, team,
+                  machine.next_coll_seq(world, team.id), root, radix)
+    rec.called = True
+    rec.value = value
+    rec.combine = combine
+    rec.finalize = finalize
+    rec.down = down
+    if handle is not None:
+        rec.acked = True
+        rec.key = key
+        rec.buf = buf if down or me == root else None
+        rec.src_event = src_event
+        rec.local_event = local_event
+        # The handle's last point is local (see core.completion).
+        local_op = Future("local_op")
+        rec.op = AsyncOp(kind + "_async", rec.result, local_op, local_op)
+        if implicit:
+            ctx.activation.register(rec.op.make_pending(
+                reads_local=up or me == root,
+                writes_local=rec.buf is not None or finalize is not None,
+                released=local_op))
+    cause = ctx.activation.cause
+    if up:
+        _try_combine(machine, rec, cause)
+    elif me == root:
+        _deliver(machine, rec, value,
+                 after=_fan_out(machine, rec, value, cause))
+    elif rec.arrived:
+        _deliver(machine, rec, rec.arrived_value)
+    return rec
 
 
 # --------------------------------------------------------------------- #
-# Public collectives
+# The rows: each collective's start, shared by the blocking call below
+# and the handle-returning twin in collectives_async
+# --------------------------------------------------------------------- #
+
+def _merge(a: dict, b: dict) -> dict:
+    out = dict(a)
+    out.update(b)
+    return out
+
+
+def _as_list(team: Team, me: int, merged: dict) -> list:
+    return [merged[i] for i in range(team.size)]
+
+
+def _root_list(team: Team, me: int, merged: Optional[dict]) -> Optional[list]:
+    return None if merged is None else _as_list(team, me, merged)
+
+
+def _mine(team: Team, me: int, full: list) -> Any:
+    return full[me]
+
+
+def _column(team: Team, me: int, merged: dict) -> list:
+    return [merged[j][me] for j in range(team.size)]
+
+
+def _prefix(fn, inclusive: bool, team: Team, me: int, merged: dict) -> Any:
+    stop = me + 1 if inclusive else me
+    if stop == 0:
+        return None
+    acc = merged[0]
+    for i in range(1, stop):
+        acc = fn(acc, merged[i])
+    return acc
+
+
+def _sorted_chunk(team: Team, me: int, merged: dict) -> np.ndarray:
+    chunks = _as_list(team, me, merged)
+    if len({len(c) for c in chunks}) != 1:
+        raise ValueError("sort requires equal-length contributions")
+    n = len(chunks[me])
+    return np.sort(np.concatenate(chunks))[me * n:(me + 1) * n]
+
+
+def _split(machine, parent: Team, team: Team, me: int, merged: dict) -> Team:
+    color = merged[me][0]
+    members = sorted((k, w) for c, k, w in merged.values() if c == color)
+    return machine.intern_team([w for _k, w in members], parent=parent)
+
+
+def start_allreduce(ctx, value, op, team, radix, handle=None, root=0,
+                    kind="allreduce", stat=None) -> _Coll:
+    return start(ctx, kind, team, value, root=root, radix=radix,
+                 combine=op_function(op), handle=handle, stat=stat)
+
+
+def start_reduce(ctx, value, op, root, team, radix, handle=None) -> _Coll:
+    return start(ctx, "reduce", team, value, root=root, radix=radix,
+                 down=False, combine=op_function(op), handle=handle)
+
+
+def start_broadcast(ctx, value, root, team, radix, handle=None,
+                    kind="broadcast", finalize=None) -> _Coll:
+    return start(ctx, kind, team, value, root=root, radix=radix,
+                 up=False, finalize=finalize, handle=handle)
+
+
+def start_scatter(ctx, values, root, team, radix, handle=None) -> _Coll:
+    """The full list travels down the tree and each member picks its own
+    value (no payload splitting per subtree)."""
+    team, me = member(ctx, team)
+    if me == root and (values is None or len(values) != team.size):
+        raise ValueError(
+            "scatter root must supply exactly one value per member")
+    return start_broadcast(ctx, values, root, team, radix, handle,
+                           "scatter", _mine)
+
+
+def start_gather(ctx, value, root, team, radix, handle=None) -> _Coll:
+    team, me = member(ctx, team)
+    return start(ctx, "gather", team, {me: value}, root=root,
+                 radix=radix, down=False, combine=_merge,
+                 finalize=_root_list, handle=handle)
+
+
+def start_allgather(ctx, value, team, radix, handle=None, kind="allgather",
+                    finalize=_as_list) -> _Coll:
+    team, me = member(ctx, team)
+    return start(ctx, kind, team, {me: value}, radix=radix,
+                 combine=_merge, finalize=finalize, handle=handle)
+
+
+def start_alltoall(ctx, values, team, radix, handle=None) -> _Coll:
+    team, _me = member(ctx, team)
+    if len(values) != team.size:
+        raise ValueError("alltoall needs exactly one value per member")
+    return start_allgather(ctx, values, team, radix, handle, "alltoall",
+                           _column)
+
+
+def start_scan(ctx, value, op, team, inclusive, radix, handle=None) -> _Coll:
+    """Allgather + local prefix (depth ``O(log p)``, volume ``O(p)`` —
+    adequate for a simulated runtime; a production scan would use a
+    dedicated prefix tree)."""
+    return start_allgather(ctx, value, team, radix, handle, "scan",
+                           partial(_prefix, op_function(op), inclusive))
+
+
+def start_sort(ctx, values, team, radix, handle=None) -> _Coll:
+    """Gather-sort-scatter: every member sorts the concatenation and
+    keeps its own chunk."""
+    return start_allgather(ctx, np.asarray(values), team, radix, handle,
+                           "sort", _sorted_chunk)
+
+
+# --------------------------------------------------------------------- #
+# Blocking collectives: start, then wait
 # --------------------------------------------------------------------- #
 
 def allreduce(ctx, value: Any, op: Any = "sum",
-              team: Optional[Team] = None, radix: int = 2,
-              root: int = 0, _reduce_only: bool = False,
+              team: Optional[Team] = None, radix: int = 2, root: int = 0,
               _stat: str = "coll.allreduce") -> Generator[Any, Any, Any]:
     """Blocking team allreduce; every member returns the combined value.
-
-    This is the primitive finish's detector calls; the harness counts its
-    invocations through ``machine.stats`` (key ``coll.allreduce``).
-    """
-    team = team if team is not None else ctx.team_world
-    machine = ctx.machine
-    _ensure_handlers(machine)
-    if ctx.rank not in team:
-        raise ValueError(f"image {ctx.rank} is not in team {team.id}")
-    machine.stats.incr(_stat)
-    seq = machine.next_coll_seq(ctx.rank, team.id)
-    state = machine.coll_state(ctx.rank, team.id, seq, _CollState)
-    state.have_own = True
-    state.value = value
-    state.op = op_function(op)
-    state.is_reduce_only = _reduce_only
-    _try_combine(machine, ctx.rank, team.id, seq, state, root, radix)
-    result = yield state.down
-    machine.drop_coll_state(ctx.rank, team.id, seq)
-    return result
+    This is the primitive finish's detectors call (``_stat`` keeps their
+    waves apart from the program's own allreduces in ``machine.stats``)."""
+    return (yield start_allreduce(ctx, value, op, team, radix, root=root,
+                                  stat=_stat).result)
 
 
 def reduce(ctx, value: Any, op: Any = "sum", root: int = 0,
@@ -176,146 +490,64 @@ def reduce(ctx, value: Any, op: Any = "sum", root: int = 0,
            ) -> Generator[Any, Any, Any]:
     """Blocking rooted reduction; the root returns the combined value,
     other members return None (their role ends with the upward send)."""
-    return (yield from allreduce(
-        ctx, value, op=op, team=team, radix=radix, root=root,
-        _reduce_only=True, _stat="coll.reduce",
-    ))
+    return (yield start_reduce(ctx, value, op, root, team, radix).result)
 
 
 def barrier(ctx, team: Optional[Team] = None, radix: int = 2
             ) -> Generator[Any, Any, None]:
-    """Team barrier (the CAF 2.0 replacement for ``SYNC ALL``)."""
-    yield from allreduce(ctx, 0, op="sum", team=team, radix=radix,
-                         _stat="coll.barrier")
+    """Team barrier (the CAF 2.0 replacement for ``SYNC ALL``): an
+    allreduce of nothing."""
+    yield start_allreduce(ctx, 0, "sum", team, radix, kind="barrier").result
 
 
 def broadcast(ctx, value: Any, root: int = 0,
               team: Optional[Team] = None, radix: int = 2
               ) -> Generator[Any, Any, Any]:
     """Blocking broadcast of the root's ``value`` to every member."""
-    team = team if team is not None else ctx.team_world
-    machine = ctx.machine
-    _ensure_handlers(machine)
-    machine.stats.incr("coll.broadcast")
-    seq = machine.next_coll_seq(ctx.rank, team.id)
-    state = machine.coll_state(ctx.rank, team.id, seq, _CollState)
-    my_tr = team.rank_of(ctx.rank)
-    if my_tr == root:
-        _send_down(machine, team, my_tr, seq, root, radix, value)
-        state.down.set_result(value)
-    result = yield state.down
-    machine.drop_coll_state(ctx.rank, team.id, seq)
-    return result
+    return (yield start_broadcast(ctx, value, root, team, radix).result)
 
 
 def gather(ctx, value: Any, root: int = 0, team: Optional[Team] = None,
            radix: int = 2) -> Generator[Any, Any, Optional[list]]:
     """Blocking gather: the root returns ``[value of team rank 0, 1, ...]``,
     other members return None."""
-    team = team if team is not None else ctx.team_world
-    my_tr = team.rank_of(ctx.rank)
-
-    def merge(a: dict, b: dict) -> dict:
-        out = dict(a)
-        out.update(b)
-        return out
-
-    combined = yield from allreduce(
-        ctx, {my_tr: value}, op=merge, team=team, radix=radix, root=root,
-        _reduce_only=True, _stat="coll.gather",
-    )
-    if combined is None:
-        return None
-    return [combined[i] for i in range(team.size)]
+    return (yield start_gather(ctx, value, root, team, radix).result)
 
 
 def allgather(ctx, value: Any, team: Optional[Team] = None,
               radix: int = 2) -> Generator[Any, Any, list]:
-    """Blocking allgather (gather + broadcast)."""
-    team = team if team is not None else ctx.team_world
-    my_tr = team.rank_of(ctx.rank)
-
-    def merge(a: dict, b: dict) -> dict:
-        out = dict(a)
-        out.update(b)
-        return out
-
-    combined = yield from allreduce(
-        ctx, {my_tr: value}, op=merge, team=team, radix=radix,
-        _stat="coll.allgather",
-    )
-    return [combined[i] for i in range(team.size)]
+    """Blocking allgather: every member returns the list of values."""
+    return (yield start_allgather(ctx, value, team, radix).result)
 
 
 def scan(ctx, value: Any, op: Any = "sum", team: Optional[Team] = None,
          inclusive: bool = True, radix: int = 2) -> Generator[Any, Any, Any]:
-    """Blocking prefix reduction over team ranks.
-
-    Implemented as allgather + local prefix (depth ``O(log p)``, volume
-    ``O(p)`` — adequate for a simulated runtime; a production scan would
-    use a dedicated prefix tree).
-    Exclusive scan returns None on team rank 0.
-    """
-    team = team if team is not None else ctx.team_world
-    fn = op_function(op)
-    values = yield from allgather(ctx, value, team=team, radix=radix)
-    my_tr = team.rank_of(ctx.rank)
-    stop = my_tr + 1 if inclusive else my_tr
-    if stop == 0:
-        return None
-    acc = values[0]
-    for v in values[1:stop]:
-        acc = fn(acc, v)
-    return acc
+    """Blocking prefix reduction over team ranks.  Exclusive scan returns
+    None on team rank 0."""
+    return (yield start_scan(ctx, value, op, team, inclusive, radix).result)
 
 
 def scatter(ctx, values: Optional[list], root: int = 0,
             team: Optional[Team] = None, radix: int = 2
             ) -> Generator[Any, Any, Any]:
     """Blocking scatter: the root supplies one value per team rank; each
-    member returns its own.  Non-roots pass ``values=None``.
-
-    Implemented as a broadcast of the full list (tree scatter with payload
-    splitting is left to the asynchronous variant).
-    """
-    team = team if team is not None else ctx.team_world
-    my_tr = team.rank_of(ctx.rank)
-    if my_tr == root:
-        if values is None or len(values) != team.size:
-            raise ValueError(
-                "scatter root must supply exactly one value per member"
-            )
-    full = yield from broadcast(ctx, values, root=root, team=team,
-                                radix=radix)
-    return full[my_tr]
+    member returns its own.  Non-roots pass ``values=None``."""
+    return (yield start_scatter(ctx, values, root, team, radix).result)
 
 
 def alltoall(ctx, values: list, team: Optional[Team] = None,
              radix: int = 2) -> Generator[Any, Any, list]:
     """Blocking all-to-all: member i supplies ``values[j]`` for member j
     and returns the list of values addressed to it."""
-    team = team if team is not None else ctx.team_world
-    if len(values) != team.size:
-        raise ValueError("alltoall needs exactly one value per member")
-    my_tr = team.rank_of(ctx.rank)
-    rows = yield from allgather(ctx, values, team=team, radix=radix)
-    return [rows[j][my_tr] for j in range(team.size)]
+    return (yield start_alltoall(ctx, values, team, radix).result)
 
 
 def sort(ctx, values: np.ndarray, team: Optional[Team] = None,
          radix: int = 2) -> Generator[Any, Any, np.ndarray]:
     """Blocking distributed sort: each member contributes an equal-length
-    array; the concatenation is sorted and redistributed so that member i
-    receives the i-th sorted chunk (gather-sort-scatter algorithm)."""
-    team = team if team is not None else ctx.team_world
-    values = np.asarray(values)
-    chunks = yield from allgather(ctx, values, team=team, radix=radix)
-    if len({len(c) for c in chunks}) != 1:
-        raise ValueError("sort requires equal-length contributions")
-    merged = np.sort(np.concatenate(chunks))
-    n = len(values)
-    my_tr = team.rank_of(ctx.rank)
-    return merged[my_tr * n:(my_tr + 1) * n]
+    array; the concatenation is sorted and member i receives the i-th
+    sorted chunk."""
+    return (yield start_sort(ctx, values, team, radix).result)
 
 
 def team_split(ctx, team: Team, color: int, key: int
@@ -323,12 +555,6 @@ def team_split(ctx, team: Team, color: int, key: int
     """Collectively split ``team`` into sub-teams by ``color``, ordered by
     ``(key, world rank)`` (paper §II-A).  Every member returns its new
     team; the Team object is shared (interned) across members."""
-    machine = ctx.machine
-    machine.stats.incr("coll.team_split")
-    triples = yield from allgather(ctx, (color, key, ctx.rank), team=team)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for c, k, w in triples:
-        groups.setdefault(c, []).append((k, w))
-    my_color = color
-    members = [w for _k, w in sorted(groups[my_color])]
-    return machine.intern_team(members, parent=team)
+    return (yield start_allgather(
+        ctx, (color, key, ctx.rank), team, 2, kind="team_split",
+        finalize=partial(_split, ctx.machine, team)).result)

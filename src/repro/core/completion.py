@@ -15,6 +15,12 @@ carrying one future per completion point:
 The invariant ``local_data ≤ local_op ≤ global_done`` (in time) holds for
 every operation; tests assert it.
 
+A collective's handle stops at the local points: a member cannot observe
+when the other members are done, so its ``global_done`` is the same
+future as its ``local_op`` (waiting on the handle never hangs, and means
+"my part is over").  The global guarantee for a collective is what an
+enclosing ``finish`` gives, by counting its tree messages.
+
 An operation that *is* one message (a spawn, an unpredicated put) does
 not own futures at all: :meth:`AsyncOp.of_message` adopts the transport
 receipt's, so its completion is observed where the transport resolves it

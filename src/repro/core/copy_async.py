@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.sim.tasks import Future
 from repro.runtime.coarray import CoarrayRef
-from repro.runtime.event import EventRef, EventVar
+from repro.runtime.event import event_ref
 from repro.net.active_messages import AMCategory
 from repro.core.completion import AsyncOp, chain
 from repro.core import finish as fin
@@ -97,16 +97,6 @@ def _normalize(ctx, x: Union[CoarrayRef, np.ndarray], what: str) -> _Loc:
         f"copy_async {what} must be a CoarrayRef or a local numpy array, "
         f"got {type(x).__name__}"
     )
-
-
-def _event_ref(ctx, ev) -> Optional[EventRef]:
-    if ev is None:
-        return None
-    if isinstance(ev, EventRef):
-        return ev
-    if isinstance(ev, EventVar):
-        return ev.ref_for(ctx.rank)
-    raise TypeError(f"expected EventVar or EventRef, got {type(ev).__name__}")
 
 
 def _ensure_handlers(machine) -> None:
@@ -239,9 +229,9 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
     _ensure_handlers(machine)
     d = _normalize(ctx, dest, "dest")
     s = _normalize(ctx, src, "src")
-    pre = _event_ref(ctx, pre_event)
-    src_ev = _event_ref(ctx, src_event)
-    dest_ev = _event_ref(ctx, dest_event)
+    pre = event_ref(pre_event, ctx.rank)
+    src_ev = event_ref(src_event, ctx.rank)
+    dest_ev = event_ref(dest_event, ctx.rank)
 
     implicit = src_event is None and dest_event is None and not _explicit
     frame = ctx.activation.current_frame() if implicit else None

@@ -495,9 +495,11 @@ def stall_report(machine, blocked: list) -> str:
             f"{_fmt_epoch('even', frame.even)} {_fmt_epoch('odd', frame.odd)} "
             f"rounds={frame.rounds} waiters={frame.cond.waiting}"
         )
+    # A tree collective's record leaves the table when it completes, so
+    # one whose local call happened is stuck behind a lost tree message.
     stalled_colls = [
         key for key, state in sorted(machine._coll_states.items())
-        if getattr(getattr(state, "down", None), "done", True) is False
+        if getattr(state, "called", False)
     ]
     if stalled_colls:
         lines.append(
@@ -538,11 +540,6 @@ def count_send(machine, world_rank: int, key: Optional[tuple],
     if key is None:
         return None
     return frame_at(machine, world_rank, key).on_send(dst, cause)
-
-
-def wire_tag(stamp: Optional[tuple]) -> Optional[bool]:
-    """The piggybacked epoch tag of a sender stamp."""
-    return None if stamp is None else stamp[0]
 
 
 def count_delivered(machine, world_rank: int, key: Optional[tuple],

@@ -41,6 +41,17 @@ class EventRef:
         return f"<EventRef {self.event.name}@img{self.world_rank}>"
 
 
+def event_ref(ev, world_rank: int) -> "EventRef | None":
+    """Normalise an optional event argument of an asynchronous operation
+    issued on ``world_rank``: an :class:`EventRef` names its counter, an
+    :class:`EventVar` means the issuer's own."""
+    if ev is None or isinstance(ev, EventRef):
+        return ev
+    if isinstance(ev, EventVar):
+        return ev.ref_for(world_rank)
+    raise TypeError(f"expected EventVar or EventRef, got {type(ev).__name__}")
+
+
 class EventVar:
     """A counting event with one counter per team member.
 

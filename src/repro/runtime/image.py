@@ -351,117 +351,87 @@ class Image:
     # Blocking collectives and data movement
     # ------------------------------------------------------------------ #
 
-    def _rc_coll_enter(self, team: Optional[Team], contribute: bool = True):
-        """Race-detector entry edge for a blocking collective; returns the
-        round key to hand back to :meth:`_rc_coll_exit` (None when the
-        detector is off).  Rooted collectives pass ``contribute``/``join``
-        flags matching their actual message flow (a reduce orders nothing
-        for non-roots on exit; a broadcast contributes nothing but the
-        root's clock)."""
+    def _ordered(self, collective, team: Optional[Team],
+                 source: Optional[int] = None, sink: Optional[int] = None):
+        """Run a blocking collective between the race detector's entry and
+        exit edges, which follow its actual message flow: with ``source``
+        only that team rank contributes its clock on entry (a broadcast's
+        root), with ``sink`` only that team rank joins on exit (a reduce
+        orders nothing for non-roots)."""
         rc = self.machine.racecheck
         if rc is None:
-            return None
+            return (yield from collective)
         team = team if team is not None else self.team_world
-        return rc.coll_enter(self.activation, team, contribute=contribute)
-
-    def _rc_coll_exit(self, key, join: bool = True) -> None:
-        if key is not None:
-            self.machine.racecheck.coll_exit(self.activation, key, join=join)
-
-    def _is_root(self, root: int, team: Optional[Team]) -> bool:
-        team = team if team is not None else self.team_world
-        return team.rank_of(self.rank) == root
+        me = team.rank_of(self.rank)
+        key = rc.coll_enter(self.activation, team,
+                            contribute=source is None or me == source)
+        result = yield from collective
+        rc.coll_exit(self.activation, key, join=sink is None or me == sink)
+        return result
 
     def barrier(self, team: Optional[Team] = None):
-        key = self._rc_coll_enter(team)
-        yield from _coll.barrier(self, team=team)
-        self._rc_coll_exit(key)
+        return self._ordered(_coll.barrier(self, team=team), team)
 
     def allreduce(self, value, op="sum", team: Optional[Team] = None):
-        key = self._rc_coll_enter(team)
-        result = yield from _coll.allreduce(self, value, op=op, team=team)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(_coll.allreduce(self, value, op=op, team=team),
+                             team)
 
     def reduce(self, value, op="sum", root: int = 0,
                team: Optional[Team] = None):
-        key = self._rc_coll_enter(team)
-        result = yield from _coll.reduce(self, value, op=op, root=root,
-                                         team=team)
-        self._rc_coll_exit(key, join=self._is_root(root, team))
-        return result
+        return self._ordered(
+            _coll.reduce(self, value, op=op, root=root, team=team), team,
+            sink=root)
 
     def broadcast(self, value, root: int = 0, team: Optional[Team] = None):
-        key = self._rc_coll_enter(team, contribute=self._is_root(root, team))
-        result = yield from _coll.broadcast(self, value, root=root, team=team)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(
+            _coll.broadcast(self, value, root=root, team=team), team,
+            source=root)
 
     def gather(self, value, root: int = 0, team: Optional[Team] = None):
-        key = self._rc_coll_enter(team)
-        result = yield from _coll.gather(self, value, root=root, team=team)
-        self._rc_coll_exit(key, join=self._is_root(root, team))
-        return result
+        return self._ordered(
+            _coll.gather(self, value, root=root, team=team), team,
+            sink=root)
 
     def allgather(self, value, team: Optional[Team] = None):
-        key = self._rc_coll_enter(team)
-        result = yield from _coll.allgather(self, value, team=team)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(_coll.allgather(self, value, team=team), team)
 
     def scatter(self, values, root: int = 0, team: Optional[Team] = None):
-        key = self._rc_coll_enter(team, contribute=self._is_root(root, team))
-        result = yield from _coll.scatter(self, values, root=root, team=team)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(
+            _coll.scatter(self, values, root=root, team=team), team,
+            source=root)
 
     def alltoall(self, values, team: Optional[Team] = None):
-        key = self._rc_coll_enter(team)
-        result = yield from _coll.alltoall(self, values, team=team)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(_coll.alltoall(self, values, team=team), team)
 
     def scan(self, value, op="sum", team: Optional[Team] = None,
              inclusive: bool = True):
-        key = self._rc_coll_enter(team)
-        result = yield from _coll.scan(self, value, op=op, team=team,
-                                       inclusive=inclusive)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(
+            _coll.scan(self, value, op=op, team=team, inclusive=inclusive),
+            team)
 
     def sort(self, values, team: Optional[Team] = None):
-        key = self._rc_coll_enter(team)
-        result = yield from _coll.sort(self, values, team=team)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(_coll.sort(self, values, team=team), team)
 
     def team_split(self, team: Team, color: int, key: int):
         """Collectively split ``team``; returns my new team (§II-A)."""
-        rc_key = self._rc_coll_enter(team)
-        result = yield from _coll.team_split(self, team, color, key)
-        self._rc_coll_exit(rc_key)
-        return result
+        return self._ordered(_coll.team_split(self, team, color, key), team)
 
     def ring_allreduce(self, array, op="sum", team: Optional[Team] = None):
         """Bandwidth-optimal array allreduce (ring reduce-scatter +
         allgather); see :mod:`repro.core.collectives_algos`."""
         from repro.core import collectives_algos as _algos
-        key = self._rc_coll_enter(team)
-        result = yield from _algos.ring_allreduce(self, array, op=op,
-                                                  team=team)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(
+            _algos.ring_allreduce(self, array, op=op, team=team), team)
 
     def pipelined_broadcast(self, array, root: int = 0,
                             team: Optional[Team] = None, segments: int = 8):
         """Chain-pipelined bulk broadcast; see
         :mod:`repro.core.collectives_algos`."""
         from repro.core import collectives_algos as _algos
-        key = self._rc_coll_enter(team, contribute=self._is_root(root, team))
-        result = yield from _algos.pipelined_broadcast(
-            self, array, root=root, team=team, segments=segments)
-        self._rc_coll_exit(key)
-        return result
+        return self._ordered(
+            _algos.pipelined_broadcast(self, array, root=root, team=team,
+                                       segments=segments),
+            team, source=root)
 
     def wait_all(self, ops) -> Generator[Any, Any, None]:
         """Block until every given AsyncOp is globally done."""

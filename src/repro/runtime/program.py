@@ -248,12 +248,12 @@ class Machine:
         this process ever makes the corresponding local call (e.g. a
         spawn lands here before this rank's own first spawn) — a worker
         must know every protocol from birth."""
-        from repro.core import (collectives, collectives_algos,
-                                collectives_async, copy_async, spawn)
+        from repro.core import (collectives, collectives_algos, copy_async,
+                                spawn)
         from repro.core.termination import ft_epoch, vector_count
         from repro.runtime import lock as lock_mod
-        for mod in (collectives, collectives_algos, collectives_async,
-                    copy_async, spawn, ft_epoch, vector_count, lock_mod):
+        for mod in (collectives, collectives_algos, copy_async, spawn,
+                    ft_epoch, vector_count, lock_mod):
             mod._ensure_handlers(self)
         self.am.ensure_registered("event.fire", self._handle_event_fire)
 

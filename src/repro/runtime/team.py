@@ -80,7 +80,7 @@ class Team:
             except KeyError:
                 pass
         raise ValueError(
-            f"world rank {world_rank} is not a member of team {self.id}"
+            f"image {world_rank} is not in team {self.id}"
         )
 
     def world_rank(self, team_rank: int) -> int:

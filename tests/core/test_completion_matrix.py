@@ -249,6 +249,49 @@ class TestCompletionOrderInvariant:
             assert machine.stats["net.dups"] > 0
 
 
+    COLLECTIVES = {
+        "broadcast": lambda img: img.broadcast_async(
+            np.full(4, float(img.rank)), root=1),
+        "reduce": lambda img: img.reduce_async(
+            1.0, recvbuf=np.zeros(1), root=1),
+        "allreduce": lambda img: img.allreduce_async(
+            1.0, result_buf=np.zeros(1)),
+        "barrier": lambda img: img.barrier_async(),
+        "gather": lambda img: img.gather_async(img.rank, root=1),
+        "scatter": lambda img: img.scatter_async(
+            list(range(img.nimages)) if img.rank == 1 else None, root=1),
+        "allgather": lambda img: img.allgather_async(img.rank),
+        "alltoall": lambda img: img.alltoall_async(
+            list(range(img.nimages))),
+        "scan": lambda img: img.scan_async(img.rank),
+        "sort": lambda img: img.sort_async(np.array([float(-img.rank)])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLLECTIVES))
+    def test_collective_handles_ld_le_lo_le_global(self, fast_params, name):
+        """The same order on every member's handle of every asynchronous
+        collective, each waited to its last point."""
+        n = 5
+        order = [{} for _ in range(n)]
+
+        def kernel(img):
+            # stagger the calls so tree messages also meet late callers
+            yield from img.compute(img.rank * 2e-6)
+            op = self.COLLECTIVES[name](img)
+            assert op.initiated.done
+            for point, fut in (("ld", op.local_data), ("lo", op.local_op),
+                               ("gd", op.global_done)):
+                fut.add_done_callback(
+                    lambda _f, p=point: order[img.rank].setdefault(
+                        p, img.now))
+            yield from img.wait_all([op])
+            yield op.local_data
+
+        run_spmd(kernel, n, params=fast_params(n))
+        for stamps in order:
+            assert stamps["ld"] <= stamps["lo"] <= stamps["gd"]
+
+
 class TestPeerFailureOnTheHandle:
     @pytest.mark.parametrize("case", ["put", "spawn"])
     def test_confirmed_dead_destination_fails_local_op_and_global_done(

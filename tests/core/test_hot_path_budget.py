@@ -1,9 +1,11 @@
-"""Per-message object budget of the spawn and put paths (DESIGN.md §9).
+"""Per-message object budget of the spawn and put paths, and of the
+blocking allreduce that finish runs (DESIGN.md §9).
 
 Counts, not timings: one remote implicit spawn (or unpredicated put)
 inside a finish, measured in a window where nothing else on the machine
 moves, may allocate at most the futures its one message needs, look its
-finish frame up at most once per side, and build no handler closure.
+finish frame up at most once per side, and build no handler closure; a
+blocking allreduce gets none of the handle machinery of its async twin.
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 
 from repro.core import copy_async as copy_mod
 from repro.core import spawn as spawn_mod
+from repro.core.completion import AsyncOp
 from repro.runtime.program import Machine
-from repro.sim.tasks import Future
+from repro.sim.tasks import Future, Task
 
 
 class _Counts:
@@ -41,6 +44,8 @@ class _Counts:
 def counts(monkeypatch):
     c = _Counts(monkeypatch)
     c.patch(Future, "__init__", "futures")
+    c.patch(Task, "__init__", "tasks")
+    c.patch(AsyncOp, "__init__", "handles")
     c.patch(Machine, "get_or_create_frame", "frame_lookups")
     c.patch(spawn_mod, "_make_exec_handler", "closures")
     for name in ("_make_put_handler", "_make_get_req_handler",
@@ -102,3 +107,27 @@ def test_unpredicated_put_budget(counts, spmd):
     assert 0 < counts["futures"] <= 2
     assert counts["frame_lookups"] <= 1
     assert counts["closures"] == 0
+
+
+def test_blocking_allreduce_budget(counts, spmd):
+    """Finish's own allreduce: one result future per image and the
+    injection future of each of the two tree sends (one up, one down) —
+    no acks, no handle, no task."""
+    def kernel(img):
+        yield from img.allreduce(1)              # first use: registers
+        yield from img.compute(1e-3)
+        if img.rank == 0:
+            counts.on = True
+        yield from img.compute(1e-5)
+        total = yield from img.allreduce(img.rank + 1)
+        yield from img.compute(1e-4)             # the down message lands
+        counts.on = False
+        return total
+
+    machine, totals = spmd(kernel, n=2)
+    assert totals == [3, 3]
+    assert machine.stats["net.kind.coll.up"] == 2
+    assert machine.stats["net.kind.coll.down"] == 2
+    assert 0 < counts["futures"] <= 4
+    assert counts["tasks"] == 0
+    assert counts["handles"] == 0
