@@ -253,6 +253,12 @@ class RaceDetector:
     """
 
     def __init__(self, machine: "Machine"):
+        if machine.remote_ranks:
+            raise ValueError(
+                "race checking needs every rank hosted on this machine "
+                f"({len(machine.remote_ranks)} of {machine.n_images} are "
+                "not): shadow memory does not cross process boundaries "
+                "— use the deterministic simulator (backend='sim')")
         self.machine = machine
         self._components = itertools.count(1)
         self._threads = 0

@@ -288,65 +288,40 @@ def run_randomaccess(n_images: int, config: Optional[RAConfig] = None,
         machine.scratch["ra.setup_config"] = config
         _ra_setup(machine)
 
+    launch = dict(params=params, seed=seed, args=(config,), setup=setup)
     if backend == "process":
-        if faults is not None or racecheck:
-            raise ValueError(
-                "fault injection and race checking are simulator-only")
-        from repro.backend.parallel import run_spmd_process
+        from repro.backend.parallel import preflight, run_spmd_process
 
-        run, blocks = run_spmd_process(
-            ra_kernel, n_images, params=params, seed=seed,
-            args=(config,), setup=setup, finalize=_ra_finalize)
+        preflight(n_images, params=params, faults=faults,
+                  racecheck=racecheck)
+        run, blocks = run_spmd_process(ra_kernel, n_images,
+                                       finalize=_ra_finalize, **launch)
         slices = run.extras
-        checksum = 0
-        for arr in slices:
-            checksum ^= int(np.bitwise_xor.reduce(arr))
-        total = config.updates_per_image * n_images
-        errors = None
-        if verify:
-            expected = reference_table(n_images, config)
-            final = np.concatenate(slices)
-            errors = int(np.count_nonzero(final != expected))
-        now = run.sim.now
-        return RAResult(
-            sim_time=now,
-            total_updates=total,
-            gups=total / now / 1e9 if now else 0.0,
-            checksum=checksum,
-            finish_blocks=sum(blocks),
-            errors=errors,
-            retransmits=run.stats["net.retransmits"],
-            drops=run.stats["net.drops"],
-            dups=run.stats["net.dups"],
-        )
+    else:
+        from repro.runtime.program import run_spmd
 
-    from repro.runtime.program import run_spmd
-
-    machine, blocks = run_spmd(ra_kernel, n_images, params=params,
-                               seed=seed, args=(config,), setup=setup,
-                               faults=faults, racecheck=racecheck)
-    table = machine.coarray_by_name("ra_table")
+        run, blocks = run_spmd(ra_kernel, n_images, faults=faults,
+                               racecheck=racecheck, **launch)
+        table = run.coarray_by_name("ra_table")
+        slices = [table.local_at(r) for r in range(n_images)]
     checksum = 0
-    for r in range(n_images):
-        checksum ^= int(np.bitwise_xor.reduce(table.local_at(r)))
+    for arr in slices:
+        checksum ^= int(np.bitwise_xor.reduce(arr))
     total = config.updates_per_image * n_images
-
     errors = None
     if verify:
         expected = reference_table(n_images, config)
-        final = np.concatenate(
-            [table.local_at(r) for r in range(n_images)])
-        errors = int(np.count_nonzero(final != expected))
-
+        errors = int(np.count_nonzero(np.concatenate(slices) != expected))
+    now = run.sim.now
     return RAResult(
-        sim_time=machine.sim.now,
+        sim_time=now,
         total_updates=total,
-        gups=total / machine.sim.now / 1e9 if machine.sim.now else 0.0,
+        gups=total / now / 1e9 if now else 0.0,
         checksum=checksum,
         finish_blocks=sum(blocks),
         errors=errors,
-        retransmits=machine.stats["net.retransmits"],
-        drops=machine.stats["net.drops"],
-        dups=machine.stats["net.dups"],
-        races=(machine.racecheck.race_count if racecheck else 0),
+        retransmits=run.stats["net.retransmits"],
+        drops=run.stats["net.drops"],
+        dups=run.stats["net.dups"],
+        races=(run.racecheck.race_count if racecheck else 0),
     )

@@ -390,8 +390,9 @@ def uts_kernel(img, config: UTSConfig) -> Generator[Any, Any, int]:
 
 
 def _uts_finalize(machine, rank: int) -> tuple:
-    """Per-worker post-run probe for the process backend: this rank's
-    busy seconds and its view of the finish round count."""
+    """Post-run probe of one rank, run where its machine lives (in the
+    worker on the process backend): its busy seconds and its view of
+    the finish round count."""
     return (float(machine.busy.busy[rank]),
             int(machine.scratch.get("uts.finish_rounds", 0)))
 
@@ -414,52 +415,37 @@ def run_uts(n_images: int, config: Optional[UTSConfig] = None,
     clock.  ``total_nodes`` is schedule-invariant, so it must equal the
     simulator's — that is the cross-validation oracle (DESIGN §14)."""
     config = config if config is not None else UTSConfig()
+    launch = dict(params=params, seed=seed, args=(config,),
+                  failure_detection=failure_detection)
     if backend == "process":
-        if faults is not None or racecheck:
-            raise ValueError(
-                "fault injection and race checking are simulator-only")
-        from repro.backend.parallel import run_spmd_process
+        from repro.backend.parallel import preflight, run_spmd_process
 
-        run, per_image = run_spmd_process(
-            uts_kernel, n_images, params=params, seed=seed,
-            args=(config,), failure_detection=failure_detection,
-            finalize=_uts_finalize)
-        return UTSResult(
-            total_nodes=sum(n for n in per_image if n is not None),
-            sim_time=run.sim.now,
-            nodes_per_image=per_image,
-            busy_per_image=[e[0] if e is not None else 0.0
-                            for e in run.extras],
-            steals_attempted=run.stats["uts.steals_attempted"],
-            steals_successful=run.stats["uts.steals_successful"],
-            lifeline_pushes=run.stats["uts.lifeline_pushes"],
-            finish_rounds=max((e[1] for e in run.extras
-                               if e is not None), default=0),
-            retransmits=run.stats["net.retransmits"],
-            drops=run.stats["net.drops"],
-            dups=run.stats["net.dups"],
-            failed_images=tuple(sorted(run.dead_images)),
-            recovered_spawns=run.stats["spawn.recovered"],
-        )
-    from repro.runtime.program import run_spmd
+        preflight(n_images, params=params, faults=faults,
+                  racecheck=racecheck)
+        run, per_image = run_spmd_process(uts_kernel, n_images,
+                                          finalize=_uts_finalize, **launch)
+        extras = run.extras
+    else:
+        from repro.runtime.program import run_spmd
 
-    machine, per_image = run_spmd(uts_kernel, n_images, params=params,
-                                  seed=seed, args=(config,), faults=faults,
-                                  racecheck=racecheck,
-                                  failure_detection=failure_detection)
+        run, per_image = run_spmd(uts_kernel, n_images, faults=faults,
+                                  racecheck=racecheck, **launch)
+        extras = [_uts_finalize(run, rank) for rank in range(n_images)]
     return UTSResult(
         total_nodes=sum(n for n in per_image if n is not None),
-        sim_time=machine.sim.now,
+        sim_time=run.sim.now,
         nodes_per_image=per_image,
-        busy_per_image=machine.busy.busy.tolist(),
-        steals_attempted=machine.stats["uts.steals_attempted"],
-        steals_successful=machine.stats["uts.steals_successful"],
-        lifeline_pushes=machine.stats["uts.lifeline_pushes"],
-        finish_rounds=machine.scratch.get("uts.finish_rounds", 0),
-        retransmits=machine.stats["net.retransmits"],
-        drops=machine.stats["net.drops"],
-        dups=machine.stats["net.dups"],
-        races=(machine.racecheck.race_count if racecheck else 0),
-        failed_images=tuple(sorted(machine.dead_images)),
-        recovered_spawns=machine.stats["spawn.recovered"],
+        # a worker that died reported nothing
+        busy_per_image=[e[0] if e is not None else 0.0 for e in extras],
+        steals_attempted=run.stats["uts.steals_attempted"],
+        steals_successful=run.stats["uts.steals_successful"],
+        lifeline_pushes=run.stats["uts.lifeline_pushes"],
+        finish_rounds=max((e[1] for e in extras if e is not None),
+                          default=0),
+        retransmits=run.stats["net.retransmits"],
+        drops=run.stats["net.drops"],
+        dups=run.stats["net.dups"],
+        races=(run.racecheck.race_count if racecheck else 0),
+        failed_images=tuple(sorted(run.dead_images)),
+        recovered_spawns=run.stats["spawn.recovered"],
     )

@@ -85,7 +85,6 @@ class ParallelRun:
     slice of ``Machine`` the harness and tests read)."""
 
     def __init__(self, n_images: int):
-        self.backend = "process"
         self.n_images = n_images
         self.results: list[Any] = [None] * n_images
         #: per-rank ``finalize(machine, rank)`` values (None without one)
@@ -106,6 +105,20 @@ class ParallelRun:
         self.wall_s = wall_s
         self.sim = _ClockShim(max(self.worker_now, default=0.0),
                               stats["rt.events"] if stats else 0)
+
+
+def preflight(n_images: int, **machine_kwargs) -> None:
+    """Build, and drop, a machine of the workers' parts that hosts no
+    rank — the caller's own position in a process launch.  A launcher
+    that takes more than :func:`run_spmd_process` can carry to its
+    workers hands it here first: what the parts refuse (a fault plan
+    over the conduit, a schedule source on a wall clock, race checking
+    with ranks hosted elsewhere) is then refused once, in the caller's
+    process and before anything is forked."""
+    from repro.runtime.program import Machine
+
+    Machine(n_images, backend="process", conduit=_Conduit(-1, ()),
+            local_ranks=(), **machine_kwargs)
 
 
 def _picklable(obj: Any) -> Any:

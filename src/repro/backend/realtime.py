@@ -52,7 +52,6 @@ class RealtimeScheduler:
         self._events_processed = 0
         self._task_seq = 0
         self._tasks: list[Any] = []
-        self._drain_hooks: list[Callable] = []
         # Cross-thread injection: guarded by the condition's lock; the
         # loop moves entries to `_ready` before running them.
         self._cv = threading.Condition()
@@ -121,8 +120,7 @@ class RealtimeScheduler:
         return False
 
     def add_drain_hook(self, fn: Callable) -> None:
-        # Stored for surface compatibility; never fired (see docstring).
-        self._drain_hooks.append(fn)
+        """Accepted, never fired (see the module docstring)."""
 
     @property
     def schedule_source(self) -> Optional[Any]:

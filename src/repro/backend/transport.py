@@ -1,17 +1,14 @@
 """GASNet-shim conduit transport for the process backend.
 
-:class:`ProcessTransport` duck-types the simulator's
-:class:`~repro.net.transport.Network` exactly as far as the layers above
-consume it — ``send`` returning a :class:`DeliveryReceipt`, the
-two-level membership surface (``suspects`` / ``confirmed`` / quarantine
-/ ``confirm_dead``), the ``on_delivery`` hook the failure detector
-installs, and the diagnostic attributes ``stall_report`` reads — but
-moves real bytes: each active message is pickled with the wire format
-(:mod:`repro.backend.wire`) and pushed onto the destination worker's
-multiprocessing queue by the sending process; the destination's
-progress thread hands it to the destination's run loop, which unpickles
-and dispatches it through the same ``AMLayer._on_deliver`` the
-simulator uses.
+:class:`ProcessTransport` is the :class:`~repro.net.transport.Transport`
+(DESIGN.md §14.2) that moves real bytes; the send gate, the membership
+view, the quarantine and the hooks are the base class's, shared with
+the simulator's ``Network``.  Each active message is pickled with the
+wire format (:mod:`repro.backend.wire`) and pushed onto the destination
+worker's multiprocessing queue by the sending process; the
+destination's progress thread hands it to the destination's run loop,
+which unpickles and dispatches it through the same
+``AMLayer._on_deliver`` the simulator uses.
 
 Reliability: a multiprocessing queue never drops or reorders, so there
 is no retransmission machinery; ``want_ack`` sends are tracked in an
@@ -19,77 +16,43 @@ awaiting-ack table and an explicit ack frame — sent *after* the deliver
 callback has run, matching the simulator's ack ordering — resolves
 ``receipt.delivered``.  What CAN fail is the peer process itself: a
 killed worker never acks, and when the failure detector confirms it
-dead, :meth:`confirm_dead` fails every awaiting-ack receipt and every
-quarantined send with :class:`PeerFailedError` — the exact signal the
-finish/recovery layer reconciles on in the simulator.
+dead the awaiting-ack receipts fail with :class:`PeerFailedError` — the
+exact signal the finish/recovery layer reconciles on in the simulator.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Optional
-
-from repro.net.transport import DeliveryReceipt, Message, PeerFailedError
+from repro.net.transport import (DeliveryReceipt, Message, PeerFailedError,
+                                 Transport)
 from repro.backend.wire import dump_frame, load_frame
 
 
-class ProcessTransport:
+class ProcessTransport(Transport):
     """One per worker process; world-addressed send/receive over the
     conduit's per-rank queues."""
 
-    def __init__(self, sim, params, stats, conduit):
-        self.sim = sim
-        self.params = params
-        self.stats = stats
+    def __init__(self, sim, params, stats, conduit, machine, faults=None):
+        if faults is not None:
+            raise ValueError(
+                "fault injection requires the deterministic simulator "
+                "(backend='sim'): the conduit transport has no modelled "
+                "wire to drop, duplicate or delay a frame on")
+        super().__init__(sim, params, stats)
         self.conduit = conduit
         self.local_rank: int = conduit.rank
-        #: bound by the Machine once the AM layer exists
-        self.machine = None
-        self.am_deliver = None
-        # -- Network surface the layers above read ---------------------- #
-        self.faults = None
-        self.tracer = None
-        self.suspects: set[int] = set()
-        self.confirmed: set[int] = set()
-        self._dead: set[int] = set()
-        self.on_delivery = None
-        self.on_crash = None
-        self.schedule_source = None
-        self.lost: list = []
-        self.link_retransmits: dict = {}
-        self._tx_pending: dict = {}
-        self._quarantine: dict[int, list] = {}
-        self.quarantine_cap = 256
-        # -- conduit state ---------------------------------------------- #
-        self._seq = itertools.count(1)
+        #: inbound frames unpickle against this machine's registries
+        #: and dispatch through its AM layer
+        self.machine = machine
         #: (dst, seq) -> receipt of a transmitted want_ack send
         self._awaiting: dict[tuple, DeliveryReceipt] = {}
-
-    def bind(self, machine) -> None:
-        self.machine = machine
-        self.am_deliver = machine.am._on_deliver
 
     # ------------------------------------------------------------------ #
     # Send path
     # ------------------------------------------------------------------ #
 
-    def send(self, msg: Message, want_ack: bool = False,
-             best_effort: bool = False) -> DeliveryReceipt:
-        msg.seq = next(self._seq)
-        receipt = DeliveryReceipt(msg, want_ack)
-        dst = msg.dst
-        if dst in self.confirmed or dst in self._dead:
-            self._fail_fresh_send(msg, receipt)
-            return receipt
-        if dst in self.suspects and not best_effort:
-            self._park(msg, receipt)
-            return receipt
-        self.stats.incr("net.msgs")
+    def _transmit(self, msg: Message, receipt: DeliveryReceipt,
+                  best_effort: bool = False, pend=None) -> None:
         self.stats.incr("net.bytes", msg.size)
-        self._transmit(msg, receipt)
-        return receipt
-
-    def _transmit(self, msg: Message, receipt: DeliveryReceipt) -> None:
         if msg.dst == self.local_rank:
             # Loopback: no pickling (reference semantics, same as the
             # simulator's local delivery) but still asynchronous.
@@ -111,32 +74,6 @@ class ProcessTransport:
         if receipt.delivered is not None and not receipt.delivered.done:
             receipt.delivered.set_result(None)
 
-    def _fail_fresh_send(self, msg: Message,
-                         receipt: DeliveryReceipt) -> None:
-        self.stats.incr("net.peer_failed")
-        if receipt.delivered is not None:
-            receipt.delivered.set_exception(PeerFailedError(
-                f"send of {msg!r} abandoned: image {msg.dst} is "
-                + ("confirmed dead" if msg.dst not in self._dead
-                   else "crashed"),
-                peer=msg.dst, suspected=msg.dst not in self._dead))
-        self.sim.call_soon(receipt.injected.set_result, None)
-
-    def _park(self, msg: Message, receipt: DeliveryReceipt) -> None:
-        queue = self._quarantine.setdefault(msg.dst, [])
-        if len(queue) >= self.quarantine_cap:
-            self.stats.incr("net.quarantine_overflow")
-            self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"send of {msg!r} abandoned: quarantine for suspected "
-                    f"image {msg.dst} is full ({self.quarantine_cap})",
-                    peer=msg.dst, suspected=True))
-            self.sim.call_soon(receipt.injected.set_result, None)
-            return
-        self.stats.incr("net.quarantined")
-        queue.append(("send", msg, receipt, False))
-
     # ------------------------------------------------------------------ #
     # Receive path (run-loop thread; the progress thread only posts)
     # ------------------------------------------------------------------ #
@@ -154,8 +91,7 @@ class ProcessTransport:
             self.stats.incr("net.delivered")
             if self.on_delivery is not None:
                 self.on_delivery(src, self.local_rank)
-            if self.am_deliver is not None:
-                self.am_deliver(msg)
+            self.machine.am._on_deliver(msg)
             if want_ack:
                 # After the deliver callback, like the simulator's
                 # reliable path: the ack certifies delivery, not receipt.
@@ -163,59 +99,12 @@ class ProcessTransport:
         elif tag == "ack":
             _, src, seq = item
             receipt = self._awaiting.pop((src, seq), None)
-            if (receipt is not None and receipt.delivered is not None
-                    and not receipt.delivered.done):
+            if receipt is not None and not receipt.delivered.done:
                 receipt.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
-    # Membership (same contract as Network)
-    # ------------------------------------------------------------------ #
 
-    def mark_suspect(self, image: int) -> None:
-        self.suspects.add(image)
-
-    def unmark_suspect(self, image: int) -> None:
-        self.suspects.discard(image)
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        self.stats.incr("net.quarantine_flushed", len(queue))
-        for _tag, msg, receipt, _be in queue:
-            self.stats.incr("net.msgs")
-            self.stats.incr("net.bytes", msg.size)
-            self._transmit(msg, receipt)
-
-    def confirm_dead(self, image: int) -> None:
-        if image in self.confirmed:
-            return
-        self.suspects.add(image)
-        self.confirmed.add(image)
-        self._fail_quarantined(image, suspected=True)
-        self._fail_awaiting(image, suspected=True)
-
-    def mark_dead(self, image: int) -> None:
-        if image in self._dead:
-            return
-        self._dead.add(image)
-        self.stats.incr("net.images_dead")
-        self._fail_quarantined(image, suspected=False)
-        self._fail_awaiting(image, suspected=False)
-
-    def _fail_quarantined(self, image: int, suspected: bool) -> None:
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        verdict = "confirmed dead" if suspected else "crashed"
-        for _tag, msg, receipt, _be in queue:
-            self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None and not receipt.delivered.done:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"quarantined send of {msg!r} abandoned: image "
-                    f"{image} is {verdict}", peer=image,
-                    suspected=suspected))
-            self.sim.call_soon(receipt.injected.set_result, None)
-
-    def _fail_awaiting(self, image: int, suspected: bool) -> None:
+    def _peer_down(self, image: int, suspected: bool) -> None:
         """A peer process died: its acks will never come.  Failing the
         awaiting receipts is what turns an OS-level kill into the same
         :class:`PeerFailedError` signal the recovery ledger re-executes
@@ -224,20 +113,12 @@ class ProcessTransport:
         for key in [k for k in self._awaiting if k[0] == image]:
             receipt = self._awaiting.pop(key)
             self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None and not receipt.delivered.done:
+            if not receipt.delivered.done:
                 receipt.delivered.set_exception(PeerFailedError(
                     f"ack for {receipt.message!r} abandoned: image "
                     f"{image} is {verdict}", peer=image,
                     suspected=suspected))
 
-    # ------------------------------------------------------------------ #
-    # Diagnostics
-    # ------------------------------------------------------------------ #
-
-    def nic_busy_until(self, image: int) -> float:
-        return self.sim.now
-
-    def unacked(self) -> list[str]:
-        return [f"{r.message.kind} #{r.message.seq} "
-                f"{self.local_rank}->{dst} (awaiting ack)"
-                for (dst, _seq), r in self._awaiting.items()]
+    def _in_flight(self) -> tuple[list, list]:
+        return [], [(receipt.message, "awaiting ack")
+                    for receipt in self._awaiting.values()]

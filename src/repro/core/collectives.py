@@ -126,10 +126,9 @@ def _record(machine, world: int, team: Team, seq: int, root: int,
     return rec
 
 
-def _ensure_handlers(machine) -> None:
+def register_handlers(machine) -> None:
+    """Called once per machine, on the family's first use there."""
     am = machine.am
-    if am.is_registered(_UP):
-        return
     for name, on_message in ((_UP, _on_up), (_DOWN, _on_down)):
         am.register(name, partial(_handle, machine, on_message))
 
@@ -309,7 +308,6 @@ def start(ctx, kind: str, team: Optional[Team], value: Any, *,
     are as :mod:`repro.core.collectives_async` describes.
     """
     machine = ctx.machine
-    _ensure_handlers(machine)
     world = ctx.rank
     # Everything that can reject the call comes before it takes a
     # sequence number or a record.

@@ -62,10 +62,9 @@ class _RingState:
         self.cond = Condition(sim, "ring")
 
 
-def _ensure_handlers(machine) -> None:
+def register_handlers(machine) -> None:
+    """Called once per machine, on the family's first use there."""
     am = machine.am
-    if am.is_registered(_RING):
-        return
 
     def handle_ring(ctx, team_id, seq, step, chunk_idx):
         state = machine.coll_state(ctx.image, team_id, seq, _make_state(machine))
@@ -101,7 +100,6 @@ def ring_allreduce(ctx, array: np.ndarray, op: Any = "sum",
     (also returned)."""
     team = team if team is not None else ctx.team_world
     machine = ctx.machine
-    _ensure_handlers(machine)
     machine.stats.incr("algcoll.ring_allreduce")
     fn = array_op_function(op)
     array = np.asarray(array)
@@ -160,7 +158,6 @@ def pipelined_broadcast(ctx, array: np.ndarray, root: int = 0,
     pieces; the root's content ends up in every member's ``array``."""
     team = team if team is not None else ctx.team_world
     machine = ctx.machine
-    _ensure_handlers(machine)
     machine.stats.incr("algcoll.pipelined_broadcast")
     array = np.asarray(array)
     if array.ndim != 1:

@@ -99,10 +99,9 @@ def _normalize(ctx, x: Union[CoarrayRef, np.ndarray], what: str) -> _Loc:
     )
 
 
-def _ensure_handlers(machine) -> None:
+def register_handlers(machine) -> None:
+    """Called once per machine, on the family's first use there."""
     am = machine.am
-    if am.is_registered(_PUT):
-        return
     am.register(_PUT, _make_put_handler(machine))
     am.register(_GET_REQ, _make_get_req_handler(machine))
     am.register(_DATA, _make_data_handler(machine))
@@ -226,7 +225,6 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
     the handle themselves and must not be finish-counted).
     """
     machine = ctx.machine
-    _ensure_handlers(machine)
     d = _normalize(ctx, dest, "dest")
     s = _normalize(ctx, src, "src")
     pre = event_ref(pre_event, ctx.rank)

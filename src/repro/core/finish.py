@@ -434,6 +434,7 @@ def stall_report(machine, blocked: list) -> str:
     drains with main programs still blocked and the network has dropped
     traffic."""
     net = machine.network
+    diag = net.diagnostics()
     stats = machine.stats
     lines = [
         f"quiescence without completion at t={machine.sim.now:.6f}s: "
@@ -442,36 +443,33 @@ def stall_report(machine, blocked: list) -> str:
         f"drops={stats['net.drops']} ack_drops={stats['net.ack_drops']} "
         f"dups={stats['net.dups']} retransmits={stats['net.retransmits']}",
     ]
-    for rec in net.lost[:8]:
+    lost = diag["lost"]
+    for rec in lost[:8]:
         lines.append(f"  lost: {rec}")
-    if len(net.lost) > 8:
-        lines.append(f"  ... and {len(net.lost) - 8} more lost messages")
-    for rec in net.unacked()[:8]:
+    if len(lost) > 8:
+        lines.append(f"  ... and {len(lost) - 8} more lost messages")
+    for rec in diag["unacked"][:8]:
         lines.append(f"  unacked: {rec}")
-    dead = sorted(getattr(machine, "dead_images", ()))
+    dead = sorted(machine.dead_images)
     if dead:
         lines.append(f"  dead images: {dead}")
-    confirmed = set(getattr(net, "confirmed", ()))
-    suspects = sorted(set(getattr(net, "suspects", ())) - confirmed)
+    suspects = sorted(net.suspects - net.confirmed)
     if suspects:
         lines.append(f"  suspected images: {suspects}")
-    if confirmed:
-        lines.append(f"  confirmed dead images: {sorted(confirmed)}")
-    service = getattr(machine, "failure", None)
+    if net.confirmed:
+        lines.append(f"  confirmed dead images: {sorted(net.confirmed)}")
+    service = machine.failure
     if service is not None and service.recovered:
         lines.append(
             "  recovered images: "
             + ", ".join(f"{r} (incarnation {service.incarnations[r]})"
                         for r in sorted(service.recovered)))
-    if getattr(net, "_quarantine", None):
-        parked = {dst: len(q) for dst, q in sorted(net._quarantine.items())}
-        lines.append(f"  quarantined sends per suspect: {parked}")
+    if diag["parked"]:
+        lines.append(f"  quarantined sends per suspect: {diag['parked']}")
     # Per-image pending handles: spawn replies still awaiting delivery
     # acks, and blocked event_wait calls.
-    pending_spawns: dict[int, int] = {}
-    for pend in net._tx_pending.values():
-        if pend.msg.kind == "spawn":
-            pending_spawns[pend.msg.src] = pending_spawns.get(pend.msg.src, 0) + 1
+    pending_spawns = {src: n for (src, kind), n in diag["pending"].items()
+                      if kind == "spawn"}
     event_waits: dict[int, int] = {}
     for ev in machine._events.values():
         for rank, cond in ev._conds.items():

@@ -84,9 +84,9 @@ def payload_size(args: tuple) -> int:
     return _pack(args)[0]
 
 
-def _ensure_handlers(machine) -> None:
-    if not machine.am.is_registered(_EXEC):
-        machine.am.register(_EXEC, _make_exec_handler(machine))
+def register_handlers(machine) -> None:
+    """Called once per machine, on the family's first use there."""
+    machine.am.register(_EXEC, _make_exec_handler(machine))
 
 
 def _activation_name(machine, fn) -> str:
@@ -163,7 +163,6 @@ def spawn(ctx, fn, target: int, *args: Any,
     """
     machine = ctx.machine
     fn_name = _activation_name(machine, fn)
-    _ensure_handlers(machine)
     team = team if team is not None else ctx.team_world
     dst = team.world_rank(target)
 

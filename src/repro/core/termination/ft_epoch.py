@@ -47,10 +47,9 @@ _REPORT = "ft.report"
 _VERDICT = "ft.verdict"
 
 
-def _ensure_handlers(machine) -> None:
+def register_handlers(machine) -> None:
+    """Called once per machine, on the family's first use there."""
     am = machine.am
-    if am.is_registered(_REPORT):
-        return
     am.register(_REPORT, _make_report_handler(machine))
     am.register(_VERDICT, _make_verdict_handler(machine))
 
@@ -225,7 +224,6 @@ def ft_epoch_detector(ctx, frame: FinishFrame) -> Generator[Any, Any, int]:
             "ft_epoch detector requires failure detection "
             "(run_spmd(..., failure_detection=True))"
         )
-    _ensure_handlers(machine)
     from repro.runtime.failure import build_failure_error
 
     key = frame.key

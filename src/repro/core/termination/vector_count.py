@@ -46,10 +46,9 @@ def _flags(machine, key: tuple) -> dict:
     return machine.scratch.setdefault(("term.vector.flags", key), {})
 
 
-def _ensure_handlers(machine) -> None:
+def register_handlers(machine) -> None:
+    """Called once per machine, on the family's first use there."""
     am = machine.am
-    if am.is_registered(_REPORT):
-        return
 
     def handle_report(ctx, key, team_rank, version, sent_to, completed,
                       team_size):
@@ -101,7 +100,6 @@ def vector_count_detector(ctx, frame: FinishFrame
     """Centralized detection; returns the number of reports this image
     sent (the per-image analogue of a wave count)."""
     machine = ctx.machine
-    _ensure_handlers(machine)
     team = frame.team
     key = frame.key
     owner_world = team.world_rank(0)

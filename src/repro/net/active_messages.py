@@ -20,7 +20,7 @@ import inspect
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.tasks import Task
-from repro.net.transport import DeliveryReceipt, Message, Network
+from repro.net.transport import DeliveryReceipt, Message, Transport
 from repro.net.flowcontrol import CreditManager
 
 
@@ -63,14 +63,20 @@ class HandlerContext:
 
 
 class AMLayer:
-    """Active-message dispatch over a :class:`Network`."""
+    """Active-message dispatch over a
+    :class:`~repro.net.transport.Transport`."""
 
-    def __init__(self, network: Network,
-                 credit_manager: Optional[CreditManager] = None):
+    def __init__(self, network: Transport,
+                 credit_manager: Optional[CreditManager] = None,
+                 install_family: Optional[Callable[[str], None]] = None):
         self.network = network
         self.sim = network.sim
         self.params = network.params
         self.credits = credit_manager
+        #: asked, with the name, to install the handler family a name
+        #: nobody registered belongs to — the first time that name is
+        #: requested *or delivered* here
+        self._install_family = install_family
         #: handler name -> ``(fn, runs_as_task, default_kind)``, decided
         #: once at registration: generator functions run as tasks, the
         #: rest inline; a request that names no kind travels as
@@ -103,10 +109,14 @@ class AMLayer:
         self._handlers[name] = (fn, inspect.isgeneratorfunction(fn),
                                 f"am.{name}")
 
-    def is_registered(self, name: str) -> bool:
-        """Whether a handler is installed under ``name`` — how the layers
-        that install their handlers lazily do so once per machine."""
-        return name in self._handlers
+    def _unknown(self, name: str) -> tuple:
+        """The miss path of a request or a delivery."""
+        if self._install_family is not None:
+            self._install_family(name)
+        record = self._handlers.get(name)
+        if record is None:
+            raise KeyError(f"unknown AM handler {name!r}")
+        return record
 
     # ------------------------------------------------------------------ #
     # Requests
@@ -136,9 +146,7 @@ class AMLayer:
         local-data completion.  ``best_effort`` bypasses the reliable
         protocol (heartbeat traffic).
         """
-        record = self._handlers.get(handler)
-        if record is None:
-            raise KeyError(f"unknown AM handler {handler!r}")
+        record = self._handlers.get(handler) or self._unknown(handler)
         category_stat, max_size = self._categories[category]
         if not 0 <= payload_size <= max_size:
             raise self._size_error(category, payload_size)
@@ -182,7 +190,10 @@ class AMLayer:
 
     def _on_deliver(self, msg: Message) -> None:
         handler_name, args, payload = msg.payload
-        fn, runs_as_task, _ = self._handlers[handler_name]
+        try:
+            fn, runs_as_task, _ = self._handlers[handler_name]
+        except KeyError:
+            fn, runs_as_task, _ = self._unknown(handler_name)
         ctx = HandlerContext(self, msg.dst, msg.src, msg, payload)
         if runs_as_task:
             # Handler tasks run on behalf of the destination image, so a

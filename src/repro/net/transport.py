@@ -211,68 +211,24 @@ class _RxState:
         return False
 
 
-class Network:
-    """The interconnect: owns per-image NIC state and delivers messages.
-
-    Parameters
-    ----------
-    sim:
-        The execution :class:`~repro.backend.substrate.Substrate` the
-        cost model schedules against — the deterministic simulator in
-        practice (the process backend substitutes
-        :class:`~repro.backend.transport.ProcessTransport` for this
-        whole class rather than running the simulated wire on real
-        time).
-    faults:
-        Optional :class:`FaultPlan` consulted on every transmission and
-        acknowledgment.
-    seed:
-        Fallback seed for internally-created random streams (jitter,
-        unbound fault plans); a machine passes its master seed so every
-        stream varies with ``seed=`` as documented.
+class Transport:
+    """The transport contract (DESIGN.md §14.2), written once for every
+    conduit underneath: :meth:`send` with its gate on the membership
+    view, the two-level membership itself over a capped FIFO quarantine,
+    the ``on_delivery`` / ``on_crash`` hooks and the :meth:`diagnostics`
+    snapshot.  A subclass supplies what differs: :meth:`_transmit`,
+    :meth:`_peer_down` and :meth:`_in_flight`.
     """
 
     def __init__(self, sim: "Substrate", params: MachineParams,
-                 stats: Optional[Stats] = None,
-                 jitter_rng: Optional[np.random.Generator] = None,
-                 tracer=None,
-                 faults: Optional[FaultPlan] = None,
-                 seed: Optional[int] = None):
+                 stats: Optional[Stats] = None):
         self.sim = sim
         self.params = params
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer
-        #: per-image time the NIC injection port next frees
-        self._nic_free_at: list[float] = [0.0] * params.n_images
-        if params.jitter > 0.0 and jitter_rng is None:
-            jitter_rng = np.random.default_rng(
-                _FALLBACK_JITTER_SS.spawn(1)[0] if seed is None
-                else np.random.SeedSequence(seed))
-        self._jitter_rng = jitter_rng
-        #: prefetched jitter factors, next draw last (see _transmit).  The
-        #: generator must not be shared: a machine hands over a stream
-        #: of its pool that nothing else reads.
-        self._jitter_draws: list[float] = []
-        self.faults = faults
-        if faults is not None and faults.seed is None and faults._rng is None:
-            faults.bind(np.random.default_rng(
-                _FALLBACK_FAULT_SS.spawn(1)[0] if seed is None
-                else np.random.SeedSequence(seed)))
-        #: per-network message sequence (reproducible across back-to-back
-        #: simulations in one process)
+        self._n_images = params.n_images
+        #: per-transport message sequence (reproducible across
+        #: back-to-back simulations in one process)
         self._msg_seq = itertools.count()
-        #: message kind -> its ``net.kind.<kind>`` counter key
-        self._kind_stat: dict[str, str] = {}
-        # reliable-protocol state
-        self._tx_next: dict[tuple, int] = {}
-        self._tx_pending: dict[tuple, _PendingSend] = {}
-        self._rx_states: dict[tuple, _RxState] = {}
-        #: short human-readable records of lost transmissions (bounded;
-        #: the liveness watchdog quotes these in its diagnostic)
-        self.lost: list[str] = []
-        #: per-directed-link retransmission counts (RetryExhaustedError
-        #: snapshots these; also a chaos diagnostic)
-        self.link_retransmits: dict[tuple, int] = {}
         #: confirmed-crashed images: their inbound and outbound links are
         #: down — in-flight deliveries to/from them are discarded and
         #: pending retransmissions fail with :class:`PeerFailedError`
@@ -288,9 +244,12 @@ class Network:
         #: wrong; a delivery from a confirmed peer resurrects it.
         self.confirmed: set[int] = set()
         #: quarantined traffic per suspected destination: FIFO of
-        #: ``("send", msg, receipt)`` fresh sends and
-        #: ``("pend", pend)`` parked retransmissions, flushed in order on
-        #: unsuspect, failed with PeerFailedError on confirmation
+        #: ``(msg, receipt, pend)``, flushed in order on unsuspect,
+        #: failed with PeerFailedError on a verdict.  ``pend`` is None
+        #: for a fresh send; a transport that retransmits parks its
+        #: record of the message at the timer instead (one with
+        #: ``acked`` and ``attempt``, which its ``_fail_pending(pend,
+        #: exc)`` abandons)
         self._quarantine: dict[int, list] = {}
         #: per-destination quarantine bound; the newest send overflows
         #: with PeerFailedError(suspected=True)
@@ -303,13 +262,30 @@ class Network:
         #: the triggering send completes first) when the fault plan's
         #: ``crash_after_n_sends`` threshold is reached
         self.on_crash: Optional[Callable[[int], None]] = None
-        #: schedule-exploration hook (DESIGN.md §10): an object with
-        #: ``choose(ChoicePoint) -> int`` plus ``lag_steps``/``lag_slack``
-        #: attributes.  When installed, every remote transmission's extra
-        #: delivery lag becomes an explicit recorded choice (and the
-        #: jitter rng is bypassed); None = baseline timing, untouched.
-        self.schedule_source = None
 
+    # ------------------------------------------------------------------ #
+    # What a subclass supplies
+    # ------------------------------------------------------------------ #
+
+    def _transmit(self, msg: Message, receipt: DeliveryReceipt,
+                  best_effort: bool = False, pend=None) -> None:
+        """Put one copy of ``msg`` on the wire.  ``pend`` is None, or a
+        retransmitting transport's own record of the message (what it
+        must offer to park one: see ``_quarantine``)."""
+        raise NotImplementedError
+
+    def _peer_down(self, image: int, suspected: bool) -> None:
+        """``image`` just died — crashed, or (``suspected``) confirmed
+        dead by the detector: settle the traffic already in flight."""
+        raise NotImplementedError
+
+    def _in_flight(self) -> tuple[list, list]:
+        """For :meth:`diagnostics`: records of lost transmissions, and
+        ``(message, note)`` per send still awaiting its ack."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # The send gate
     # ------------------------------------------------------------------ #
 
     def send(self, msg: Message, want_ack: bool = False,
@@ -327,10 +303,10 @@ class Network:
         """
         src = msg.src
         dst = msg.dst
-        n = len(self._nic_free_at)
+        n = self._n_images
         if not (0 <= src < n and 0 <= dst < n):
-            # The one range check a message gets: the NIC table and every
-            # latency lookup downstream trust it.
+            # The one range check a message gets: the NIC table, every
+            # latency lookup and the conduit's inboxes trust it.
             raise ValueError(
                 f"image pair ({src}, {dst}) out of range for {n} images")
         msg.seq = next(self._msg_seq)
@@ -360,15 +336,23 @@ class Network:
         self._transmit(msg, receipt, best_effort)
         return receipt
 
-    def _fail_fresh_send(self, msg: Message, receipt: DeliveryReceipt) -> None:
+    def _fail_send(self, receipt: DeliveryReceipt, message: str,
+                   suspected: bool) -> None:
+        """Abandon a send that was never transmitted: a typed failure on
+        ``delivered`` (if anyone is watching), and ``injected`` still
+        resolves — the source buffer is the caller's again."""
         self.stats.incr("net.peer_failed")
-        if receipt.delivered is not None:
+        if receipt.delivered is not None and not receipt.delivered.done:
             receipt.delivered.set_exception(PeerFailedError(
-                f"send of {msg!r} abandoned: image {msg.dst} is "
-                + ("confirmed dead" if msg.dst not in self._dead
-                   else "crashed"),
-                peer=msg.dst, suspected=msg.dst not in self._dead))
+                message, peer=receipt.message.dst, suspected=suspected))
         self.sim.call_soon(receipt.injected.set_result, None)
+
+    def _fail_fresh_send(self, msg: Message, receipt: DeliveryReceipt) -> None:
+        crashed = msg.dst in self._dead
+        self._fail_send(
+            receipt, f"send of {msg!r} abandoned: image {msg.dst} is "
+            + ("crashed" if crashed else "confirmed dead"),
+            suspected=not crashed)
 
     def _park(self, msg: Message, receipt: DeliveryReceipt) -> None:
         queue = self._quarantine.setdefault(msg.dst, [])
@@ -377,16 +361,162 @@ class Network:
             # rather than the queue growing without limit while the
             # detector makes up its mind.
             self.stats.incr("net.quarantine_overflow")
-            self.stats.incr("net.peer_failed")
-            if receipt.delivered is not None:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"send of {msg!r} abandoned: quarantine for suspected "
-                    f"image {msg.dst} is full ({self.quarantine_cap})",
-                    peer=msg.dst, suspected=True))
-            self.sim.call_soon(receipt.injected.set_result, None)
+            self._fail_send(
+                receipt, f"send of {msg!r} abandoned: quarantine for "
+                f"suspected image {msg.dst} is full ({self.quarantine_cap})",
+                suspected=True)
             return
         self.stats.incr("net.quarantined")
-        queue.append(("send", msg, receipt))
+        queue.append((msg, receipt, None))
+
+    # ------------------------------------------------------------------ #
+    # Two-level membership (driven by the failure detector)
+    # ------------------------------------------------------------------ #
+
+    def mark_suspect(self, image: int) -> None:
+        """Level one: the detector suspects ``image``.  New sends toward
+        it park in the quarantine; pending retransmissions park at their
+        next timer."""
+        self.suspects.add(image)
+
+    def unmark_suspect(self, image: int) -> None:
+        """The suspicion was wrong (a heartbeat or any delivery arrived):
+        lift it and flush the quarantined traffic in FIFO order."""
+        self.suspects.discard(image)
+        queue = self._quarantine.pop(image, None)
+        if not queue:
+            return
+        self.stats.incr("net.quarantine_flushed", len(queue))
+        for msg, receipt, pend in queue:
+            if pend is not None and (pend.acked or msg.src in self._dead):
+                continue
+            self._transmit(msg, receipt, False, pend)
+
+    def confirm_dead(self, image: int) -> None:
+        """Level two: the detector confirms ``image`` dead.  Future
+        sends fail fast and every quarantined message fails with
+        :class:`PeerFailedError` — the signal the termination layer
+        reconciles on."""
+        if image in self.confirmed:
+            return
+        self.suspects.add(image)
+        self.confirmed.add(image)
+        self._peer_down(image, suspected=True)
+        self._fail_quarantined(image, suspected=True)
+
+    def mark_dead(self, image: int) -> None:
+        """Take ``image``'s links down (the network half of a fail-stop
+        crash): future sends toward it fail with
+        :class:`PeerFailedError`, and so does its quarantine — toward a
+        physically-dead image it can never flush."""
+        if image in self._dead:
+            return
+        self._dead.add(image)
+        self.stats.incr("net.images_dead")
+        self._peer_down(image, suspected=False)
+        self._fail_quarantined(image, suspected=False)
+
+    def _fail_quarantined(self, image: int, suspected: bool) -> None:
+        queue = self._quarantine.pop(image, None)
+        if not queue:
+            return
+        verdict = "confirmed dead" if suspected else "crashed"
+        for msg, receipt, pend in queue:
+            if pend is None:
+                self._fail_send(
+                    receipt, f"quarantined send of {msg!r} abandoned: "
+                    f"image {image} is {verdict}", suspected)
+            elif not pend.acked:
+                self._fail_pending(pend, PeerFailedError(
+                    f"quarantined retransmission of {msg!r} abandoned "
+                    f"after {pend.attempt} attempts: image {image} is "
+                    f"{verdict}",
+                    peer=image, suspected=suspected))
+
+    # ------------------------------------------------------------------ #
+    # Diagnostics
+    # ------------------------------------------------------------------ #
+
+    def diagnostics(self) -> dict:
+        """Snapshot for the liveness watchdog (``finish.stall_report``):
+        ``lost`` and ``unacked`` sends as printable records, ``parked``
+        sends per suspect, ``pending`` acks per ``(source, kind)``."""
+        lost, unacked = self._in_flight()
+        pending: dict[tuple, int] = {}
+        for msg, _note in unacked:
+            key = (msg.src, msg.kind)
+            pending[key] = pending.get(key, 0) + 1
+        return {
+            "lost": list(lost),
+            "unacked": [f"{m.kind} #{m.seq} {m.src}->{m.dst} ({note})"
+                        for m, note in unacked],
+            "parked": {dst: len(queue) for dst, queue
+                       in sorted(self._quarantine.items())},
+            "pending": pending,
+        }
+
+
+class Network(Transport):
+    """The interconnect: owns per-image NIC state and delivers messages.
+
+    Parameters
+    ----------
+    sim:
+        The execution :class:`~repro.backend.substrate.Substrate` the
+        cost model schedules against — the deterministic simulator in
+        practice (a wall-clock substrate is paired with the other
+        :class:`Transport`, not with the simulated wire on real time).
+    faults:
+        Optional :class:`FaultPlan` consulted on every transmission and
+        acknowledgment.
+    seed:
+        Fallback seed for internally-created random streams (jitter,
+        unbound fault plans); a machine passes its master seed so every
+        stream varies with ``seed=`` as documented.
+    """
+
+    def __init__(self, sim: "Substrate", params: MachineParams,
+                 stats: Optional[Stats] = None,
+                 jitter_rng: Optional[np.random.Generator] = None,
+                 tracer=None,
+                 faults: Optional[FaultPlan] = None,
+                 seed: Optional[int] = None):
+        super().__init__(sim, params, stats)
+        self.tracer = tracer
+        #: per-image time the NIC injection port next frees
+        self._nic_free_at: list[float] = [0.0] * params.n_images
+        if params.jitter > 0.0 and jitter_rng is None:
+            jitter_rng = np.random.default_rng(
+                _FALLBACK_JITTER_SS.spawn(1)[0] if seed is None
+                else np.random.SeedSequence(seed))
+        self._jitter_rng = jitter_rng
+        #: prefetched jitter factors, next draw last (see _transmit).  The
+        #: generator must not be shared: a machine hands over a stream
+        #: of its pool that nothing else reads.
+        self._jitter_draws: list[float] = []
+        self.faults = faults
+        if faults is not None and faults.seed is None and faults._rng is None:
+            faults.bind(np.random.default_rng(
+                _FALLBACK_FAULT_SS.spawn(1)[0] if seed is None
+                else np.random.SeedSequence(seed)))
+        #: message kind -> its ``net.kind.<kind>`` counter key
+        self._kind_stat: dict[str, str] = {}
+        # reliable-protocol state
+        self._tx_next: dict[tuple, int] = {}
+        self._tx_pending: dict[tuple, _PendingSend] = {}
+        self._rx_states: dict[tuple, _RxState] = {}
+        #: short human-readable records of lost transmissions (bounded;
+        #: the liveness watchdog quotes these in its diagnostic)
+        self.lost: list[str] = []
+        #: per-directed-link retransmission counts (RetryExhaustedError
+        #: snapshots these; also a chaos diagnostic)
+        self.link_retransmits: dict[tuple, int] = {}
+        #: schedule-exploration hook (DESIGN.md §10): an object with
+        #: ``choose(ChoicePoint) -> int`` plus ``lag_steps``/``lag_slack``
+        #: attributes.  When installed, every remote transmission's extra
+        #: delivery lag becomes an explicit recorded choice (and the
+        #: jitter rng is bypassed); None = baseline timing, untouched.
+        self.schedule_source = None
 
     # ------------------------------------------------------------------ #
     # The wire: one transmission, one arrival (DESIGN.md §9.6)
@@ -636,7 +766,8 @@ class Network:
             # not re-armed; unsuspecting re-injects, confirmation fails.
             self.stats.incr("net.quarantined")
             pend.timer = None
-            self._quarantine.setdefault(msg.dst, []).append(("pend", pend))
+            self._quarantine.setdefault(msg.dst, []).append(
+                (msg, pend.receipt, pend))
             return
         pend.attempt += 1
         p = self.params
@@ -674,16 +805,12 @@ class Network:
                 and not pend.receipt.delivered.done):
             pend.receipt.delivered.set_exception(exc)
 
-    def mark_dead(self, image: int) -> None:
-        """Take ``image``'s links down (the network half of a fail-stop
-        crash): in-flight deliveries to/from it are discarded when they
-        surface, its outbound protocol state is dropped, and future
-        sends/retransmissions toward it fail with
-        :class:`PeerFailedError`."""
-        if image in self._dead:
+    def _peer_down(self, image: int, suspected: bool) -> None:
+        if suspected:
+            # A verdict takes no link down: the peer may be alive, so its
+            # own sends proceed, and sends toward it fail at their next
+            # retransmission timer.
             return
-        self._dead.add(image)
-        self.stats.incr("net.images_dead")
         # The dead image's own unacked sends die with it (cancel the
         # timers now; copies already in flight are discarded by
         # _run_delivery_batch).  Sends *to* it are left to fail at their
@@ -695,72 +822,6 @@ class Network:
                     self.sim.cancel(pend.timer)
                     pend.timer = None
                 del self._tx_pending[key]
-        # Quarantined traffic toward a physically-dead image can never
-        # flush; fail it now.
-        self._fail_quarantined(image, suspected=False)
-
-    # ------------------------------------------------------------------ #
-    # Two-level membership (driven by the failure detector)
-    # ------------------------------------------------------------------ #
-
-    def mark_suspect(self, image: int) -> None:
-        """Level one: the detector suspects ``image``.  New sends toward
-        it park in the quarantine; pending retransmissions park at their
-        next timer."""
-        self.suspects.add(image)
-
-    def unmark_suspect(self, image: int) -> None:
-        """The suspicion was wrong (a heartbeat or any delivery arrived):
-        lift it and flush the quarantined traffic in FIFO order."""
-        self.suspects.discard(image)
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        self.stats.incr("net.quarantine_flushed", len(queue))
-        for entry in queue:
-            if entry[0] == "send":
-                self._transmit(entry[1], entry[2])
-            else:
-                pend = entry[1]
-                if pend.acked or pend.msg.src in self._dead:
-                    continue
-                self._transmit(pend.msg, pend.receipt, pend=pend)
-
-    def confirm_dead(self, image: int) -> None:
-        """Level two: the detector confirms ``image`` dead.  Future
-        sends fail fast and every quarantined message fails with
-        :class:`PeerFailedError` — the signal the termination layer
-        reconciles on."""
-        if image in self.confirmed:
-            return
-        self.suspects.add(image)
-        self.confirmed.add(image)
-        self._fail_quarantined(image, suspected=True)
-
-    def _fail_quarantined(self, image: int, suspected: bool) -> None:
-        queue = self._quarantine.pop(image, None)
-        if not queue:
-            return
-        verdict = "confirmed dead" if suspected else "crashed"
-        for entry in queue:
-            if entry[0] == "send":
-                _, msg, receipt = entry
-                self.stats.incr("net.peer_failed")
-                if receipt.delivered is not None and not receipt.delivered.done:
-                    receipt.delivered.set_exception(PeerFailedError(
-                        f"quarantined send of {msg!r} abandoned: image "
-                        f"{image} is {verdict}",
-                        peer=image, suspected=suspected))
-                self.sim.call_soon(receipt.injected.set_result, None)
-            else:
-                pend = entry[1]
-                if pend.acked:
-                    continue
-                self._fail_pending(pend, PeerFailedError(
-                    f"quarantined retransmission of {pend.msg!r} abandoned "
-                    f"after {pend.attempt} attempts: image {image} is "
-                    f"{verdict}",
-                    peer=image, suspected=suspected))
 
     def _on_ack(self, pend: _PendingSend) -> None:
         if pend.acked:
@@ -782,9 +843,6 @@ class Network:
         """When the image's NIC injection port next frees (diagnostic)."""
         return self._nic_free_at[image]
 
-    def unacked(self) -> list[str]:
-        """Human-readable descriptions of reliably-sent messages still
-        awaiting acknowledgment (diagnostic)."""
-        return [f"{p.msg.kind} #{p.msg.seq} {p.msg.src}->{p.msg.dst} "
-                f"(attempt {p.attempt})"
-                for p in self._tx_pending.values()]
+    def _in_flight(self) -> tuple[list, list]:
+        return self.lost, [(p.msg, f"attempt {p.attempt}")
+                           for p in self._tx_pending.values()]

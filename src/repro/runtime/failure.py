@@ -330,10 +330,11 @@ class FailureService:
         if self._stopped:
             return
         machine = self.machine
-        if machine.backend != "sim":
-            # A process-mode worker must keep heartbeating after its own
-            # main finishes — its peers may still be running (and its
-            # silence would read as a crash).  The wall-clock loop has no
+        if machine.remote_ranks:
+            # With ranks hosted by other machines, this one must keep
+            # heartbeating after its own mains finish — its peers may
+            # still be running (and its silence would read as a crash).
+            # Such a machine runs a wall-clock loop, which has no
             # drained-queue liveness problem; the coordinator's shutdown
             # broadcast ends the process.
             return
@@ -457,7 +458,7 @@ class FailureService:
         confirm_timeout = cfg.confirm_timeout
         phi_suspect = cfg.phi_suspect
         phi = self._phi
-        faults = machine.network.faults
+        faults = machine.faults
         straggling = faults is not None and bool(faults.stragglers)
         while True:
             delay = period
@@ -508,7 +509,8 @@ class FailureService:
     # ------------------------------------------------------------------ #
 
     def _gossip(self, op: str, peer: int) -> None:
-        """Broadcast a membership transition to every other process.
+        """Broadcast a membership transition to every rank another
+        machine hosts (under the simulator: none).
 
         Under the simulator the suspect/confirmed sets are one shared
         structure (an idealized membership service); on real processes
@@ -521,12 +523,8 @@ class FailureService:
         membership generation counters equal across workers (the
         ft_epoch report rounds compare them)."""
         machine = self.machine
-        if machine.backend == "sim":
-            return
         src = machine.local_ranks[0]
-        for dst in range(self.n_images):
-            if dst == src:
-                continue
+        for dst in machine.remote_ranks:
             machine.am.request_nb(
                 src, dst, _MEMBER, args=(op, peer),
                 category=AMCategory.SHORT, best_effort=True,

@@ -26,10 +26,9 @@ _REL = "lock.release"
 _GRANT = "lock.grant"
 
 
-def _ensure_handlers(machine: "Machine") -> None:
+def register_handlers(machine: "Machine") -> None:
+    """Called once per machine, on the family's first use there."""
     am = machine.am
-    if am.is_registered(_ACQ):
-        return
 
     def handle_acquire(ctx, lock_name: str, token: int) -> None:
         lock = machine.lock_by_name(lock_name)
@@ -62,7 +61,6 @@ class LockVar:
         # lock over 8192 images costs nothing up front (DESIGN.md §13).
         self._held: set[int] = set()
         self._queues: dict[int, deque[tuple[int, int]]] = {}
-        _ensure_handlers(machine)
 
     # -- home-side mechanics ------------------------------------------------ #
 

@@ -38,12 +38,27 @@ from repro.net.gasnet import Gasnet
 from repro.runtime.coarray import Coarray
 from repro.runtime.event import EventRef, EventVar
 from repro.runtime.image import Image, ImageState
+from repro.runtime import lock as lock_mod
 from repro.runtime.lock import LockVar
 from repro.runtime.memory_model import Activation
 from repro.runtime.team import Team
+from repro.core import collectives, collectives_algos, copy_async, spawn
 from repro.core.finish import FinishFrame
+from repro.core.termination import ft_epoch, vector_count
 
 _EVENT_POST = "event.post"
+_EVENT_FIRE = "event.fire"
+
+#: Handler families by the first component of their handler names: the
+#: module whose ``register_handlers(machine)`` installs the family.  One
+#: registration path for both backends: a machine knows every protocol
+#: from birth and installs a family the first time one of its names is
+#: requested or *delivered* there (a worker of a multi-process run can be
+#: sent a spawn before it ever spawns).  Installing all of them up front
+#: would put 19 closures — 4.6 KB — on every Machine.
+_FAMILIES = {"spawn": spawn, "copy": copy_async, "coll": collectives,
+             "algcoll": collectives_algos, "ft": ft_epoch,
+             "term": vector_count, "lock": lock_mod}
 
 
 def _member_key(members) -> tuple:
@@ -78,38 +93,9 @@ class Machine:
         if backend not in ("sim", "process"):
             raise ValueError(
                 f"backend must be 'sim' or 'process', got {backend!r}")
-        #: execution substrate: "sim" (deterministic single-threaded
-        #: oracle) or "process" (this Machine is one worker of a real
-        #: multi-process run; see repro.backend)
-        self.backend = backend
-        if backend == "process":
-            if conduit is None or local_ranks is None:
-                raise ValueError(
-                    "backend='process' machines are built by the process "
-                    "launcher (repro.backend.parallel) with a conduit and "
-                    "their local rank set; use run_spmd(..., "
-                    "backend='process') or ProcessRunner")
-            for feature, flag in (("fault injection", faults is not None),
-                                  ("race checking", racecheck),
-                                  ("schedule exploration",
-                                   schedule is not None)):
-                if flag:
-                    raise ValueError(
-                        f"{feature} requires the deterministic simulator "
-                        "(backend='sim')")
-            #: world ranks whose main programs THIS process runs
-            self.local_ranks: Sequence[int] = tuple(sorted(local_ranks))
-        else:
-            self.local_ranks = range(n_images)
         self.n_images = n_images
         self.params = params
         self.seed = seed
-        if backend == "process":
-            from repro.backend.realtime import RealtimeScheduler
-
-            self.sim = RealtimeScheduler()
-        else:
-            self.sim = Simulator()
         self.stats = Stats()
         self.tracer = tracer
         if tracer is not None:
@@ -118,19 +104,40 @@ class Machine:
         # for fault injection (SeedSequence children are independent of
         # pool size, so the extra stream leaves image streams untouched)
         self.rng_pool = RngPool(seed, n_images + 2)
+        #: the fault plan, or None — what ``Image.compute`` and the
+        #: failure detector consult for stragglers
         self.faults = faults
-        if faults is not None and faults.seed is None:
-            faults.bind(self.rng_pool[n_images + 1])
+        # The one place that knows there are two (substrate, transport)
+        # pairs (DESIGN.md §14.1); what a pair cannot do is refused by
+        # the part that would have had to do it.
         if backend == "process":
+            from repro.backend.realtime import RealtimeScheduler
             from repro.backend.transport import ProcessTransport
 
-            self.network = ProcessTransport(self.sim, params,
-                                            stats=self.stats,
-                                            conduit=conduit)
+            if conduit is None or local_ranks is None:
+                raise ValueError(
+                    "backend='process' machines are built by the process "
+                    "launcher (repro.backend.parallel) with a conduit and "
+                    "their local rank set; use run_spmd(..., "
+                    "backend='process') or ProcessRunner")
+            self.sim = RealtimeScheduler()
+            self.network = ProcessTransport(self.sim, params, self.stats,
+                                            conduit, self, faults)
+            #: world ranks whose main programs THIS machine runs
+            self.local_ranks: Sequence[int] = tuple(sorted(local_ranks))
+            #: world ranks other machines of this run host (none under
+            #: the simulator): how "whole run, or one worker?" is asked
+            self.remote_ranks: Sequence[int] = [
+                r for r in range(n_images) if r not in self.local_ranks]
         else:
+            if faults is not None and faults.seed is None:
+                faults.bind(self.rng_pool[n_images + 1])
+            self.sim = Simulator()
             self.network = Network(self.sim, params, stats=self.stats,
                                    jitter_rng=self.rng_pool[n_images],
                                    tracer=tracer, faults=faults, seed=seed)
+            self.local_ranks = range(n_images)
+            self.remote_ranks = ()
         #: schedule-exploration source (DESIGN.md §10), or None.  When
         #: installed, same-instant tie-breaks and delivery lags become
         #: explicit choice points driven by the source; with None the
@@ -143,10 +150,10 @@ class Machine:
             self.schedule_source = source
             self.sim.set_schedule_source(source)
             self.network.schedule_source = source
-        if backend == "sim":
-            # A drained queue is meaningful only in virtual time; a
-            # wall-clock worker is merely idle between messages.
-            self.sim.add_drain_hook(self._liveness_check)
+        # A drained queue is meaningful only in virtual time: the
+        # wall-clock substrate takes the hook and never fires it (its
+        # worker is merely idle between messages).
+        self.sim.add_drain_hook(self._liveness_check)
         credits = None
         if params.flow_credits is not None:
             credits = CreditManager(
@@ -156,11 +163,9 @@ class Machine:
                 stats=self.stats,
             )
         self.credits = credits
-        self.am = AMLayer(self.network, credit_manager=credits)
-        if backend == "process":
-            # The transport unpickles inbound frames against this
-            # machine's registries and dispatches through the AM layer.
-            self.network.bind(self)
+        self._families = dict(_FAMILIES)
+        self.am = AMLayer(self.network, credit_manager=credits,
+                          install_family=self._install_family)
         self.gasnet = Gasnet(self.am)
         self.busy = IntervalAccumulator(n_images)
 
@@ -216,14 +221,13 @@ class Machine:
         self._op_ids = itertools.count()
         # Spawn identity stream for recovery idempotency keys; separate
         # from _op_ids so enabling the ledger never shifts op ids (which
-        # appear in traces and race reports).  In process mode each
-        # worker strides by n_images from its own rank, so ids stay
-        # globally unique without coordination (the dedup registry at an
-        # executor must distinguish every spawner's spawns).
-        if backend == "process":
-            self._spawn_ids = itertools.count(self.local_ranks[0], n_images)
-        else:
-            self._spawn_ids = itertools.count()
+        # appear in traces and race reports).  Each machine strides by
+        # n_images from its first hosted rank, so ids stay globally
+        # unique without coordination when other machines host the rest
+        # (the dedup registry at an executor must distinguish every
+        # spawner's spawns; a machine that hosts no rank never spawns).
+        self._spawn_ids = itertools.count(next(iter(self.local_ranks), 0),
+                                          n_images)
         self._main_tasks: list[Task] = []
 
         #: happens-before race detector, or None (the default — every
@@ -234,28 +238,14 @@ class Machine:
             from repro.analysis.racecheck import RaceDetector
             self.racecheck = RaceDetector(self)
 
-        self.am.ensure_registered(_EVENT_POST, self._handle_event_post)
-        if backend == "process":
-            self._register_remote_handlers()
+        self.am.register(_EVENT_POST, self._handle_event_post)
+        self.am.register(_EVENT_FIRE, self._handle_event_fire)
 
-    def _register_remote_handlers(self) -> None:
-        """Eagerly register every AM handler family.
-
-        Under the simulator lazy registration is safe: the first caller
-        anywhere registers a handler on the single shared machine, so by
-        the time an AM is *delivered* its protocol is always known.
-        With one machine per OS process, an inbound AM can arrive before
-        this process ever makes the corresponding local call (e.g. a
-        spawn lands here before this rank's own first spawn) — a worker
-        must know every protocol from birth."""
-        from repro.core import (collectives, collectives_algos, copy_async,
-                                spawn)
-        from repro.core.termination import ft_epoch, vector_count
-        from repro.runtime import lock as lock_mod
-        for mod in (collectives, collectives_algos, copy_async, spawn,
-                    ft_epoch, vector_count, lock_mod):
-            mod._ensure_handlers(self)
-        self.am.ensure_registered("event.fire", self._handle_event_fire)
+    def _install_family(self, name: str) -> None:
+        """The AM layer's miss hook (see ``_FAMILIES``)."""
+        family = self._families.pop(name.partition(".")[0], None)
+        if family is not None:
+            family.register_handlers(self)
 
     # ------------------------------------------------------------------ #
     # Registries
@@ -398,9 +388,7 @@ class Machine:
                 service.orphans[peer] = (service.orphans.get(peer, 0)
                                          + len(entries))
                 if service.recover:
-                    from repro.core.spawn import reexecute_lost
-
-                    reexecute_lost(self, rank, frame, entries)
+                    spawn.reexecute_lost(self, rank, frame, entries)
 
     def _on_heal(self, peer: int) -> None:
         """Failure-service callback: a suspicion turned out to be false
@@ -478,11 +466,10 @@ class Machine:
                 token = self.next_token()
                 self.scratch[("when_event", token)] = action
                 self.am.request_nb(
-                    home, initiator, "event.fire", args=(token,),
+                    home, initiator, _EVENT_FIRE, args=(token,),
                     category=AMCategory.SHORT, kind="event.fire",
                 )
 
-        self.am.ensure_registered("event.fire", self._handle_event_fire)
         self.start_internal_task(wait_and_fire(), name=f"when_event@{home}")
 
     def _handle_event_fire(self, ctx, token: int) -> None:
@@ -603,10 +590,11 @@ class Machine:
         blocked ranks if the machine wedges, or lets the liveness
         watchdog's :class:`~repro.sim.engine.LivenessError` propagate
         when injected faults stalled the workload."""
-        if self.backend != "sim":
+        if self.remote_ranks:
             raise RuntimeError(
-                "Machine.run drives the simulator; process-mode workers "
-                "are driven by repro.backend.parallel")
+                "Machine.run drives a machine that hosts every rank; a "
+                "worker of a multi-process run is driven by "
+                "repro.backend.parallel")
         self.sim.run(max_events=max_events)
         dead = self.dead_images
         blocked = [t.name for t in self._main_tasks
@@ -662,17 +650,17 @@ def run_spmd(kernel: Callable, n_images: int,
     returns a :class:`~repro.backend.parallel.ParallelRun` in the
     machine slot (same results-list semantics).  ``faults``,
     ``racecheck``, ``schedule`` and ``max_events`` are
-    simulator-only.
+    simulator-only: the first three are refused by the part of a
+    worker's machine that would have had to do them (see
+    :func:`repro.backend.parallel.preflight`).
     """
     if backend == "process":
-        if faults is not None or racecheck or schedule is not None:
-            raise ValueError(
-                "fault injection, race checking and schedule "
-                "exploration require backend='sim'")
         if max_events is not None:
             raise ValueError("max_events is a simulator-only budget")
-        from repro.backend.parallel import run_spmd_process
+        from repro.backend.parallel import preflight, run_spmd_process
 
+        preflight(n_images, params=params, faults=faults,
+                  racecheck=racecheck, schedule=schedule)
         return run_spmd_process(
             kernel, n_images, params=params, seed=seed, args=args,
             setup=setup, failure_detection=failure_detection)

@@ -225,7 +225,7 @@ class TestOneImplementation:
                    if cls.__module__ == mod.__name__
                    and not issubclass(cls, Exception)]
         assert classes == [collectives._Coll]
-        assert not hasattr(collectives_async, "_ensure_handlers")
+        assert not hasattr(collectives_async, "register_handlers")
 
         def kernel(img):
             yield from img.barrier()

@@ -27,7 +27,7 @@ def make_net(n=4, **kwargs):
 
 def assert_no_per_link_leftovers(net):
     assert net._tx_pending == {}
-    assert net.unacked() == []
+    assert net.diagnostics()["unacked"] == []
     assert net._quarantine == {}
     assert all(not rx.seen for rx in net._rx_states.values())
 

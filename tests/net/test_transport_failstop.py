@@ -1,8 +1,17 @@
 """Fail-stop behaviour of the transport: dead links, fail-fast sends,
-and the typed RetryExhaustedError / PeerFailedError diagnostics."""
+and the typed RetryExhaustedError / PeerFailedError diagnostics.
+
+The contract classes (``TestSendContract``, ``TestFailFastSend``,
+``TestQuarantine``) run once over the simulator's ``Network`` and once,
+through their ``...OverConduit`` subclass, over ``ProcessTransport``
+wired in one process: the gate, the membership view and the quarantine
+are one base class (DESIGN.md §14.2), so they get one suite."""
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro.backend.transport import ProcessTransport
 from repro.net.faults import FaultPlan
 from repro.net.topology import MachineParams, UniformTopology
 from repro.net.transport import (
@@ -12,17 +21,115 @@ from repro.net.transport import (
     RetryExhaustedError,
 )
 from repro.sim.engine import Simulator
+from repro.sim.trace import Stats
 
 
-def make_net(n=4, faults=None, **kwargs):
-    sim = Simulator()
+def make_params(n, **kwargs):
     defaults = dict(
         topology=UniformTopology(n, wire_latency=1e-6, self_latency=1e-7),
         bandwidth=1e9, o_send=1e-7, o_recv=1e-7,
     )
     defaults.update(kwargs)
-    params = MachineParams(**defaults)
-    return sim, Network(sim, params, faults=faults, seed=0)
+    return MachineParams(**defaults)
+
+
+def make_net(n=4, faults=None, **kwargs):
+    sim = Simulator()
+    return sim, Network(sim, make_params(n, **kwargs), faults=faults, seed=0)
+
+
+class Wire:
+    """A transport under test: its simulator, each image's end of it
+    (``net`` is image 0's, the sender in these tests), every message
+    whose deliver callback ran anywhere, and the frames the conduit
+    carried per destination (none over the simulated wire)."""
+
+    def __init__(self, sim, ends, delivered, frames=()):
+        self.sim = sim
+        self.ends = ends
+        self.net = ends[0]
+        self.delivered = delivered
+        self.frames = frames
+
+
+def message(wire, dst, payload=None):
+    """A 100-byte message from image 0 that reports its own delivery."""
+    return Message(0, dst, 100, payload, on_deliver=wire.delivered.append)
+
+
+def network_wire(n=4):
+    sim, net = make_net(n)
+    return Wire(sim, [net] * n, [])
+
+
+def conduit_wire(n=4):
+    """``n`` ProcessTransports on one Simulator.  A conduit ``put`` lands
+    in the destination's list-backed inbox and its ``deliver_frame`` runs
+    as a simulator event — every line of the conduit transport, no fork."""
+    sim = Simulator()
+    delivered = []
+    frames = [[] for _ in range(n)]
+    fleet = []
+    # what a transport needs of its machine: something to unpickle
+    # against, and the AM layer's deliver callback
+    machine = SimpleNamespace(
+        am=SimpleNamespace(_on_deliver=delivered.append))
+
+    class Conduit:
+        def __init__(self, rank):
+            self.rank = rank
+
+        def put(self, dst, item):
+            frames[dst].append(item)
+            sim.call_soon(fleet[dst].deliver_frame, item)
+
+    for rank in range(n):
+        fleet.append(ProcessTransport(sim, make_params(n), Stats(),
+                                      Conduit(rank), machine))
+    return Wire(sim, fleet, delivered, frames)
+
+
+class TestSendContract:
+    wire = staticmethod(network_wire)
+
+    def test_no_ack_means_no_delivered_future(self):
+        w = self.wire()
+        receipt = w.net.send(message(w, 1))
+        assert receipt.delivered is None
+        w.sim.run()
+        assert len(w.delivered) == 1 and receipt.injected.done
+
+    def test_on_delivery_runs_once_per_arrival_before_the_callback(self):
+        w = self.wire()
+        seen = []
+        for end in w.ends:
+            end.on_delivery = lambda src, dst: seen.append(
+                (src, dst, len(w.delivered)))
+        receipts = [w.net.send(message(w, dst), want_ack=True)
+                    for dst in (1, 1, 0)]
+        w.sim.run()
+        assert sorted(pair[:2] for pair in seen) == [(0, 0), (0, 1), (0, 1)]
+        # each arrival: hook first, then that message's own callback
+        assert [pair[2] for pair in seen] == [0, 1, 2]
+        assert all(r.delivered.done and r.delivered.exception() is None
+                   for r in receipts)
+
+    @pytest.mark.parametrize("dst", [-1, 4])
+    def test_destination_out_of_range_rejected_before_any_state_changes(
+            self, dst):
+        """A negative rank must not index the last inbox, and nothing —
+        counter, awaiting-ack entry, event — may precede the check."""
+        w = self.wire()
+        with pytest.raises(ValueError, match="out of range"):
+            w.net.send(message(w, dst), want_ack=True)
+        assert w.net.stats["net.msgs"] == 0
+        assert w.net.diagnostics()["unacked"] == []
+        assert w.sim.pending_events == 0
+        assert not any(w.frames)
+
+
+class TestSendContractOverConduit(TestSendContract):
+    wire = staticmethod(conduit_wire)
 
 
 class TestMarkDead:
@@ -67,19 +174,22 @@ class TestMarkDead:
 
 
 class TestFailFastSend:
+    wire = staticmethod(network_wire)
+
     def test_send_to_dead_image_fails_immediately(self):
-        sim, net = make_net()
-        net.mark_dead(2)
-        receipt = net.send(Message(0, 2, 100, None), want_ack=True)
+        w = self.wire()
+        w.net.mark_dead(2)
+        receipt = w.net.send(message(w, 2), want_ack=True)
         assert isinstance(receipt.delivered.exception(), PeerFailedError)
         assert receipt.delivered.exception().suspected is False
-        sim.run()
+        w.sim.run()
         assert receipt.injected.done  # local completion still resolves
+        assert w.delivered == []
 
     def test_send_to_confirmed_image_fails_with_suspected_flag(self):
-        sim, net = make_net()
-        net.confirm_dead(3)
-        receipt = net.send(Message(0, 3, 100, None), want_ack=True)
+        w = self.wire()
+        w.net.confirm_dead(3)
+        receipt = w.net.send(message(w, 3), want_ack=True)
         exc = receipt.delivered.exception()
         assert isinstance(exc, PeerFailedError)
         assert exc.peer == 3
@@ -87,13 +197,35 @@ class TestFailFastSend:
 
     def test_loopback_unaffected_by_own_death_flags(self):
         """src == dst never takes the fail-fast path (memory hand-off)."""
-        sim, net = make_net()
-        delivered = []
-        net.suspects.add(0)
-        net.send(Message(0, 0, 100, None,
-                         on_deliver=lambda m: delivered.append(m)))
-        sim.run()
-        assert len(delivered) == 1
+        w = self.wire()
+        w.net.suspects.add(0)
+        w.net.send(message(w, 0))
+        w.sim.run()
+        assert len(w.delivered) == 1
+
+    @pytest.mark.parametrize("verdict", ["mark_suspect", "confirm_dead"])
+    def test_loopback_survives_a_verdict_about_oneself(self, verdict):
+        """Membership gossip tells rank r about r too: a worker that
+        applies a (wrong) verdict about itself must still be able to
+        talk to itself — neither parked nor failed."""
+        w = self.wire()
+        getattr(w.net, verdict)(0)
+        receipt = w.net.send(message(w, 0), want_ack=True)
+        assert w.net.diagnostics()["parked"] == {}
+        w.sim.run()
+        assert len(w.delivered) == 1
+        assert receipt.delivered.done
+        assert receipt.delivered.exception() is None
+
+    def test_best_effort_send_crosses_to_a_suspect(self):
+        """Heartbeats are the probes that can prove a suspicion wrong:
+        they must not park."""
+        w = self.wire()
+        w.net.mark_suspect(1)
+        w.net.send(message(w, 1), best_effort=True)
+        assert w.net.diagnostics()["parked"] == {}
+        w.sim.run()
+        assert len(w.delivered) == 1
 
     def test_reliable_retransmission_parks_on_suspicion(self):
         """A reliably-sent message whose destination becomes suspected
@@ -112,70 +244,106 @@ class TestFailFastSend:
         assert net.stats["net.quarantined"] == 1
 
 
+class TestFailFastSendOverConduit(TestFailFastSend):
+    wire = staticmethod(conduit_wire)
+    # the conduit never drops, so it has no retransmission to park
+    test_reliable_retransmission_parks_on_suspicion = None
+
+
 class TestQuarantine:
     """Sends to merely-suspected peers park instead of failing: flushed
     in order on unsuspect, failed only on confirmation (DESIGN §12)."""
 
+    wire = staticmethod(network_wire)
+
     def test_parked_send_flushes_on_unsuspect(self):
-        sim, net = make_net()
-        delivered = []
-        net.mark_suspect(2)
-        receipt = net.send(Message(0, 2, 100, None, on_deliver=delivered.append),
-                           want_ack=True)
-        assert net.stats["net.quarantined"] == 1
-        sim.schedule_at(1e-4, net.unmark_suspect, 2)
-        sim.run()
-        assert len(delivered) == 1
+        w = self.wire()
+        w.net.mark_suspect(2)
+        receipt = w.net.send(message(w, 2), want_ack=True)
+        assert w.net.stats["net.quarantined"] == 1
+        w.sim.schedule_at(1e-4, w.net.unmark_suspect, 2)
+        w.sim.run()
+        assert len(w.delivered) == 1
         assert receipt.delivered.done
         assert receipt.delivered.exception() is None
-        assert net.stats["net.quarantine_flushed"] == 1
+        assert w.net.stats["net.quarantine_flushed"] == 1
 
     def test_flush_preserves_fifo_order(self):
-        sim, net = make_net()
-        order = []
-        net.mark_suspect(1)
+        w = self.wire()
+        w.net.mark_suspect(1)
         for tag in ("a", "b", "c"):
-            net.send(Message(0, 1, 100, tag,
-                             on_deliver=lambda m: order.append(m.payload)))
-        sim.schedule_at(1e-4, net.unmark_suspect, 1)
-        sim.run()
-        assert order == ["a", "b", "c"]
+            w.net.send(message(w, 1, tag))
+        w.sim.schedule_at(1e-4, w.net.unmark_suspect, 1)
+        w.sim.run()
+        assert [m.payload for m in w.delivered] == ["a", "b", "c"]
 
     def test_overflow_fails_newest_send(self):
-        sim, net = make_net()
-        net.quarantine_cap = 1
-        net.mark_suspect(1)
-        first = net.send(Message(0, 1, 100, None), want_ack=True)
-        second = net.send(Message(0, 1, 100, None), want_ack=True)
+        w = self.wire()
+        w.net.quarantine_cap = 1
+        w.net.mark_suspect(1)
+        first = w.net.send(message(w, 1), want_ack=True)
+        second = w.net.send(message(w, 1), want_ack=True)
         exc = second.delivered.exception()
         assert isinstance(exc, PeerFailedError) and exc.suspected is True
         assert not first.delivered.done  # the old one is still parked
-        assert net.stats["net.quarantine_overflow"] == 1
+        assert w.net.stats["net.quarantine_overflow"] == 1
 
     def test_confirmation_fails_parked_sends(self):
-        sim, net = make_net()
-        net.mark_suspect(3)
-        receipt = net.send(Message(0, 3, 100, None), want_ack=True)
-        net.confirm_dead(3)
+        w = self.wire()
+        w.net.mark_suspect(3)
+        receipt = w.net.send(message(w, 3), want_ack=True)
+        w.net.confirm_dead(3)
         exc = receipt.delivered.exception()
         assert isinstance(exc, PeerFailedError)
         assert exc.peer == 3 and exc.suspected is True
-        sim.run()
+        w.sim.run()
         assert receipt.injected.done  # local completion still resolves
 
     def test_mark_dead_fails_parked_sends_as_crash(self):
-        sim, net = make_net()
-        net.mark_suspect(3)
-        receipt = net.send(Message(0, 3, 100, None), want_ack=True)
-        net.mark_dead(3)
+        w = self.wire()
+        w.net.mark_suspect(3)
+        receipt = w.net.send(message(w, 3), want_ack=True)
+        w.net.mark_dead(3)
         exc = receipt.delivered.exception()
         assert isinstance(exc, PeerFailedError) and exc.suspected is False
 
     def test_confirm_dead_idempotent_and_implies_suspected(self):
-        sim, net = make_net()
-        net.confirm_dead(1)
-        net.confirm_dead(1)
-        assert 1 in net.suspects and 1 in net.confirmed
+        w = self.wire()
+        w.net.confirm_dead(1)
+        w.net.confirm_dead(1)
+        assert 1 in w.net.suspects and 1 in w.net.confirmed
+
+
+class TestQuarantineOverConduit(TestQuarantine):
+    wire = staticmethod(conduit_wire)
+
+
+class TestAcksOutstandingOnTheConduit:
+    """What only the conduit has: no timer will ever look at a send that
+    was transmitted and is waiting for its ack frame, so the verdict
+    itself must fail it — exactly it, with the verdict's flag."""
+
+    @pytest.mark.parametrize("verdict,suspected", [("confirm_dead", True),
+                                                   ("mark_dead", False)])
+    def test_verdict_fails_exactly_the_awaiting_receipts(self, verdict,
+                                                         suspected):
+        w = conduit_wire()
+        toward = [w.net.send(message(w, 2), want_ack=True) for _ in range(2)]
+        other = w.net.send(message(w, 1), want_ack=True)
+        unacked = w.net.send(message(w, 2))
+        getattr(w.net, verdict)(2)
+        for receipt in toward:
+            exc = receipt.delivered.exception()
+            assert isinstance(exc, PeerFailedError)
+            assert exc.peer == 2 and exc.suspected is suspected
+        assert w.net.stats["net.peer_failed"] == 2
+        assert unacked.delivered is None and not other.delivered.done
+        assert w.net.diagnostics()["pending"] == {(0, "msg"): 1}
+        w.sim.run()
+        # the frames were already on the conduit; a late ack for an
+        # abandoned send is ignored, the live peer's resolves its own
+        assert other.delivered.exception() is None
+        assert w.net.diagnostics()["unacked"] == []
 
 
 class TestFlappingLinks:

@@ -41,7 +41,7 @@ class TestCleanNetworkEquivalence:
         sim.run()
         assert net.stats["net.retransmits"] == 0
         assert net.stats["net.acks"] == 10
-        assert not net.unacked()
+        assert not net.diagnostics()["unacked"]
 
     def test_per_network_seq_restarts(self):
         """Satellite: message seqs are per-Network, so two back-to-back
@@ -106,7 +106,7 @@ class TestExactlyOnce:
         assert sorted(got) == list(range(40))
         assert net.stats["net.drops"] > 0
         assert net.stats["net.retransmits"] > 0
-        assert not net.unacked()
+        assert not net.diagnostics()["unacked"]
 
     def test_loopback_never_faulted(self):
         sim, net = make_net(faults=FaultPlan(drop=0.9999, seed=3))

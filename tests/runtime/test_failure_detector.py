@@ -7,6 +7,7 @@ import pytest
 from repro.core.finish import stall_report
 from repro.net.faults import FaultPlan
 from repro.net.topology import MachineParams, UniformTopology
+from repro.net.transport import Message
 from repro.runtime.failure import FailureConfig, ImageFailureError
 from repro.runtime.program import run_spmd
 
@@ -278,8 +279,9 @@ class TestStallReportMembership:
         suspected (not dead) together with its parked-send count."""
         m, _ = run_spmd(idle_kernel, 2,
                         failure_detection=FailureConfig())
-        m.network.suspects.add(1)
-        m.network._quarantine[1] = [("send", None, None, False)] * 3
+        m.network.mark_suspect(1)
+        for _ in range(3):
+            m.network.send(Message(0, 1, 8, None))
         report = stall_report(m, [])
         assert "suspected images: [1]" in report
         assert "quarantined sends per suspect: {1: 3}" in report
