@@ -7,14 +7,18 @@ the simulator — over a :class:`~repro.backend.realtime.RealtimeScheduler`
 and a :class:`~repro.backend.transport.ProcessTransport`, then launches
 *only its own rank's* main program.  All cross-rank interaction in this
 runtime is active-message-mediated, so nothing else is needed: an AM
-addressed to rank ``d`` is pickled and pushed onto worker ``d``'s
-queue, whose progress thread posts it to that worker's run loop.
+addressed to rank ``d`` is pickled and queued on this worker's
+:class:`_Conduit`, which the run loop drives at its progress points
+(DESIGN.md §14.5) — one thread per process, no helper.
 
-Protocol (one multiprocessing queue per worker, one back to the parent):
+Protocol (one non-blocking pipe per ordered pair of workers and one
+control pipe per worker, each carrying *records* — an 8-byte length,
+then the pickled list of every frame put toward that destination since
+the last progress point; one multiprocessing queue back to the parent):
 
-- ``("am", src, seq, want_ack, blob)`` — a pickled active message;
-- ``("ack", src, seq)``             — delivery confirmation;
-- ``("shutdown",)``                 — parent → worker: stop the loop;
+- ``("am", src, seq, want_ack, blob)`` — frame: a pickled active message;
+- ``("ack", src, seq)``             — frame: delivery confirmation;
+- ``("shutdown",)``                 — control frame: stop the loop;
 - ``("done", rank, payload)``       — worker → parent: main finished
   (result or error, plus ``finalize`` extras and the stats snapshot);
 - ``("error", rank, exc)``          — worker → parent: the worker
@@ -37,12 +41,24 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_mod
-import threading
+import select
+import struct
 import time
 from typing import Any, Callable, Optional
 
 #: default coordinator-side wall-clock budget for one parallel run
 DEFAULT_TIMEOUT_S = 300.0
+
+#: ``select`` watches descriptors numbered below FD_SETSIZE (1024) and a
+#: run opens 2·n² of them: 968 at 22, beside what the process had already
+_MAX_IMAGES = 22
+
+_RECORD_LEN = struct.Struct("<Q")
+
+
+def _record(frames: list) -> bytes:
+    body = pickle.dumps(frames, pickle.HIGHEST_PROTOCOL)
+    return _RECORD_LEN.pack(len(body)) + body
 
 
 class ParallelTimeoutError(RuntimeError):
@@ -57,17 +73,83 @@ class ParallelTimeoutError(RuntimeError):
 
 
 class _Conduit:
-    """What a worker's transport sees: its rank plus ``put(dst, item)``
-    onto any worker's queue."""
+    """What a worker's transport sees: its rank plus ``put(dst, frame)``
+    toward any other worker.  ``put`` only queues; :meth:`progress`,
+    called on the run loop, moves the bytes — over pipes with one writer
+    and one reader each, so no lock, and non-blocking at both ends, so
+    two workers sending each other more than a pipe holds cannot
+    deadlock and a dead peer's full pipe stalls nobody."""
 
-    __slots__ = ("rank", "_inboxes")
-
-    def __init__(self, rank: int, inboxes: list):
+    def __init__(self, rank: int, readers=(), writers=()):
         self.rank = rank
-        self._inboxes = inboxes
+        #: dst -> write end of the pipe toward it
+        self._writers: dict[int, int] = dict(writers)
+        #: dst -> frames put since the last record toward it
+        self._outbox: dict[int, list] = {dst: [] for dst in self._writers}
+        #: dst -> the rest of a record its pipe would not take yet
+        self._tails: dict[int, memoryview] = {}
+        self._readers: list[int] = list(readers)
+        #: read end -> bytes read that are not a whole record yet
+        self._inbuf = {fd: bytearray() for fd in self._readers}
+        #: wired by the worker: where a frame goes, how the loop ends
+        self.deliver = self.stop = None
+        #: records written, frames in them, seconds spent in ``select``
+        self.writes = self.frames = 0
+        self.parked_s = 0.0
 
-    def put(self, dst: int, item: tuple) -> None:
-        self._inboxes[dst].put(item)
+    def put(self, dst: int, frame: tuple) -> None:
+        self._outbox[dst].append(frame)
+
+    def pending(self) -> dict[int, tuple[int, int]]:
+        """Per destination with a backlog: ``(frames queued, bytes of
+        unwritten tail)``."""
+        return {dst: (len(frames), len(self._tails.get(dst, b"")))
+                for dst, frames in self._outbox.items()
+                if frames or dst in self._tails}
+
+    def progress(self, timeout: Optional[float]) -> None:
+        """One progress point: write each destination's queued frames as
+        one record (keeping what the pipe refuses), wait up to
+        ``timeout`` for something to arrive — or for a refused tail's
+        pipe to drain — and dispatch every frame that has."""
+        tails = self._tails
+        for dst, frames in self._outbox.items():
+            tail = tails.pop(dst, None)
+            while tail or frames:
+                if not tail:
+                    tail = memoryview(_record(frames))
+                    self.writes += 1
+                    self.frames += len(frames)
+                    frames.clear()
+                try:
+                    tail = tail[os.write(self._writers[dst], tail):]
+                except BlockingIOError:
+                    tails[dst] = tail
+                    break
+        blocked = [self._writers[dst] for dst in tails]
+        t0 = time.monotonic()
+        readable = select.select(self._readers, blocked, (), timeout)[0]
+        self.parked_s += time.monotonic() - t0
+        for fd in readable:
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                # The coordinator holds every end open for the length of
+                # the run: end-of-file means it is gone.
+                self.stop()
+                return
+            buf = self._inbuf[fd]
+            buf += chunk
+            while len(buf) >= 8:
+                end = 8 + _RECORD_LEN.unpack_from(buf)[0]
+                if len(buf) < end:
+                    break
+                frames = pickle.loads(buf[8:end])
+                del buf[:end]
+                for frame in frames:
+                    if frame[0] == "shutdown":
+                        self.stop()
+                    else:
+                        self.deliver(frame)
 
 
 class _ClockShim:
@@ -117,7 +199,7 @@ def preflight(n_images: int, **machine_kwargs) -> None:
     process and before anything is forked."""
     from repro.runtime.program import Machine
 
-    Machine(n_images, backend="process", conduit=_Conduit(-1, ()),
+    Machine(n_images, backend="process", conduit=_Conduit(-1),
             local_ranks=(), **machine_kwargs)
 
 
@@ -133,18 +215,25 @@ def _picklable(obj: Any) -> Any:
         return f"<unpicklable {type(obj).__name__}: {obj!r}>"
 
 
+def _own_ends(rank: int, pipes: list) -> tuple[list, dict]:
+    """A forked worker's ends of ``pipes[src][dst]`` — the read end of
+    every pipe toward it, the write end of every pipe from it — closing
+    each inherited descriptor that is another process's to use."""
+    readers = [row[rank][0] for row in pipes if rank in row]
+    writers = {dst: w for dst, (_r, w) in pipes[rank].items()}
+    inherited = {fd for row in pipes for ends in row.values() for fd in ends}
+    for fd in inherited.difference(readers, writers.values()):
+        os.close(fd)
+    return readers, writers
+
+
 def _worker_main(spec: dict) -> None:
     from repro.runtime.program import Machine
 
     rank = spec["rank"]
     parent_q = spec["parent_q"]
-    inboxes = spec["inboxes"]
-    # A SIGKILLed peer leaves our feeder threads holding frames for it;
-    # never let queue teardown block this process's exit on them.
-    for q in inboxes:
-        q.cancel_join_thread()
     try:
-        conduit = _Conduit(rank, inboxes)
+        conduit = _Conduit(rank, *_own_ends(rank, spec["pipes"]))
         machine = Machine(
             spec["n_images"], params=spec["params"], seed=spec["seed"],
             backend="process", conduit=conduit, local_ranks=(rank,),
@@ -155,6 +244,9 @@ def _worker_main(spec: dict) -> None:
             setup(machine)
         task = machine.launch(spec["kernel"], args=spec["args"])[0]
         sched = machine.sim
+        sched.progress = conduit.progress
+        conduit.deliver = machine.network.deliver_frame
+        conduit.stop = sched.stop
 
         def report_done(fut) -> None:
             exc = fut.exception()
@@ -167,6 +259,9 @@ def _worker_main(spec: dict) -> None:
                     exc = fexc
             stats = machine.stats.as_dict()
             stats["rt.events"] = sched.events_processed
+            stats["rt.parked_us"] = int(conduit.parked_s * 1e6)
+            stats["conduit.writes"] = conduit.writes
+            stats["conduit.frames"] = conduit.frames
             if exc is None:
                 payload = ("ok", _picklable(fut.result()),
                            _picklable(extras), stats, sched.now)
@@ -176,19 +271,6 @@ def _worker_main(spec: dict) -> None:
             parent_q.put(("done", rank, payload))
 
         task.done_future.add_done_callback(report_done)
-
-        def progress() -> None:
-            q = inboxes[rank]
-            while True:
-                item = q.get()
-                if item[0] == "shutdown":
-                    sched.stop()
-                    return
-                sched.post(machine.network.deliver_frame, item)
-
-        thread = threading.Thread(target=progress, daemon=True,
-                                  name=f"progress@{rank}")
-        thread.start()
         sched.run()
     except BaseException as exc:  # noqa: BLE001 - shipped to parent
         parent_q.put(("error", rank, _picklable(exc)))
@@ -216,11 +298,20 @@ class ProcessRunner:
         self.failure_detection = failure_detection
         self.finalize = finalize
         self._procs: list = []
-        self._inboxes: list = []
+        #: ``_pipes[src][dst]`` is the ``(read, write)`` pair of the pipe
+        #: from ``src`` to ``dst``; row ``n_images`` is the coordinator's
+        #: control pipes
+        self._pipes: list[dict] = []
         self._parent_q = None
         self._t0 = 0.0
 
     def start(self) -> "ProcessRunner":
+        n = self.n_images
+        if n > _MAX_IMAGES:
+            raise ValueError(
+                f"{n} images need {2 * n * n} pipe descriptors, more than "
+                "select() can watch (FD_SETSIZE is 1024): the process "
+                f"backend runs at most {_MAX_IMAGES} images")
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
@@ -228,9 +319,13 @@ class ProcessRunner:
                 "the process backend requires the 'fork' start method "
                 "(kernels and setups are inherited, not pickled)"
             ) from None
-        n = self.n_images
-        self._inboxes = [ctx.Queue() for _ in range(n)]
         self._parent_q = ctx.Queue()
+        self._pipes = [{dst: os.pipe() for dst in range(n) if dst != src}
+                       for src in range(n + 1)]
+        for row in self._pipes:
+            for end in row.values():
+                os.set_blocking(end[0], False)
+                os.set_blocking(end[1], False)
         self._t0 = time.monotonic()
         for rank in range(n):
             spec = {
@@ -239,7 +334,7 @@ class ProcessRunner:
                 "seed": self.seed, "setup": self.setup,
                 "failure_detection": self.failure_detection,
                 "finalize": self.finalize,
-                "inboxes": self._inboxes, "parent_q": self._parent_q,
+                "pipes": self._pipes, "parent_q": self._parent_q,
             }
             proc = ctx.Process(target=_worker_main, args=(spec,),
                                daemon=True, name=f"image-{rank}")
@@ -312,16 +407,13 @@ class ProcessRunner:
     def _shutdown(self, run: ParallelRun) -> None:
         for rank, proc in enumerate(self._procs):
             if rank not in run.dead_images and proc.is_alive():
-                try:
-                    self._inboxes[rank].put(("shutdown",))
-                except Exception:
-                    pass
+                os.write(self._pipes[self.n_images][rank][1],
+                         _record([("shutdown",)]))
         for proc in self._procs:
             proc.join(timeout=5.0)
         self._terminate_all()
-        for q in self._inboxes + [self._parent_q]:
-            q.cancel_join_thread()
-            q.close()
+        self._parent_q.cancel_join_thread()
+        self._parent_q.close()
 
     def _terminate_all(self) -> None:
         for proc in self._procs:
@@ -332,6 +424,11 @@ class ProcessRunner:
                 proc.join(timeout=2.0)
                 if proc.is_alive():
                     proc.kill()
+        for row in self._pipes:
+            for end in row.values():
+                os.close(end[0])
+                os.close(end[1])
+        self._pipes = []
 
     def kill_worker(self, rank: int) -> None:
         """SIGKILL one worker — a *real* fail-stop crash for the failure

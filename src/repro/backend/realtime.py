@@ -13,32 +13,40 @@ deterministic simulator (DESIGN.md §14):
 - **An empty queue means idle, not done.**  The simulator treats a
   drained queue as natural termination; a real process must keep
   serving inbound active messages until the coordinator says stop, so
-  the loop parks on a condition variable (with the next timer deadline
-  as the timeout) and only :meth:`stop` ends it.  Drain hooks are
-  accepted but never fire — quiescence of one process proves nothing
-  about the machine.
+  the loop parks in :attr:`RealtimeScheduler.progress` (with the time
+  to the next timer as the timeout) and only :meth:`stop` ends it.
+  Drain hooks are accepted but never fire — quiescence of one process
+  proves nothing about the machine.
 - **There is no quiet instant.**  ``quiescent_at_now()`` answers False,
   so every task continuation bounces through the queue instead of
   trampolining synchronously; with other processes concurrently posting
   work, "nothing else is runnable right now" is unknowable.
 
-Thread model: exactly one thread (the process main thread) runs
-:meth:`run` and thus every task, AM handler and timer — the runtime
-above needs no locks, same as under the simulator.  Other threads (the
-conduit progress thread, the control listener) inject work only through
-:meth:`post`, the single thread-safe entry point.
+One thread per process runs :meth:`run` and thus every task, AM handler
+and timer, and no other runs beside it: the conduit makes progress *on*
+the loop (DESIGN.md §14.5).  Whenever the ready deque runs dry, and at
+least every :data:`_PROGRESS_EVERY` ready events, the loop calls
+:attr:`RealtimeScheduler.progress` — the worker wires its conduit's
+there — which writes what was sent, dispatches what has arrived and,
+with nothing runnable, waits for the next of either.
 """
 
 from __future__ import annotations
 
-import threading
+import select
 import time
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
 #: Scheduled entry: ``[time, seq, fn, args]``; ``fn is None`` = cancelled.
 Event = List[Any]
+
+#: Ready events run back to back before the conduit gets a turn: bounds
+#: how long a frame waits behind a chain of continuations that never
+#: empties the deque (the argument of ``sim.tasks._TRAMPOLINE_CAP``).
+_PROGRESS_EVERY = 64
 
 
 class RealtimeScheduler:
@@ -52,11 +60,13 @@ class RealtimeScheduler:
         self._events_processed = 0
         self._task_seq = 0
         self._tasks: list[Any] = []
-        # Cross-thread injection: guarded by the condition's lock; the
-        # loop moves entries to `_ready` before running them.
-        self._cv = threading.Condition()
-        self._inbox: deque[tuple] = deque()
         self._stop_flag = False
+        #: ``progress(timeout)``, called at every progress point of
+        #: :meth:`run` with 0.0 (work is waiting), the seconds to the
+        #: next timer, or None (idle until something arrives).  With no
+        #: conduit attached it only sleeps
+        self.progress: Callable[[Optional[float]], Any] = partial(
+            select.select, (), (), ())
 
     # ------------------------------------------------------------------ #
     # Substrate surface
@@ -72,7 +82,7 @@ class RealtimeScheduler:
 
     @property
     def pending_events(self) -> int:
-        return len(self._ready) + len(self._heap) + len(self._inbox)
+        return len(self._ready) + len(self._heap)
 
     def next_task_id(self) -> int:
         self._task_seq += 1
@@ -108,8 +118,9 @@ class RealtimeScheduler:
         return self.schedule(t - self.now, fn, *args)
 
     def call_soon(self, fn: Callable, *args: Any) -> Event:
-        self._seq += 1
-        entry: Event = [self.now, self._seq, fn, args]
+        # The ready deque is FIFO: nothing reads a ready entry's time or
+        # its tie-breaking seq, so neither is stamped.
+        entry: Event = [0.0, 0, fn, args]
         self._ready.append(entry)
         return entry
 
@@ -135,55 +146,37 @@ class RealtimeScheduler:
             )
 
     # ------------------------------------------------------------------ #
-    # Cross-thread injection and the run loop
+    # The run loop
     # ------------------------------------------------------------------ #
 
-    def post(self, fn: Callable, *args: Any) -> None:
-        """Enqueue ``fn(*args)`` from any thread; wakes the loop."""
-        with self._cv:
-            self._inbox.append((fn, args))
-            self._cv.notify()
-
     def stop(self) -> None:
-        """End :meth:`run` after the current callback; thread-safe."""
-        with self._cv:
-            self._stop_flag = True
-            self._cv.notify()
-
-    def _drain_inbox(self) -> None:
-        # Caller holds no lock; take it briefly and move everything over.
-        with self._cv:
-            while self._inbox:
-                fn, args = self._inbox.popleft()
-                self.call_soon(fn, *args)
+        """End :meth:`run` after the current callback."""
+        self._stop_flag = True
 
     def run(self) -> None:
-        """Serve ready callbacks, due timers and posted work until
-        :meth:`stop`; parks when idle."""
+        """Serve ready callbacks, due timers and the conduit until
+        :meth:`stop`; parks in :attr:`progress` when idle."""
         ready = self._ready
         heap = self._heap
+        burst = _PROGRESS_EVERY
         while not self._stop_flag:
-            if self._inbox:
-                self._drain_inbox()
-            if ready:
+            if ready and burst:
+                burst -= 1
                 entry = ready.popleft()
                 fn = entry[2]
                 if fn is not None:
                     self._events_processed += 1
                     fn(*entry[3])
                 continue
-            # Prune cancelled heap heads, then fire anything due.
-            while heap and heap[0][2] is None:
-                heappop(heap)
-            if heap and heap[0][0] <= self.now:
-                entry = heappop(heap)
-                self._events_processed += 1
-                entry[2](*entry[3])
-                continue
-            with self._cv:
-                if self._stop_flag or self._inbox:
-                    continue
-                timeout = heap[0][0] - self.now if heap else None
-                if timeout is not None and timeout <= 0.0:
-                    continue
-                self._cv.wait(timeout)
+            # A progress point: write, poll, dispatch; then due timers
+            # (and cancelled heads, which the ready deque skips) move
+            # over; with nothing runnable after both — and no shutdown
+            # frame among what the poll dispatched — park.
+            burst = _PROGRESS_EVERY
+            self.progress(0.0)
+            if not ready:
+                now = time.monotonic() - self._t0
+                while heap and (heap[0][0] <= now or heap[0][2] is None):
+                    ready.append(heappop(heap))
+                if not ready and not self._stop_flag:
+                    self.progress(heap[0][0] - now if heap else None)

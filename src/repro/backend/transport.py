@@ -4,15 +4,15 @@
 (DESIGN.md §14.2) that moves real bytes; the send gate, the membership
 view, the quarantine and the hooks are the base class's, shared with
 the simulator's ``Network``.  Each active message is pickled with the
-wire format (:mod:`repro.backend.wire`) and pushed onto the destination
-worker's multiprocessing queue by the sending process; the
-destination's progress thread hands it to the destination's run loop,
-which unpickles and dispatches it through the same
-``AMLayer._on_deliver`` the simulator uses.
+wire format (:mod:`repro.backend.wire`) and handed to the conduit as one
+frame; the sender's run loop writes it at its next progress point and
+the destination's, at one of its own, calls :meth:`deliver_frame`, which
+unpickles and dispatches it through the same ``AMLayer._on_deliver`` the
+simulator uses.
 
-Reliability: a multiprocessing queue never drops or reorders, so there
-is no retransmission machinery; ``want_ack`` sends are tracked in an
-awaiting-ack table and an explicit ack frame — sent *after* the deliver
+Reliability: a pipe never drops or reorders, so there is no
+retransmission machinery; ``want_ack`` sends are tracked in an
+awaiting-ack table and an explicit ack frame — queued *after* the deliver
 callback has run, matching the simulator's ack ordering — resolves
 ``receipt.delivered``.  What CAN fail is the peer process itself: a
 killed worker never acks, and when the failure detector confirms it
@@ -29,7 +29,8 @@ from repro.backend.wire import dump_frame, load_frame
 
 class ProcessTransport(Transport):
     """One per worker process; world-addressed send/receive over the
-    conduit's per-rank queues."""
+    conduit (``rank``, ``put(dst, frame)`` and, if frames can wait in
+    it, ``pending()``)."""
 
     def __init__(self, sim, params, stats, conduit, machine, faults=None):
         if faults is not None:
@@ -75,13 +76,13 @@ class ProcessTransport(Transport):
             receipt.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
-    # Receive path (run-loop thread; the progress thread only posts)
+    # Receive path
     # ------------------------------------------------------------------ #
 
     def deliver_frame(self, item: tuple) -> None:
-        """Dispatch one conduit frame.  Called on the run-loop thread via
-        ``sim.post``; a frame that fails to decode raises out of the loop
-        so the worker reports a structured error instead of hanging."""
+        """Dispatch one conduit frame.  Called at a progress point of the
+        run loop; a frame that fails to decode raises out of the loop so
+        the worker reports a structured error instead of hanging."""
         tag = item[0]
         if tag == "am":
             _, src, seq, want_ack, blob = item
@@ -120,5 +121,8 @@ class ProcessTransport(Transport):
                     suspected=suspected))
 
     def _in_flight(self) -> tuple[list, list]:
-        return [], [(receipt.message, "awaiting ack")
+        # A wedged pipe is not a silent peer: say which it is.
+        pending = getattr(self.conduit, "pending", dict)()
+        return [], [(receipt.message, "queued, not yet written"
+                     if receipt.message.dst in pending else "awaiting ack")
                     for receipt in self._awaiting.values()]

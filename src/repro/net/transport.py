@@ -404,6 +404,12 @@ class Transport:
         self._peer_down(image, suspected=True)
         self._fail_quarantined(image, suspected=True)
 
+    def unconfirm(self, image: int) -> None:
+        """The verdict was wrong (a confirmed ``image`` delivered): sends
+        toward it transmit again."""
+        self.confirmed.discard(image)
+        self.unmark_suspect(image)
+
     def mark_dead(self, image: int) -> None:
         """Take ``image``'s links down (the network half of a fail-stop
         crash): future sends toward it fail with

@@ -609,8 +609,7 @@ class FailureService:
         machine = self.machine
         if peer in machine.dead_images:
             return  # physically dead; a live delivery cannot happen
-        self.confirmed.discard(peer)
-        self.suspects.discard(peer)
+        machine.network.unconfirm(peer)
         self.gen += 1
         self.incarnations[peer] += 1
         self.recovered.add(peer)

@@ -25,8 +25,8 @@ BACKEND_SITES = {"runtime/program.py": 2, "apps/uts.py": 1,
 
 #: the membership/quarantine half of the transport contract
 CONTRACT_METHODS = ("_fail_fresh_send", "_park", "mark_suspect",
-                    "unmark_suspect", "confirm_dead", "mark_dead",
-                    "_fail_quarantined")
+                    "unmark_suspect", "confirm_dead", "unconfirm",
+                    "mark_dead", "_fail_quarantined")
 
 #: what only the simulated wire has; the conduit transport must not
 #: grow stand-ins for them

@@ -313,6 +313,23 @@ class TestQuarantine:
         w.net.confirm_dead(1)
         assert 1 in w.net.suspects and 1 in w.net.confirmed
 
+    def test_unconfirm_lifts_the_verdict_and_sends_transmit_again(self):
+        """What ``FailureService.resurrect`` calls; idempotent, and a
+        no-op on an image under no verdict."""
+        w = self.wire()
+        w.net.confirm_dead(1)
+        failed = w.net.send(message(w, 1), want_ack=True)
+        assert isinstance(failed.delivered.exception(), PeerFailedError)
+        w.net.unconfirm(1)
+        w.net.unconfirm(1)
+        w.net.unconfirm(2)
+        assert not w.net.suspects and not w.net.confirmed
+        receipt = w.net.send(message(w, 1), want_ack=True)
+        w.sim.run()
+        assert len(w.delivered) == 1
+        assert receipt.delivered.exception() is None
+        assert w.net.stats["net.quarantine_flushed"] == 0
+
 
 class TestQuarantineOverConduit(TestQuarantine):
     wire = staticmethod(conduit_wire)
