@@ -1,10 +1,9 @@
 """Benchmark harness configuration.
 
-Each ``bench_*`` file regenerates one table/figure of the paper (see
-DESIGN.md §4).  Simulation runs are deterministic, so every benchmark
-executes its experiment once (``pedantic`` with one round) and prints
-the paper-style table; pytest-benchmark records the wall time of the
-full experiment.
+``bench_experiments.py`` regenerates every table/figure of the paper
+(see DESIGN.md §4).  Simulation runs are deterministic, so each
+experiment executes once (``pedantic`` with one round); pytest-benchmark
+records the wall time of the full experiment.
 """
 
 import pytest

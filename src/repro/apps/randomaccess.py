@@ -258,7 +258,8 @@ def _ra_setup(machine) -> None:
 
 
 def _ra_finalize(machine, rank: int) -> np.ndarray:
-    """Per-worker probe: ship this rank's final table slice home."""
+    """Post-run probe of one rank, run where its machine lives: a copy
+    of its final table slice (from a worker, it travels home)."""
     return machine.coarray_by_name("ra_table").local_at(rank).copy()
 
 
@@ -279,8 +280,9 @@ def run_randomaccess(n_images: int, config: Optional[RAConfig] = None,
     for function shipping, the whole table) is schedule-invariant and
     must match the simulator — the cross-validation oracle (DESIGN §14).
     """
+    from repro.runtime.program import run_spmd
+
     config = config if config is not None else RAConfig()
-    local_size = 2 ** config.log2_local_table
     if n_images & (n_images - 1):
         raise ValueError("RandomAccess needs a power-of-two image count")
 
@@ -288,22 +290,11 @@ def run_randomaccess(n_images: int, config: Optional[RAConfig] = None,
         machine.scratch["ra.setup_config"] = config
         _ra_setup(machine)
 
-    launch = dict(params=params, seed=seed, args=(config,), setup=setup)
-    if backend == "process":
-        from repro.backend.parallel import preflight, run_spmd_process
-
-        preflight(n_images, params=params, faults=faults,
-                  racecheck=racecheck)
-        run, blocks = run_spmd_process(ra_kernel, n_images,
-                                       finalize=_ra_finalize, **launch)
-        slices = run.extras
-    else:
-        from repro.runtime.program import run_spmd
-
-        run, blocks = run_spmd(ra_kernel, n_images, faults=faults,
-                               racecheck=racecheck, **launch)
-        table = run.coarray_by_name("ra_table")
-        slices = [table.local_at(r) for r in range(n_images)]
+    run, blocks = run_spmd(
+        ra_kernel, n_images, params=params, seed=seed, args=(config,),
+        setup=setup, faults=faults, racecheck=racecheck,
+        finalize=_ra_finalize, backend=backend)
+    slices = run.extras
     checksum = 0
     for arr in slices:
         checksum ^= int(np.bitwise_xor.reduce(arr))

@@ -414,23 +414,15 @@ def run_uts(n_images: int, config: Optional[UTSConfig] = None,
     (one per image); ``sim_time`` is then the slowest worker's wall
     clock.  ``total_nodes`` is schedule-invariant, so it must equal the
     simulator's — that is the cross-validation oracle (DESIGN §14)."""
+    from repro.runtime.program import run_spmd
+
     config = config if config is not None else UTSConfig()
-    launch = dict(params=params, seed=seed, args=(config,),
-                  failure_detection=failure_detection)
-    if backend == "process":
-        from repro.backend.parallel import preflight, run_spmd_process
-
-        preflight(n_images, params=params, faults=faults,
-                  racecheck=racecheck)
-        run, per_image = run_spmd_process(uts_kernel, n_images,
-                                          finalize=_uts_finalize, **launch)
-        extras = run.extras
-    else:
-        from repro.runtime.program import run_spmd
-
-        run, per_image = run_spmd(uts_kernel, n_images, faults=faults,
-                                  racecheck=racecheck, **launch)
-        extras = [_uts_finalize(run, rank) for rank in range(n_images)]
+    run, per_image = run_spmd(
+        uts_kernel, n_images, params=params, seed=seed, args=(config,),
+        faults=faults, racecheck=racecheck,
+        failure_detection=failure_detection, finalize=_uts_finalize,
+        backend=backend)
+    extras = run.extras
     return UTSResult(
         total_nodes=sum(n for n in per_image if n is not None),
         sim_time=run.sim.now,

@@ -229,6 +229,7 @@ def _own_ends(rank: int, pipes: list) -> tuple[list, dict]:
 
 def _worker_main(spec: dict) -> None:
     from repro.runtime.program import Machine
+    from repro.sim.tasks import TaskFailed
 
     rank = spec["rank"]
     parent_q = spec["parent_q"]
@@ -266,8 +267,11 @@ def _worker_main(spec: dict) -> None:
                 payload = ("ok", _picklable(fut.result()),
                            _picklable(extras), stats, sched.now)
             else:
-                payload = ("exc", _picklable(machine._unwrap(exc)),
-                           None, stats, sched.now)
+                # Ship what the main program raised, not the task
+                # wrapper: only a type and its args survive the pickle.
+                if isinstance(exc, TaskFailed) and exc.__cause__ is not None:
+                    exc = exc.__cause__
+                payload = ("exc", _picklable(exc), None, stats, sched.now)
             parent_q.put(("done", rank, payload))
 
         task.done_future.add_done_callback(report_done)

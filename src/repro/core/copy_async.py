@@ -38,7 +38,7 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from repro.sim.tasks import Future
+from repro.sim.tasks import Future, any_of
 from repro.runtime.coarray import CoarrayRef
 from repro.runtime.event import event_ref
 from repro.net.active_messages import AMCategory
@@ -380,5 +380,7 @@ def _start_forward(ctx, machine, d: _Loc, s: _Loc, frame,
             partial(frame.on_delivery_outcome, stamp))
     # The initiator's buffers are never touched: its local-data point is
     # the injection of the control message (argument evaluation done);
-    # its last pairwise communication is that message's delivery.
-    return receipt.injected, receipt.delivered, global_done
+    # its last pairwise communication is that message's delivery — which
+    # a copy.done that beats a lost ack's retransmission proves too.
+    local_op = any_of([receipt.delivered, global_done], "copy.fwd.local_op")
+    return receipt.injected, local_op, global_done

@@ -1,48 +1,10 @@
-"""Experiment harness: one runner per table/figure of the paper.
+"""Experiment harness: the paper's evaluation as one registry.
 
 See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
 recorded paper-vs-measured results.
 """
 
 from repro.harness.reporting import Table, format_seconds
-from repro.harness.experiments import (
-    fig05_barrier_failure,
-    fig12_cofence_micro,
-    fig13_randomaccess_scaling,
-    fig14_bunch_size,
-    fig16_uts_load_balance,
-    fig17_uts_efficiency,
-    fig18_allreduce_rounds,
-    theorem1_waves,
-    ablation_detectors,
-    ablation_tree_radix,
-    ablation_steal_chunk,
-    chaos_resilience,
-    crash_recovery,
-    explore_search,
-    fuzz_service,
-    grayfail_detectors,
-    races_audit,
-)
+from repro.harness.experiments import EXPERIMENTS
 
-__all__ = [
-    "explore_search",
-    "fuzz_service",
-    "Table",
-    "format_seconds",
-    "fig05_barrier_failure",
-    "fig12_cofence_micro",
-    "fig13_randomaccess_scaling",
-    "fig14_bunch_size",
-    "fig16_uts_load_balance",
-    "fig17_uts_efficiency",
-    "fig18_allreduce_rounds",
-    "theorem1_waves",
-    "ablation_detectors",
-    "ablation_tree_radix",
-    "ablation_steal_chunk",
-    "chaos_resilience",
-    "crash_recovery",
-    "grayfail_detectors",
-    "races_audit",
-]
+__all__ = ["EXPERIMENTS", "Table", "format_seconds"]

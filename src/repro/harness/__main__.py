@@ -2,102 +2,18 @@
 
     python -m repro.harness [--quick] [--out FILE] [EXPERIMENT ...]
 
-Runs every figure runner (or the named subset) and prints the tables;
-``--out`` additionally writes them to a report file.  ``--quick`` uses
-tiny problem sizes for a fast smoke pass (the full settings match
-EXPERIMENTS.md).
+Runs every registered experiment (or the named subset) at its "ci"
+sweep — the scale EXPERIMENTS.md records — prints each table and checks
+each shape; ``--quick`` uses the tiny "quick" sweeps instead.  ``--out``
+also writes the tables to a report file.  Exits 1 naming every
+experiment whose shape check failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
-import sys
 
-from repro.apps.uts import TreeParams
-from repro.harness import (
-    ablation_detectors,
-    ablation_steal_chunk,
-    ablation_tree_radix,
-    chaos_resilience,
-    crash_recovery,
-    explore_search,
-    fuzz_service,
-    fig05_barrier_failure,
-    grayfail_detectors,
-    fig12_cofence_micro,
-    fig13_randomaccess_scaling,
-    fig14_bunch_size,
-    fig16_uts_load_balance,
-    fig17_uts_efficiency,
-    fig18_allreduce_rounds,
-    races_audit,
-    theorem1_waves,
-)
-
-_QUICK_TREE = TreeParams(b0=4, max_depth=6, seed=19)
-
-EXPERIMENTS = {
-    "fig05": (lambda quick: fig05_barrier_failure()),
-    "fig12": (lambda quick: fig12_cofence_micro(
-        cores=(4, 8) if quick else (8, 16, 32, 64),
-        iterations=10 if quick else 50)),
-    "fig13": (lambda quick: fig13_randomaccess_scaling(
-        cores=(2, 4) if quick else (2, 4, 8, 16, 32),
-        updates_per_image=32 if quick else 128)),
-    "fig14": (lambda quick: fig14_bunch_size(
-        cores=(4,) if quick else (8, 32),
-        bunch_sizes=(4, 16, 64) if quick else (4, 8, 16, 32, 64, 128, 256),
-        updates_per_image=64 if quick else 256)),
-    "fig16": (lambda quick: fig16_uts_load_balance(
-        cores=(4, 8) if quick else (8, 16, 32),
-        tree=_QUICK_TREE if quick else None)),
-    "fig17": (lambda quick: fig17_uts_efficiency(
-        cores=(2, 4) if quick else (2, 4, 8, 16, 32, 64),
-        tree=_QUICK_TREE if quick else None)),
-    "fig18": (lambda quick: fig18_allreduce_rounds(
-        cores=(4, 8) if quick else (8, 16, 32, 64),
-        tree=_QUICK_TREE if quick else None)),
-    "theorem1": (lambda quick: theorem1_waves(
-        chain_lengths=(1, 2) if quick else (1, 2, 4, 8),
-        n_images=4 if quick else 8)),
-    "detectors": (lambda quick: ablation_detectors(
-        n_images=4 if quick else 8,
-        tree=_QUICK_TREE if quick else None)),
-    "radix": (lambda quick: ablation_tree_radix(
-        radixes=(2, 4) if quick else (2, 4, 8),
-        n_images=8 if quick else 32,
-        repeats=3 if quick else 20)),
-    "steal_chunk": (lambda quick: ablation_steal_chunk(
-        medium_sizes=(80, 256) if quick else (80, 256, 800),
-        n_images=4 if quick else 16,
-        tree=_QUICK_TREE if quick else None)),
-    "chaos": (lambda quick: chaos_resilience(
-        drop_rates=(0.0, 0.05) if quick else (0.0, 0.02, 0.05, 0.1),
-        n_images=4 if quick else 8,
-        tree=_QUICK_TREE if quick else None,
-        updates_per_image=16 if quick else 64)),
-    "crash": (lambda quick: crash_recovery(
-        n_images=4,
-        tree=_QUICK_TREE if quick else None)),
-    "grayfail": (lambda quick: grayfail_detectors(
-        n_images=4 if quick else 6,
-        slices=60 if quick else 100)),
-    "explore": (lambda quick: explore_search(
-        budget=150 if quick else 500,
-        rounds=2 if quick else 4,
-        minimize_budget=60 if quick else 200)),
-    "fuzz": (lambda quick: fuzz_service(
-        rw_budget=1500 if quick else 6000,
-        fuzz_budget=400 if quick else 1500,
-        seeds=(0,) if quick else (0, 1, 2, 3))),
-    "races": (lambda quick: races_audit(
-        n_images=4 if quick else 8,
-        tree=_QUICK_TREE if quick else None,
-        iterations=10 if quick else 50,
-        updates_per_image=16 if quick else 32)),
-}
+from repro.harness import EXPERIMENTS
 
 
 def main(argv=None) -> int:
@@ -109,29 +25,29 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="tiny problem sizes for a fast pass")
     parser.add_argument("--out", default=None,
-                        help="also write the report to this file")
+                        help="also write the tables to this file")
     args = parser.parse_args(argv)
 
-    names = args.experiments or list(EXPERIMENTS)
-    buffer = io.StringIO()
-    original_stdout = sys.stdout
-
-    class Tee:
-        def write(self, text):
-            original_stdout.write(text)
-            buffer.write(text)
-
-        def flush(self):
-            original_stdout.flush()
-
-    with contextlib.redirect_stdout(Tee()):
-        for name in names:
-            EXPERIMENTS[name](args.quick)
+    sweep = "quick" if args.quick else "ci"
+    tables, failed = [], []
+    for name in args.experiments or EXPERIMENTS:
+        entry = EXPERIMENTS[name]
+        results = entry.run(**entry.sweeps[sweep])
+        tables.append(entry.table(results).render())
+        print(tables[-1] + "\n")
+        try:
+            entry.check(results)
+        except AssertionError as exc:
+            failed.append(name)
+            print(f"{name}: shape check FAILED: {exc}\n")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buffer.getvalue())
+            fh.write("\n\n".join(tables) + "\n")
         print(f"report written to {args.out}")
+    if failed:
+        print("shape check failed:", " ".join(failed))
+        return 1
     return 0
 
 

@@ -1,41 +1,71 @@
-"""One runner per figure of the paper's evaluation (§IV).
+"""The paper's evaluation (§IV) as one registry: :data:`EXPERIMENTS`.
 
-Every runner returns a plain dict of results *and* prints a table with
-the same rows/series the paper's figure shows.  Problem sizes are scaled
-from the paper's 4K-32K-core Cray runs to simulation scale (see
-DESIGN.md §2); the *shape* of each result — who wins, by what factor,
-where the curve bends — is the reproduction target, recorded against the
-paper's numbers in EXPERIMENTS.md.
+Each entry states one figure, table or tooling demo once:
+
+- ``run(**sweep)`` runs it and returns a plain results dict (it prints
+  nothing);
+- ``sweeps`` names its parameter sets — ``"ci"`` is the scale
+  EXPERIMENTS.md records and ``benchmarks/bench_experiments.py`` checks,
+  ``"quick"`` the tiny one tier-1 runs;
+- ``table(results)`` holds the rows/series the paper's figure shows;
+- ``check(results)`` asserts the shape that is the reproduction target —
+  who wins, by what factor, where the curve bends.  A clause only the ci
+  sweep reaches says so.
+
+Problem sizes are scaled from the paper's 4K-32K-core Cray runs to
+simulation scale (DESIGN.md §2).  Every run is seeded, so each table is
+a pure function of the code.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.net.faults import FaultPlan
 from repro.net.topology import MachineParams
-from repro.runtime.program import run_spmd
+from repro.runtime.program import Machine, run_spmd
 from repro.apps.producer_consumer import PCConfig, run_producer_consumer
 from repro.apps.randomaccess import RAConfig, run_randomaccess
-from repro.apps.uts import (
-    TreeParams,
-    UTSConfig,
-    run_uts,
-    sequential_tree_size,
-)
+from repro.apps.uts import (TreeParams, UTSConfig, chunk_limit, run_uts,
+                            sequential_tree_size, uts_kernel)
 from repro.harness.reporting import Table, format_seconds
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its runner, named sweeps, table and shape check."""
+
+    run: Callable[..., dict]
+    sweeps: dict[str, dict]
+    table: Callable[[dict], Table]
+    check: Callable[[dict], None]
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+
+_NODE_COST = 5e-7
+
+
+def _tree(depth: int) -> TreeParams:
+    """The experiments' geometric UTS tree (77 615 nodes at depth 8)."""
+    return TreeParams(b0=4, max_depth=depth, seed=19)
+
+
+def _time_or_dash(t) -> str:
+    return format_seconds(t) if t is not None else "-"
 
 
 # --------------------------------------------------------------------- #
 # Fig. 5 — why a barrier cannot detect termination
 # --------------------------------------------------------------------- #
 
-def fig05_barrier_failure(quiet: bool = False) -> dict:
-    """Reproduce the Fig. 5 scenario: p ships f1 to q, f1 ships f2 to r.
-    With the naive barrier 'finish', r exits before f2 lands; with the
-    epoch detector nobody exits early."""
+def _fig05() -> dict:
+    """p ships f1 to q, f1 ships f2 to r.  With the naive barrier
+    'finish', r exits before f2 lands; with the epoch detector nobody
+    exits early."""
     outcomes = {}
     for detector in ("barrier", "epoch"):
         f2_done: list[float] = []
@@ -61,251 +91,317 @@ def fig05_barrier_failure(quiet: bool = False) -> dict:
             "f2_completed_at": f2_done[0] if f2_done else None,
             "sound": bool(f2_done) and exits[2] >= f2_done[0],
         }
-
-    if not quiet:
-        table = Table("Fig. 5 — barrier-based termination vs finish "
-                      "(p ships f1 to q; f1 ships f2 to r)",
-                      ["detector", "r exits at", "f2 completes at",
-                       "sound?"])
-        for det, o in outcomes.items():
-            table.add_row([det, format_seconds(o["exit_of_r"]),
-                           format_seconds(o["f2_completed_at"]),
-                           "yes" if o["sound"] else "NO (exited early)"])
-        table.print()
     return outcomes
+
+
+def _fig05_table(r: dict) -> Table:
+    table = Table("Fig. 5 — barrier-based termination vs finish "
+                  "(p ships f1 to q; f1 ships f2 to r)",
+                  ["detector", "r exits at", "f2 completes at", "sound?"])
+    for det, o in r.items():
+        table.add_row([det, format_seconds(o["exit_of_r"]),
+                       _time_or_dash(o["f2_completed_at"]),
+                       "yes" if o["sound"] else "NO (exited early)"])
+    return table
+
+
+def _fig05_check(r: dict) -> None:
+    assert not r["barrier"]["sound"], "the barrier let no image exit early"
+    assert r["epoch"]["sound"], "finish let r exit before f2 completed"
+
+
+EXPERIMENTS["fig05"] = Experiment(_fig05, {"ci": {}, "quick": {}},
+                                  _fig05_table, _fig05_check)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 12 — the cofence micro-benchmark
 # --------------------------------------------------------------------- #
 
-def fig12_cofence_micro(cores: Sequence[int] = (8, 16, 32, 64),
-                        iterations: int = 50,
-                        quiet: bool = False) -> dict:
+def _fig12(cores, iterations) -> dict:
     """copy_async completed by finish vs events vs cofence, across team
-    sizes.  Paper: 128-1024 cores, 10^6 iterations; scaled here."""
+    sizes (paper: 128-1024 cores, 10^6 iterations)."""
     results: dict[str, dict[int, float]] = {
         "finish": {}, "events": {}, "cofence": {}}
     for n in cores:
-        for variant in results:
-            r = run_producer_consumer(
-                n, PCConfig(variant=variant, iterations=iterations))
-            results[variant][n] = r.sim_time
-
-    if not quiet:
-        table = Table(
-            f"Fig. 12 — producer-consumer micro-benchmark "
-            f"({iterations} rounds of 5 x 80B copy_async)",
-            ["cores"] + [f"w/ {v}" for v in results],
-        )
-        for n in cores:
-            table.add_row([n] + [format_seconds(results[v][n])
-                                 for v in results])
-        table.print()
+        for variant, series in results.items():
+            series[n] = run_producer_consumer(
+                n, PCConfig(variant=variant, iterations=iterations)).sim_time
     return results
+
+
+def _fig12_table(r: dict) -> Table:
+    table = Table("Fig. 12 — producer-consumer micro-benchmark "
+                  "(rounds of 5 x 80B copy_async)",
+                  ["cores"] + [f"w/ {v}" for v in r])
+    for n in r["finish"]:
+        table.add_row([n] + [format_seconds(r[v][n]) for v in r])
+    return table
+
+
+def _fig12_check(r: dict) -> None:
+    finish, events, cofence = r["finish"], r["events"], r["cofence"]
+    for n in finish:
+        assert cofence[n] < events[n] < finish[n], (
+            f"{n} images: not cofence < events < finish")
+    lo, hi = min(finish), max(finish)
+    assert finish[hi] > finish[lo], "finish does not grow with team size"
+    assert finish[hi] / cofence[hi] > 0.9 * finish[lo] / cofence[lo], (
+        "the finish/cofence gap shrinks with team size")
+
+
+EXPERIMENTS["fig12"] = Experiment(
+    _fig12,
+    {"ci": dict(cores=(8, 16, 32, 64), iterations=50),
+     "quick": dict(cores=(4, 8), iterations=10)},
+    _fig12_table, _fig12_check)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 13 — RandomAccess scaling: get-update-put vs function shipping
 # --------------------------------------------------------------------- #
 
-def fig13_randomaccess_scaling(cores: Sequence[int] = (2, 4, 8, 16, 32),
-                               updates_per_image: int = 128,
-                               log2_local_table: int = 10,
-                               finish_granularities: Sequence[int] = (2, 4, 8),
-                               quiet: bool = False) -> dict:
-    """Execution time vs cores for the reference get-update-put variant
-    and function shipping with several finish-invocation counts.
-
-    The paper groups 2048/1024/512 updates per finish so that
-    2K/4K/8K finish instances run over a 2^22-entry table; here the
-    ``finish_granularities`` are the number of finish blocks per image.
-    """
+def _fig13(cores, updates_per_image) -> dict:
+    """Time vs cores for the reference get-update-put variant and for
+    function shipping with 2, 4 and 8 finish blocks per image (the
+    paper groups 2048/1024/512 updates per finish over a 2^22-word
+    table; ours has 2^10 words per image)."""
     results: dict[str, dict[int, float]] = {"get-update-put": {}}
-    for g in finish_granularities:
-        results[f"FS w/ {g} finish/img"] = {}
-
     for n in cores:
-        r = run_randomaccess(n, RAConfig(
-            variant="get-update-put",
-            updates_per_image=updates_per_image,
-            log2_local_table=log2_local_table))
-        results["get-update-put"][n] = r.sim_time
-        for g in finish_granularities:
-            bunch = max(1, updates_per_image // g)
-            r = run_randomaccess(n, RAConfig(
-                variant="function-shipping",
-                updates_per_image=updates_per_image,
-                log2_local_table=log2_local_table,
-                bunch_size=bunch))
-            results[f"FS w/ {g} finish/img"][n] = r.sim_time
-
-    if not quiet:
-        table = Table(
-            f"Fig. 13 — RandomAccess ({updates_per_image} updates/image, "
-            f"2^{log2_local_table} words/image)",
-            ["cores"] + list(results),
-        )
-        for n in cores:
-            table.add_row([n] + [format_seconds(results[v][n])
-                                 for v in results])
-        table.print()
+        results["get-update-put"][n] = run_randomaccess(n, RAConfig(
+            variant="get-update-put", updates_per_image=updates_per_image,
+            log2_local_table=10)).sim_time
+        for g in (2, 4, 8):
+            results.setdefault(f"FS w/ {g} finish/img", {})[n] = (
+                run_randomaccess(n, RAConfig(
+                    variant="function-shipping",
+                    updates_per_image=updates_per_image,
+                    log2_local_table=10,
+                    bunch_size=max(1, updates_per_image // g))).sim_time)
     return results
+
+
+def _fig13_table(r: dict) -> Table:
+    table = Table("Fig. 13 — RandomAccess, get-update-put vs function "
+                  "shipping (2^10 words/image)", ["cores"] + list(r))
+    for n in r["get-update-put"]:
+        table.add_row([n] + [format_seconds(r[v][n]) for v in r])
+    return table
+
+
+def _fig13_check(r: dict) -> None:
+    ref = r["get-update-put"]
+    fs = [series for name, series in r.items() if name.startswith("FS")]
+    # Both clauses need the ci sweep's teams of 8 images and up.
+    for n in ref:
+        if n >= 8:
+            for series in fs:
+                assert ref[n] / 8 < series[n] < 4 * ref[n], (
+                    f"{n} images: FS not comparable to get-update-put")
+        if n >= 16:
+            times = [series[n] for series in fs]
+            assert max(times) / min(times) < 4, (
+                f"{n} images: the finish count changes FS time 4x")
+
+
+EXPERIMENTS["fig13"] = Experiment(
+    _fig13,
+    {"ci": dict(cores=(2, 4, 8, 16, 32), updates_per_image=128),
+     "quick": dict(cores=(2, 4), updates_per_image=32)},
+    _fig13_table, _fig13_check)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 14 — RandomAccess bunch-size sweep (flow-control anomaly)
 # --------------------------------------------------------------------- #
 
-def fig14_bunch_size(cores: Sequence[int] = (8, 32),
-                     bunch_sizes: Sequence[int] = (4, 8, 16, 32, 64, 128,
-                                                   256),
-                     updates_per_image: int = 256,
-                     log2_local_table: int = 10,
-                     flow_credits: Optional[int] = 8,
-                     quiet: bool = False) -> dict:
-    """Function-shipping RandomAccess across bunch sizes.
-
-    With GASNet-style source-token flow control, time falls steeply as
-    bunches grow (finish amortizes), flattens, and *rises* again once
-    bunches outlive the credit pool and the sender sits in ever-longer
-    retry runs — the paper's anomaly beyond bunch size 256.  Pass
-    ``flow_credits=None`` for the ablation without flow control (the
-    rise disappears)."""
-    results: dict[int, dict[int, float]] = {n: {} for n in cores}
-    for n in cores:
-        params = MachineParams.uniform(
-            n, flow_credits=flow_credits, flow_credit_scope="source",
-            flow_stall_penalty=1.2e-7, ack_latency_factor=2.0)
-        for bunch in bunch_sizes:
-            r = run_randomaccess(n, RAConfig(
-                variant="function-shipping",
-                updates_per_image=updates_per_image,
-                log2_local_table=log2_local_table,
-                bunch_size=bunch), params=params)
-            results[n][bunch] = r.sim_time
-
-    if not quiet:
-        table = Table(
-            f"Fig. 14 — RandomAccess FS vs bunch size "
-            f"({updates_per_image} updates/image, flow credits="
-            f"{flow_credits})",
-            ["bunch size"] + [f"{n} cores" for n in cores],
-        )
-        for bunch in bunch_sizes:
-            table.add_row([bunch] + [format_seconds(results[n][bunch])
-                                     for n in cores])
-        table.print()
+def _fig14(cores, bunch_sizes, updates_per_image) -> dict:
+    """Function-shipping RandomAccess across bunch sizes, with
+    GASNet-style source-token flow control (8 credits) and without.
+    With it, time falls steeply as bunches grow (finish amortizes),
+    flattens, and rises again once bunches outlive the credit pool and
+    the sender sits in ever-longer retry runs — the paper's anomaly
+    beyond bunch size 256.  Without it the rise disappears."""
+    results: dict[str, dict] = {}
+    for label, credits in (("flow control", 8), ("no flow control", None)):
+        by_cores = results[label] = {}
+        for n in cores:
+            params = MachineParams.uniform(
+                n, flow_credits=credits, flow_credit_scope="source",
+                flow_stall_penalty=1.2e-7, ack_latency_factor=2.0)
+            by_cores[n] = {
+                bunch: run_randomaccess(n, RAConfig(
+                    variant="function-shipping",
+                    updates_per_image=updates_per_image,
+                    log2_local_table=10, bunch_size=bunch),
+                    params=params).sim_time
+                for bunch in bunch_sizes}
     return results
+
+
+def _fig14_table(r: dict) -> Table:
+    series = ([(f"{n} cores", t) for n, t in r["flow control"].items()]
+              + [(f"{n} cores, no flow control", t)
+                 for n, t in r["no flow control"].items()])
+    table = Table("Fig. 14 — RandomAccess FS vs bunch size "
+                  "(source-scoped flow credits = 8)",
+                  ["bunch size"] + [name for name, _ in series])
+    for bunch in series[0][1]:
+        table.add_row([bunch] + [format_seconds(times[bunch])
+                                 for _, times in series])
+    return table
+
+
+def _fig14_check(r: dict) -> None:
+    for n, times in r["flow control"].items():
+        sweet, last = min(times.values()), times[max(times)]
+        assert times[4] > 2 * times[64], f"{n} cores: no steep fall"
+        assert sweet <= last <= 1.5 * sweet, (
+            f"{n} cores: the largest bunch is far off the sweet spot")
+        if max(times) >= 256:  # the ci sweep reaches the paper's anomaly
+            assert last > sweet, f"{n} cores: no rise past the sweet spot"
+    for n, times in r["no flow control"].items():
+        curve = [times[b] for b in sorted(times)]
+        assert all(b <= a * 1.02 for a, b in zip(curve, curve[1:])), (
+            f"{n} cores: without flow control the curve still rises")
+
+
+EXPERIMENTS["fig14"] = Experiment(
+    _fig14,
+    {"ci": dict(cores=(8, 32), bunch_sizes=(4, 8, 16, 32, 64, 128, 256),
+                updates_per_image=256),
+     "quick": dict(cores=(4,), bunch_sizes=(4, 16, 64),
+                   updates_per_image=64)},
+    _fig14_table, _fig14_check)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 16 — UTS load balance
 # --------------------------------------------------------------------- #
 
-def fig16_uts_load_balance(cores: Sequence[int] = (8, 16, 32),
-                           tree: Optional[TreeParams] = None,
-                           node_cost: float = 5e-7,
-                           quiet: bool = False) -> dict:
+def _fig16(cores, tree) -> dict:
     """Relative per-image work fraction (paper: 0.989-1.008x at 2048
     cores widening to 0.980-1.037x at 8192)."""
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=8,
-                                                    seed=19)
     results = {}
     for n in cores:
-        r = run_uts(n, UTSConfig(tree=tree, node_cost=node_cost))
+        r = run_uts(n, UTSConfig(tree=tree, node_cost=_NODE_COST))
         fractions = np.array(r.nodes_per_image) / (r.total_nodes / n)
-        results[n] = {
-            "fractions": np.sort(fractions).tolist(),
-            "min": float(fractions.min()),
-            "max": float(fractions.max()),
-        }
-
-    if not quiet:
-        table = Table(
-            "Fig. 16 — UTS load balance (relative fraction of work)",
-            ["cores", "min", "max", "spread"],
-        )
-        for n in cores:
-            lo, hi = results[n]["min"], results[n]["max"]
-            table.add_row([n, f"{lo:.3f}", f"{hi:.3f}", f"{hi - lo:.3f}"])
-        table.print()
+        results[n] = {"min": float(fractions.min()),
+                      "max": float(fractions.max())}
     return results
+
+
+def _fig16_table(r: dict) -> Table:
+    table = Table("Fig. 16 — UTS load balance (relative fraction of work)",
+                  ["cores", "min", "max", "spread"])
+    for n, row in r.items():
+        lo, hi = row["min"], row["max"]
+        table.add_row([n, f"{lo:.3f}", f"{hi:.3f}", f"{hi - lo:.3f}"])
+    return table
+
+
+def _fig16_check(r: dict) -> None:
+    for n, row in r.items():
+        assert 0.9 < row["min"] <= 1.0 <= row["max"] < 1.1, (
+            f"{n} images: work fractions outside a 10 % band")
+    spread = [row["max"] - row["min"] for row in r.values()]
+    assert spread[0] < spread[-1], "the spread does not widen with p"
+
+
+EXPERIMENTS["fig16"] = Experiment(
+    _fig16,
+    {"ci": dict(cores=(8, 16, 32), tree=_tree(8)),
+     "quick": dict(cores=(4, 8), tree=_tree(6))},
+    _fig16_table, _fig16_check)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 17 — UTS parallel efficiency
 # --------------------------------------------------------------------- #
 
-def fig17_uts_efficiency(cores: Sequence[int] = (2, 4, 8, 16, 32, 64),
-                         tree: Optional[TreeParams] = None,
-                         node_cost: float = 5e-7,
-                         quiet: bool = False) -> dict:
+def _fig17(cores, tree) -> dict:
     """Parallel efficiency T1 / (p * Tp) (paper: 0.74-0.80 from 256 to
     32K cores)."""
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=8,
-                                                    seed=19)
-    t1 = sequential_tree_size(tree) * node_cost
-    results = {}
-    for n in cores:
-        r = run_uts(n, UTSConfig(tree=tree, node_cost=node_cost))
-        results[n] = t1 / (n * r.sim_time)
+    t1 = sequential_tree_size(tree) * _NODE_COST
+    return {n: t1 / (n * run_uts(n, UTSConfig(
+        tree=tree, node_cost=_NODE_COST)).sim_time) for n in cores}
 
-    if not quiet:
-        table = Table(
-            f"Fig. 17 — UTS parallel efficiency "
-            f"(geometric tree, {sequential_tree_size(tree)} nodes)",
-            ["cores", "efficiency"],
-        )
-        for n in cores:
-            table.add_row([n, f"{results[n]:.2f}"])
-        table.print()
-    return results
+
+def _fig17_table(r: dict) -> Table:
+    table = Table("Fig. 17 — UTS parallel efficiency T1 / (p Tp)",
+                  ["cores", "efficiency"])
+    for n, eff in r.items():
+        table.add_row([n, f"{eff:.2f}"])
+    return table
+
+
+def _fig17_check(r: dict) -> None:
+    effs = list(r.values())
+    assert all(0 < eff <= 1.001 for eff in effs), "efficiency out of (0, 1]"
+    assert all(b <= a * 1.02 for a, b in zip(effs, effs[1:])), (
+        "efficiency does not decline monotonically")
+    if 64 in r:  # the ci sweep: 2 to 64 images over the 77 615-node tree
+        assert r[2] > 0.95, "2 images: not near-ideal"
+        assert 0.70 <= r[64] <= 0.90, "64 images: outside the paper's band"
+
+
+EXPERIMENTS["fig17"] = Experiment(
+    _fig17,
+    {"ci": dict(cores=(2, 4, 8, 16, 32, 64), tree=_tree(8)),
+     "quick": dict(cores=(2, 4), tree=_tree(6))},
+    _fig17_table, _fig17_check)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 18 — allreduce rounds of termination detection
 # --------------------------------------------------------------------- #
 
-def fig18_allreduce_rounds(cores: Sequence[int] = (8, 16, 32, 64),
-                           tree: Optional[TreeParams] = None,
-                           node_cost: float = 5e-7,
-                           quiet: bool = False) -> dict:
+def _fig18(cores, tree) -> dict:
     """Rounds of allreduce the paper's detector uses in UTS vs the
-    baselines without the wait precondition (paper: ours is ~50% of its
-    baseline).  Two baselines bracket the design space: ``wave_drain``
-    keeps the inbox-drain half of the precondition, ``wave_unbounded``
-    keeps none; the paper's measurement falls between them — see
-    EXPERIMENTS.md."""
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=8,
-                                                    seed=19)
-    results = {"epoch": {}, "wave_drain": {}, "wave_unbounded": {}}
+    baselines without the wait precondition (paper: ours is ~50 % of
+    its baseline).  ``wave_drain`` keeps the inbox-drain half of the
+    precondition, ``wave_unbounded`` keeps none; the paper's measurement
+    falls between them — see EXPERIMENTS.md."""
+    results: dict[str, dict[int, int]] = {
+        "epoch": {}, "wave_drain": {}, "wave_unbounded": {}}
     for n in cores:
-        for det in results:
-            r = run_uts(n, UTSConfig(tree=tree, node_cost=node_cost,
-                                     detector=det))
-            results[det][n] = r.finish_rounds
-
-    if not quiet:
-        table = Table(
-            "Fig. 18 — rounds of termination detection in UTS",
-            ["cores", "our algorithm", "w/o delivery wait",
-             "w/o any wait"],
-        )
-        for n in cores:
-            table.add_row([n, results["epoch"][n],
-                           results["wave_drain"][n],
-                           results["wave_unbounded"][n]])
-        table.print()
+        for det, series in results.items():
+            series[n] = run_uts(n, UTSConfig(
+                tree=tree, node_cost=_NODE_COST, detector=det)).finish_rounds
     return results
+
+
+def _fig18_table(r: dict) -> Table:
+    table = Table("Fig. 18 — rounds of termination detection in UTS",
+                  ["cores", "our algorithm", "w/o delivery wait",
+                   "w/o any wait"])
+    for n in r["epoch"]:
+        table.add_row([n] + [r[det][n] for det in r])
+    return table
+
+
+def _fig18_check(r: dict) -> None:
+    ours, drain, free = r["epoch"], r["wave_drain"], r["wave_unbounded"]
+    for n in ours:
+        assert ours[n] <= drain[n] < free[n], (
+            f"{n} images: not ours <= drain-only < free-spinning")
+    ratios = [free[n] / ours[n] for n in ours]
+    assert ratios[-1] < ratios[0], "the free-spinning ratio does not fall"
+    assert ratios[-1] >= 1.5, "the free-spinning baseline is not ~2x"
+
+
+EXPERIMENTS["fig18"] = Experiment(
+    _fig18,
+    {"ci": dict(cores=(8, 16, 32, 64), tree=_tree(8)),
+     "quick": dict(cores=(4, 8), tree=_tree(6))},
+    _fig18_table, _fig18_check)
 
 
 # --------------------------------------------------------------------- #
 # Theorem 1 — wave bound
 # --------------------------------------------------------------------- #
 
-def theorem1_waves(chain_lengths: Sequence[int] = (1, 2, 4, 8),
-                   n_images: int = 8, quiet: bool = False) -> dict:
+def _theorem1(chain_lengths, n_images) -> dict:
     """Measured allreduce waves vs the L+1 bound of Theorem 1, with a
     spawn chain slow enough that every hop straddles a wave."""
 
@@ -319,69 +415,86 @@ def theorem1_waves(chain_lengths: Sequence[int] = (1, 2, 4, 8),
         yield from img.finish_begin()
         if img.rank == 0 and length > 0:
             yield from img.spawn(hop, 1, length)
-        rounds = yield from img.finish_end()
-        return rounds
+        return (yield from img.finish_end())
 
     results = {}
     for length in chain_lengths:
         _m, rounds = run_spmd(kernel, n_images, args=(length,))
         results[length] = {"waves": rounds[0], "bound": length + 1}
-
-    if not quiet:
-        table = Table("Theorem 1 — reduction waves vs the L+1 bound",
-                      ["chain length L", "waves used", "bound L+1"])
-        for length, row in results.items():
-            table.add_row([length, row["waves"], row["bound"]])
-        table.print()
     return results
+
+
+def _theorem1_table(r: dict) -> Table:
+    table = Table("Theorem 1 — reduction waves vs the L+1 bound",
+                  ["chain length L", "waves used", "bound L+1"])
+    for length, row in r.items():
+        table.add_row([length, row["waves"], row["bound"]])
+    return table
+
+
+def _theorem1_check(r: dict) -> None:
+    for length, row in r.items():
+        assert row["waves"] <= row["bound"], f"L={length}: bound exceeded"
+    longest = r[max(r)]
+    assert longest["waves"] == longest["bound"], "the bound is not reached"
+
+
+EXPERIMENTS["theorem1"] = Experiment(
+    _theorem1,
+    {"ci": dict(chain_lengths=(1, 2, 4, 8), n_images=8),
+     "quick": dict(chain_lengths=(1, 2), n_images=4)},
+    _theorem1_table, _theorem1_check)
 
 
 # --------------------------------------------------------------------- #
 # Ablations
 # --------------------------------------------------------------------- #
 
-def ablation_detectors(n_images: int = 8,
-                       tree: Optional[TreeParams] = None,
-                       quiet: bool = False) -> dict:
-    """All four sound detectors on the same UTS run: rounds/reports,
-    wall time, and the centralized scheme's owner traffic."""
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=7,
-                                                    seed=19)
+def _detectors(n_images, tree) -> dict:
+    """All five sound detectors on the same UTS run: rounds/reports,
+    time, and the centralized scheme's owner traffic (§V)."""
     results = {}
     for det in ("epoch", "wave_drain", "wave_unbounded", "four_counter",
                 "vector_count"):
-        from repro.runtime.program import Machine
-        from repro.apps.uts import uts_kernel
-
-        config = UTSConfig(tree=tree, node_cost=5e-7, detector=det)
-        machine = Machine(n_images)
-        machine.launch(uts_kernel, args=(config,))
-        per_image = machine.run()
+        machine, per_image = run_spmd(uts_kernel, n_images, args=(
+            UTSConfig(tree=tree, node_cost=_NODE_COST, detector=det),))
         results[det] = {
             "rounds": machine.scratch["uts.finish_rounds"],
             "sim_time": machine.sim.now,
             "owner_bytes": machine.stats["term.vector.owner_bytes"],
             "total_nodes": sum(per_image),
         }
-
-    if not quiet:
-        table = Table(
-            f"Ablation — termination detectors on UTS ({n_images} images)",
-            ["detector", "rounds/reports", "time", "owner bytes"],
-        )
-        for det, row in results.items():
-            table.add_row([det, row["rounds"],
-                           format_seconds(row["sim_time"]),
-                           row["owner_bytes"]])
-        table.print()
     return results
 
 
-def ablation_tree_radix(radixes: Sequence[int] = (2, 4, 8),
-                        n_images: int = 32, repeats: int = 20,
-                        quiet: bool = False) -> dict:
-    """Radix of finish's reduction tree: deeper (radix-2) trees cost more
-    latency per wave; wider trees serialize at the parent."""
+def _detectors_table(r: dict) -> Table:
+    table = Table("Ablation — termination detectors on UTS",
+                  ["detector", "rounds/reports", "time", "owner bytes"])
+    for det, row in r.items():
+        table.add_row([det, row["rounds"], format_seconds(row["sim_time"]),
+                       row["owner_bytes"]])
+    return table
+
+
+def _detectors_check(r: dict) -> None:
+    assert len({row["total_nodes"] for row in r.values()}) == 1, (
+        "the detectors counted different trees")
+    assert r["epoch"]["rounds"] < r["wave_unbounded"]["rounds"], (
+        "the wait precondition saves no waves")
+    assert [det for det, row in r.items() if row["owner_bytes"]] == [
+        "vector_count"], "owner traffic is not the centralized scheme's"
+
+
+EXPERIMENTS["detectors"] = Experiment(
+    _detectors,
+    {"ci": dict(n_images=8, tree=_tree(7)),
+     "quick": dict(n_images=4, tree=_tree(6))},
+    _detectors_table, _detectors_check)
+
+
+def _radix(radixes, n_images, repeats) -> dict:
+    """Radix of finish's reduction tree: deeper (radix-2) trees cost
+    more latency per wave; wider trees serialize at the parent."""
 
     def kernel(img, radix):
         img.machine.scratch["finish.allreduce_radix"] = radix
@@ -390,160 +503,316 @@ def ablation_tree_radix(radixes: Sequence[int] = (2, 4, 8),
             yield from img.finish_end()
         return img.now
 
-    results = {}
-    for radix in radixes:
-        _m, times = run_spmd(kernel, n_images, args=(radix,))
-        results[radix] = max(times) / repeats
-
-    if not quiet:
-        table = Table(
-            f"Ablation — finish allreduce tree radix ({n_images} images, "
-            f"mean of {repeats} empty finish blocks)",
-            ["radix", "time per finish"],
-        )
-        for radix, t in results.items():
-            table.add_row([radix, format_seconds(t)])
-        table.print()
-    return results
+    return {radix: max(run_spmd(kernel, n_images, args=(radix,))[1])
+            / repeats for radix in radixes}
 
 
-def ablation_steal_chunk(medium_sizes: Sequence[int] = (80, 256, 800),
-                         n_images: int = 16,
-                         tree: Optional[TreeParams] = None,
-                         quiet: bool = False) -> dict:
+def _radix_table(r: dict) -> Table:
+    table = Table("Ablation — finish allreduce tree radix (mean time of "
+                  "an empty finish block)", ["radix", "time per finish"])
+    for radix, t in r.items():
+        table.add_row([radix, format_seconds(t)])
+    return table
+
+
+def _radix_check(r: dict) -> None:
+    assert r[max(r)] < r[min(r)], "the widest tree is not the cheapest"
+    best = min(r.values())
+    assert all(t < 4 * best for t in r.values()), "a radix costs 4x best"
+
+
+EXPERIMENTS["radix"] = Experiment(
+    _radix,
+    {"ci": dict(radixes=(2, 4, 8), n_images=32, repeats=20),
+     "quick": dict(radixes=(2, 4), n_images=8, repeats=3)},
+    _radix_table, _radix_check)
+
+
+def _steal_chunk(medium_sizes, n_images, tree) -> dict:
     """§IV-C.1a "amount to steal": the AM medium payload cap bounds the
-    steal chunk; tiny chunks make stealing unprofitable."""
-    from repro.apps.uts import chunk_limit
-    from repro.runtime.program import Machine
-
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=8,
-                                                    seed=19)
+    steal chunk; tiny chunks make stealing unprofitable, oversized ones
+    destabilize victims."""
     results = {}
     for cap in medium_sizes:
         params = MachineParams.uniform(n_images, am_medium_max=cap)
-        limit = chunk_limit(Machine(n_images, params=MachineParams.uniform(
-            n_images, am_medium_max=cap)))
-        r = run_uts(n_images, UTSConfig(tree=tree, node_cost=5e-7),
+        r = run_uts(n_images, UTSConfig(tree=tree, node_cost=_NODE_COST),
                     params=params)
-        results[cap] = {"chunk": limit, "sim_time": r.sim_time,
+        results[cap] = {"chunk": chunk_limit(Machine(n_images, params=params)),
+                        "sim_time": r.sim_time,
                         "steals": r.steals_attempted}
-
-    if not quiet:
-        table = Table(
-            "Ablation — steal chunk size (AM medium payload cap)",
-            ["am_medium_max", "items/steal", "time", "steal attempts"],
-        )
-        for cap, row in results.items():
-            table.add_row([cap, row["chunk"],
-                           format_seconds(row["sim_time"]), row["steals"]])
-        table.print()
     return results
 
 
-def chaos_resilience(drop_rates: Sequence[float] = (0.0, 0.02, 0.05, 0.1),
-                     n_images: int = 8,
-                     tree: Optional[TreeParams] = None,
-                     updates_per_image: int = 64,
-                     seed: int = 0, quiet: bool = False) -> dict:
+def _steal_chunk_table(r: dict) -> Table:
+    table = Table("Ablation — steal chunk size (AM medium payload cap)",
+                  ["am_medium_max", "items/steal", "time", "steal attempts"])
+    for cap, row in r.items():
+        table.add_row([cap, row["chunk"], format_seconds(row["sim_time"]),
+                       row["steals"]])
+    return table
+
+
+def _steal_chunk_check(r: dict) -> None:
+    chunks = [row["chunk"] for row in r.values()]
+    assert chunks == sorted(set(chunks)), "chunks do not grow with the cap"
+    assert r[256]["chunk"] == 9, "the default cap is not the paper's 9 items"
+    if max(r) > 256:  # the ci sweep's oversized cap
+        assert r[max(r)]["steals"] > r[256]["steals"], (
+            "oversized chunks do not raise the steal traffic")
+
+
+EXPERIMENTS["steal_chunk"] = Experiment(
+    _steal_chunk,
+    {"ci": dict(medium_sizes=(80, 256, 800), n_images=16, tree=_tree(8)),
+     "quick": dict(medium_sizes=(80, 256), n_images=4, tree=_tree(6))},
+    _steal_chunk_table, _steal_chunk_check)
+
+
+def _allreduce_algorithm(sizes, n_images) -> dict:
+    """Latency-optimal tree vs bandwidth-optimal ring allreduce across
+    payload sizes: finish's scalar reductions want the tree, bulk array
+    reductions (the collectives "vision" of §II-C.3) the ring."""
+    params = MachineParams.uniform(n_images, wire_latency=1e-6,
+                                   bandwidth=1e9, o_send=1e-7, o_recv=1e-7)
+
+    def kernel(img, size, ring):
+        arr = np.ones(size, dtype=np.float64)
+        if ring:
+            yield from img.ring_allreduce(arr)
+        else:
+            yield from img.allreduce(arr)
+        return img.now
+
+    return {size: {algo: max(run_spmd(kernel, n_images, params=params,
+                                      args=(size, algo == "ring"))[1])
+                   for algo in ("tree", "ring")}
+            for size in sizes}
+
+
+def _allreduce_algorithm_table(r: dict) -> Table:
+    table = Table("Ablation — allreduce algorithm vs payload "
+                  "(1 us wire, 1 GB/s)",
+                  ["elements", "tree (latency-opt)", "ring (bandwidth-opt)",
+                   "winner"])
+    for size, t in r.items():
+        table.add_row([size, format_seconds(t["tree"]),
+                       format_seconds(t["ring"]),
+                       "tree" if t["tree"] < t["ring"] else "ring"])
+    return table
+
+
+def _allreduce_algorithm_check(r: dict) -> None:
+    small, large = r[min(r)], r[max(r)]
+    assert small["tree"] < small["ring"], "the tree loses small payloads"
+    assert large["ring"] < large["tree"], "the ring loses large payloads"
+
+
+EXPERIMENTS["allreduce_algorithm"] = Experiment(
+    _allreduce_algorithm,
+    {"ci": dict(sizes=(8, 512, 8192, 131072), n_images=8),
+     "quick": dict(sizes=(8, 131072), n_images=4)},
+    _allreduce_algorithm_table, _allreduce_algorithm_check)
+
+
+# --------------------------------------------------------------------- #
+# Chaos — the paper apps on an unreliable network (DESIGN §7)
+# --------------------------------------------------------------------- #
+
+def _chaos(drop_rates, n_images, tree, updates_per_image) -> dict:
     """UTS and RandomAccess on an unreliable network with the reliable
     transport: application results must match the clean-network run at
-    every drop rate, with the retransmission traffic as the price.
-    """
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=7,
-                                                    seed=19)
-    uts_config = UTSConfig(tree=tree, node_cost=5e-7)
-    ra_config = RAConfig(log2_local_table=8,
-                         updates_per_image=updates_per_image)
+    every drop rate, with the retransmission traffic as the price."""
     expected_nodes = sequential_tree_size(tree)
-
+    params = MachineParams.uniform(n_images, reliable=True)
     results = {}
     for rate in drop_rates:
-        faults = (FaultPlan(drop=rate, duplicate=rate / 2, seed=seed)
-                  if rate > 0 else None)
-        uts = run_uts(n_images, uts_config,
-                      params=MachineParams.uniform(n_images, reliable=True),
-                      seed=seed, faults=faults)
-        faults = (FaultPlan(drop=rate, duplicate=rate / 2, seed=seed)
-                  if rate > 0 else None)
-        ra = run_randomaccess(n_images, ra_config,
-                              params=MachineParams.uniform(n_images,
-                                                           reliable=True),
-                              seed=seed, verify=True, faults=faults)
+        def faults():
+            return (FaultPlan(drop=rate, duplicate=rate / 2, seed=0)
+                    if rate > 0 else None)
+
+        uts = run_uts(n_images, UTSConfig(tree=tree, node_cost=_NODE_COST),
+                      params=params, faults=faults())
+        ra = run_randomaccess(
+            n_images, RAConfig(log2_local_table=8,
+                               updates_per_image=updates_per_image),
+            params=params, verify=True, faults=faults())
         results[rate] = {
             "uts_ok": uts.total_nodes == expected_nodes,
             "uts_time": uts.sim_time,
+            "uts_retransmits": uts.retransmits,
             "ra_ok": ra.errors == 0,
             "ra_time": ra.sim_time,
-            "retransmits": uts.retransmits + ra.retransmits,
+            "ra_retransmits": ra.retransmits,
             "drops": uts.drops + ra.drops,
             "dups": uts.dups + ra.dups,
         }
-
-    if not quiet:
-        table = Table(
-            f"Chaos — UTS + RandomAccess under injected faults "
-            f"({n_images} images, reliable transport)",
-            ["drop rate", "UTS ok", "RA ok", "retransmits", "drops",
-             "dups", "UTS time", "RA time"],
-        )
-        for rate, row in results.items():
-            table.add_row([
-                rate,
-                "yes" if row["uts_ok"] else "NO",
-                "yes" if row["ra_ok"] else "NO",
-                row["retransmits"], row["drops"], row["dups"],
-                format_seconds(row["uts_time"]),
-                format_seconds(row["ra_time"]),
-            ])
-        table.print()
     return results
+
+
+def _chaos_table(r: dict) -> Table:
+    table = Table("Chaos — UTS + RandomAccess under injected faults "
+                  "(reliable transport)",
+                  ["drop rate", "UTS ok", "RA ok", "retransmits", "drops",
+                   "dups", "UTS time", "RA time"])
+    for rate, row in r.items():
+        table.add_row([
+            rate, "yes" if row["uts_ok"] else "NO",
+            "yes" if row["ra_ok"] else "NO",
+            row["uts_retransmits"] + row["ra_retransmits"], row["drops"],
+            row["dups"], format_seconds(row["uts_time"]),
+            format_seconds(row["ra_time"])])
+    return table
+
+
+def _chaos_check(r: dict) -> None:
+    for rate, row in r.items():
+        assert row["uts_ok"] and row["ra_ok"], (
+            f"drop rate {rate}: an app result diverged from the clean run")
+        retransmits = row["uts_retransmits"] + row["ra_retransmits"]
+        if rate == 0:
+            assert retransmits == row["drops"] == 0, "a clean run resent"
+        else:
+            assert row["uts_retransmits"] > 0 and row["ra_retransmits"] > 0, (
+                f"drop rate {rate}: an app healed no loss by resending")
+            assert row["drops"] > 0, f"drop rate {rate}: nothing dropped"
+            assert retransmits >= row["drops"] - row["dups"], (
+                f"drop rate {rate}: fewer resends than unhealed drops")
+    rows = list(r.values())
+    for key in ("uts_time", "ra_time"):
+        assert all(a[key] < b[key] for a, b in zip(rows, rows[1:])), (
+            f"{key} does not grow with the drop rate")
+    lossy = [row["uts_retransmits"] + row["ra_retransmits"]
+             for rate, row in r.items() if rate > 0]
+    assert lossy == sorted(set(lossy)), "resends do not grow with drops"
+
+
+EXPERIMENTS["chaos"] = Experiment(
+    _chaos,
+    {"ci": dict(drop_rates=(0.0, 0.02, 0.05, 0.1), n_images=8,
+                tree=_tree(7), updates_per_image=64),
+     "quick": dict(drop_rates=(0.0, 0.05), n_images=4, tree=_tree(6),
+                   updates_per_image=16)},
+    _chaos_table, _chaos_check)
+
+
+# --------------------------------------------------------------------- #
+# Crash — fail-stop image failure, detection, and recovery (DESIGN §11)
+# --------------------------------------------------------------------- #
+
+_CRASH_IMAGE, _CRASH_TIME = 2, 1e-5
+
+
+def _crash(n_images, tree) -> dict:
+    """UTS with image 2 fail-stopping mid initial-work-sharing.  Three
+    runs: clean (the reference count), crash with recovery (must
+    reproduce the exact sequential tree size — the lost shipped
+    functions re-execute on their surviving spawners), and crash in
+    report-only mode (must raise a structured ImageFailureError naming
+    the dead image instead of hanging)."""
+    from repro.runtime.failure import FailureConfig, ImageFailureError
+
+    config = UTSConfig(tree=tree)
+    clean = run_uts(n_images, config, seed=42)
+    recovered = run_uts(
+        n_images, config, seed=42,
+        faults=FaultPlan().crash_at(_CRASH_IMAGE, _CRASH_TIME),
+        failure_detection=FailureConfig(recover=True))
+    report = None
+    try:
+        run_uts(n_images, config, seed=42,
+                faults=FaultPlan().crash_at(_CRASH_IMAGE, _CRASH_TIME),
+                failure_detection=FailureConfig())
+    except ImageFailureError as exc:
+        report = exc
+    return {
+        "expected_nodes": sequential_tree_size(tree),
+        "clean_nodes": clean.total_nodes,
+        "clean_time": clean.sim_time,
+        "recovered_nodes": recovered.total_nodes,
+        "failed_images": list(recovered.failed_images),
+        "recovered_spawns": recovered.recovered_spawns,
+        "recovered_time": recovered.sim_time,
+        "report_dead": list(report.dead) if report else None,
+        "report_detected_at": report.detected_at if report else None,
+    }
+
+
+def _crash_table(r: dict) -> Table:
+    table = Table(f"Crash — UTS with image {_CRASH_IMAGE} fail-stopping at "
+                  f"t={_CRASH_TIME:g}s",
+                  ["mode", "nodes", "correct", "dead", "re-executed",
+                   "time"])
+    expected = r["expected_nodes"]
+    table.add_row(["clean", r["clean_nodes"],
+                   "yes" if r["clean_nodes"] == expected else "NO", "-", 0,
+                   format_seconds(r["clean_time"])])
+    table.add_row(["crash + recover", r["recovered_nodes"],
+                   "yes" if r["recovered_nodes"] == expected else "NO",
+                   r["failed_images"], r["recovered_spawns"],
+                   format_seconds(r["recovered_time"])])
+    if r["report_dead"] is not None:
+        table.add_row(["crash, report-only", "ImageFailureError", "yes",
+                       r["report_dead"], 0,
+                       format_seconds(r["report_detected_at"])])
+    else:
+        table.add_row(["crash, report-only", "NO ERROR RAISED", "NO", "-",
+                       0, "-"])
+    return table
+
+
+def _crash_check(r: dict) -> None:
+    expected = r["expected_nodes"]
+    assert r["clean_nodes"] == expected, "the clean UTS run lost nodes"
+    assert r["recovered_nodes"] == expected, (
+        f"recovery counted {r['recovered_nodes']} of {expected} nodes "
+        f"(dead={r['failed_images']})")
+    assert r["report_dead"] is not None, (
+        "the report-only crash run finished without ImageFailureError")
+    assert _CRASH_IMAGE in r["report_dead"], (
+        f"ImageFailureError names {r['report_dead']}, not the dead image")
+
+
+EXPERIMENTS["crash"] = Experiment(
+    _crash,
+    {"ci": dict(n_images=4, tree=_tree(8)),
+     "quick": dict(n_images=4, tree=_tree(6))},
+    _crash_table, _crash_check)
 
 
 # --------------------------------------------------------------------- #
 # Gray failures — phi-accrual vs fixed-timeout detection (DESIGN §12)
 # --------------------------------------------------------------------- #
 
-def grayfail_detectors(n_images: int = 6, slices: int = 100,
-                       slice_cost: float = 2e-5,
-                       straggle_factor: float = 12.0,
-                       crash_time: float = 8e-4,
-                       seed: int = 0, quiet: bool = False) -> dict:
+_GRAYFAIL = dict(period=2e-5, timeout=5e-5, confirm_timeout=1e-3,
+                 phi_suspect=12.0, window=100)
+_STRAGGLE = 12.0
+
+
+def _grayfail(n_images, slices) -> dict:
     """Detector quality under gray failures: the adaptive phi-accrual
-    rule against the fixed timeout, on the same chaos.
+    rule against the fixed timeout, on the same chaos — a sliced-compute
+    kernel whose only traffic is the heartbeat stream.
 
-    Three scenarios per detector, all on a sliced-compute kernel whose
-    only traffic is the heartbeat stream:
+    - *straggler*: image 1 degrades to 12x service time, stretching its
+      heartbeat cadence past the suspicion timeout.  The fixed rule flaps
+      (one false suspicion per slow gap); phi adapts once the slow
+      inter-arrivals enter its window.
+    - *crash*: the same straggler, and another image fail-stops.  Both
+      rules must notice at the same latency.
+    - *partition*: both halves go silent for less than
+      ``confirm_timeout``.  Neither rule can see through a severed link,
+      so both flap equally; the time-based confirmation floor must hold —
+      zero confirmations, every suspicion retracted on heal."""
+    from repro.runtime.failure import FailureConfig
 
-    - *straggler*: image 1 degrades to ``straggle_factor`` x service
-      time, stretching its heartbeat cadence past the suspicion
-      timeout.  The fixed rule flaps (one false suspicion per slow
-      heartbeat gap); phi adapts once the slow inter-arrivals enter its
-      window and stops suspecting — the false-suspicion count is the
-      headline number.
-    - *straggler + real crash*: a different image fail-stops.  Both
-      rules must notice at (near-)identical latency — adaptivity is
-      only worth having if it does not slow real detection.
-    - *partition, healing*: both sides go silent for less than
-      ``confirm_timeout``.  Neither rule can see through a severed link
-      (silence is silence), so both flap equally; what matters is that
-      the time-based confirmation floor holds — zero confirmations,
-      every suspicion retracted on heal.
-    """
-    cfg_kwargs = dict(period=2e-5, timeout=5e-5, confirm_timeout=1e-3,
-                      phi_suspect=12.0, window=100)
-
-    def kernel(img, n_slices, cost):
-        for _ in range(n_slices):
-            yield from img.compute(cost)
+    def kernel(img):
+        for _ in range(slices):
+            yield from img.compute(2e-5)
 
     def measure(detector: str, plan: FaultPlan) -> dict:
-        from repro.runtime.failure import FailureConfig
-
         machine, _ = run_spmd(
-            kernel, n_images, args=(slices, slice_cost), seed=seed,
-            faults=plan,
-            failure_detection=FailureConfig(detector=detector,
-                                            **cfg_kwargs))
+            kernel, n_images, faults=plan,
+            failure_detection=FailureConfig(detector=detector, **_GRAYFAIL))
         service = machine.failure
         tts = service.time_to_unsuspect
         return {
@@ -552,72 +821,205 @@ def grayfail_detectors(n_images: int = 6, slices: int = 100,
             "confirmed": machine.stats["fail.confirmed"],
             "suspect_latency": (service.suspect_latency[0]
                                 if service.suspect_latency else None),
-            "mean_time_to_unsuspect": (sum(tts) / len(tts) if tts
-                                       else None),
+            "mean_time_to_unsuspect": sum(tts) / len(tts) if tts else None,
         }
 
     half = n_images // 2
-    results: dict = {}
-    for det in ("timeout", "phi"):
-        results[det] = {
-            "straggler": measure(det, FaultPlan().straggle(
-                1, straggle_factor, degrade_at=2e-4)),
-            "crash": measure(det, FaultPlan()
-                             .straggle(1, straggle_factor, degrade_at=2e-4)
-                             .crash_at(n_images - 1, crash_time)),
-            "partition": measure(det, FaultPlan().partition(
-                [list(range(half)), list(range(half, n_images))],
-                at=4e-4, heal_at=7e-4)),
-        }
+    return {det: {
+        "straggler": measure(det, FaultPlan().straggle(
+            1, _STRAGGLE, degrade_at=2e-4)),
+        "crash": measure(det, FaultPlan()
+                         .straggle(1, _STRAGGLE, degrade_at=2e-4)
+                         .crash_at(n_images - 1, 8e-4)),
+        "partition": measure(det, FaultPlan().partition(
+            [list(range(half)), list(range(half, n_images))],
+            at=4e-4, heal_at=7e-4)),
+    } for det in ("timeout", "phi")}
 
-    t, p = results["timeout"], results["phi"]
-    period = cfg_kwargs["period"]
-    results["ok"] = (
-        p["straggler"]["false_suspicions"]
-        < t["straggler"]["false_suspicions"]
-        and t["crash"]["suspect_latency"] is not None
-        and p["crash"]["suspect_latency"] is not None
-        and abs(t["crash"]["suspect_latency"]
-                - p["crash"]["suspect_latency"]) <= 2 * period
-        and all(results[d][s]["confirmed"] == 0
-                for d in ("timeout", "phi")
-                for s in ("straggler", "partition")))
 
-    if not quiet:
-        table = Table(
-            f"Gray failures — phi-accrual vs fixed timeout "
-            f"({n_images} images, straggler x{straggle_factor:g}, "
-            f"healing partition)",
-            ["detector", "scenario", "false suspicions", "unsuspected",
-             "confirmed", "crash latency", "mean heal time"],
-        )
-        for det in ("timeout", "phi"):
-            for scenario in ("straggler", "crash", "partition"):
-                row = results[det][scenario]
-                table.add_row([
-                    det, scenario,
-                    row["false_suspicions"], row["unsuspected"],
-                    row["confirmed"],
-                    (format_seconds(row["suspect_latency"])
-                     if row["suspect_latency"] is not None else "-"),
-                    (format_seconds(row["mean_time_to_unsuspect"])
-                     if row["mean_time_to_unsuspect"] is not None else "-"),
-                ])
-        table.print()
-        print("verdict:", "OK — phi strictly fewer false suspicions at "
-              "equal crash-detection latency; zero false confirmations"
-              if results["ok"] else "FAILED (see table)")
+def _grayfail_table(r: dict) -> Table:
+    table = Table(f"Gray failures — phi-accrual vs fixed timeout "
+                  f"(straggler x{_STRAGGLE:g}, healing partition)",
+                  ["detector", "scenario", "false suspicions", "unsuspected",
+                   "confirmed", "crash latency", "mean heal time"])
+    for det, scenarios in r.items():
+        for scenario, row in scenarios.items():
+            table.add_row([det, scenario, row["false_suspicions"],
+                           row["unsuspected"], row["confirmed"],
+                           _time_or_dash(row["suspect_latency"]),
+                           _time_or_dash(row["mean_time_to_unsuspect"])])
+    return table
 
-    assert results["ok"], (
-        "grayfail detector comparison failed: "
-        f"timeout={t['straggler']['false_suspicions']} false suspicions, "
-        f"phi={p['straggler']['false_suspicions']}; crash latencies "
-        f"{t['crash']['suspect_latency']} vs {p['crash']['suspect_latency']}")
-    return results
+
+def _grayfail_check(r: dict) -> None:
+    t, p = r["timeout"], r["phi"]
+    assert (p["straggler"]["false_suspicions"]
+            < t["straggler"]["false_suspicions"]), (
+        "phi does not suspect the straggler less than the fixed timeout")
+    latencies = [t["crash"]["suspect_latency"], p["crash"]["suspect_latency"]]
+    assert None not in latencies, "a detector missed the real crash"
+    assert abs(latencies[0] - latencies[1]) <= 2 * _GRAYFAIL["period"], (
+        f"crash-detection latencies differ: {latencies}")
+    for det, scenarios in r.items():
+        for scenario in ("straggler", "partition"):
+            assert scenarios[scenario]["confirmed"] == 0, (
+                f"{det} confirmed a live image under the {scenario}")
+
+
+EXPERIMENTS["grayfail"] = Experiment(
+    _grayfail,
+    {"ci": dict(n_images=6, slices=100),
+     "quick": dict(n_images=4, slices=60)},
+    _grayfail_table, _grayfail_check)
 
 
 # --------------------------------------------------------------------- #
-# Race audit — the happens-before detector over the paper apps
+# Schedule exploration — the seeded ordering bug (DESIGN §10)
+# --------------------------------------------------------------------- #
+
+def _explore(budget, rounds, minimize_budget) -> dict:
+    """Every strategy must find the seeded flag-before-data bug in
+    :mod:`repro.apps.ordering_bug` within ``budget`` schedules, the
+    minimized schedule must shrink to a handful of non-default choices,
+    and its strict replay must reproduce the identical failure.  The
+    baseline schedule always delivers data before the flag, so only
+    controlled-schedule search surfaces the bug."""
+    from repro.apps.ordering_bug import (OrderingBugConfig,
+                                         make_ordering_bug_target,
+                                         run_ordering_bug)
+    from repro.explore import (DFSStrategy, Explorer, PCTStrategy,
+                               RandomWalkStrategy, check_replay_determinism)
+
+    config = OrderingBugConfig(rounds=rounds)
+    target = make_ordering_bug_target(config=config)
+    explorer = Explorer(target, budget=budget,
+                        minimize_budget=minimize_budget)
+    results: dict = {"baseline_ok": run_ordering_bug(config=config).ok,
+                     "strategies": {}}
+    for strategy in (RandomWalkStrategy(seed=1), PCTStrategy(seed=2),
+                     DFSStrategy(max_depth=25)):
+        report = explorer.run_strategy(strategy)
+        row = report.to_json()
+        row["replay_deterministic"] = report.found and (
+            check_replay_determinism(target, report.minimized))
+        results["strategies"][report.strategy] = row
+    return results
+
+
+def _explore_table(r: dict) -> Table:
+    table = Table("Schedule exploration — seeded ordering bug (baseline "
+                  f"schedule {'clean' if r['baseline_ok'] else 'FAILED'})",
+                  ["strategy", "found", "schedules",
+                   "minimized (non-default)", "replay"])
+    for name, row in r["strategies"].items():
+        found = row["found"]
+        table.add_row([
+            name, f"run #{row['found_at']}" if found else "NO",
+            row["schedules_run"],
+            (f"{row['minimized_nonzero']} of {row['minimized_len']}"
+             if found else "-"),
+            ("identical" if row["replay_deterministic"] else "DIVERGED")
+            if found else "-"])
+    return table
+
+
+def _explore_check(r: dict) -> None:
+    assert r["baseline_ok"], "the baseline schedule already fails"
+    for name, row in r["strategies"].items():
+        assert row["found"], f"{name} did not find the bug within budget"
+        assert row["outcome"]["kind"] == "invariant", (
+            f"{name} found a {row['outcome']['kind']} failure")
+        assert row["minimized_nonzero"] <= 3, f"{name}: minimization stalled"
+        assert row["replay_deterministic"], f"{name}: replay diverged"
+
+
+EXPERIMENTS["explore"] = Experiment(
+    _explore,
+    {"ci": dict(budget=500, rounds=4, minimize_budget=200),
+     "quick": dict(budget=150, rounds=2, minimize_budget=60)},
+    _explore_table, _explore_check)
+
+
+# --------------------------------------------------------------------- #
+# Fuzzing service — coverage-guided search vs blind random walk (§15)
+# --------------------------------------------------------------------- #
+
+def _fuzz(rw_budget, fuzz_budget, seeds) -> dict:
+    """The coverage-guided service (inline, deterministic per seed) must
+    find both seeded bugs — the ordering bug and the crash-recovery
+    double-count — with an order of magnitude fewer schedules than a
+    random walk given the same seeds and search space (lag_steps=4).
+
+    The recovery bug is the stress case: its failing conjunction (the
+    one non-decoy crash time *and* every completion post lagged past it)
+    is staged, each partial step visible to the coverage map long before
+    the invariant trips.  Random walk has to roll the whole conjunction
+    at once; the corpus climbs it.  A random walk that never finds is
+    charged its budget."""
+    from repro.explore import Explorer, RandomWalkStrategy
+    from repro.explore.fuzz import FuzzConfig, FuzzService, TargetSpec
+
+    lag_steps = 4
+    results: dict = {"targets": {}}
+    for name in ("ordering_bug", "recovery_bug"):
+        spec = TargetSpec(f"repro.apps.{name}:make_{name}_target")
+        target = spec.build()
+        rows = results["targets"][name] = []
+        for seed in seeds:
+            rw = Explorer(target, budget=rw_budget, minimize=False
+                          ).run_strategy(RandomWalkStrategy(
+                              seed=seed, lag_steps=lag_steps))
+            report = FuzzService(spec, FuzzConfig(
+                budget=fuzz_budget, workers=0, seed=seed,
+                lag_steps=lag_steps, max_findings=1)).run()
+            rows.append({
+                "seed": seed,
+                "rw_found": rw.found,
+                "rw_spent": rw.found_at + 1 if rw.found else rw_budget,
+                "fuzz_found": report.found,
+                "fuzz_spent": (report.first_find_at if report.found
+                               else fuzz_budget),
+                "fuzz_verified": all(f.verified for f in report.findings),
+            })
+    every = [row for rows in results["targets"].values() for row in rows]
+    results["total_rw"] = sum(row["rw_spent"] for row in every)
+    results["total_fuzz"] = sum(row["fuzz_spent"] for row in every)
+    return results
+
+
+def _fuzz_table(r: dict) -> Table:
+    table = Table("Chaos fuzzing — schedules to first finding, random walk "
+                  "vs coverage-guided (lag_steps=4)",
+                  ["target", "seed", "random walk", "fuzz service",
+                   "ratio"])
+    for name, rows in r["targets"].items():
+        for row in rows:
+            table.add_row([
+                name, row["seed"],
+                ("" if row["rw_found"] else ">") + str(row["rw_spent"]),
+                ("" if row["fuzz_found"] else ">") + str(row["fuzz_spent"]),
+                f"{row['rw_spent'] / max(1, row['fuzz_spent']):.1f}x"])
+    table.add_row(["total", "", r["total_rw"], r["total_fuzz"],
+                   f"{r['total_rw'] / max(1, r['total_fuzz']):.1f}x"])
+    return table
+
+
+def _fuzz_check(r: dict) -> None:
+    for name, rows in r["targets"].items():
+        for row in rows:
+            assert row["fuzz_found"] and row["fuzz_verified"], (
+                f"{name} seed {row['seed']}: no verified finding")
+
+
+EXPERIMENTS["fuzz"] = Experiment(
+    _fuzz,
+    {"ci": dict(rw_budget=6000, fuzz_budget=1500, seeds=(0, 1, 2, 3)),
+     "quick": dict(rw_budget=1500, fuzz_budget=400, seeds=(0,))},
+    _fuzz_table, _fuzz_check)
+
+
+# --------------------------------------------------------------------- #
+# Race audit — the happens-before detector over the paper apps (§8)
 # --------------------------------------------------------------------- #
 
 def _racy_producer(img, iterations: int):
@@ -634,341 +1036,54 @@ def _racy_producer(img, iterations: int):
     yield from img.finish_end()
 
 
-def explore_search(budget: int = 500, rounds: int = 4,
-                   minimize_budget: int = 200,
-                   artifact: Optional[str] = None,
-                   quiet: bool = False) -> dict:
-    """Schedule-space exploration demo (DESIGN.md §10): every strategy
-    must find the seeded flag-before-data bug in
-    :mod:`repro.apps.ordering_bug` within ``budget`` schedules, the
-    minimized schedule must shrink to a handful of non-default choices,
-    and its strict replay must reproduce the identical failure.
-
-    The bug is invisible to every other oracle run in this harness —
-    the baseline schedule always delivers data before the flag — which
-    is the point: only controlled-schedule search surfaces it.
-    ``artifact`` names a file to save the first minimized repro
-    schedule to (the explorer's repro artifact).
-    """
-    from repro.apps.ordering_bug import (
-        OrderingBugConfig,
-        make_ordering_bug_target,
-        run_ordering_bug,
-    )
-    from repro.explore import (
-        DFSStrategy,
-        Explorer,
-        PCTStrategy,
-        RandomWalkStrategy,
-        check_replay_determinism,
-    )
-
-    config = OrderingBugConfig(rounds=rounds)
-    baseline = run_ordering_bug(config=config)
-    target = make_ordering_bug_target(config=config)
-    explorer = Explorer(target, budget=budget,
-                        minimize_budget=minimize_budget)
-
-    results: dict = {"baseline_ok": baseline.ok}
-    saved = None
-    for strategy in (RandomWalkStrategy(seed=1), PCTStrategy(seed=2),
-                     DFSStrategy(max_depth=25)):
-        report = explorer.run_strategy(strategy)
-        row = report.to_json()
-        if report.found:
-            row["replay_deterministic"] = check_replay_determinism(
-                target, report.minimized)
-            if artifact is not None and saved is None:
-                report.minimized.save(artifact)
-                saved = artifact
-        results[report.strategy] = row
-    results["artifact"] = saved
-    results["ok"] = baseline.ok and all(
-        row.get("found") and row.get("replay_deterministic")
-        for name, row in results.items()
-        if isinstance(row, dict))
-
-    if not quiet:
-        table = Table(
-            f"Schedule exploration — seeded ordering bug "
-            f"({rounds} rounds, budget {budget} schedules/strategy)",
-            ["strategy", "found", "schedules", "minimized (non-default)",
-             "replay"],
-        )
-        for name, row in results.items():
-            if not isinstance(row, dict):
-                continue
-            table.add_row([
-                name,
-                f"run #{row['found_at']}" if row["found"] else "NO",
-                row["schedules_run"],
-                (f"{row['minimized_nonzero']} of {row['minimized_len']}"
-                 if row["found"] else "-"),
-                ("identical" if row.get("replay_deterministic")
-                 else "DIVERGED") if row["found"] else "-",
-            ])
-        table.print()
-        print(f"baseline schedule: {'clean' if baseline.ok else 'FAILED'}"
-              f" (the bug needs exploration to surface)")
-        if saved:
-            print(f"minimized repro schedule written to {saved}")
-    return results
-
-
-def races_audit(n_images: int = 4, tree: Optional[TreeParams] = None,
-                iterations: int = 50, updates_per_image: int = 32,
-                seed: int = 0, quiet: bool = False) -> dict:
-    """Happens-before race audit: the three paper applications under
-    their default synchronization must be race-free, and a deliberately
-    broken producer (no cofence) must be flagged.
-
-    ``n_images`` must be a power of two (RandomAccess's constraint).
-    """
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=6,
-                                                    seed=19)
-    results = {}
-
-    uts = run_uts(n_images, UTSConfig(tree=tree), seed=seed, racecheck=True)
-    results["uts"] = {"races": uts.races, "nodes": uts.total_nodes}
-
+def _races(n_images, tree, iterations, updates_per_image) -> dict:
+    """The three paper applications under their own synchronization
+    must be race-free, and the producer without its cofence must be
+    flagged with a hint that names the missing cofence.  ``n_images``
+    must be a power of two (RandomAccess's constraint)."""
+    uts = run_uts(n_images, UTSConfig(tree=tree), racecheck=True)
     ra = run_randomaccess(
-        n_images,
-        RAConfig(log2_local_table=8, updates_per_image=updates_per_image),
-        seed=seed, verify=True, racecheck=True)
-    results["randomaccess"] = {"races": ra.races, "errors": ra.errors}
-
+        n_images, RAConfig(log2_local_table=8,
+                           updates_per_image=updates_per_image),
+        verify=True, racecheck=True)
     pc = run_producer_consumer(n_images, PCConfig(iterations=iterations),
-                               seed=seed, racecheck=True)
-    results["producer_consumer"] = {"races": pc.races}
-
-    def setup(machine):
-        machine.coarray("races_inbuf", shape=16, dtype=np.uint8)
-
-    machine, _ = run_spmd(_racy_producer, 2, args=(iterations,),
-                          setup=setup, seed=seed, racecheck=True)
+                               racecheck=True)
+    machine, _ = run_spmd(
+        _racy_producer, 2, args=(iterations,), racecheck=True,
+        setup=lambda m: m.coarray("races_inbuf", shape=16, dtype=np.uint8))
     control = machine.racecheck
-    results["control"] = {
-        "races": control.race_count,
-        "example": str(control.races[0]) if control.races else None,
-    }
-    results["ok"] = (uts.races == 0 and ra.races == 0 and pc.races == 0
-                     and control.race_count > 0)
-
-    if not quiet:
-        table = Table(
-            f"Race audit — vector-clock happens-before detector "
-            f"({n_images} images)",
-            ["program", "sync discipline", "races", "verdict"],
-        )
-        table.add_row(["UTS", "finish + lifelines", uts.races,
-                       "clean" if uts.races == 0 else "RACY"])
-        table.add_row(["RandomAccess", "function shipping", ra.races,
-                       "clean" if ra.races == 0 else "RACY"])
-        table.add_row(["producer-consumer", "cofence", pc.races,
-                       "clean" if pc.races == 0 else "RACY"])
-        table.add_row(["control (no cofence)", "none — seeded bug",
-                       control.race_count,
-                       "RACY (expected)" if control.race_count else
-                       "MISSED"])
-        table.print()
-        if control.races:
-            print("control finding:", control.races[0])
-    return results
+    return {"uts": uts.races, "randomaccess": ra.races,
+            "ra_errors": ra.errors, "producer_consumer": pc.races,
+            "control": control.race_count,
+            "control_hint": control.races[0].hint if control.races else ""}
 
 
-# --------------------------------------------------------------------- #
-# Crash — fail-stop image failure, detection, and recovery (DESIGN §11)
-# --------------------------------------------------------------------- #
-
-def crash_recovery(n_images: int = 4,
-                   tree: Optional[TreeParams] = None,
-                   crash_image: int = 2,
-                   crash_time: float = 1e-5,
-                   seed: int = 42, quiet: bool = False) -> dict:
-    """UTS with a fail-stop crash injected mid initial-work-sharing.
-
-    Three runs: clean (the reference count), crash with recovery (must
-    reproduce the exact sequential tree size — the lost shipped
-    functions re-execute on their surviving spawners), and crash in
-    report-only mode (must raise a structured ImageFailureError naming
-    the dead image instead of hanging).
-    """
-    from repro.runtime.failure import FailureConfig, ImageFailureError
-
-    tree = tree if tree is not None else TreeParams(b0=4, max_depth=8,
-                                                    seed=19)
-    config = UTSConfig(tree=tree)
-    expected = sequential_tree_size(tree)
-
-    clean = run_uts(n_images, config, seed=seed)
-
-    recovered = run_uts(
-        n_images, config, seed=seed,
-        faults=FaultPlan().crash_at(crash_image, crash_time),
-        failure_detection=FailureConfig(recover=True))
-
-    report_error = None
-    try:
-        run_uts(n_images, config, seed=seed,
-                faults=FaultPlan().crash_at(crash_image, crash_time),
-                failure_detection=FailureConfig())
-    except ImageFailureError as exc:
-        report_error = exc
-
-    results = {
-        "expected_nodes": expected,
-        "clean_ok": clean.total_nodes == expected,
-        "recovered_ok": recovered.total_nodes == expected,
-        "recovered_nodes": recovered.total_nodes,
-        "failed_images": recovered.failed_images,
-        "recovered_spawns": recovered.recovered_spawns,
-        "recovered_time": recovered.sim_time,
-        "report_raised": report_error is not None,
-        "report_dead": tuple(report_error.dead) if report_error else (),
-        "report_detected_at": (report_error.detected_at
-                               if report_error else None),
-    }
-
-    if not quiet:
-        table = Table(
-            f"Crash — UTS with image {crash_image} fail-stopping at "
-            f"t={crash_time:g}s ({n_images} images)",
-            ["mode", "nodes", "correct", "dead", "re-executed", "time"],
-        )
-        table.add_row(["clean", clean.total_nodes,
-                       "yes" if results["clean_ok"] else "NO", "-", 0,
-                       format_seconds(clean.sim_time)])
-        table.add_row(["crash + recover", recovered.total_nodes,
-                       "yes" if results["recovered_ok"] else "NO",
-                       list(recovered.failed_images),
-                       recovered.recovered_spawns,
-                       format_seconds(recovered.sim_time)])
-        if report_error is not None:
-            table.add_row(["crash, report-only",
-                           "ImageFailureError",
-                           "yes", list(report_error.dead), 0,
-                           format_seconds(report_error.detected_at)])
-        else:
-            table.add_row(["crash, report-only", "NO ERROR RAISED", "NO",
-                           "-", 0, "-"])
-        table.print()
-
-    assert results["clean_ok"], (
-        f"clean UTS run lost nodes: {clean.total_nodes} != {expected}")
-    assert results["recovered_ok"], (
-        f"recovery missed the tree count: {recovered.total_nodes} != "
-        f"{expected} (dead={recovered.failed_images})")
-    assert results["report_raised"], (
-        "report-only crash run finished without ImageFailureError")
-    assert crash_image in results["report_dead"], (
-        f"ImageFailureError does not name image {crash_image}: "
-        f"{results['report_dead']}")
-    return results
+def _races_table(r: dict) -> Table:
+    table = Table("Race audit — vector-clock happens-before detector",
+                  ["program", "sync discipline", "races", "verdict"])
+    for program, key, sync in (
+            ("UTS", "uts", "finish + lifelines"),
+            ("RandomAccess", "randomaccess", "function shipping"),
+            ("producer-consumer", "producer_consumer", "cofence")):
+        table.add_row([program, sync, r[key],
+                       "clean" if r[key] == 0 else "RACY"])
+    table.add_row(["control (no cofence)", "none — seeded bug", r["control"],
+                   "RACY (expected)" if r["control"] else "MISSED"])
+    return table
 
 
-# --------------------------------------------------------------------- #
-# Fuzzing service — coverage-guided search vs blind random walk
-# --------------------------------------------------------------------- #
+def _races_check(r: dict) -> None:
+    for key in ("uts", "randomaccess", "producer_consumer"):
+        assert r[key] == 0, f"{key} races under its own synchronization"
+    assert r["ra_errors"] == 0, "function shipping lost updates"
+    assert r["control"] > 0, "the producer without cofence went unflagged"
+    assert "cofence" in r["control_hint"], "the hint misses the cofence"
 
-def fuzz_service(rw_budget: int = 6000, fuzz_budget: int = 1500,
-                 workers: int = 0, seeds: Sequence[int] = (0, 1, 2, 3),
-                 lag_steps: int = 4,
-                 findings_dir: Optional[str] = None,
-                 quiet: bool = False) -> dict:
-    """Chaos-fuzzing acceptance experiment (DESIGN.md §15): the
-    coverage-guided service must find both seeded bugs — the ordering
-    bug and the crash-recovery double-count — with an order of
-    magnitude fewer schedules than a single-process random walk given
-    the same seeds and the same search space.
 
-    The recovery bug is the stress case: its crash menu composes with
-    per-message delivery lags through one recorded choice stream, and
-    the failing conjunction (the one non-decoy crash time *and* every
-    completion post lagged past it) is staged — each partially-lagged
-    schedule strands one more work item and re-executes one more
-    recovery spawn, visible to the coverage map as new per-key record
-    counts long before the invariant trips.  Random walk has to roll
-    the whole conjunction at once; the corpus climbs it.
-
-    ``workers=0`` runs the service inline (deterministic);
-    ``workers=N`` exercises the multiprocessing pool.  ``lag_steps``
-    sets the delivery-lag quantization both searchers face.
-    """
-    from repro.explore import Explorer, RandomWalkStrategy
-    from repro.explore.fuzz import FuzzConfig, FuzzService, TargetSpec
-
-    targets = {
-        "ordering_bug": TargetSpec(
-            "repro.apps.ordering_bug:make_ordering_bug_target"),
-        "recovery_bug": TargetSpec(
-            "repro.apps.recovery_bug:make_recovery_bug_target"),
-    }
-
-    results: dict = {"targets": {}, "seeds": list(seeds),
-                     "workers": workers}
-    totals = {"rw": 0, "fuzz": 0}
-    for name, spec in targets.items():
-        target = spec.build()
-        rows = []
-        for seed in seeds:
-            explorer = Explorer(target, budget=rw_budget, minimize=False)
-            rw = explorer.run_strategy(
-                RandomWalkStrategy(seed=seed, lag_steps=lag_steps))
-            rw_spent = (rw.found_at + 1 if rw.found else rw_budget)
-
-            service = FuzzService(
-                spec,
-                FuzzConfig(budget=fuzz_budget, workers=workers,
-                           seed=seed, lag_steps=lag_steps,
-                           max_findings=1),
-                findings_dir=findings_dir)
-            report = service.run()
-            fuzz_spent = (report.first_find_at
-                          if report.first_find_at is not None
-                          else fuzz_budget)
-            rows.append({
-                "seed": seed,
-                "rw_found": rw.found, "rw_spent": rw_spent,
-                "fuzz_found": report.found, "fuzz_spent": fuzz_spent,
-                "fuzz_verified": all(f.verified
-                                     for f in report.findings),
-                "corpus": report.corpus_size,
-                "coverage": report.coverage_features,
-                "schedules_per_sec": report.schedules_per_sec,
-            })
-            totals["rw"] += rw_spent
-            totals["fuzz"] += fuzz_spent
-        results["targets"][name] = rows
-
-    results["total_rw"] = totals["rw"]
-    results["total_fuzz"] = totals["fuzz"]
-    results["speedup"] = (totals["rw"] / totals["fuzz"]
-                          if totals["fuzz"] else float("inf"))
-    results["ok"] = all(
-        row["rw_found"] is not None and row["fuzz_found"]
-        and row["fuzz_verified"]
-        for rows in results["targets"].values() for row in rows)
-
-    if not quiet:
-        table = Table(
-            f"Chaos fuzzing — schedules to first finding, random walk "
-            f"vs coverage-guided (lag_steps={lag_steps}, "
-            f"workers={workers})",
-            ["target", "seed", "random walk", "fuzz service",
-             "per-seed ratio"],
-        )
-        for name, rows in results["targets"].items():
-            for row in rows:
-                rw_s = (str(row["rw_spent"]) if row["rw_found"]
-                        else f">{row['rw_spent']}")
-                fz_s = (str(row["fuzz_spent"]) if row["fuzz_found"]
-                        else f">{row['fuzz_spent']}")
-                ratio = row["rw_spent"] / max(1, row["fuzz_spent"])
-                table.add_row([name, row["seed"], rw_s, fz_s,
-                               f"{ratio:.1f}x"])
-        table.print()
-        print(f"totals: random walk {totals['rw']} vs fuzz "
-              f"{totals['fuzz']} schedules -> "
-              f"{results['speedup']:.1f}x fewer; findings "
-              f"{'all verified' if results['ok'] else 'INCOMPLETE'}")
-    return results
+EXPERIMENTS["races"] = Experiment(
+    _races,
+    {"ci": dict(n_images=8, tree=_tree(6),
+                iterations=50, updates_per_image=32),
+     "quick": dict(n_images=4, tree=_tree(6), iterations=10,
+                   updates_per_image=16)},
+    _races_table, _races_check)

@@ -1,8 +1,9 @@
 """Plain-text reporting for experiment results.
 
-Every figure runner prints the same rows/series the paper's plot shows,
-via :class:`Table`.  Keeping this purely textual keeps the harness free
-of plotting dependencies; the numbers land in EXPERIMENTS.md.
+Every experiment renders the rows/series the paper's plot shows as one
+:class:`Table` in GitHub markdown — the console, the ``--out`` report
+and EXPERIMENTS.md carry the same bytes.  Keeping this purely textual
+keeps the harness free of plotting dependencies.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ def format_seconds(t: float) -> str:
 
 
 class Table:
-    """A fixed-column text table.
+    """A titled, column-aligned markdown table.
 
     >>> t = Table("demo", ["p", "time"])
     >>> t.add_row([4, "1.0 ms"])
-    >>> print(t.render())  # doctest: +ELLIPSIS
-    demo
-    ...
+    >>> print(t.render())
+    **demo**
+    <BLANKLINE>
+    | p | time   |
+    |---|--------|
+    | 4 | 1.0 ms |
     """
 
     def __init__(self, title: str, columns: Sequence[str]):
@@ -46,18 +50,16 @@ class Table:
         self.rows.append(cells)
 
     def render(self) -> str:
-        widths = [
-            max(len(self.columns[i]), *(len(r[i]) for r in self.rows))
-            if self.rows else len(self.columns[i])
-            for i in range(len(self.columns))
-        ]
-        lines = [self.title]
-        header = "  ".join(c.ljust(w) for c, w in zip(self.columns, widths))
-        lines.append(header)
-        lines.append("-" * len(header))
-        for row in self.rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        widths = [max(len(cell) for cell in column)
+                  for column in zip(self.columns, *self.rows)]
+
+        def line(cells):
+            return "| " + " | ".join(
+                c.ljust(w) for c, w in zip(cells, widths)) + " |"
+
+        return "\n".join([f"**{self.title}**", "", line(self.columns),
+                          "|" + "|".join("-" * (w + 2) for w in widths) + "|",
+                          *map(line, self.rows)])
 
     def print(self) -> None:
         print(self.render())

@@ -626,9 +626,10 @@ def run_spmd(kernel: Callable, n_images: int,
              faults: Optional[FaultPlan] = None,
              racecheck: bool = False, schedule=None,
              failure_detection=None,
+             finalize: Optional[Callable[[Machine, int], Any]] = None,
              backend: str = "sim") -> tuple[Any, list[Any]]:
     """Build a machine, run ``kernel`` SPMD on every image, return
-    ``(machine, per-rank results)``.
+    ``(run, per-rank results)``.
 
     ``setup(machine)`` runs before launch — the place to allocate
     coarrays, events and locks (allocation is a team-creation-time
@@ -643,13 +644,16 @@ def run_spmd(kernel: Callable, n_images: int,
     :class:`~repro.runtime.failure.FailureConfig` (with
     ``recover=True`` lost shipped functions re-execute on survivors).
     Dead images report ``None`` in the results list.
+    ``finalize(machine, rank)`` probes each rank once the run is over,
+    where that rank's machine lives; the values land in ``run.extras``
+    in rank order.
 
     ``backend`` selects the execution substrate: ``"sim"`` (default)
     runs every image on the deterministic simulator and returns the
     ``Machine``; ``"process"`` forks one OS process per image and
-    returns a :class:`~repro.backend.parallel.ParallelRun` in the
-    machine slot (same results-list semantics).  ``faults``,
-    ``racecheck``, ``schedule`` and ``max_events`` are
+    returns a :class:`~repro.backend.parallel.ParallelRun` (same
+    results-list semantics; a rank that died reports no extra).
+    ``faults``, ``racecheck``, ``schedule`` and ``max_events`` are
     simulator-only: the first three are refused by the part of a
     worker's machine that would have had to do them (see
     :func:`repro.backend.parallel.preflight`).
@@ -663,7 +667,8 @@ def run_spmd(kernel: Callable, n_images: int,
                   racecheck=racecheck, schedule=schedule)
         return run_spmd_process(
             kernel, n_images, params=params, seed=seed, args=args,
-            setup=setup, failure_detection=failure_detection)
+            setup=setup, failure_detection=failure_detection,
+            finalize=finalize)
     machine = Machine(n_images, params=params, seed=seed, faults=faults,
                       racecheck=racecheck, schedule=schedule,
                       failure_detection=failure_detection)
@@ -671,4 +676,7 @@ def run_spmd(kernel: Callable, n_images: int,
         setup(machine)
     machine.launch(kernel, args=args)
     results = machine.run(max_events=max_events)
+    if finalize is not None:
+        machine.extras = [finalize(machine, rank)
+                          for rank in range(n_images)]
     return machine, results

@@ -201,12 +201,9 @@ def _noop(img):
 
 
 class TestCompletionOrderInvariant:
-    # A forward's global_done rides a separate confirmation message, so
-    # a lost ack of the control message can heal after it: the order is
-    # pinned under faults only for the single-message and get paths.
     @pytest.mark.parametrize("case,chaos", [
         ("put", False), ("get", False), ("forward", False), ("spawn", False),
-        ("put", True), ("get", True), ("spawn", True)])
+        ("put", True), ("get", True), ("forward", True), ("spawn", True)])
     def test_ld_le_lo_le_global(self, fast_params, case, chaos):
         """Fig. 1's order holds for every operation, in simulated time —
         also when its message is dropped, retransmitted or duplicated

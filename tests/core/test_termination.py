@@ -85,11 +85,13 @@ class TestCorrectDetectors:
         """The §V criticism of X10's scheme: O(p) vectors of size O(p)
         concentrate at the owner."""
         owner_bytes = {}
-        for n in (4, 8):
+        for n in (4, 8, 16):
             m, _ = spmd(_chain_kernel("vector_count", chain_len=2), n=n)
             owner_bytes[n] = m.stats["term.vector.owner_bytes"]
-        # doubling p more than doubles owner traffic (vector size grows too)
+        # scaling p scales owner traffic superlinearly (vector size grows
+        # too): more than 2x from 4 to 8 images, more than 4x to 16
         assert owner_bytes[8] > 2 * owner_bytes[4]
+        assert owner_bytes[16] > 4 * owner_bytes[4]
 
 
 class TestBarrierFailure:

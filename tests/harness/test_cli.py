@@ -1,8 +1,11 @@
 """Tests for the `python -m repro.harness` entry point."""
 
+import dataclasses
+
 import pytest
 
-from repro.harness.__main__ import EXPERIMENTS, main
+from repro.harness import EXPERIMENTS
+from repro.harness.__main__ import main
 
 
 def test_experiment_registry_covers_every_figure():
@@ -21,7 +24,20 @@ def test_report_file(tmp_path, capsys):
     out_file = tmp_path / "report.txt"
     assert main(["--quick", "theorem1", "--out", str(out_file)]) == 0
     text = out_file.read_text()
+    assert text in capsys.readouterr().out
     assert "Theorem 1" in text
+
+
+def test_failed_shape_check_exits_nonzero_naming_it(monkeypatch, capsys):
+    def wrong(results):
+        raise AssertionError("the barrier is sound after all")
+
+    monkeypatch.setitem(EXPERIMENTS, "fig05", dataclasses.replace(
+        EXPERIMENTS["fig05"], check=wrong))
+    assert main(["--quick", "fig05", "theorem1"]) == 1
+    out = capsys.readouterr().out
+    assert "fig05: shape check FAILED: the barrier is sound" in out
+    assert out.rstrip().endswith("shape check failed: fig05")
 
 
 def test_unknown_experiment_rejected():

@@ -1,94 +1,90 @@
-"""Smoke tests for the experiment runners at tiny scales (full-scale
-shape assertions live in benchmarks/)."""
+"""Every registered experiment at its "quick" sweep: it runs, renders its
+table and passes its own shape check (the ci-scale run, and the check
+that EXPERIMENTS.md carries each table, is benchmarks/bench_experiments.py).
+"""
+
+import functools
 
 import pytest
 
-from repro.harness import (
-    ablation_detectors,
-    ablation_steal_chunk,
-    ablation_tree_radix,
-    fig05_barrier_failure,
-    fig12_cofence_micro,
-    fig13_randomaccess_scaling,
-    fig14_bunch_size,
-    fig16_uts_load_balance,
-    fig17_uts_efficiency,
-    fig18_allreduce_rounds,
-    theorem1_waves,
-)
-from repro.apps.uts import TreeParams
+from repro.harness import EXPERIMENTS
 
 
-def test_fig05(capsys):
-    outcomes = fig05_barrier_failure()
-    assert not outcomes["barrier"]["sound"]
-    assert outcomes["epoch"]["sound"]
-    assert "Fig. 5" in capsys.readouterr().out
+@functools.cache
+def quick(name):
+    entry = EXPERIMENTS[name]
+    return entry.run(**entry.sweeps["quick"])
 
 
-def test_fig12_tiny(capsys):
-    results = fig12_cofence_micro(cores=(4, 8), iterations=5)
+def sweep(name):
+    return EXPERIMENTS[name].sweeps["quick"]
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_quick_sweep_passes_its_shape_check(name):
+    entry = EXPERIMENTS[name]
+    results = quick(name)
+    assert entry.table(results).rows
+    entry.check(results)
+
+
+# Each figure's results cover its sweep, one point per swept value, and
+# the tiny-scale claims no shape check states hold.
+
+def test_fig05():
+    assert set(quick("fig05")) == {"barrier", "epoch"}
+
+
+def test_fig12_tiny():
+    results = quick("fig12")
     assert set(results) == {"finish", "events", "cofence"}
     for series in results.values():
-        assert set(series) == {4, 8}
+        assert tuple(series) == sweep("fig12")["cores"]
         assert all(t > 0 for t in series.values())
-    assert "Fig. 12" in capsys.readouterr().out
 
 
 def test_fig13_tiny():
-    results = fig13_randomaccess_scaling(
-        cores=(2, 4), updates_per_image=16,
-        finish_granularities=(2,), quiet=True)
-    assert "get-update-put" in results
-    assert "FS w/ 2 finish/img" in results
+    results = quick("fig13")
+    assert list(results) == ["get-update-put", "FS w/ 2 finish/img",
+                             "FS w/ 4 finish/img", "FS w/ 8 finish/img"]
 
 
 def test_fig14_tiny():
-    results = fig14_bunch_size(cores=(4,), bunch_sizes=(4, 16),
-                               updates_per_image=32, quiet=True)
-    assert results[4][4] > results[4][16]
+    results = quick("fig14")
+    for by_cores in results.values():
+        for series in by_cores.values():
+            assert tuple(series) == sweep("fig14")["bunch_sizes"]
+            assert series[4] > series[16]
 
 
 def test_fig16_tiny():
-    results = fig16_uts_load_balance(
-        cores=(4,), tree=TreeParams(max_depth=5), quiet=True)
-    assert 0 < results[4]["min"] <= 1 <= results[4]["max"]
-    assert len(results[4]["fractions"]) == 4
+    assert tuple(quick("fig16")) == sweep("fig16")["cores"]
 
 
 def test_fig17_tiny():
-    results = fig17_uts_efficiency(
-        cores=(2, 4), tree=TreeParams(max_depth=5), quiet=True)
+    results = quick("fig17")
+    assert tuple(results) == sweep("fig17")["cores"]
     assert 0 < results[4] <= results[2] <= 1.001
 
 
 def test_fig18_tiny():
-    results = fig18_allreduce_rounds(
-        cores=(4,), tree=TreeParams(max_depth=5), quiet=True)
-    assert results["epoch"][4] <= results["wave_unbounded"][4]
+    for series in quick("fig18").values():
+        assert tuple(series) == sweep("fig18")["cores"]
 
 
 def test_theorem1_tiny():
-    results = theorem1_waves(chain_lengths=(1, 2), n_images=4, quiet=True)
-    assert results[1]["waves"] <= 2
-    assert results[2]["waves"] <= 3
+    assert tuple(quick("theorem1")) == sweep("theorem1")["chain_lengths"]
 
 
 def test_ablation_detectors_tiny():
-    results = ablation_detectors(
-        n_images=4, tree=TreeParams(max_depth=5), quiet=True)
-    nodes = {row["total_nodes"] for row in results.values()}
-    assert len(nodes) == 1  # every detector counted the same tree
+    assert list(quick("detectors")) == ["epoch", "wave_drain",
+                                        "wave_unbounded", "four_counter",
+                                        "vector_count"]
 
 
 def test_ablation_radix_tiny():
-    results = ablation_tree_radix(radixes=(2, 4), n_images=8, repeats=3,
-                                  quiet=True)
-    assert set(results) == {2, 4}
+    assert tuple(quick("radix")) == sweep("radix")["radixes"]
 
 
 def test_ablation_steal_chunk_tiny():
-    results = ablation_steal_chunk(
-        medium_sizes=(80, 256), n_images=4,
-        tree=TreeParams(max_depth=5), quiet=True)
-    assert results[80]["chunk"] < results[256]["chunk"]
+    assert tuple(quick("steal_chunk")) == sweep("steal_chunk")["medium_sizes"]

@@ -18,10 +18,9 @@ SOURCES = {path.relative_to(SRC).as_posix(): path.read_text()
            for path in sorted(SRC.rglob("*.py"))}
 
 #: where a comparison against the backend name is allowed, and how often:
-#: the Machine's one (substrate, transport) site, and one launcher
-#: dispatch each in run_spmd, run_uts and run_randomaccess
-BACKEND_SITES = {"runtime/program.py": 2, "apps/uts.py": 1,
-                 "apps/randomaccess.py": 1}
+#: the Machine's one (substrate, transport) site, and the one launcher's
+#: dispatch in run_spmd (the apps pass their backend through it)
+BACKEND_SITES = {"runtime/program.py": 2}
 
 #: the membership/quarantine half of the transport contract
 CONTRACT_METHODS = ("_fail_fresh_send", "_park", "mark_suspect",
