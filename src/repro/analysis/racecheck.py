@@ -30,8 +30,8 @@ the ordering they rely on, in the style of dynamic data-race sanitizers:
   lock release → acquire    a per-lock-word clock
   ========================  =============================================
 
-- instrumented accesses (copy endpoints, blocking get/put, the lang
-  interpreter's local coarray accesses, and ``Image.local_read`` /
+- instrumented accesses (copy endpoints, blocking get/put, the local
+  coarray accesses of lowered surface programs, and ``Image.local_read`` /
   ``Image.local_write``) land in per-location shadow state; two
   overlapping accesses, at least one a write, with *incomparable* clocks
   are reported as a race with both sites named.
@@ -139,14 +139,16 @@ class OpClock:
 
 
 class ThreadClock:
-    """Per-activation clock state."""
+    """Per-activation clock state.  ``tid`` identifies the execution;
+    ``name`` is its activation's label, which two concurrent executions
+    of one shipped function on one image share."""
 
     __slots__ = ("tid", "name", "rank", "vc", "issued", "fence_ops",
                  "mut", "epoch")
 
     def __init__(self, tid: int, name: str, rank: int):
         self.tid = tid
-        self.name = f"{name}@{rank}"
+        self.name = name
         self.rank = rank
         self.vc: dict = {tid: 1}
         #: global ticks of started implicit ops (processor consistency +
@@ -191,6 +193,7 @@ class AccessSite:
     op: str           #: e.g. "copy.put.dest", "local.write", "copy.get.src"
     write: bool
     thread: str       #: activation label, e.g. "main@0" or "fn@3"
+    tid: int          #: the execution (ThreadClock.tid) the label names
     lo: int
     hi: int
     time: float
@@ -206,8 +209,8 @@ class AccessSite:
 
     def describe(self) -> str:
         rw = "write" if self.write else "read"
-        return (f"{rw} of [{self.lo}:{self.hi}) by {self.thread} "
-                f"({self.op}, t={self.time:.3e}s)")
+        return (f"{rw} of [{self.lo}:{self.hi}) by {self.thread}"
+                f"#{self.tid} ({self.op}, t={self.time:.3e}s)")
 
 
 @dataclass
@@ -328,8 +331,9 @@ class RaceDetector:
         base grows when its event fires, after its local tick may
         already have been joined."""
         key, lo, hi, pin = self._location(target, rank)
-        site = AccessSite(op=op, write=write, thread=thread.name, lo=lo,
-                          hi=hi, time=self.machine.sim.now, vc=vc, pin=pin,
+        site = AccessSite(op=op, write=write, thread=thread.name,
+                          tid=thread.tid, lo=lo, hi=hi,
+                          time=self.machine.sim.now, vc=vc, pin=pin,
                           epoch=epoch)
         self.machine.stats.incr("race.accesses")
         records = self._shadow.setdefault(key, [])
@@ -373,14 +377,15 @@ class RaceDetector:
 
     @staticmethod
     def _hint(old: AccessSite, new: AccessSite) -> str:
-        if old.thread == new.thread:
+        if old.tid == new.tid:
             return ("both accesses come from the same activation with no "
                     "completion edge between them: a cofence covering the "
                     "operation's class (or waiting its handle) after the "
                     "first access would order them")
-        return ("no cross-image edge orders these accesses: an "
-                "event_notify/event_wait pair, an enclosing finish, or a "
-                "lock would create the missing happens-before edge")
+        return ("no edge between the two activations orders these "
+                "accesses: an event_notify/event_wait pair, an enclosing "
+                "finish, or a lock would create the missing happens-before "
+                "edge")
 
     # -- asynchronous operations ------------------------------------------ #
 

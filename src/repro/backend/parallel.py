@@ -405,7 +405,10 @@ class ProcessRunner:
             stats.incr(key, value)
         run._seal(stats, time.monotonic() - self._t0)
         if raise_errors and run.errors:
-            raise run.errors[min(run.errors)]
+            from repro.sim.tasks import with_task_note
+
+            rank = min(run.errors)
+            raise with_task_note(run.errors[rank], f"main@{rank}")
         return run
 
     def _shutdown(self, run: ParallelRun) -> None:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 from repro.sim.engine import LivenessError, SimulationError
-from repro.sim.tasks import TaskFailed
 from repro.net.transport import RetryExhaustedError
 from repro.runtime.program import DeadlockError, Machine
 
@@ -127,8 +126,6 @@ def make_spmd_target(kernel: Callable, n_images: int, *,
             kind, message = "liveness", str(exc)
         except DeadlockError as exc:
             kind, message = "deadlock", str(exc)
-        except TaskFailed as exc:
-            kind, message = "task", str(exc)
         except RetryExhaustedError as exc:
             kind, message = "error", str(exc)
         except SimulationError as exc:
@@ -136,6 +133,9 @@ def make_spmd_target(kernel: Callable, n_images: int, *,
                 kind, message = "budget", str(exc)
             else:
                 kind, message = "error", str(exc)
+        except Exception as exc:  # noqa: BLE001 - what a main raised
+            kind = "task"
+            message = "; ".join([repr(exc), *getattr(exc, "__notes__", ())])
         if kind == "ok":
             if machine.racecheck is not None and machine.racecheck.races:
                 kind = "race"

@@ -1,6 +1,8 @@
 """Abstract syntax tree for the CAF 2.0 surface dialect.
 
-All nodes are frozen dataclasses; the interpreter dispatches on type.
+All nodes are frozen dataclasses; the lowering (:mod:`repro.lang.lower`)
+dispatches on type.  Statements carry the source line they start on, for
+compile errors; it takes no part in equality.
 ``Index`` captures Fortran-style selections ``a(i)``, ``a(lo:hi)`` and
 the co-dimension ``a(i)[p]`` that addresses another image's section.
 """
@@ -78,34 +80,40 @@ Expr = Union[Num, Str, Bool, Var, Index, BinOp, UnaryOp, Call]
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class Decl:
-    """``integer :: a, b(8), c(4)[*]`` — one entry per declared name."""
-    type_name: str           # integer | real | logical | event
+class Stmt:
+    """Base of every statement node."""
+    line: int = field(default=0, compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Decl(Stmt):
+    """``integer :: a, b(8), c(4)[*]`` parses to one Decl per name."""
+    type_name: str           # integer | real | logical | event | lock | team
     name: str
     shape: Optional[Expr]    # array extent or None for scalars
     codimension: bool        # declared with [*] (coarray / team event)
 
 
 @dataclass(frozen=True)
-class Assign:
+class Assign(Stmt):
     target: Expr             # Var or Index (possibly remote)
     value: Expr
 
 
 @dataclass(frozen=True)
-class CallStmt:
+class CallStmt(Stmt):
     call: Call
 
 
 @dataclass(frozen=True)
-class If:
+class If(Stmt):
     condition: Expr
     then_body: tuple
     else_body: tuple
 
 
 @dataclass(frozen=True)
-class Do:
+class Do(Stmt):
     var: str
     start: Expr
     stop: Expr
@@ -114,42 +122,42 @@ class Do:
 
 
 @dataclass(frozen=True)
-class DoWhile:
+class DoWhile(Stmt):
     condition: Expr
     body: tuple
 
 
 @dataclass(frozen=True)
-class Exit:
+class Exit(Stmt):
     """``exit`` — leave the innermost loop."""
 
 
 @dataclass(frozen=True)
-class Cycle:
+class Cycle(Stmt):
     """``cycle`` — next iteration of the innermost loop."""
 
 
 @dataclass(frozen=True)
-class Finish:
+class Finish(Stmt):
     body: tuple
     team: Optional[Expr] = None
 
 
 @dataclass(frozen=True)
-class Cofence:
+class Cofence(Stmt):
     downward: Optional[str]
     upward: Optional[str]
 
 
 @dataclass(frozen=True)
-class CopyAsync:
+class CopyAsync(Stmt):
     dest: Expr
     src: Expr
     events: tuple            # up to (pre, src_event, dest_event)
 
 
 @dataclass(frozen=True)
-class Spawn:
+class Spawn(Stmt):
     """``spawn name(args) [image]`` with optional completion event:
     ``spawn(e) name(args) [image]``."""
     function: str
@@ -159,17 +167,14 @@ class Spawn:
 
 
 @dataclass(frozen=True)
-class Print:
+class Print(Stmt):
     values: tuple
 
 
 @dataclass(frozen=True)
-class Return:
+class Return(Stmt):
     value: Optional[Expr]
 
-
-Stmt = Union[Decl, Assign, CallStmt, If, Do, DoWhile, Exit, Cycle,
-             Finish, Cofence, CopyAsync, Spawn, Print, Return]
 
 
 # --------------------------------------------------------------------- #

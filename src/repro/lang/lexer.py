@@ -4,13 +4,14 @@ Line-oriented, Fortran-flavoured: ``!`` starts a comment, keywords are
 case-insensitive, statements end at end-of-line (no continuations).
 Multi-word statement heads (``end finish``, ``do while``, ...) are left
 to the parser; the lexer only produces word/number/string/operator
-tokens plus NEWLINE and EOF.
+tokens plus NEWLINE and EOF.  One regular expression per token class,
+tried in order at each position.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 KEYWORDS = {
     "program", "end", "function", "subroutine", "call", "if", "then",
@@ -20,11 +21,17 @@ KEYWORDS = {
     "cycle",
 }
 
-#: multi-character operators, longest first
-_OPERATORS = [
-    "**", "==", "/=", "<=", ">=", "::", "=", "<", ">", "+", "-", "*",
-    "/", "(", ")", "[", "]", ",", ":", "%",
-]
+#: token class -> pattern; order matters (floats before integers,
+#: multi-character operators before their prefixes)
+_TOKENS = re.compile(r"""
+    (?P<SKIP>    [ \t\r]+ | ! .* )
+  | (?P<STRING>  " [^"]* " | ' [^']* ' )
+  | (?P<FLOAT>   (?: \d+ \. \d* | \. \d+ ) (?: [eE] [+-]? \d+ )?
+               | \d+ [eE] [+-]? \d+ )
+  | (?P<INT>     \d+ )
+  | (?P<WORD>    [^\W\d] \w* )
+  | (?P<OP>      \*\* | == | /= | <= | >= | :: | [=<>+\-*/()\[\],:%] )
+""", re.VERBOSE)
 
 
 class LexError(SyntaxError):
@@ -46,80 +53,28 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize a whole program; raises :class:`LexError` with line
     information on bad input."""
     tokens: list[Token] = []
-    for line_no, raw_line in enumerate(source.splitlines(), start=1):
-        line = raw_line.split("!", 1)[0]
-        tokens.extend(_tokenize_line(line, line_no))
-        if tokens and tokens[-1].kind != "NEWLINE":
+    lines = source.splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        pos, first = 0, len(tokens)
+        while pos < len(line):
+            m = _TOKENS.match(line, pos)
+            if m is None:
+                if line[pos] in "\"'":
+                    raise LexError(
+                        f"line {line_no}: unterminated string literal")
+                raise LexError(f"line {line_no}, column {pos + 1}: "
+                               f"unexpected character {line[pos]!r}")
+            kind, text = m.lastgroup, m.group()
+            if kind == "STRING":
+                text = text[1:-1]
+            elif kind == "WORD":
+                kind = "KEYWORD" if text.lower() in KEYWORDS else "NAME"
+                if kind == "KEYWORD":
+                    text = text.lower()
+            if kind != "SKIP":
+                tokens.append(Token(kind, text, line_no, pos))
+            pos = m.end()
+        if len(tokens) > first:
             tokens.append(Token("NEWLINE", "\n", line_no, len(line)))
-    tokens.append(Token("EOF", "", len(source.splitlines()) + 1, 0))
+    tokens.append(Token("EOF", "", len(lines) + 1, 0))
     return tokens
-
-
-def _tokenize_line(line: str, line_no: int) -> Iterator[Token]:
-    i = 0
-    n = len(line)
-    any_token = False
-    while i < n:
-        ch = line[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i
-        if ch == '"' or ch == "'":
-            end = line.find(ch, i + 1)
-            if end < 0:
-                raise LexError(
-                    f"line {line_no}: unterminated string literal")
-            yield Token("STRING", line[i + 1:end], line_no, col)
-            i = end + 1
-            any_token = True
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and line[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = line[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    # guard against `1..2` and range colons like `1.and`
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j + 1 < n and (
-                        line[j + 1].isdigit() or line[j + 1] in "+-"):
-                    seen_exp = True
-                    j += 2 if line[j + 1] in "+-" else 1
-                else:
-                    break
-            text = line[i:j]
-            kind = "FLOAT" if ("." in text or "e" in text or "E" in text) \
-                else "INT"
-            yield Token(kind, text, line_no, col)
-            i = j
-            any_token = True
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            word = line[i:j]
-            lowered = word.lower()
-            kind = "KEYWORD" if lowered in KEYWORDS else "NAME"
-            yield Token(kind, lowered if kind == "KEYWORD" else word,
-                        line_no, col)
-            i = j
-            any_token = True
-            continue
-        for op in _OPERATORS:
-            if line.startswith(op, i):
-                yield Token("OP", op, line_no, col)
-                i += len(op)
-                any_token = True
-                break
-        else:
-            raise LexError(
-                f"line {line_no}, column {col + 1}: "
-                f"unexpected character {ch!r}")
-    if any_token:
-        yield Token("NEWLINE", "\n", line_no, n)

@@ -126,9 +126,10 @@ class Parser:
             if self.check("KEYWORD", "else") or self.check("KEYWORD",
                                                            "elseif"):
                 return out
-            out.append(self.parse_statement())
+            stmt = self.parse_statement()
+            out.extend(stmt if isinstance(stmt, list) else [stmt])
 
-    def parse_statement(self) -> A.Stmt:
+    def parse_statement(self) -> A.Stmt | list[A.Decl]:
         tok = self.peek()
         if tok.kind == "KEYWORD":
             handler = {
@@ -157,21 +158,17 @@ class Parser:
             f"line {tok.line}: cannot start a statement with "
             f"{tok.value!r}")
 
-    def parse_decl(self) -> A.Decl:
+    def parse_decl(self) -> list[A.Decl]:
+        """``type :: a, b(n), c[*]``: one Decl per name."""
         type_tok = self.advance()
         self.expect("OP", "::")
-        items = [self._decl_item(type_tok.value)]
+        items = [self._decl_item(type_tok)]
         while self.match("OP", ","):
-            items.append(self._decl_item(type_tok.value))
+            items.append(self._decl_item(type_tok))
         self.end_of_statement()
-        if len(items) == 1:
-            return items[0]
-        # represent multi-declarations as an If-less grouping: flatten by
-        # returning a tuple is awkward; emit a synthetic block instead.
-        return A.If(condition=A.Bool(True), then_body=tuple(items),
-                    else_body=())
+        return items
 
-    def _decl_item(self, type_name: str) -> A.Decl:
+    def _decl_item(self, type_tok: Token) -> A.Decl:
         name = self.expect("NAME").value
         shape = None
         codim = False
@@ -182,10 +179,11 @@ class Parser:
             self.expect("OP", "*")
             self.expect("OP", "]")
             codim = True
-        return A.Decl(type_name=type_name, name=name, shape=shape,
-                      codimension=codim)
+        return A.Decl(type_name=type_tok.value, name=name, shape=shape,
+                      codimension=codim, line=type_tok.line)
 
     def parse_assignment(self) -> A.Assign:
+        line = self.peek().line
         target = self.parse_postfix()
         if not isinstance(target, (A.Var, A.Index)):
             raise ParseError("assignment target must be a variable or "
@@ -193,10 +191,10 @@ class Parser:
         self.expect("OP", "=")
         value = self.parse_expression()
         self.end_of_statement()
-        return A.Assign(target=target, value=value)
+        return A.Assign(target=target, value=value, line=line)
 
     def parse_call_stmt(self) -> A.CallStmt:
-        self.expect("KEYWORD", "call")
+        line = self.expect("KEYWORD", "call").line
         # `lock` is a declaration keyword but also a callable builtin
         if self.check("KEYWORD", "lock"):
             name = self.advance().value
@@ -210,10 +208,10 @@ class Parser:
                     args.append(self.parse_expression())
             self.expect("OP", ")")
         self.end_of_statement()
-        return A.CallStmt(A.Call(name=name, args=tuple(args)))
+        return A.CallStmt(A.Call(name=name, args=tuple(args)), line=line)
 
     def parse_if(self) -> A.If:
-        self.expect("KEYWORD", "if")
+        line = self.expect("KEYWORD", "if").line
         self.expect("OP", "(")
         condition = self.parse_expression()
         self.expect("OP", ")")
@@ -224,22 +222,25 @@ class Parser:
         if self.match("KEYWORD", "else"):
             if self.check("KEYWORD", "if"):
                 else_body = [self.parse_if()]
-                return A.If(condition, tuple(then_body), tuple(else_body))
+                return A.If(condition, tuple(then_body), tuple(else_body),
+                            line=line)
             self.end_of_statement()
             else_body = self.parse_statements(until=("if",))
         elif self.check("KEYWORD", "elseif"):
-            self.advance()
+            tok = self.advance()
             # rewrite `elseif (...)` as `else` + nested `if`
-            self.tokens.insert(self.pos, Token("KEYWORD", "if", 0, 0))
+            self.tokens.insert(self.pos, Token("KEYWORD", "if", tok.line,
+                                               tok.col))
             else_body = [self.parse_if()]
-            return A.If(condition, tuple(then_body), tuple(else_body))
+            return A.If(condition, tuple(then_body), tuple(else_body),
+                        line=line)
         self.expect("KEYWORD", "end")
         self.expect("KEYWORD", "if")
         self.end_of_statement()
-        return A.If(condition, tuple(then_body), tuple(else_body))
+        return A.If(condition, tuple(then_body), tuple(else_body), line=line)
 
     def parse_do(self) -> A.Stmt:
-        self.expect("KEYWORD", "do")
+        line = self.expect("KEYWORD", "do").line
         if self.match("KEYWORD", "while"):
             self.expect("OP", "(")
             condition = self.parse_expression()
@@ -249,7 +250,8 @@ class Parser:
             self.expect("KEYWORD", "end")
             self.expect("KEYWORD", "do")
             self.end_of_statement()
-            return A.DoWhile(condition=condition, body=tuple(body))
+            return A.DoWhile(condition=condition, body=tuple(body),
+                             line=line)
         var = self.expect("NAME").value
         self.expect("OP", "=")
         start = self.parse_expression()
@@ -264,10 +266,10 @@ class Parser:
         self.expect("KEYWORD", "do")
         self.end_of_statement()
         return A.Do(var=var, start=start, stop=stop, step=step,
-                    body=tuple(body))
+                    body=tuple(body), line=line)
 
     def parse_finish(self) -> A.Finish:
-        self.expect("KEYWORD", "finish")
+        line = self.expect("KEYWORD", "finish").line
         team = None
         if self.match("OP", "("):
             team = self.parse_expression()
@@ -277,10 +279,10 @@ class Parser:
         self.expect("KEYWORD", "end")
         self.expect("KEYWORD", "finish")
         self.end_of_statement()
-        return A.Finish(body=tuple(body), team=team)
+        return A.Finish(body=tuple(body), team=team, line=line)
 
     def parse_cofence(self) -> A.Cofence:
-        self.expect("KEYWORD", "cofence")
+        line = self.expect("KEYWORD", "cofence").line
         downward = upward = None
         if self.match("OP", "("):
             while not self.check("OP", ")"):
@@ -304,10 +306,10 @@ class Parser:
                     break
             self.expect("OP", ")")
         self.end_of_statement()
-        return A.Cofence(downward=downward, upward=upward)
+        return A.Cofence(downward=downward, upward=upward, line=line)
 
     def parse_copy_async(self) -> A.CopyAsync:
-        self.expect("KEYWORD", "copy_async")
+        line = self.expect("KEYWORD", "copy_async").line
         self.expect("OP", "(")
         dest = self.parse_expression()
         self.expect("OP", ",")
@@ -320,10 +322,11 @@ class Parser:
         if len(events) > 3:
             raise ParseError("copy_async takes at most 3 event arguments "
                              "(pre, src, dest)")
-        return A.CopyAsync(dest=dest, src=src, events=tuple(events))
+        return A.CopyAsync(dest=dest, src=src, events=tuple(events),
+                           line=line)
 
     def parse_spawn(self) -> A.Spawn:
-        self.expect("KEYWORD", "spawn")
+        line = self.expect("KEYWORD", "spawn").line
         event = None
         if self.match("OP", "("):
             event = self.parse_expression()
@@ -341,34 +344,34 @@ class Parser:
         self.expect("OP", "]")
         self.end_of_statement()
         return A.Spawn(function=name, args=tuple(args), image=image,
-                       event=event)
+                       event=event, line=line)
 
     def parse_print(self) -> A.Print:
-        self.expect("KEYWORD", "print")
+        line = self.expect("KEYWORD", "print").line
         self.expect("OP", "*")
         values: list = []
         while self.match("OP", ","):
             values.append(self.parse_expression())
         self.end_of_statement()
-        return A.Print(values=tuple(values))
+        return A.Print(values=tuple(values), line=line)
 
     def parse_return(self) -> A.Return:
-        self.expect("KEYWORD", "return")
+        line = self.expect("KEYWORD", "return").line
         value = None
         if not self.check("NEWLINE") and not self.check("EOF"):
             value = self.parse_expression()
         self.end_of_statement()
-        return A.Return(value=value)
+        return A.Return(value=value, line=line)
 
     def parse_exit(self) -> A.Exit:
-        self.expect("KEYWORD", "exit")
+        line = self.expect("KEYWORD", "exit").line
         self.end_of_statement()
-        return A.Exit()
+        return A.Exit(line=line)
 
     def parse_cycle(self) -> A.Cycle:
-        self.expect("KEYWORD", "cycle")
+        line = self.expect("KEYWORD", "cycle").line
         self.end_of_statement()
-        return A.Cycle()
+        return A.Cycle(line=line)
 
     # -- expressions ---------------------------------------------------------- #
 

@@ -486,8 +486,8 @@ class Image:
 
     def _rc_access(self, target, write: bool) -> None:
         """Report a synchronous local access to the race detector (no-op
-        when detection is off).  Used by the interpreter's coarray
-        accesses and the local_read/local_write convenience API."""
+        when detection is off).  Used by lowered surface programs'
+        coarray accesses and the local_read/local_write convenience API."""
         if self.machine.racecheck is not None:
             self.machine.racecheck.record_direct(self.activation, target,
                                                  self.rank, write)

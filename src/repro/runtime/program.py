@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.sim.engine import LivenessError, Simulator
 from repro.sim.rng import RngPool
-from repro.sim.tasks import Task
+from repro.sim.tasks import Task, TaskFailed, with_task_note
 from repro.sim.trace import IntervalAccumulator, Stats
 from repro.net.faults import FaultPlan
 from repro.net.topology import MachineParams
@@ -525,7 +525,8 @@ class Machine:
         (sim), or let the worker loop drive (process)."""
         tasks = []
         for rank in self.local_ranks:
-            activation = Activation(self.image_state(rank), name="main")
+            activation = Activation(self.image_state(rank),
+                                    name=f"main@{rank}")
             img = Image(self, rank, activation)
             tasks.append(Task(self.sim, kernel(img, *args),
                               name=f"main@{rank}", owner=rank))
@@ -574,22 +575,23 @@ class Machine:
         raise LivenessError(stall_report(self, blocked))
 
     @staticmethod
-    def _unwrap(exc: BaseException) -> BaseException:
-        """Failures of an image's main program arrive wrapped in
-        TaskFailed; surface a structured ImageFailureError directly so
-        callers can catch the typed error."""
-        from repro.runtime.failure import ImageFailureError
-
-        if isinstance(exc.__cause__, ImageFailureError):
-            return exc.__cause__
-        return exc
+    def _failure(task: Task) -> BaseException:
+        """What a failed main program raised, as it raised it (the
+        engine's TaskFailed wrapper dropped, as a process run drops it),
+        with a note naming the task."""
+        exc = task.done_future.exception()
+        if isinstance(exc, TaskFailed) and exc.__cause__ is not None:
+            exc = exc.__cause__
+        return with_task_note(exc, task.name)
 
     def run(self, max_events: Optional[int] = None) -> list[Any]:
         """Run the simulation to completion and return the main-program
-        results in rank order.  Raises :class:`DeadlockError` with the
-        blocked ranks if the machine wedges, or lets the liveness
-        watchdog's :class:`~repro.sim.engine.LivenessError` propagate
-        when injected faults stalled the workload."""
+        results in rank order.  A main program that raised re-raises
+        its own exception (noted with the task's name); otherwise raises
+        :class:`DeadlockError` with the blocked ranks if the machine
+        wedges, or lets the liveness watchdog's
+        :class:`~repro.sim.engine.LivenessError` propagate when injected
+        faults stalled the workload."""
         if self.remote_ranks:
             raise RuntimeError(
                 "Machine.run drives a machine that hosts every rank; a "
@@ -605,14 +607,14 @@ class Machine:
             # collectives); surface the root cause, not the symptom.
             for t in self._main_tasks:
                 if t.done_future.done and t.done_future.exception():
-                    raise self._unwrap(t.done_future.exception())
+                    raise self._failure(t)
             raise DeadlockError(
                 f"simulation drained with blocked main programs: {blocked} "
                 f"(t={self.sim.now:.6f}s)"
             )
         for t in self._main_tasks:
             if t.done_future.done and t.done_future.exception():
-                raise self._unwrap(t.done_future.exception())
+                raise self._failure(t)
         # A main that completed before its image crashed still has a
         # result; only mains the crash interrupted report None.
         return [t.done_future.result() if t.done_future.done else None

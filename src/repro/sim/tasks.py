@@ -52,6 +52,16 @@ class TaskFailed(RuntimeError):
     """An exception escaped a task's generator."""
 
 
+def with_task_note(exc: BaseException, task_name: str) -> BaseException:
+    """``exc`` with a PEP 678 note naming the task it escaped from: how
+    a launcher re-raises a main program's own exception."""
+    note = f"task {task_name!r} failed"
+    notes = getattr(exc, "__notes__", [])
+    if note not in notes:
+        exc.__notes__ = [*notes, note]  # add_note, also on Python 3.10
+    return exc
+
+
 class Delay:
     """Directive: advance the yielding task's clock by ``dt`` seconds."""
 

@@ -221,6 +221,34 @@ class TestFinishAndSpawnEdges:
         assert races(machine) == []
 
 
+class TestConcurrentActivations:
+    def test_two_executions_of_one_function_are_two_activations(self, spmd):
+        """Two shipped ``bump``s on image 1 share a label, not an
+        activation: the lost update is a cross-activation race, and the
+        report must not advise a cofence."""
+        def bump(image):
+            ref = image.machine.coarray_by_name("T").ref(image.rank, 0)
+            value = image.local_read(ref)
+            yield from image.compute(1e-6)
+            image.local_write(ref, value + 1)
+
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 0:
+                yield from img.spawn(bump, 1)
+                yield from img.spawn(bump, 1)
+            yield from img.finish_end()
+
+        machine, _ = spmd(kernel, n=2, setup=_setup, racecheck=True)
+        assert machine.coarray_by_name("T").local_at(1)[0] == 1.0  # lost
+        assert races(machine)
+        for report in races(machine):
+            assert report.a.thread == report.b.thread == "bump@1"
+            assert report.a.tid != report.b.tid
+            assert "same activation" not in report.hint
+            assert f"bump@1#{report.a.tid}" in str(report)
+
+
 class TestLockEdges:
     def kernel(self, img, locked):
         T = img.machine.coarray_by_name("T")

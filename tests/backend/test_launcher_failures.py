@@ -1,9 +1,10 @@
 """The one launcher fails cleanly (ROADMAP item 1, robustness half).
 
-A process run that goes wrong must end in a typed error at the caller —
-the payload that cannot cross the wire, the application's own exception,
-or the coordinator's timeout carrying what it did collect — and leave
-nothing behind: no live worker process, no extra coordinator thread.
+A run that goes wrong must end in a typed error at the caller — the
+payload that cannot cross the wire, the application's own exception
+(on either backend, noted with the failing task), or the coordinator's
+timeout carrying what it did collect — and leave nothing behind: no
+live worker process, no extra coordinator thread.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def test_unpicklable_shipped_argument_is_a_wire_error(leaves_nothing_behind):
         run_spmd(_ships_a_lambda, 2, backend="process")
 
 
-def test_application_exception_keeps_its_type(leaves_nothing_behind):
-    with pytest.raises(KeyError, match="missing on rank 1"):
-        run_spmd(_key_error_on_rank_1, 2, backend="process")
+@pytest.mark.parametrize("backend", ["sim", "process"])
+def test_application_exception_keeps_its_type(backend, leaves_nothing_behind):
+    with pytest.raises(KeyError, match="(?s)missing on rank 1.*main@1"):
+        run_spmd(_key_error_on_rank_1, 2, backend=backend)
 
 
 def test_hung_kernel_times_out_with_the_partial_run(leaves_nothing_behind):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.runtime.memory_model import ANY, READ, WRITE
-from repro.sim.tasks import TaskFailed
 
 
 def _setup(m):
@@ -236,5 +235,5 @@ class TestUpwardRecorded:
         def kernel(img):
             yield from img.cofence(upward="sideways")
 
-        with pytest.raises(TaskFailed):
+        with pytest.raises(ValueError, match="invalid cofence class"):
             spmd(kernel, n=1, setup=_setup)

@@ -60,12 +60,10 @@ class TestRingAllreduce:
         assert all(results)
 
     def test_rejects_2d(self, spmd):
-        from repro.sim.tasks import TaskFailed
-
         def kernel(img):
             yield from img.ring_allreduce(np.ones((2, 2)))
 
-        with pytest.raises(TaskFailed):
+        with pytest.raises(ValueError, match="1-D"):
             spmd(kernel, n=2)
 
     def test_bandwidth_advantage_for_large_arrays(self, spmd, fast_params):
@@ -156,10 +154,8 @@ class TestPipelinedBroadcast:
         assert max(pipe_t) < max(tree_t)
 
     def test_invalid_segments(self, spmd):
-        from repro.sim.tasks import TaskFailed
-
         def kernel(img):
             yield from img.pipelined_broadcast(np.ones(4), segments=0)
 
-        with pytest.raises(TaskFailed):
+        with pytest.raises(ValueError, match="segments"):
             spmd(kernel, n=2)

@@ -2,8 +2,9 @@
 
 One runtime runs over two (substrate, transport) pairs (DESIGN.md
 §14.1-14.2): the Machine picks the pair in one place, the launchers
-dispatch once each, the send gate / membership / quarantine live in one
-base class, and the liveness report asks the transport for a snapshot.
+dispatch once each and are the only code that builds and launches a
+machine, the send gate / membership / quarantine live in one base
+class, and the liveness report asks the transport for a snapshot.
 Each of those is easy to erode one convenient ``if backend == ...`` at a
 time, so this reads the source — nothing is imported or run — and fails
 when a count regrows.
@@ -21,6 +22,14 @@ SOURCES = {path.relative_to(SRC).as_posix(): path.read_text()
 #: the Machine's one (substrate, transport) site, and the one launcher's
 #: dispatch in run_spmd (the apps pass their backend through it)
 BACKEND_SITES = {"runtime/program.py": 2}
+
+#: who builds a Machine: the one launcher (``run_spmd``) and the process
+#: workers it forks, the explorer (which inspects the machine after
+#: ``run`` raises) and the harness's steal-chunk probe
+MACHINE_SITES = {"runtime/program.py", "backend/parallel.py",
+                 "explore/explorer.py", "harness/experiments.py"}
+#: who launches one: the same, less the probe (which never runs)
+LAUNCH_SITES = MACHINE_SITES - {"harness/experiments.py"}
 
 #: the membership/quarantine half of the transport contract
 CONTRACT_METHODS = ("_fail_fresh_send", "_park", "mark_suspect",
@@ -79,3 +88,21 @@ def test_stall_report_asks_for_the_snapshot():
         if isinstance(node, ast.Attribute) and root(node.value) == "net":
             assert not node.attr.startswith("_"), ast.unparse(node)
     assert "diagnostics()" in ast.unparse(report)
+
+
+def test_machines_are_built_and_launched_by_the_launchers_only():
+    """Anything else — the surface language included — hands a kernel
+    to ``run_spmd`` and so takes its race detector, fault plans and
+    schedules."""
+    built, launched = set(), set()
+    for name, text in SOURCES.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "Machine":
+                built.add(name)
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "launch"):
+                launched.add(name)
+    assert built == MACHINE_SITES
+    assert launched == LAUNCH_SITES

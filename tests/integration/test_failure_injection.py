@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import MachineParams, run_spmd
-from repro.sim.tasks import TaskFailed
 
 
 class TestFailingShippedFunctions:
@@ -57,7 +56,7 @@ class TestFailingShippedFunctions:
             if img.rank == 1:
                 raise KeyError("user bug on image 1")
 
-        with pytest.raises(TaskFailed, match="main@1"):
+        with pytest.raises(KeyError, match="main@1"):
             spmd(kernel, n=2)
 
 

@@ -1,21 +1,37 @@
 """Unit tests for the surface-dialect builtins."""
 
-import numpy as np
 import pytest
 
-from repro.lang import builtins as B
-from repro.lang import run_program
+from repro.lang import CafError, run_program
 
 
-def test_lookup_is_case_insensitive_and_total():
-    assert B.lookup("MOD") is B.lookup("mod") is not None
-    assert B.lookup("nonesuch") is None
+def test_builtin_names_are_case_insensitive():
+    src = ("program t\ncall TEAM_BARRIER()\n"
+           "return MOD(17, 5) * 10 + Mod(7, 5)\nend program")
+    _m, results, _p = run_program(src, 2, capture_prints=True)
+    assert results == [22, 22]
+    with pytest.raises(CafError, match="unknown function .*'nonesuch'"):
+        run_program("program t\nreturn nonesuch(1, 2)\nend program", 1)
 
 
-def test_event_arg_builtins_registry():
-    assert B.EVENT_ARG_BUILTINS == {"event_wait", "event_notify"}
-    for name in B.EVENT_ARG_BUILTINS:
-        assert B.lookup(name) is not None
+def test_event_builtins_take_a_coindexed_event():
+    src = """
+program t
+  event :: e[*]
+  if (this_image() == 1) then
+    call EVENT_NOTIFY(e[0], 2)
+  end if
+  if (this_image() == 0) then
+    call event_wait(e, 2)
+  end if
+  return 1
+end program
+"""
+    _m, results, _p = run_program(src, 2, capture_prints=True)
+    assert results == [1, 1]
+    with pytest.raises(CafError, match="'v' is not an event"):
+        run_program("program t\ninteger :: v\ncall event_wait(v)\n"
+                    "end program", 1)
 
 
 class TestIntrinsicsThroughPrograms:

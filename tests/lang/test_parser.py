@@ -53,9 +53,9 @@ class TestDeclarations:
         assert decl.codimension
 
     def test_multi_declaration(self):
-        (group,) = parse_body("integer :: a, b(4), c[*]")
-        names = [d.name for d in group.then_body]
-        assert names == ["a", "b", "c"]
+        decls = parse_body("integer :: a, b(4), c[*]")
+        assert [d.name for d in decls] == ["a", "b", "c"]
+        assert all(d.type_name == "integer" and d.line == 2 for d in decls)
 
     def test_event_and_lock(self):
         body = parse_body("event :: e[*]\nlock :: l[*]")

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.lang import run_program
-from repro.sim.tasks import TaskFailed
+from repro.lang import CafError, run_program
 
 
 def run(source, n=6):
@@ -89,7 +88,7 @@ program t
   end finish
 end program
 """
-    with pytest.raises(TaskFailed, match="team value"):
+    with pytest.raises(CafError, match="team value"):
         run(src, n=2)
 
 

@@ -99,9 +99,9 @@ class TestRunSpmd:
             yield from img.compute(1e-6)
             raise RuntimeError("user bug")
 
-        from repro.sim.tasks import TaskFailed
-        with pytest.raises(TaskFailed, match="main@0"):
+        with pytest.raises(RuntimeError, match="(?s)user bug.*main@0") as err:
             run_spmd(kernel, n_images=1)
+        assert type(err.value) is RuntimeError  # the kernel's own
 
     def test_busy_accounting(self):
         def kernel(img):
@@ -182,10 +182,9 @@ class TestWaitHelpers:
         def kernel(img):
             yield from img.wait_any([])
 
-        from repro.sim.tasks import TaskFailed
         m = Machine(1)
         m.launch(kernel)
-        with pytest.raises(TaskFailed):
+        with pytest.raises(ValueError, match="no operations"):
             m.run()
 
 
