@@ -40,6 +40,8 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
+from repro.sim.engine import OwnedTasks
+
 #: Scheduled entry: ``[time, seq, fn, args]``; ``fn is None`` = cancelled.
 Event = List[Any]
 
@@ -49,7 +51,7 @@ Event = List[Any]
 _PROGRESS_EVERY = 64
 
 
-class RealtimeScheduler:
+class RealtimeScheduler(OwnedTasks):
     """A minimal wall-clock run loop satisfying the Substrate protocol."""
 
     def __init__(self) -> None:
@@ -59,7 +61,7 @@ class RealtimeScheduler:
         self._seq = 0
         self._events_processed = 0
         self._task_seq = 0
-        self._tasks: list[Any] = []
+        self._init_task_registry()
         self._stop_flag = False
         #: ``progress(timeout)``, called at every progress point of
         #: :meth:`run` with 0.0 (work is waiting), the seconds to the
@@ -87,23 +89,6 @@ class RealtimeScheduler:
     def next_task_id(self) -> int:
         self._task_seq += 1
         return self._task_seq
-
-    def _register_task(self, task: Any) -> None:
-        self._tasks.append(task)
-
-    def kill_owner(self, owner: int) -> int:
-        killed = 0
-        keep = []
-        for task in self._tasks:
-            if task._killed or task.done_future.done:
-                continue
-            if task.owner == owner:
-                task.kill()
-                killed += 1
-            else:
-                keep.append(task)
-        self._tasks = keep
-        return killed
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         if delay <= 0.0:

@@ -128,7 +128,10 @@ class FinishFrame:
     Slotted and peer-sparse: every per-peer map holds entries only for
     peers this image actually exchanged counted messages with, so a
     frame's footprint follows the communication degree, not the image
-    count (DESIGN.md §13)."""
+    count (DESIGN.md §13).
+
+    Counter events call ``cond.wake()`` only while a task waits on the
+    condition: nearly every event happens with nobody waiting."""
 
     __slots__ = ("machine", "world_rank", "team", "seq", "key", "even",
                  "odd", "present", "gen", "contributed", "cond", "rounds",
@@ -214,7 +217,8 @@ class FinishFrame:
         self.present = self.even
         self.gen += 1
         self.contributed = False
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
 
     # -- counter events ---------------------------------------------------- #
 
@@ -254,7 +258,8 @@ class FinishFrame:
         self.c_sent += 1
         if dst is not None:
             self.sent_to[dst] = self.sent_to.get(dst, 0) + 1
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
         return (tag_odd, self.gen, dst)
 
     def on_delivered(self, stamp: tuple) -> None:
@@ -265,7 +270,8 @@ class FinishFrame:
         self.c_delivered += 1
         if dst is not None:
             self.delivered_to[dst] = self.delivered_to.get(dst, 0) + 1
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
 
     def on_send_failed(self, stamp: tuple) -> None:
         """A counted send was reported undeliverable (peer failed):
@@ -277,7 +283,8 @@ class FinishFrame:
         if dst is not None and dst in self.sent_to:
             self.sent_to[dst] -= 1
         self.machine.stats.incr("finish.sends_failed")
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
 
     def on_delivery_outcome(self, stamp: tuple, fut) -> None:
         """Done-callback body for a counted send's ``delivered`` future:
@@ -302,7 +309,8 @@ class FinishFrame:
         self.c_received += 1
         if src is not None:
             self.received_from[src] = self.received_from.get(src, 0) + 1
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
         return (tag_odd, self.gen, src)
 
     def on_completed(self, stamp: tuple) -> None:
@@ -313,7 +321,8 @@ class FinishFrame:
         self.c_completed += 1
         if src is not None:
             self.completed_from[src] = self.completed_from.get(src, 0) + 1
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
 
     # -- failure reconciliation ----------------------------------------- #
 
@@ -345,7 +354,8 @@ class FinishFrame:
             del self.ledger[spawn_id]
         self._reconcile_stamps[dead] = (d, r, c, lost)
         self.machine.stats.incr("finish.reconciled")
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
         return lost
 
     def unreconcile(self, peer: int) -> None:
@@ -383,7 +393,8 @@ class FinishFrame:
         # flushed), not lost.
         self.ledger.update(lost)
         self.machine.stats.incr("finish.unreconciled")
-        self.cond.wake()
+        if self.cond._waiters:
+            self.cond.wake()
 
     def snapshot(self) -> dict:
         """Counter snapshot for liveness diagnostics (see

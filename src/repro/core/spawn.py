@@ -35,17 +35,18 @@ import numpy as np
 
 from repro.runtime.coarray import CoarrayRef, ImageSection, Coarray
 from repro.runtime.event import EventRef, EventVar
-from repro.runtime.memory_model import Activation
-from repro.runtime.sizeof import sizeof
+from repro.runtime.memory_model import Activation, PendingOp
+from repro.runtime.sizeof import WORD, sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
 from repro.net.transport import PeerFailedError
 from repro.core.completion import RESOLVED, AsyncOp
-from repro.core import finish as fin
+# benchmarks/e2e/test_e2e.py reaches finish's helpers through this name
+from repro.core import finish as fin  # noqa: F401
 
 _EXEC = "spawn.exec"
-#: machine.scratch key: {shipped function: its activation name}, which
-#: doubles as the record of functions already validated
+#: machine.scratch key: {shipped function: {target image: activation
+#: name}}, which doubles as the record of functions already validated
 _FN_NAMES = "spawn.fn_names"
 
 #: fixed descriptor bytes per spawn (function id, frame key, tag, header)
@@ -66,7 +67,10 @@ def _pack(args: tuple) -> tuple[int, tuple]:
     size = SPAWN_HEADER_BYTES
     shipped = []
     for arg in args:
-        if isinstance(arg, _BY_REFERENCE):
+        cls = arg.__class__
+        if cls is int or cls is float:
+            size += WORD  # what sizeof charges a scalar; immutable
+        elif isinstance(arg, _BY_REFERENCE):
             size += REF_BYTES
         else:
             size += sizeof(arg)
@@ -89,30 +93,36 @@ def register_handlers(machine) -> None:
     machine.am.register(_EXEC, _make_exec_handler(machine))
 
 
-def _activation_name(machine, fn) -> str:
-    """The name shipped executions of ``fn`` run under; validates ``fn``
-    the first time this machine sees it."""
+def _activation_name(machine, fn, dst: int) -> str:
+    """The name executions of ``fn`` shipped to image ``dst`` run under,
+    formatted once per pair; validates ``fn`` the first time this
+    machine sees it."""
+    try:
+        return machine.scratch[_FN_NAMES][fn][dst]
+    except KeyError:
+        pass
     names = machine.scratch.setdefault(_FN_NAMES, {})
-    name = names.get(fn)
-    if name is None:
+    per_dst = names.get(fn)
+    if per_dst is None:
         if not inspect.isgeneratorfunction(fn):
             raise TypeError(
                 f"spawned function {fn!r} must be a generator function "
                 "(def f(image, ...): ... yield ...)"
             )
-        name = names[fn] = getattr(fn, "__name__", "fn")
+        per_dst = names[fn] = {}
+    name = per_dst[dst] = f"{getattr(fn, '__name__', 'fn')}@{dst}"
     return name
 
 
 def _make_exec_handler(machine):
-    def handle_exec(ctx, fn, args, key, tag, event_ref, name, rc_vc=None,
+    def handle_exec(ctx, fn, args, key, tag, event_ref, rc_vc=None,
                     spawn_id=None):
         # Count reception before the function body runs: the message has
         # landed even if the task runs long (Fig. 7 separates received
         # from completed for exactly this reason).
         frame = recv_stamp = None
         if key is not None:
-            frame = fin.frame_at(machine, ctx.image, key)
+            frame = machine.get_or_create_frame(ctx.image, key)
             recv_stamp = frame.on_received(bool(tag), ctx.src)
         # Recovery idempotency: when a failure service with recovery is
         # attached, every execution is recorded under its spawn id and a
@@ -128,7 +138,8 @@ def _make_exec_handler(machine):
             else:
                 done_ids.add(spawn_id)
         activation = Activation(
-            machine.image_state(ctx.image), finish_frame=frame, name=name)
+            machine.image_state(ctx.image), finish_frame=frame,
+            name=_activation_name(machine, fn, ctx.image))
         activation.cause = recv_stamp
         if machine.racecheck is not None:
             machine.racecheck.activation_begin(activation, rc_vc)
@@ -162,9 +173,8 @@ def spawn(ctx, fn, target: int, *args: Any,
     message's (:meth:`AsyncOp.of_message`).
     """
     machine = ctx.machine
-    fn_name = _activation_name(machine, fn)
-    team = team if team is not None else ctx.team_world
-    dst = team.world_rank(target)
+    dst = (team if team is not None else ctx.team_world).world_rank(target)
+    name = _activation_name(machine, fn, dst)
 
     event_ref = None
     if event is not None:
@@ -174,7 +184,6 @@ def spawn(ctx, fn, target: int, *args: Any,
     activation = ctx.activation
     frame = activation.current_frame() if implicit else None
 
-    name = f"{fn_name}@{dst}"
     size, shipped_args = _pack(args)
     spawn_id = machine.next_spawn_id()
 
@@ -208,12 +217,16 @@ def spawn(ctx, fn, target: int, *args: Any,
     if machine.racecheck is not None:
         rcop = machine.racecheck.spawn_begin(ctx, implicit)
         rc_vc = rcop.vc_local()
-    receipt = yield from machine.am.request(
-        ctx.rank, dst, _EXEC,
-        args=(fn, shipped_args, key, tag, event_ref, name, rc_vc, spawn_id),
-        payload_size=size, category=AMCategory.MEDIUM,
-        want_ack=True, kind="spawn",
-    )
+    am = machine.am
+    exec_args = (fn, shipped_args, key, tag, event_ref, rc_vc, spawn_id)
+    if am.credits is None:
+        receipt = am.request_nb(
+            ctx.rank, dst, _EXEC, args=exec_args, payload_size=size,
+            category=AMCategory.MEDIUM, want_ack=True, kind="spawn")
+    else:
+        receipt = yield from am.request(
+            ctx.rank, dst, _EXEC, args=exec_args, payload_size=size,
+            category=AMCategory.MEDIUM, want_ack=True, kind="spawn")
     # The initiator cannot observe execution completion without an event;
     # global completion is finish's business.  local_op is the strongest
     # initiator-side guarantee the handle itself carries.
@@ -221,13 +234,16 @@ def spawn(ctx, fn, target: int, *args: Any,
     op.rc = rcop
     if frame is not None:
         receipt.delivered.add_done_callback(
-            partial(_delivery_outcome, frame, stamp, spawn_id))
+            partial(_delivery_outcome, frame, stamp, spawn_id) if recover
+            else partial(frame.on_delivery_outcome, stamp))
 
     if implicit:
-        activation.register(
-            op.make_pending(reads_local=True, writes_local=False,
-                            released=op.local_op,
-                            op_id=machine.next_op_id()))
+        # Reads its argument buffer, writes nothing local; released by
+        # the delivery ack (the handle's local_op).
+        op.pending_op = PendingOp("spawn", True, False, receipt.injected,
+                                  receipt.delivered,
+                                  op_id=machine.next_op_id())
+        activation.register(op.pending_op)
         if machine.racecheck is not None:
             machine.racecheck.spawn_registered(activation, op)
     return op
@@ -242,8 +258,8 @@ def _delivery_outcome(frame, stamp: tuple, spawn_id: int, fut) -> None:
     # confirmed dead) never runs its function at the destination.
     # Re-execute it here now — reconciliation cannot, because the
     # on_send_failed subtraction already rebalanced the frame, so a
-    # finish may conclude before the peer is ever confirmed.  The ledger
-    # has the entry only if recovery is armed.
+    # finish may conclude before the peer is ever confirmed.  Only
+    # spawns that entered the ledger (recovery armed) get this callback.
     machine = frame.machine
     if (isinstance(fut.exception(), PeerFailedError)
             and frame.world_rank not in machine.dead_images):

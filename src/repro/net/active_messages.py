@@ -82,6 +82,9 @@ class AMLayer:
         #: rest inline; a request that names no kind travels as
         #: ``am.<handler>``
         self._handlers: dict[str, tuple] = {}
+        #: (handler name, image) -> the name of the tasks that handler
+        #: runs as there, formatted once per pair
+        self._task_names: dict[tuple, str] = {}
         #: category -> ``(counter key, largest payload it carries)``
         self._categories = {
             AMCategory.SHORT: ("am.short", 0),
@@ -198,7 +201,11 @@ class AMLayer:
         if runs_as_task:
             # Handler tasks run on behalf of the destination image, so a
             # fail-stop crash of that image halts them too.
-            Task(self.sim, fn(ctx, *args),
-                 name=f"am.{handler_name}@{msg.dst}", owner=msg.dst)
+            where = (handler_name, msg.dst)
+            name = self._task_names.get(where)
+            if name is None:
+                name = self._task_names[where] = (
+                    f"am.{handler_name}@{msg.dst}")
+            Task(self.sim, fn(ctx, *args), name=name, owner=msg.dst)
         else:
             fn(ctx, *args)

@@ -217,9 +217,9 @@ class Image:
     def spawn(self, fn, target: int, *args,
               team: Optional[Team] = None, event=None):
         """Ship ``fn`` to ``target`` (blocking only on flow-control
-        credits); see :func:`repro.core.spawn.spawn`."""
-        return (yield from _spawn.spawn(self, fn, target, *args,
-                                        team=team, event=event))
+        credits); see :func:`repro.core.spawn.spawn`.  Returns that
+        generator itself: use with ``yield from``."""
+        return _spawn.spawn(self, fn, target, *args, team=team, event=event)
 
     # -- asynchronous collectives -------------------------------------- #
 

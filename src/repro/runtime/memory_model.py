@@ -46,13 +46,17 @@ ANY = "any"
 _VALID_CLASSES = frozenset({READ, WRITE})
 
 
+#: (reads_local, writes_local) -> the operation's class set
+_CLASS_SETS = {
+    (False, False): frozenset(),
+    (True, False): frozenset({READ}),
+    (False, True): frozenset({WRITE}),
+    (True, True): _VALID_CLASSES,
+}
+
+
 def classes_of(reads_local: bool, writes_local: bool) -> frozenset:
-    out = set()
-    if reads_local:
-        out.add(READ)
-    if writes_local:
-        out.add(WRITE)
-    return frozenset(out)
+    return _CLASS_SETS[bool(reads_local), bool(writes_local)]
 
 
 def allowed_set(arg: Optional[str]) -> frozenset:
@@ -107,7 +111,7 @@ class PendingOp:
                  op_id: Optional[int] = None):
         self.op_id = op_id if op_id is not None else next(PendingOp._ids)
         self.kind = kind
-        self.classes = classes_of(reads_local, writes_local)
+        self.classes = _CLASS_SETS[reads_local, writes_local]
         self.local_data = local_data
         self.local_op = local_op
         self.released = released if released is not None else local_op

@@ -68,6 +68,9 @@ from typing import Any, Callable, List, Optional
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
+#: owned-task registrations before the first sweep of finished tasks
+_TASK_SWEEP_MIN = 32
+
 #: A scheduled event: ``[time, seq, fn, args]``.  Slot 2 (``fn``) doubles
 #: as the liveness mark — ``None`` means cancelled or already fired,
 #: which is what makes late :meth:`Simulator.cancel` calls harmless.
@@ -144,7 +147,51 @@ class LivenessError(SimulationError):
     stalled images and their counter snapshots."""
 
 
-class Simulator:
+class OwnedTasks:
+    """The registry behind ``kill_owner``, shared by both substrates.
+
+    Tasks created with ``owner=...`` register here so fail-stop crash
+    injection can halt everything an image was running.  Ownerless tasks
+    never appear, keeping the common case free of registry cost.  Done
+    and killed tasks leave whenever the list has doubled since the last
+    sweep (the rule of ``Activation.register``), so the registry holds
+    O(live tasks), not every shipped function a run ever executed."""
+
+    __slots__ = ()
+
+    def _init_task_registry(self) -> None:
+        self._tasks: list = []
+        self._tasks_sweep_at = _TASK_SWEEP_MIN
+
+    def _register_task(self, task) -> None:
+        tasks = self._tasks
+        tasks.append(task)
+        if len(tasks) >= self._tasks_sweep_at:
+            self._sweep_tasks()
+
+    def _sweep_tasks(self) -> None:
+        self._tasks = [task for task in self._tasks
+                       if not (task._killed or task.done_future._done)]
+        self._tasks_sweep_at = max(_TASK_SWEEP_MIN, 2 * len(self._tasks))
+
+    def kill_owner(self, owner: int) -> int:
+        """Fail-stop every live task registered under ``owner`` (see
+        ``Task.kill``): the crash half of the fail-stop model.  Returns
+        the number of tasks killed."""
+        self._sweep_tasks()
+        killed = 0
+        keep = []
+        for task in self._tasks:
+            if task.owner == owner:
+                task.kill()
+                killed += 1
+            else:
+                keep.append(task)
+        self._tasks = keep
+        return killed
+
+
+class Simulator(OwnedTasks):
     """A deterministic discrete-event simulator.
 
     Examples
@@ -163,7 +210,7 @@ class Simulator:
     __slots__ = ("_now", "_heap", "_ready", "_single", "_seq", "_stale",
                  "_events_processed", "_running", "_drain_hooks",
                  "_task_seq", "_busy", "_schedule_source", "_batch",
-                 "_tasks")
+                 "_tasks", "_tasks_sweep_at")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -181,11 +228,7 @@ class Simulator:
         #: same-instant candidate batch of the controlled loop; always
         #: empty outside a controlled run
         self._batch: list[Event] = []
-        #: Owned tasks (tasks.py registers tasks created with owner=...)
-        #: so fail-stop crash injection can halt everything an image was
-        #: running.  Ownerless tasks never appear here, keeping the
-        #: common case free of registry cost.
-        self._tasks: list = []
+        self._init_task_registry()
         #: True whenever the heap or the ready deque holds entries —
         #: conservatively sticky (may stay True after they drain mid-run,
         #: re-cleared at the next natural drain).  Lets the staging check
@@ -223,28 +266,6 @@ class Simulator:
         runs in one process name their tasks identically."""
         self._task_seq += 1
         return self._task_seq
-
-    def _register_task(self, task) -> None:
-        """Record an owner-bearing task for :meth:`kill_owner`."""
-        self._tasks.append(task)
-
-    def kill_owner(self, owner: int) -> int:
-        """Fail-stop every live task registered under ``owner`` (see
-        ``Task.kill``): the crash half of the fail-stop model.  Done and
-        already-killed tasks are pruned from the registry as a side
-        effect.  Returns the number of tasks killed."""
-        killed = 0
-        keep = []
-        for task in self._tasks:
-            if task._killed or task.done_future.done:
-                continue
-            if task.owner == owner:
-                task.kill()
-                killed += 1
-            else:
-                keep.append(task)
-        self._tasks = keep
-        return killed
 
     # ------------------------------------------------------------------ #
     # Scheduling

@@ -109,18 +109,19 @@ def test_team_created_on_miss_with_senders_id(pair):
 
 def test_spawn_exec_payload_roundtrip(pair):
     """The full ``spawn.exec`` argument tuple: shipped function, args
-    containing registry handles, finish wire tag, completion event."""
+    containing registry handles, finish wire tag, completion event.  The
+    activation name is not on the wire: the target derives it."""
     a, b = pair
     grid = a.coarray_by_name("grid")
     event_ref = EventRef(a.event_by_name("done_ev"), 0)
     payload = (_shipped_kernel, (grid.ref(1, 3), 42.5), ("fin", 0, 7),
-               True, event_ref, "child#7", (3, 1, 4, 1), 91)
-    fn, args, key, tag, ev, name, rc_vc, spawn_id = roundtrip(a, b, payload)
+               True, event_ref, (3, 1, 4, 1), 91)
+    fn, args, key, tag, ev, rc_vc, spawn_id = roundtrip(a, b, payload)
     assert fn is _shipped_kernel  # module functions unpickle by name
     assert args[0].coarray is b.coarray_by_name("grid")
     assert (args[0].world_rank, args[0].index, args[1]) == (1, 3, 42.5)
-    assert (key, tag, name, rc_vc, spawn_id) == (
-        ("fin", 0, 7), True, "child#7", (3, 1, 4, 1), 91)
+    assert (key, tag, rc_vc, spawn_id) == (
+        ("fin", 0, 7), True, (3, 1, 4, 1), 91)
     assert ev.event is b.event_by_name("done_ev")
 
 
@@ -133,7 +134,7 @@ def test_spawn_closure_rejected_at_send_time(pair):
         return captured
 
     with pytest.raises(WireError, match="module-level"):
-        dump_frame(a, (closure, (), ("fin", 0, 0), None, None, "c", None, 0))
+        dump_frame(a, (closure, (), ("fin", 0, 0), None, None, None, 0))
 
 
 def test_lambda_rejected_at_send_time(pair):

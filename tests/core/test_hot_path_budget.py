@@ -5,15 +5,22 @@ Counts, not timings: one remote implicit spawn (or unpredicated put)
 inside a finish, measured in a window where nothing else on the machine
 moves, may allocate at most the futures its one message needs, look its
 finish frame up at most once per side, and build no handler closure; a
+credit-less spawn is one generator frame on the initiator, and enters the
+credit-aware AM request only when flow-control credits are on; a
 blocking allreduce gets none of the handle machinery of its async twin.
 """
+
+import inspect
+import sys
 
 import numpy as np
 import pytest
 
+from repro import MachineParams
 from repro.core import copy_async as copy_mod
 from repro.core import spawn as spawn_mod
 from repro.core.completion import AsyncOp
+from repro.net.active_messages import AMLayer
 from repro.runtime.program import Machine
 from repro.sim.tasks import Future, Task
 
@@ -48,6 +55,7 @@ def counts(monkeypatch):
     c.patch(AsyncOp, "__init__", "handles")
     c.patch(Machine, "get_or_create_frame", "frame_lookups")
     c.patch(spawn_mod, "_make_exec_handler", "closures")
+    c.patch(AMLayer, "request", "credit_requests")
     for name in ("_make_put_handler", "_make_get_req_handler",
                  "_make_data_handler", "_make_fwd_handler",
                  "_make_done_handler"):
@@ -59,7 +67,7 @@ def _touch(img):
     yield from img.compute(1e-7)
 
 
-def _one_op_in_a_quiet_window(counts, spmd, issue):
+def _one_op_in_a_quiet_window(counts, spmd, issue, params=None):
     """Rank 0 warms the path up once, waits until every other image is
     parked in ``finish_end``, then issues one operation with counting on
     and keeps counting until it has completed on the target."""
@@ -77,14 +85,38 @@ def _one_op_in_a_quiet_window(counts, spmd, issue):
             counts.on = False
         yield from img.finish_end()
 
-    machine, _ = spmd(kernel, n=2,
+    machine, _ = spmd(kernel, n=2, params=params,
                       setup=lambda m: m.coarray("T", shape=8))
     return machine
 
 
+def _drive_counting_generators(gen, entered: list):
+    """Run ``gen`` — which must not block — to its return value,
+    appending the code of every generator frame entered meanwhile."""
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            entered.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        sys.setprofile(None)
+    raise AssertionError("the operation blocked")
+
+
 def test_remote_implicit_spawn_budget(counts, spmd):
+    entered = []
+
     def issue(img):
-        return (yield from img.spawn(_touch, 1))
+        gen = img.spawn(_touch, 1)
+        # Image.spawn hands out spawn's own generator, no wrapper
+        assert gen.gi_code is spawn_mod.spawn.__code__
+        if not counts.on:
+            return (yield from gen)
+        return _drive_counting_generators(gen, entered)
 
     machine = _one_op_in_a_quiet_window(counts, spmd, issue)
     assert machine.stats["spawn.executed"] == 2
@@ -93,6 +125,22 @@ def test_remote_implicit_spawn_budget(counts, spmd):
     # the spawner holds its frame; the exec handler looks its own up once
     assert counts["frame_lookups"] <= 2
     assert counts["closures"] == 0
+    # credit-less: one generator frame on the initiator, spawn itself
+    assert counts["credit_requests"] == 0
+    assert entered == [spawn_mod.spawn.__code__]
+
+
+def test_spawn_under_credits_takes_the_credit_aware_request(counts, spmd):
+    def issue(img):
+        return (yield from img.spawn(_touch, 1))
+
+    machine = _one_op_in_a_quiet_window(
+        counts, spmd, issue,
+        params=MachineParams.uniform(2, flow_credits=1))
+    assert machine.stats["spawn.executed"] == 2
+    assert counts["credit_requests"] == 1
+    assert 0 < counts["futures"] <= 3
+    assert counts["frame_lookups"] <= 2
 
 
 def test_unpredicated_put_budget(counts, spmd):

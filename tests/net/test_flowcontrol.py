@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MachineParams, run_spmd
 from repro.sim.engine import Simulator
 from repro.sim.tasks import Delay, Task
 from repro.net.flowcontrol import CreditManager
@@ -93,3 +94,47 @@ class TestCreditManager:
             CreditManager(sim, credits=0)
         with pytest.raises(ValueError):
             CreditManager(sim, credits=1, stall_penalty=-1.0)
+
+
+def _shipped(img):
+    yield from img.compute(1e-7)
+
+
+class TestSpawnUnderCredits:
+    """``spawn`` takes the credit-aware AM request when credits are on."""
+
+    def test_second_spawn_waits_for_the_first_ones_ack(self):
+        times = {}
+
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 0:
+                sim = img.machine.sim
+                first = yield from img.spawn(_shipped, 1)
+                times["first"] = sim.now
+                first.local_op.add_done_callback(
+                    lambda _f: times.setdefault("ack", sim.now))
+                yield from img.spawn(_shipped, 1)
+                times["second"] = sim.now
+            yield from img.finish_end()
+
+        params = MachineParams.uniform(2, flow_credits=1)
+        machine, _ = run_spmd(kernel, 2, params=params)
+        assert machine.stats["spawn.executed"] == 2
+        assert machine.stats["flow.stalls"] == 1
+        # the one credit came back with the first spawn's delivery ack
+        assert times["first"] < times["ack"] <= times["second"]
+        assert machine.credits.outstanding(0, 1) == 0
+
+    def test_no_stall_with_a_credit_per_spawn(self):
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 0:
+                yield from img.spawn(_shipped, 1)
+                yield from img.spawn(_shipped, 1)
+            yield from img.finish_end()
+
+        params = MachineParams.uniform(2, flow_credits=2)
+        machine, _ = run_spmd(kernel, 2, params=params)
+        assert machine.stats["spawn.executed"] == 2
+        assert machine.stats["flow.stalls"] == 0
