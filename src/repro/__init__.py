@@ -30,7 +30,6 @@ from repro.net.topology import (
     MachineParams,
     UniformTopology,
     HierarchicalTopology,
-    HypercubeTopology,
 )
 from repro.net.transport import PeerFailedError, RetryExhaustedError
 from repro.sim.engine import LivenessError
@@ -69,7 +68,6 @@ __all__ = [
     "MachineParams",
     "UniformTopology",
     "HierarchicalTopology",
-    "HypercubeTopology",
     "ANY",
     "READ",
     "WRITE",

@@ -2,9 +2,8 @@
 
 Layers, bottom to top:
 
-- :mod:`repro.net.topology` — where latency comes from (uniform,
-  hierarchical, hypercube-distance models) and the LogGP-flavoured
-  machine parameters;
+- :mod:`repro.net.topology` — where latency comes from (uniform and
+  node-hierarchical models) and the LogGP-flavoured machine parameters;
 - :mod:`repro.net.transport` — NICs with serialized injection, message
   delivery, optional delivery acknowledgments and jitter;
 - :mod:`repro.net.flowcontrol` — credit-based limits on outstanding
@@ -12,9 +11,11 @@ Layers, bottom to top:
   anomaly);
 - :mod:`repro.net.active_messages` — GASNet-style active messages
   (short/medium/long, with the medium-payload cap that limits UTS steal
-  batches to 9 work items in the paper);
-- :mod:`repro.net.gasnet` — non-blocking put/get with explicit and
-  implicit handles plus access regions.
+  batches to 9 work items in the paper).
+
+One-sided data movement is not a layer here: ``copy_async``
+(:mod:`repro.core.copy_async`) sends its puts and gets as active
+messages, like every other operation of the runtime.
 """
 
 from repro.net.topology import (
@@ -22,8 +23,6 @@ from repro.net.topology import (
     Topology,
     UniformTopology,
     HierarchicalTopology,
-    HypercubeTopology,
-    TorusTopology,
 )
 from repro.net.transport import Message, Network, DeliveryReceipt
 from repro.net.flowcontrol import CreditManager
@@ -33,15 +32,12 @@ from repro.net.active_messages import (
     AMSizeError,
     HandlerContext,
 )
-from repro.net.gasnet import Gasnet, Segment, AccessRegionError
 
 __all__ = [
     "MachineParams",
     "Topology",
     "UniformTopology",
     "HierarchicalTopology",
-    "HypercubeTopology",
-    "TorusTopology",
     "Message",
     "Network",
     "DeliveryReceipt",
@@ -50,7 +46,4 @@ __all__ = [
     "AMCategory",
     "AMSizeError",
     "HandlerContext",
-    "Gasnet",
-    "Segment",
-    "AccessRegionError",
 ]

@@ -6,7 +6,7 @@ message is delivered.  Three categories mirror GASNet:
 - ``SHORT``  — a few words of arguments, no payload;
 - ``MEDIUM`` — payload up to ``MachineParams.am_medium_max`` bytes
   (the cap that limits a UTS steal to 9 work descriptors in the paper);
-- ``LONG``   — bulk payload destined for a registered segment, no cap.
+- ``LONG``   — bulk payload (coarray data, collective vectors), no cap.
 
 Handlers are either plain callables (run inline at delivery time, like
 GASNet handler context: no blocking allowed) or generator functions
@@ -41,25 +41,12 @@ class HandlerContext:
     positional arguments arrive as the handler's ``*args``.
     """
 
-    __slots__ = ("am", "image", "src", "message", "payload")
+    __slots__ = ("image", "src", "payload")
 
-    def __init__(self, am: "AMLayer", image: int, src: int, message: Message,
-                 payload: Any):
-        self.am = am
+    def __init__(self, image: int, src: int, payload: Any):
         self.image = image
         self.src = src
-        self.message = message
         self.payload = payload
-
-    def reply(self, handler: str, args: tuple = (),
-              payload: Any = None, payload_size: int = 0,
-              category: AMCategory = AMCategory.SHORT) -> DeliveryReceipt:
-        """Send an AM back to the requester (no flow-control credits, as
-        GASNet replies are credit-exempt to avoid deadlock)."""
-        return self.am.request_nb(
-            self.image, self.src, handler, args=args, payload=payload,
-            payload_size=payload_size, category=category,
-        )
 
 
 class AMLayer:
@@ -197,7 +184,7 @@ class AMLayer:
             fn, runs_as_task, _ = self._handlers[handler_name]
         except KeyError:
             fn, runs_as_task, _ = self._unknown(handler_name)
-        ctx = HandlerContext(self, msg.dst, msg.src, msg, payload)
+        ctx = HandlerContext(msg.dst, msg.src, payload)
         if runs_as_task:
             # Handler tasks run on behalf of the destination image, so a
             # fail-stop crash of that image halts them too.

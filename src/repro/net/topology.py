@@ -4,8 +4,8 @@ The simulator charges a message of ``size`` bytes from ``src`` to ``dst``:
 
 - ``o_send`` seconds of NIC occupancy at the sender, plus ``size / bandwidth``
   of injection serialization (LogGP's *o* and *G*);
-- a wire latency ``topology.latency(src, dst)`` (LogGP's *L*, possibly
-  distance-dependent);
+- a wire latency ``topology.latency(src, dst)`` (LogGP's *L*: uniform, or
+  cheaper within a node under :class:`HierarchicalTopology`);
 - ``o_recv`` seconds of handler overhead at the receiver.
 
 Defaults approximate a Gemini-class torus NIC (the Cray XK6/XE6 machines of
@@ -15,7 +15,6 @@ per-message processing overhead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -92,86 +91,6 @@ class HierarchicalTopology(Topology):
         if self.node_of(src) == self.node_of(dst):
             return self.intra_latency
         return self.inter_latency
-
-
-class TorusTopology(Topology):
-    """A k-dimensional torus with dimension-order routing: latency grows
-    with the total hop count along each dimension's shorter way around.
-
-    Models the Gemini 3-D torus of the paper's Cray XK6/XE6 testbeds.
-    Images are folded into the torus in row-major order; extra image
-    slots beyond the grid volume are rejected.
-    """
-
-    def __init__(self, n_images: int, dims: tuple,
-                 base_latency: float = 8.0e-7,
-                 per_hop: float = 1.0e-7,
-                 self_latency: float = 1.0e-7):
-        super().__init__(n_images)
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d <= 0 for d in dims):
-            raise ValueError(f"bad torus dims {dims}")
-        volume = math.prod(dims)
-        if n_images > volume:
-            raise ValueError(
-                f"{n_images} images exceed torus volume {volume} "
-                f"for dims {dims}"
-            )
-        _validate_positive("base_latency", base_latency)
-        _validate_positive("per_hop", per_hop)
-        self.dims = dims
-        self.base_latency = base_latency
-        self.per_hop = per_hop
-        self.self_latency = self_latency
-
-    def coordinates(self, image: int) -> tuple:
-        """Row-major torus coordinates of an image."""
-        out = []
-        for extent in reversed(self.dims):
-            out.append(image % extent)
-            image //= extent
-        return tuple(reversed(out))
-
-    def hops(self, src: int, dst: int) -> int:
-        """Dimension-order hop count, taking the shorter way around each
-        ring."""
-        total = 0
-        for a, b, extent in zip(self.coordinates(src),
-                                self.coordinates(dst), self.dims):
-            delta = abs(a - b)
-            total += min(delta, extent - delta)
-        return total
-
-    def latency_unchecked(self, src: int, dst: int) -> float:
-        if src == dst:
-            return self.self_latency
-        return self.base_latency + self.per_hop * self.hops(src, dst)
-
-
-class HypercubeTopology(Topology):
-    """Latency grows with Hamming distance between image ids.
-
-    A stylized stand-in for multi-hop torus routing: each hop adds
-    ``per_hop`` on top of a base latency.
-    """
-
-    def __init__(self, n_images: int, base_latency: float = 1.0e-6,
-                 per_hop: float = 2.0e-7, self_latency: float = 1.0e-7):
-        super().__init__(n_images)
-        _validate_positive("base_latency", base_latency)
-        _validate_positive("per_hop", per_hop)
-        self.base_latency = base_latency
-        self.per_hop = per_hop
-        self.self_latency = self_latency
-
-    @staticmethod
-    def hops(src: int, dst: int) -> int:
-        return (src ^ dst).bit_count()
-
-    def latency_unchecked(self, src: int, dst: int) -> float:
-        if src == dst:
-            return self.self_latency
-        return self.base_latency + self.per_hop * self.hops(src, dst)
 
 
 @dataclass
@@ -282,9 +201,3 @@ class MachineParams:
                 topo_kwargs[key] = kwargs.pop(key)
         return cls(topology=UniformTopology(n_images, **topo_kwargs), **kwargs)
 
-
-def log2_rounds(n: int) -> int:
-    """Rounds of a binomial tree over ``n`` participants (ceil(log2 n))."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 0

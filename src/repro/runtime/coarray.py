@@ -11,21 +11,26 @@ and dtype (CAF semantics).  Remote sections are addressed through
 
 ``CoarrayRef`` objects are what ``copy_async``, shipped-function arguments
 (by reference!), and the blocking ``ctx.get``/``ctx.put`` convenience
-operations consume.
+operations consume.  ``copy_async`` is the one path that moves data
+between sections on different images.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.net.gasnet import Segment
 from repro.runtime.team import Team
 
 
 class Coarray:
-    """A distributed array: one same-shape numpy section per team member."""
+    """A distributed array: one same-shape numpy section per team member.
+
+    Storage exists only on member images.  A coarray over a contiguous
+    team (the world, block splits) keeps the team's range as its
+    membership — O(1) memory and containment, never a p-wide set.
+    """
 
     def __init__(self, name: str, team: Team, n_images: int, shape: Any,
                  dtype: Any = np.float64, fill: Any = 0):
@@ -33,16 +38,34 @@ class Coarray:
         self.team = team
         self.shape = shape
         self.dtype = np.dtype(dtype)
-        self.segment = Segment(
-            name, n_images, shape=shape, dtype=dtype, fill=fill,
-            members=team.members,
-        )
+        members = team.members
+        if min(members) < 0 or max(members) >= n_images:
+            raise ValueError(
+                f"coarray {name!r}: team members out of image range")
+        if not isinstance(members, range):
+            members = set(members)
+        self.members = members
+        self._sections: list[Optional[np.ndarray]] = [
+            np.full(shape, fill, dtype=dtype) if i in members else None
+            for i in range(n_images)
+        ]
 
     # -- local access ---------------------------------------------------- #
 
     def local_at(self, world_rank: int) -> np.ndarray:
         """The section owned by ``world_rank`` (must be a team member)."""
-        return self.segment.local(world_rank)
+        section = self._sections[world_rank]
+        if section is None:
+            raise ValueError(
+                f"coarray {self.name!r} is not allocated on image "
+                f"{world_rank}"
+            )
+        return section
+
+    def nbytes_of(self, index: Any) -> int:
+        """Simulated size of the elements ``index`` selects, in bytes."""
+        sample = next(s for s in self._sections if s is not None)
+        return int(np.asarray(sample[index]).nbytes)
 
     # -- remote references ------------------------------------------------ #
 
@@ -82,7 +105,7 @@ class CoarrayRef:
     __slots__ = ("coarray", "world_rank", "index")
 
     def __init__(self, coarray: Coarray, world_rank: int, index: Any):
-        if world_rank not in coarray.segment.members:
+        if world_rank not in coarray.members:
             raise ValueError(
                 f"image {world_rank} holds no section of coarray "
                 f"{coarray.name!r}"
@@ -94,7 +117,7 @@ class CoarrayRef:
     @property
     def nbytes(self) -> int:
         """Simulated size of the referenced elements."""
-        return self.coarray.segment.nbytes_of(self.index)
+        return self.coarray.nbytes_of(self.index)
 
     def read(self) -> np.ndarray:
         """Read the referenced elements directly (simulation-internal;

@@ -1,7 +1,7 @@
 """Machine assembly and SPMD program launch.
 
 :class:`Machine` wires the whole stack together — simulator, network,
-active messages, GASNet layer, registries for teams / coarrays / events /
+active messages, registries for teams / coarrays / events /
 locks, finish frames and collective states — and owns the services the
 core operation modules call into.
 
@@ -34,7 +34,6 @@ from repro.net.topology import MachineParams
 from repro.net.transport import Network
 from repro.net.flowcontrol import CreditManager
 from repro.net.active_messages import AMCategory, AMLayer
-from repro.net.gasnet import Gasnet
 from repro.runtime.coarray import Coarray
 from repro.runtime.event import EventRef, EventVar
 from repro.runtime.image import Image, ImageState
@@ -166,7 +165,6 @@ class Machine:
         self._families = dict(_FAMILIES)
         self.am = AMLayer(self.network, credit_manager=credits,
                           install_family=self._install_family)
-        self.gasnet = Gasnet(self.am)
         self.busy = IntervalAccumulator(n_images)
 
         #: world ranks killed by fail-stop crash injection (ground truth;
@@ -295,7 +293,6 @@ class Machine:
         team = team if team is not None else self.team_world
         arr = Coarray(name, team, self.n_images, shape, dtype=dtype,
                       fill=fill)
-        self.gasnet.register_segment(arr.segment)
         self._coarrays[name] = arr
         return arr
 

@@ -44,11 +44,13 @@ FAMILY_NAMES = ("spawn.exec", "copy.put", "coll.up", "algcoll.ring",
 
 def test_one_registration_path_on_both_backends():
     """The handlers installed at construction are the same on both
-    backends, no family among them; a family installs, whole, the first
-    time one of its names is requested — with no per-operation guard in
-    the family's module — and an unknown name stays a KeyError."""
+    backends, the event notifications alone; a family installs, whole,
+    the first time one of its names is requested — with no per-operation
+    guard in the family's module — and an unknown name stays a
+    KeyError."""
     sim, proc = Machine(2), process_machine()
-    assert set(sim.am._handlers) == set(proc.am._handlers)
+    assert set(sim.am._handlers) == set(proc.am._handlers) == {
+        "event.post", "event.fire"}
     for machine in (sim, proc):
         for name in FAMILY_NAMES:
             assert name not in machine.am._handlers

@@ -109,7 +109,8 @@ class TestReply:
 
         def ping(ctx):
             log.append(("ping", ctx.image, sim.now))
-            ctx.reply("pong")
+            am.request_nb(ctx.image, ctx.src, "pong",
+                          category=AMCategory.SHORT)
 
         am.register("ping", ping)
         am.request_nb(0, 3, "ping", category=AMCategory.SHORT)

@@ -4,11 +4,8 @@ import pytest
 
 from repro.net.topology import (
     HierarchicalTopology,
-    HypercubeTopology,
     MachineParams,
-    TorusTopology,
     UniformTopology,
-    log2_rounds,
 )
 
 
@@ -46,56 +43,6 @@ class TestHierarchicalTopology:
         assert t.latency(1, 1) == 5e-8
 
 
-class TestHypercubeTopology:
-    def test_hops(self):
-        assert HypercubeTopology.hops(0, 0) == 0
-        assert HypercubeTopology.hops(0, 1) == 1
-        assert HypercubeTopology.hops(0b101, 0b010) == 3
-
-    def test_latency_grows_with_distance(self):
-        t = HypercubeTopology(8, base_latency=1e-6, per_hop=1e-7)
-        assert t.latency(0, 1) == pytest.approx(1.1e-6)
-        assert t.latency(0, 7) == pytest.approx(1.3e-6)
-        assert t.latency(0, 0) == t.self_latency
-
-
-class TestTorusTopology:
-    def test_coordinates_row_major(self):
-        t = TorusTopology(24, dims=(2, 3, 4))
-        assert t.coordinates(0) == (0, 0, 0)
-        assert t.coordinates(5) == (0, 1, 1)
-        assert t.coordinates(23) == (1, 2, 3)
-
-    def test_hops_take_short_way_around(self):
-        t = TorusTopology(8, dims=(8,))
-        assert t.hops(0, 1) == 1
-        assert t.hops(0, 7) == 1   # wraps the ring
-        assert t.hops(0, 4) == 4
-
-    def test_hops_sum_over_dimensions(self):
-        t = TorusTopology(16, dims=(4, 4))
-        # (0,0) -> (1,2): 1 + 2 hops
-        assert t.hops(0, 6) == 3
-
-    def test_hops_symmetric(self):
-        t = TorusTopology(27, dims=(3, 3, 3))
-        for a in range(0, 27, 5):
-            for b in range(0, 27, 7):
-                assert t.hops(a, b) == t.hops(b, a)
-
-    def test_latency_model(self):
-        t = TorusTopology(8, dims=(8,), base_latency=1e-6, per_hop=1e-7)
-        assert t.latency(0, 2) == pytest.approx(1.2e-6)
-        assert t.latency(3, 3) == t.self_latency
-
-    def test_volume_validation(self):
-        with pytest.raises(ValueError, match="exceed"):
-            TorusTopology(9, dims=(2, 4))
-        with pytest.raises(ValueError, match="bad torus"):
-            TorusTopology(4, dims=())
-        TorusTopology(7, dims=(2, 4))  # partial fill is fine
-
-
 class TestMachineParams:
     def test_defaults_and_transfer_time(self):
         p = MachineParams.uniform(8)
@@ -123,11 +70,3 @@ class TestMachineParams:
         with pytest.raises(ValueError):
             MachineParams.uniform(2).transfer_time(-1)
 
-
-def test_log2_rounds():
-    assert log2_rounds(1) == 0
-    assert log2_rounds(2) == 1
-    assert log2_rounds(5) == 3
-    assert log2_rounds(1024) == 10
-    with pytest.raises(ValueError):
-        log2_rounds(0)

@@ -47,6 +47,17 @@ class TestAllocation:
         with pytest.raises(ValueError):
             A.local_at(0)  # not a member
 
+    def test_world_membership_stays_a_range(self, machine):
+        """Containment on a world coarray is O(1) in memory: the team's
+        range, not a p-wide set."""
+        A = machine.coarray("A", shape=4)
+        assert A.members == range(4)
+        assert isinstance(A.members, range)
+
+    def test_team_outside_the_machine_rejected(self, machine):
+        with pytest.raises(ValueError, match="out of image range"):
+            machine.coarray("A", shape=4, team=machine.intern_team([1, 9]))
+
 
 class TestRefs:
     def test_on_and_index(self, machine):
