@@ -142,22 +142,22 @@ def _handle(machine, on_message, ctx, team_id, seq, root, radix, acked, key,
         # forwarded before it moves on the sender's terms.
         rec.acked, rec.key = acked, key
     if key is None:
-        on_message(machine, rec, ctx.payload, None)
+        on_message(machine, rec, ctx.payload, ctx.size, None)
     else:
         # Counted against the sender's finish frame: received now,
         # completed once this image's share of the forwarding is done.
         stamp = fin.count_received(machine, ctx.image, key, tag, src=ctx.src)
-        on_message(machine, rec, ctx.payload, stamp)
+        on_message(machine, rec, ctx.payload, ctx.size, stamp)
         fin.count_completed(machine, ctx.image, key, stamp)
 
 
-def _on_up(machine, rec: _Coll, payload: Any, cause) -> None:
+def _on_up(machine, rec: _Coll, payload: Any, _size: int, cause) -> None:
     rec.child_values.append(payload)
     _try_combine(machine, rec, cause)
 
 
-def _on_down(machine, rec: _Coll, payload: Any, cause) -> None:
-    _fan_out(machine, rec, payload, cause)
+def _on_down(machine, rec: _Coll, payload: Any, size: int, cause) -> None:
+    _fan_out(machine, rec, payload, cause, size)
     if rec.called:
         _deliver(machine, rec, payload)
     else:
@@ -166,11 +166,12 @@ def _on_down(machine, rec: _Coll, payload: Any, cause) -> None:
 
 
 def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
-          cause) -> Future:
-    """Send one tree message to team rank ``to``; returns its injection
-    future.  With a handle the message is acknowledged — the ack is the
-    pairwise completion ``local_op`` is composed from — and, under
-    implicit completion, counted against ``rec.key``'s finish frame."""
+          size: int, cause) -> Future:
+    """Send one tree message of ``size`` simulated bytes to team rank
+    ``to``; returns its injection future.  With a handle the message is
+    acknowledged — the ack is the pairwise completion ``local_op`` is
+    composed from — and, under implicit completion, counted against
+    ``rec.key``'s finish frame."""
     src = rec.world
     dst = rec.team.world_rank(to)
     key = rec.key
@@ -180,7 +181,7 @@ def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
         tag = stamp[0]
     receipt = machine.am.request_nb(
         src, dst, handler, args=rec.route + (rec.acked, key, tag),
-        payload=payload, payload_size=sizeof(payload),
+        payload=payload, payload_size=size,
         category=AMCategory.LONG, want_ack=rec.acked, kind=handler,
     )
     if rec.acked:
@@ -192,8 +193,17 @@ def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
     return receipt.injected
 
 
-def _fan_out(machine, rec: _Coll, value: Any, cause) -> list[Future]:
-    return [_send(machine, rec, child, _DOWN, value, cause)
+def _fan_out(machine, rec: _Coll, value: Any, cause,
+             size: Optional[int] = None) -> list[Future]:
+    """Down phase: send ``value`` to each child.  The root sizes its
+    value here, once for all its children; an interior image passes the
+    ``size`` its own message arrived with, so an allgather's p-entry
+    value is not re-walked for every child at every hop."""
+    if not rec.children:
+        return []
+    if size is None:
+        size = sizeof(value)
+    return [_send(machine, rec, child, _DOWN, value, size, cause)
             for child in rec.children]
 
 
@@ -213,7 +223,8 @@ def _try_combine(machine, rec: _Coll, cause) -> None:
             _fan_out(machine, rec, combined, cause)
         _deliver(machine, rec, combined)
     else:
-        injected = _send(machine, rec, rec.parent, _UP, combined, cause)
+        injected = _send(machine, rec, rec.parent, _UP, combined,
+                         sizeof(combined), cause)
         if not rec.down:
             # A non-root's role in a rooted collective ends with its
             # upward send; nothing comes back.

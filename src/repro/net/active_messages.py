@@ -37,16 +37,18 @@ class AMSizeError(ValueError):
 class HandlerContext:
     """What a handler sees when it runs at the destination image.
 
-    ``payload`` carries the message's bulk data (or ``None``); handler
-    positional arguments arrive as the handler's ``*args``.
+    ``payload`` carries the message's bulk data (or ``None``) and
+    ``size`` the simulated bytes it was sent as; handler positional
+    arguments arrive as the handler's ``*args``.
     """
 
-    __slots__ = ("image", "src", "payload")
+    __slots__ = ("image", "src", "payload", "size")
 
-    def __init__(self, image: int, src: int, payload: Any):
+    def __init__(self, image: int, src: int, payload: Any, size: int):
         self.image = image
         self.src = src
         self.payload = payload
+        self.size = size
 
 
 class AMLayer:
@@ -184,7 +186,7 @@ class AMLayer:
             fn, runs_as_task, _ = self._handlers[handler_name]
         except KeyError:
             fn, runs_as_task, _ = self._unknown(handler_name)
-        ctx = HandlerContext(msg.dst, msg.src, payload)
+        ctx = HandlerContext(msg.dst, msg.src, payload, msg.size)
         if runs_as_task:
             # Handler tasks run on behalf of the destination image, so a
             # fail-stop crash of that image halts them too.

@@ -68,6 +68,29 @@ def test_primitives_on_four_processes():
     assert not run.dead_images
 
 
+def _tree_kernel(img):
+    n = img.machine.n_images
+    # values of unequal size, so a wrong forwarded size shows in the bytes
+    everyone = yield from img.allgather((img.rank, list(range(img.rank))))
+    mine = yield from img.scatter(
+        [list(range(j + 1)) for j in range(n)] if img.rank == 1 else None,
+        root=1)
+    return everyone, mine
+
+
+def test_tree_collectives_match_sim_oracle():
+    """An image forwards a collective's down value with the size its own
+    message arrived with; on processes that size comes off the conduit
+    frame.  The workers' ``net.bytes`` (``run.stats`` sums them) must
+    add up to the simulator's."""
+    sim, expected = run_spmd(_tree_kernel, 4)
+    run, results = run_spmd(_tree_kernel, 4, backend="process")
+    assert results == expected
+    assert results[2] == ([(r, list(range(r))) for r in range(4)], [0, 1, 2])
+    assert run.stats["net.bytes"] == sim.stats["net.bytes"]
+    assert not run.dead_images
+
+
 # --------------------------------------------------------------------- #
 # Application oracles
 # --------------------------------------------------------------------- #

@@ -11,6 +11,8 @@ import pytest
 
 from repro import FaultPlan, LivenessError, MachineParams, run_spmd
 from repro.core import collectives, collectives_async
+from repro.net.active_messages import AMLayer
+from repro.runtime.sizeof import sizeof
 
 ROOTED = ("broadcast", "reduce", "gather", "scatter")
 UNROOTED = ("allreduce", "barrier", "allgather", "alltoall", "scan", "sort")
@@ -104,6 +106,63 @@ class TestDifferential:
             assert uncounted == 0
         if name not in ("barrier", "reduce", "gather"):
             assert all(r[0] is not None for r in results)
+        assert machine._coll_states == {}
+
+
+class TestWireSize:
+    """A tree value is sized once, where it is made, and forwarded with
+    the size it arrived with: every ``coll.up``/``coll.down`` message
+    still charges exactly ``sizeof`` of its payload."""
+
+    def test_every_tree_message_weighs_its_payload(self, spmd, monkeypatch):
+        sent = []
+        request_nb = AMLayer.request_nb
+
+        def recording(self, src, dst, handler, *args, **kwargs):
+            if handler in ("coll.up", "coll.down"):
+                sent.append((handler, kwargs["payload_size"],
+                             sizeof(kwargs["payload"])))
+            return request_nb(self, src, dst, handler, *args, **kwargs)
+
+        monkeypatch.setattr(AMLayer, "request_nb", recording)
+        root = 3
+
+        def kernel(img):
+            # A 7-image team whose ranks are not the world's (image 0
+            # sits out); members arrive staggered, so some trees reach an
+            # image ahead of its own call and are forwarded from there.
+            team = yield from img.team_split(img.team_world,
+                                             color=int(img.rank == 0), key=0)
+            if img.rank == 0:
+                return None
+            me = team.rank_of(img.rank)
+            out = []
+            for name in ROOTED + UNROOTED:
+                yield from img.compute(1e-6 * me)
+                args, kwargs = _call_args(img, team, name, root)
+                out.append(_norm(name, (
+                    yield from getattr(img, name)(*args, **kwargs))))
+                yield from img.finish_begin(team=team)
+                yield from img.compute(1e-6 * (team.size - me))
+                args, kwargs = _call_args(img, team, name, root)
+                op = getattr(img, name + "_async")(*args, **kwargs)
+                yield from img.finish_end()
+                out.append(_norm(name, op.local_data.result()))
+            yield from img.compute(1e-6 * me)
+            sub = yield from img.team_split(team, color=me % 2, key=-me)
+            out.append(list(sub.members))
+            return out
+
+        machine, results = spmd(kernel, n=8)
+        assert results[3][-1] == [7, 5, 3, 1]
+        assert [r[2 * ROOTED.index("scatter")] for r in results[1:]] == [
+            13.0 + j for j in range(7)]
+        assert len(sent) == 458
+        assert all(size == weight for _h, size, weight in sent), [
+            s for s in sent if s[1] != s[2]]
+        # recorded while every tree message was sized on its own
+        assert machine.stats["net.bytes"] == 43440
+        assert machine.sim.now.hex() == "0x1.7bd7222179337p-12"
         assert machine._coll_states == {}
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import MachineParams
+from repro.core import collectives as coll_mod
 from repro.core import copy_async as copy_mod
 from repro.core import spawn as spawn_mod
 from repro.core.completion import AsyncOp
@@ -179,3 +180,26 @@ def test_blocking_allreduce_budget(counts, spmd):
     assert 0 < counts["futures"] <= 4
     assert counts["tasks"] == 0
     assert counts["handles"] == 0
+
+
+@pytest.mark.parametrize("name, budget",
+                         [("allgather", 7 + 1), ("broadcast", 1)])
+def test_tree_values_are_sized_once(monkeypatch, spmd, name, budget):
+    """One ``sizeof`` per up-phase message (each combine is a new value)
+    and one per down-phase origin: a forwarded down value keeps the size
+    it arrived with, instead of being re-walked for every child at every
+    hop — an allgather's is p entries."""
+    counts = _Counts(monkeypatch)
+    counts.patch(coll_mod, "sizeof", "sizeof")
+    counts.on = True
+
+    def kernel(img):
+        if name == "allgather":
+            return (yield from img.allgather(img.rank))
+        return (yield from img.broadcast(
+            list(range(8)) if img.rank == 0 else None))
+
+    machine, results = spmd(kernel, n=8)
+    assert results == [list(range(8))] * 8
+    assert machine.stats["net.kind.coll.down"] == 7
+    assert counts["sizeof"] <= budget
