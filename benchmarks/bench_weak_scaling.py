@@ -18,6 +18,12 @@ at the largest point and records determinism fingerprints, so the
 regression gate notices if scaling work ever changes *what* the
 simulator computes rather than just how much memory it needs.
 
+``ra_fixed_work`` holds per-image work fixed (RandomAccess function
+shipping, 256 updates per image, bunch 64) and sweeps the image count:
+updates/s should not fall with p, and the cyclic collector's share of
+the wall time — timed per generation through ``gc.callbacks`` — is what
+made it fall (DESIGN.md §9.2, "The collector").
+
 Bytes are machine-portable, so ``compare_bench.py`` gates
 ``bytes_per_image`` directly against the committed reference (startup
 times are recorded for the record but not gated — they are wall-clock).
@@ -25,6 +31,7 @@ times are recorded for the record but not gated — they are wall-clock).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import sys
 import time
@@ -38,6 +45,12 @@ FOOTPRINT_POINTS = (64, 1024, 8192)
 #: app weak-scale points: (quick, full)
 APP_POINT_QUICK = 256
 APP_POINT_FULL = 8192
+#: fixed-work RandomAccess sweep: (quick, full)
+RA_FIXED_POINTS_QUICK = (64, 256)
+RA_FIXED_POINTS_FULL = (64, 256, 1024)
+#: ROADMAP item 2's gate on the fixed-work sweep: per-update wall at the
+#: top point within this factor of the 64-image one
+RA_FIXED_RATIO_GATE = 1.5
 
 #: pre-PR footprint on the reference machine (dense per-peer state,
 #: eager per-image construction), recorded with the same protocol
@@ -117,6 +130,69 @@ def run_ra_point(n_images: int) -> dict:
     }
 
 
+class CollectorTimer:
+    """Counts and times the cyclic collector's passes per generation
+    (``gc.callbacks``) while installed as a context manager."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._t0 = 0.0
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._t0 = time.perf_counter()
+        else:
+            gen = info["generation"]
+            self.collections[gen] += 1
+            self.seconds[gen] += time.perf_counter() - self._t0
+
+    def __enter__(self) -> "CollectorTimer":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+
+def run_ra_fixed_work_point(n_images: int) -> dict:
+    """RandomAccess function shipping at the default per-image work (256
+    updates, bunch 64): throughput and the collector's share of it."""
+    from repro.apps.randomaccess import RAConfig, run_randomaccess
+
+    gc.collect()
+    with CollectorTimer() as collector:
+        t0 = time.perf_counter()
+        r = run_randomaccess(n_images, RAConfig())
+        wall = time.perf_counter() - t0
+    return {
+        "n_images": n_images,
+        "wall_s": wall,
+        "updates_per_s": r.total_updates / wall,
+        "gc_s": sum(collector.seconds),
+        "gc_share": sum(collector.seconds) / wall,
+        "gc_collections": collector.collections,
+        "sim_time": r.sim_time,
+        "checksum": r.checksum & 0xFFFFFFFFFFFFFFFF,
+    }
+
+
+def measure_ra_fixed_work(points=RA_FIXED_POINTS_FULL) -> dict:
+    """The fixed-work sweep and its top-to-64 per-update wall ratio."""
+    rows = []
+    for p in points:
+        row = run_ra_fixed_work_point(p)
+        rows.append(row)
+        print(f"  ra fixed work p={p}: {row['updates_per_s']:8.0f} updates/s, "
+              f"gc {100 * row['gc_share']:4.1f} % of {row['wall_s']:.1f}s, "
+              f"collections {row['gc_collections']}")
+    ratio = rows[0]["updates_per_s"] / rows[-1]["updates_per_s"]
+    print(f"  per-update wall p={points[-1]} / p={points[0]}: {ratio:.2f}x "
+          f"(gate <= {RA_FIXED_RATIO_GATE}x)")
+    return {"points": rows, "per_update_ratio": ratio,
+            "ratio_gate": RA_FIXED_RATIO_GATE}
+
+
 def measure_weak_scaling(quick: bool = False) -> dict:
     """The ``weak_scaling`` section of ``BENCH_simulator.json``."""
     points = []
@@ -133,10 +209,13 @@ def measure_weak_scaling(quick: bool = False) -> dict:
     ra = run_ra_point(app_p)
     print(f"  randomaccess p={app_p}: wall {ra['wall_s']:.1f}s "
           f"checksum={ra['checksum']:#x} fp={ra['fingerprint']}")
+    ra_fixed = measure_ra_fixed_work(
+        RA_FIXED_POINTS_QUICK if quick else RA_FIXED_POINTS_FULL)
     return {
         "footprint": points,
         "uts": uts,
         "randomaccess": ra,
+        "ra_fixed_work": ra_fixed,
     }
 
 

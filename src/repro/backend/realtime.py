@@ -40,7 +40,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
-from repro.sim.engine import OwnedTasks
+from repro.sim.engine import OwnedTasks, run_loop_gc
 
 #: Scheduled entry: ``[time, seq, fn, args]``; ``fn is None`` = cancelled.
 Event = List[Any]
@@ -140,7 +140,12 @@ class RealtimeScheduler(OwnedTasks):
 
     def run(self) -> None:
         """Serve ready callbacks, due timers and the conduit until
-        :meth:`stop`; parks in :attr:`progress` when idle."""
+        :meth:`stop`; parks in :attr:`progress` when idle.  Runs under
+        the simulator's collector policy (``run_loop_gc``)."""
+        with run_loop_gc():
+            self._run()
+
+    def _run(self) -> None:
         ready = self._ready
         heap = self._heap
         burst = _PROGRESS_EVERY

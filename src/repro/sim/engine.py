@@ -61,15 +61,39 @@ bit-identical to a build without the hook.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
-from typing import Any, Callable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 #: owned-task registrations before the first sweep of finished tasks
 _TASK_SWEEP_MIN = 32
+
+#: Collector thresholds while a run loop runs.  The operations in flight
+#: are many tracked objects, and at the default (700, 10, 10) the
+#: collector re-walks them ever more often as the image count grows.  A
+#: finished task leaves no cycle (``Task._resume``), so a 100k young
+#: generation holds no extra garbage.  Chosen by measurement: on
+#: ``ra_ship_sim``, (10_000, 10, 10) ran 20 % slower than these
+#: thresholds (DESIGN.md §9.2, "The collector").
+_RUN_GC_THRESHOLD = (100_000, 50, 100)
+
+
+@contextmanager
+def run_loop_gc() -> Iterator[None]:
+    """The collector policy of a run loop: :data:`_RUN_GC_THRESHOLD`
+    for its duration, the caller's thresholds restored on every exit."""
+    saved = gc.get_threshold()
+    gc.set_threshold(*_RUN_GC_THRESHOLD)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*saved)
+
 
 #: A scheduled event: ``[time, seq, fn, args]``.  Slot 2 (``fn``) doubles
 #: as the liveness mark — ``None`` means cancelled or already fired,
@@ -495,17 +519,20 @@ class Simulator(OwnedTasks):
         max_events:
             Safety valve — raise :class:`SimulationError` after this many
             events (catches accidental livelock in tests).
+
+        Every loop runs under :func:`run_loop_gc`.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         try:
-            if self._schedule_source is not None:
-                self._run_controlled(until, max_events)
-            elif until is None and max_events is None:
-                self._run_fast()
-            else:
-                self._run_guarded(until, max_events)
+            with run_loop_gc():
+                if self._schedule_source is not None:
+                    self._run_controlled(until, max_events)
+                elif until is None and max_events is None:
+                    self._run_fast()
+                else:
+                    self._run_guarded(until, max_events)
         finally:
             self._running = False
 

@@ -228,7 +228,11 @@ class Task:
         self._killed = False
         # Resume state lives on the task (not in event args) and the bound
         # continuation is allocated once: every switch then schedules a
-        # zero-arg callback, hitting the engine's `fn()` fast path.
+        # zero-arg callback, hitting the engine's `fn()` fast path.  The
+        # bound method refers back to the task, so it is dropped the
+        # moment the generator finishes (or the task is killed): a
+        # finished task is then freed by refcount, never by the cyclic
+        # collector (DESIGN.md §9.2).
         self._rvalue: Any = None
         self._rexc: Optional[BaseException] = None
         self._resume_cb = self._resume
@@ -244,14 +248,16 @@ class Task:
         Deliberately does *not* close the generator — ``gen.close()``
         would raise GeneratorExit inside it and run its ``finally:``
         blocks (completion counting, event posts), which a crashed image
-        must not do.  The generator is dropped so its frame is collected;
-        any already-queued resume callback no-ops via ``_killed``.
-        ``done_future`` is left unresolved, mirroring a process that
-        stopped mid-flight."""
+        must not do.  The generator and the cached resume callback are
+        dropped so neither outlives the task; an already-queued resume
+        no-ops via ``_killed``, and a future the task was blocked on
+        schedules nothing when it resolves.  ``done_future`` is left
+        unresolved, mirroring a process that stopped mid-flight."""
         if self._killed or self.done_future.done:
             return
         self._killed = True
         self.gen = None
+        self._resume_cb = None
 
     # -- scheduling internals ------------------------------------------ #
 
@@ -279,9 +285,11 @@ class Task:
                 else:
                     directive = gen.send(value)
             except StopIteration as stop:
+                self._resume_cb = None
                 self.done_future.set_result(stop.value)
                 return
             except BaseException as e:  # noqa: BLE001 - surfaced via future
+                self._resume_cb = None
                 wrapped = TaskFailed(f"task {self.name!r} failed: {e!r}")
                 wrapped.__cause__ = e
                 self.done_future.set_exception(wrapped)
@@ -324,6 +332,8 @@ class Task:
             self.sim.call_soon(self._resume_cb)
 
     def _on_future(self, fut: Future) -> None:
+        if self._killed:
+            return
         self._rvalue = fut._value
         self._rexc = fut._exc
         self.sim.call_soon(self._resume_cb)

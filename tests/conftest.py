@@ -1,8 +1,34 @@
 """Shared test helpers."""
 
+import gc
+
 import pytest
 
 from repro import MachineParams, run_spmd
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """Run ``work()`` with the collector off and return the type names of
+    the cyclic garbage it left.  What ``work`` returns stays referenced
+    while the collector looks, so only unreachable cycles count."""
+
+    def _run(work):
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            kept = work()  # noqa: F841 - held across the collection
+            gc.collect()
+            return sorted(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(0)
+            if was_enabled:
+                gc.enable()
+
+    return _run
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ moves, may allocate at most the futures its one message needs, look its
 finish frame up at most once per side, and build no handler closure; a
 credit-less spawn is one generator frame on the initiator, and enters the
 credit-aware AM request only when flow-control credits are on; a
-blocking allreduce gets none of the handle machinery of its async twin.
+blocking allreduce gets none of the handle machinery of its async twin;
+and a whole run's delivered spawns leave no cycle for the collector.
 """
 
 import inspect
@@ -16,7 +17,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro import MachineParams
+from repro import MachineParams, run_spmd
+from repro.apps.randomaccess import RAConfig, _ra_setup, ra_kernel
+from repro.apps.uts import TreeParams, UTSConfig, uts_kernel
 from repro.core import collectives as coll_mod
 from repro.core import copy_async as copy_mod
 from repro.core import spawn as spawn_mod
@@ -180,6 +183,35 @@ def test_blocking_allreduce_budget(counts, spmd):
     assert 0 < counts["futures"] <= 4
     assert counts["tasks"] == 0
     assert counts["handles"] == 0
+
+
+def _randomaccess_64():
+    config = RAConfig(updates_per_image=128)
+
+    def setup(machine):
+        machine.scratch["ra.setup_config"] = config
+        _ra_setup(machine)
+
+    machine, _ = run_spmd(ra_kernel, 64, args=(config,), setup=setup)
+    assert machine.stats["spawn.executed"] == 64 * 128
+    return machine
+
+
+def _uts_64():
+    config = UTSConfig(tree=TreeParams(b0=4, max_depth=7, seed=19))
+    machine, _ = run_spmd(uts_kernel, 64, args=(config,))
+    assert machine.stats["spawn.executed"] > 10_000
+    return machine
+
+
+@pytest.mark.parametrize("run", [_randomaccess_64, _uts_64],
+                         ids=["randomaccess", "uts"])
+def test_delivered_spawns_leave_no_cycle(cyclic_garbage, run):
+    """Every delivered spawn finishes a task; a finished task (and what it
+    held: its generator, done future, resume callback) is freed by
+    refcount, so the cyclic collector finds nothing left of a whole run
+    even with the machine still referenced (DESIGN.md §9.2)."""
+    assert cyclic_garbage(run) == []
 
 
 @pytest.mark.parametrize("name, budget",

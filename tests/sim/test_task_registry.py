@@ -1,9 +1,12 @@
 """The owned-task registry behind fail-stop crashes: it holds O(live
 tasks) — not every shipped function a run ever executed — and a crash
-still halts a shipped function that is running."""
+still halts a shipped function that is running, and leaves nothing of it
+scheduled or cyclic behind."""
 
 from repro import run_spmd
 from repro.apps.uts import TreeParams, UTSConfig, uts_kernel
+from repro.sim.engine import Simulator
+from repro.sim.tasks import Future, Task
 
 #: (event, image) records of the shipped functions below
 LOG = []
@@ -52,3 +55,48 @@ def test_crash_halts_a_live_shipped_function_after_sweeps():
     # finished shipped functions are done, not killed
     assert killed == [1]
     assert len(machine.sim._tasks) < 200
+
+
+def _blocked_on(fut, steps):
+    steps.append("blocked")
+    value = yield fut
+    steps.append(("resumed", value))
+
+
+def test_a_killed_task_ignores_the_future_it_was_blocked_on(cyclic_garbage):
+    steps = []
+
+    def work():
+        sim = Simulator()
+        fut = Future("never-before-the-crash")
+        Task(sim, _blocked_on(fut, steps), owner=3)
+        sim.run()                                # drains, the task blocked
+        assert steps == ["blocked"]
+        assert sim.kill_owner(3) == 1
+        fut.set_result(42)
+        assert sim.pending_events == 0           # nothing scheduled for it
+        sim.run()
+        assert sim.pending_events == 0
+        return sim
+
+    assert cyclic_garbage(work) == []
+    assert steps == ["blocked"]
+
+
+def test_a_resume_queued_before_the_kill_no_ops(cyclic_garbage):
+    steps = []
+
+    def work():
+        sim = Simulator()
+        fut = Future("resolved-before-the-crash")
+        Task(sim, _blocked_on(fut, steps), owner=3)
+        sim.run()
+        fut.set_result(42)                       # queues the resume
+        assert sim.pending_events == 1
+        assert sim.kill_owner(3) == 1
+        sim.run()                                # fires it: a no-op
+        assert sim.pending_events == 0
+        return sim
+
+    assert cyclic_garbage(work) == []
+    assert steps == ["blocked"]
