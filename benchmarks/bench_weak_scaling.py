@@ -24,6 +24,12 @@ updates/s should not fall with p, and the cyclic collector's share of
 the wall time — timed per generation through ``gc.callbacks`` — is what
 made it fall (DESIGN.md §9.2, "The collector").
 
+``tracked_per_spawn`` is what the collector walks per unit of work in
+flight: the GC-tracked objects above the post-launch baseline per spawn
+in flight, at the peak of a 64-image RandomAccess function-shipping run
+(the ``ra_ship_sim`` e2e workload at seed 0).  It depends on the Python
+version, so it is recorded and printed, never gated.
+
 Bytes are machine-portable, so ``compare_bench.py`` gates
 ``bytes_per_image`` directly against the committed reference (startup
 times are recorded for the record but not gated — they are wall-clock).
@@ -193,6 +199,51 @@ def measure_ra_fixed_work(points=RA_FIXED_POINTS_FULL) -> dict:
             "ratio_gate": RA_FIXED_RATIO_GATE}
 
 
+def measure_tracked_per_spawn() -> dict:
+    """GC-tracked objects per spawn in flight at the peak of RandomAccess
+    function shipping: 64 images, 128 updates per image, bunch 64,
+    jitter 0.02, seed 0.  With the collector off, the tracked objects are
+    counted right after launch and then every simulated µs; the sample
+    with the most objects above that baseline is the peak, and its
+    spawns in flight are those initiated but not yet executed."""
+    from repro.apps.randomaccess import RAConfig, _ra_setup, ra_kernel
+    from repro.net.topology import MachineParams
+    from repro.runtime.program import Machine
+
+    n_images = 64
+    config = RAConfig(updates_per_image=128, bunch_size=64)
+    machine = Machine(n_images, seed=0,
+                      params=MachineParams.uniform(n_images, jitter=0.02))
+    machine.scratch["ra.setup_config"] = config
+    _ra_setup(machine)
+    sim, stats = machine.sim, machine.stats
+    peak = [0, 0]
+
+    def sample() -> None:
+        objects = len(gc.get_objects()) - baseline
+        if objects > peak[0]:
+            peak[:] = objects, (stats["spawn.initiated"]
+                                - stats["spawn.executed"])
+        if sim.pending_events:
+            sim.schedule(1e-6, sample)
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        machine.launch(ra_kernel, args=(config,))
+        baseline = len(gc.get_objects())
+        sim.schedule(0.0, sample)
+        machine.run()
+    finally:
+        if was_enabled:
+            gc.enable()
+    objects, in_flight = peak
+    return {"objects": objects, "spawns_in_flight": in_flight,
+            "per_spawn": round(objects / in_flight, 2),
+            "python": "%d.%d.%d" % sys.version_info[:3]}
+
+
 def measure_weak_scaling(quick: bool = False) -> dict:
     """The ``weak_scaling`` section of ``BENCH_simulator.json``."""
     points = []
@@ -211,11 +262,15 @@ def measure_weak_scaling(quick: bool = False) -> dict:
           f"checksum={ra['checksum']:#x} fp={ra['fingerprint']}")
     ra_fixed = measure_ra_fixed_work(
         RA_FIXED_POINTS_QUICK if quick else RA_FIXED_POINTS_FULL)
+    tracked = measure_tracked_per_spawn()
+    print(f"  tracked objects per spawn in flight: {tracked['per_spawn']} "
+          f"({tracked['objects']} for {tracked['spawns_in_flight']})")
     return {
         "footprint": points,
         "uts": uts,
         "randomaccess": ra,
         "ra_fixed_work": ra_fixed,
+        "tracked_per_spawn": tracked,
     }
 
 

@@ -410,22 +410,17 @@ class RaceDetector:
         predicated copies always get their own component because their
         base joins the predicate event's clock.)"""
         th = self.thread(ctx.activation)
-        if implicit and not predicated and op.pending_op is not None:
-            classes = op.pending_op.classes
+        if implicit and not predicated:
             ep = th.epoch
-            if (ep is not None and ep[0] == classes and ep[1] == th.mut):
-                rcop = ep[2]
-                op.rc = rcop
-                op.pending_op.rc = rcop
+            if (ep is not None and ep[0] == op.classes and ep[1] == th.mut):
+                rcop = op.rc = ep[2]
                 return rcop
         rcop, th = self._op_begin(ctx.activation, "copy")
         op.rc = rcop
-        if op.pending_op is not None:
-            op.pending_op.rc = rcop
-            if implicit:
-                th.fence_ops.append((op.pending_op.classes, rcop))
-                if not predicated:
-                    th.epoch = (op.pending_op.classes, th.mut, rcop)
+        if implicit:
+            th.fence_ops.append((op.classes, rcop))
+            if not predicated:
+                th.epoch = (op.classes, th.mut, rcop)
         return rcop
 
     def copy_started(self, ctx, rcop: OpClock, implicit: bool, dest, src,
@@ -474,9 +469,7 @@ class RaceDetector:
         return rcop
 
     def spawn_registered(self, activation, op) -> None:
-        pending = op.pending_op
-        pending.rc = op.rc
-        self.thread(activation).fence_ops.append((pending.classes, op.rc))
+        self.thread(activation).fence_ops.append((op.classes, op.rc))
 
     def activation_begin(self, activation, base_vc: Optional[dict]) -> None:
         """A shipped function starts: inherit the spawn's clock."""

@@ -65,7 +65,7 @@ class ParallelTimeoutError(RuntimeError):
     """The parallel run exceeded the coordinator's wall-clock budget.
 
     ``partial`` holds the :class:`ParallelRun` as collected so far —
-    results and errors from the ranks that did report."""
+    the results of the ranks that did report."""
 
     def __init__(self, message: str, partial: "ParallelRun" = None):
         super().__init__(message)
@@ -173,8 +173,6 @@ class ParallelRun:
         self.extras: list[Any] = [None] * n_images
         #: workers that vanished without reporting (killed processes)
         self.dead_images: set[int] = set()
-        #: per-rank worker errors (app exceptions or dispatch failures)
-        self.errors: dict[int, BaseException] = {}
         #: summed per-key counters across every worker
         self.stats = None
         #: per-rank final scheduler clocks (wall seconds in-worker)
@@ -350,11 +348,18 @@ class ProcessRunner:
     def pids(self) -> list[int]:
         return [p.pid for p in self._procs]
 
-    def wait(self, timeout: float = DEFAULT_TIMEOUT_S,
-             raise_errors: bool = True) -> ParallelRun:
+    def wait(self, timeout: float = DEFAULT_TIMEOUT_S) -> ParallelRun:
         """Collect every worker's verdict, shut the fleet down, and
         return the :class:`ParallelRun`.  A worker that dies without
-        reporting lands in ``dead_images`` with a ``None`` result."""
+        reporting lands in ``dead_images`` with a ``None`` result.
+
+        The first error a worker reports — its main program raised, or
+        the worker itself failed — ends the run at once: the fleet is
+        terminated and the error raised here, noted with the failing
+        task, instead of its peers waiting out ``timeout`` for a rank
+        that will never reach them."""
+        from repro.sim.tasks import with_task_note
+
         run = ParallelRun(self.n_images)
         deadline = self._t0 + timeout
         pending = set(range(self.n_images))
@@ -368,35 +373,26 @@ class ProcessRunner:
                         pending.discard(rank)
                         run.dead_images.add(rank)
                 if time.monotonic() > deadline:
-                    self._terminate_all()
-                    detail = ""
-                    if run.errors:
-                        detail = "".join(
-                            f"; rank {r} reported: {e!r}"
-                            for r, e in sorted(run.errors.items()))
+                    self._abort()
                     raise ParallelTimeoutError(
                         f"parallel run exceeded {timeout:.0f}s with "
-                        f"rank(s) {sorted(pending)} unaccounted for"
-                        + detail, partial=run)
+                        f"rank(s) {sorted(pending)} unaccounted for",
+                        partial=run)
                 continue
             tag, rank = item[0], item[1]
             pending.discard(rank)
-            if tag == "error":
-                exc = item[2]
-                run.errors[rank] = (exc if isinstance(exc, BaseException)
-                                    else RuntimeError(str(exc)))
-                continue
-            status, result, extras, stats, worker_now = item[2]
+            if tag == "error" or item[2][0] != "ok":
+                error = item[2] if tag == "error" else item[2][1]
+                self._abort()
+                if not isinstance(error, BaseException):
+                    error = RuntimeError(str(error))
+                raise with_task_note(error, f"main@{rank}")
+            _ok, result, extras, stats, worker_now = item[2]
             run.worker_now[rank] = worker_now
             for key, value in stats.items():
                 stats_sum[key] = stats_sum.get(key, 0) + value
-            if status == "ok":
-                run.results[rank] = result
-                run.extras[rank] = extras
-            else:
-                run.errors[rank] = (result if isinstance(result,
-                                                         BaseException)
-                                    else RuntimeError(str(result)))
+            run.results[rank] = result
+            run.extras[rank] = extras
         self._shutdown(run)
         from repro.sim.trace import Stats
 
@@ -404,11 +400,6 @@ class ProcessRunner:
         for key, value in stats_sum.items():
             stats.incr(key, value)
         run._seal(stats, time.monotonic() - self._t0)
-        if raise_errors and run.errors:
-            from repro.sim.tasks import with_task_note
-
-            rank = min(run.errors)
-            raise with_task_note(run.errors[rank], f"main@{rank}")
         return run
 
     def _shutdown(self, run: ParallelRun) -> None:
@@ -418,11 +409,11 @@ class ProcessRunner:
                          _record([("shutdown",)]))
         for proc in self._procs:
             proc.join(timeout=5.0)
-        self._terminate_all()
-        self._parent_q.cancel_join_thread()
-        self._parent_q.close()
+        self._abort()
 
-    def _terminate_all(self) -> None:
+    def _abort(self) -> None:
+        """Stop every worker still running and release the run's pipes
+        and queue."""
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
@@ -436,6 +427,8 @@ class ProcessRunner:
                 os.close(end[0])
                 os.close(end[1])
         self._pipes = []
+        self._parent_q.cancel_join_thread()
+        self._parent_q.close()
 
     def kill_worker(self, rank: int) -> None:
         """SIGKILL one worker — a *real* fail-stop crash for the failure

@@ -14,16 +14,15 @@ Reliability: a pipe never drops or reorders, so there is no
 retransmission machinery; ``want_ack`` sends are tracked in an
 awaiting-ack table and an explicit ack frame — queued *after* the deliver
 callback has run, matching the simulator's ack ordering — resolves
-``receipt.delivered``.  What CAN fail is the peer process itself: a
+``Message.delivered``.  What CAN fail is the peer process itself: a
 killed worker never acks, and when the failure detector confirms it
-dead the awaiting-ack receipts fail with :class:`PeerFailedError` — the
+dead the messages awaiting an ack fail with :class:`PeerFailedError` — the
 exact signal the finish/recovery layer reconciles on in the simulator.
 """
 
 from __future__ import annotations
 
-from repro.net.transport import (DeliveryReceipt, Message, PeerFailedError,
-                                 Transport)
+from repro.net.transport import Message, PeerFailedError, Transport
 from repro.backend.wire import dump_frame, load_frame
 
 
@@ -44,36 +43,36 @@ class ProcessTransport(Transport):
         #: inbound frames unpickle against this machine's registries
         #: and dispatch through its AM layer
         self.machine = machine
-        #: (dst, seq) -> receipt of a transmitted want_ack send
-        self._awaiting: dict[tuple, DeliveryReceipt] = {}
+        #: (dst, seq) -> a transmitted want_ack message
+        self._awaiting: dict[tuple, Message] = {}
 
     # ------------------------------------------------------------------ #
     # Send path
     # ------------------------------------------------------------------ #
 
-    def _transmit(self, msg: Message, receipt: DeliveryReceipt,
-                  best_effort: bool = False, pend=None) -> None:
+    def _transmit(self, msg: Message, best_effort: bool = False,
+                  pend=None) -> None:
         self.stats.incr("net.bytes", msg.size)
         if msg.dst == self.local_rank:
             # Loopback: no pickling (reference semantics, same as the
             # simulator's local delivery) but still asynchronous.
-            self.sim.call_soon(self._deliver_local, msg, receipt)
+            self.sim.call_soon(self._deliver_local, msg)
             return
         blob = dump_frame(self.machine, (msg.kind, msg.size, msg.payload))
-        if receipt.delivered is not None:
-            self._awaiting[(msg.dst, msg.seq)] = receipt
+        if msg.delivered is not None:
+            self._awaiting[(msg.dst, msg.seq)] = msg
         self.conduit.put(msg.dst, ("am", self.local_rank, msg.seq,
-                                   receipt.delivered is not None, blob))
-        self.sim.call_soon(receipt.injected.set_result, None)
+                                   msg.delivered is not None, blob))
+        self.sim.call_soon(msg.injected.set_result, None)
 
-    def _deliver_local(self, msg: Message, receipt: DeliveryReceipt) -> None:
-        receipt.injected.set_result(None)
+    def _deliver_local(self, msg: Message) -> None:
+        msg.injected.set_result(None)
         if self.on_delivery is not None:
             self.on_delivery(msg.src, msg.dst)
         if msg.on_deliver is not None:
             msg.on_deliver(msg)
-        if receipt.delivered is not None and not receipt.delivered.done:
-            receipt.delivered.set_result(None)
+        if msg.delivered is not None and not msg.delivered.done:
+            msg.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
     # Receive path
@@ -99,30 +98,30 @@ class ProcessTransport(Transport):
                 self.conduit.put(src, ("ack", self.local_rank, seq))
         elif tag == "ack":
             _, src, seq = item
-            receipt = self._awaiting.pop((src, seq), None)
-            if receipt is not None and not receipt.delivered.done:
-                receipt.delivered.set_result(None)
+            msg = self._awaiting.pop((src, seq), None)
+            if msg is not None and not msg.delivered.done:
+                msg.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
 
     def _peer_down(self, image: int, suspected: bool) -> None:
         """A peer process died: its acks will never come.  Failing the
-        awaiting receipts is what turns an OS-level kill into the same
+        messages awaiting them is what turns an OS-level kill into the same
         :class:`PeerFailedError` signal the recovery ledger re-executes
         on (``spawn._delivery_outcome``)."""
         verdict = "confirmed dead" if suspected else "crashed"
         for key in [k for k in self._awaiting if k[0] == image]:
-            receipt = self._awaiting.pop(key)
+            msg = self._awaiting.pop(key)
             self.stats.incr("net.peer_failed")
-            if not receipt.delivered.done:
-                receipt.delivered.set_exception(PeerFailedError(
-                    f"ack for {receipt.message!r} abandoned: image "
+            if not msg.delivered.done:
+                msg.delivered.set_exception(PeerFailedError(
+                    f"ack for {msg!r} abandoned: image "
                     f"{image} is {verdict}", peer=image,
                     suspected=suspected))
 
     def _in_flight(self) -> tuple[list, list]:
         # A wedged pipe is not a silent peer: say which it is.
         pending = getattr(self.conduit, "pending", dict)()
-        return [], [(receipt.message, "queued, not yet written"
-                     if receipt.message.dst in pending else "awaiting ack")
-                    for receipt in self._awaiting.values()]
+        return [], [(msg, "queued, not yet written"
+                     if msg.dst in pending else "awaiting ack")
+                    for msg in self._awaiting.values()]

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.sim.tasks import Future, all_of
 from repro.runtime.event import event_ref
+from repro.runtime.memory_model import classes_of
 from repro.runtime.sizeof import sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
@@ -179,18 +180,18 @@ def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
     if key is not None:
         stamp = fin.count_send(machine, src, key, dst=dst, cause=cause)
         tag = stamp[0]
-    receipt = machine.am.request_nb(
+    msg = machine.am.request_nb(
         src, dst, handler, args=rec.route + (rec.acked, key, tag),
         payload=payload, payload_size=size,
         category=AMCategory.LONG, want_ack=rec.acked, kind=handler,
     )
     if rec.acked:
         rec.unacked += 1
-        receipt.delivered.add_done_callback(partial(_on_ack, machine, rec))
+        msg.delivered.add_done_callback(partial(_on_ack, machine, rec))
         if key is not None:
-            receipt.delivered.add_done_callback(
+            msg.delivered.add_done_callback(
                 partial(fin.count_delivery_outcome, machine, src, key, stamp))
-    return receipt.injected
+    return msg.injected
 
 
 def _fan_out(machine, rec: _Coll, value: Any, cause,
@@ -250,7 +251,7 @@ def _deliver(machine, rec: _Coll, value: Any, after=()) -> None:
     except Exception as exc:  # noqa: BLE001 - handed on, see below
         # This runs inside an AM handler, but the failure (unequal sort
         # contributions, a user-supplied operator) is the caller's: it
-        # shows on the result, like a transport failure on a receipt.
+        # shows on the result, like a transport failure on a message.
         rec.result.set_exception(exc)
     else:
         rec.result.set_result(value)
@@ -347,12 +348,12 @@ def start(ctx, kind: str, team: Optional[Team], value: Any, *,
         rec.local_event = local_event
         # The handle's last point is local (see core.completion).
         local_op = Future("local_op")
-        rec.op = AsyncOp(kind + "_async", rec.result, local_op, local_op)
+        classes = classes_of(up or me == root,
+                             rec.buf is not None or finalize is not None)
+        rec.op = AsyncOp(kind + "_async", classes, rec.result, local_op,
+                         local_op)
         if implicit:
-            ctx.activation.register(rec.op.make_pending(
-                reads_local=up or me == root,
-                writes_local=rec.buf is not None or finalize is not None,
-                released=local_op))
+            ctx.activation.register(rec.op)
     cause = ctx.activation.cause
     if up:
         _try_combine(machine, rec, cause)

@@ -22,12 +22,18 @@ future as its ``local_op`` (waiting on the handle never hangs, and means
 enclosing ``finish`` gives, by counting its tree messages.
 
 An operation that *is* one message (a spawn, an unpredicated put) does
-not own futures at all: :meth:`AsyncOp.of_message` adopts the transport
-receipt's, so its completion is observed where the transport resolves it
-and a transport failure (``PeerFailedError``) shows on the handle with no
+not own futures at all: its handle adopts the sent
+:class:`~repro.net.transport.Message`'s ``injected`` and ``delivered``,
+so its completion is observed where the transport resolves it and a
+transport failure (``PeerFailedError``) shows on the handle with no
 forwarding step.  Only operations whose completion is composed from
 several messages, or that hand out their handle before any message
 exists (predicated copies, gets, collectives), allocate their own.
+
+The handle is also what an implicitly completed operation leaves on its
+initiating :class:`~repro.runtime.memory_model.Activation`: ``cofence``
+reads its ``classes`` and ``local_data``, ``event_notify`` its
+``started`` and ``global_done``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.sim.tasks import Future
-from repro.runtime.memory_model import PendingOp
 
 #: the one already-resolved future: every handle's ``initiated`` point
 #: (a handle only exists once its initiating call has queued the
@@ -44,53 +49,41 @@ from repro.runtime.memory_model import PendingOp
 RESOLVED = Future("resolved")
 RESOLVED.set_result(None)
 
-
 class AsyncOp:
     """Handle for one asynchronous operation.
 
+    ``classes`` is the operation's local effect, the set of
+    :data:`~repro.runtime.memory_model.READ` /
+    :data:`~repro.runtime.memory_model.WRITE` a ``cofence`` filters on.
     Each completion point not passed in gets a future of its own; passing
     the same future for two points states that they coincide (a put's
     delivery ack is both its ``local_op`` and its ``global_done``)."""
 
-    __slots__ = ("kind", "initiated", "local_data", "local_op",
-                 "global_done", "pending_op", "rc")
+    __slots__ = ("kind", "local_data", "local_op", "global_done", "classes",
+                 "started", "rc")
 
-    def __init__(self, kind: str, local_data: Optional[Future] = None,
+    #: every handle is returned by the call that queued its operation
+    initiated = RESOLVED
+
+    def __init__(self, kind: str, classes: frozenset,
+                 local_data: Optional[Future] = None,
                  local_op: Optional[Future] = None,
                  global_done: Optional[Future] = None):
         self.kind = kind
-        self.initiated = RESOLVED
         self.local_data = (local_data if local_data is not None
                            else Future("local_data"))
         self.local_op = (local_op if local_op is not None
                          else Future("local_op"))
         self.global_done = (global_done if global_done is not None
                             else Future("global_done"))
-        #: the record registered on the initiating activation when the
-        #: operation uses implicit completion; None for explicit ops
-        self.pending_op: Optional[PendingOp] = None
+        self.classes = classes
+        #: False while the operation is gated behind an unposted predicate
+        #: event; such an op is ordered by its own predicate, not by a
+        #: release — event_notify must not wait for it (that would
+        #: deadlock a notify that *is* the predicate)
+        self.started = True
         #: race-detector clock material (analysis.racecheck), when enabled
         self.rc = None
-
-    @classmethod
-    def of_message(cls, kind: str, receipt) -> "AsyncOp":
-        """The handle of an operation that is exactly one acknowledged
-        message: source-buffer injection is its local data completion,
-        the delivery ack its local operation and global completion."""
-        return cls(kind, receipt.injected, receipt.delivered,
-                   receipt.delivered)
-
-    def make_pending(self, reads_local: bool, writes_local: bool,
-                     released: Optional[Future] = None,
-                     op_id: Optional[int] = None) -> PendingOp:
-        """Build (and remember) the pending-op record for this operation."""
-        self.pending_op = PendingOp(
-            self.kind, reads_local, writes_local,
-            local_data=self.local_data, local_op=self.local_op,
-            released=released if released is not None else self.global_done,
-            op_id=op_id,
-        )
-        return self.pending_op
 
     def __repr__(self) -> str:
         stage = ("global" if self.global_done.done else

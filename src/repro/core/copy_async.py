@@ -41,6 +41,7 @@ import numpy as np
 from repro.sim.tasks import Future, any_of
 from repro.runtime.coarray import CoarrayRef
 from repro.runtime.event import event_ref
+from repro.runtime.memory_model import classes_of
 from repro.net.active_messages import AMCategory
 from repro.core.completion import AsyncOp, chain
 from repro.core import finish as fin
@@ -155,7 +156,7 @@ def _make_get_req_handler(machine):
             machine.post_event(src_event, from_rank=ctx.image)
         _key, reply_tag, reply_stamp = _count_send(frame, reply_rank,
                                                    recv_stamp)
-        receipt = machine.am.request_nb(
+        msg = machine.am.request_nb(
             ctx.image, reply_rank, _DATA,
             args=(token, key, reply_tag),
             payload=data, payload_size=int(np.asarray(data).nbytes),
@@ -163,7 +164,7 @@ def _make_get_req_handler(machine):
             kind="copy.data",
         )
         if frame is not None:
-            receipt.delivered.add_done_callback(
+            msg.delivered.add_done_callback(
                 partial(frame.on_delivery_outcome, reply_stamp))
             frame.on_completed(recv_stamp)
     return handle_get_req
@@ -188,7 +189,7 @@ def _make_fwd_handler(machine):
             machine.post_event(src_event, from_rank=ctx.image)
         _key, put_tag, put_stamp = _count_send(frame, dest_ref.world_rank,
                                                recv_stamp)
-        receipt = machine.am.request_nb(
+        msg = machine.am.request_nb(
             ctx.image, dest_ref.world_rank, _PUT,
             args=(dest_ref, key, put_tag, dest_event, done_token, done_rank),
             payload=data, payload_size=int(np.asarray(data).nbytes),
@@ -196,7 +197,7 @@ def _make_fwd_handler(machine):
             kind="copy.put",
         )
         if frame is not None:
-            receipt.delivered.add_done_callback(
+            msg.delivered.add_done_callback(
                 partial(frame.on_delivery_outcome, put_stamp))
             frame.on_completed(recv_stamp)
     return handle_fwd
@@ -244,18 +245,14 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
     # An unpredicated copy is under way before its handle exists, so the
     # handle is the started copy's completion points themselves.  A
     # predicated one hands its handle out first and follows them later.
+    classes = classes_of(src_local, dest_local)
     if pre is None:
-        op = AsyncOp("copy", *start(ctx, machine, d, s, frame, src_ev,
-                                    dest_ev))
+        op = AsyncOp("copy", classes, *start(ctx, machine, d, s, frame,
+                                             src_ev, dest_ev))
     else:
-        op = AsyncOp("copy")
-    pending = None
+        op = AsyncOp("copy", classes)
     if implicit:
-        pending = op.make_pending(
-            reads_local=src_local, writes_local=dest_local,
-            released=op.global_done, op_id=machine.next_op_id(),
-        )
-        ctx.activation.register(pending)
+        ctx.activation.register(op)
 
     racecheck = machine.racecheck
     rcop = (racecheck.copy_begin(ctx, op, implicit,
@@ -267,12 +264,10 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
                                    dest_ev)
         return op
 
-    if pending is not None:
-        pending.started = False
+    op.started = False
 
     def launch() -> None:
-        if pending is not None:
-            pending.started = True
+        op.started = True
         if rcop is not None:
             racecheck.copy_started(ctx, rcop, implicit, d, s, pre, src_ev,
                                    dest_ev)
@@ -310,20 +305,20 @@ def _start_local(ctx, machine, d: _Loc, s: _Loc, frame,
 def _start_put(ctx, machine, d: _Loc, s: _Loc, frame,
                src_ev, dest_ev) -> tuple:
     """Source on the initiator, destination remote: one data message,
-    whose receipt is the copy's completion."""
+    whose completion is the copy's."""
     data = s.read()
     key, tag, stamp = _count_send(frame, d.rank, ctx.activation.cause)
-    receipt = machine.am.request_nb(
+    msg = machine.am.request_nb(
         ctx.rank, d.rank, _PUT,
         args=(d.ref, key, tag, dest_ev, None, None),
         payload=data, payload_size=s.nbytes,
         category=AMCategory.LONG, want_ack=True, kind="copy.put",
     )
     if src_ev is not None:
-        receipt.injected.add_done_callback(
+        msg.injected.add_done_callback(
             lambda _f: machine.post_event(src_ev, from_rank=ctx.rank))
     if frame is not None:
-        receipt.delivered.add_done_callback(
+        msg.delivered.add_done_callback(
             partial(frame.on_delivery_outcome, stamp))
     # Local data completion: the NIC has read the source buffer.  Local
     # operation completion == global completion for a put from the
@@ -332,7 +327,7 @@ def _start_put(ctx, machine, d: _Loc, s: _Loc, frame,
     # equivalent" — on the *source* side; delivery is what the ack tells
     # us, which is both this image's last pairwise communication and the
     # operation's global completion).
-    return receipt.injected, receipt.delivered, receipt.delivered
+    return msg.injected, msg.delivered, msg.delivered
 
 
 def _start_get(ctx, machine, d: _Loc, s: _Loc, frame,
@@ -350,14 +345,14 @@ def _start_get(ctx, machine, d: _Loc, s: _Loc, frame,
 
     machine.scratch[("copy.token", token)] = complete
     key, tag, stamp = _count_send(frame, s.rank, ctx.activation.cause)
-    receipt = machine.am.request_nb(
+    msg = machine.am.request_nb(
         ctx.rank, s.rank, _GET_REQ,
         args=(s.ref, token, key, tag, src_ev, ctx.rank),
         category=AMCategory.SHORT, want_ack=(frame is not None),
         kind="copy.get_req",
     )
     if frame is not None:
-        receipt.delivered.add_done_callback(
+        msg.delivered.add_done_callback(
             partial(frame.on_delivery_outcome, stamp))
     return done, done, done
 
@@ -370,17 +365,17 @@ def _start_forward(ctx, machine, d: _Loc, s: _Loc, frame,
     global_done = Future("copy.fwd")
     machine.scratch[("copy.token", token)] = global_done.set_result
     key, tag, stamp = _count_send(frame, s.rank, ctx.activation.cause)
-    receipt = machine.am.request_nb(
+    msg = machine.am.request_nb(
         ctx.rank, s.rank, _FWD,
         args=(s.ref, d.ref, key, tag, src_ev, dest_ev, token, ctx.rank),
         category=AMCategory.SHORT, want_ack=True, kind="copy.fwd",
     )
     if frame is not None:
-        receipt.delivered.add_done_callback(
+        msg.delivered.add_done_callback(
             partial(frame.on_delivery_outcome, stamp))
     # The initiator's buffers are never touched: its local-data point is
     # the injection of the control message (argument evaluation done);
     # its last pairwise communication is that message's delivery — which
     # a copy.done that beats a lost ack's retransmission proves too.
-    local_op = any_of([receipt.delivered, global_done], "copy.fwd.local_op")
-    return receipt.injected, local_op, global_done
+    local_op = any_of([msg.delivered, global_done], "copy.fwd.local_op")
+    return msg.injected, local_op, global_done

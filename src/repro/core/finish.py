@@ -650,7 +650,7 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
     rounds = yield from algorithm(ctx, frame)
     state.finish_stack.pop()
     # Everything this activation initiated in the block is now globally
-    # complete: its pending-op records have nothing left to order.
+    # complete: the handles it registered have nothing left to order.
     ctx.activation.prune()
     if ctx.machine.racecheck is not None:
         ctx.machine.racecheck.finish_exit(ctx.activation, frame.key)

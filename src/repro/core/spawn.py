@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.runtime.coarray import CoarrayRef, ImageSection, Coarray
 from repro.runtime.event import EventRef, EventVar
-from repro.runtime.memory_model import Activation, PendingOp
+from repro.runtime.memory_model import READ, Activation
 from repro.runtime.sizeof import WORD, sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
@@ -45,6 +45,8 @@ from repro.core.completion import RESOLVED, AsyncOp
 from repro.core import finish as fin  # noqa: F401
 
 _EXEC = "spawn.exec"
+#: a spawn reads its argument buffer and writes nothing local
+_CLASSES = frozenset({READ})
 #: machine.scratch key: {shipped function: {target image: activation
 #: name}}, which doubles as the record of functions already validated
 _FN_NAMES = "spawn.fn_names"
@@ -169,8 +171,9 @@ def spawn(ctx, fn, target: int, *args: Any,
     ``fn`` must be a generator function taking the target-side image
     handle as its first parameter.  Use with ``yield from`` (the call may
     block on flow-control credits).  Returns the operation handle: the
-    spawn is one message, so the handle's completion points are the
-    message's (:meth:`AsyncOp.of_message`).
+    spawn is one acknowledged message, so the handle's completion points
+    are the message's — injection is its local data completion, the
+    delivery ack its local operation and global completion.
     """
     machine = ctx.machine
     dst = (team if team is not None else ctx.team_world).world_rank(target)
@@ -198,12 +201,8 @@ def spawn(ctx, fn, target: int, *args: Any,
         machine.stats.incr("spawn.rerouted")
         _run_local(machine, ctx.rank, frame, fn, shipped_args, spawn_id,
                    name)
-        op = AsyncOp("spawn", RESOLVED, RESOLVED, RESOLVED)
-        activation.register(
-            op.make_pending(reads_local=True, writes_local=False,
-                            released=op.local_op,
-                            op_id=machine.next_op_id()))
-        return op
+        return activation.register(
+            AsyncOp("spawn", _CLASSES, RESOLVED, RESOLVED, RESOLVED))
 
     key = stamp = tag = None
     if frame is not None:
@@ -220,30 +219,26 @@ def spawn(ctx, fn, target: int, *args: Any,
     am = machine.am
     exec_args = (fn, shipped_args, key, tag, event_ref, rc_vc, spawn_id)
     if am.credits is None:
-        receipt = am.request_nb(
+        msg = am.request_nb(
             ctx.rank, dst, _EXEC, args=exec_args, payload_size=size,
             category=AMCategory.MEDIUM, want_ack=True, kind="spawn")
     else:
-        receipt = yield from am.request(
+        msg = yield from am.request(
             ctx.rank, dst, _EXEC, args=exec_args, payload_size=size,
             category=AMCategory.MEDIUM, want_ack=True, kind="spawn")
     # The initiator cannot observe execution completion without an event;
     # global completion is finish's business.  local_op is the strongest
     # initiator-side guarantee the handle itself carries.
-    op = AsyncOp.of_message("spawn", receipt)
+    delivered = msg.delivered
+    op = AsyncOp("spawn", _CLASSES, msg.injected, delivered, delivered)
     op.rc = rcop
     if frame is not None:
-        receipt.delivered.add_done_callback(
+        delivered.add_done_callback(
             partial(_delivery_outcome, frame, stamp, spawn_id) if recover
             else partial(frame.on_delivery_outcome, stamp))
 
     if implicit:
-        # Reads its argument buffer, writes nothing local; released by
-        # the delivery ack (the handle's local_op).
-        op.pending_op = PendingOp("spawn", True, False, receipt.injected,
-                                  receipt.delivered,
-                                  op_id=machine.next_op_id())
-        activation.register(op.pending_op)
+        activation.register(op)
         if machine.racecheck is not None:
             machine.racecheck.spawn_registered(activation, op)
     return op

@@ -24,7 +24,7 @@ from repro.net.topology import (
     UniformTopology,
     HierarchicalTopology,
 )
-from repro.net.transport import Message, Network, DeliveryReceipt
+from repro.net.transport import Message, Network
 from repro.net.flowcontrol import CreditManager
 from repro.net.active_messages import (
     AMLayer,
@@ -40,7 +40,6 @@ __all__ = [
     "HierarchicalTopology",
     "Message",
     "Network",
-    "DeliveryReceipt",
     "CreditManager",
     "AMLayer",
     "AMCategory",

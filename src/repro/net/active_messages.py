@@ -20,7 +20,7 @@ import inspect
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.tasks import Task
-from repro.net.transport import DeliveryReceipt, Message, Transport
+from repro.net.transport import Message, Transport
 from repro.net.flowcontrol import CreditManager
 
 
@@ -130,12 +130,12 @@ class AMLayer:
                    category: AMCategory = AMCategory.MEDIUM,
                    want_ack: bool = False,
                    kind: Optional[str] = None,
-                   best_effort: bool = False) -> DeliveryReceipt:
+                   best_effort: bool = False) -> Message:
         """Fire an active message without flow-control credits.
 
         Safe from any context (including inline handlers).  Returns the
-        transport receipt; ``receipt.injected`` is source-buffer
-        local-data completion.  ``best_effort`` bypasses the reliable
+        sent :class:`~repro.net.transport.Message`; its ``injected`` is
+        source-buffer local-data completion.  ``best_effort`` bypasses the reliable
         protocol (heartbeat traffic).
         """
         record = self._handlers.get(handler) or self._unknown(handler)
@@ -157,7 +157,7 @@ class AMLayer:
                 category: AMCategory = AMCategory.MEDIUM,
                 want_ack: bool = False,
                 kind: Optional[str] = None
-                ) -> Generator[Any, Any, DeliveryReceipt]:
+                ) -> Generator[Any, Any, Message]:
         """Credit-aware request; use with ``yield from`` inside a task.
 
         Blocks while the (src, dst) credit pool is exhausted.  The credit
@@ -167,16 +167,16 @@ class AMLayer:
         if self.credits is not None:
             yield from self.credits.acquire(src, dst)
             want_ack = True
-        receipt = self.request_nb(
+        msg = self.request_nb(
             src, dst, handler, args=args, payload=payload,
             payload_size=payload_size, category=category,
             want_ack=want_ack, kind=kind,
         )
         if self.credits is not None:
-            receipt.delivered.add_done_callback(
+            msg.delivered.add_done_callback(
                 lambda _f: self.credits.release(src, dst)
             )
-        return receipt
+        return msg
 
     # ------------------------------------------------------------------ #
 

@@ -34,11 +34,11 @@ runs a reliable-delivery protocol above the faulty wire:
   doubled by ``rto_backoff`` per attempt) and gives up with
   :class:`RetryExhaustedError` after ``retry_cap`` retries.
 
-``DeliveryReceipt.delivered`` then means "the protocol-level ack for a
-delivered copy reached the sender" — with a clean network this is the
-same instant as the NIC-level ack of the unreliable model, so enabling
-reliability does not move any completion time until faults actually
-strike.  Retransmits, drops and duplicates are counted in ``Stats``
+``Message.delivered`` then means "the protocol-level ack for a delivered
+copy reached the sender" — with a clean network this is the same instant
+as the NIC-level ack of the unreliable model, so enabling reliability
+does not move any completion time until faults actually strike.
+Retransmits, drops and duplicates are counted in ``Stats``
 (``net.retransmits`` / ``net.drops`` / ``net.dups`` / ...) and surfaced
 in the chrome trace as instant events.
 
@@ -117,14 +117,24 @@ class PeerFailedError(RuntimeError):
 
 
 class Message:
-    """One message in flight.  ``payload`` is arbitrary Python data whose
-    simulated footprint is ``size`` bytes (we model cost, not encoding).
+    """One message in flight, and the record its sender observes it by.
+    ``payload`` is arbitrary Python data whose simulated footprint is
+    ``size`` bytes (we model cost, not encoding).
 
-    ``seq`` is assigned by the :class:`Network` that sends the message —
-    a per-network counter, so back-to-back simulations in one process
-    number (and tie-break) their messages identically."""
+    :meth:`Transport.send` numbers the message (``seq``, a per-transport
+    counter, so back-to-back simulations in one process number and
+    tie-break their messages identically), gives it its completion
+    futures and returns it:
 
-    __slots__ = ("seq", "src", "dst", "size", "payload", "kind", "on_deliver")
+    - ``injected`` resolves when the sender NIC has finished reading the
+      source buffer (transport local-data completion);
+    - ``delivered`` resolves, at the sender after the ack round trip,
+      when the deliver callback has run at the destination — only on a
+      send that asked for an ack; None otherwise.
+    """
+
+    __slots__ = ("seq", "src", "dst", "size", "payload", "kind", "on_deliver",
+                 "injected", "delivered")
 
     def __init__(self, src: int, dst: int, size: int, payload: Any,
                  kind: str = "msg",
@@ -142,6 +152,8 @@ class Message:
         self.payload = payload
         self.kind = kind
         self.on_deliver = on_deliver
+        self.injected: Optional[Future] = None
+        self.delivered: Optional[Future] = None
 
     def __repr__(self) -> str:
         seq = "?" if self.seq is None else self.seq
@@ -149,38 +161,13 @@ class Message:
                 f"{self.size}B>")
 
 
-class DeliveryReceipt:
-    """Handles returned by :meth:`Network.send`.
-
-    Attributes
-    ----------
-    injected:
-        Resolves when the sender NIC has finished reading the source
-        buffer (transport local-data completion).
-    delivered:
-        Resolves (at the sender, after the ack round trip) when the
-        message's deliver callback has run at the destination.  Only
-        tracked when the send requested an ack.
-    """
-
-    __slots__ = ("message", "injected", "delivered")
-
-    def __init__(self, message: Message, want_ack: bool):
-        self.message = message
-        self.injected = Future("injected")
-        self.delivered = Future("delivered") if want_ack else None
-
-
 class _PendingSend:
     """Sender-side state of one reliably-sent message."""
 
-    __slots__ = ("msg", "receipt", "link", "lseq", "attempt", "acked",
-                 "timer", "rto0")
+    __slots__ = ("msg", "link", "lseq", "attempt", "acked", "timer", "rto0")
 
-    def __init__(self, msg: Message, receipt: DeliveryReceipt,
-                 link: tuple, lseq: int, rto0: float):
+    def __init__(self, msg: Message, link: tuple, lseq: int, rto0: float):
         self.msg = msg
-        self.receipt = receipt
         self.link = link
         self.lseq = lseq
         self.attempt = 0          # retransmissions performed so far
@@ -244,7 +231,7 @@ class Transport:
         #: wrong; a delivery from a confirmed peer resurrects it.
         self.confirmed: set[int] = set()
         #: quarantined traffic per suspected destination: FIFO of
-        #: ``(msg, receipt, pend)``, flushed in order on unsuspect,
+        #: ``(msg, pend)``, flushed in order on unsuspect,
         #: failed with PeerFailedError on a verdict.  ``pend`` is None
         #: for a fresh send; a transport that retransmits parks its
         #: record of the message at the timer instead (one with
@@ -267,8 +254,8 @@ class Transport:
     # What a subclass supplies
     # ------------------------------------------------------------------ #
 
-    def _transmit(self, msg: Message, receipt: DeliveryReceipt,
-                  best_effort: bool = False, pend=None) -> None:
+    def _transmit(self, msg: Message, best_effort: bool = False,
+                  pend=None) -> None:
         """Put one copy of ``msg`` on the wire.  ``pend`` is None, or a
         retransmitting transport's own record of the message (what it
         must offer to park one: see ``_quarantine``)."""
@@ -289,11 +276,12 @@ class Transport:
     # ------------------------------------------------------------------ #
 
     def send(self, msg: Message, want_ack: bool = False,
-             best_effort: bool = False) -> DeliveryReceipt:
+             best_effort: bool = False) -> Message:
         """Enqueue ``msg`` for injection at its source NIC.
 
         Non-blocking: backpressure, if any, is the flow-control layer's
-        job.  Returns a :class:`DeliveryReceipt`.
+        job.  Returns ``msg``, with its ``injected`` future and, when
+        ``want_ack`` is set, its ``delivered`` one.
 
         ``best_effort`` bypasses the reliable protocol even when
         ``MachineParams.reliable`` is set: no link seq, no retransmit
@@ -310,51 +298,53 @@ class Transport:
             raise ValueError(
                 f"image pair ({src}, {dst}) out of range for {n} images")
         msg.seq = next(self._msg_seq)
-        receipt = DeliveryReceipt(msg, want_ack)
+        msg.injected = Future("injected")
+        if want_ack:
+            msg.delivered = Future("delivered")
         self.stats.incr("net.msgs")
 
         if src != dst and (dst in self._dead or dst in self.suspects):
             if dst in self._dead or dst in self.confirmed:
                 # Fail fast: the destination is crashed (or the detector
-                # confirmed it dead).  The receipt surfaces a typed
+                # confirmed it dead).  The message surfaces a typed
                 # error instead of the protocol spinning to the retry
                 # cap against a downed link.
-                self._fail_fresh_send(msg, receipt)
-                return receipt
+                self._fail_fresh_send(msg)
+                return msg
             if not best_effort:
                 # Merely suspected: the verdict may be wrong (straggler,
                 # partition), so park instead of failing — quarantined
                 # traffic flushes on unsuspect, fails on confirmation.
-                self._park(msg, receipt)
-                return receipt
+                self._park(msg)
+                return msg
             # Fire-and-forget traffic (heartbeats) transmits even toward
             # a suspect: these are exactly the probes that can prove the
             # suspicion wrong.  Parking them would make a mutual
             # suspicion (a healed partition) permanent — no probe could
             # ever cross, so no side could ever unsuspect the other.
 
-        self._transmit(msg, receipt, best_effort)
-        return receipt
+        self._transmit(msg, best_effort)
+        return msg
 
-    def _fail_send(self, receipt: DeliveryReceipt, message: str,
+    def _fail_send(self, msg: Message, message: str,
                    suspected: bool) -> None:
         """Abandon a send that was never transmitted: a typed failure on
         ``delivered`` (if anyone is watching), and ``injected`` still
         resolves — the source buffer is the caller's again."""
         self.stats.incr("net.peer_failed")
-        if receipt.delivered is not None and not receipt.delivered.done:
-            receipt.delivered.set_exception(PeerFailedError(
-                message, peer=receipt.message.dst, suspected=suspected))
-        self.sim.call_soon(receipt.injected.set_result, None)
+        if msg.delivered is not None and not msg.delivered.done:
+            msg.delivered.set_exception(PeerFailedError(
+                message, peer=msg.dst, suspected=suspected))
+        self.sim.call_soon(msg.injected.set_result, None)
 
-    def _fail_fresh_send(self, msg: Message, receipt: DeliveryReceipt) -> None:
+    def _fail_fresh_send(self, msg: Message) -> None:
         crashed = msg.dst in self._dead
         self._fail_send(
-            receipt, f"send of {msg!r} abandoned: image {msg.dst} is "
+            msg, f"send of {msg!r} abandoned: image {msg.dst} is "
             + ("crashed" if crashed else "confirmed dead"),
             suspected=not crashed)
 
-    def _park(self, msg: Message, receipt: DeliveryReceipt) -> None:
+    def _park(self, msg: Message) -> None:
         queue = self._quarantine.setdefault(msg.dst, [])
         if len(queue) >= self.quarantine_cap:
             # Bounded: the newest send overflows with a typed failure
@@ -362,12 +352,12 @@ class Transport:
             # detector makes up its mind.
             self.stats.incr("net.quarantine_overflow")
             self._fail_send(
-                receipt, f"send of {msg!r} abandoned: quarantine for "
+                msg, f"send of {msg!r} abandoned: quarantine for "
                 f"suspected image {msg.dst} is full ({self.quarantine_cap})",
                 suspected=True)
             return
         self.stats.incr("net.quarantined")
-        queue.append((msg, receipt, None))
+        queue.append((msg, None))
 
     # ------------------------------------------------------------------ #
     # Two-level membership (driven by the failure detector)
@@ -387,10 +377,10 @@ class Transport:
         if not queue:
             return
         self.stats.incr("net.quarantine_flushed", len(queue))
-        for msg, receipt, pend in queue:
+        for msg, pend in queue:
             if pend is not None and (pend.acked or msg.src in self._dead):
                 continue
-            self._transmit(msg, receipt, False, pend)
+            self._transmit(msg, False, pend)
 
     def confirm_dead(self, image: int) -> None:
         """Level two: the detector confirms ``image`` dead.  Future
@@ -427,10 +417,10 @@ class Transport:
         if not queue:
             return
         verdict = "confirmed dead" if suspected else "crashed"
-        for msg, receipt, pend in queue:
+        for msg, pend in queue:
             if pend is None:
                 self._fail_send(
-                    receipt, f"quarantined send of {msg!r} abandoned: "
+                    msg, f"quarantined send of {msg!r} abandoned: "
                     f"image {image} is {verdict}", suspected)
             elif not pend.acked:
                 self._fail_pending(pend, PeerFailedError(
@@ -528,8 +518,7 @@ class Network(Transport):
     # The wire: one transmission, one arrival (DESIGN.md §9.6)
     # ------------------------------------------------------------------ #
 
-    def _transmit(self, msg: Message, receipt: DeliveryReceipt,
-                  best_effort: bool = False,
+    def _transmit(self, msg: Message, best_effort: bool = False,
                   pend: Optional[_PendingSend] = None) -> None:
         """Put one copy of ``msg`` on the wire: occupy the source NIC,
         then schedule the arrival and, on the reliable path, the
@@ -576,7 +565,7 @@ class Network(Transport):
             if kind_stat is None:
                 kind_stat = self._kind_stat[msg.kind] = f"net.kind.{msg.kind}"
             stats.incr(kind_stat)
-            sim.schedule_at(inject_end, receipt.injected.set_result, None)
+            sim.schedule_at(inject_end, msg.injected.set_result, None)
             if f is not None:
                 scripted = f.take_scripted_drop(msg.kind)
                 if f.count_send(src) and self.on_crash is not None:
@@ -589,7 +578,7 @@ class Network(Transport):
                 lseq = self._tx_next.get(link, 0)
                 self._tx_next[link] = lseq + 1
                 pend = self._tx_pending[(link, lseq)] = _PendingSend(
-                    msg, receipt, link, lseq, self._nominal_rto(cost, lat))
+                    msg, link, lseq, self._nominal_rto(cost, lat))
 
         source = self.schedule_source
         if source is not None:
@@ -646,7 +635,7 @@ class Network(Transport):
                 self.tracer.flow(msg.kind, src, inject_end, dst, arrive,
                                  args=flow_args)
             sim.schedule_at(arrive + p.o_recv, self._run_delivery_batch,
-                            msg, receipt, pend, lat)
+                            msg, pend, lat)
             if duplicated:
                 # The reliable receiver suppresses the second copy;
                 # without the protocol the handler really runs twice
@@ -654,7 +643,7 @@ class Network(Transport):
                 stats.incr("net.dups")
                 arrive += f.duplicate_lag(lat)
                 sim.schedule_at(arrive + p.o_recv, self._run_delivery_batch,
-                                msg, receipt, pend, lat)
+                                msg, pend, lat)
         if pend is not None:
             rto = pend.rto0 * (p.rto_backoff ** pend.attempt)
             pend.timer = sim.schedule_at(inject_end + rto,
@@ -673,8 +662,8 @@ class Network(Transport):
     # The arrival event of one copy.  Nothing is batched (the name
     # predates the removal of delivery coalescing); it stays because
     # benchmarks/e2e/trace.py binds its span site by this name.
-    def _run_delivery_batch(self, msg: Message, receipt: DeliveryReceipt,
-                            pend: Optional[_PendingSend], lat: float) -> None:
+    def _run_delivery_batch(self, msg: Message, pend: Optional[_PendingSend],
+                            lat: float) -> None:
         src = msg.src
         dst = msg.dst
         dead = self._dead
@@ -683,10 +672,10 @@ class Network(Transport):
             # source's packets are discarded, a dead destination
             # processes nothing.
             self.stats.incr("net.dead_link_discards")
-            delivered = receipt.delivered
+            delivered = msg.delivered
             if (pend is None and src not in dead and delivered is not None
                     and not delivered.done):
-                # A live sender's receipt must fail, not dangle: the
+                # A live sender's message must fail, not dangle: the
                 # unreliable path has no retransmit timer that would
                 # otherwise notice the downed link (a reliable send's
                 # timer reaches the same verdict on its own).
@@ -701,10 +690,10 @@ class Network(Transport):
         if pend is None:
             if msg.on_deliver is not None:
                 msg.on_deliver(msg)
-            delivered = receipt.delivered
+            delivered = msg.delivered
             if delivered is None or delivered.done:
                 return
-            acked, arg = self._resolve_delivered, receipt
+            acked, arg = self._resolve_delivered, msg
         else:
             rx = self._rx_states.get(pend.link)
             if rx is None:
@@ -731,9 +720,9 @@ class Network(Transport):
         self.sim.schedule(self.params.ack_latency_factor * lat, acked, arg)
 
     @staticmethod
-    def _resolve_delivered(receipt: DeliveryReceipt) -> None:
-        if not receipt.delivered.done:
-            receipt.delivered.set_result(None)
+    def _resolve_delivered(msg: Message) -> None:
+        if not msg.delivered.done:
+            msg.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
     # Reliable protocol: timers, acks, abandonment
@@ -772,8 +761,7 @@ class Network(Transport):
             # not re-armed; unsuspecting re-injects, confirmation fails.
             self.stats.incr("net.quarantined")
             pend.timer = None
-            self._quarantine.setdefault(msg.dst, []).append(
-                (msg, pend.receipt, pend))
+            self._quarantine.setdefault(msg.dst, []).append((msg, pend))
             return
         pend.attempt += 1
         p = self.params
@@ -796,20 +784,20 @@ class Network(Transport):
             self.tracer.instant(msg.src, f"rexmit {msg.kind}", self.sim.now,
                                 args={"dst": msg.dst,
                                       "attempt": pend.attempt})
-        self._transmit(msg, pend.receipt, pend=pend)
+        self._transmit(msg, pend=pend)
 
     def _fail_pending(self, pend: _PendingSend, exc: BaseException) -> None:
         """Abandon a reliably-sent message: pop protocol state, stop the
-        timer, and surface ``exc`` through the receipt (if anyone is
-        watching)."""
+        timer, and surface ``exc`` through the message's ``delivered``
+        (if anyone is watching)."""
         self._tx_pending.pop((pend.link, pend.lseq), None)
         if pend.timer is not None:
             self.sim.cancel(pend.timer)
             pend.timer = None
         self.stats.incr("net.peer_failed")
-        if (pend.receipt.delivered is not None
-                and not pend.receipt.delivered.done):
-            pend.receipt.delivered.set_exception(exc)
+        delivered = pend.msg.delivered
+        if delivered is not None and not delivered.done:
+            delivered.set_exception(exc)
 
     def _peer_down(self, image: int, suspected: bool) -> None:
         if suspected:
@@ -840,8 +828,8 @@ class Network(Transport):
             self.sim.cancel(pend.timer)
             pend.timer = None
         self.stats.incr("net.acks")
-        if pend.receipt.delivered is not None:
-            pend.receipt.delivered.set_result(None)
+        if pend.msg.delivered is not None:
+            pend.msg.delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
 

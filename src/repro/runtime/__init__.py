@@ -7,7 +7,6 @@ from repro.runtime.event import EventVar, EventRef
 from repro.runtime.lock import LockVar
 from repro.runtime.memory_model import (
     Activation,
-    PendingOp,
     ReorderOracle,
     READ,
     WRITE,
@@ -33,7 +32,6 @@ __all__ = [
     "EventRef",
     "LockVar",
     "Activation",
-    "PendingOp",
     "ReorderOracle",
     "READ",
     "WRITE",

@@ -4,31 +4,31 @@ CAF 2.0 uses a relaxed memory model (paper §III): asynchronous operations,
 coarray reads/writes and event notify/wait are unordered unless a
 synchronization construct orders them.  This module supplies:
 
-- :class:`PendingOp` — the record an asynchronous operation leaves behind
-  on its initiating activation until it completes, classified by whether
-  it *reads* and/or *writes* local memory (the classes ``cofence``
-  filters on);
+- operation classes — whether an operation *reads* and/or *writes*
+  local memory (the classes ``cofence`` filters on);
 - :class:`Activation` — one dynamic scope of execution (an image's main
-  program, or one shipped-function execution).  ``cofence`` inside a
-  shipped function only sees operations launched by that function
-  (paper §III-B.3, "dynamic scoping"), which falls out of pending ops
-  living on the activation;
+  program, or one shipped-function execution).  An implicitly completed
+  operation's handle (:class:`~repro.core.completion.AsyncOp`) stays on
+  the activation that initiated it until it completes, so ``cofence``
+  inside a shipped function only sees operations launched by that
+  function (paper §III-B.3, "dynamic scoping");
 - :class:`ReorderOracle` — a pure-logic encoding of the legality rules of
   §III (which operations may hoist above / sink below a fence, an
   event_notify (release) or an event_wait (acquire)).  The simulator
-  executes in program order, so the oracle is how we *test* the model:
-  property tests enumerate reorderings and check them against it.
+  executes in program order, so the oracle states the model rather than
+  running it: property tests check the rules' algebra, and the race
+  detector's verdicts are compared against it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.tasks import Future
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.completion import AsyncOp
     from repro.runtime.image import ImageState
 
 
@@ -81,52 +81,8 @@ def may_pass(op_classes: frozenset, allowed: frozenset) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Pending operations
+# Activations
 # --------------------------------------------------------------------- #
-
-class PendingOp:
-    """One in-flight asynchronous operation with implicit completion.
-
-    Completion futures correspond to the paper's Fig. 1 timeline:
-
-    - ``local_data``: inputs on the initiating image may be overwritten,
-      outputs may be read (what ``cofence`` waits on);
-    - ``local_op``: pairwise communication involving the initiator is
-      done (what an event attached to the op would signal);
-    - ``released``: the operation's remote effect is visible at its
-      destination — what an ``event_notify`` (release) must wait for
-      before signalling other images.
-    """
-
-    #: process-wide fallback only; machines pass their own ``op_id`` so
-    #: id streams are reproducible run-to-run (see Machine.next_op_id)
-    _ids = itertools.count()
-
-    __slots__ = ("op_id", "kind", "classes", "local_data", "local_op",
-                 "released", "started", "rc")
-
-    def __init__(self, kind: str, reads_local: bool, writes_local: bool,
-                 local_data: Future, local_op: Future,
-                 released: Optional[Future] = None,
-                 op_id: Optional[int] = None):
-        self.op_id = op_id if op_id is not None else next(PendingOp._ids)
-        self.kind = kind
-        self.classes = _CLASS_SETS[reads_local, writes_local]
-        self.local_data = local_data
-        self.local_op = local_op
-        self.released = released if released is not None else local_op
-        #: False while the op is gated behind an unposted predicate event;
-        #: such an op is ordered by its own predicate, not by a release —
-        #: event_notify must not wait for it (that would deadlock a
-        #: notify that *is* the predicate).
-        self.started = True
-        #: race-detector clock material (analysis.racecheck), when enabled
-        self.rc = None
-
-    def __repr__(self) -> str:
-        return (f"<PendingOp #{self.op_id} {self.kind} "
-                f"classes={sorted(self.classes)}>")
-
 
 class Activation:
     """A dynamic scope: the unit `cofence` and finish-counting bind to.
@@ -150,7 +106,7 @@ class Activation:
         self.image_state = image_state
         self.finish_frame = finish_frame
         self.name = name
-        self._pending: list[PendingOp] = []
+        self._pending: list[AsyncOp] = []
         self._prune_at = self._PRUNE_MIN
         #: race-detector thread clock (analysis.racecheck), when enabled
         self.rc = None
@@ -175,13 +131,13 @@ class Activation:
 
     # -- registration ---------------------------------------------------- #
 
-    def register(self, op: PendingOp) -> PendingOp:
-        """Record ``op`` until it completes.  Completed records are
-        dropped here too, whenever the list has doubled since the last
-        sweep: an activation that only ever initiates (spawns under one
-        long ``finish``, never a ``cofence`` or ``event_notify``) would
-        otherwise keep every operation's record and futures alive until
-        it returns."""
+    def register(self, op: AsyncOp) -> AsyncOp:
+        """Record the handle of an implicitly completed operation until
+        it completes.  Completed handles are dropped here too, whenever
+        the list has doubled since the last sweep: an activation that
+        only ever initiates (spawns under one long ``finish``, never a
+        ``cofence`` or ``event_notify``) would otherwise keep every
+        operation's handle and futures alive until it returns."""
         pending = self._pending
         pending.append(op)
         if len(pending) >= self._prune_at:
@@ -189,15 +145,15 @@ class Activation:
         return op
 
     def prune(self) -> None:
-        """Drop the records of completed operations."""
+        """Drop the handles of completed operations."""
         self._pending = [
             op for op in self._pending
-            if not (op.local_data.done and op.released.done)
+            if not (op.local_data.done and op.global_done.done)
         ]
         self._prune_at = max(self._PRUNE_MIN, 2 * len(self._pending))
 
     @property
-    def pending(self) -> list[PendingOp]:
+    def pending(self) -> list[AsyncOp]:
         self.prune()
         return list(self._pending)
 
@@ -216,12 +172,12 @@ class Activation:
 
     def release_waits(self) -> list[Future]:
         """Futures an event_notify must await so that the notification
-        cannot overtake the remote effects of earlier implicit ops.
-        Predicate-gated ops that have not started are exempt (see
-        :attr:`PendingOp.started`)."""
+        cannot overtake the remote effects of earlier implicit ops: each
+        one's ``global_done``.  Predicate-gated ops that have not started
+        are exempt (see :attr:`AsyncOp.started`)."""
         self.prune()
-        return [op.released for op in self._pending
-                if op.started and not op.released.done]
+        return [op.global_done for op in self._pending
+                if op.started and not op.global_done.done]
 
 
 # --------------------------------------------------------------------- #
@@ -291,55 +247,3 @@ class ReorderOracle:
             # Acquire: nothing after the wait may begin before it.
             return False
         raise TypeError(f"not a synchronization item: {item!r}")
-
-    @classmethod
-    def completion_must_precede(cls, program: list, op_index: int,
-                                item_index: int) -> bool:
-        """True if program[op_index] (an op, before item_index) must be
-        locally complete before the synchronization item fires."""
-        if not isinstance(program[op_index], OpItem):
-            raise TypeError("op_index must name an OpItem")
-        if op_index >= item_index:
-            raise ValueError("op must precede the item in program order")
-        return not cls.may_sink(program[op_index], program[item_index])
-
-    @classmethod
-    def initiation_must_follow(cls, program: list, item_index: int,
-                               op_index: int) -> bool:
-        """True if program[op_index] (an op, after item_index) must not be
-        initiated until the synchronization item completes."""
-        if not isinstance(program[op_index], OpItem):
-            raise TypeError("op_index must name an OpItem")
-        if op_index <= item_index:
-            raise ValueError("op must follow the item in program order")
-        return not cls.may_hoist(program[op_index], program[item_index])
-
-    @classmethod
-    def legal_initiation_orders(cls, program: list) -> Iterable[tuple]:
-        """Enumerate permutations of the program's OpItems that respect
-        every hoist/sink constraint (used by property tests on small
-        programs).  Yields tuples of op names."""
-        ops = [(i, it) for i, it in enumerate(program) if isinstance(it, OpItem)]
-        syncs = [(i, it) for i, it in enumerate(program)
-                 if not isinstance(it, OpItem)]
-        for perm in itertools.permutations(range(len(ops))):
-            ok = True
-            # position of op k in the permuted order
-            pos = {ops[k][0]: slot for slot, k in enumerate(perm)}
-            for (si, sitem) in syncs:
-                for (oi, oitem) in ops:
-                    if oi > si and not cls.may_hoist(oitem, sitem):
-                        # op must stay after every op that must stay before
-                        # the sync — approximate by requiring it not to be
-                        # placed before any non-hoistable older op.
-                        for (oj, ojtem) in ops:
-                            if oj < si and not cls.may_sink(ojtem, sitem):
-                                if pos[oi] < pos[oj]:
-                                    ok = False
-                                    break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield tuple(ops[k][1].name for k in perm)

@@ -216,14 +216,12 @@ class Machine:
         #: detector scratch, lock grants, ...)
         self.scratch: dict = {}
         self._tokens = itertools.count(1)
-        self._op_ids = itertools.count()
-        # Spawn identity stream for recovery idempotency keys; separate
-        # from _op_ids so enabling the ledger never shifts op ids (which
-        # appear in traces and race reports).  Each machine strides by
-        # n_images from its first hosted rank, so ids stay globally
-        # unique without coordination when other machines host the rest
-        # (the dedup registry at an executor must distinguish every
-        # spawner's spawns; a machine that hosts no rank never spawns).
+        # Spawn identity stream for recovery idempotency keys.  Each
+        # machine strides by n_images from its first hosted rank, so ids
+        # stay globally unique without coordination when other machines
+        # host the rest (the dedup registry at an executor must
+        # distinguish every spawner's spawns; a machine that hosts no
+        # rank never spawns).
         self._spawn_ids = itertools.count(next(iter(self.local_ranks), 0),
                                           n_images)
         self._main_tasks: list[Task] = []
@@ -330,12 +328,6 @@ class Machine:
 
     def next_token(self) -> int:
         return next(self._tokens)
-
-    def next_op_id(self) -> int:
-        """Per-machine pending-op id stream (reproducible run-to-run; op
-        ids in traces and race reports do not depend on how many machines
-        the process built earlier)."""
-        return next(self._op_ids)
 
     def next_spawn_id(self) -> int:
         """Machine-global spawn identity, used as the idempotency key

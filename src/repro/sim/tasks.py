@@ -365,11 +365,6 @@ class Channel:
         else:
             self._items.append(item)
 
-    def try_get(self) -> tuple[bool, Any]:
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
     def get(self) -> Generator[Any, Any, Any]:
         if self._items:
             return self._items.popleft()

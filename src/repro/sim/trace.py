@@ -118,13 +118,3 @@ class IntervalAccumulator:
 
     def total(self) -> float:
         return float(self._busy.sum())
-
-    def relative_fractions(self) -> np.ndarray:
-        """Per-stream work relative to the mean (1.0 == perfectly even).
-
-        This is exactly the y-axis of the paper's Fig. 16.
-        """
-        mean = self._busy.mean()
-        if mean == 0:
-            return np.ones_like(self._busy)
-        return self._busy / mean

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -46,6 +47,14 @@ def _key_error_on_rank_1(img):
     return img.rank
 
 
+def _key_error_on_rank_0_while_rank_1_waits(img):
+    if img.rank == 0:
+        yield from img.compute(1e-6)
+        raise KeyError("missing on rank 0")
+    yield from img.barrier()
+    return img.rank
+
+
 def _never_returns(img):
     while True:
         yield from img.compute(0.01)
@@ -60,6 +69,17 @@ def test_unpicklable_shipped_argument_is_a_wire_error(leaves_nothing_behind):
 def test_application_exception_keeps_its_type(backend, leaves_nothing_behind):
     with pytest.raises(KeyError, match="(?s)missing on rank 1.*main@1"):
         run_spmd(_key_error_on_rank_1, 2, backend=backend)
+
+
+def test_first_error_ends_the_run_at_once(leaves_nothing_behind):
+    """Rank 1 waits at a barrier rank 0 will never reach: the run ends
+    with rank 0's error as soon as it is reported, not at the timeout."""
+    runner = ProcessRunner(_key_error_on_rank_0_while_rank_1_waits,
+                           2).start()
+    began = time.monotonic()
+    with pytest.raises(KeyError, match="(?s)missing on rank 0.*main@0"):
+        runner.wait(timeout=20)
+    assert time.monotonic() - began < 10
 
 
 def test_hung_kernel_times_out_with_the_partial_run(leaves_nothing_behind):

@@ -3,8 +3,9 @@ blocking allreduce that finish runs (DESIGN.md §9).
 
 Counts, not timings: one remote implicit spawn (or unpredicated put)
 inside a finish, measured in a window where nothing else on the machine
-moves, may allocate at most the futures its one message needs, look its
-finish frame up at most once per side, and build no handler closure; a
+moves, builds one message and one handle — the record its activation
+tracks — allocates at most the futures its one message needs, looks its
+finish frame up at most once per side, and builds no handler closure; a
 credit-less spawn is one generator frame on the initiator, and enters the
 credit-aware AM request only when flow-control credits are on; a
 blocking allreduce gets none of the handle machinery of its async twin;
@@ -25,6 +26,7 @@ from repro.core import copy_async as copy_mod
 from repro.core import spawn as spawn_mod
 from repro.core.completion import AsyncOp
 from repro.net.active_messages import AMLayer
+from repro.net.transport import Message
 from repro.runtime.program import Machine
 from repro.sim.tasks import Future, Task
 
@@ -57,6 +59,7 @@ def counts(monkeypatch):
     c.patch(Future, "__init__", "futures")
     c.patch(Task, "__init__", "tasks")
     c.patch(AsyncOp, "__init__", "handles")
+    c.patch(Message, "__init__", "messages")
     c.patch(Machine, "get_or_create_frame", "frame_lookups")
     c.patch(spawn_mod, "_make_exec_handler", "closures")
     c.patch(AMLayer, "request", "credit_requests")
@@ -74,7 +77,10 @@ def _touch(img):
 def _one_op_in_a_quiet_window(counts, spmd, issue, params=None):
     """Rank 0 warms the path up once, waits until every other image is
     parked in ``finish_end``, then issues one operation with counting on
-    and keeps counting until it has completed on the target."""
+    and keeps counting until it has completed on the target.  The
+    counted operation's handle is left in ``counts.op``, and the last
+    record its activation tracked right after the call in
+    ``counts.tracked``."""
 
     def kernel(img):
         yield from img.finish_begin()
@@ -83,7 +89,8 @@ def _one_op_in_a_quiet_window(counts, spmd, issue, params=None):
             yield op.global_done
             yield from img.compute(1e-3)         # the others park
             counts.on = True
-            op = yield from issue(img)
+            op = counts.op = yield from issue(img)
+            counts.tracked = img.activation._pending[-1]
             yield op.global_done
             yield from img.compute(1e-4)         # target-side completion
             counts.on = False
@@ -124,7 +131,10 @@ def test_remote_implicit_spawn_budget(counts, spmd):
 
     machine = _one_op_in_a_quiet_window(counts, spmd, issue)
     assert machine.stats["spawn.executed"] == 2
-    # the receipt's injected + delivered, and the handler task's done
+    # one record per operation and one per message
+    assert counts.tracked is counts.op
+    assert counts["messages"] == counts["handles"] == 1
+    # the message's injected + delivered, and the handler task's done
     assert 0 < counts["futures"] <= 3
     # the spawner holds its frame; the exec handler looks its own up once
     assert counts["frame_lookups"] <= 2
@@ -155,7 +165,10 @@ def test_unpredicated_put_budget(counts, spmd):
 
     machine = _one_op_in_a_quiet_window(counts, spmd, issue)
     assert machine.stats["net.kind.copy.put"] == 2
-    # the receipt's injected + delivered; the put handler runs inline
+    # one record per operation and one per message
+    assert counts.tracked is counts.op
+    assert counts["messages"] == counts["handles"] == 1
+    # the message's injected + delivered; the put handler runs inline
     assert 0 < counts["futures"] <= 2
     assert counts["frame_lookups"] <= 1
     assert counts["closures"] == 0

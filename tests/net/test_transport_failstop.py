@@ -21,6 +21,7 @@ from repro.net.transport import (
     RetryExhaustedError,
 )
 from repro.sim.engine import Simulator
+from repro.sim.tasks import Future
 from repro.sim.trace import Stats
 
 
@@ -91,6 +92,21 @@ def conduit_wire(n=4):
 
 class TestSendContract:
     wire = staticmethod(network_wire)
+
+    @pytest.mark.parametrize("want_ack", [False, True])
+    def test_send_returns_the_message_it_was_given(self, want_ack):
+        """One record per message: the sender observes its send through
+        the message itself — ``injected`` always, ``delivered`` only
+        when an ack was asked for."""
+        w = self.wire()
+        msg = message(w, 1)
+        assert w.net.send(msg, want_ack=want_ack) is msg
+        assert isinstance(msg.injected, Future)
+        assert (msg.delivered is not None) is want_ack
+        w.sim.run()
+        assert msg.injected.done and w.delivered
+        if want_ack:
+            assert msg.delivered.done and msg.delivered.exception() is None
 
     def test_no_ack_means_no_delivered_future(self):
         w = self.wire()

@@ -64,20 +64,3 @@ def test_may_pass_is_monotone_in_allowed_set(op_classes, arg):
     if may_pass(op_classes, allowed):
         assert may_pass(op_classes, allowed | frozenset({READ}))
         assert may_pass(op_classes, allowed | frozenset({WRITE}))
-
-
-@given(before=ops, after=ops, sync=syncs)
-def test_legal_orders_agree_with_pairwise_rules(before, after, sync):
-    """legal_initiation_orders on a minimal program agrees with the
-    pairwise sink/hoist predicates."""
-    before = OpItem("x", before.reads_local, before.writes_local)
-    after = OpItem("y", after.reads_local, after.writes_local)
-    program = [before, sync, after]
-    orders = set(ReorderOracle.legal_initiation_orders(program))
-    assert ("x", "y") in orders  # program order is always legal
-    swap_legal = ("y", "x") in orders
-    # Swapping initiation requires the later op to be hoistable above
-    # the sync or the earlier one to be sinkable below it.
-    expected = (ReorderOracle.may_hoist(after, sync)
-                or ReorderOracle.may_sink(before, sync))
-    assert swap_legal == expected

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.completion import AsyncOp
 from repro.sim.tasks import Future
 from repro.runtime.memory_model import (
     ANY,
@@ -11,7 +12,6 @@ from repro.runtime.memory_model import (
     FenceItem,
     NotifyItem,
     OpItem,
-    PendingOp,
     ReorderOracle,
     WaitItem,
     allowed_set,
@@ -51,8 +51,11 @@ class _FakeState:
 
 
 def make_op(kind="copy", reads=True, writes=False):
-    return PendingOp(kind, reads, writes,
-                     local_data=Future("ld"), local_op=Future("lo"))
+    """The handle of a one-message operation: its delivery ack is both
+    its local operation and its global completion."""
+    delivered = Future("delivered")
+    return AsyncOp(kind, classes_of(reads, writes), Future("ld"), delivered,
+                   delivered)
 
 
 class TestActivation:
@@ -76,7 +79,7 @@ class TestActivation:
         act = Activation(_FakeState())
         op = act.register(make_op())
         op.local_data.set_result(None)
-        op.local_op.set_result(None)
+        op.global_done.set_result(None)
         assert act.pending == []
         assert act.fence_waits(allowed_set(None)) == []
 
@@ -90,7 +93,7 @@ class TestActivation:
         for _ in range(1000):
             op = act.register(make_op())
             op.local_data.set_result(None)
-            op.local_op.set_result(None)
+            op.global_done.set_result(None)
         assert len(act._pending) <= 2 * Activation._PRUNE_MIN
         assert act.pending == live
 
@@ -117,14 +120,10 @@ class TestActivation:
     def test_release_waits(self):
         act = Activation(_FakeState())
         op = act.register(make_op())
-        assert act.release_waits() == [op.released]
-        op.released.set_result(None)
+        assert act.release_waits() == [op.global_done]
+        op.global_done.set_result(None)
         op.local_data.set_result(None)
         assert act.release_waits() == []
-
-    def test_released_defaults_to_local_op(self):
-        op = make_op()
-        assert op.released is op.local_op
 
     def test_current_frame_dynamic_vs_pinned(self):
         state = _FakeState()
@@ -167,80 +166,3 @@ class TestReorderOracle:
         op = OpItem("x", reads_local=True)
         assert ReorderOracle.may_sink(op, WaitItem())
         assert not ReorderOracle.may_hoist(op, WaitItem())
-
-    def test_completion_must_precede(self):
-        program = [OpItem("a", reads_local=True), FenceItem()]
-        assert ReorderOracle.completion_must_precede(program, 0, 1)
-        program = [OpItem("a", reads_local=True), FenceItem(downward=READ)]
-        assert not ReorderOracle.completion_must_precede(program, 0, 1)
-
-    def test_initiation_must_follow(self):
-        program = [WaitItem(), OpItem("a", reads_local=True)]
-        assert ReorderOracle.initiation_must_follow(program, 0, 1)
-        program = [NotifyItem(), OpItem("a", reads_local=True)]
-        assert not ReorderOracle.initiation_must_follow(program, 0, 1)
-
-    def test_index_validation(self):
-        program = [FenceItem(), OpItem("a")]
-        with pytest.raises(ValueError):
-            ReorderOracle.completion_must_precede(program, 1, 0)
-        with pytest.raises(TypeError):
-            ReorderOracle.completion_must_precede(
-                [FenceItem(), FenceItem()], 0, 1)
-
-    def test_legal_orders_full_fence(self):
-        program = [
-            OpItem("a", reads_local=True),
-            FenceItem(),
-            OpItem("b", reads_local=True),
-        ]
-        orders = set(ReorderOracle.legal_initiation_orders(program))
-        assert ("a", "b") in orders
-        assert ("b", "a") not in orders
-
-    def test_legal_orders_porous_fence(self):
-        program = [
-            OpItem("a", reads_local=True),
-            FenceItem(downward=ANY, upward=ANY),
-            OpItem("b", reads_local=True),
-        ]
-        orders = set(ReorderOracle.legal_initiation_orders(program))
-        assert orders == {("a", "b"), ("b", "a")}
-
-
-class TestPerMachineOpIds:
-    """Pending-op ids come from the machine, not a process-global counter
-    (regression: the class-level fallback made ids depend on how many
-    machines the process had built earlier, so traces and race reports
-    were not reproducible run-to-run)."""
-
-    def test_identical_runs_get_identical_id_streams(self):
-        import numpy as np
-
-        from repro.runtime.program import run_spmd
-
-        def setup(m):
-            m.coarray("T", shape=8, dtype=np.float64)
-
-        def kernel(img):
-            T = img.machine.coarray_by_name("T")
-            ids = []
-            for _ in range(3):
-                op = img.copy_async(T.ref((img.rank + 1) % img.nimages),
-                                    np.ones(8))
-                ids.append(op.pending_op.op_id)
-            yield from img.cofence()
-            yield from img.barrier()
-            return ids
-
-        _, first = run_spmd(kernel, 2, setup=setup)
-        _, second = run_spmd(kernel, 2, setup=setup)
-        assert first == second
-        flat = sorted(i for ids in first for i in ids)
-        # fresh machine ⇒ the stream restarts from 0
-        assert flat[0] == 0
-
-    def test_fallback_counter_still_works_without_a_machine(self):
-        op = PendingOp("bare", True, False, Future("ld"), Future("lo"))
-        other = PendingOp("bare", True, False, Future("ld"), Future("lo"))
-        assert other.op_id > op.op_id

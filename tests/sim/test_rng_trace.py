@@ -92,16 +92,6 @@ class TestIntervalAccumulator:
         assert acc.busy.tolist() == [3.0, 0.0, 3.0]
         assert acc.total() == 6.0
 
-    def test_relative_fractions(self):
-        acc = IntervalAccumulator(2)
-        acc.add(0, 1.0)
-        acc.add(1, 3.0)
-        assert acc.relative_fractions().tolist() == [0.5, 1.5]
-
-    def test_relative_fractions_all_zero(self):
-        acc = IntervalAccumulator(4)
-        assert acc.relative_fractions().tolist() == [1.0] * 4
-
     def test_negative_duration_rejected(self):
         acc = IntervalAccumulator(1)
         with pytest.raises(ValueError):

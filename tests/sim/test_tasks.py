@@ -268,14 +268,6 @@ class TestChannel:
         sim.run()
         assert got == [("first", "a"), ("second", "b")]
 
-    def test_try_get(self):
-        sim = Simulator()
-        ch = Channel(sim)
-        assert ch.try_get() == (False, None)
-        ch.put(5)
-        assert ch.try_get() == (True, 5)
-        assert len(ch) == 0
-
 
 class TestSemaphore:
     def test_counts(self):
