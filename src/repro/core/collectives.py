@@ -1,13 +1,16 @@
-"""Team collectives (paper §II-C.3): one staged tree engine.
+"""Team collectives (paper §II-C.3): one staged engine.
 
-Every collective is one row of :func:`start` — an *up* phase (combine
-the members' contributions towards the root) and/or a *down* phase (fan
-the root's value out), a contribution, and a pure local ``finalize``;
-DESIGN.md §3.3 ("The tree engine") has the table.  Both phases run over
-a ``radix``-ary tree rooted at ``root`` with real active messages
-(``coll.up`` / ``coll.down``), so the simulated cost is the expected
-``O(log p)`` wire latencies — the constant the paper's Fig. 12
-micro-benchmark exposes.
+Every collective is one row of :func:`start`, in one of two shapes
+(DESIGN.md §3.3, "The collective engine", has the table).  A *tree* row
+has an *up* phase (combine the members' contributions towards the root)
+and/or a *down* phase (fan the root's value out), a contribution, and a
+pure local ``finalize``; both phases run over a ``radix``-ary tree
+rooted at ``root`` with real active messages (``coll.up`` /
+``coll.down``), so the simulated cost is the expected ``O(log p)`` wire
+latencies — the constant the paper's Fig. 12 micro-benchmark exposes.
+A *per-pair* row runs numbered steps of point-to-point messages
+(``coll.pair``): alltoall's direct exchange here, the ring allreduce and
+the pipelined broadcast in :mod:`repro.core.collectives_algos`.
 
 A *blocking* collective (this module's public functions — among them the
 ``allreduce`` that drives finish's termination detection, Fig. 7 line 8,
@@ -19,12 +22,13 @@ collective is complete when it returns.  The ``*_async`` twins in
 
 Collective calls on a team must be issued in the same order by every
 member (SPMD discipline); a per-image, per-team sequence number matches
-the calls up, so a tree message may reach an image before that image's
+the calls up, so a message may reach an image before that image's
 own call does.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import partial
 from typing import Any, Callable, Generator, Optional
 
@@ -42,13 +46,22 @@ from repro.core import finish as fin
 
 _UP = "coll.up"
 _DOWN = "coll.down"
+_PAIR = "coll.pair"
 
-#: registered reduction operators
+
+def _arrays(a: Any, b: Any) -> bool:
+    return isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+
+
+#: registered reduction operators, elementwise on numpy arrays; scalars
+#: keep their own Python type
 _OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "max": lambda a, b: a if a >= b else b,
-    "min": lambda a, b: a if a <= b else b,
+    "sum": operator.add,
+    "prod": operator.mul,
+    "max": lambda a, b: (np.maximum(a, b) if _arrays(a, b)
+                         else a if a >= b else b),
+    "min": lambda a, b: (np.minimum(a, b) if _arrays(a, b)
+                         else a if a <= b else b),
 }
 
 
@@ -77,7 +90,7 @@ class _Coll:
     """One image's record of one collective instance.
 
     Records are keyed (image, team, seq) in the machine's table and are
-    created by whichever comes first, the local call or a tree message.
+    created by whichever comes first, the local call or a message.
     A record leaves the table when the local call has happened and its
     last completion point has resolved (the result for a blocking call,
     ``local_op`` for a handle), so whatever is still listed after the
@@ -88,12 +101,15 @@ class _Coll:
                  "called", "value", "combine", "finalize", "down",
                  "child_values", "sent_up", "arrived", "arrived_value",
                  "result", "op", "buf", "src_event", "local_event",
-                 "acked", "key", "unacked")
+                 "acked", "key", "unacked",
+                 "rounds", "step", "expect", "inbox", "sent")
 
     def __init__(self) -> None:
         self.team: Optional[Team] = None   # bound on first touch (_record)
         self.called = False
         self.child_values: list[Any] = []
+        #: per-pair messages by the step they are for: {step: [(src, value)]}
+        self.inbox: dict[int, list] = {}
         self.sent_up = False
         self.arrived = False
         self.arrived_value: Any = None
@@ -130,12 +146,13 @@ def _record(machine, world: int, team: Team, seq: int, root: int,
 def register_handlers(machine) -> None:
     """Called once per machine, on the family's first use there."""
     am = machine.am
-    for name, on_message in ((_UP, _on_up), (_DOWN, _on_down)):
+    for name, on_message in ((_UP, _on_up), (_DOWN, _on_down),
+                             (_PAIR, _on_pair)):
         am.register(name, partial(_handle, machine, on_message))
 
 
 def _handle(machine, on_message, ctx, team_id, seq, root, radix, acked, key,
-            tag) -> None:
+            tag, *where) -> None:
     rec = _record(machine, ctx.image, machine.team_by_id(team_id), seq,
                   root, radix)
     if not rec.called:
@@ -143,12 +160,12 @@ def _handle(machine, on_message, ctx, team_id, seq, root, radix, acked, key,
         # forwarded before it moves on the sender's terms.
         rec.acked, rec.key = acked, key
     if key is None:
-        on_message(machine, rec, ctx.payload, ctx.size, None)
+        on_message(machine, rec, ctx.payload, ctx.size, None, *where)
     else:
         # Counted against the sender's finish frame: received now,
         # completed once this image's share of the forwarding is done.
         stamp = fin.count_received(machine, ctx.image, key, tag, src=ctx.src)
-        on_message(machine, rec, ctx.payload, ctx.size, stamp)
+        on_message(machine, rec, ctx.payload, ctx.size, stamp, *where)
         fin.count_completed(machine, ctx.image, key, stamp)
 
 
@@ -166,13 +183,21 @@ def _on_down(machine, rec: _Coll, payload: Any, size: int, cause) -> None:
         rec.arrived_value = payload
 
 
+def _on_pair(machine, rec: _Coll, payload: Any, _size: int, cause,
+             step: int, src: int) -> None:
+    rec.inbox.setdefault(step, []).append((src, payload))
+    if rec.called and step == rec.step:
+        _advance(machine, rec, cause)
+
+
 def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
-          size: int, cause) -> Future:
-    """Send one tree message of ``size`` simulated bytes to team rank
-    ``to``; returns its injection future.  With a handle the message is
-    acknowledged — the ack is the pairwise completion ``local_op`` is
-    composed from — and, under implicit completion, counted against
-    ``rec.key``'s finish frame."""
+          size: int, cause, where: tuple = ()) -> Future:
+    """Send one message of ``size`` simulated bytes to team rank ``to``
+    (``where`` adds a per-pair message's step and source); returns its
+    injection future.  With a handle the message is acknowledged — the
+    ack is the pairwise completion ``local_op`` is composed from — and,
+    under implicit completion, counted against ``rec.key``'s finish
+    frame."""
     src = rec.world
     dst = rec.team.world_rank(to)
     key = rec.key
@@ -181,7 +206,7 @@ def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
         stamp = fin.count_send(machine, src, key, dst=dst, cause=cause)
         tag = stamp[0]
     msg = machine.am.request_nb(
-        src, dst, handler, args=rec.route + (rec.acked, key, tag),
+        src, dst, handler, args=rec.route + (rec.acked, key, tag) + where,
         payload=payload, payload_size=size,
         category=AMCategory.LONG, want_ack=rec.acked, kind=handler,
     )
@@ -232,9 +257,29 @@ def _try_combine(machine, rec: _Coll, cause) -> None:
             _deliver(machine, rec, None, after=[injected])
 
 
+def _advance(machine, rec: _Coll, cause) -> None:
+    """Per-pair rounds, from the local call on: once every message the
+    row expects for step ``rec.step`` is here, fold them into the value
+    and enter the next step — its messages go out at once; after the
+    last step, deliver (a handle's ``local_data`` also waits for the
+    injection of every message this image sent)."""
+    steps, plan, fold = rec.rounds
+    while len(rec.inbox.get(rec.step, ())) >= rec.expect:
+        for src, payload in rec.inbox.pop(rec.step, ()):
+            fold(rec.value, rec.step, src, payload)
+        rec.step += 1
+        if rec.step == steps:
+            _deliver(machine, rec, rec.value, after=rec.sent)
+            return
+        sends, rec.expect = plan(rec.step)
+        for to, step, payload in sends:
+            rec.sent.append(_send(machine, rec, to, _PAIR, payload,
+                                  sizeof(payload), cause, (step, rec.me)))
+
+
 def _deliver(machine, rec: _Coll, value: Any, after=()) -> None:
     """This image's share of the data movement is over: ``value`` is what
-    the tree left here.  Finalize it, write the destination buffer and
+    the messages left here.  Finalize it, write the destination buffer and
     resolve the result.  ``after`` lists the injections of the sends that
     carried my own contribution away; a handle's ``local_data`` waits for
     them (the source may be overwritten only then), a blocking call does
@@ -306,14 +351,18 @@ def start(ctx, kind: str, team: Optional[Team], value: Any, *,
           root: int = 0, radix: int = 2, up: bool = True, down: bool = True,
           combine: Optional[Callable[[Any, Any], Any]] = None,
           finalize: Optional[Callable[[Team, int, Any], Any]] = None,
-          handle: Optional[tuple] = None, stat: Optional[str] = None
-          ) -> _Coll:
+          handle: Optional[tuple] = None, stat: Optional[str] = None,
+          rounds: Optional[tuple] = None) -> _Coll:
     """Begin one collective on this image and return its record.
 
     ``value`` is my contribution (ignored on non-roots of a down-only
     collective); ``combine`` merges two contributions on the way up;
-    ``finalize(team, me, value)`` turns what the tree leaves here into
-    what this image ends up with.  ``handle`` is None for a blocking call
+    ``finalize(team, me, value)`` turns what the messages leave here into
+    what this image ends up with.  A per-pair row passes ``rounds =
+    (steps, plan, fold)`` instead of up/down: ``plan(step)`` returns the
+    step's sends, ``[(team rank, receiver's step, value)]``, and how many
+    messages the step waits for; ``fold(value, step, src, message)``
+    folds each into ``value``.  ``handle`` is None for a blocking call
     — wait on ``record.result`` — or ``(buf, src_event, local_event)``
     for an asynchronous one, whose handle is ``record.op``: ``buf`` is
     written where the result lands, the events and implicit completion
@@ -355,7 +404,11 @@ def start(ctx, kind: str, team: Optional[Team], value: Any, *,
         if implicit:
             ctx.activation.register(rec.op)
     cause = ctx.activation.cause
-    if up:
+    if rounds is not None:
+        rec.rounds, rec.sent = rounds, []
+        rec.step, rec.expect = -1, 0     # step 0 is entered at once
+        _advance(machine, rec, cause)
+    elif up:
         _try_combine(machine, rec, cause)
     elif me == root:
         _deliver(machine, rec, value,
@@ -386,10 +439,6 @@ def _root_list(team: Team, me: int, merged: Optional[dict]) -> Optional[list]:
 
 def _mine(team: Team, me: int, full: list) -> Any:
     return full[me]
-
-
-def _column(team: Team, me: int, merged: dict) -> list:
-    return [merged[j][me] for j in range(team.size)]
 
 
 def _prefix(fn, inclusive: bool, team: Team, me: int, merged: dict) -> Any:
@@ -458,12 +507,22 @@ def start_allgather(ctx, value, team, radix, handle=None, kind="allgather",
                  combine=_merge, finalize=finalize, handle=handle)
 
 
+def _place(merged: dict, _step: int, src: int, value: Any) -> None:
+    merged[src] = value
+
+
 def start_alltoall(ctx, values, team, radix, handle=None) -> _Coll:
-    team, _me = member(ctx, team)
-    if len(values) != team.size:
+    """A direct exchange in one per-pair step: entry j goes straight to
+    member j, and the p-1 entries addressed to me are placed as they
+    come."""
+    team, me = member(ctx, team)
+    p = team.size
+    if len(values) != p:
         raise ValueError("alltoall needs exactly one value per member")
-    return start_allgather(ctx, values, team, radix, handle, "alltoall",
-                           _column)
+    sends = [(j, 0, values[j]) for j in range(p) if j != me]
+    return start(ctx, "alltoall", team, {me: values[me]}, radix=radix,
+                 finalize=_as_list, handle=handle,
+                 rounds=(1, lambda _step: (sends, p - 1), _place))
 
 
 def start_scan(ctx, value, op, team, inclusive, radix, handle=None) -> _Coll:

@@ -3,9 +3,9 @@
 The tree collectives in :mod:`repro.core.collectives` are latency-
 optimal (O(log p) hops) but move the whole payload at every level —
 fine for the scalar reductions finish performs, wasteful for large
-arrays.  This module adds the classic bandwidth-optimal algorithms a
+arrays.  These are the classic bandwidth-optimal algorithms a
 production CAF 2.0 runtime would select for bulk data (§II-C.3's
-collective "vision"):
+collective "vision"), as two rows of the engine's per-pair shape:
 
 - :func:`ring_allreduce` — ring reduce-scatter followed by ring
   allgather (Rabenseifner's decomposition): 2(p-1) messages of n/p
@@ -15,9 +15,9 @@ collective "vision"):
   the completion time approaches n/B + (p-2+s) hops instead of
   ceil(log2 p) x n/B.
 
-Both are blocking (use ``yield from``) and match instances across
-images with the same per-team sequence numbers as the tree collectives,
-so they interleave safely with them under SPMD discipline.
+Both are blocking (use ``yield from``) and are numbered with the same
+per-team sequence as every other collective, so they interleave safely
+with them under SPMD discipline.
 """
 
 from __future__ import annotations
@@ -26,61 +26,8 @@ from typing import Any, Generator, Optional
 
 import numpy as np
 
-from repro.sim.tasks import Condition
 from repro.runtime.team import Team
-from repro.net.active_messages import AMCategory
-from repro.core.collectives import op_function
-
-#: elementwise equivalents of the named operators (the scalar lambdas in
-#: collectives.op_function do not broadcast over arrays)
-_ARRAY_OPS = {
-    "sum": np.add,
-    "prod": np.multiply,
-    "max": np.maximum,
-    "min": np.minimum,
-}
-
-
-def array_op_function(op: Any):
-    """Resolve a reduction operator for elementwise array use."""
-    if callable(op):
-        return op
-    try:
-        return _ARRAY_OPS[op]
-    except KeyError:
-        return op_function(op)  # raises with the canonical message
-
-_RING = "algcoll.ring"
-_PIPE = "algcoll.pipe"
-
-
-class _RingState:
-    """Per-image buffers for one ring-collective instance."""
-
-    def __init__(self, sim):
-        self.chunks: dict[tuple[int, int], np.ndarray] = {}
-        self.cond = Condition(sim, "ring")
-
-
-def register_handlers(machine) -> None:
-    """Called once per machine, on the family's first use there."""
-    am = machine.am
-
-    def handle_ring(ctx, team_id, seq, step, chunk_idx):
-        state = machine.coll_state(ctx.image, team_id, seq, _make_state(machine))
-        state.chunks[(step, chunk_idx)] = ctx.payload
-        state.cond.wake()
-
-    am.register(_RING, handle_ring)
-    am.register(_PIPE, handle_ring)  # same buffering
-
-
-def _make_state(machine):
-    return lambda: _RingState(machine.sim)
-
-
-def _state(machine, rank, team_id, seq) -> _RingState:
-    return machine.coll_state(rank, team_id, seq, _make_state(machine))
+from repro.core.collectives import member, op_function, start
 
 
 def _chunk_bounds(n: int, p: int, idx: int) -> tuple[int, int]:
@@ -97,57 +44,31 @@ def ring_allreduce(ctx, array: np.ndarray, op: Any = "sum",
                    ) -> Generator[Any, Any, np.ndarray]:
     """Bandwidth-optimal allreduce of a numpy array; every member passes
     its contribution and receives the elementwise reduction in place
-    (also returned)."""
-    team = team if team is not None else ctx.team_world
-    machine = ctx.machine
-    machine.stats.incr("algcoll.ring_allreduce")
-    fn = array_op_function(op)
+    (also returned).
+
+    2(p-1) steps: at step s I send my chunk (me-s) to the right and fold
+    in chunk (me-s-1) from the left — reducing it during the first p-1
+    steps (reduce-scatter), taking it as it is after (allgather)."""
+    fn = op_function(op)
     array = np.asarray(array)
     if array.ndim != 1:
         raise ValueError("ring_allreduce expects a 1-D array")
-
+    team, me = member(ctx, team)
     p = team.size
-    seq = machine.next_coll_seq(ctx.rank, team.id)
-    if p == 1:
-        return array
-    state = _state(machine, ctx.rank, team.id, seq)
-    me = team.rank_of(ctx.rank)
-    right = team.world_rank((me + 1) % p)
 
-    work = array.copy()
+    def chunk(step: int) -> np.ndarray:
+        lo, hi = _chunk_bounds(len(array), p, (me - step) % p)
+        return array[lo:hi]
 
-    def send(step: int, chunk_idx: int) -> None:
-        lo, hi = _chunk_bounds(len(work), p, chunk_idx)
-        payload = np.copy(work[lo:hi])
-        machine.am.request_nb(
-            ctx.rank, right, _RING,
-            args=(team.id, seq, step, chunk_idx),
-            payload=payload, payload_size=int(payload.nbytes),
-            category=AMCategory.LONG, kind="algcoll.ring",
-        )
+    def fold(_array, step: int, _src: int, incoming: np.ndarray) -> None:
+        mine = chunk(step + 1)
+        mine[...] = fn(mine, incoming) if step < p - 1 else incoming
 
-    # Phase 1: reduce-scatter.  At step s I send the running reduction
-    # of chunk (me - s) and fold the incoming chunk (me - s - 1).
-    for step in range(p - 1):
-        send(step, (me - step) % p)
-        want = (step, (me - step - 1) % p)
-        yield from state.cond.wait_until(lambda w=want: w in state.chunks)
-        incoming = state.chunks.pop(want)
-        lo, hi = _chunk_bounds(len(work), p, (me - step - 1) % p)
-        work[lo:hi] = fn(work[lo:hi], incoming)
+    def plan(step: int):
+        return [((me + 1) % p, step, chunk(step).copy())], 1
 
-    # Phase 2: allgather the completed chunks around the ring.
-    for step in range(p - 1):
-        send(p - 1 + step, (me + 1 - step) % p)
-        want = (p - 1 + step, (me - step) % p)
-        yield from state.cond.wait_until(lambda w=want: w in state.chunks)
-        incoming = state.chunks.pop(want)
-        lo, hi = _chunk_bounds(len(work), p, (me - step) % p)
-        work[lo:hi] = incoming
-
-    machine.drop_coll_state(ctx.rank, team.id, seq)
-    array[...] = work
-    return array
+    return (yield start(ctx, "ring_allreduce", team, array,
+                        rounds=(2 * (p - 1), plan, fold)).result)
 
 
 def pipelined_broadcast(ctx, array: np.ndarray, root: int = 0,
@@ -155,49 +76,35 @@ def pipelined_broadcast(ctx, array: np.ndarray, root: int = 0,
                         segments: int = 8
                         ) -> Generator[Any, Any, np.ndarray]:
     """Chain-pipelined broadcast of a numpy array in ``segments``
-    pieces; the root's content ends up in every member's ``array``."""
-    team = team if team is not None else ctx.team_world
-    machine = ctx.machine
-    machine.stats.incr("algcoll.pipelined_broadcast")
+    pieces; the root's content ends up in every member's ``array``.
+
+    The root sends segment s at its step s, all at the call; every
+    other member receives segment s at step s and forwards it to the
+    next member along the chain at step s+1."""
     array = np.asarray(array)
     if array.ndim != 1:
         raise ValueError("pipelined_broadcast expects a 1-D array")
     if segments < 1:
         raise ValueError("segments must be >= 1")
     segments = min(segments, max(1, len(array)))
-
+    team, me = member(ctx, team)
     p = team.size
-    seq = machine.next_coll_seq(ctx.rank, team.id)
-    if p == 1:
-        return array
-    state = _state(machine, ctx.rank, team.id, seq)
-    me = team.rank_of(ctx.rank)
-    pos = (me - root) % p            # my position along the chain
-    next_world = team.world_rank((me + 1) % p) if pos < p - 1 else None
+    lag = int(me != root)            # a forward trails its arrival a step
+    last = (me - root) % p == p - 1  # the end of the chain
 
-    def send_segment(idx: int) -> None:
+    def segment(idx: int) -> np.ndarray:
         lo, hi = _chunk_bounds(len(array), segments, idx)
-        payload = np.copy(array[lo:hi])
-        machine.am.request_nb(
-            ctx.rank, next_world, _PIPE,
-            args=(team.id, seq, 0, idx),
-            payload=payload, payload_size=int(payload.nbytes),
-            category=AMCategory.LONG, kind="algcoll.pipe",
-        )
+        return array[lo:hi]
 
-    if pos == 0:
-        for idx in range(segments):
-            send_segment(idx)
-    else:
-        for idx in range(segments):
-            want = (0, idx)
-            yield from state.cond.wait_until(
-                lambda w=want: w in state.chunks)
-            incoming = state.chunks.pop(want)
-            lo, hi = _chunk_bounds(len(array), segments, idx)
-            array[lo:hi] = incoming
-            if next_world is not None:
-                send_segment(idx)
+    def plan(step: int):
+        idx = step - lag
+        forward = [] if last or idx < 0 else [
+            ((me + 1) % p, idx, segment(idx).copy())]
+        return forward, lag * (step < segments)
 
-    machine.drop_coll_state(ctx.rank, team.id, seq)
-    return array
+    def fold(_array, step: int, _src: int, incoming: np.ndarray) -> None:
+        segment(step)[...] = incoming
+
+    steps = segments + (0 if last else lag)
+    return (yield start(ctx, "pipelined_broadcast", team, array, root=root,
+                        rounds=(steps, plan, fold)).result)

@@ -1,5 +1,5 @@
 """Asynchronous team collectives (paper §II-C.3): the handle-returning
-entry points of the tree engine in :mod:`repro.core.collectives`.
+entry points of the engine in :mod:`repro.core.collectives`.
 
 The paper's vision covers alltoall, barrier, broadcast, gather, reduce,
 scatter, scan and sort, each overlappable with computation and carrying
@@ -16,7 +16,7 @@ the blocking twin would return, ``local_op`` and ``global_done`` are one
 future (see :mod:`repro.core.completion`).
 
 When called with no events a collective uses implicit completion: it
-registers with the activation for ``cofence`` and its tree messages are
+registers with the activation for ``cofence`` and its messages are
 counted against the enclosing ``finish`` (the team of the collective must
 be the finish team or a subset, §III-A.1 — enforced by the engine).
 """

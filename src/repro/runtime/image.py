@@ -32,6 +32,7 @@ from repro.runtime.memory_model import Activation
 from repro.runtime.team import Team
 from repro.core import cofence as _cofence
 from repro.core import collectives as _coll
+from repro.core import collectives_algos as _algos
 from repro.core import collectives_async as _acoll
 from repro.core import copy_async as _copy
 from repro.core import finish as _finish
@@ -419,7 +420,6 @@ class Image:
     def ring_allreduce(self, array, op="sum", team: Optional[Team] = None):
         """Bandwidth-optimal array allreduce (ring reduce-scatter +
         allgather); see :mod:`repro.core.collectives_algos`."""
-        from repro.core import collectives_algos as _algos
         return self._ordered(
             _algos.ring_allreduce(self, array, op=op, team=team), team)
 
@@ -427,7 +427,6 @@ class Image:
                             team: Optional[Team] = None, segments: int = 8):
         """Chain-pipelined bulk broadcast; see
         :mod:`repro.core.collectives_algos`."""
-        from repro.core import collectives_algos as _algos
         return self._ordered(
             _algos.pipelined_broadcast(self, array, root=root, team=team,
                                        segments=segments),

@@ -75,18 +75,28 @@ def _tree_kernel(img):
     mine = yield from img.scatter(
         [list(range(j + 1)) for j in range(n)] if img.rank == 1 else None,
         root=1)
-    return everyone, mine
+    # and the per-pair rows
+    column = yield from img.alltoall(
+        [list(range(img.rank + j)) for j in range(n)])
+    top = yield from img.ring_allreduce(np.arange(6.0) * (img.rank - 1),
+                                        op="max")
+    bulk = np.arange(10.0) if img.rank == 2 else np.zeros(10)
+    yield from img.pipelined_broadcast(bulk, root=2, segments=4)
+    return everyone, mine, column, top.tolist(), bulk.tolist()
 
 
 def test_tree_collectives_match_sim_oracle():
     """An image forwards a collective's down value with the size its own
     message arrived with; on processes that size comes off the conduit
     frame.  The workers' ``net.bytes`` (``run.stats`` sums them) must
-    add up to the simulator's."""
+    add up to the simulator's, for the per-pair rows too."""
     sim, expected = run_spmd(_tree_kernel, 4)
     run, results = run_spmd(_tree_kernel, 4, backend="process")
     assert results == expected
-    assert results[2] == ([(r, list(range(r))) for r in range(4)], [0, 1, 2])
+    assert results[2] == ([(r, list(range(r))) for r in range(4)], [0, 1, 2],
+                          [list(range(r + 2)) for r in range(4)],
+                          (np.arange(6.0) * 2).tolist(),
+                          np.arange(10.0).tolist())
     assert run.stats["net.bytes"] == sim.stats["net.bytes"]
     assert not run.dead_images
 

@@ -38,8 +38,8 @@ def process_machine(n=2, rank=0, **kwargs):
 
 
 #: one handler name per family (``runtime.program._FAMILIES``)
-FAMILY_NAMES = ("spawn.exec", "copy.put", "coll.up", "algcoll.ring",
-                "ft.report", "term.vector.report", "lock.acquire")
+FAMILY_NAMES = ("spawn.exec", "copy.put", "coll.up", "ft.report",
+                "term.vector.report", "lock.acquire")
 
 
 def test_one_registration_path_on_both_backends():
@@ -59,7 +59,7 @@ def test_one_registration_path_on_both_backends():
         with pytest.raises(KeyError, match="unknown AM handler"):
             machine.am.request_nb(0, 0, "spawn.bogus")
     assert set(sim.am._handlers) == set(proc.am._handlers)
-    assert {"copy.done", "coll.down", "algcoll.pipe", "ft.verdict",
+    assert {"copy.done", "coll.down", "coll.pair", "ft.verdict",
             "term.vector.done", "lock.grant"} <= set(sim.am._handlers)
 
 

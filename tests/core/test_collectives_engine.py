@@ -1,5 +1,5 @@
-"""The one tree engine behind the blocking and the asynchronous team
-collectives (DESIGN.md, "The tree engine"): every collective gives the
+"""The one engine behind the blocking and the asynchronous team
+collectives (DESIGN.md, "The collective engine"): every collective gives the
 same result blocking, implicit inside ``finish`` and with explicit
 events; handles resolve all their points; records are dropped; a stalled
 instance is named; and there is structurally one implementation."""
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import FaultPlan, LivenessError, MachineParams, run_spmd
-from repro.core import collectives, collectives_async
+from repro.core import collectives, collectives_algos, collectives_async
 from repro.net.active_messages import AMLayer
 from repro.runtime.sizeof import sizeof
 
@@ -108,18 +108,40 @@ class TestDifferential:
             assert all(r[0] is not None for r in results)
         assert machine._coll_states == {}
 
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_elementwise_operators_agree(self, spmd, op):
+        """One operator table: ``max``/``min`` act elementwise on arrays
+        in the tree rows and give the ring's result."""
+        def kernel(img):
+            def contribution():
+                return np.array([img.rank, -img.rank, 2.0, img.rank % 3])
+
+            tree = yield from img.allreduce(contribution(), op=op)
+            out = np.zeros(4)
+            yield from img.wait_all(
+                [img.allreduce_async(contribution(), result_buf=out, op=op)])
+            ring = yield from img.ring_allreduce(contribution(), op=op)
+            return tree.tolist(), out.tolist(), ring.tolist()
+
+        _m, results = spmd(kernel, n=5)
+        pick = max if op == "max" else min
+        expected = [pick(range(5)), pick(range(0, -5, -1)), 2.0,
+                    pick(r % 3 for r in range(5))]
+        assert results == [(expected, expected, expected)] * 5
+
 
 class TestWireSize:
     """A tree value is sized once, where it is made, and forwarded with
-    the size it arrived with: every ``coll.up``/``coll.down`` message
-    still charges exactly ``sizeof`` of its payload."""
+    the size it arrived with: every engine message — ``coll.up``,
+    ``coll.down`` and ``coll.pair`` — still charges exactly ``sizeof`` of
+    its payload."""
 
     def test_every_tree_message_weighs_its_payload(self, spmd, monkeypatch):
         sent = []
         request_nb = AMLayer.request_nb
 
         def recording(self, src, dst, handler, *args, **kwargs):
-            if handler in ("coll.up", "coll.down"):
+            if handler in ("coll.up", "coll.down", "coll.pair"):
                 sent.append((handler, kwargs["payload_size"],
                              sizeof(kwargs["payload"])))
             return request_nb(self, src, dst, handler, *args, **kwargs)
@@ -157,13 +179,26 @@ class TestWireSize:
         assert results[3][-1] == [7, 5, 3, 1]
         assert [r[2 * ROOTED.index("scatter")] for r in results[1:]] == [
             13.0 + j for j in range(7)]
-        assert len(sent) == 458
+        # 217 up and 217 down tree messages, and the two alltoalls'
+        # 2 x 7 x 6 direct pair messages
+        assert len(sent) == 518
+        assert sum(h == "coll.pair" for h, *_ in sent) == 84
         assert all(size == weight for _h, size, weight in sent), [
             s for s in sent if s[1] != s[2]]
         # recorded while every tree message was sized on its own
-        assert machine.stats["net.bytes"] == 43440
-        assert machine.sim.now.hex() == "0x1.7bd7222179337p-12"
+        assert machine.stats["net.bytes"] == 19952
+        assert machine.sim.now.hex() == "0x1.769a75937e431p-12"
         assert machine._coll_states == {}
+
+    def test_alltoall_moves_each_entry_once(self, spmd):
+        """A direct exchange: p(p-1) one-word messages and nothing else."""
+        def kernel(img):
+            return (yield from img.alltoall(
+                [100 * img.rank + j for j in range(64)]))
+
+        machine, results = spmd(kernel, n=64)
+        assert results[5] == [100 * i + 5 for i in range(64)]
+        assert machine.stats["net.bytes"] == 64 * 63 * 8
 
 
 class TestHandlesResolveEveryPoint:
@@ -245,6 +280,10 @@ class TestRecordsAreDropped:
                     yield from img.broadcast(1, team=sub)
                 with pytest.raises(ValueError, match="not in team"):
                     img.broadcast_async(np.zeros(1), team=sub)
+                with pytest.raises(ValueError, match="not in team"):
+                    yield from img.ring_allreduce(np.ones(2), team=sub)
+                with pytest.raises(ValueError, match="not in team"):
+                    yield from img.pipelined_broadcast(np.ones(2), team=sub)
             else:
                 yield from img.broadcast(1, team=sub)
             yield from img.barrier()
@@ -274,9 +313,28 @@ class TestStallReport:
         # team rank 1 is the root's first child; seq 0 is the broadcast
         assert "(1, 0, 0)" in report
 
+    def test_alltoall_behind_a_lost_pair_message_is_named(self):
+        """The first ``coll.pair`` (image 0's entry for image 1) is lost:
+        the report names the alltoall — seq 1, after the barrier — on
+        image 1, which never got the entry, and on image 0, whose send is
+        never acknowledged (seq 2 is finish's own stalled allreduce)."""
+        def kernel(img):
+            yield from img.barrier()
+            yield from img.finish_begin()
+            img.alltoall_async([(img.rank, j) for j in range(4)])
+            yield from img.finish_end()
+
+        with pytest.raises(LivenessError) as caught:
+            run_spmd(kernel, 4, params=MachineParams.uniform(4),
+                     faults=FaultPlan().drop_nth("coll.pair", 1))
+        report = str(caught.value)
+        assert "lost: t=0.000004s coll.pair #5 0->1" in report
+        assert ("stalled collectives (rank, team, seq): (0, 0, 1), "
+                "(1, 0, 1), (1, 0, 2)") in report
+
 
 class TestOneImplementation:
-    MODULES = (collectives, collectives_async)
+    MODULES = (collectives, collectives_async, collectives_algos)
 
     def test_one_record_class_and_one_handler_pair(self, spmd):
         classes = [cls for mod in self.MODULES
@@ -285,6 +343,7 @@ class TestOneImplementation:
                    and not issubclass(cls, Exception)]
         assert classes == [collectives._Coll]
         assert not hasattr(collectives_async, "register_handlers")
+        assert not hasattr(collectives_algos, "register_handlers")
 
         def kernel(img):
             yield from img.barrier()
@@ -296,7 +355,7 @@ class TestOneImplementation:
         machine, _ = spmd(kernel, n=3)
         registered = [name for name in machine.am._handlers
                       if "coll" in name]
-        assert sorted(registered) == ["coll.down", "coll.up"]
+        assert sorted(registered) == ["coll.down", "coll.pair", "coll.up"]
 
     def test_async_module_holds_only_entry_points(self):
         functions = [name for name, fn in inspect.getmembers(
