@@ -539,16 +539,9 @@ class Machine:
         snapshots.  With no fault evidence we stay silent and let
         :meth:`run` raise its usual :class:`DeadlockError`, and a failed
         image keeps surfacing its own exception as the root cause."""
-        if not self._main_tasks:
+        blocked = self._blocked_mains()
+        if not blocked or self._failed_main() is not None:
             return
-        blocked = [t.name for t in self._main_tasks
-                   if not t.done_future.done
-                   and (t.owner is None or t.owner not in self.dead_images)]
-        if not blocked:
-            return
-        for t in self._main_tasks:
-            if t.done_future.done and t.done_future.exception():
-                return
         if self.dead_images:
             # Crashed image wedged its survivors (no failure detector, or
             # recovery off): surface a structured failure, not a hang.
@@ -561,6 +554,20 @@ class Machine:
         from repro.core.finish import stall_report
 
         raise LivenessError(stall_report(self, blocked))
+
+    def _blocked_mains(self) -> list[str]:
+        """Names of the main programs still running on a live image."""
+        dead = self.dead_images
+        return [t.name for t in self._main_tasks
+                if not t.done_future.done
+                and (t.owner is None or t.owner not in dead)]
+
+    def _failed_main(self) -> Optional[Task]:
+        """The first main program, in rank order, that raised."""
+        for t in self._main_tasks:
+            if t.done_future.done and t.done_future.exception():
+                return t
+        return None
 
     @staticmethod
     def _failure(task: Task) -> BaseException:
@@ -586,23 +593,17 @@ class Machine:
                 "worker of a multi-process run is driven by "
                 "repro.backend.parallel")
         self.sim.run(max_events=max_events)
-        dead = self.dead_images
-        blocked = [t.name for t in self._main_tasks
-                   if not t.done_future.done
-                   and (t.owner is None or t.owner not in dead)]
+        # A failed image often wedges its peers (they wait for its
+        # collectives); surface the root cause, not the symptom.
+        failed = self._failed_main()
+        if failed is not None:
+            raise self._failure(failed)
+        blocked = self._blocked_mains()
         if blocked:
-            # A failed image often wedges its peers (they wait for its
-            # collectives); surface the root cause, not the symptom.
-            for t in self._main_tasks:
-                if t.done_future.done and t.done_future.exception():
-                    raise self._failure(t)
             raise DeadlockError(
                 f"simulation drained with blocked main programs: {blocked} "
                 f"(t={self.sim.now:.6f}s)"
             )
-        for t in self._main_tasks:
-            if t.done_future.done and t.done_future.exception():
-                raise self._failure(t)
         # A main that completed before its image crashed still has a
         # result; only mains the crash interrupted report None.
         return [t.done_future.result() if t.done_future.done else None

@@ -55,8 +55,8 @@ earliest pending instant into a batch and asks the source which fires
 next (a ``"ready"`` :class:`ChoicePoint`).  Choosing index 0 at every
 point reproduces the baseline (time, seq) order exactly; other indices
 explore alternative interleavings.  With no source installed the three
-fast structures and loops below are untouched — behavior and cost are
-bit-identical to a build without the hook.
+fast structures and the baseline loop below are untouched — behavior
+and cost are bit-identical to a build without the hook.
 """
 
 from __future__ import annotations
@@ -162,6 +162,12 @@ def _event_label(entry: Event) -> str:
     if name is None:
         name = type(fn).__name__
     return name
+
+
+def _budget_exhausted(now: float, processed: int) -> SimulationError:
+    """The error a run's ``max_events`` budget raises."""
+    return SimulationError(f"max_events exhausted at t={now!r} "
+                           f"({processed} events processed)")
 
 
 class LivenessError(SimulationError):
@@ -272,7 +278,7 @@ class Simulator(OwnedTasks):
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (diagnostic).  Refreshed at
-        loop boundaries (drain, horizon, errors, return); a callback
+        loop boundaries (drain, budget stop, errors, return); a callback
         reading it mid-run may see a slightly stale value."""
         return self._events_processed
 
@@ -434,7 +440,7 @@ class Simulator(OwnedTasks):
 
     def add_drain_hook(self, fn: Callable[["Simulator"], None]) -> None:
         """Register ``fn(sim)`` to run when :meth:`run`'s event queue
-        drains naturally (not on an ``until`` horizon or budget stop).
+        drains naturally (not on a budget stop).
 
         Hooks are the liveness-watchdog mechanism: a hook may inspect
         runtime state and raise (e.g. :class:`LivenessError`) to turn a
@@ -468,59 +474,28 @@ class Simulator(OwnedTasks):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns False if the queue is empty."""
-        entry = self._single
-        if entry is not None:
-            # Staged entries are always live (cancel removes them).
-            self._single = None
-            self._fire(entry)
-            return True
-        ready = self._ready
-        while ready:
-            entry = ready.popleft()
-            if entry[2] is None:
-                self._stale -= 1
-                continue
-            self._fire(entry)
-            return True
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            if entry[2] is None:
-                self._stale -= 1
-                continue
-            self._fire(entry)
-            return True
-        self._busy = False
-        return False
-
     def _fire(self, entry: Event) -> None:
-        """Run one live event (non-hot path helper; the fast loop inlines
-        this)."""
+        """Run one live event (the controlled loop's helper; the baseline
+        loop inlines this)."""
         fn = entry[2]
         entry[2] = None
         self._now = entry[0]
         self._events_processed += 1
         fn(*entry[3])
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
+    def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains.
 
         Parameters
         ----------
-        until:
-            Stop once virtual time would exceed this value; the offending
-            event stays queued.
         max_events:
-            Safety valve — raise :class:`SimulationError` after this many
-            events (catches accidental livelock in tests).
+            Safety valve — raise :class:`SimulationError` instead of
+            firing event ``max_events + 1``, which stays queued (catches
+            accidental livelock in tests).
 
-        Every loop runs under :func:`run_loop_gc`.
+        With a schedule source installed the controlled loop runs,
+        otherwise the baseline loop; either runs under
+        :func:`run_loop_gc`.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -528,23 +503,23 @@ class Simulator(OwnedTasks):
         try:
             with run_loop_gc():
                 if self._schedule_source is not None:
-                    self._run_controlled(until, max_events)
-                elif until is None and max_events is None:
-                    self._run_fast()
+                    self._run_controlled(max_events)
                 else:
-                    self._run_guarded(until, max_events)
+                    self._run_fast(max_events)
         finally:
             self._running = False
 
-    def _run_fast(self) -> None:
-        """The common case: no horizon, no budget.  Everything hot lives
-        in locals and the ``until``/budget checks are hoisted out
-        entirely; the three firing sites are intentionally unrolled."""
+    def _run_fast(self, max_events: Optional[int]) -> None:
+        """The baseline loop.  Everything hot lives in locals and the
+        three firing sites are intentionally unrolled.  Each checks the
+        budget before it fires: ``stop`` is the ``processed`` count at
+        which the budget runs out, -1 (never reached) without one."""
         heap = self._heap
         ready = self._ready
         pop = _heappop
         popleft = ready.popleft
         processed = self._events_processed
+        stop = -1 if max_events is None else processed + max_events
         try:
             while True:
                 entry = self._single
@@ -552,6 +527,8 @@ class Simulator(OwnedTasks):
                     # Staged entries are always live (cancel removes
                     # them), and are not marked fired — cancel() detects
                     # a dead staged entry by seq 0 + elapsed time.
+                    if processed == stop:
+                        raise _budget_exhausted(self._now, processed)
                     self._single = None
                     fn = entry[2]
                     self._now = entry[0]
@@ -567,6 +544,9 @@ class Simulator(OwnedTasks):
                     if fn is None:
                         self._stale -= 1
                         continue
+                    if processed == stop:
+                        ready.appendleft(entry)
+                        raise _budget_exhausted(self._now, processed)
                     entry[2] = None
                     processed += 1
                     args = entry[3]
@@ -580,6 +560,9 @@ class Simulator(OwnedTasks):
                     if fn is None:
                         self._stale -= 1
                         continue
+                    if processed == stop:
+                        _heappush(heap, entry)
+                        raise _budget_exhausted(self._now, processed)
                     if not heap:
                         # The queue just emptied (ready drained above):
                         # un-stick the busy flag so the callback we are
@@ -608,68 +591,7 @@ class Simulator(OwnedTasks):
         finally:
             self._events_processed = processed
 
-    def _run_guarded(self, until: Optional[float],
-                     max_events: Optional[int]) -> None:
-        """The instrumented loop: an ``until`` horizon and/or an event
-        budget.  Not performance-critical — tests and resumable runs."""
-        heap = self._heap
-        ready = self._ready
-        budget = max_events
-        while True:
-            # Fold the staging slot back into the heap: the guarded loop
-            # peeks before firing, and peeking is simplest over two
-            # structures instead of three.
-            single = self._single
-            if single is not None:
-                self._seq = single[1] = self._seq + 1
-                _heappush(heap, single)
-                self._single = None
-                self._busy = True
-            nxt = None
-            while ready:
-                head = ready[0]
-                if head[2] is None:
-                    ready.popleft()
-                    self._stale -= 1
-                    continue
-                nxt = head
-                break
-            if nxt is None:
-                while heap:
-                    head = heap[0]
-                    if head[2] is None:
-                        _heappop(heap)
-                        self._stale -= 1
-                        continue
-                    nxt = head
-                    break
-            if nxt is None:
-                # Natural drain.
-                self._busy = False
-                if not self._drain_hooks:
-                    return
-                for hook in list(self._drain_hooks):
-                    hook(self)
-                if not heap and not ready and self._single is None:
-                    return
-                continue
-            if until is not None and nxt[0] > until:
-                self._now = until
-                return
-            if budget is not None:
-                if budget == 0:
-                    raise SimulationError(
-                        f"max_events exhausted at t={self._now!r} "
-                        f"({self._events_processed} events processed)"
-                    )
-                budget -= 1
-            if ready and nxt is ready[0]:
-                self._fire(ready.popleft())
-            else:
-                self._fire(_heappop(heap))
-
-    def _run_controlled(self, until: Optional[float],
-                        max_events: Optional[int]) -> None:
+    def _run_controlled(self, max_events: Optional[int]) -> None:
         """The exploration loop: every live event due at the earliest
         pending instant is gathered into a *batch*, and the installed
         schedule source picks which batch member fires next.
@@ -688,10 +610,6 @@ class Simulator(OwnedTasks):
         :attr:`pending_events` account for it explicitly, and
         :meth:`cancel` treats batch members like queued entries (mark +
         stale count; the batch filter repays the counter)."""
-        if until is not None:
-            raise SimulationError(
-                "until= is not supported with a schedule source installed"
-            )
         source = self._schedule_source
         heap = self._heap
         ready = self._ready
@@ -721,7 +639,7 @@ class Simulator(OwnedTasks):
                             self._stale -= 1
                         if not heap:
                             # Natural drain: same hook protocol as the
-                            # baseline loops.
+                            # baseline loop.
                             self._busy = False
                             if not self._drain_hooks:
                                 return
@@ -762,10 +680,8 @@ class Simulator(OwnedTasks):
                 entry = batch.pop(idx)
                 if budget is not None:
                     if budget == 0:
-                        raise SimulationError(
-                            f"max_events exhausted at t={self._now!r} "
-                            f"({self._events_processed} events processed)"
-                        )
+                        raise _budget_exhausted(self._now,
+                                                self._events_processed)
                     budget -= 1
                 self._busy = True
                 self._fire(entry)

@@ -21,32 +21,6 @@ class TestEngineProperties:
         assert len(fired) == len(delays)
         assert sim.now == max(delays)
 
-    @given(delays=st.lists(st.floats(min_value=0, max_value=10,
-                                     allow_nan=False), min_size=1,
-                           max_size=30),
-           horizon=st.floats(min_value=0, max_value=10, allow_nan=False))
-    def test_run_until_splits_cleanly(self, delays, horizon):
-        """run(until=h) then run() fires exactly the same events as one
-        uninterrupted run."""
-        def run_split():
-            sim = Simulator()
-            fired = []
-            for i, d in enumerate(delays):
-                sim.schedule(d, fired.append, i)
-            sim.run(until=horizon)
-            sim.run()
-            return fired
-
-        def run_whole():
-            sim = Simulator()
-            fired = []
-            for i, d in enumerate(delays):
-                sim.schedule(d, fired.append, i)
-            sim.run()
-            return fired
-
-        assert run_split() == run_whole()
-
 
 class TestTaskProperties:
     @given(durations=st.lists(st.floats(min_value=1e-9, max_value=1.0,

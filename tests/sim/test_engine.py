@@ -71,29 +71,58 @@ def test_schedule_into_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
-def test_run_until_stops_clock_at_horizon():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(10.0, fired.append, "b")
-    sim.run(until=5.0)
-    assert fired == ["a"]
-    assert sim.now == 5.0
-    # The late event survives and fires on resume.
-    sim.run()
-    assert fired == ["a", "b"]
-    assert sim.now == 10.0
-
-
-def test_max_events_guard():
-    sim = Simulator()
-
+def _staged_chain(sim, fired):
+    # Each event schedules the next into an empty queue: the staging slot.
     def pingpong():
+        fired.append(sim.now)
         sim.schedule(1.0, pingpong)
 
     sim.schedule(0.0, pingpong)
-    with pytest.raises(SimulationError, match="max_events"):
+
+
+def _ready_livelock(sim, fired):
+    # A same-instant call_soon loop: the ready deque, the clock stuck.
+    def spin():
+        fired.append(sim.now)
+        sim.call_soon(spin)
+
+    sim.call_soon(spin)
+
+
+def _heap_chain(sim, fired):
+    # A far timer stays queued, so every next tick goes through the heap.
+    def tick():
+        fired.append(sim.now)
+        sim.schedule(1.0, tick)
+
+    sim.schedule(1.0, tick)
+    sim.schedule(1e9, fired.append, "timer")
+
+
+def _drains_at_budget(sim, fired):
+    for i in range(100):
+        sim.schedule(float(i), fired.append, i)
+
+
+@pytest.mark.parametrize("build, raises, pending", [
+    (_staged_chain, True, 1),
+    (_ready_livelock, True, 1),
+    (_heap_chain, True, 2),
+    (_drains_at_budget, False, 0),
+], ids=["staged", "ready", "heap", "exact_drain"])
+def test_max_events_guard(build, raises, pending):
+    sim = Simulator()
+    fired = []
+    build(sim, fired)
+    if raises:
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=100)
+    else:
         sim.run(max_events=100)
+    assert len(fired) == 100
+    assert sim.events_processed == 100
+    # The event the budget refused is still queued, not dropped.
+    assert sim.pending_events == pending
 
 
 def test_event_cancellation():

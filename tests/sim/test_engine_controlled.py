@@ -153,13 +153,6 @@ class TestMechanics:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_until_not_supported_in_controlled_mode(self):
-        sim = Simulator()
-        sim.set_schedule_source(DefaultSource())
-        sim.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.run(until=0.5)
-
     def test_max_events_budget_enforced(self):
         sim = Simulator()
         sim.set_schedule_source(DefaultSource())

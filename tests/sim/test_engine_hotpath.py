@@ -123,23 +123,10 @@ class TestOrderingAcrossStructures:
         sim.call_soon(fired.append, "now2")
         cancelled = sim.call_soon(fired.append, "never")
         sim.cancel(cancelled)
-        seen = 0
-        while sim.step():
-            seen += 1
-        assert fired == ["now1", "now2", "late"]
-        assert seen == 3
-        assert sim.pending_events == 0
-        assert not sim.step()
-
-    def test_resume_after_horizon_keeps_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(3.0, fired.append, "b")
-        sim.run(until=2.0)
-        sim.schedule(0.5, fired.append, "mid")   # t=2.5, beats b
         sim.run()
-        assert fired == ["a", "mid", "b"]
+        assert fired == ["now1", "now2", "late"]
+        assert sim.events_processed == 3
+        assert sim.pending_events == 0
 
 
 class TestQuiescence:
@@ -158,14 +145,20 @@ class TestQuiescence:
 
     def test_cancelled_due_event_restores_quiescence(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        seen = []
+
+        def first():
+            # `due` is now due at t=1.0
+            seen.append(sim.quiescent_at_now())
+            # the heap still holds the stale entry after this cancel;
+            # quiescence must see through it
+            sim.cancel(due)
+            seen.append(sim.quiescent_at_now())
+
+        sim.schedule(1.0, first)
         due = sim.schedule(1.0, lambda: None)  # force both into the heap
-        sim.step()  # fire the first; `due` is now due at t=1.0
-        assert not sim.quiescent_at_now()
-        # the heap still holds the stale entry after this cancel;
-        # quiescence must see through it
-        sim.cancel(due)
-        assert sim.quiescent_at_now()
+        sim.run()
+        assert seen == [False, True]
 
 
 def test_schedule_at_rejects_past_even_when_staged():
