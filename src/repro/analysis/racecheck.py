@@ -79,6 +79,10 @@ except ImportError:  # pragma: no cover - numpy 1.x
     _byte_bounds = np.byte_bounds
 
 
+#: recently accessed local buffers whose location is cached
+_BUFFER_CACHE = 256
+
+
 # --------------------------------------------------------------------- #
 # Vector clocks (sparse: component id -> tick)
 # --------------------------------------------------------------------- #
@@ -105,21 +109,32 @@ class OpClock:
     Consecutive implicit copies with the same class set and no
     intervening clock activity share one OpClock (see
     :meth:`RaceDetector.copy_begin`), so the two tick dicts are cached —
-    they are identical for every member of the batch."""
+    they are identical for every member of the batch.
 
-    __slots__ = ("oid", "base", "kind", "_vcl", "_vcg")
+    The base is the initiating activation's clock, ``owner``, at
+    initiation, plus ``extra``: what was joined on top.  Clocks only
+    grow, so when the owner joins a tick later, only ``extra`` and the
+    tick can be new to it (:meth:`ThreadClock.join_op`); a base that
+    grows afterwards (a predicated copy's) drops the owner."""
 
-    def __init__(self, oid: int, base: dict, kind: str):
+    __slots__ = ("oid", "base", "kind", "_vcl", "_vcg", "owner", "extra")
+
+    def __init__(self, oid: int, base: dict, kind: str,
+                 owner: Optional["ThreadClock"] = None,
+                 extra: Optional[dict] = None):
         self.oid = oid
         self.base = base
         self.kind = kind
         self._vcl = None
         self._vcg = None
+        self.owner = owner
+        self.extra = extra
 
     def join_base(self, vc: dict) -> None:
         vc_join(self.base, vc)
         self._vcl = None
         self._vcg = None
+        self.owner = None
 
     def vc_local(self) -> dict:
         """Labels the op's local-data effects (cofence's guarantee)."""
@@ -181,12 +196,26 @@ class ThreadClock:
         self.mut += 1
         vc_join(self.vc, other)
 
+    def join_op(self, rcop: OpClock, tick: int) -> None:
+        """Join ``rcop``'s local (1) or global (2) tick: the same clock
+        as joining ``rcop.vc_local()`` / ``vc_global()``, walking only
+        the entries that can have changed when this activation started
+        the operation itself."""
+        if rcop.owner is not self:
+            self.join(rcop.vc_local() if tick == 1 else rcop.vc_global())
+            return
+        self.mut += 1
+        vc = self.vc
+        vc_join(vc, rcop.extra)
+        if vc.get(rcop.oid, 0) < tick:
+            vc[rcop.oid] = tick
+
 
 # --------------------------------------------------------------------- #
 # Shadow state
 # --------------------------------------------------------------------- #
 
-@dataclass
+@dataclass(slots=True)
 class AccessSite:
     """One recorded memory access (one side of a race report)."""
 
@@ -276,6 +305,10 @@ class RaceDetector:
         self._coll_rounds: dict[tuple, int] = {}
         #: (thread, downward, upward, t) annotations of every cofence
         self.fences: list[tuple] = []
+        #: id -> (buffer, shape, location) of recently accessed buffers
+        self._buffers: dict[int, tuple] = {}
+        #: (coarray, image, index...) -> location of accessed sections
+        self._sections: dict[tuple, tuple] = {}
 
     # -- threads --------------------------------------------------------- #
 
@@ -292,6 +325,41 @@ class RaceDetector:
 
     def _location(self, target: Any, rank: int
                   ) -> tuple[tuple, int, int, Any]:
+        """Shadow key, byte or element bounds and pin of an access.  A
+        buffer or section accessed again is looked up: a buffer by
+        identity (the cache holds it, so its id is not reused) and
+        shape, a section by coarray, image and a slice or int index."""
+        cls = target.__class__
+        if cls is np.ndarray:
+            cached = self._buffers.get(id(target))
+            if (cached is not None and cached[0] is target
+                    and cached[1] == target.shape):
+                return cached[2]
+        elif cls is CoarrayRef:
+            index = target.index
+            icls = index.__class__
+            if icls is slice:
+                section = (target.coarray, target.world_rank,
+                           index.start, index.stop, index.step)
+            elif icls is int:
+                section = (target.coarray, target.world_rank, index)
+            else:
+                section = None
+            if section is not None:
+                found = self._sections.get(section)
+                if found is None:
+                    found = self._sections[section] = self._locate(
+                        target, rank)
+                return found
+        loc = self._locate(target, rank)
+        if cls is np.ndarray:
+            if len(self._buffers) >= _BUFFER_CACHE:
+                self._buffers.clear()
+            self._buffers[id(target)] = (target, target.shape, loc)
+        return loc
+
+    def _locate(self, target: Any, rank: int
+                ) -> tuple[tuple, int, int, Any]:
         if isinstance(target, CoarrayRef):
             local = target.coarray.local_at(target.world_rank)
             lo, hi = _index_range(target.index, local)
@@ -331,12 +399,26 @@ class RaceDetector:
         base grows when its event fires, after its local tick may
         already have been joined."""
         key, lo, hi, pin = self._location(target, rank)
-        site = AccessSite(op=op, write=write, thread=thread.name,
-                          tid=thread.tid, lo=lo, hi=hi,
-                          time=self.machine.sim.now, vc=vc, pin=pin,
-                          epoch=epoch)
-        self.machine.stats.incr("race.accesses")
-        records = self._shadow.setdefault(key, [])
+        machine = self.machine
+        machine.stats.incr("race.accesses")
+        now = machine.sim.now
+        records = self._shadow.get(key)
+        if records:
+            last = records[-1]
+            if (last.vc is vc and last.time == now and last.lo == lo
+                    and last.hi == hi and last.write == write
+                    and last.op == op and last.tid == thread.tid
+                    and last.pin is pin and last.epoch == epoch):
+                # The same access again (a batch of copies from one
+                # buffer): every record before ``last`` was already
+                # checked against this very site, and the site would
+                # replace ``last`` with its equal.
+                return
+        site = AccessSite(op, write, thread.name, thread.tid, lo, hi, now,
+                          vc, pin, epoch)
+        if records is None:
+            self._shadow[key] = [site]
+            return
         keep = []
         for old in records:
             reached = old.epoch
@@ -392,8 +474,9 @@ class RaceDetector:
     def _op_begin(self, activation, kind: str) -> tuple[OpClock, ThreadClock]:
         th = self.thread(activation)
         base = th.release()
-        vc_join(base, th.issued)
-        return OpClock(next(self._components), base, kind), th
+        extra = dict(th.issued)
+        vc_join(base, extra)
+        return OpClock(next(self._components), base, kind, th, extra), th
 
     def copy_begin(self, ctx, op, implicit: bool,
                    predicated: bool = False) -> OpClock:
@@ -496,8 +579,7 @@ class RaceDetector:
         rcop = getattr(op, "rc", None)
         if rcop is None:
             return
-        self.thread(activation).join(
-            rcop.vc_global() if level == "global" else rcop.vc_local())
+        self.thread(activation).join_op(rcop, 2 if level == "global" else 1)
 
     # -- cofence ------------------------------------------------------------ #
 
@@ -511,7 +593,7 @@ class RaceDetector:
             if may_pass(classes, down_allowed):
                 keep.append((classes, rcop))
             else:
-                th.join(rcop.vc_local())
+                th.join_op(rcop, 1)
         th.fence_ops = keep
         self.fences.append((th.name, downward, upward, self.machine.sim.now))
 

@@ -63,10 +63,20 @@ class ProcessTransport(Transport):
             self._awaiting[(msg.dst, msg.seq)] = msg
         self.conduit.put(msg.dst, ("am", self.local_rank, msg.seq,
                                    msg.delivered is not None, blob))
-        self.sim.call_soon(msg.injected.set_result, None)
+        self._injected(msg)
+
+    @staticmethod
+    def _injected(msg: Message) -> None:
+        """The source buffer is the caller's again — the frame holds its
+        own copy, or the loopback delivery has run: ``injected`` is over
+        (a clock point at this moment, DESIGN.md §3.3)."""
+        if msg._at is False:
+            msg.injected.set_result(None)  # read before this moment
+        else:
+            msg._at = True
 
     def _deliver_local(self, msg: Message) -> None:
-        msg.injected.set_result(None)
+        self._injected(msg)
         if self.on_delivery is not None:
             self.on_delivery(msg.src, msg.dst)
         if msg.on_deliver is not None:

@@ -40,6 +40,7 @@ from repro.runtime.memory_model import classes_of
 from repro.runtime.sizeof import sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
+from repro.net.transport import Message
 from repro.core.completion import AsyncOp, chain
 from repro.core import finish as fin
 
@@ -191,10 +192,9 @@ def _on_pair(machine, rec: _Coll, payload: Any, _size: int, cause,
 
 
 def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
-          size: int, cause, where: tuple = ()) -> Future:
+          size: int, cause, where: tuple = ()) -> Message:
     """Send one message of ``size`` simulated bytes to team rank ``to``
-    (``where`` adds a per-pair message's step and source); returns its
-    injection future.  With a handle the message is acknowledged — the
+    (``where`` adds a per-pair message's step and source) and return it.  With a handle the message is acknowledged — the
     ack is the pairwise completion ``local_op`` is composed from — and,
     under implicit completion, counted against ``rec.key``'s finish
     frame."""
@@ -216,11 +216,11 @@ def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
         if key is not None:
             msg.delivered.add_done_callback(
                 partial(fin.count_delivery_outcome, machine, src, key, stamp))
-    return msg.injected
+    return msg
 
 
 def _fan_out(machine, rec: _Coll, value: Any, cause,
-             size: Optional[int] = None) -> list[Future]:
+             size: Optional[int] = None) -> list[Message]:
     """Down phase: send ``value`` to each child.  The root sizes its
     value here, once for all its children; an interior image passes the
     ``size`` its own message arrived with, so an allgather's p-entry
@@ -249,12 +249,12 @@ def _try_combine(machine, rec: _Coll, cause) -> None:
             _fan_out(machine, rec, combined, cause)
         _deliver(machine, rec, combined)
     else:
-        injected = _send(machine, rec, rec.parent, _UP, combined,
-                         sizeof(combined), cause)
+        msg = _send(machine, rec, rec.parent, _UP, combined,
+                    sizeof(combined), cause)
         if not rec.down:
             # A non-root's role in a rooted collective ends with its
             # upward send; nothing comes back.
-            _deliver(machine, rec, None, after=[injected])
+            _deliver(machine, rec, None, after=[msg])
 
 
 def _advance(machine, rec: _Coll, cause) -> None:
@@ -280,12 +280,13 @@ def _advance(machine, rec: _Coll, cause) -> None:
 def _deliver(machine, rec: _Coll, value: Any, after=()) -> None:
     """This image's share of the data movement is over: ``value`` is what
     the messages left here.  Finalize it, write the destination buffer and
-    resolve the result.  ``after`` lists the injections of the sends that
-    carried my own contribution away; a handle's ``local_data`` waits for
-    them (the source may be overwritten only then), a blocking call does
-    not — its caller is suspended anyway."""
+    resolve the result.  ``after`` lists the sends that carried my own
+    contribution away; a handle's ``local_data`` waits for their
+    injection (the source may be overwritten only then), a blocking call
+    does not read it — its caller is suspended anyway."""
     if after and rec.op is not None:
-        all_of(after, "coll.injected").add_done_callback(
+        all_of([msg.injected for msg in after],
+               "coll.injected").add_done_callback(
             lambda _f: _deliver(machine, rec, value))
         return
     try:

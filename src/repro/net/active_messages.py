@@ -74,11 +74,13 @@ class AMLayer:
         #: (handler name, image) -> the name of the tasks that handler
         #: runs as there, formatted once per pair
         self._task_names: dict[tuple, str] = {}
-        #: category -> ``(counter key, largest payload it carries)``
+        #: category value -> ``(counter key, largest payload it
+        #: carries)``; keyed by the member's plain ``_value_`` string,
+        #: since hashing the member itself is a Python-level call
         self._categories = {
-            AMCategory.SHORT: ("am.short", 0),
-            AMCategory.MEDIUM: ("am.medium", self.params.am_medium_max),
-            AMCategory.LONG: ("am.long", float("inf")),
+            AMCategory.SHORT.value: ("am.short", 0),
+            AMCategory.MEDIUM.value: ("am.medium", self.params.am_medium_max),
+            AMCategory.LONG.value: ("am.long", float("inf")),
         }
 
     # ------------------------------------------------------------------ #
@@ -139,17 +141,14 @@ class AMLayer:
         protocol (heartbeat traffic).
         """
         record = self._handlers.get(handler) or self._unknown(handler)
-        category_stat, max_size = self._categories[category]
+        category_stat, max_size = self._categories[category._value_]
         if not 0 <= payload_size <= max_size:
             raise self._size_error(category, payload_size)
-        msg = Message(
-            src, dst, payload_size, (handler, args, payload),
-            kind=kind or record[2],
-            on_deliver=self._on_deliver,
-        )
-        self.network.stats.incr(category_stat)
-        return self.network.send(msg, want_ack=want_ack,
-                                 best_effort=best_effort)
+        msg = Message(src, dst, payload_size, (handler, args, payload),
+                      kind or record[2], self._on_deliver)
+        network = self.network
+        network.stats.counts[category_stat] += 1
+        return network.send(msg, want_ack, best_effort)
 
     def request(self, src: int, dst: int, handler: str,
                 args: tuple = (), payload: Any = None,

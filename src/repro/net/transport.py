@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 import numpy as np
 
 from repro.sim.engine import ChoicePoint
-from repro.sim.tasks import Future
+from repro.sim.tasks import ClockPoint, Future, clock_point
 
 if TYPE_CHECKING:
     from repro.backend.substrate import Substrate
@@ -127,14 +127,18 @@ class Message:
     futures and returns it:
 
     - ``injected`` resolves when the sender NIC has finished reading the
-      source buffer (transport local-data completion);
+      source buffer (transport local-data completion).  It is built on
+      first read, from ``_at``: None while the transport has not timed
+      the injection, ``(sim, time, seq)`` once it is a clock point
+      (DESIGN.md §3.3), True once it is over, False once it was read
+      early — the transport then resolves it by an event;
     - ``delivered`` resolves, at the sender after the ack round trip,
       when the deliver callback has run at the destination — only on a
       send that asked for an ack; None otherwise.
     """
 
     __slots__ = ("seq", "src", "dst", "size", "payload", "kind", "on_deliver",
-                 "injected", "delivered")
+                 "delivered", "_at", "_injected")
 
     def __init__(self, src: int, dst: int, size: int, payload: Any,
                  kind: str = "msg",
@@ -152,8 +156,25 @@ class Message:
         self.payload = payload
         self.kind = kind
         self.on_deliver = on_deliver
-        self.injected: Optional[Future] = None
         self.delivered: Optional[Future] = None
+        self._at: Any = None
+        self._injected: Optional[Future] = None
+
+    @property
+    def injected(self) -> Future:
+        fut = self._injected
+        if fut is None:
+            at = self._at
+            if at is None:
+                self._at = False
+                fut = Future("injected")
+            elif at is True:
+                fut = Future("injected")
+                fut._done = True
+            else:
+                fut = clock_point(at, "injected")
+            self._injected = fut
+        return fut
 
     def __repr__(self) -> str:
         seq = "?" if self.seq is None else self.seq
@@ -298,10 +319,9 @@ class Transport:
             raise ValueError(
                 f"image pair ({src}, {dst}) out of range for {n} images")
         msg.seq = next(self._msg_seq)
-        msg.injected = Future("injected")
         if want_ack:
             msg.delivered = Future("delivered")
-        self.stats.incr("net.msgs")
+        self.stats.counts["net.msgs"] += 1
 
         if src != dst and (dst in self._dead or dst in self.suspects):
             if dst in self._dead or dst in self.confirmed:
@@ -560,12 +580,17 @@ class Network(Transport):
         lat = p.topology.latency_unchecked(src, dst)
         scripted = False
         if pend is None:
-            stats.incr("net.bytes", msg.size)
+            counts = stats.counts
+            counts["net.bytes"] += msg.size
             kind_stat = self._kind_stat.get(msg.kind)
             if kind_stat is None:
                 kind_stat = self._kind_stat[msg.kind] = f"net.kind.{msg.kind}"
-            stats.incr(kind_stat)
-            sim.schedule_at(inject_end, msg.injected.set_result, None)
+            counts[kind_stat] += 1
+            seq = sim.reserve(inject_end) if msg._at is None else 0
+            if seq:
+                msg._at = (sim, inject_end, seq)
+            else:
+                sim.schedule_at(inject_end, msg.injected.set_result, None)
             if f is not None:
                 scripted = f.take_scripted_drop(msg.kind)
                 if f.count_send(src) and self.on_crash is not None:
@@ -687,12 +712,24 @@ class Network(Transport):
             return
         if self.on_delivery is not None:
             self.on_delivery(src, dst)
+        sim = self.sim
         if pend is None:
             if msg.on_deliver is not None:
                 msg.on_deliver(msg)
             delivered = msg.delivered
-            if delivered is None or delivered.done:
+            if (delivered is None or delivered.__class__ is ClockPoint
+                    or delivered._done):
+                # No ack asked for, or this is a duplicate copy: the
+                # first copy's ack is due no later than this one's.
                 return
+            if not delivered._callbacks:
+                # Nobody listens yet: the ack is a clock point.
+                ack_at = sim.now + self.params.ack_latency_factor * lat
+                seq = sim.reserve(ack_at)
+                if seq:
+                    delivered._clock = (sim, ack_at, seq)
+                    delivered.__class__ = ClockPoint
+                    return
             acked, arg = self._resolve_delivered, msg
         else:
             rx = self._rx_states.get(pend.link)
@@ -710,14 +747,14 @@ class Network(Transport):
                 if f.roll_ack_drop(dst, src):
                     self.stats.incr("net.ack_drops")
                     return
-                if f.gray and f.link_down(dst, src, self.sim.now):
+                if f.gray and f.link_down(dst, src, sim.now):
                     # The reverse link is severed: the ack is lost on
                     # the wire.
                     self.stats.incr("net.link_down_drops")
                     self.stats.incr("net.ack_drops")
                     return
             acked, arg = self._on_ack, pend
-        self.sim.schedule(self.params.ack_latency_factor * lat, acked, arg)
+        sim.schedule(self.params.ack_latency_factor * lat, acked, arg)
 
     @staticmethod
     def _resolve_delivered(msg: Message) -> None:

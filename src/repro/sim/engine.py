@@ -200,8 +200,9 @@ class OwnedTasks:
             self._sweep_tasks()
 
     def _sweep_tasks(self) -> None:
+        # A killed or finished task has dropped its resume callback.
         self._tasks = [task for task in self._tasks
-                       if not (task._killed or task.done_future._done)]
+                       if task._resume_cb is not None]
         self._tasks_sweep_at = max(_TASK_SWEEP_MIN, 2 * len(self._tasks))
 
     def kill_owner(self, owner: int) -> int:
@@ -240,7 +241,7 @@ class Simulator(OwnedTasks):
     __slots__ = ("_now", "_heap", "_ready", "_single", "_seq", "_stale",
                  "_events_processed", "_running", "_drain_hooks",
                  "_task_seq", "_busy", "_schedule_source", "_batch",
-                 "_tasks", "_tasks_sweep_at")
+                 "_tasks", "_tasks_sweep_at", "_pos", "_horizon")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -265,6 +266,14 @@ class Simulator(OwnedTasks):
         #: in schedule() read one flag instead of two containers; staging
         #: requires _busy False, which proves both containers empty.
         self._busy = False
+        #: the seq of the event now firing (the last seq drawn, for a
+        #: staged event, a synchronous continuation and after a drain):
+        #: a clock point reserved for this instant has come due once
+        #: ``_pos`` reaches its seq (see :meth:`reserve`)
+        self._pos = 0
+        #: the latest time of a reserved clock point; a natural drain
+        #: moves the clock here
+        self._horizon = 0.0
 
     # ------------------------------------------------------------------ #
     # Clock and introspection
@@ -301,13 +310,14 @@ class Simulator(OwnedTasks):
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    # The ``seq`` slot of an entry is only ever consulted by heap
-    # comparisons, so it is assigned lazily: a staged entry carries 0 and
-    # receives its seq the moment it is flushed into the heap — before
-    # the flushing entry draws its own, which preserves creation order
-    # exactly.  Ready-deque entries carry -1 (never compared; the value
-    # lets :meth:`cancel` tell a live ready entry apart from a fired
-    # staged entry, which the fast loop does not bother marking).
+    # The ``seq`` slot of a staged entry is assigned lazily: it carries
+    # 0 and receives its seq the moment it is flushed into the heap —
+    # before the flushing entry draws its own, which preserves creation
+    # order exactly (and lets :meth:`cancel` tell a fired staged entry,
+    # which the fast loop does not bother marking, from a live one).
+    # Heap and ready-deque entries draw theirs when queued: heap
+    # comparisons read them, and a clock point compares its reserved
+    # seq with the firing event's (:meth:`reserve`).
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -335,11 +345,10 @@ class Simulator(OwnedTasks):
         if delay < 0.0:
             raise SimulationError(f"negative delay {delay!r}")
         heap = self._heap
+        self._seq = entry[1] = self._seq + 1
         if self._ready or not heap or heap[0][0] > t:
-            entry[1] = -1
             self._ready.append(entry)
         else:
-            self._seq = entry[1] = self._seq + 1
             _heappush(heap, entry)
         self._busy = True
         return entry
@@ -371,11 +380,10 @@ class Simulator(OwnedTasks):
                 _heappush(self._heap, entry)
                 return entry
         heap = self._heap
+        self._seq = entry[1] = self._seq + 1
         if self._ready or not heap or heap[0][0] > time:
-            entry[1] = -1
             self._ready.append(entry)
         else:
-            self._seq = entry[1] = self._seq + 1
             _heappush(heap, entry)
         self._busy = True
         return entry
@@ -391,12 +399,61 @@ class Simulator(OwnedTasks):
             _heappush(self._heap, single)
             self._single = None
         heap = self._heap
+        self._seq = entry[1] = self._seq + 1
         if self._ready or not heap or heap[0][0] > now:
-            entry[1] = -1
             self._ready.append(entry)
         else:
-            self._seq = entry[1] = self._seq + 1
             _heappush(heap, entry)
+        self._busy = True
+        return entry
+
+    def reserve(self, time: float) -> int:
+        """Reserve the ``(time, seq)`` slot of a *clock point* (DESIGN.md
+        §3.3): a completion point whose time is known now and which
+        reads done from that slot on without an event of its own.
+        Returns the seq a :meth:`schedule_at` at this moment would have
+        given the eager event, or 0 while a schedule source is installed
+        — the point must then be a real event the source can order.
+
+        The point has come due once the clock passed ``time``, or at
+        ``time`` once :attr:`_pos` reached the seq.  A staged entry due
+        at the same instant is flushed first, as the eager event's
+        scheduling would have (its seq must stay below this one)."""
+        if self._schedule_source is not None:
+            return 0
+        single = self._single
+        if single is not None and single[0] == time:
+            self._seq = single[1] = self._seq + 1
+            _heappush(self._heap, single)
+            self._single = None
+            self._busy = True
+        if time > self._horizon:
+            self._horizon = time
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def schedule_reserved(self, time: float, seq: int,
+                          fn: Callable) -> Event:
+        """Queue ``fn()`` in a slot :meth:`reserve` handed out and which
+        has not come due: a clock point someone now listens to fires
+        exactly where its eager event would have."""
+        entry: Event = [time, seq, fn, ()]
+        single = self._single
+        if single is not None:
+            self._seq = single[1] = self._seq + 1
+            _heappush(self._heap, single)
+            self._single = None
+        ready = self._ready
+        if ready and time == self._now:
+            # Due now among the same-instant entries: they keep seq order.
+            i = 0
+            for queued in ready:
+                if queued[1] > seq:
+                    break
+                i += 1
+            ready.insert(i, entry)
+        else:
+            _heappush(self._heap, entry)
         self._busy = True
         return entry
 
@@ -436,7 +493,12 @@ class Simulator(OwnedTasks):
             _heappop(heap)
             self._stale -= 1
         # _single, if occupied, is strictly in the future (invariant 1).
-        return not heap or heap[0][0] > self._now
+        if heap and heap[0][0] <= self._now:
+            return False
+        # A continuation that runs now runs where a scheduled one would
+        # have: after every clock point due at this instant.
+        self._pos = self._seq
+        return True
 
     def add_drain_hook(self, fn: Callable[["Simulator"], None]) -> None:
         """Register ``fn(sim)`` to run when :meth:`run`'s event queue
@@ -532,6 +594,7 @@ class Simulator(OwnedTasks):
                     self._single = None
                     fn = entry[2]
                     self._now = entry[0]
+                    self._pos = self._seq
                     processed += 1
                     if entry[3]:
                         fn(*entry[3])
@@ -548,6 +611,7 @@ class Simulator(OwnedTasks):
                         ready.appendleft(entry)
                         raise _budget_exhausted(self._now, processed)
                     entry[2] = None
+                    self._pos = entry[1]
                     processed += 1
                     args = entry[3]
                     if args:
@@ -570,6 +634,7 @@ class Simulator(OwnedTasks):
                         self._busy = False
                     entry[2] = None
                     self._now = entry[0]
+                    self._pos = entry[1]
                     processed += 1
                     args = entry[3]
                     if args:
@@ -577,9 +642,13 @@ class Simulator(OwnedTasks):
                     else:
                         fn()
                 elif self._single is None and not ready:
-                    # Natural drain: give the watchdog hooks a look.  A
+                    # Natural drain: the clock points that never fired
+                    # come due, then the watchdog hooks get a look.  A
                     # hook may raise, or schedule new events (resuming).
                     self._busy = False
+                    if self._horizon > self._now:
+                        self._now = self._horizon
+                    self._pos = self._seq
                     self._events_processed = processed
                     if not self._drain_hooks:
                         return

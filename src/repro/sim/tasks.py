@@ -84,13 +84,15 @@ class Future:
     chains at one timestamp from being artificially spread over events.
     """
 
-    __slots__ = ("_done", "_value", "_exc", "_callbacks", "name")
+    __slots__ = ("_done", "_value", "_exc", "_callbacks", "name", "_clock")
 
     def __init__(self, name: str = ""):
         self._done = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
-        self._callbacks: list[Callable[["Future"], None]] = []
+        #: None until the first listener registers (most points that
+        #: nobody watches then cost no list)
+        self._callbacks: Optional[list[Callable[["Future"], None]]] = None
         self.name = name
 
     # -- state --------------------------------------------------------- #
@@ -130,17 +132,81 @@ class Future:
     def add_done_callback(self, cb: Callable[["Future"], None]) -> None:
         if self._done:
             cb(self)
+        elif self._callbacks is None:
+            self._callbacks = [cb]
         else:
             self._callbacks.append(cb)
 
     def _fire(self) -> None:
-        cbs, self._callbacks = self._callbacks, []
-        for cb in cbs:
-            cb(self)
+        cbs = self._callbacks
+        if cbs is not None:
+            self._callbacks = None
+            for cb in cbs:
+                cb(self)
 
     def __repr__(self) -> str:
         state = "done" if self._done else "pending"
         return f"<Future {self.name!r} {state}>"
+
+
+class ClockPoint(Future):
+    """A completion point whose time the transport alone decides
+    (DESIGN.md §3.3): it resolves to None at the ``(time, seq)`` slot
+    :meth:`Simulator.reserve` handed out, ``_clock = (sim, time, seq)``,
+    and schedules an event only when a callback is attached before then.
+    A ``.done`` read at that slot answers as the eager event would."""
+
+    __slots__ = ()
+
+    @property
+    def done(self) -> bool:
+        if self._done:
+            return True
+        # Due once the clock is past ``time``, or at it with the engine's
+        # position at or past ``seq``: where the eager event would fire.
+        sim, time, seq = self._clock
+        now = sim._now
+        if now > time or (now == time and sim._pos >= seq):
+            self._done = True
+            return True
+        return False
+
+    # A point that has come due settles (``_done``) on its first read.
+
+    def result(self) -> Any:
+        _ = self.done
+        return Future.result(self)
+
+    def exception(self) -> Optional[BaseException]:
+        _ = self.done
+        return Future.exception(self)
+
+    def add_done_callback(self, cb: Callable[["Future"], None]) -> None:
+        if self.done:
+            cb(self)
+            return
+        if self._callbacks is None:
+            sim, time, seq = self._clock
+            sim.schedule_reserved(time, seq, self._ring)
+            self._callbacks = [cb]
+        else:
+            self._callbacks.append(cb)
+
+    def _ring(self) -> None:
+        """The event of a point someone listens to."""
+        self._done = True
+        self._fire()
+
+
+def clock_point(clock: tuple, name: str) -> Future:
+    """The future of the clock point ``clock = (sim, time, seq)``: a
+    :class:`ClockPoint`, or a plain resolved future once it has come
+    due (so the fast paths that read ``_done`` see it done)."""
+    fut = ClockPoint(name)
+    fut._clock = clock
+    if fut.done:
+        fut.__class__ = Future
+    return fut
 
 
 def all_of(futures: Iterable[Future], name: str = "all_of") -> Future:
@@ -199,15 +265,16 @@ class Task:
 
     The task's completion is observable through :attr:`done_future`, which
     resolves to the generator's return value (or the escaping exception,
-    wrapped in :class:`TaskFailed`).
+    wrapped in :class:`TaskFailed`).  It is built on first read: a task
+    nobody asks about keeps its outcome in ``_rvalue`` / ``_rexc``.
 
     Task ids come from :meth:`Simulator.next_task_id`, so two machines (or
     two back-to-back runs in one process) name their tasks identically —
     task ids are part of trace output and must be reproducible.
     """
 
-    __slots__ = ("tid", "sim", "gen", "name", "done_future", "owner",
-                 "_killed", "_rvalue", "_rexc", "_resume_cb")
+    __slots__ = ("tid", "sim", "gen", "name", "owner", "_killed", "_rvalue",
+                 "_rexc", "_resume_cb", "_watch")
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "",
                  owner: Optional[int] = None):
@@ -220,7 +287,8 @@ class Task:
         self.sim = sim
         self.gen = gen
         self.name = name or f"task-{self.tid}"
-        self.done_future = Future("task.done")
+        #: ``done_future`` once someone read it, else None
+        self._watch: Optional[Future] = None
         #: The simulated image this task executes on behalf of, or None
         #: for infrastructure tasks that survive any image's crash.  Only
         #: owned tasks are registered with the simulator's kill registry.
@@ -240,6 +308,19 @@ class Task:
             sim._register_task(self)
         sim.call_soon(self._resume_cb)
 
+    @property
+    def done_future(self) -> Future:
+        fut = self._watch
+        if fut is None:
+            fut = self._watch = Future("task.done")
+            if self._resume_cb is None and not self._killed:
+                # Finished before anyone asked: resolve with its outcome.
+                if self._rexc is not None:
+                    fut.set_exception(self._rexc)
+                else:
+                    fut.set_result(self._rvalue)
+        return fut
+
     # -- fail-stop support --------------------------------------------- #
 
     def kill(self) -> None:
@@ -253,8 +334,8 @@ class Task:
         no-ops via ``_killed``, and a future the task was blocked on
         schedules nothing when it resolves.  ``done_future`` is left
         unresolved, mirroring a process that stopped mid-flight."""
-        if self._killed or self.done_future.done:
-            return
+        if self._resume_cb is None:
+            return  # killed already, or finished
         self._killed = True
         self.gen = None
         self._resume_cb = None
@@ -286,13 +367,21 @@ class Task:
                     directive = gen.send(value)
             except StopIteration as stop:
                 self._resume_cb = None
-                self.done_future.set_result(stop.value)
+                watch = self._watch
+                if watch is None:
+                    self._rvalue = stop.value
+                else:
+                    watch.set_result(stop.value)
                 return
             except BaseException as e:  # noqa: BLE001 - surfaced via future
                 self._resume_cb = None
                 wrapped = TaskFailed(f"task {self.name!r} failed: {e!r}")
                 wrapped.__cause__ = e
-                self.done_future.set_exception(wrapped)
+                watch = self._watch
+                if watch is None:
+                    self._rexc = wrapped
+                else:
+                    watch.set_exception(wrapped)
                 return
             # Type-keyed dispatch: exact-class checks beat isinstance on
             # the hot path; subclasses and bad yields take the slow path.
@@ -300,7 +389,7 @@ class Task:
             if cls is Delay:
                 sim.schedule(directive.dt, self._resume_cb)
                 return
-            if cls is Future:
+            if cls is Future or (cls is ClockPoint and directive.done):
                 if directive._done:
                     value = directive._value
                     exc = directive._exc
@@ -313,7 +402,11 @@ class Task:
                     self._rexc = exc
                     sim.call_soon(self._resume_cb)
                     return
-                directive._callbacks.append(self._on_future)
+                cbs = directive._callbacks
+                if cbs is None:
+                    directive._callbacks = [self._on_future]
+                else:
+                    cbs.append(self._on_future)
                 return
             self._dispatch(directive)
             return
@@ -339,7 +432,8 @@ class Task:
         self.sim.call_soon(self._resume_cb)
 
     def __repr__(self) -> str:
-        return f"<Task {self.name} {'done' if self.done_future.done else 'live'}>"
+        done = self._resume_cb is None and not self._killed
+        return f"<Task {self.name} {'done' if done else 'live'}>"
 
 
 class Channel:

@@ -29,26 +29,28 @@ class Stats:
     """
 
     def __init__(self) -> None:
-        self._counts: dict[str, int] = defaultdict(int)
+        #: the counters by key; the per-message paths bump
+        #: ``counts[key] += n`` in place rather than call :meth:`incr`
+        self.counts: dict[str, int] = defaultdict(int)
 
     def incr(self, key: str, amount: int = 1) -> None:
-        self._counts[key] += amount
+        self.counts[key] += amount
 
     def __getitem__(self, key: str) -> int:
-        return self._counts.get(key, 0)
+        return self.counts.get(key, 0)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._counts
+        return key in self.counts
 
     def keys(self) -> Iterator[str]:
-        return iter(sorted(self._counts))
+        return iter(sorted(self.counts))
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def with_prefix(self, prefix: str) -> dict[str, int]:
         """All counters whose key starts with ``prefix``."""
-        return {k: v for k, v in self._counts.items() if k.startswith(prefix)}
+        return {k: v for k, v in self.counts.items() if k.startswith(prefix)}
 
 
 class Probe:

@@ -10,6 +10,8 @@ credit-less spawn is one generator frame on the initiator, and enters the
 credit-aware AM request only when flow-control credits are on; a
 blocking allreduce gets none of the handle machinery of its async twin;
 and a whole run's delivered spawns leave no cycle for the collector.
+A completion point nobody listens to costs no event, and one that is
+listened to, or read, behaves as an eager event would (DESIGN.md §3.3).
 """
 
 import inspect
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro import MachineParams, run_spmd
+from repro import FaultPlan, MachineParams, run_spmd
 from repro.apps.randomaccess import RAConfig, _ra_setup, ra_kernel
 from repro.apps.uts import TreeParams, UTSConfig, uts_kernel
 from repro.core import collectives as coll_mod
@@ -26,8 +28,9 @@ from repro.core import copy_async as copy_mod
 from repro.core import spawn as spawn_mod
 from repro.core.completion import AsyncOp
 from repro.net.active_messages import AMLayer
-from repro.net.transport import Message
+from repro.net.transport import Message, Network
 from repro.runtime.program import Machine
+from repro.sim.engine import Simulator
 from repro.sim.tasks import Future, Task
 
 
@@ -49,6 +52,22 @@ class _Counts:
 
         self._monkeypatch.setattr(owner, attr, counting)
 
+    def patch_events(self):
+        """Count, as ``events``, what is scheduled on the simulator for
+        anything but a task's continuation (its start, its body's delays,
+        its wake-ups — ``tasks`` counts the starts)."""
+        for name in ("schedule", "schedule_at", "call_soon",
+                     "schedule_reserved"):
+            original = getattr(Simulator, name)
+
+            def counting(sim, *args, _original=original):
+                if self.on and Task._resume not in [
+                        getattr(a, "__func__", None) for a in args]:
+                    self.seen["events"] = self.seen.get("events", 0) + 1
+                return _original(sim, *args)
+
+            self._monkeypatch.setattr(Simulator, name, counting)
+
     def __getitem__(self, label):
         return self.seen.get(label, 0)
 
@@ -67,6 +86,7 @@ def counts(monkeypatch):
                  "_make_data_handler", "_make_fwd_handler",
                  "_make_done_handler"):
         c.patch(copy_mod, name, "closures")
+    c.patch_events()
     return c
 
 
@@ -134,8 +154,11 @@ def test_remote_implicit_spawn_budget(counts, spmd):
     # one record per operation and one per message
     assert counts.tracked is counts.op
     assert counts["messages"] == counts["handles"] == 1
-    # the message's injected + delivered, and the handler task's done
-    assert 0 < counts["futures"] <= 3
+    # the message's injected (the handle reads it) + delivered; nobody
+    # asks for the handler task's done future
+    assert 0 < counts["futures"] <= 2
+    # delivery, handler task start and ack; the injection is a clock point
+    assert counts["events"] + counts["tasks"] == 3
     # the spawner holds its frame; the exec handler looks its own up once
     assert counts["frame_lookups"] <= 2
     assert counts["closures"] == 0
@@ -153,7 +176,7 @@ def test_spawn_under_credits_takes_the_credit_aware_request(counts, spmd):
         params=MachineParams.uniform(2, flow_credits=1))
     assert machine.stats["spawn.executed"] == 2
     assert counts["credit_requests"] == 1
-    assert 0 < counts["futures"] <= 3
+    assert 0 < counts["futures"] <= 2
     assert counts["frame_lookups"] <= 2
 
 
@@ -175,9 +198,9 @@ def test_unpredicated_put_budget(counts, spmd):
 
 
 def test_blocking_allreduce_budget(counts, spmd):
-    """Finish's own allreduce: one result future per image and the
-    injection future of each of the two tree sends (one up, one down) —
-    no acks, no handle, no task."""
+    """Finish's own allreduce: one result future per image — no
+    injection future for the two tree sends (one up, one down), no acks,
+    no handle, no task."""
     def kernel(img):
         yield from img.allreduce(1)              # first use: registers
         yield from img.compute(1e-3)
@@ -193,9 +216,77 @@ def test_blocking_allreduce_budget(counts, spmd):
     assert totals == [3, 3]
     assert machine.stats["net.kind.coll.up"] == 2
     assert machine.stats["net.kind.coll.down"] == 2
-    assert 0 < counts["futures"] <= 4
+    assert 0 < counts["futures"] <= 2
     assert counts["tasks"] == 0
     assert counts["handles"] == 0
+
+
+def test_clock_points_keep_the_eager_schedule(spmd):
+    """The completion-point contract (DESIGN.md §3.3), pinned at the
+    values the eager implementation gave, which scheduled an event for
+    every injection and every ack.  Events ``before`` and ``after`` sit
+    at exactly a put's ``inject_end``, scheduled before and after the
+    put: the first reads the injection pending, the second done, and a
+    callback attached to the injection before that instant fires
+    between the two.  A ``cofence`` right after a put waits; one issued
+    at exactly its ``inject_end`` does not.  A send whose injection, or
+    whose ack nobody listens to, would have been the run's last event
+    leaves ``sim.now`` there."""
+    params = MachineParams.uniform(2)
+    nbytes = 8 * 8
+    service = params.o_send + nbytes / params.bandwidth
+    log = []
+
+    def kernel(img):
+        if img.rank != 0:
+            return
+        T = img.machine.coarray_by_name("T")
+        sim = img.machine.sim
+        for label, watch in (("watched", True), ("read", False)):
+            held = []
+
+            def record(name, held=held):
+                log.append((name, held[0].local_data.done))
+
+            inject_end = sim.now + service
+            sim.schedule_at(inject_end, record, label + ".before")
+            op = img.copy_async(T.ref(1), np.ones(8))
+            held.append(op)
+            if watch:
+                op.local_data.add_done_callback(
+                    lambda _f, name=label + ".injected": log.append(
+                        (name, True)))
+            sim.schedule_at(inject_end, record, label + ".after")
+            yield op.global_done
+        img.copy_async(T.ref(1), np.ones(8))
+        yield from img.cofence()
+        log.append(("waited", img.machine.stats["cofence.waited"]))
+        op = img.copy_async(T.ref(1), np.ones(8))
+        yield from img.compute(service)
+        yield from img.cofence()
+        log.append(("waited", img.machine.stats["cofence.waited"]))
+        yield op.global_done
+
+    spmd(kernel, n=2, params=params,
+         setup=lambda m: m.coarray("T", shape=8))
+    assert log == [("watched.before", False), ("watched.injected", True),
+                   ("watched.after", True), ("read.before", False),
+                   ("read.after", True), ("waited", 1), ("waited", 1)]
+
+    def last_event(drop: bool, want_ack: bool) -> float:
+        sim = Simulator()
+        net = Network(sim, params, faults=(
+            FaultPlan().drop_nth("msg", 1) if drop else None))
+        msg = net.send(Message(0, 1, nbytes, None), want_ack=want_ack)
+        sim.run()
+        assert msg.injected.done
+        assert msg.delivered is None or msg.delivered.done
+        return sim.now
+
+    lat = params.topology.latency(0, 1)
+    assert last_event(drop=True, want_ack=False) == 0.0 + service
+    assert last_event(drop=False, want_ack=True) == (
+        0.0 + service + lat + params.o_recv + params.ack_latency_factor * lat)
 
 
 def _randomaccess_64():

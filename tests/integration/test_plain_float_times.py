@@ -44,14 +44,21 @@ def _setup(machine):
 
 
 def test_every_scheduled_time_is_a_plain_float(monkeypatch):
+    # Events and clock points (reserved slots) alike.
     times = []
     schedule_at = Simulator.schedule_at
+    reserve = Simulator.reserve
 
     def recording_schedule_at(sim, time, fn, *args):
         times.append(time)
         return schedule_at(sim, time, fn, *args)
 
+    def recording_reserve(sim, time):
+        times.append(time)
+        return reserve(sim, time)
+
     monkeypatch.setattr(Simulator, "schedule_at", recording_schedule_at)
+    monkeypatch.setattr(Simulator, "reserve", recording_reserve)
     n = 4
     machine, results = run_spmd(
         _kernel, n_images=n, setup=_setup, seed=3,

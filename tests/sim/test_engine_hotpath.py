@@ -11,6 +11,7 @@ life cycle.
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.tasks import Delay, Future, Task, clock_point
 
 
 class TestPendingEventsAccounting:
@@ -159,6 +160,74 @@ class TestQuiescence:
         due = sim.schedule(1.0, lambda: None)  # force both into the heap
         sim.run()
         assert seen == [False, True]
+
+
+class TestClockPoints:
+    """A clock point answers and fires exactly as the eager event in its
+    reserved ``(time, seq)`` slot would have (DESIGN.md §3.3)."""
+
+    @staticmethod
+    def point(sim, time):
+        return clock_point((sim, time, sim.reserve(time)), "p")
+
+    def test_listened_point_fires_in_its_ready_slot(self):
+        sim = Simulator()
+        log = []
+
+        def first():
+            log.append(("first", p.done))
+            p.add_done_callback(lambda _f: log.append("point"))
+
+        sim.call_soon(first)
+        p = self.point(sim, 0.0)
+        sim.call_soon(lambda: log.append(("second", p.done)))
+        sim.run()
+        assert log == [("first", False), "point", ("second", True)]
+        assert sim.events_processed == 3
+
+    def test_staged_entry_at_the_same_instant_stays_ahead(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, lambda: log.append(("staged", p.done)))
+        p = self.point(sim, 1.0)
+        sim.schedule(1.0, lambda: log.append(("later", p.done)))
+        sim.run()
+        assert log == [("staged", False), ("later", True)]
+        assert sim.events_processed == 2
+
+    def test_synchronous_continuation_runs_after_the_point(self):
+        sim = Simulator()
+        seen = []
+        resolved = Future()
+        resolved.set_result(None)
+        box = {}
+
+        def body():
+            yield Delay(1.0)
+            seen.append(box["p"].done)
+            yield resolved  # nothing else is due: continues at once
+            seen.append(box["p"].done)
+
+        Task(sim, body())
+        sim.call_soon(lambda: box.setdefault("p", self.point(sim, 1.0)))
+        sim.run()
+        assert seen == [False, True]
+
+    def test_drain_moves_the_clock_to_an_unfired_point(self):
+        sim = Simulator()
+        at_drain = []
+        sim.add_drain_hook(lambda s: at_drain.append(s.now))
+        sim.schedule(1.0, lambda: None)
+        p = self.point(sim, 5.0)
+        assert not p.done
+        sim.run()
+        assert at_drain == [5.0] and sim.now == 5.0 and p.done
+        assert sim.events_processed == 1
+
+    def test_points_are_events_under_a_schedule_source(self):
+        sim = Simulator()
+        sim.set_schedule_source(object())
+        assert sim.reserve(1.0) == 0
 
 
 def test_schedule_at_rejects_past_even_when_staged():
