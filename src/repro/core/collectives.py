@@ -102,7 +102,7 @@ class _Coll:
                  "called", "value", "combine", "finalize", "down",
                  "child_values", "sent_up", "arrived", "arrived_value",
                  "result", "op", "buf", "src_event", "local_event",
-                 "acked", "key", "unacked",
+                 "acked", "frame", "unacked",
                  "rounds", "step", "expect", "inbox", "sent")
 
     def __init__(self) -> None:
@@ -122,12 +122,12 @@ class _Coll:
         self.buf: Optional[np.ndarray] = None
         self.src_event = None
         self.local_event = None
-        #: whether my tree sends ask for a delivery ack, and the finish
-        #: frame key they are counted under (None: not counted).  Set by
-        #: the local call — or, while that has not happened yet, by the
-        #: tree message being forwarded, which carries both.
+        #: whether my sends ask for a delivery ack, and the finish frame
+        #: they are counted on (None: not counted).  Set by the local
+        #: call — or, while that has not happened yet, by the message
+        #: being forwarded, which carries both.
         self.acked = False
-        self.key: Optional[tuple] = None
+        self.frame = None
         self.unacked = 0
 
 
@@ -145,29 +145,24 @@ def _record(machine, world: int, team: Team, seq: int, root: int,
 
 
 def register_handlers(machine) -> None:
-    """Called once per machine, on the family's first use there."""
+    """Called once per machine, on the family's first use there: every
+    collective message arrives through finish's counted arrival."""
     am = machine.am
     for name, on_message in ((_UP, _on_up), (_DOWN, _on_down),
                              (_PAIR, _on_pair)):
-        am.register(name, partial(_handle, machine, on_message))
+        am.register(name, partial(fin.arrival, machine,
+                                  partial(_handle, machine, on_message)))
 
 
-def _handle(machine, on_message, ctx, team_id, seq, root, radix, acked, key,
-            tag, *where) -> None:
+def _handle(machine, on_message, ctx, frame, stamp, team_id, seq, root,
+            radix, acked, *where) -> None:
     rec = _record(machine, ctx.image, machine.team_by_id(team_id), seq,
                   root, radix)
     if not rec.called:
         # The tree got here ahead of this image's own call: what must be
         # forwarded before it moves on the sender's terms.
-        rec.acked, rec.key = acked, key
-    if key is None:
-        on_message(machine, rec, ctx.payload, ctx.size, None, *where)
-    else:
-        # Counted against the sender's finish frame: received now,
-        # completed once this image's share of the forwarding is done.
-        stamp = fin.count_received(machine, ctx.image, key, tag, src=ctx.src)
-        on_message(machine, rec, ctx.payload, ctx.size, stamp, *where)
-        fin.count_completed(machine, ctx.image, key, stamp)
+        rec.acked, rec.frame = acked, frame
+    on_message(machine, rec, ctx.payload, ctx.size, stamp, *where)
 
 
 def _on_up(machine, rec: _Coll, payload: Any, _size: int, cause) -> None:
@@ -194,28 +189,17 @@ def _on_pair(machine, rec: _Coll, payload: Any, _size: int, cause,
 def _send(machine, rec: _Coll, to: int, handler: str, payload: Any,
           size: int, cause, where: tuple = ()) -> Message:
     """Send one message of ``size`` simulated bytes to team rank ``to``
-    (``where`` adds a per-pair message's step and source) and return it.  With a handle the message is acknowledged — the
-    ack is the pairwise completion ``local_op`` is composed from — and,
-    under implicit completion, counted against ``rec.key``'s finish
-    frame."""
-    src = rec.world
-    dst = rec.team.world_rank(to)
-    key = rec.key
-    stamp = tag = None
-    if key is not None:
-        stamp = fin.count_send(machine, src, key, dst=dst, cause=cause)
-        tag = stamp[0]
-    msg = machine.am.request_nb(
-        src, dst, handler, args=rec.route + (rec.acked, key, tag) + where,
-        payload=payload, payload_size=size,
-        category=AMCategory.LONG, want_ack=rec.acked, kind=handler,
-    )
+    (``where`` adds a per-pair message's step and source) and return it.
+    With a handle the message is acknowledged — the ack is the pairwise
+    completion ``local_op`` is composed from — and, under implicit
+    completion, counted on ``rec.frame``."""
+    msg = fin.count_send(
+        machine, rec.frame, cause, rec.world, rec.team.world_rank(to),
+        handler, rec.route + (rec.acked,) + where, payload, size,
+        AMCategory.LONG, rec.acked, handler)
     if rec.acked:
         rec.unacked += 1
         msg.delivered.add_done_callback(partial(_on_ack, machine, rec))
-        if key is not None:
-            msg.delivered.add_done_callback(
-                partial(fin.count_delivery_outcome, machine, src, key, stamp))
     return msg
 
 
@@ -326,19 +310,18 @@ def _maybe_local_op(machine, rec: _Coll) -> None:
     machine.drop_coll_state(rec.world, rec.route[0], rec.route[1])
 
 
-def _finish_key(ctx, team: Team) -> Optional[tuple]:
-    """The key of the finish frame an implicitly-completed collective is
-    counted under (None outside finish), enforcing the §III-A.1 rule that
-    its team is the finish team or a subset."""
+def _finish_frame(ctx, team: Team):
+    """The finish frame an implicitly-completed collective is counted on
+    (None outside finish), enforcing the §III-A.1 rule that its team is
+    the finish team or a subset."""
     frame = ctx.activation.current_frame()
-    if frame is None:
-        return None
-    if team is not frame.team and not team.is_subset_of(frame.team):
+    if (frame is not None and team is not frame.team
+            and not team.is_subset_of(frame.team)):
         raise CollectiveUsageError(
             f"async collective team {team.id} is not a subset of the "
             f"enclosing finish team {frame.team.id} (paper §III-A.1)"
         )
-    return frame.key
+    return frame
 
 
 def member(ctx, team: Optional[Team]) -> tuple[Team, int]:
@@ -379,7 +362,7 @@ def start(ctx, kind: str, team: Optional[Team], value: Any, *,
     else:
         buf, src_event, local_event = handle
         implicit = src_event is None and local_event is None
-        key = _finish_key(ctx, team) if implicit else None
+        frame = _finish_frame(ctx, team) if implicit else None
         src_event = event_ref(src_event, world)
         local_event = event_ref(local_event, world)
         machine.stats.incr("acoll." + kind)
@@ -392,7 +375,7 @@ def start(ctx, kind: str, team: Optional[Team], value: Any, *,
     rec.down = down
     if handle is not None:
         rec.acked = True
-        rec.key = key
+        rec.frame = frame
         rec.buf = buf if down or me == root else None
         rec.src_event = src_event
         rec.local_event = local_event

@@ -101,42 +101,21 @@ def _normalize(ctx, x: Union[CoarrayRef, np.ndarray], what: str) -> _Loc:
 
 
 def register_handlers(machine) -> None:
-    """Called once per machine, on the family's first use there."""
+    """Called once per machine, on the family's first use there: every
+    family but ``copy.done`` is a counted message (finish's arrival)."""
     am = machine.am
-    am.register(_PUT, _make_put_handler(machine))
-    am.register(_GET_REQ, _make_get_req_handler(machine))
-    am.register(_DATA, _make_data_handler(machine))
-    am.register(_FWD, _make_fwd_handler(machine))
+    for name, make in ((_PUT, _make_put_handler),
+                       (_GET_REQ, _make_get_req_handler),
+                       (_DATA, _make_data_handler),
+                       (_FWD, _make_fwd_handler)):
+        am.register(name, partial(fin.arrival, machine, make(machine)))
     am.register(_DONE, _make_done_handler(machine))
 
 
-# Finish accounting: each side resolves its frame once and counts on it.
-
-def _count_send(frame, dst: int, cause) -> tuple:
-    """Count a message sent on ``frame`` (None outside a finish): the
-    frame key and epoch tag to put on the wire, and the sender stamp."""
-    if frame is None:
-        return None, None, None
-    stamp = frame.on_send(dst, cause)
-    return frame.key, stamp[0], stamp
-
-
-def _count_received(machine, ctx, key, tag) -> tuple:
-    """Count a message landing at its handler: the receiver's frame and
-    the receive stamp (None, None for an uncounted message)."""
-    if key is None:
-        return None, None
-    frame = fin.frame_at(machine, ctx.image, key)
-    return frame, frame.on_received(bool(tag), ctx.src)
-
-
 def _make_put_handler(machine):
-    def handle_put(ctx, ref: CoarrayRef, key, tag, dest_event,
+    def handle_put(ctx, _frame, _stamp, ref: CoarrayRef, dest_event,
                    done_token, done_rank):
-        frame, recv_stamp = _count_received(machine, ctx, key, tag)
         ref.write(ctx.payload)
-        if frame is not None:
-            frame.on_completed(recv_stamp)
         if dest_event is not None:
             machine.post_event(dest_event, from_rank=ctx.image)
         if done_token is not None:
@@ -148,58 +127,37 @@ def _make_put_handler(machine):
 
 
 def _make_get_req_handler(machine):
-    def handle_get_req(ctx, ref: CoarrayRef, token, key, tag, src_event,
+    def handle_get_req(ctx, frame, stamp, ref: CoarrayRef, token, src_event,
                        reply_rank):
-        frame, recv_stamp = _count_received(machine, ctx, key, tag)
         data = ref.read()
         if src_event is not None:
             machine.post_event(src_event, from_rank=ctx.image)
-        _key, reply_tag, reply_stamp = _count_send(frame, reply_rank,
-                                                   recv_stamp)
-        msg = machine.am.request_nb(
-            ctx.image, reply_rank, _DATA,
-            args=(token, key, reply_tag),
-            payload=data, payload_size=int(np.asarray(data).nbytes),
-            category=AMCategory.LONG, want_ack=(frame is not None),
-            kind="copy.data",
-        )
-        if frame is not None:
-            msg.delivered.add_done_callback(
-                partial(frame.on_delivery_outcome, reply_stamp))
-            frame.on_completed(recv_stamp)
+        fin.count_send(machine, frame, stamp, ctx.image, reply_rank, _DATA,
+                       (token,), payload=data,
+                       payload_size=int(np.asarray(data).nbytes),
+                       category=AMCategory.LONG, kind="copy.data")
     return handle_get_req
 
 
 def _make_data_handler(machine):
-    def handle_data(ctx, token, key, reply_tag):
-        frame, recv_stamp = _count_received(machine, ctx, key, reply_tag)
+    def handle_data(ctx, _frame, _stamp, token):
         complete = machine.scratch.pop(("copy.token", token))
         complete(ctx.payload)
-        if frame is not None:
-            frame.on_completed(recv_stamp)
     return handle_data
 
 
 def _make_fwd_handler(machine):
-    def handle_fwd(ctx, src_ref: CoarrayRef, dest_ref: CoarrayRef, key, tag,
-                   src_event, dest_event, done_token, done_rank):
-        frame, recv_stamp = _count_received(machine, ctx, key, tag)
+    def handle_fwd(ctx, frame, stamp, src_ref: CoarrayRef,
+                   dest_ref: CoarrayRef, src_event, dest_event, done_token,
+                   done_rank):
         data = src_ref.read()
         if src_event is not None:
             machine.post_event(src_event, from_rank=ctx.image)
-        _key, put_tag, put_stamp = _count_send(frame, dest_ref.world_rank,
-                                               recv_stamp)
-        msg = machine.am.request_nb(
-            ctx.image, dest_ref.world_rank, _PUT,
-            args=(dest_ref, key, put_tag, dest_event, done_token, done_rank),
-            payload=data, payload_size=int(np.asarray(data).nbytes),
-            category=AMCategory.LONG, want_ack=(frame is not None),
-            kind="copy.put",
-        )
-        if frame is not None:
-            msg.delivered.add_done_callback(
-                partial(frame.on_delivery_outcome, put_stamp))
-            frame.on_completed(recv_stamp)
+        fin.count_send(machine, frame, stamp, ctx.image, dest_ref.world_rank,
+                       _PUT, (dest_ref, dest_event, done_token, done_rank),
+                       payload=data,
+                       payload_size=int(np.asarray(data).nbytes),
+                       category=AMCategory.LONG, kind="copy.put")
     return handle_fwd
 
 
@@ -306,20 +264,14 @@ def _start_put(ctx, machine, d: _Loc, s: _Loc, frame,
                src_ev, dest_ev) -> tuple:
     """Source on the initiator, destination remote: one data message,
     whose completion is the copy's."""
-    data = s.read()
-    key, tag, stamp = _count_send(frame, d.rank, ctx.activation.cause)
-    msg = machine.am.request_nb(
-        ctx.rank, d.rank, _PUT,
-        args=(d.ref, key, tag, dest_ev, None, None),
-        payload=data, payload_size=s.nbytes,
-        category=AMCategory.LONG, want_ack=True, kind="copy.put",
-    )
+    msg = fin.count_send(
+        machine, frame, ctx.activation.cause, ctx.rank, d.rank, _PUT,
+        (d.ref, dest_ev, None, None), payload=s.read(),
+        payload_size=s.nbytes, category=AMCategory.LONG, want_ack=True,
+        kind="copy.put")
     if src_ev is not None:
         msg.injected.add_done_callback(
             lambda _f: machine.post_event(src_ev, from_rank=ctx.rank))
-    if frame is not None:
-        msg.delivered.add_done_callback(
-            partial(frame.on_delivery_outcome, stamp))
     # Local data completion: the NIC has read the source buffer.  Local
     # operation completion == global completion for a put from the
     # initiator (§I: "for an asynchronous copy from p to q initiated by
@@ -344,16 +296,9 @@ def _start_get(ctx, machine, d: _Loc, s: _Loc, frame,
         done.set_result(None)
 
     machine.scratch[("copy.token", token)] = complete
-    key, tag, stamp = _count_send(frame, s.rank, ctx.activation.cause)
-    msg = machine.am.request_nb(
-        ctx.rank, s.rank, _GET_REQ,
-        args=(s.ref, token, key, tag, src_ev, ctx.rank),
-        category=AMCategory.SHORT, want_ack=(frame is not None),
-        kind="copy.get_req",
-    )
-    if frame is not None:
-        msg.delivered.add_done_callback(
-            partial(frame.on_delivery_outcome, stamp))
+    fin.count_send(machine, frame, ctx.activation.cause, ctx.rank, s.rank,
+                   _GET_REQ, (s.ref, token, src_ev, ctx.rank),
+                   category=AMCategory.SHORT, kind="copy.get_req")
     return done, done, done
 
 
@@ -364,15 +309,10 @@ def _start_forward(ctx, machine, d: _Loc, s: _Loc, frame,
     token = next(_tokens)
     global_done = Future("copy.fwd")
     machine.scratch[("copy.token", token)] = global_done.set_result
-    key, tag, stamp = _count_send(frame, s.rank, ctx.activation.cause)
-    msg = machine.am.request_nb(
-        ctx.rank, s.rank, _FWD,
-        args=(s.ref, d.ref, key, tag, src_ev, dest_ev, token, ctx.rank),
-        category=AMCategory.SHORT, want_ack=True, kind="copy.fwd",
-    )
-    if frame is not None:
-        msg.delivered.add_done_callback(
-            partial(frame.on_delivery_outcome, stamp))
+    msg = fin.count_send(
+        machine, frame, ctx.activation.cause, ctx.rank, s.rank, _FWD,
+        (s.ref, d.ref, src_ev, dest_ev, token, ctx.rank),
+        category=AMCategory.SHORT, want_ack=True, kind="copy.fwd")
     # The initiator's buffers are never touched: its local-data point is
     # the injection of the control message (argument evaluation done);
     # its last pairwise communication is that message's delivery — which

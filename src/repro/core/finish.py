@@ -65,6 +65,22 @@ Operations carrying explicit events manage their own completion and are
 not tracked (§III: finish guarantees are for implicitly-synchronized
 operations).  The detector's own allreduce traffic is never counted.
 
+One send path, one arrival path
+-------------------------------
+Every message of those operations, the initiator's and those their
+handlers send on, leaves through :func:`count_send` and lands through
+:func:`arrival` (a task handler, ``spawn.exec``, calls
+:func:`count_received` and :func:`count_completed` itself).  The send
+path counts the send, appends the frame key and epoch tag to the
+handler's arguments, asks for the delivery ack and registers
+:func:`count_delivery_outcome` on it; a send the AM layer refuses
+before it leaves is uncounted at once.  The arrival path counts the
+message received and hands the handler its frame and receive stamp,
+which are the cause of any send the handler makes; it counts the
+message completed when the handler returns.  An uncounted message
+(outside a finish, or with explicit completion) travels the same paths
+with ``(None, None)`` for key and tag.
+
 Failure reconciliation (DESIGN §11)
 -----------------------------------
 Under the fail-stop model a crashed image takes its counters with it, so
@@ -83,10 +99,12 @@ counter events that name it are ignored.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from functools import partial
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.tasks import Condition
 from repro.runtime.team import Team
+from repro.net.active_messages import AMCategory
 
 
 class FinishUsageError(RuntimeError):
@@ -285,15 +303,6 @@ class FinishFrame:
         self.machine.stats.incr("finish.sends_failed")
         if self.cond._waiters:
             self.cond.wake()
-
-    def on_delivery_outcome(self, stamp: tuple, fut) -> None:
-        """Done-callback body for a counted send's ``delivered`` future:
-        count it delivered on success, uncount the send if the transport
-        reported the peer failed."""
-        if fut.exception() is None:
-            self.on_delivered(stamp)
-        else:
-            self.on_send_failed(stamp)
 
     def on_received(self, tag_odd: bool, src: Optional[int] = None
                     ) -> tuple[bool, int, Optional[int]]:
@@ -524,12 +533,16 @@ def stall_report(machine, blocked: list) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Message-side helpers: counting by (image, frame key), for callers that
-# carry a key rather than a frame (async collectives, whose state can be
-# created by an arriving message).  spawn and copy_async resolve their
-# frame once per side — the initiator holds it, a handler calls
-# frame_at — and count on it directly.
+# Counted messages (module docstring, "One send path, one arrival
+# path"): spawn, copy_async and the asynchronous collectives send through
+# count_send and receive through arrival, or count_received and
+# count_completed in a task handler.  Outside this module only spawn's
+# loopback re-execution touches a frame's counters.
 # --------------------------------------------------------------------- #
+
+#: key and tag of a message no finish counts
+_UNCOUNTED = (None, None)
+
 
 def frame_at(machine, world_rank: int, key: tuple) -> FinishFrame:
     """Get-or-create the frame for ``key`` on ``world_rank`` (frames are
@@ -537,57 +550,88 @@ def frame_at(machine, world_rank: int, key: tuple) -> FinishFrame:
     return machine.get_or_create_frame(world_rank, key)
 
 
-def count_send(machine, world_rank: int, key: Optional[tuple],
-               dst: Optional[int] = None,
-               cause: Optional[tuple] = None) -> Optional[tuple]:
-    """Count a message send at its initiator.  Returns the sender stamp
-    ``(tag, generation)``: put ``stamp[0]`` on the wire, keep the stamp
-    for :func:`count_delivered`.  None when not inside a finish.
+def count_send(machine, frame: Optional[FinishFrame], cause: Optional[tuple],
+               src: int, dst: int, handler: str, args: tuple,
+               payload: Any = None, payload_size: int = 0,
+               category: AMCategory = AMCategory.MEDIUM,
+               want_ack: bool = False, kind: Optional[str] = None):
+    """The one send path: the active message ``handler(*args)`` from
+    ``src`` to ``dst`` (the rest as :meth:`AMLayer.request_nb`), counted
+    on ``frame`` unless it is None, with the frame key and epoch tag
+    appended to ``args``.  A counted send asks for the delivery ack and
+    registers :func:`count_delivery_outcome` on it; one the AM layer
+    refuses before it leaves (an over-size payload, an argument the
+    process wire cannot carry) is uncounted and the error re-raised.
     ``cause`` is the sending activation's receive stamp (see
-    :meth:`FinishFrame.on_send`); pass ``activation.cause`` so handler
-    sends are classified causally."""
+    :meth:`FinishFrame.on_send`).  Returns the sent message."""
+    request_nb = machine.am.request_nb
+    if frame is None:
+        return request_nb(src, dst, handler, args=args + _UNCOUNTED,
+                          payload=payload, payload_size=payload_size,
+                          category=category, want_ack=want_ack, kind=kind)
+    stamp = frame.on_send(dst, cause)
+    try:
+        msg = request_nb(src, dst, handler,
+                         args=args + (frame.key, stamp[0]), payload=payload,
+                         payload_size=payload_size, category=category,
+                         want_ack=True, kind=kind)
+    except Exception:
+        count_send_failed(frame, stamp)
+        raise
+    msg.delivered.add_done_callback(
+        partial(count_delivery_outcome, frame, stamp))
+    return msg
+
+
+def count_delivered(frame: FinishFrame, stamp: tuple) -> None:
+    frame.on_delivered(stamp)
+
+
+def count_send_failed(frame: FinishFrame, stamp: tuple) -> None:
+    """Uncount a send that never reached its peer."""
+    frame.on_send_failed(stamp)
+
+
+def count_delivery_outcome(frame: FinishFrame, stamp: tuple, fut) -> None:
+    """Done-callback of a counted send's ``delivered`` future: count it
+    delivered on success, uncount the send if the transport reported the
+    peer failed."""
+    if fut.exception() is None:
+        count_delivered(frame, stamp)
+    else:
+        count_send_failed(frame, stamp)
+
+
+def count_received(machine, ctx, key: Optional[tuple], tag: Optional[bool]
+                   ) -> tuple[Optional[FinishFrame], Optional[tuple]]:
+    """Count a message landing on ``ctx.image``: the receiver's frame for
+    ``key`` and the receive stamp to hand :func:`count_completed` when
+    its local work is done, or ``(None, None)`` for an uncounted
+    message."""
     if key is None:
-        return None
-    return frame_at(machine, world_rank, key).on_send(dst, cause)
+        return _UNCOUNTED
+    frame = machine.get_or_create_frame(ctx.image, key)
+    return frame, frame.on_received(bool(tag), ctx.src)
 
 
-def count_delivered(machine, world_rank: int, key: Optional[tuple],
+def count_completed(frame: Optional[FinishFrame],
                     stamp: Optional[tuple]) -> None:
-    if key is not None and stamp is not None:
-        frame_at(machine, world_rank, key).on_delivered(stamp)
+    if frame is not None:
+        frame.on_completed(stamp)
 
 
-def count_received(machine, world_rank: int, key: Optional[tuple],
-                   tag: Optional[bool], src: Optional[int] = None
-                   ) -> Optional[tuple]:
-    """Count a message arrival; returns the receiver stamp to pass to
-    :func:`count_completed` when its local work finishes.  ``src`` is
-    the sending image, used for failure reconciliation."""
+def arrival(machine, handler: Callable, ctx, *wire: Any) -> None:
+    """The one arrival path, the AM handler of an inline counted family
+    (register ``partial(arrival, machine, handler)``): runs
+    ``handler(ctx, frame, stamp, *args)`` for a message sent by
+    :func:`count_send`, counted received before and completed after."""
+    key = wire[-2]
     if key is None:
-        return None
-    return frame_at(machine, world_rank, key).on_received(bool(tag), src)
-
-
-def count_send_failed(machine, world_rank: int, key: Optional[tuple],
-                      stamp: Optional[tuple]) -> None:
-    """Uncount a send whose delivery failed because the peer died."""
-    if key is not None and stamp is not None:
-        frame_at(machine, world_rank, key).on_send_failed(stamp)
-
-
-def count_delivery_outcome(machine, world_rank: int, key: Optional[tuple],
-                           stamp: Optional[tuple], fut) -> None:
-    """Done-callback body for a counted send's ``delivered`` future:
-    count it delivered on success, uncount the send if the transport
-    reported the peer failed."""
-    if key is not None and stamp is not None:
-        frame_at(machine, world_rank, key).on_delivery_outcome(stamp, fut)
-
-
-def count_completed(machine, world_rank: int, key: Optional[tuple],
-                    recv_stamp: Optional[tuple]) -> None:
-    if key is not None and recv_stamp is not None:
-        frame_at(machine, world_rank, key).on_completed(recv_stamp)
+        handler(ctx, None, None, *wire[:-2])
+        return
+    frame, stamp = count_received(machine, ctx, key, wire[-1])
+    handler(ctx, frame, stamp, *wire[:-2])
+    count_completed(frame, stamp)
 
 
 # --------------------------------------------------------------------- #

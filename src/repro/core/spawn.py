@@ -41,8 +41,7 @@ from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
 from repro.net.transport import PeerFailedError
 from repro.core.completion import RESOLVED, AsyncOp
-# benchmarks/e2e/test_e2e.py reaches finish's helpers through this name
-from repro.core import finish as fin  # noqa: F401
+from repro.core import finish as fin
 
 _EXEC = "spawn.exec"
 #: a spawn reads its argument buffer and writes nothing local
@@ -117,15 +116,12 @@ def _activation_name(machine, fn, dst: int) -> str:
 
 
 def _make_exec_handler(machine):
-    def handle_exec(ctx, fn, args, key, tag, event_ref, rc_vc=None,
-                    spawn_id=None):
-        # Count reception before the function body runs: the message has
-        # landed even if the task runs long (Fig. 7 separates received
-        # from completed for exactly this reason).
-        frame = recv_stamp = None
-        if key is not None:
-            frame = machine.get_or_create_frame(ctx.image, key)
-            recv_stamp = frame.on_received(bool(tag), ctx.src)
+    def handle_exec(ctx, fn, args, event_ref, rc_vc, spawn_id, key, tag):
+        # The shipped function stays the first argument: tracers read it
+        # there.  Count reception before the function body runs: the
+        # message has landed even if the task runs long (Fig. 7 separates
+        # received from completed for exactly this reason).
+        frame, recv_stamp = fin.count_received(machine, ctx, key, tag)
         # Recovery idempotency: when a failure service with recovery is
         # attached, every execution is recorded under its spawn id and a
         # duplicate arrival skips the body (but still balances the
@@ -155,8 +151,7 @@ def _make_exec_handler(machine):
                 # Publish the body's final clock before the completion
                 # count/event can let a finish or waiter proceed.
                 machine.racecheck.activation_done(activation, key, event_ref)
-            if frame is not None:
-                frame.on_completed(recv_stamp)
+            fin.count_completed(frame, recv_stamp)
             if event_ref is not None:
                 machine.post_event(event_ref, from_rank=ctx.image)
     return handle_exec
@@ -204,38 +199,30 @@ def spawn(ctx, fn, target: int, *args: Any,
         return activation.register(
             AsyncOp("spawn", _CLASSES, RESOLVED, RESOLVED, RESOLVED))
 
-    key = stamp = tag = None
-    if frame is not None:
-        key = frame.key
-        stamp = frame.on_send(dst, activation.cause)
-        tag = stamp[0]
-        if recover:
-            frame.ledger[spawn_id] = (dst, fn, shipped_args, name)
     machine.stats.incr("spawn.initiated")
     rcop = rc_vc = None
     if machine.racecheck is not None:
         rcop = machine.racecheck.spawn_begin(ctx, implicit)
         rc_vc = rcop.vc_local()
     am = machine.am
-    exec_args = (fn, shipped_args, key, tag, event_ref, rc_vc, spawn_id)
+    request = (machine, frame, activation.cause, ctx.rank, dst, _EXEC,
+               (fn, shipped_args, event_ref, rc_vc, spawn_id), None, size,
+               AMCategory.MEDIUM, True, "spawn")
     if am.credits is None:
-        msg = am.request_nb(
-            ctx.rank, dst, _EXEC, args=exec_args, payload_size=size,
-            category=AMCategory.MEDIUM, want_ack=True, kind="spawn")
+        msg = fin.count_send(*request)
     else:
-        msg = yield from am.request(
-            ctx.rank, dst, _EXEC, args=exec_args, payload_size=size,
-            category=AMCategory.MEDIUM, want_ack=True, kind="spawn")
+        msg = yield from am.request(ctx.rank, dst,
+                                    partial(fin.count_send, *request))
     # The initiator cannot observe execution completion without an event;
     # global completion is finish's business.  local_op is the strongest
     # initiator-side guarantee the handle itself carries.
     delivered = msg.delivered
     op = AsyncOp("spawn", _CLASSES, msg.injected, delivered, delivered)
     op.rc = rcop
-    if frame is not None:
+    if recover:
+        frame.ledger[spawn_id] = (dst, fn, shipped_args, name)
         delivered.add_done_callback(
-            partial(_delivery_outcome, frame, stamp, spawn_id) if recover
-            else partial(frame.on_delivery_outcome, stamp))
+            partial(_recover_lost, frame, spawn_id))
 
     if implicit:
         activation.register(op)
@@ -244,17 +231,17 @@ def spawn(ctx, fn, target: int, *args: Any,
     return op
 
 
-def _delivery_outcome(frame, stamp: tuple, spawn_id: int, fut) -> None:
-    """Done-callback of a counted spawn's delivery ack, on the spawner's
-    ``frame``: count the outcome, and re-execute a lost spawn."""
-    frame.on_delivery_outcome(stamp, fut)
-    # Recovery: a send the transport failed definitively (fresh sends
-    # fail before transmission; in-flight ones only once the peer is
-    # confirmed dead) never runs its function at the destination.
-    # Re-execute it here now — reconciliation cannot, because the
-    # on_send_failed subtraction already rebalanced the frame, so a
-    # finish may conclude before the peer is ever confirmed.  Only
-    # spawns that entered the ledger (recovery armed) get this callback.
+def _recover_lost(frame, spawn_id: int, fut) -> None:
+    """Done-callback of a ledgered spawn's delivery ack, after the send
+    path has counted its outcome on the spawner's ``frame``: re-execute
+    a lost spawn.
+
+    A send the transport failed definitively (fresh sends fail before
+    transmission; in-flight ones only once the peer is confirmed dead)
+    never runs its function at the destination.  Re-execute it here now
+    — reconciliation cannot, because the on_send_failed subtraction
+    already rebalanced the frame, so a finish may conclude before the
+    peer is ever confirmed."""
     machine = frame.machine
     if (isinstance(fut.exception(), PeerFailedError)
             and frame.world_rank not in machine.dead_images):

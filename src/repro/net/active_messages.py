@@ -150,31 +150,27 @@ class AMLayer:
         network.stats.counts[category_stat] += 1
         return network.send(msg, want_ack, best_effort)
 
-    def request(self, src: int, dst: int, handler: str,
-                args: tuple = (), payload: Any = None,
-                payload_size: int = 0,
-                category: AMCategory = AMCategory.MEDIUM,
-                want_ack: bool = False,
-                kind: Optional[str] = None
+    def request(self, src: int, dst: int, send: Callable[[], Message]
                 ) -> Generator[Any, Any, Message]:
-        """Credit-aware request; use with ``yield from`` inside a task.
+        """Credit-aware send; use with ``yield from`` inside a task.
 
-        Blocks while the (src, dst) credit pool is exhausted.  The credit
-        is returned when the message's delivery ack comes back, so
-        enabling credits forces ``want_ack``.
+        Blocks while the (src, dst) credit pool is exhausted, then sends
+        with ``send()`` — a :meth:`request_nb` from ``src`` to ``dst``
+        that asks for the delivery ack, which returns the credit.  A send
+        refused before it leaves returns the credit at once.  Without a
+        credit manager this is ``send()``.
         """
-        if self.credits is not None:
-            yield from self.credits.acquire(src, dst)
-            want_ack = True
-        msg = self.request_nb(
-            src, dst, handler, args=args, payload=payload,
-            payload_size=payload_size, category=category,
-            want_ack=want_ack, kind=kind,
-        )
-        if self.credits is not None:
-            msg.delivered.add_done_callback(
-                lambda _f: self.credits.release(src, dst)
-            )
+        credits = self.credits
+        if credits is None:
+            return send()
+        yield from credits.acquire(src, dst)
+        try:
+            msg = send()
+        except Exception:
+            credits.release(src, dst)
+            raise
+        msg.delivered.add_done_callback(
+            lambda _f: credits.release(src, dst))
         return msg
 
     # ------------------------------------------------------------------ #

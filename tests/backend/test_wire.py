@@ -109,14 +109,15 @@ def test_team_created_on_miss_with_senders_id(pair):
 
 def test_spawn_exec_payload_roundtrip(pair):
     """The full ``spawn.exec`` argument tuple: shipped function, args
-    containing registry handles, finish wire tag, completion event.  The
-    activation name is not on the wire: the target derives it."""
+    containing registry handles, completion event, then the finish key
+    and tag the send path appends.  The activation name is not on the
+    wire: the target derives it."""
     a, b = pair
     grid = a.coarray_by_name("grid")
     event_ref = EventRef(a.event_by_name("done_ev"), 0)
-    payload = (_shipped_kernel, (grid.ref(1, 3), 42.5), ("fin", 0, 7),
-               True, event_ref, (3, 1, 4, 1), 91)
-    fn, args, key, tag, ev, rc_vc, spawn_id = roundtrip(a, b, payload)
+    payload = (_shipped_kernel, (grid.ref(1, 3), 42.5), event_ref,
+               (3, 1, 4, 1), 91, ("fin", 0, 7), True)
+    fn, args, ev, rc_vc, spawn_id, key, tag = roundtrip(a, b, payload)
     assert fn is _shipped_kernel  # module functions unpickle by name
     assert args[0].coarray is b.coarray_by_name("grid")
     assert (args[0].world_rank, args[0].index, args[1]) == (1, 3, 42.5)
@@ -134,7 +135,7 @@ def test_spawn_closure_rejected_at_send_time(pair):
         return captured
 
     with pytest.raises(WireError, match="module-level"):
-        dump_frame(a, (closure, (), ("fin", 0, 0), None, None, None, 0))
+        dump_frame(a, (closure, (), None, None, 0, ("fin", 0, 0), None))
 
 
 def test_lambda_rejected_at_send_time(pair):
@@ -148,20 +149,20 @@ def test_lambda_rejected_at_send_time(pair):
 # --------------------------------------------------------------------- #
 
 def test_copy_put_payload(pair):
-    """``copy.put``: (dest_ref, key, tag, dest_event, done_token, rank)."""
+    """``copy.put``: (dest_ref, dest_event, done_token, rank, key, tag)."""
     a, b = pair
     dest = a.coarray_by_name("grid").on(2)
     ev = a.event_by_name("done_ev")
-    out = roundtrip(a, b, (dest, ("cp", 0, 3), None, ev, 17, 0))
+    out = roundtrip(a, b, (dest, ev, 17, 0, ("cp", 0, 3), None))
     assert out[0].coarray is b.coarray_by_name("grid")
-    assert out[3] is b.event_by_name("done_ev")
-    assert out[1:3] + out[4:] == (("cp", 0, 3), None, 17, 0)
+    assert out[1] is b.event_by_name("done_ev")
+    assert out[2:] == (17, 0, ("cp", 0, 3), None)
 
 
 def test_copy_get_and_data_payloads(pair):
     a, b = pair
     src = a.coarray_by_name("counts").ref(1, 2)
-    get_req = roundtrip(a, b, (src, 23, ("cp", 1, 4), False, None, 3))
+    get_req = roundtrip(a, b, (src, 23, None, 3, ("cp", 1, 4), False))
     assert get_req[0].coarray is b.coarray_by_name("counts")
     data = np.arange(6, dtype=np.int64)
     token, payload, key = roundtrip(a, b, (23, data, ("cp", 1, 4)))
@@ -174,7 +175,7 @@ def test_copy_fwd_payload_two_handles(pair):
     a, b = pair
     src = a.coarray_by_name("grid").on(0)
     dest = a.coarray_by_name("grid").on(3)
-    out = roundtrip(a, b, (src, dest, ("cp", 2, 0), None, None, None, 5, 1))
+    out = roundtrip(a, b, (src, dest, None, None, 5, 1, ("cp", 2, 0), None))
     assert out[0].coarray is out[1].coarray is b.coarray_by_name("grid")
     assert (out[0].world_rank, out[1].world_rank) == (0, 3)
 

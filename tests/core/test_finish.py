@@ -268,3 +268,68 @@ class TestFinishWithCollectives:
         assert m.stats["finish.blocks"] == 4
         assert m.stats["finish.completed"] == 4
         assert m.stats["finish.rounds_total"] == 4
+
+
+def _hop(img, depth):
+    """A shipped function that ships itself on ``depth`` more times."""
+    yield from img.compute(1e-7)
+    if depth:
+        yield from img.spawn(_hop, (img.rank + 1) % img.nimages, depth - 1)
+
+
+class TestOneCountedPath:
+    def test_every_counted_family_balances(self, spmd, monkeypatch):
+        """Every family finish counts — spawn (nested too), put, get and
+        remote-to-remote copies (whose handlers send ``copy.data`` and
+        ``copy.put`` on), a tree collective and a per-pair one — leaves
+        through the one send path and lands through the one arrival
+        path: at finish exit every frame has all its sends delivered,
+        and the images' sent, received and completed counts sum to the
+        same total."""
+        from repro.net.active_messages import AMLayer
+
+        families = {"spawn.exec", "copy.put", "copy.get_req", "copy.data",
+                    "copy.fwd", "coll.up", "coll.down", "coll.pair"}
+        counted, exec_args = set(), []
+        request_nb = AMLayer.request_nb
+
+        def recording(am, src, dst, handler, args=(), **kwargs):
+            if handler in families and args[-2] is not None:
+                counted.add(handler)
+            if handler == "spawn.exec":
+                exec_args.append(args)
+            return request_nb(am, src, dst, handler, args, **kwargs)
+
+        monkeypatch.setattr(AMLayer, "request_nb", recording)
+
+        def kernel(img):
+            A = img.machine.coarray_by_name("A")
+            B = img.machine.coarray_by_name("B")
+            n = img.nimages
+            right, left = (img.rank + 1) % n, (img.rank - 1) % n
+            got = np.zeros(4)
+            frame = yield from img.finish_begin()
+            yield from img.spawn(_hop, right, 2)
+            img.copy_async(A.ref(right), np.full(4, float(img.rank)))
+            img.copy_async(got, A.ref(left))
+            img.copy_async(B.ref((img.rank + 2) % n), A.ref(left))
+            img.allreduce_async(np.ones(2))
+            img.alltoall_async([img.rank * n + j for j in range(n)])
+            yield from img.finish_end()
+            return frame
+
+        def setup(m):
+            m.coarray("A", shape=4)
+            m.coarray("B", shape=4)
+
+        machine, frames = spmd(kernel, n=4, setup=setup)
+        assert counted == families
+        assert machine.stats["spawn.executed"] == 4 * 3
+        for frame in frames:
+            assert frame.c_sent == frame.c_delivered > 0
+        sent, received, completed = (
+            sum(getattr(f, "c_" + c) for f in frames)
+            for c in ("sent", "received", "completed"))
+        assert sent == received == completed
+        # tracers read the shipped function from the first argument
+        assert exec_args and all(a[0] is _hop for a in exec_args)

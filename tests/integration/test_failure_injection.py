@@ -50,6 +50,30 @@ class TestFailingShippedFunctions:
         _m, results = spmd(kernel, n=3)
         assert results[0] == [0]
 
+    def test_refused_spawn_leaves_finish_balanced(self, spmd):
+        """A spawn whose argument is over ``am_medium_max`` is refused
+        before it leaves (``AMSizeError`` in the shipped function that
+        made it): its send must not stay counted, or the frame never
+        balances and finish waits forever."""
+
+        def leaf(img, blob):
+            yield from img.compute(1e-7)
+
+        def shipper(img):
+            blob = np.zeros(img.machine.params.am_medium_max, np.uint8)
+            yield from img.spawn(leaf, 0, blob)
+
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 0:
+                yield from img.spawn(shipper, 1)
+            return (yield from img.finish_end())
+
+        machine, results = spmd(kernel, n=2)
+        assert all(r >= 1 for r in results)
+        assert machine.stats["finish.sends_failed"] == 1
+        assert machine.stats["spawn.executed"] == 1
+
     def test_main_kernel_exception_is_not_swallowed(self, spmd):
         def kernel(img):
             yield from img.compute(1e-6)

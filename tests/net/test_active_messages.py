@@ -1,5 +1,7 @@
 """Unit tests for the active-message layer."""
 
+from functools import partial
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -120,14 +122,20 @@ class TestReply:
 
 
 class TestCredits:
+    @staticmethod
+    def send(am, want_ack=True):
+        """What ``request`` sends: a short message 0 -> 1 to handler h."""
+        return partial(am.request_nb, 0, 1, "h", category=AMCategory.SHORT,
+                       want_ack=want_ack)
+
     def test_request_blocks_when_credits_exhausted(self):
         sim, am = make_am(credits=1)
         done = []
         am.register("h", lambda ctx: None)
 
         def sender():
-            yield from am.request(0, 1, "h", category=AMCategory.SHORT)
-            yield from am.request(0, 1, "h", category=AMCategory.SHORT)
+            yield from am.request(0, 1, self.send(am))
+            yield from am.request(0, 1, self.send(am))
             done.append(sim.now)
 
         Task(sim, sender())
@@ -142,10 +150,35 @@ class TestCredits:
 
         def sender():
             for _ in range(6):
-                yield from am.request(0, 1, "h", category=AMCategory.SHORT)
+                yield from am.request(0, 1, self.send(am))
 
         Task(sim, sender())
         sim.run()
+        assert am.credits.outstanding(0, 1) == 0
+
+    def test_refused_send_returns_its_credit(self):
+        """A send the AM layer refuses before it leaves gives its credit
+        back at once: the next request does not wait for an ack that
+        will never come."""
+        sim, am = make_am(credits=1)
+        am.register("h", lambda ctx: None)
+        caught = []
+
+        def sender():
+            try:
+                yield from am.request(0, 1, partial(
+                    am.request_nb, 0, 1, "h", payload_size=8,
+                    category=AMCategory.SHORT, want_ack=True))
+            except AMSizeError as exc:
+                caught.append(exc)
+            caught.append(am.credits.outstanding(0, 1))
+            yield from am.request(0, 1, self.send(am))
+            caught.append("sent")
+
+        Task(sim, sender())
+        sim.run()
+        assert [type(c) for c in caught[:1]] == [AMSizeError]
+        assert caught[1:] == [0, "sent"]
         assert am.credits.outstanding(0, 1) == 0
 
     def test_request_without_credit_manager_does_not_ack(self):
@@ -154,7 +187,7 @@ class TestCredits:
         receipts = []
 
         def sender():
-            r = yield from am.request(0, 1, "h", category=AMCategory.SHORT)
+            r = yield from am.request(0, 1, self.send(am, want_ack=False))
             receipts.append(r)
 
         Task(sim, sender())
