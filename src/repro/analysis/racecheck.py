@@ -312,12 +312,11 @@ class RaceDetector:
 
     # -- threads --------------------------------------------------------- #
 
-    def thread(self, activation) -> ThreadClock:
-        th = activation.rc
+    def thread(self, img) -> ThreadClock:
+        th = img.rc
         if th is None:
-            th = ThreadClock(next(self._components), activation.name,
-                             activation.image_state.world_rank)
-            activation.rc = th
+            th = ThreadClock(next(self._components), img.name, img.rank)
+            img.rc = th
             self._threads += 1
         return th
 
@@ -435,10 +434,10 @@ class RaceDetector:
         keep.append(site)
         self._shadow[key] = keep
 
-    def record_direct(self, activation, target: Any, rank: int,
+    def record_direct(self, img, target: Any, rank: int,
                       write: bool, op: Optional[str] = None) -> None:
         """A synchronous access performed by the activation itself."""
-        th = self.thread(activation)
+        th = self.thread(img)
         # A direct access closes any open implicit-copy batch: a later
         # copy must not share a base snapshotted before this access.
         th.mut += 1
@@ -471,8 +470,8 @@ class RaceDetector:
 
     # -- asynchronous operations ------------------------------------------ #
 
-    def _op_begin(self, activation, kind: str) -> tuple[OpClock, ThreadClock]:
-        th = self.thread(activation)
+    def _op_begin(self, img, kind: str) -> tuple[OpClock, ThreadClock]:
+        th = self.thread(img)
         base = th.release()
         extra = dict(th.issued)
         vc_join(base, extra)
@@ -492,13 +491,13 @@ class RaceDetector:
         waiting one such copy's handle also covers its batch mates;
         predicated copies always get their own component because their
         base joins the predicate event's clock.)"""
-        th = self.thread(ctx.activation)
+        th = self.thread(ctx)
         if implicit and not predicated:
             ep = th.epoch
             if (ep is not None and ep[0] == op.classes and ep[1] == th.mut):
                 rcop = op.rc = ep[2]
                 return rcop
-        rcop, th = self._op_begin(ctx.activation, "copy")
+        rcop, th = self._op_begin(ctx, "copy")
         op.rc = rcop
         if implicit:
             th.fence_ops.append((op.classes, rcop))
@@ -511,7 +510,7 @@ class RaceDetector:
         """The copy actually launches (immediately, or when its predicate
         event fires): finalize its clock, record both endpoint accesses,
         and register its completion-event releases eagerly."""
-        th = self.thread(ctx.activation)
+        th = self.thread(ctx)
         if pre is not None:
             rcop.join_base(self.event_clock(pre))
             # the predicate fires asynchronously: the issued entry below
@@ -546,27 +545,27 @@ class RaceDetector:
     def spawn_begin(self, ctx, implicit: bool) -> OpClock:
         """Snapshot clocks at spawn initiation; the caller stores the
         returned clock on the handle once the message gives it one."""
-        rcop, th = self._op_begin(ctx.activation, "spawn")
+        rcop, th = self._op_begin(ctx, "spawn")
         if implicit:
             th.issued[rcop.oid] = 2
         return rcop
 
-    def spawn_registered(self, activation, op) -> None:
-        self.thread(activation).fence_ops.append((op.classes, op.rc))
+    def spawn_registered(self, img, op) -> None:
+        self.thread(img).fence_ops.append((op.classes, op.rc))
 
-    def activation_begin(self, activation, base_vc: Optional[dict]) -> None:
+    def activation_begin(self, img, base_vc: Optional[dict]) -> None:
         """A shipped function starts: inherit the spawn's clock."""
-        th = self.thread(activation)
+        th = self.thread(img)
         if base_vc:
             th.join(base_vc)
 
-    def activation_done(self, activation, key: Optional[tuple],
+    def activation_done(self, img, key: Optional[tuple],
                         event_ref) -> None:
         """A shipped function finishes: publish its final clock to the
         finish frame it is pinned to and/or its completion event."""
         if key is None and event_ref is None:
             return
-        th = self.thread(activation)
+        th = self.thread(img)
         vc = th.release()
         vc_join(vc, th.issued)
         if key is not None:
@@ -574,20 +573,20 @@ class RaceDetector:
         if event_ref is not None:
             self.event_release(event_ref, vc)
 
-    def op_waited(self, activation, op, level: str = "global") -> None:
+    def op_waited(self, img, op, level: str = "global") -> None:
         """An explicit wait on an AsyncOp handle (get/put/wait_all...)."""
         rcop = getattr(op, "rc", None)
         if rcop is None:
             return
-        self.thread(activation).join_op(rcop, 2 if level == "global" else 1)
+        self.thread(img).join_op(rcop, 2 if level == "global" else 1)
 
     # -- cofence ------------------------------------------------------------ #
 
-    def cofence_joined(self, activation, down_allowed: frozenset,
+    def cofence_joined(self, img, down_allowed: frozenset,
                        downward, upward) -> None:
         """The fence returned: join the local-data clock of every op its
         DOWNWARD filter constrained; record the class annotation."""
-        th = self.thread(activation)
+        th = self.thread(img)
         keep = []
         for classes, rcop in th.fence_ops:
             if may_pass(classes, down_allowed):
@@ -608,28 +607,28 @@ class RaceDetector:
     def event_release(self, ref, vc: dict) -> None:
         vc_join(self._event_clocks.setdefault(self._event_key(ref), {}), vc)
 
-    def event_acquire(self, activation, ref) -> None:
-        self.thread(activation).join(self.event_clock(ref))
+    def event_acquire(self, img, ref) -> None:
+        self.thread(img).join(self.event_clock(ref))
 
-    def notify(self, activation, ref) -> None:
+    def notify(self, img, ref) -> None:
         """event_notify: the runtime already held the post back for the
         remote effects of earlier implicit ops, so the release clock
         carries their global ticks."""
-        th = self.thread(activation)
+        th = self.thread(img)
         vc = th.release()
         vc_join(vc, th.issued)
         self.event_release(ref, vc)
 
     # -- finish -------------------------------------------------------------- #
 
-    def finish_enter(self, activation, key: tuple) -> None:
-        th = self.thread(activation)
+    def finish_enter(self, img, key: tuple) -> None:
+        th = self.thread(img)
         vc = th.release()
         vc_join(vc, th.issued)
         vc_join(self._finish_clocks.setdefault(key, {}), vc)
 
-    def finish_exit(self, activation, key: tuple) -> None:
-        th = self.thread(activation)
+    def finish_exit(self, img, key: tuple) -> None:
+        th = self.thread(img)
         th.join(self._finish_clocks.get(key, {}))
         # Everything this activation issued is globally complete and now
         # dominated by the thread clock.
@@ -638,21 +637,21 @@ class RaceDetector:
 
     # -- locks ---------------------------------------------------------------- #
 
-    def lock_released(self, activation, name: str, home: int) -> None:
+    def lock_released(self, img, name: str, home: int) -> None:
         """Lock release is fire-and-forget: it orders the holder's direct
         accesses, not in-flight asynchronous effects (no ``issued``)."""
-        th = self.thread(activation)
+        th = self.thread(img)
         vc_join(self._lock_clocks.setdefault((name, home), {}), th.release())
 
-    def lock_acquired(self, activation, name: str, home: int) -> None:
-        self.thread(activation).join(self._lock_clocks.get((name, home), {}))
+    def lock_acquired(self, img, name: str, home: int) -> None:
+        self.thread(img).join(self._lock_clocks.get((name, home), {}))
 
     # -- blocking collectives -------------------------------------------------- #
 
-    def coll_enter(self, activation, team, contribute: bool = True) -> tuple:
+    def coll_enter(self, img, team, contribute: bool = True) -> tuple:
         """SPMD discipline matches each member's k-th blocking collective
         on a team with its teammates' k-th."""
-        th = self.thread(activation)
+        th = self.thread(img)
         ckey = (th.rank, team.id)
         n = self._coll_rounds.get(ckey, 0)
         self._coll_rounds[ckey] = n + 1
@@ -661,9 +660,9 @@ class RaceDetector:
             vc_join(self._coll_clocks.setdefault(key, {}), th.release())
         return key
 
-    def coll_exit(self, activation, key: tuple, join: bool = True) -> None:
+    def coll_exit(self, img, key: tuple, join: bool = True) -> None:
         if join:
-            self.thread(activation).join(self._coll_clocks.get(key, {}))
+            self.thread(img).join(self._coll_clocks.get(key, {}))
 
     # -- reporting -------------------------------------------------------------- #
 

@@ -46,10 +46,10 @@ def cofence(ctx, downward: Optional[str] = None,
     machine.stats.incr("cofence.calls")
     if upward is not None:
         machine.stats.incr(f"cofence.upward.{upward}")
-    waits = ctx.activation.fence_waits(down_allowed)
+    waits = ctx.fence_waits(down_allowed)
     if waits:
         machine.stats.incr("cofence.waited", len(waits))
         yield all_of(waits, "cofence")
     if machine.racecheck is not None:
-        machine.racecheck.cofence_joined(ctx.activation, down_allowed,
-                                         downward, upward)
+        machine.racecheck.cofence_joined(ctx, down_allowed, downward,
+                                         upward)

@@ -314,7 +314,7 @@ def _finish_frame(ctx, team: Team):
     """The finish frame an implicitly-completed collective is counted on
     (None outside finish), enforcing the §III-A.1 rule that its team is
     the finish team or a subset."""
-    frame = ctx.activation.current_frame()
+    frame = ctx.current_frame()
     if (frame is not None and team is not frame.team
             and not team.is_subset_of(frame.team)):
         raise CollectiveUsageError(
@@ -386,8 +386,8 @@ def start(ctx, kind: str, team: Optional[Team], value: Any, *,
         rec.op = AsyncOp(kind + "_async", classes, rec.result, local_op,
                          local_op)
         if implicit:
-            ctx.activation.register(rec.op)
-    cause = ctx.activation.cause
+            ctx.register(rec.op)
+    cause = ctx.cause
     if rounds is not None:
         rec.rounds, rec.sent = rounds, []
         rec.step, rec.expect = -1, 0     # step 0 is entered at once

@@ -191,7 +191,7 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
     dest_ev = event_ref(dest_event, ctx.rank)
 
     implicit = src_event is None and dest_event is None and not _explicit
-    frame = ctx.activation.current_frame() if implicit else None
+    frame = ctx.current_frame() if implicit else None
     machine.stats.incr("copy.initiated")
 
     src_local = s.rank == ctx.rank
@@ -210,7 +210,7 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
     else:
         op = AsyncOp("copy", classes)
     if implicit:
-        ctx.activation.register(op)
+        ctx.register(op)
 
     racecheck = machine.racecheck
     rcop = (racecheck.copy_begin(ctx, op, implicit,
@@ -265,7 +265,7 @@ def _start_put(ctx, machine, d: _Loc, s: _Loc, frame,
     """Source on the initiator, destination remote: one data message,
     whose completion is the copy's."""
     msg = fin.count_send(
-        machine, frame, ctx.activation.cause, ctx.rank, d.rank, _PUT,
+        machine, frame, ctx.cause, ctx.rank, d.rank, _PUT,
         (d.ref, dest_ev, None, None), payload=s.read(),
         payload_size=s.nbytes, category=AMCategory.LONG, want_ack=True,
         kind="copy.put")
@@ -296,7 +296,7 @@ def _start_get(ctx, machine, d: _Loc, s: _Loc, frame,
         done.set_result(None)
 
     machine.scratch[("copy.token", token)] = complete
-    fin.count_send(machine, frame, ctx.activation.cause, ctx.rank, s.rank,
+    fin.count_send(machine, frame, ctx.cause, ctx.rank, s.rank,
                    _GET_REQ, (s.ref, token, src_ev, ctx.rank),
                    category=AMCategory.SHORT, kind="copy.get_req")
     return done, done, done
@@ -310,7 +310,7 @@ def _start_forward(ctx, machine, d: _Loc, s: _Loc, frame,
     global_done = Future("copy.fwd")
     machine.scratch[("copy.token", token)] = global_done.set_result
     msg = fin.count_send(
-        machine, frame, ctx.activation.cause, ctx.rank, s.rank, _FWD,
+        machine, frame, ctx.cause, ctx.rank, s.rank, _FWD,
         (s.ref, d.ref, src_ev, dest_ev, token, ctx.rank),
         category=AMCategory.SHORT, want_ack=True, kind="copy.fwd")
     # The initiator's buffers are never touched: its local-data point is

@@ -153,7 +153,6 @@ class FinishFrame:
 
     __slots__ = ("machine", "world_rank", "team", "seq", "key", "even",
                  "odd", "present", "gen", "contributed", "cond", "rounds",
-                 "c_sent", "c_delivered", "c_received", "c_completed",
                  "sent_to", "delivered_to", "received_from",
                  "completed_from", "reconciled", "_reconcile_stamps",
                  "ledger")
@@ -177,13 +176,6 @@ class FinishFrame:
         self.cond = Condition(machine.sim, f"finish{self.key}@{world_rank}")
         #: diagnostic: allreduce waves this image participated in
         self.rounds = 0
-        # Cumulative (epoch-independent) counters, used by the baseline
-        # detectors and for diagnostics; the paper's algorithm itself only
-        # reads the epoch counters.
-        self.c_sent = 0
-        self.c_delivered = 0
-        self.c_received = 0
-        self.c_completed = 0
         #: per-destination send counts (X10-style vector detector)
         self.sent_to: dict[int, int] = {}
         # Per-peer pairing counters, consumed by reconcile_failure.
@@ -214,6 +206,26 @@ class FinishFrame:
     @property
     def in_odd(self) -> bool:
         return self.present is self.odd
+
+    # Cumulative (epoch-independent) counts, read by the baseline
+    # detectors and for diagnostics: every counter event moves exactly
+    # one epoch, so the two epochs' sum is the count.
+
+    @property
+    def c_sent(self) -> int:
+        return self.even.sent + self.odd.sent
+
+    @property
+    def c_delivered(self) -> int:
+        return self.even.delivered + self.odd.delivered
+
+    @property
+    def c_received(self) -> int:
+        return self.even.received + self.odd.received
+
+    @property
+    def c_completed(self) -> int:
+        return self.even.completed + self.odd.completed
 
     def _epoch_for(self, tag_odd: bool, gen: int) -> Epoch:
         """The epoch a follow-up count (delivered/completed) belongs to:
@@ -273,7 +285,6 @@ class FinishFrame:
             tag_odd = self.contributed
         epoch = self.odd if tag_odd else self.even
         epoch.sent += 1
-        self.c_sent += 1
         if dst is not None:
             self.sent_to[dst] = self.sent_to.get(dst, 0) + 1
         if self.cond._waiters:
@@ -285,7 +296,6 @@ class FinishFrame:
         if dst is not None and dst in self.reconciled:
             return  # the pair was already subtracted wholesale
         self._epoch_for(tag_odd, gen).delivered += 1
-        self.c_delivered += 1
         if dst is not None:
             self.delivered_to[dst] = self.delivered_to.get(dst, 0) + 1
         if self.cond._waiters:
@@ -297,7 +307,6 @@ class FinishFrame:
         dead receiver's counters."""
         tag_odd, gen, dst = stamp
         self._epoch_for(tag_odd, gen).sent -= 1
-        self.c_sent -= 1
         if dst is not None and dst in self.sent_to:
             self.sent_to[dst] -= 1
         self.machine.stats.incr("finish.sends_failed")
@@ -315,7 +324,6 @@ class FinishFrame:
             self.odd.received += 1
         else:
             self.even.received += 1
-        self.c_received += 1
         if src is not None:
             self.received_from[src] = self.received_from.get(src, 0) + 1
         if self.cond._waiters:
@@ -327,7 +335,6 @@ class FinishFrame:
         if src is not None and src in self.reconciled:
             return
         self._epoch_for(tag_odd, gen).completed += 1
-        self.c_completed += 1
         if src is not None:
             self.completed_from[src] = self.completed_from.get(src, 0) + 1
         if self.cond._waiters:
@@ -353,10 +360,6 @@ class FinishFrame:
         self.even.delivered -= d
         self.even.received -= r
         self.even.completed -= c
-        self.c_sent -= d
-        self.c_delivered -= d
-        self.c_received -= r
-        self.c_completed -= c
         lost = {spawn_id: entry for spawn_id, entry in self.ledger.items()
                 if entry[0] == dead}
         for spawn_id in lost:
@@ -393,10 +396,6 @@ class FinishFrame:
         self.even.delivered += d
         self.even.received += r
         self.even.completed += c
-        self.c_sent += d
-        self.c_delivered += d
-        self.c_received += r
-        self.c_completed += c
         # The popped spawn-ledger entries go back on the books: the
         # peer is alive, so they were delivered (or quarantined and
         # flushed), not lost.
@@ -651,13 +650,13 @@ def finish_begin(ctx, team: Optional[Team] = None
             f"image {ctx.rank} entered a finish on team {team.id} it does "
             "not belong to"
         )
-    if ctx.activation.in_shipped_function:
+    if ctx.in_shipped_function:
         raise FinishUsageError(
             "finish blocks are collective and cannot be opened inside a "
             "shipped function (spawn from within an image-level finish "
             "instead)"
         )
-    state = ctx.machine.image_state(ctx.rank)
+    state = ctx.image_state
     parent = state.finish_stack[-1] if state.finish_stack else None
     if parent is not None and not team.is_subset_of(parent.team):
         raise FinishUsageError(
@@ -678,26 +677,29 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
     used (the Fig. 18 metric).
 
     ``detector`` selects the algorithm: ``"epoch"`` (the paper's,
-    default), ``"wave_unbounded"`` (no line-4 wait — the Fig. 18
-    baseline), ``"four_counter"`` (Mattern/AM++), or ``"barrier"``
-    (the *incorrect* naive scheme of Fig. 5, kept for demonstration).
+    default; ``"ft_epoch"`` when a failure service is attached, which
+    can also be named directly), the Fig. 18 baselines
+    ``"wave_drain"`` (half the line-4 wait) and ``"wave_unbounded"``
+    (none), ``"four_counter"`` (Mattern/AM++), ``"vector_count"``
+    (X10-style), or ``"barrier"`` (the *incorrect* naive scheme of
+    Fig. 5, kept for demonstration).
     """
     from repro.core import termination
 
-    state = ctx.machine.image_state(ctx.rank)
+    state = ctx.image_state
     if not state.finish_stack:
         raise FinishUsageError(f"image {ctx.rank}: end finish without finish")
     frame = state.finish_stack[-1]
     if ctx.machine.racecheck is not None:
-        ctx.machine.racecheck.finish_enter(ctx.activation, frame.key)
+        ctx.machine.racecheck.finish_enter(ctx, frame.key)
     algorithm = termination.get_detector(detector)
     rounds = yield from algorithm(ctx, frame)
     state.finish_stack.pop()
     # Everything this activation initiated in the block is now globally
     # complete: the handles it registered have nothing left to order.
-    ctx.activation.prune()
+    ctx.prune()
     if ctx.machine.racecheck is not None:
-        ctx.machine.racecheck.finish_exit(ctx.activation, frame.key)
+        ctx.machine.racecheck.finish_exit(ctx, frame.key)
     ctx.machine.stats.incr("finish.completed")
     ctx.machine.stats.incr("finish.rounds_total", rounds)
     return rounds

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.runtime.coarray import CoarrayRef, ImageSection, Coarray
 from repro.runtime.event import EventRef, EventVar
-from repro.runtime.memory_model import READ, Activation
+from repro.runtime.memory_model import READ
 from repro.runtime.sizeof import WORD, sizeof
 from repro.runtime.team import Team
 from repro.net.active_messages import AMCategory
@@ -116,6 +116,8 @@ def _activation_name(machine, fn, dst: int) -> str:
 
 
 def _make_exec_handler(machine):
+    from repro.runtime.image import Image
+
     def handle_exec(ctx, fn, args, event_ref, rc_vc, spawn_id, key, tag):
         # The shipped function stays the first argument: tracers read it
         # there.  Count reception before the function body runs: the
@@ -135,13 +137,11 @@ def _make_exec_handler(machine):
                 machine.stats.incr("spawn.dedup_skipped")
             else:
                 done_ids.add(spawn_id)
-        activation = Activation(
-            machine.image_state(ctx.image), finish_frame=frame,
-            name=_activation_name(machine, fn, ctx.image))
-        activation.cause = recv_stamp
+        image = Image(machine, ctx.image, frame,
+                      _activation_name(machine, fn, ctx.image))
+        image.cause = recv_stamp
         if machine.racecheck is not None:
-            machine.racecheck.activation_begin(activation, rc_vc)
-        image = machine.make_image(ctx.image, activation)
+            machine.racecheck.activation_begin(image, rc_vc)
         try:
             if not duplicate:
                 machine.stats.incr("spawn.executed")
@@ -150,7 +150,7 @@ def _make_exec_handler(machine):
             if machine.racecheck is not None:
                 # Publish the body's final clock before the completion
                 # count/event can let a finish or waiter proceed.
-                machine.racecheck.activation_done(activation, key, event_ref)
+                machine.racecheck.activation_done(image, key, event_ref)
             fin.count_completed(frame, recv_stamp)
             if event_ref is not None:
                 machine.post_event(event_ref, from_rank=ctx.image)
@@ -179,8 +179,7 @@ def spawn(ctx, fn, target: int, *args: Any,
         event_ref = event if isinstance(event, EventRef) else event.ref_for(ctx.rank)
 
     implicit = event is None
-    activation = ctx.activation
-    frame = activation.current_frame() if implicit else None
+    frame = ctx.current_frame() if implicit else None
 
     size, shipped_args = _pack(args)
     spawn_id = machine.next_spawn_id()
@@ -196,7 +195,7 @@ def spawn(ctx, fn, target: int, *args: Any,
         machine.stats.incr("spawn.rerouted")
         _run_local(machine, ctx.rank, frame, fn, shipped_args, spawn_id,
                    name)
-        return activation.register(
+        return ctx.register(
             AsyncOp("spawn", _CLASSES, RESOLVED, RESOLVED, RESOLVED))
 
     machine.stats.incr("spawn.initiated")
@@ -205,7 +204,7 @@ def spawn(ctx, fn, target: int, *args: Any,
         rcop = machine.racecheck.spawn_begin(ctx, implicit)
         rc_vc = rcop.vc_local()
     am = machine.am
-    request = (machine, frame, activation.cause, ctx.rank, dst, _EXEC,
+    request = (machine, frame, ctx.cause, ctx.rank, dst, _EXEC,
                (fn, shipped_args, event_ref, rc_vc, spawn_id), None, size,
                AMCategory.MEDIUM, True, "spawn")
     if am.credits is None:
@@ -225,9 +224,9 @@ def spawn(ctx, fn, target: int, *args: Any,
             partial(_recover_lost, frame, spawn_id))
 
     if implicit:
-        activation.register(op)
+        ctx.register(op)
         if machine.racecheck is not None:
-            machine.racecheck.spawn_registered(activation, op)
+            machine.racecheck.spawn_registered(ctx, op)
     return op
 
 
@@ -280,10 +279,10 @@ def _run_local(machine, rank: int, frame, fn, args: tuple,
     recv_stamp = frame.on_received(stamp[0], src=rank)
 
     def body():
-        activation = Activation(
-            machine.image_state(rank), finish_frame=frame, name=name)
-        activation.cause = recv_stamp
-        image = machine.make_image(rank, activation)
+        from repro.runtime.image import Image
+
+        image = Image(machine, rank, frame, name)
+        image.cause = recv_stamp
         machine.stats.incr("spawn.executed")
         try:
             yield from fn(image, *args)

@@ -3,16 +3,15 @@
 The paper's contribution (:mod:`repro.core.termination.epoch`) plus the
 baselines it is compared against:
 
+- :mod:`repro.core.termination.epoch` also holds Fig. 18's two
+  baselines, which run the same wave loop with a weaker line-4 gate:
+  ``wave_drain`` waits only for received == completed (brackets the
+  paper's baseline from below), ``wave_unbounded`` does not wait at all
+  and needs roughly twice the reduction rounds;
 - :mod:`repro.core.termination.ft_epoch` — the fault-tolerant variant
   of the paper's detector (DESIGN §11): coordinator rounds over the
   alive membership instead of a team allreduce; ``epoch`` delegates to
   it automatically when a failure detector is attached;
-- :mod:`repro.core.termination.wave_unbounded` — the same allreduce-wave
-  scheme but *without* the Fig. 7 line-4 wait precondition; the Fig. 18
-  baseline that needs roughly twice the reduction rounds;
-- :mod:`repro.core.termination.wave_drain` — the intermediate variant
-  keeping only the received==completed half of the precondition (any
-  poll-loop drains its inbox); brackets the paper's baseline from below;
 - :mod:`repro.core.termination.four_counter` — Mattern's four-counter
   algorithm as used by AM++ (§V): double-counts sends/receives, always
   paying one extra global reduction;
@@ -23,14 +22,14 @@ baselines it is compared against:
   wait-then-barrier scheme whose failure under transitive spawns (Fig. 5)
   motivated finish in the first place.
 
-Each detector is a generator ``detector(ctx, frame) -> rounds`` run by
-every team member inside :func:`repro.core.finish.finish_end`.
+Each detector ``detector(ctx, frame)`` gives a generator returning the
+number of waves (or rounds), run by every team member inside
+:func:`repro.core.finish.finish_end`.
 """
 
-from repro.core.termination.epoch import epoch_detector
+from repro.core.termination.epoch import (
+    epoch_detector, wave_drain_detector, wave_unbounded_detector)
 from repro.core.termination.ft_epoch import ft_epoch_detector
-from repro.core.termination.wave_unbounded import wave_unbounded_detector
-from repro.core.termination.wave_drain import wave_drain_detector
 from repro.core.termination.four_counter import four_counter_detector
 from repro.core.termination.vector_count import vector_count_detector
 from repro.core.termination.barrier_naive import barrier_naive_detector

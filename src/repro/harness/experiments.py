@@ -784,7 +784,7 @@ EXPERIMENTS["crash"] = Experiment(
 # --------------------------------------------------------------------- #
 
 _GRAYFAIL = dict(period=2e-5, timeout=5e-5, confirm_timeout=1e-3,
-                 phi_suspect=12.0, window=100)
+                 phi_suspect=12.0)
 _STRAGGLE = 12.0
 
 

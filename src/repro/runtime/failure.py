@@ -33,9 +33,9 @@ fast path pays one membership check, not two.
 Hierarchical monitoring (DESIGN §13)
 ------------------------------------
 Monitoring is *not* all-pairs.  Live images are arranged in a radix
-tree (``FailureConfig.tree_radix``) over the current non-confirmed
-membership, and each image heartbeats and watches only its tree
-neighbours — parent plus up to ``tree_radix`` children, so one period
+tree (``_TREE_RADIX`` = 4) over the current non-confirmed membership,
+and each image heartbeats and watches only its tree neighbours —
+parent plus up to ``_TREE_RADIX`` children, so one period
 costs O(p) messages total instead of O(p²) and every observer tracks
 O(1) peers.  Suspicion and confirmation publish into the shared
 membership sets, so detection latency is still one observer's timeout,
@@ -56,8 +56,9 @@ available:
   classic rule, which flaps against a straggler whose service interval
   exceeds the timeout.
 - ``detector="phi"``: Hayashibara-style phi-accrual — each observer
-  keeps a window of per-peer delivery inter-arrival times and suspects
-  when ``phi = -log10(P(a delivery this late or later))`` crosses
+  keeps a window of the last ``_WINDOW`` (100) per-peer delivery
+  inter-arrival times and suspects when
+  ``phi = -log10(P(a delivery this late or later))`` crosses
   ``phi_suspect``.  The window adapts to a straggler's degraded cadence,
   so sustained slowness stops triggering once observed; fewer than 4
   samples falls back to the timeout rule.
@@ -157,24 +158,17 @@ class FailureConfig:
     ``phi_suspect``     — phi threshold for suspicion (``"phi"`` only);
                           phi = 8 means the silence had probability
                           1e-8 under the observed arrival distribution.
-    ``window``          — per-(observer, peer) inter-arrival samples
-                          kept for the phi estimate.
-    ``tree_radix``      — fan-out of the hierarchical monitoring tree;
-                          each image heartbeats/watches its parent and
-                          up to this many children (never all pairs).
     """
 
     __slots__ = ("period", "timeout", "recover", "detector",
-                 "confirm_timeout", "phi_suspect", "window", "tree_radix")
+                 "confirm_timeout", "phi_suspect")
 
     def __init__(self, period: float = 5e-5,
                  timeout: Optional[float] = None,
                  recover: bool = False,
                  detector: str = "timeout",
                  confirm_timeout: Optional[float] = None,
-                 phi_suspect: float = 8.0,
-                 window: int = 100,
-                 tree_radix: int = 4):
+                 phi_suspect: float = 8.0):
         if period <= 0:
             raise ValueError(f"heartbeat period must be positive, got {period}")
         if timeout is None:
@@ -198,20 +192,12 @@ class FailureConfig:
         if phi_suspect <= 0:
             raise ValueError(
                 f"phi_suspect must be positive, got {phi_suspect}")
-        if window < 4:
-            raise ValueError(
-                f"phi needs a window of at least 4 samples, got {window}")
-        if tree_radix < 2:
-            raise ValueError(
-                f"monitoring tree radix must be at least 2, got {tree_radix}")
         self.period = period
         self.timeout = timeout
         self.recover = recover
         self.detector = detector
         self.confirm_timeout = confirm_timeout
         self.phi_suspect = phi_suspect
-        self.window = int(window)
-        self.tree_radix = int(tree_radix)
 
     def __repr__(self) -> str:
         return (f"FailureConfig(period={self.period}, timeout={self.timeout}, "
@@ -221,6 +207,12 @@ class FailureConfig:
 
 _HB = "fail.hb"
 _MEMBER = "fail.member"
+
+#: fan-out of the hierarchical monitoring tree: each image heartbeats
+#: and watches its parent and up to this many children (never all pairs)
+_TREE_RADIX = 4
+#: per-(observer, peer) inter-arrival samples kept for the phi estimate
+_WINDOW = 100
 
 
 class _SparseCounters(dict):
@@ -374,7 +366,7 @@ class FailureService:
 
     def monitored_peers(self, rank: int) -> frozenset:
         """World ranks ``rank`` heartbeats and watches: its parent and
-        children in the ``tree_radix``-ary monitoring tree over the
+        children in the ``_TREE_RADIX``-ary monitoring tree over the
         current non-confirmed membership.  A rank that is itself
         confirmed (wrongly — it is calling this, so it is alive) gets
         the surrogate root so it can announce its own resurrection."""
@@ -398,12 +390,11 @@ class FailureService:
                 # Confirmed-but-calling: alive despite the verdict.
                 # Probe the surrogate root until a delivery resurrects.
                 return frozenset(order[:1])
-        radix = self.config.tree_radix
         out = []
         if pos > 0:
-            out.append(rank_at((pos - 1) // radix))
-        first_child = radix * pos + 1
-        for c in range(first_child, min(first_child + radix, size)):
+            out.append(rank_at((pos - 1) // _TREE_RADIX))
+        first_child = _TREE_RADIX * pos + 1
+        for c in range(first_child, min(first_child + _TREE_RADIX, size)):
             out.append(rank_at(c))
         return frozenset(out)
 
@@ -418,8 +409,7 @@ class FailureService:
                 key = (dst, src)
                 window = self._intervals.get(key)
                 if window is None:
-                    window = self._intervals[key] = deque(
-                        maxlen=self.config.window)
+                    window = self._intervals[key] = deque(maxlen=_WINDOW)
                 window.append(now - prev)
             heard[src] = now
         # A delivery IS life: lift any wrong verdict about the sender
@@ -468,7 +458,7 @@ class FailureService:
                 delay *= faults.service_factor(rank, sim.now)
             yield Delay(delay)
             now = sim.now
-            # O(tree_radix) work per tick: only tree neighbours are
+            # O(_TREE_RADIX) work per tick: only tree neighbours are
             # watched and heartbeated, never all peers.
             peers = sorted(self.monitored_peers(rank))
             heard = self._last_heard.get(rank)

@@ -13,10 +13,11 @@ Blocking operations are generators (call with ``yield from``);
 asynchronous operations return immediately with an
 :class:`~repro.core.completion.AsyncOp`.
 
-An Image is bound to one *activation* (a main program or one shipped-
-function execution); shipped functions receive their own Image on the
-target, so ``rank``, pending-op tracking and finish attribution are
-always correct for the executing scope.
+An Image *is* one activation (a main program or one shipped-function
+execution, :class:`~repro.runtime.memory_model.Activation`); shipped
+functions receive their own Image on the target, so ``rank``, pending-op
+tracking and finish attribution are always correct for the executing
+scope.
 """
 
 from __future__ import annotations
@@ -83,16 +84,20 @@ class ImageState:
         return seq
 
 
-class Image:
-    """The handle SPMD kernels and shipped functions program against."""
+class Image(Activation):
+    """The handle SPMD kernels and shipped functions program against, and
+    the activation it runs: the image's main program (``finish_frame``
+    None) or one shipped-function execution pinned to its spawner's
+    frame."""
 
-    __slots__ = ("machine", "rank", "activation")
+    __slots__ = ("machine", "rank")
 
     def __init__(self, machine: "Machine", world_rank: int,
-                 activation: Activation):
+                 finish_frame=None, name: str = "main"):
+        Activation.__init__(self, machine.image_state(world_rank),
+                            finish_frame, name)
         self.machine = machine
         self.rank = world_rank
-        self.activation = activation
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -109,7 +114,7 @@ class Image:
     @property
     def rng(self) -> np.random.Generator:
         """This image's deterministic random stream."""
-        return self.machine.image_state(self.rank).rng
+        return self.image_state.rng
 
     @property
     def now(self) -> float:
@@ -318,8 +323,7 @@ class Image:
         self.machine.stats.incr("event.waits")
         yield from ev.consume_when_ready(self.rank, count)
         if self.machine.racecheck is not None:
-            self.machine.racecheck.event_acquire(self.activation,
-                                                 ev.ref_for(home))
+            self.machine.racecheck.event_acquire(self, ev.ref_for(home))
 
     def event_notify(self, event: EventVar | EventRef, count: int = 1
                      ) -> Generator[Any, Any, None]:
@@ -328,14 +332,14 @@ class Image:
         effects of this activation's earlier implicit operations are
         visible, so a waiter that observes the post also observes the
         data."""
-        release = self.activation.release_waits()
+        release = self.release_waits()
         if release:
             from repro.sim.tasks import all_of
             yield all_of(release, "notify.release")
         ev, home = self._event_home(event)
         self.machine.stats.incr("event.notifies")
         if self.machine.racecheck is not None:
-            self.machine.racecheck.notify(self.activation, ev.ref_for(home))
+            self.machine.racecheck.notify(self, ev.ref_for(home))
         self.machine.post_event(ev.ref_for(home), from_rank=self.rank,
                                 count=count)
 
@@ -364,10 +368,10 @@ class Image:
             return (yield from collective)
         team = team if team is not None else self.team_world
         me = team.rank_of(self.rank)
-        key = rc.coll_enter(self.activation, team,
+        key = rc.coll_enter(self, team,
                             contribute=source is None or me == source)
         result = yield from collective
-        rc.coll_exit(self.activation, key, join=sink is None or me == sink)
+        rc.coll_exit(self, key, join=sink is None or me == sink)
         return result
 
     def barrier(self, team: Optional[Team] = None):
@@ -441,7 +445,7 @@ class Image:
             yield all_of(futures, "wait_all")
         if self.machine.racecheck is not None:
             for op in ops:
-                self.machine.racecheck.op_waited(self.activation, op)
+                self.machine.racecheck.op_waited(self, op)
 
     def wait_any(self, ops) -> Generator[Any, Any, int]:
         """Block until one of the AsyncOps is globally done; returns its
@@ -453,7 +457,7 @@ class Image:
         index, _value = yield any_of([op.global_done for op in ops],
                                      "wait_any")
         if self.machine.racecheck is not None:
-            self.machine.racecheck.op_waited(self.activation, ops[index])
+            self.machine.racecheck.op_waited(self, ops[index])
         return index
 
     def get(self, src: CoarrayRef) -> Generator[Any, Any, Any]:
@@ -465,7 +469,7 @@ class Image:
         op = _copy.copy_async(self, buf, src, _explicit=True)
         yield op.local_data
         if self.machine.racecheck is not None:
-            self.machine.racecheck.op_waited(self.activation, op, "local")
+            self.machine.racecheck.op_waited(self, op, "local")
         self.machine.stats.incr("blocking.gets")
         return buf[0] if scalar else buf
 
@@ -476,7 +480,7 @@ class Image:
         op = _copy.copy_async(self, dest, buf, _explicit=True)
         yield op.global_done
         if self.machine.racecheck is not None:
-            self.machine.racecheck.op_waited(self.activation, op)
+            self.machine.racecheck.op_waited(self, op)
         self.machine.stats.incr("blocking.puts")
 
     # ------------------------------------------------------------------ #
@@ -488,8 +492,8 @@ class Image:
         when detection is off).  Used by lowered surface programs'
         coarray accesses and the local_read/local_write convenience API."""
         if self.machine.racecheck is not None:
-            self.machine.racecheck.record_direct(self.activation, target,
-                                                 self.rank, write)
+            self.machine.racecheck.record_direct(self, target, self.rank,
+                                                 write)
 
     def _local_ref(self, target) -> CoarrayRef:
         if isinstance(target, Coarray):

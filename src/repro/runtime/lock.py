@@ -110,16 +110,14 @@ class LockVar:
             )
         yield fut
         if self.machine.racecheck is not None:
-            self.machine.racecheck.lock_acquired(ctx.activation, self.name,
-                                                 home)
+            self.machine.racecheck.lock_acquired(ctx, self.name, home)
         self.machine.stats.incr("lock.acquired")
 
     def release(self, ctx, team_rank: int) -> None:
         """Release the lock on ``team_rank`` (fire-and-forget message)."""
         home = self.team.world_rank(team_rank)
         if self.machine.racecheck is not None:
-            self.machine.racecheck.lock_released(ctx.activation, self.name,
-                                                 home)
+            self.machine.racecheck.lock_released(ctx, self.name, home)
         if home == ctx.rank:
             self._release_at(home)
         else:

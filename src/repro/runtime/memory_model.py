@@ -7,7 +7,8 @@ synchronization construct orders them.  This module supplies:
 - operation classes — whether an operation *reads* and/or *writes*
   local memory (the classes ``cofence`` filters on);
 - :class:`Activation` — one dynamic scope of execution (an image's main
-  program, or one shipped-function execution).  An implicitly completed
+  program, or one shipped-function execution); the runtime's are
+  :class:`~repro.runtime.image.Image` objects.  An implicitly completed
   operation's handle (:class:`~repro.core.completion.AsyncOp`) stays on
   the activation that initiated it until it completes, so ``cofence``
   inside a shipped function only sees operations launched by that

@@ -39,7 +39,6 @@ from repro.runtime.event import EventRef, EventVar
 from repro.runtime.image import Image, ImageState
 from repro.runtime import lock as lock_mod
 from repro.runtime.lock import LockVar
-from repro.runtime.memory_model import Activation
 from repro.runtime.team import Team
 from repro.core import collectives, copy_async, spawn
 from repro.core.finish import FinishFrame
@@ -463,9 +462,6 @@ class Machine:
     def _handle_event_fire(self, ctx, token: int) -> None:
         self.scratch.pop(("when_event", token))()
 
-    def make_image(self, world_rank: int, activation: Activation) -> Image:
-        return Image(self, world_rank, activation)
-
     def start_internal_task(self, gen, name: str = "internal",
                             owner: Optional[int] = None) -> Task:
         """Run a runtime-internal generator as a simulation task.
@@ -513,9 +509,7 @@ class Machine:
         (sim), or let the worker loop drive (process)."""
         tasks = []
         for rank in self.local_ranks:
-            activation = Activation(self.image_state(rank),
-                                    name=f"main@{rank}")
-            img = Image(self, rank, activation)
+            img = Image(self, rank, name=f"main@{rank}")
             tasks.append(Task(self.sim, kernel(img, *args),
                               name=f"main@{rank}", owner=rank))
         self._main_tasks.extend(tasks)

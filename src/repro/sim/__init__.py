@@ -24,7 +24,7 @@ from repro.sim.tasks import (
     any_of,
 )
 from repro.sim.rng import RngPool
-from repro.sim.trace import Stats, Probe, IntervalAccumulator
+from repro.sim.trace import Stats, IntervalAccumulator
 
 __all__ = [
     "Simulator",
@@ -40,6 +40,5 @@ __all__ = [
     "any_of",
     "RngPool",
     "Stats",
-    "Probe",
     "IntervalAccumulator",
 ]

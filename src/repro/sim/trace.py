@@ -5,7 +5,6 @@ reports flows through these probes:
 
 - :class:`Stats` — named monotonic counters (messages sent, allreduce
   rounds, steals attempted, ...);
-- :class:`Probe` — a time-series of ``(t, value)`` samples;
 - :class:`IntervalAccumulator` — total busy time per image, from which the
   harness computes load balance and parallel efficiency.
 """
@@ -51,42 +50,6 @@ class Stats:
     def with_prefix(self, prefix: str) -> dict[str, int]:
         """All counters whose key starts with ``prefix``."""
         return {k: v for k, v in self.counts.items() if k.startswith(prefix)}
-
-
-class Probe:
-    """A time-series probe: record ``(t, value)`` samples and summarize."""
-
-    def __init__(self, name: str = "probe"):
-        self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
-
-    def record(self, t: float, value: float) -> None:
-        self._times.append(t)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values)
-
-    def summary(self) -> dict[str, float]:
-        if not self._values:
-            return {"count": 0}
-        v = self.values
-        return {
-            "count": float(len(v)),
-            "min": float(v.min()),
-            "max": float(v.max()),
-            "mean": float(v.mean()),
-            "sum": float(v.sum()),
-        }
 
 
 class IntervalAccumulator:

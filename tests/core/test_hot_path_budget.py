@@ -4,7 +4,8 @@ blocking allreduce that finish runs (DESIGN.md §9).
 Counts, not timings: one remote implicit spawn (or unpredicated put)
 inside a finish, measured in a window where nothing else on the machine
 moves, builds one message and one handle — the record its activation
-tracks — allocates at most the futures its one message needs, looks its
+tracks — and, for a spawn, one activation object at the target (the
+``Image`` the shipped function runs against), allocates at most the futures its one message needs, looks its
 finish frame up at most once per side, and builds no handler closure; a
 credit-less spawn is one generator frame on the initiator, and enters the
 credit-aware AM request only when flow-control credits are on; a
@@ -29,6 +30,8 @@ from repro.core import spawn as spawn_mod
 from repro.core.completion import AsyncOp
 from repro.net.active_messages import AMLayer
 from repro.net.transport import Message, Network
+from repro.runtime.image import Image
+from repro.runtime.memory_model import Activation
 from repro.runtime.program import Machine
 from repro.sim.engine import Simulator
 from repro.sim.tasks import Future, Task
@@ -41,6 +44,19 @@ class _Counts:
         self.on = False
         self.seen = {}
         self._monkeypatch = monkeypatch
+
+    def patch_objects(self, owner, label):
+        """Count, as ``label``, the distinct objects whose
+        ``owner.__init__`` runs while ``on`` is set."""
+        original = owner.__init__
+        built = self.seen.setdefault(label, {})
+
+        def counting(obj, *args, **kwargs):
+            if self.on:
+                built[id(obj)] = obj
+            original(obj, *args, **kwargs)
+
+        self._monkeypatch.setattr(owner, "__init__", counting)
 
     def patch(self, owner, attr, label):
         original = getattr(owner, attr)
@@ -69,7 +85,8 @@ class _Counts:
             self._monkeypatch.setattr(Simulator, name, counting)
 
     def __getitem__(self, label):
-        return self.seen.get(label, 0)
+        seen = self.seen.get(label, 0)
+        return len(seen) if isinstance(seen, dict) else seen
 
 
 @pytest.fixture
@@ -80,6 +97,8 @@ def counts(monkeypatch):
     c.patch(AsyncOp, "__init__", "handles")
     c.patch(Message, "__init__", "messages")
     c.patch(Machine, "get_or_create_frame", "frame_lookups")
+    for cls in (Activation, Image):
+        c.patch_objects(cls, "activations")
     c.patch(spawn_mod, "_make_exec_handler", "closures")
     c.patch(AMLayer, "request", "credit_requests")
     for name in ("_make_put_handler", "_make_get_req_handler",
@@ -110,7 +129,7 @@ def _one_op_in_a_quiet_window(counts, spmd, issue, params=None):
             yield from img.compute(1e-3)         # the others park
             counts.on = True
             op = counts.op = yield from issue(img)
-            counts.tracked = img.activation._pending[-1]
+            counts.tracked = img._pending[-1]
             yield op.global_done
             yield from img.compute(1e-4)         # target-side completion
             counts.on = False
@@ -159,6 +178,8 @@ def test_remote_implicit_spawn_budget(counts, spmd):
     assert 0 < counts["futures"] <= 2
     # delivery, handler task start and ack; the injection is a clock point
     assert counts["events"] + counts["tasks"] == 3
+    # the executed spawn's activation is its Image, one object
+    assert counts["activations"] == 1
     # the spawner holds its frame; the exec handler looks its own up once
     assert counts["frame_lookups"] <= 2
     assert counts["closures"] == 0

@@ -3,6 +3,7 @@ barrier failure and the Theorem 1 bound."""
 
 import pytest
 
+from repro import run_spmd
 from repro.core.termination import get_detector
 
 
@@ -145,9 +146,16 @@ class TestBarrierFailure:
 
 
 class TestTheorem1:
-    @pytest.mark.parametrize("chain_len", [1, 2, 3, 5, 8])
-    def test_wave_bound_holds(self, spmd, chain_len):
-        _m, results = spmd(_chain_kernel("epoch", chain_len=chain_len), n=6)
+    @pytest.mark.parametrize("chain_len, failure_service", [
+        *(pytest.param(L, False, id=str(L)) for L in (1, 2, 3, 5, 8)),
+        *(pytest.param(L, True, id=f"{L}-failure_service")
+          for L in (1, 2, 3, 5, 8))])
+    def test_wave_bound_holds(self, chain_len, failure_service):
+        """L + 1 waves at most, also for ``ft_epoch``'s coordinator
+        rounds, which ``epoch`` hands off to when a failure service is
+        attached."""
+        _m, results = run_spmd(_chain_kernel("epoch", chain_len=chain_len),
+                               6, failure_detection=failure_service)
         assert results[0] <= chain_len + 1
 
     def test_wave_bound_tight_on_adversarial_chain(self, spmd, fast_params):

@@ -112,7 +112,7 @@ class TestActivation:
                 for _ in range(100):
                     yield from img.spawn(touch, (img.rank + 1) % img.nimages)
                 yield from img.finish_end()
-            return len(img.activation._pending)
+            return len(img._pending)
 
         _, left = run_spmd(kernel, 2)
         assert left == [0, 0]

@@ -310,8 +310,7 @@ class TestTreeHeartbeatsAtScale:
     def test_monitoring_degree_bounded_by_radix(self):
         """Every image watches at most parent + radix children — the
         O(p^2) all-pairs heartbeat matrix is gone."""
-        machine = Machine(1024, seed=1,
-                          failure_detection=FailureConfig(tree_radix=4))
+        machine = Machine(1024, seed=1, failure_detection=FailureConfig())
         service = machine.failure
         for rank in (0, 1, 5, 511, 1023):
             peers = service.monitored_peers(rank)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.rng import RngPool
-from repro.sim.trace import IntervalAccumulator, Probe, Stats
+from repro.sim.trace import IntervalAccumulator, Stats
 
 
 class TestRngPool:
@@ -59,28 +59,6 @@ class TestStats:
         s.incr("z")
         s.incr("a")
         assert list(s.keys()) == ["a", "z"]
-
-
-class TestProbe:
-    def test_record_and_summary(self):
-        p = Probe("lat")
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)]:
-            p.record(t, v)
-        s = p.summary()
-        assert s["count"] == 3
-        assert s["min"] == 1.0
-        assert s["max"] == 3.0
-        assert s["mean"] == 2.0
-        assert s["sum"] == 6.0
-
-    def test_empty_summary(self):
-        assert Probe().summary() == {"count": 0}
-
-    def test_arrays(self):
-        p = Probe()
-        p.record(1.0, 10.0)
-        assert p.times.tolist() == [1.0]
-        assert p.values.tolist() == [10.0]
 
 
 class TestIntervalAccumulator:
