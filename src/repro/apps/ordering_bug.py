@@ -69,7 +69,7 @@ def obug_kernel(img, config: OrderingBugConfig) -> Generator[Any, Any, list]:
             # would hold this post until the copy's remote effects are
             # visible; posting the counter directly races the flag
             # against the data on the same link.
-            machine.post_event(ready.ref_for(1), from_rank=0)
+            machine.post_event(ready, 1, 0)
             yield from img.event_wait(ack)
     elif img.rank == 1:
         for r in range(config.rounds):

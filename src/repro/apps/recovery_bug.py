@@ -115,7 +115,7 @@ def _work_batch(img, items: int, work_cost: float) -> Generator[Any, Any,
     # and gets re-applied.
     done = machine.event_by_name("rbug_done")
     for item in range(items):
-        machine.post_event(done.ref_for(COORDINATOR), from_rank=img.rank)
+        machine.post_event(done, COORDINATOR, img.rank)
 
 
 def rbug_kernel(img, config: RecoveryBugConfig) -> Generator[Any, Any, Any]:

@@ -80,6 +80,9 @@ class Substrate(Protocol):
 
     def kill_owner(self, owner: int) -> int: ...
 
+    #: the generators of killed tasks, kept unfinalized (``Task.kill``)
+    _abandoned: list
+
     # -- lifecycle ----------------------------------------------------- #
 
     def add_drain_hook(self, fn: Callable) -> None: ...

@@ -58,7 +58,8 @@ class ProcessTransport(Transport):
             # simulator's local delivery) but still asynchronous.
             self.sim.call_soon(self._deliver_local, msg)
             return
-        blob = dump_frame(self.machine, (msg.kind, msg.size, msg.payload))
+        blob = dump_frame(self.machine, (msg.kind, msg.size, msg.handler,
+                                         msg.args, msg.payload))
         if msg.delivered is not None:
             self._awaiting[(msg.dst, msg.seq)] = msg
         self.conduit.put(msg.dst, ("am", self.local_rank, msg.seq,
@@ -95,8 +96,10 @@ class ProcessTransport(Transport):
         tag = item[0]
         if tag == "am":
             _, src, seq, want_ack, blob = item
-            kind, size, payload = load_frame(self.machine, blob)
-            msg = Message(src, self.local_rank, size, payload, kind=kind)
+            kind, size, handler, args, payload = load_frame(self.machine,
+                                                            blob)
+            msg = Message(src, self.local_rank, size, payload, kind, None,
+                          handler, args)
             msg.seq = seq
             self.stats.incr("net.delivered")
             if self.on_delivery is not None:

@@ -41,15 +41,19 @@ def cofence(ctx, downward: Optional[str] = None,
     """Block until every constrained pending implicit operation of this
     activation is local-data complete."""
     down_allowed = allowed_set(downward)
-    allowed_set(upward)  # validate eagerly, even when upward is None
-    machine = ctx.machine
-    machine.stats.incr("cofence.calls")
     if upward is not None:
-        machine.stats.incr(f"cofence.upward.{upward}")
+        allowed_set(upward)  # validated though it changes nothing here
+    machine = ctx.machine
+    counts = machine.stats.counts
+    counts["cofence.calls"] += 1
+    if upward is not None:
+        counts[f"cofence.upward.{upward}"] += 1
     waits = ctx.fence_waits(down_allowed)
     if waits:
-        machine.stats.incr("cofence.waited", len(waits))
-        yield all_of(waits, "cofence")
+        counts["cofence.waited"] += len(waits)
+        # One future is waited on itself: the task's wake-up then sits
+        # in its callback list where all_of's would have.
+        yield waits[0] if len(waits) == 1 else all_of(waits, "cofence")
     if machine.racecheck is not None:
         machine.racecheck.cofence_joined(ctx, down_allowed, downward,
                                          upward)

@@ -156,7 +156,7 @@ def register_handlers(machine) -> None:
 
 def _handle(machine, on_message, ctx, frame, stamp, team_id, seq, root,
             radix, acked, *where) -> None:
-    rec = _record(machine, ctx.image, machine.team_by_id(team_id), seq,
+    rec = _record(machine, ctx.dst, machine.team_by_id(team_id), seq,
                   root, radix)
     if not rec.called:
         # The tree got here ahead of this image's own call: what must be
@@ -289,7 +289,8 @@ def _deliver(machine, rec: _Coll, value: Any, after=()) -> None:
         machine.drop_coll_state(rec.world, rec.route[0], rec.route[1])
         return
     if rec.src_event is not None:
-        machine.post_event(rec.src_event, from_rank=rec.world)
+        machine.post_event(rec.src_event.event, rec.src_event.world_rank,
+                           rec.world)
     _maybe_local_op(machine, rec)
 
 
@@ -306,7 +307,8 @@ def _maybe_local_op(machine, rec: _Coll) -> None:
         return
     chain(rec.result, rec.op.local_op)
     if rec.local_event is not None:
-        machine.post_event(rec.local_event, from_rank=rec.world)
+        machine.post_event(rec.local_event.event,
+                           rec.local_event.world_rank, rec.world)
     machine.drop_coll_state(rec.world, rec.route[0], rec.route[1])
 
 

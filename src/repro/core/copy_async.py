@@ -117,10 +117,11 @@ def _make_put_handler(machine):
                    done_token, done_rank):
         ref.write(ctx.payload)
         if dest_event is not None:
-            machine.post_event(dest_event, from_rank=ctx.image)
+            machine.post_event(dest_event.event, dest_event.world_rank,
+                               ctx.dst)
         if done_token is not None:
             machine.am.request_nb(
-                ctx.image, done_rank, _DONE, args=(done_token,),
+                ctx.dst, done_rank, _DONE, args=(done_token,),
                 category=AMCategory.SHORT, kind="copy.done",
             )
     return handle_put
@@ -131,8 +132,9 @@ def _make_get_req_handler(machine):
                        reply_rank):
         data = ref.read()
         if src_event is not None:
-            machine.post_event(src_event, from_rank=ctx.image)
-        fin.count_send(machine, frame, stamp, ctx.image, reply_rank, _DATA,
+            machine.post_event(src_event.event, src_event.world_rank,
+                               ctx.dst)
+        fin.count_send(machine, frame, stamp, ctx.dst, reply_rank, _DATA,
                        (token,), payload=data,
                        payload_size=int(np.asarray(data).nbytes),
                        category=AMCategory.LONG, kind="copy.data")
@@ -152,8 +154,9 @@ def _make_fwd_handler(machine):
                    done_rank):
         data = src_ref.read()
         if src_event is not None:
-            machine.post_event(src_event, from_rank=ctx.image)
-        fin.count_send(machine, frame, stamp, ctx.image, dest_ref.world_rank,
+            machine.post_event(src_event.event, src_event.world_rank,
+                               ctx.dst)
+        fin.count_send(machine, frame, stamp, ctx.dst, dest_ref.world_rank,
                        _PUT, (dest_ref, dest_event, done_token, done_rank),
                        payload=data,
                        payload_size=int(np.asarray(data).nbytes),
@@ -186,13 +189,14 @@ def copy_async(ctx, dest: Union[CoarrayRef, np.ndarray],
     machine = ctx.machine
     d = _normalize(ctx, dest, "dest")
     s = _normalize(ctx, src, "src")
-    pre = event_ref(pre_event, ctx.rank)
-    src_ev = event_ref(src_event, ctx.rank)
-    dest_ev = event_ref(dest_event, ctx.rank)
+    pre = None if pre_event is None else event_ref(pre_event, ctx.rank)
+    src_ev = None if src_event is None else event_ref(src_event, ctx.rank)
+    dest_ev = (None if dest_event is None
+               else event_ref(dest_event, ctx.rank))
 
     implicit = src_event is None and dest_event is None and not _explicit
     frame = ctx.current_frame() if implicit else None
-    machine.stats.incr("copy.initiated")
+    machine.stats.counts["copy.initiated"] += 1
 
     src_local = s.rank == ctx.rank
     dest_local = d.rank == ctx.rank
@@ -251,9 +255,9 @@ def _start_local(ctx, machine, d: _Loc, s: _Loc, frame,
     def apply() -> None:
         d.write(data)
         if src_ev is not None:
-            machine.post_event(src_ev, from_rank=ctx.rank)
+            machine.post_event(src_ev.event, src_ev.world_rank, ctx.rank)
         if dest_ev is not None:
-            machine.post_event(dest_ev, from_rank=ctx.rank)
+            machine.post_event(dest_ev.event, dest_ev.world_rank, ctx.rank)
         done.set_result(None)
 
     machine.sim.schedule(delay, apply)
@@ -271,7 +275,8 @@ def _start_put(ctx, machine, d: _Loc, s: _Loc, frame,
         kind="copy.put")
     if src_ev is not None:
         msg.injected.add_done_callback(
-            lambda _f: machine.post_event(src_ev, from_rank=ctx.rank))
+            lambda _f: machine.post_event(src_ev.event, src_ev.world_rank,
+                                          ctx.rank))
     # Local data completion: the NIC has read the source buffer.  Local
     # operation completion == global completion for a put from the
     # initiator (§I: "for an asynchronous copy from p to q initiated by
@@ -292,7 +297,7 @@ def _start_get(ctx, machine, d: _Loc, s: _Loc, frame,
     def complete(data) -> None:
         d.write(data)
         if dest_ev is not None:
-            machine.post_event(dest_ev, from_rank=ctx.rank)
+            machine.post_event(dest_ev.event, dest_ev.world_rank, ctx.rank)
         done.set_result(None)
 
     machine.scratch[("copy.token", token)] = complete

@@ -603,13 +603,13 @@ def count_delivery_outcome(frame: FinishFrame, stamp: tuple, fut) -> None:
 
 def count_received(machine, ctx, key: Optional[tuple], tag: Optional[bool]
                    ) -> tuple[Optional[FinishFrame], Optional[tuple]]:
-    """Count a message landing on ``ctx.image``: the receiver's frame for
+    """Count a message landing on ``ctx.dst``: the receiver's frame for
     ``key`` and the receive stamp to hand :func:`count_completed` when
     its local work is done, or ``(None, None)`` for an uncounted
     message."""
     if key is None:
         return _UNCOUNTED
-    frame = machine.get_or_create_frame(ctx.image, key)
+    frame = machine.get_or_create_frame(ctx.dst, key)
     return frame, frame.on_received(bool(tag), ctx.src)
 
 

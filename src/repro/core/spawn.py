@@ -131,14 +131,14 @@ def _make_exec_handler(machine):
         duplicate = False
         registry = machine.scratch.get("spawn.executed_ids")
         if registry is not None and spawn_id is not None:
-            done_ids = registry.setdefault(ctx.image, set())
+            done_ids = registry.setdefault(ctx.dst, set())
             if spawn_id in done_ids:
                 duplicate = True
                 machine.stats.incr("spawn.dedup_skipped")
             else:
                 done_ids.add(spawn_id)
-        image = Image(machine, ctx.image, frame,
-                      _activation_name(machine, fn, ctx.image))
+        image = Image(machine, ctx.dst, frame,
+                      _activation_name(machine, fn, ctx.dst))
         image.cause = recv_stamp
         if machine.racecheck is not None:
             machine.racecheck.activation_begin(image, rc_vc)
@@ -153,7 +153,8 @@ def _make_exec_handler(machine):
                 machine.racecheck.activation_done(image, key, event_ref)
             fin.count_completed(frame, recv_stamp)
             if event_ref is not None:
-                machine.post_event(event_ref, from_rank=ctx.image)
+                machine.post_event(event_ref.event, event_ref.world_rank,
+                                   ctx.dst)
     return handle_exec
 
 

@@ -199,7 +199,7 @@ def _send_verdict(machine, key, r, team_id, member: int, src: int,
 
 def _make_report_handler(machine):
     def handle_report(ctx, team_id, key, r, sender, subtotal, count, gen):
-        _accept_report(machine, key, r, team_id, ctx.image, sender,
+        _accept_report(machine, key, r, team_id, ctx.dst, sender,
                        subtotal, count, gen)
     return handle_report
 
@@ -210,7 +210,7 @@ def _make_verdict_handler(machine):
             # First write wins; under the simulator the root already
             # wrote the same value, so this is a no-op there.
             machine.scratch.setdefault(_verdict_slot(key, r), verdict)
-        _broadcast_verdict(machine, key, r, team_id, ctx.image, gen)
+        _broadcast_verdict(machine, key, r, team_id, ctx.dst, gen)
     return handle_verdict
 
 

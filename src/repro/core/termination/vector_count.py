@@ -56,12 +56,12 @@ def register_handlers(machine) -> None:
         machine.stats.incr("term.vector.owner_bytes",
                            (team_size + 2) * WORD)
         machine.stats.incr("term.vector.owner_msgs")
-        _record_report(machine, ctx.image, key, state, team_rank, version,
+        _record_report(machine, ctx.dst, key, state, team_rank, version,
                        sent_to, completed)
 
     def handle_done(ctx, key):
-        _flags(machine, key)[ctx.image] = True
-        frame_at(machine, ctx.image, key).cond.wake()
+        _flags(machine, key)[ctx.dst] = True
+        frame_at(machine, ctx.dst, key).cond.wake()
 
     am.register(_REPORT, handle_report)
     am.register(_ALL_DONE, handle_done)

@@ -30,7 +30,6 @@ from repro.net.active_messages import (
     AMLayer,
     AMCategory,
     AMSizeError,
-    HandlerContext,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "AMLayer",
     "AMCategory",
     "AMSizeError",
-    "HandlerContext",
 ]

@@ -11,6 +11,10 @@ message is delivered.  Three categories mirror GASNet:
 Handlers are either plain callables (run inline at delivery time, like
 GASNet handler context: no blocking allowed) or generator functions
 (spawned as a simulation task — this is how shipped functions execute).
+A handler runs as ``handler(msg, *msg.args)``: the delivered
+:class:`~repro.net.transport.Message` is its context — ``msg.dst`` the
+image it runs on, ``msg.src`` the sender, ``msg.payload`` the bulk data
+and ``msg.size`` the simulated bytes it was sent as.
 """
 
 from __future__ import annotations
@@ -32,23 +36,6 @@ class AMCategory(enum.Enum):
 
 class AMSizeError(ValueError):
     """Payload too large for the requested AM category."""
-
-
-class HandlerContext:
-    """What a handler sees when it runs at the destination image.
-
-    ``payload`` carries the message's bulk data (or ``None``) and
-    ``size`` the simulated bytes it was sent as; handler positional
-    arguments arrive as the handler's ``*args``.
-    """
-
-    __slots__ = ("image", "src", "payload", "size")
-
-    def __init__(self, image: int, src: int, payload: Any, size: int):
-        self.image = image
-        self.src = src
-        self.payload = payload
-        self.size = size
 
 
 class AMLayer:
@@ -144,8 +131,8 @@ class AMLayer:
         category_stat, max_size = self._categories[category._value_]
         if not 0 <= payload_size <= max_size:
             raise self._size_error(category, payload_size)
-        msg = Message(src, dst, payload_size, (handler, args, payload),
-                      kind or record[2], self._on_deliver)
+        msg = Message(src, dst, payload_size, payload, kind or record[2],
+                      self._on_deliver, handler, args)
         network = self.network
         network.stats.counts[category_stat] += 1
         return network.send(msg, want_ack, best_effort)
@@ -176,12 +163,11 @@ class AMLayer:
     # ------------------------------------------------------------------ #
 
     def _on_deliver(self, msg: Message) -> None:
-        handler_name, args, payload = msg.payload
+        handler_name = msg.handler
         try:
             fn, runs_as_task, _ = self._handlers[handler_name]
         except KeyError:
             fn, runs_as_task, _ = self._unknown(handler_name)
-        ctx = HandlerContext(msg.dst, msg.src, payload, msg.size)
         if runs_as_task:
             # Handler tasks run on behalf of the destination image, so a
             # fail-stop crash of that image halts them too.
@@ -190,6 +176,6 @@ class AMLayer:
             if name is None:
                 name = self._task_names[where] = (
                     f"am.{handler_name}@{msg.dst}")
-            Task(self.sim, fn(ctx, *args), name=name, owner=msg.dst)
+            Task(self.sim, fn(msg, *msg.args), name=name, owner=msg.dst)
         else:
-            fn(ctx, *args)
+            fn(msg, *msg.args)

@@ -117,9 +117,12 @@ class PeerFailedError(RuntimeError):
 
 
 class Message:
-    """One message in flight, and the record its sender observes it by.
-    ``payload`` is arbitrary Python data whose simulated footprint is
-    ``size`` bytes (we model cost, not encoding).
+    """One message in flight, the record its sender observes it by, and
+    the context its active-message handler runs with at the destination.
+    ``payload`` is the bulk data, arbitrary Python data whose simulated
+    footprint is ``size`` bytes (we model cost, not encoding); an active
+    message's header is ``handler`` (a registered name) and ``args`` (the
+    handler's positional arguments after the message itself).
 
     :meth:`Transport.send` numbers the message (``seq``, a per-transport
     counter, so back-to-back simulations in one process number and
@@ -138,11 +141,12 @@ class Message:
     """
 
     __slots__ = ("seq", "src", "dst", "size", "payload", "kind", "on_deliver",
-                 "delivered", "_at", "_injected")
+                 "handler", "args", "delivered", "_at", "_injected")
 
     def __init__(self, src: int, dst: int, size: int, payload: Any,
                  kind: str = "msg",
-                 on_deliver: Optional[Callable[["Message"], None]] = None):
+                 on_deliver: Optional[Callable[["Message"], None]] = None,
+                 handler: Optional[str] = None, args: tuple = ()):
         if type(size) is not int:
             # An ``np.int64`` byte count would turn the injection time,
             # and every event time downstream of it, into ``np.float64``.
@@ -156,6 +160,8 @@ class Message:
         self.payload = payload
         self.kind = kind
         self.on_deliver = on_deliver
+        self.handler = handler
+        self.args = args
         self.delivered: Optional[Future] = None
         self._at: Any = None
         self._injected: Optional[Future] = None

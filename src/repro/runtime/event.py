@@ -114,10 +114,12 @@ class EventVar:
         ``count``, then consume that many posts."""
         if count <= 0:
             raise ValueError(f"wait count must be positive, got {count}")
-        yield from self._cond(world_rank).wait_until(
-            lambda: self._counts.get(world_rank, 0) >= count
-        )
-        self._counts[world_rank] -= count
+        counts = self._counts
+        if counts.get(world_rank, 0) < count:
+            # not posted yet: park until a post makes it so
+            yield from self._cond(world_rank).wait_until(
+                lambda: counts.get(world_rank, 0) >= count)
+        counts[world_rank] -= count
 
     def __repr__(self) -> str:
         return f"<EventVar {self.name!r} team={self.team.id}>"

@@ -26,7 +26,7 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.tasks import Delay
+from repro.sim.tasks import Delay, all_of, any_of
 from repro.runtime.coarray import Coarray, CoarrayRef
 from repro.runtime.event import EventRef, EventVar
 from repro.runtime.memory_model import Activation
@@ -306,8 +306,9 @@ class Image(Activation):
 
     def cofence(self, downward: Optional[str] = None,
                 upward: Optional[str] = None):
-        """Local-data-completion fence; see :func:`repro.core.cofence.cofence`."""
-        yield from _cofence.cofence(self, downward=downward, upward=upward)
+        """Local-data-completion fence; see :func:`repro.core.cofence.cofence`.
+        Returns that generator itself: use with ``yield from``."""
+        return _cofence.cofence(self, downward, upward)
 
     def event_wait(self, event: EventVar | EventRef, count: int = 1
                    ) -> Generator[Any, Any, None]:
@@ -320,10 +321,11 @@ class Image(Activation):
                 "event_wait must name the caller's own counter "
                 f"(waiting on image {home} from image {self.rank})"
             )
-        self.machine.stats.incr("event.waits")
-        yield from ev.consume_when_ready(self.rank, count)
-        if self.machine.racecheck is not None:
-            self.machine.racecheck.event_acquire(self, ev.ref_for(home))
+        machine = self.machine
+        machine.stats.counts["event.waits"] += 1
+        yield from ev.consume_when_ready(home, count)
+        if machine.racecheck is not None:
+            machine.racecheck.event_acquire(self, ev.ref_for(home))
 
     def event_notify(self, event: EventVar | EventRef, count: int = 1
                      ) -> Generator[Any, Any, None]:
@@ -334,14 +336,20 @@ class Image(Activation):
         data."""
         release = self.release_waits()
         if release:
-            from repro.sim.tasks import all_of
-            yield all_of(release, "notify.release")
+            # one future is waited on itself, as in cofence
+            yield (release[0] if len(release) == 1
+                   else all_of(release, "notify.release"))
         ev, home = self._event_home(event)
-        self.machine.stats.incr("event.notifies")
-        if self.machine.racecheck is not None:
-            self.machine.racecheck.notify(self, ev.ref_for(home))
-        self.machine.post_event(ev.ref_for(home), from_rank=self.rank,
-                                count=count)
+        if ev is event and home not in ev.team:
+            # an EventRef was checked when it was built; my own counter
+            # of an EventVar is checked here
+            raise ValueError(
+                f"event {ev.name!r} has no counter on image {home}")
+        machine = self.machine
+        machine.stats.counts["event.notifies"] += 1
+        if machine.racecheck is not None:
+            machine.racecheck.notify(self, ev.ref_for(home))
+        machine.post_event(ev, home, self.rank, count)
 
     def _event_home(self, event) -> tuple[EventVar, int]:
         if isinstance(event, EventRef):
@@ -438,7 +446,6 @@ class Image(Activation):
 
     def wait_all(self, ops) -> Generator[Any, Any, None]:
         """Block until every given AsyncOp is globally done."""
-        from repro.sim.tasks import all_of
         ops = list(ops)
         futures = [op.global_done for op in ops]
         if futures:
@@ -450,7 +457,6 @@ class Image(Activation):
     def wait_any(self, ops) -> Generator[Any, Any, int]:
         """Block until one of the AsyncOps is globally done; returns its
         index in the input sequence."""
-        from repro.sim.tasks import any_of
         ops = list(ops)
         if not ops:
             raise ValueError("wait_any of no operations")

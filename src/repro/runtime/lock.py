@@ -32,11 +32,11 @@ def register_handlers(machine: "Machine") -> None:
 
     def handle_acquire(ctx, lock_name: str, token: int) -> None:
         lock = machine.lock_by_name(lock_name)
-        lock._acquire_at(ctx.image, ctx.src, token)
+        lock._acquire_at(ctx.dst, ctx.src, token)
 
     def handle_release(ctx, lock_name: str) -> None:
         lock = machine.lock_by_name(lock_name)
-        lock._release_at(ctx.image)
+        lock._release_at(ctx.dst)
 
     def handle_grant(ctx, token: int) -> None:
         fut = machine.scratch.pop(("lock.grant", token))

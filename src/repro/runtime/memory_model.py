@@ -147,11 +147,7 @@ class Activation:
 
     def prune(self) -> None:
         """Drop the handles of completed operations."""
-        self._pending = [
-            op for op in self._pending
-            if not (op.local_data.done and op.global_done.done)
-        ]
-        self._prune_at = max(self._PRUNE_MIN, 2 * len(self._pending))
+        self._sweep()
 
     @property
     def pending(self) -> list[AsyncOp]:
@@ -164,21 +160,39 @@ class Activation:
         """Local-data futures a cofence with this downward filter must
         await: every pending implicit op whose class set is NOT allowed
         to defer completion past the fence."""
-        self.prune()
-        return [
-            op.local_data for op in self._pending
-            if not op.local_data.done
-            and not may_pass(op.classes, downward_allowed)
-        ]
+        return self._sweep(fence=downward_allowed)
 
     def release_waits(self) -> list[Future]:
         """Futures an event_notify must await so that the notification
         cannot overtake the remote effects of earlier implicit ops: each
         one's ``global_done``.  Predicate-gated ops that have not started
         are exempt (see :attr:`AsyncOp.started`)."""
-        self.prune()
-        return [op.global_done for op in self._pending
-                if op.started and not op.global_done.done]
+        return self._sweep(release=True)
+
+    def _sweep(self, fence: Optional[frozenset] = None,
+               release: bool = False) -> list[Future]:
+        """One pass over the pending handles: drop the completed ones
+        and collect what a fence with downward filter ``fence``, or a
+        release, waits for."""
+        pending = self._pending
+        if not pending:
+            return []
+        keep = []
+        waits = []
+        for op in pending:
+            local_done = op.local_data.done
+            if local_done and op.global_done.done:
+                continue
+            keep.append(op)
+            if fence is not None:
+                # may_pass, inlined: every class of the op is allowed
+                if not local_done and not op.classes <= fence:
+                    waits.append(op.local_data)
+            elif release and op.started and not op.global_done.done:
+                waits.append(op.global_done)
+        self._pending = keep
+        self._prune_at = max(self._PRUNE_MIN, 2 * len(keep))
+        return waits
 
 
 # --------------------------------------------------------------------- #

@@ -421,21 +421,21 @@ class Machine:
     def drop_coll_state(self, world_rank: int, team_id: int, seq: int) -> None:
         self._coll_states.pop((world_rank, team_id, seq), None)
 
-    def post_event(self, ref: EventRef, from_rank: int,
+    def post_event(self, event: EventVar, home: int, from_rank: int,
                    count: int = 1) -> None:
-        """Post an event counter, sending a notify AM when the counter
-        lives on a different image than the poster."""
-        if ref.world_rank == from_rank:
-            ref.event.post(ref.world_rank, count)
+        """Post ``event``'s counter on image ``home``, sending a notify AM
+        when it lives on a different image than the poster (a holder of
+        an :class:`EventRef` passes ``ref.event, ref.world_rank``)."""
+        if home == from_rank:
+            event.post(home, count)
         else:
             self.am.request_nb(
-                from_rank, ref.world_rank, _EVENT_POST,
-                args=(ref.event.name, count),
+                from_rank, home, _EVENT_POST, args=(event.name, count),
                 category=AMCategory.SHORT, kind="event.post",
             )
 
     def _handle_event_post(self, ctx, event_name: str, count: int) -> None:
-        self._events[event_name].post(ctx.image, count)
+        self._events[event_name].post(ctx.dst, count)
 
     def when_event(self, ref: EventRef, initiator: int,
                    action: Callable[[], None]) -> None:

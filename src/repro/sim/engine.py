@@ -185,13 +185,19 @@ class OwnedTasks:
     never appear, keeping the common case free of registry cost.  Done
     and killed tasks leave whenever the list has doubled since the last
     sweep (the rule of ``Activation.register``), so the registry holds
-    O(live tasks), not every shipped function a run ever executed."""
+    O(live tasks), not every shipped function a run ever executed.
+
+    A killed task's generator is parked in ``_abandoned`` for as long as
+    the substrate lives: dropping the last reference to a suspended
+    generator would finalize it at once, running its ``finally:`` blocks
+    on behalf of a dead image (see ``Task.kill``)."""
 
     __slots__ = ()
 
     def _init_task_registry(self) -> None:
         self._tasks: list = []
         self._tasks_sweep_at = _TASK_SWEEP_MIN
+        self._abandoned: list = []
 
     def _register_task(self, task) -> None:
         tasks = self._tasks
@@ -241,7 +247,8 @@ class Simulator(OwnedTasks):
     __slots__ = ("_now", "_heap", "_ready", "_single", "_seq", "_stale",
                  "_events_processed", "_running", "_drain_hooks",
                  "_task_seq", "_busy", "_schedule_source", "_batch",
-                 "_tasks", "_tasks_sweep_at", "_pos", "_horizon")
+                 "_tasks", "_tasks_sweep_at", "_abandoned", "_pos",
+                 "_horizon")
 
     def __init__(self) -> None:
         self._now: float = 0.0

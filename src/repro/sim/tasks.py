@@ -329,14 +329,18 @@ class Task:
         Deliberately does *not* close the generator — ``gen.close()``
         would raise GeneratorExit inside it and run its ``finally:``
         blocks (completion counting, event posts), which a crashed image
-        must not do.  The generator and the cached resume callback are
-        dropped so neither outlives the task; an already-queued resume
+        must not do.  Nor does it drop it: the last reference to a
+        suspended generator finalizes it, which closes it all the same.
+        The generator is parked in the substrate's kill registry
+        (``OwnedTasks._abandoned``) instead, and the task lets go of it
+        and of its cached resume callback; an already-queued resume
         no-ops via ``_killed``, and a future the task was blocked on
         schedules nothing when it resolves.  ``done_future`` is left
         unresolved, mirroring a process that stopped mid-flight."""
         if self._resume_cb is None:
             return  # killed already, or finished
         self._killed = True
+        self.sim._abandoned.append(self.gen)
         self.gen = None
         self._resume_cb = None
 

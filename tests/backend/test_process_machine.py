@@ -70,13 +70,13 @@ def test_inbound_message_of_a_family_never_used_locally_is_served():
     machine = process_machine()
     machine.make_lock(name="L")
     assert "lock.acquire" not in machine.am._handlers
-    request = ("lock.acquire", ("L", 7), None)
+    request = ("lock.acquire", 0, "lock.acquire", ("L", 7), None)
     machine.network.deliver_frame(
-        ("am", 1, 0, False, dump_frame(machine, ("lock.acquire", 0, request))))
+        ("am", 1, 0, False, dump_frame(machine, request)))
     # the free lock was granted: the grant went out on the conduit
     (tag, src, _seq, _want_ack, blob), = machine.network.conduit.inboxes[1]
     assert (tag, src) == ("am", 0)
-    assert load_frame(machine, blob)[2] == ("lock.grant", (7,), None)
+    assert load_frame(machine, blob)[2:] == ("lock.grant", (7,), None)
 
 
 def test_hosting_follows_from_local_ranks():

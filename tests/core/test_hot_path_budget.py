@@ -1,5 +1,6 @@
-"""Per-message object budget of the spawn and put paths, and of the
-blocking allreduce that finish runs (DESIGN.md §9).
+"""Per-message object budget of the spawn and put paths, of the halo
+exchange's put → cofence → notify → wait step, and of the blocking
+allreduce that finish runs (DESIGN.md §9).
 
 Counts, not timings: one remote implicit spawn (or unpredicated put)
 inside a finish, measured in a window where nothing else on the machine
@@ -216,6 +217,87 @@ def test_unpredicated_put_budget(counts, spmd):
     assert 0 < counts["futures"] <= 2
     assert counts["frame_lookups"] <= 1
     assert counts["closures"] == 0
+
+
+def test_halo_step_budget(monkeypatch, spmd):
+    """The halo exchange's step — a put, a ``cofence``, an
+    ``event_notify`` and an ``event_wait`` whose post is already there —
+    in a quiet window: a delivery builds no object (the message is its
+    handler's context), the fence and the release each wait on their one
+    future itself, the notify builds no ``EventRef`` and the wait parks
+    nowhere."""
+    from repro.net.active_messages import AMLayer
+    from repro.runtime.event import EventRef
+    from repro.sim.tasks import Condition
+
+    counts = _Counts(monkeypatch)
+    counts.patch(EventRef, "__init__", "event_refs")
+    counts.patch(Condition, "wait_until", "parked")
+    names = []
+    future_init = Future.__init__
+
+    def named_future(fut, name=""):
+        if counts.on:
+            names.append(name)
+        future_init(fut, name)
+
+    monkeypatch.setattr(Future, "__init__", named_future)
+    built = []
+    on_deliver = AMLayer._on_deliver
+
+    def delivering(am, msg):
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name == "__init__":
+                built.append(frame.f_code.co_qualname)
+
+        if not counts.on:
+            return on_deliver(am, msg)
+        sys.setprofile(profile)
+        try:
+            return on_deliver(am, msg)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(AMLayer, "_on_deliver", delivering)
+    log = {}
+
+    def step(img, dest, target):
+        img.copy_async(dest, np.ones(8))
+        yield from img.cofence()
+        yield from img.event_notify(target)
+        yield from img.event_wait(img.machine.event_by_name("E"))
+
+    def kernel(img):
+        other = 1 - img.rank
+        machine = img.machine
+        dest = machine.coarray_by_name("T").ref(other)
+        target = machine.event_by_name("E").at(other)
+        yield from step(img, dest, target)       # first use: registers
+        if img.rank == 1:
+            yield from img.event_notify(target)  # posted ahead of the wait
+            return
+        yield from img.compute(1e-3)             # image 1's post lands
+        stats = machine.stats
+        waited = stats["cofence.waited"]
+        counts.on = True
+        before = img.now
+        yield from step(img, dest, target)
+        log["waited"] = stats["cofence.waited"] - waited
+        log["blocked"] = img.now > before
+        yield from img.compute(1e-4)             # the notify lands
+        counts.on = False
+
+    machine, _ = spmd(kernel, n=2, setup=lambda m: (
+        m.coarray("T", shape=8), m.make_event(name="E")))
+    assert machine.stats["net.kind.copy.put"] == 3
+    assert machine.stats["net.kind.event.post"] == 4
+    # the fence waited on the put's injection, the notify on its ack
+    assert log == {"waited": 1, "blocked": True}
+    # the put and the notify were delivered with nothing built for them
+    assert built == []
+    assert "cofence" not in names and "notify.release" not in names
+    assert counts["event_refs"] == 0
+    assert counts["parked"] == 0
 
 
 def test_blocking_allreduce_budget(counts, spmd):

@@ -142,6 +142,32 @@ class TestRecoveryMechanics:
         assert m.stats["spawn.rerouted"] == 1
         assert resolved == [True] * 4
 
+    def test_crashed_image_runs_no_finally_of_its_shipped_function(self):
+        """Fail-stop halts a shipped function mid-body: neither its own
+        ``finally:`` nor the exec handler's (which counts the completion)
+        runs on the dead image; the re-execution on the spawner runs
+        both."""
+        finals = []
+
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 0:
+                yield from img.spawn(_guarded, 1)
+            yield from img.finish_end()
+
+        def _guarded(img):
+            try:
+                yield from img.compute(1e-3)
+            finally:
+                finals.append(img.rank)
+
+        m, _ = run_spmd(kernel, 2, faults=FaultPlan().crash_at(1, 5e-6),
+                        failure_detection=FailureConfig(recover=True))
+        assert m.stats["spawn.recovered"] == 1
+        assert finals == [0]
+        dead = [f for (rank, _key), f in m._frames.items() if rank == 1]
+        assert [(f.c_received, f.c_completed) for f in dead] == [(1, 0)]
+
     def test_crash_after_work_done_recovers_nothing(self):
         """A crash after the shipped function completed (and the finish
         closed) must not re-execute anything."""

@@ -24,7 +24,7 @@ class TestHandlerDispatch:
     def test_plain_handler_runs_at_destination(self):
         sim, am = make_am()
         seen = []
-        am.register("h", lambda ctx, x: seen.append((ctx.image, ctx.src, x)))
+        am.register("h", lambda ctx, x: seen.append((ctx.dst, ctx.src, x)))
         am.request_nb(0, 2, "h", args=(42,), category=AMCategory.SHORT)
         sim.run()
         assert seen == [(2, 0, 42)]
@@ -35,7 +35,7 @@ class TestHandlerDispatch:
 
         def h(ctx, x):
             yield Delay(1.0)
-            seen.append((ctx.image, x, sim.now))
+            seen.append((ctx.dst, x, sim.now))
 
         am.register("h", h)
         am.request_nb(0, 1, "h", args=(7,), category=AMCategory.SHORT)
@@ -107,11 +107,11 @@ class TestReply:
     def test_round_trip(self):
         sim, am = make_am()
         log = []
-        am.register("pong", lambda ctx: log.append(("pong", ctx.image, sim.now)))
+        am.register("pong", lambda ctx: log.append(("pong", ctx.dst, sim.now)))
 
         def ping(ctx):
-            log.append(("ping", ctx.image, sim.now))
-            am.request_nb(ctx.image, ctx.src, "pong",
+            log.append(("ping", ctx.dst, sim.now))
+            am.request_nb(ctx.dst, ctx.src, "pong",
                           category=AMCategory.SHORT)
 
         am.register("ping", ping)

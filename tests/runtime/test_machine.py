@@ -192,13 +192,13 @@ class TestEventPosting:
     def test_post_event_local_is_immediate(self):
         m = Machine(2)
         ev = m.make_event(name="e")
-        m.post_event(ev.ref_for(0), from_rank=0)
+        m.post_event(ev, 0, from_rank=0)
         assert ev.count_at(0) == 1
 
     def test_post_event_remote_travels(self):
         m = Machine(2)
         ev = m.make_event(name="e")
-        m.post_event(ev.ref_for(1), from_rank=0)
+        m.post_event(ev, 1, from_rank=0)
         assert ev.count_at(1) == 0  # not yet delivered
         m.sim.run()
         assert ev.count_at(1) == 1
