@@ -32,7 +32,6 @@ enclosing ``finish`` frame.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Any, Optional, Union
 
@@ -51,8 +50,6 @@ _GET_REQ = "copy.get_req"
 _DATA = "copy.data"
 _FWD = "copy.fwd"
 _DONE = "copy.done"
-
-_tokens = itertools.count(1)
 
 
 class _Loc:
@@ -291,7 +288,7 @@ def _start_get(ctx, machine, d: _Loc, s: _Loc, frame,
                src_ev, dest_ev) -> tuple:
     """Source remote, destination on the initiator: request + reply;
     every completion point is the reply landing in the destination."""
-    token = next(_tokens)
+    token = machine.next_token()
     done = Future("copy.get")
 
     def complete(data) -> None:
@@ -311,7 +308,7 @@ def _start_forward(ctx, machine, d: _Loc, s: _Loc, frame,
                    src_ev, dest_ev) -> tuple:
     """Both endpoints remote: control to the source image, which puts to
     the destination; the destination confirms back to the initiator."""
-    token = next(_tokens)
+    token = machine.next_token()
     global_done = Future("copy.fwd")
     machine.scratch[("copy.token", token)] = global_done.set_result
     msg = fin.count_send(

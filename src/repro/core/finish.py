@@ -70,7 +70,9 @@ One send path, one arrival path
 Every message of those operations, the initiator's and those their
 handlers send on, leaves through :func:`count_send` and lands through
 :func:`arrival` (a task handler, ``spawn.exec``, calls
-:func:`count_received` and :func:`count_completed` itself).  The send
+:func:`count_received` and :func:`count_completed` itself; a shipped
+function its spawner runs, rerouted or recovered, is counted as a
+loopback message by :func:`count_loopback`).  The send
 path counts the send, appends the frame key and epoch tag to the
 handler's arguments, asks for the delivery ack and registers
 :func:`count_delivery_outcome` on it; a send the AM layer refuses
@@ -155,7 +157,7 @@ class FinishFrame:
                  "odd", "present", "gen", "contributed", "cond", "rounds",
                  "sent_to", "delivered_to", "received_from",
                  "completed_from", "reconciled", "_reconcile_stamps",
-                 "ledger")
+                 "ledger", "executed")
 
     def __init__(self, machine, world_rank: int, team: Team, seq: int):
         self.machine = machine
@@ -188,18 +190,22 @@ class FinishFrame:
         #: the dead image.  Mere suspicion does not reconcile (DESIGN
         #: §12): the suspect's traffic is quarantined, not lost.
         self.reconciled: set[int] = set()
-        failure = getattr(machine, "failure", None)
-        if failure is not None:
-            self.reconciled |= failure.confirmed
         #: exact-subtraction stamps per reconciled peer, kept so a false
         #: confirmation can be healed by replaying the algebra in
         #: reverse (:meth:`unreconcile`)
         self._reconcile_stamps: dict[int, tuple] = {}
-        #: outbound spawn ledger {spawn_id: (dst, fn, args, name)} in
-        #: send order, kept only while a failure service with recovery is
-        #: attached; an entry leaves when its send fails (re-executed at
-        #: once) or, per destination, in reconcile_failure.
-        self.ledger: dict[int, tuple] = {}
+        #: recovery records, only while recovery is on and the block is
+        #: open here (DESIGN §11.5): the outbound spawn ledger {spawn_id:
+        #: (dst, fn, args, name)} in send order, and the spawn ids this
+        #: image executed in the block, so none runs twice.
+        self.ledger: Optional[dict[int, tuple]] = None
+        self.executed: Optional[set[int]] = None
+        failure = getattr(machine, "failure", None)
+        if failure is not None:
+            self.reconciled |= failure.confirmed
+            if failure.recover:
+                self.ledger = {}
+                self.executed = set()
 
     # -- epoch machinery ------------------------------------------------- #
 
@@ -360,7 +366,8 @@ class FinishFrame:
         self.even.delivered -= d
         self.even.received -= r
         self.even.completed -= c
-        lost = {spawn_id: entry for spawn_id, entry in self.ledger.items()
+        lost = {spawn_id: entry
+                for spawn_id, entry in (self.ledger or {}).items()
                 if entry[0] == dead}
         for spawn_id in lost:
             del self.ledger[spawn_id]
@@ -396,13 +403,19 @@ class FinishFrame:
         self.even.delivered += d
         self.even.received += r
         self.even.completed += c
-        # The popped spawn-ledger entries go back on the books: the
-        # peer is alive, so they were delivered (or quarantined and
-        # flushed), not lost.
-        self.ledger.update(lost)
+        # The popped spawn-ledger entries go back on the books of an
+        # open block: the peer is alive, so they were delivered (or
+        # quarantined and flushed), not lost.
+        if self.ledger is not None:
+            self.ledger.update(lost)
         self.machine.stats.incr("finish.unreconciled")
         if self.cond._waiters:
             self.cond.wake()
+
+    def close(self) -> None:
+        """The block ended here, its work complete: a later confirmation
+        reconciles the counters but re-executes nothing."""
+        self.ledger = self.executed = None
 
     def snapshot(self) -> dict:
         """Counter snapshot for liveness diagnostics (see
@@ -426,7 +439,7 @@ class FinishFrame:
             "rounds": self.rounds,
             "waiters": self.cond.waiting,
             "reconciled": sorted(self.reconciled),
-            "ledger": len(self.ledger),
+            "ledger": len(self.ledger or ()),
         }
 
     def __repr__(self) -> str:
@@ -535,8 +548,8 @@ def stall_report(machine, blocked: list) -> str:
 # Counted messages (module docstring, "One send path, one arrival
 # path"): spawn, copy_async and the asynchronous collectives send through
 # count_send and receive through arrival, or count_received and
-# count_completed in a task handler.  Outside this module only spawn's
-# loopback re-execution touches a frame's counters.
+# count_completed in a task handler; spawn's reroute and recovery count
+# through count_loopback.  No other module touches a frame's counters.
 # --------------------------------------------------------------------- #
 
 #: key and tag of a message no finish counts
@@ -611,6 +624,16 @@ def count_received(machine, ctx, key: Optional[tuple], tag: Optional[bool]
         return _UNCOUNTED
     frame = machine.get_or_create_frame(ctx.dst, key)
     return frame, frame.on_received(bool(tag), ctx.src)
+
+
+def count_loopback(frame: FinishFrame) -> tuple:
+    """Count a message ``frame``'s image sends itself as sent, delivered
+    and received at once (tagged even: it has no cause); returns the
+    receive stamp for :func:`count_completed`."""
+    rank = frame.world_rank
+    stamp = frame.on_send(rank)
+    frame.on_delivered(stamp)
+    return frame.on_received(stamp[0], rank)
 
 
 def count_completed(frame: Optional[FinishFrame],
@@ -695,6 +718,7 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
     algorithm = termination.get_detector(detector)
     rounds = yield from algorithm(ctx, frame)
     state.finish_stack.pop()
+    frame.close()
     # Everything this activation initiated in the block is now globally
     # complete: the handles it registered have nothing left to order.
     ctx.prune()

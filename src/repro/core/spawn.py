@@ -21,7 +21,9 @@ target acknowledged delivery ("spawn is complete on the target image",
 Fig. 4); execution completion is signalled through the optional event
 (explicit completion) or the enclosing ``finish`` (implicit completion).
 Shipped functions execute inside the spawner's finish frame, so anything
-they spawn is tracked transitively.
+they spawn is tracked transitively.  Every execution, delivered or run on
+the spawner (a reroute around a suspected target, a recovery from the
+ledger, DESIGN §11.5), goes through one body, :func:`handle_exec`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from repro.runtime.event import EventRef, EventVar
 from repro.runtime.memory_model import READ
 from repro.runtime.sizeof import WORD, sizeof
 from repro.runtime.team import Team
+# image.py imports this module: bind the module, read Image at call time
+from repro.runtime import image as _image
 from repro.net.active_messages import AMCategory
-from repro.net.transport import PeerFailedError
+from repro.net.transport import Message, PeerFailedError
 from repro.core.completion import RESOLVED, AsyncOp
 from repro.core import finish as fin
 
@@ -91,7 +95,7 @@ def payload_size(args: tuple) -> int:
 
 def register_handlers(machine) -> None:
     """Called once per machine, on the family's first use there."""
-    machine.am.register(_EXEC, _make_exec_handler(machine))
+    machine.am.register(_EXEC, partial(handle_exec, machine))
 
 
 def _activation_name(machine, fn, dst: int) -> str:
@@ -115,47 +119,45 @@ def _activation_name(machine, fn, dst: int) -> str:
     return name
 
 
-def _make_exec_handler(machine):
-    from repro.runtime.image import Image
-
-    def handle_exec(ctx, fn, args, event_ref, rc_vc, spawn_id, key, tag):
-        # The shipped function stays the first argument: tracers read it
-        # there.  Count reception before the function body runs: the
-        # message has landed even if the task runs long (Fig. 7 separates
-        # received from completed for exactly this reason).
-        frame, recv_stamp = fin.count_received(machine, ctx, key, tag)
-        # Recovery idempotency: when a failure service with recovery is
-        # attached, every execution is recorded under its spawn id and a
-        # duplicate arrival skips the body (but still balances the
-        # received/completed counters).
-        duplicate = False
-        registry = machine.scratch.get("spawn.executed_ids")
-        if registry is not None and spawn_id is not None:
-            done_ids = registry.setdefault(ctx.dst, set())
-            if spawn_id in done_ids:
-                duplicate = True
-                machine.stats.incr("spawn.dedup_skipped")
-            else:
-                done_ids.add(spawn_id)
-        image = Image(machine, ctx.dst, frame,
-                      _activation_name(machine, fn, ctx.dst))
-        image.cause = recv_stamp
-        if machine.racecheck is not None:
-            machine.racecheck.activation_begin(image, rc_vc)
-        try:
-            if not duplicate:
-                machine.stats.incr("spawn.executed")
-                yield from fn(image, *args)
-        finally:
-            if machine.racecheck is not None:
-                # Publish the body's final clock before the completion
-                # count/event can let a finish or waiter proceed.
-                machine.racecheck.activation_done(image, key, event_ref)
-            fin.count_completed(frame, recv_stamp)
-            if event_ref is not None:
-                machine.post_event(event_ref.event, event_ref.world_rank,
-                                   ctx.dst)
-    return handle_exec
+def handle_exec(machine, ctx, fn, args, event_ref, rc_vc, spawn_id, key,
+                tag, frame=None, stamp=None):
+    """The one body of every execution of a shipped function on
+    ``ctx.dst``: the ``spawn.exec`` handler of a delivered spawn, and the
+    task :func:`_run_local` starts for a rerouted or recovered one, which
+    passes the ``frame`` and receive ``stamp`` it counted the loopback
+    arrival with.  A spawn id the frame's executed-id set already holds
+    skips the body but still counts completed."""
+    # The shipped function stays the first argument after the message:
+    # tracers read it there.
+    rank = ctx.dst
+    if frame is None:
+        # Count reception before the function body runs: the message has
+        # landed even if the task runs long (Fig. 7 separates received
+        # from completed for exactly this reason).
+        frame, stamp = fin.count_received(machine, ctx, key, tag)
+    image = _image.Image(machine, rank, frame,
+                         _activation_name(machine, fn, rank))
+    image.cause = stamp
+    racecheck = machine.racecheck
+    if racecheck is not None:
+        racecheck.activation_begin(image, rc_vc)
+    executed = frame.executed if frame is not None else None
+    try:
+        if executed is None or spawn_id not in executed:
+            if executed is not None:
+                executed.add(spawn_id)
+            machine.stats.incr("spawn.executed")
+            yield from fn(image, *args)
+        else:
+            machine.stats.incr("spawn.dedup_skipped")
+    finally:
+        if racecheck is not None:
+            # Publish the body's final clock before the completion
+            # count/event can let a finish or waiter proceed.
+            racecheck.activation_done(image, key, event_ref)
+        fin.count_completed(frame, stamp)
+        if event_ref is not None:
+            machine.post_event(event_ref.event, event_ref.world_rank, rank)
 
 
 def spawn(ctx, fn, target: int, *args: Any,
@@ -185,17 +187,17 @@ def spawn(ctx, fn, target: int, *args: Any,
     size, shipped_args = _pack(args)
     spawn_id = machine.next_spawn_id()
 
-    failure = machine.failure
-    recover = frame is not None and failure is not None and failure.recover
-    if (recover and dst != ctx.rank
-            and (dst in failure.suspects or dst in machine.dead_images)):
+    # A ledger exists while recovery is on and the block is open.
+    ledger = frame.ledger if frame is not None else None
+    if (ledger is not None and dst != ctx.rank
+            and (dst in machine.failure.suspects
+                 or dst in machine.dead_images)):
         # Fault-tolerant reroute: the destination is already known dead,
         # so shipping would only fail after a detector round-trip.  Run
-        # the function on the spawner instead (same counting as a
-        # recovered ledger entry).
+        # the function on the spawner instead, as a recovered ledger
+        # entry runs.
         machine.stats.incr("spawn.rerouted")
-        _run_local(machine, ctx.rank, frame, fn, shipped_args, spawn_id,
-                   name)
+        _run_local(frame, fn, shipped_args, spawn_id, name)
         return ctx.register(
             AsyncOp("spawn", _CLASSES, RESOLVED, RESOLVED, RESOLVED))
 
@@ -219,8 +221,8 @@ def spawn(ctx, fn, target: int, *args: Any,
     delivered = msg.delivered
     op = AsyncOp("spawn", _CLASSES, msg.injected, delivered, delivered)
     op.rc = rcop
-    if recover:
-        frame.ledger[spawn_id] = (dst, fn, shipped_args, name)
+    if ledger is not None:
+        ledger[spawn_id] = (dst, fn, shipped_args, name)
         delivered.add_done_callback(
             partial(_recover_lost, frame, spawn_id))
 
@@ -233,69 +235,45 @@ def spawn(ctx, fn, target: int, *args: Any,
 
 def _recover_lost(frame, spawn_id: int, fut) -> None:
     """Done-callback of a ledgered spawn's delivery ack, after the send
-    path has counted its outcome on the spawner's ``frame``: re-execute
-    a lost spawn.
-
-    A send the transport failed definitively (fresh sends fail before
-    transmission; in-flight ones only once the peer is confirmed dead)
-    never runs its function at the destination.  Re-execute it here now
-    — reconciliation cannot, because the on_send_failed subtraction
-    already rebalanced the frame, so a finish may conclude before the
-    peer is ever confirmed."""
-    machine = frame.machine
+    path has counted its outcome on the spawner's ``frame`` (still open:
+    every detector waits for this image's sends): a send the transport
+    failed definitively (fresh sends fail before transmission; in-flight
+    ones only once the peer is confirmed dead) never runs its function at
+    the destination, so re-execute it now.  Reconciliation cannot: the
+    failed send's subtraction already rebalanced the frame, so a finish
+    may conclude before the peer is ever confirmed."""
     if (isinstance(fut.exception(), PeerFailedError)
-            and frame.world_rank not in machine.dead_images):
+            and frame.world_rank not in frame.machine.dead_images):
         entry = frame.ledger.pop(spawn_id, None)
         if entry is not None:
-            machine.stats.incr("spawn.recovered")
-            _dst, fn, args, name = entry
-            _run_local(machine, frame.world_rank, frame, fn, args,
-                       spawn_id, name)
+            reexecute_lost(frame, {spawn_id: entry})
 
 
 # --------------------------------------------------------------------- #
 # Fail-stop recovery: re-execute lost shipped functions
 # --------------------------------------------------------------------- #
 
-def _run_local(machine, rank: int, frame, fn, args: tuple,
-               spawn_id: int, name: str) -> None:
-    """Execute a (possibly recovered) spawn locally on ``rank`` inside
-    ``frame``, counting the full send/delivered/received/completed
-    quadruple as a loopback message so the enclosing finish waits for it
-    — including anything it spawns transitively.
-
-    Idempotency: the machine-global executed-id registry skips spawn ids
-    this image already ran, so a ledger entry can never run twice here.
-    (If the "dead" image was falsely suspected and in fact executed the
-    original, the work is duplicated — re-execution is exactly-once only
-    under fail-stop; see DESIGN §11.)"""
-    registry = machine.scratch.setdefault("spawn.executed_ids", {})
-    done_ids = registry.setdefault(rank, set())
-    if spawn_id in done_ids:
-        machine.stats.incr("spawn.dedup_skipped")
-        return
-    done_ids.add(spawn_id)
-    stamp = frame.on_send(dst=rank)
-    frame.on_delivered(stamp)
-    recv_stamp = frame.on_received(stamp[0], src=rank)
-
-    def body():
-        from repro.runtime.image import Image
-
-        image = Image(machine, rank, frame, name)
-        image.cause = recv_stamp
-        machine.stats.incr("spawn.executed")
-        try:
-            yield from fn(image, *args)
-        finally:
-            frame.on_completed(recv_stamp)
-
-    machine.start_internal_task(body(), name=f"respawn.{name}", owner=rank)
-
-
-def reexecute_lost(machine, rank: int, frame, entries: dict) -> None:
-    """Recovery hook: re-run the ledger entries ``reconcile_failure``
-    popped for a dead destination, on the surviving spawner ``rank``."""
-    machine.stats.incr("spawn.recovered", len(entries))
+def reexecute_lost(frame, entries: dict) -> None:
+    """The one re-execute step: run the ledger ``entries`` ({spawn_id:
+    (dst, fn, args, name)}) lost with their destination on the surviving
+    spawner, inside its ``frame``.  Fed by a confirmed death (the entries
+    :meth:`FinishFrame.reconcile_failure` popped) and by a failed send
+    (:func:`_recover_lost`)."""
+    frame.machine.stats.incr("spawn.recovered", len(entries))
     for spawn_id, (_dst, fn, args, name) in entries.items():
-        _run_local(machine, rank, frame, fn, args, spawn_id, name)
+        _run_local(frame, fn, args, spawn_id, name)
+
+
+def _run_local(frame, fn, args: tuple, spawn_id: int, name: str) -> None:
+    """Run a rerouted or recovered spawn on ``frame``'s image as the owned
+    task ``respawn.<name>``: a loopback message, counted so the finish
+    waits for it and anything it spawns.  (If the "dead" image was
+    falsely suspected and in fact executed the original, the work is
+    duplicated — re-execution is exactly-once only under fail-stop; see
+    DESIGN §11.)"""
+    rank = frame.world_rank
+    stamp = fin.count_loopback(frame)
+    frame.machine.start_internal_task(
+        handle_exec(frame.machine, Message(rank, rank, 0, None), fn, args,
+                    None, None, spawn_id, frame.key, False, frame, stamp),
+        name=f"respawn.{name}", owner=rank)

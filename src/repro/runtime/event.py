@@ -14,7 +14,6 @@ lists; this module is only the counter substrate.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from repro.sim.tasks import Condition
@@ -61,14 +60,12 @@ class EventVar:
     applied; the methods here mutate counters instantaneously.
     """
 
-    _anon = itertools.count()
-
     __slots__ = ("machine", "team", "name", "_counts", "_conds")
 
     def __init__(self, machine: "Machine", team: Team, name: str | None = None):
         self.machine = machine
         self.team = team
-        self.name = name or f"_event{next(EventVar._anon)}"
+        self.name = name or f"_event{machine.next_token()}"
         # Sparse: counters and wait conditions materialize per member on
         # first touch, so an event over 8192 images costs only what the
         # program actually posts/waits on (DESIGN.md §13).

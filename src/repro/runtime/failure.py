@@ -287,10 +287,6 @@ class FailureService:
 
     def start(self) -> None:
         machine = self.machine
-        if self.recover:
-            # Activate the spawn idempotency registry so every execution
-            # is recorded (see repro.core.spawn).
-            machine.scratch.setdefault("spawn.executed_ids", {})
         machine.network.on_delivery = self._on_delivery
         machine.am.ensure_registered(_HB, _heartbeat_handler)
         machine.am.ensure_registered(_MEMBER, _make_member_handler(machine))

@@ -10,7 +10,6 @@ granting.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Generator, TYPE_CHECKING
 
@@ -50,12 +49,10 @@ def register_handlers(machine: "Machine") -> None:
 class LockVar:
     """One lock per team member, addressable from any image."""
 
-    _anon = itertools.count()
-
     def __init__(self, machine: "Machine", team: Team, name: str | None = None):
         self.machine = machine
         self.team = team
-        self.name = name or f"_lock{next(LockVar._anon)}"
+        self.name = name or f"_lock{machine.next_token()}"
         # Per-member world rank: held flags and FIFO waiters, sparse —
         # entries appear only on lock homes actually contended, so a
         # lock over 8192 images costs nothing up front (DESIGN.md §13).

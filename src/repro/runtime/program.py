@@ -213,6 +213,8 @@ class Machine:
         #: open dictionary for cross-module transient state (copy tokens,
         #: detector scratch, lock grants, ...)
         self.scratch: dict = {}
+        # AM-argument tokens and anonymous event/lock names: per machine,
+        # like team ids, so back-to-back runs send identical values.
         self._tokens = itertools.count(1)
         # Spawn identity stream for recovery idempotency keys.  Each
         # machine strides by n_images from its first hosted rank, so ids
@@ -363,7 +365,8 @@ class Machine:
         """Failure-service callback: a suspect was CONFIRMED dead.
         Reconcile every surviving image's finish frames and, with
         recovery enabled, re-execute the lost spawns from their
-        surviving senders' ledgers.  Mere suspicion never reaches
+        surviving senders' ledgers (only open blocks keep one, see
+        ``FinishFrame.close``).  Mere suspicion never reaches
         here — reconciliation on a false suspicion would double-count
         when the straggler's delayed messages eventually land."""
         service = self.failure
@@ -374,8 +377,7 @@ class Machine:
             if entries:
                 service.orphans[peer] = (service.orphans.get(peer, 0)
                                          + len(entries))
-                if service.recover:
-                    spawn.reexecute_lost(self, rank, frame, entries)
+                spawn.reexecute_lost(frame, entries)
 
     def _on_heal(self, peer: int) -> None:
         """Failure-service callback: a suspicion turned out to be false

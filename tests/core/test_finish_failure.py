@@ -11,8 +11,10 @@ from repro.runtime.team import Team
 from repro.core.finish import FinishFrame
 
 
-def make_frame(n=4):
-    machine = Machine(n, seed=0)
+def make_frame(n=4, recover=False):
+    """A frame on image 0; with ``recover`` it keeps a spawn ledger."""
+    machine = Machine(n, seed=0, failure_detection=(
+        FailureConfig(recover=True) if recover else None))
     team = machine.team_world
     return machine, FinishFrame(machine, 0, team, 0)
 
@@ -102,7 +104,7 @@ class TestReconcileFailure:
         assert fr.even.received == 0 and fr.even.completed == 0
 
     def test_ledger_entries_for_dead_destination_popped(self):
-        _m, fr = make_frame()
+        _m, fr = make_frame(recover=True)
         fr.ledger[0] = (2, None, (), "a")
         fr.ledger[1] = (1, None, (), "b")
         fr.ledger[2] = (2, None, (), "c")
@@ -113,7 +115,7 @@ class TestReconcileFailure:
     def test_ledger_pops_by_spawn_id(self):
         """A failed send leaves the ledger by id, wherever it sits, and
         cannot leave twice."""
-        _m, fr = make_frame()
+        _m, fr = make_frame(recover=True)
         for spawn_id in (7, 3, 9):
             fr.ledger[spawn_id] = (2, None, (), f"s{spawn_id}")
         assert fr.ledger.pop(3, None) == (2, None, (), "s3")
@@ -125,7 +127,7 @@ class TestReconcileFailure:
         destination's entries back in send order, survivors keep theirs,
         and healing re-books the popped entries after everything sent
         since — the order the list-based ledger produced."""
-        _m, fr = make_frame()
+        _m, fr = make_frame(recover=True)
         fr.ledger[10] = (2, None, (), "a")
         fr.ledger[11] = (1, None, (), "b")
         fr.ledger[12] = (2, None, (), "c")
@@ -141,6 +143,20 @@ class TestReconcileFailure:
         assert 2 not in fr.reconciled
         # healed: a second confirmation pops the same entries again
         assert list(fr.reconcile_failure(2)) == [10, 12]
+
+    def test_closed_block_keeps_no_recovery_records(self):
+        """A block that ended on this image lost nothing: a confirmation
+        after it re-executes none of its spawns, and healing books none
+        back."""
+        _m, fr = make_frame(recover=True)
+        fr.ledger[0] = (2, None, (), "a")
+        fr.ledger[1] = (3, None, (), "b")
+        assert list(fr.reconcile_failure(2)) == [0]
+        fr.close()
+        assert fr.ledger is None and fr.executed is None
+        assert fr.reconcile_failure(3) == {}
+        fr.unreconcile(2)
+        assert fr.ledger is None and 2 not in fr.reconciled
 
     def test_folds_odd_into_even_first(self):
         """Reconciliation collapses both epochs so the subtraction has a

@@ -100,7 +100,7 @@ def counts(monkeypatch):
     c.patch(Machine, "get_or_create_frame", "frame_lookups")
     for cls in (Activation, Image):
         c.patch_objects(cls, "activations")
-    c.patch(spawn_mod, "_make_exec_handler", "closures")
+    c.patch(spawn_mod, "register_handlers", "closures")
     c.patch(AMLayer, "request", "credit_requests")
     for name in ("_make_put_handler", "_make_get_req_handler",
                  "_make_data_handler", "_make_fwd_handler",

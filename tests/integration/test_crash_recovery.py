@@ -2,14 +2,17 @@
 correctly despite a mid-run crash, structured failure reporting when
 recovery is off, and deterministic replay of both."""
 
+import numpy as np
 import pytest
 
+from repro import MachineParams
 from repro.apps.uts import (
     TreeParams,
     UTSConfig,
     run_uts,
     sequential_tree_size,
 )
+from repro.core import spawn
 from repro.net.faults import FaultPlan
 from repro.runtime.failure import FailureConfig, ImageFailureError
 from repro.runtime.program import run_spmd
@@ -170,7 +173,9 @@ class TestRecoveryMechanics:
 
     def test_crash_after_work_done_recovers_nothing(self):
         """A crash after the shipped function completed (and the finish
-        closed) must not re-execute anything."""
+        closed) must not re-execute anything.  The mains outlive the
+        detector's confirmation (3 x timeout after the crash): once every
+        main returns, detection stops and nothing is ever confirmed."""
         done_on = []
 
         def kernel(img):
@@ -178,12 +183,68 @@ class TestRecoveryMechanics:
             if img.rank == 0:
                 yield from img.spawn(_mark, 1)
             yield from img.finish_end()
+            yield from img.compute(1e-2)
 
         def _mark(img):
             yield from img.compute(1e-5)
             done_on.append(img.rank)
 
-        m, _ = run_spmd(kernel, 2, faults=FaultPlan().crash_at(1, 1.0),
+        m, _ = run_spmd(kernel, 2, faults=FaultPlan().crash_at(1, 1e-3),
                         failure_detection=FailureConfig(recover=True))
+        assert m.stats["fail.confirmed"] == 1
         assert done_on == [1]
         assert m.stats["spawn.recovered"] == 0
+        assert m.stats["spawn.executed"] == 1
+
+    def test_crash_after_finish_reexecutes_no_transitive_work(self):
+        """Image 0 ships ``relay`` to 1, which ships ``bump`` to 2; image 1
+        dies after the block closed.  Its ledger entry is gone with the
+        block, so the cell on image 2 is bumped once."""
+
+        def bump(img):
+            yield from img.compute(1e-6)
+            img.machine.coarray_by_name("C").local_at(img.rank)[0] += 1
+
+        def relay(img):
+            yield from img.spawn(bump, 2)
+
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 0:
+                yield from img.spawn(relay, 1)
+            yield from img.finish_end()
+            yield from img.compute(1e-2)
+
+        m, _ = run_spmd(kernel, 3,
+                        params=MachineParams.uniform(3, reliable=True),
+                        setup=lambda m: m.coarray("C", (1,), dtype=np.int64),
+                        faults=FaultPlan().crash_at(1, 1e-3),
+                        failure_detection=FailureConfig(recover=True))
+        assert m.stats["fail.confirmed"] == 1
+        assert m.coarray_by_name("C").local_at(2)[0] == 1
+        assert m.stats["spawn.recovered"] == 0
+        assert m.stats["spawn.executed"] == 2
+
+    def test_same_ledger_entry_runs_once_per_rank(self):
+        """The re-execute step, given one ledger entry twice on the same
+        spawner, runs the body once: the frame's executed-id set skips
+        the second run."""
+        runs = []
+
+        def _mark(img):
+            runs.append(img.rank)
+            yield from img.compute(1e-6)
+
+        def kernel(img):
+            frame = yield from img.finish_begin()
+            if img.rank == 0:
+                entry = {7: (1, _mark, (), "_mark@1")}
+                spawn.reexecute_lost(frame, entry)
+                spawn.reexecute_lost(frame, entry)
+            yield from img.finish_end()
+
+        m, _ = run_spmd(kernel, 2,
+                        failure_detection=FailureConfig(recover=True))
+        assert runs == [0]
+        assert m.stats["spawn.dedup_skipped"] == 1
+        assert m.stats["spawn.executed"] == 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.apps.randomaccess import RAConfig, ra_kernel
 from repro.apps.uts import TreeParams, UTSConfig, uts_kernel
-from repro.runtime.program import Machine
+from repro.runtime.program import Machine, run_spmd
 from repro.sim.chrometrace import ChromeTracer
 from repro.sim.engine import Simulator
 from repro.sim.tasks import Delay, Task
@@ -132,3 +132,34 @@ class TestTaskIdReproducibility:
         ta = Task(sim_a, worker())
         tb = Task(sim_b, worker())
         assert ta.tid == tb.tid == 1
+
+    def test_ids_in_am_arguments_restart_per_machine(self):
+        # A get's token and an anonymous event's name travel in AM
+        # arguments; drawn from the machine, two identical runs in one
+        # process send identical values.
+        def kernel(img):
+            if img.rank == 0:
+                source = img.machine.coarray_by_name("A").ref(1)
+                yield from img.wait_all([img.copy_async(np.zeros(1), source)])
+
+        def run_once():
+            sent = []
+
+            def setup(machine):
+                machine.coarray("A", (1,))
+                sent.append(machine.make_event().name)
+                request_nb = machine.am.request_nb
+
+                def spy(src, dst, handler, args=(), **kwargs):
+                    if handler == "copy.get_req":
+                        sent.append(args[1])
+                    return request_nb(src, dst, handler, args=args, **kwargs)
+
+                machine.am.request_nb = spy
+
+            run_spmd(kernel, 2, setup=setup)
+            return sent
+
+        first = run_once()
+        assert len(first) == 2
+        assert run_once() == first
