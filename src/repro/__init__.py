@@ -51,6 +51,7 @@ from repro.runtime import (
     run_spmd,
 )
 from repro.core.completion import AsyncOp
+from repro.core.finish import FinishError
 
 __version__ = "1.0.0"
 
@@ -63,6 +64,7 @@ __all__ = [
     "RetryExhaustedError",
     "PeerFailedError",
     "FailureConfig",
+    "FinishError",
     "ImageFailureError",
     "LivenessError",
     "MachineParams",

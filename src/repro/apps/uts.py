@@ -266,7 +266,9 @@ def _push_work(img, blob: bytes) -> Generator[Any, Any, None]:
     machine = img.machine
     st = _state_of(machine, img.rank)
     st.queue.extend(unpack_items(blob))
-    config = machine.scratch["uts.config"]
+    config = machine.scratch.get("uts.config")
+    if config is None:
+        return  # a worker whose main has not started: it does the work
     yield from _process_loop(img, config)
     # Having drained again, retry one random steal and re-arm the
     # lifelines (a served lifeline is consumed by the push, so the image
@@ -302,9 +304,9 @@ def _steal_work(img, thief: int) -> Generator[Any, Any, None]:
     (Fig. 3: the whole steal is two one-way spawns)."""
     machine = img.machine
     st = _state_of(machine, img.rank)
-    config = machine.scratch["uts.config"]
+    config = machine.scratch.get("uts.config")
     machine.stats.incr("uts.steals_attempted")
-    if len(st.queue) > config.share_threshold:
+    if config is not None and len(st.queue) > config.share_threshold:
         chunk = _take_chunk(machine, st, config)
         if chunk:
             machine.stats.incr("uts.steals_successful")

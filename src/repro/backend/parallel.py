@@ -19,10 +19,10 @@ the last progress point; one multiprocessing queue back to the parent):
 - ``("am", src, seq, want_ack, blob)`` — frame: a pickled active message;
 - ``("ack", src, seq)``             — frame: delivery confirmation;
 - ``("shutdown",)``                 — control frame: stop the loop;
-- ``("done", rank, payload)``       — worker → parent: main finished
-  (result or error, plus ``finalize`` extras and the stats snapshot);
-- ``("error", rank, exc)``          — worker → parent: the worker
-  itself failed (bootstrap error, or an AM dispatch raised).
+- ``("done", rank, payload)``       — worker → parent: main returned
+  (its result, ``finalize`` extras and the stats snapshot);
+- ``("error", rank, exc)``          — worker → parent: the first error
+  to leave the worker's bootstrap or run loop (as under the simulator).
 
 A worker that *disappears* (``os.kill``, crash) simply stops being
 alive; the parent's collection loop notices via ``Process.is_alive``
@@ -227,7 +227,6 @@ def _own_ends(rank: int, pipes: list) -> tuple[list, dict]:
 
 def _worker_main(spec: dict) -> None:
     from repro.runtime.program import Machine
-    from repro.sim.tasks import TaskFailed
 
     rank = spec["rank"]
     parent_q = spec["parent_q"]
@@ -248,29 +247,17 @@ def _worker_main(spec: dict) -> None:
         conduit.stop = sched.stop
 
         def report_done(fut) -> None:
-            exc = fut.exception()
+            # After the machine's callback, which ends a failed run.
             finalize = spec["finalize"]
-            extras = None
-            if exc is None and finalize is not None:
-                try:
-                    extras = finalize(machine, rank)
-                except Exception as fexc:  # noqa: BLE001 - shipped to parent
-                    exc = fexc
+            extras = None if finalize is None else finalize(machine, rank)
             stats = machine.stats.as_dict()
             stats["rt.events"] = sched.events_processed
             stats["rt.parked_us"] = int(conduit.parked_s * 1e6)
             stats["conduit.writes"] = conduit.writes
             stats["conduit.frames"] = conduit.frames
-            if exc is None:
-                payload = ("ok", _picklable(fut.result()),
-                           _picklable(extras), stats, sched.now)
-            else:
-                # Ship what the main program raised, not the task
-                # wrapper: only a type and its args survive the pickle.
-                if isinstance(exc, TaskFailed) and exc.__cause__ is not None:
-                    exc = exc.__cause__
-                payload = ("exc", _picklable(exc), None, stats, sched.now)
-            parent_q.put(("done", rank, payload))
+            parent_q.put(("done", rank, (_picklable(fut.result()),
+                                         _picklable(extras), stats,
+                                         sched.now)))
 
         task.done_future.add_done_callback(report_done)
         sched.run()
@@ -353,11 +340,12 @@ class ProcessRunner:
         return the :class:`ParallelRun`.  A worker that dies without
         reporting lands in ``dead_images`` with a ``None`` result.
 
-        The first error a worker reports — its main program raised, or
-        the worker itself failed — ends the run at once: the fleet is
-        terminated and the error raised here, noted with the failing
-        task, instead of its peers waiting out ``timeout`` for a rank
-        that will never reach them."""
+        A worker reports success, or the first error to leave its run
+        loop (as under the simulator).  The first error reported ends
+        the run at once: the fleet is terminated and the error raised
+        here as itself, noted with the rank's main task, instead of its
+        peers waiting out ``timeout`` for a rank that will never reach
+        them."""
         from repro.sim.tasks import with_task_note
 
         run = ParallelRun(self.n_images)
@@ -381,13 +369,10 @@ class ProcessRunner:
                 continue
             tag, rank = item[0], item[1]
             pending.discard(rank)
-            if tag == "error" or item[2][0] != "ok":
-                error = item[2] if tag == "error" else item[2][1]
+            if tag == "error":
                 self._abort()
-                if not isinstance(error, BaseException):
-                    error = RuntimeError(str(error))
-                raise with_task_note(error, f"main@{rank}")
-            _ok, result, extras, stats, worker_now = item[2]
+                raise with_task_note(item[2], f"main@{rank}")
+            result, extras, stats, worker_now = item[2]
             run.worker_now[rank] = worker_now
             for key, value in stats.items():
                 stats_sum[key] = stats_sum.get(key, 0) + value

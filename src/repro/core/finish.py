@@ -113,6 +113,23 @@ class FinishUsageError(RuntimeError):
     """Structural misuse of finish (mismatched end, bad team nesting...)."""
 
 
+class FinishError(RuntimeError):
+    """Shipped functions raised on the image whose ``end finish``, their
+    exception boundary, raises this (X10's rooted exception model):
+    ``errors`` lists each ``(function@image, exception)``, the first is
+    the ``__cause__``, and the arguments carry both across a pickle."""
+
+    def __init__(self, key: tuple, errors: list):
+        super().__init__(key, errors)
+        self.key = key
+        self.errors = errors
+        self.__cause__ = errors[0][1]
+
+    def __str__(self) -> str:
+        return f"finish{self.key}: " + "; ".join(
+            f"{name} raised {exc!r}" for name, exc in self.errors)
+
+
 class Epoch:
     """Four counters of Fig. 7's ``epoch`` structure."""
 
@@ -157,7 +174,7 @@ class FinishFrame:
                  "odd", "present", "gen", "contributed", "cond", "rounds",
                  "sent_to", "delivered_to", "received_from",
                  "completed_from", "reconciled", "_reconcile_stamps",
-                 "ledger", "executed")
+                 "ledger", "executed", "errors")
 
     def __init__(self, machine, world_rank: int, team: Team, seq: int):
         self.machine = machine
@@ -200,6 +217,8 @@ class FinishFrame:
         #: image executed in the block, so none runs twice.
         self.ledger: Optional[dict[int, tuple]] = None
         self.executed: Optional[set[int]] = None
+        #: what ``end finish`` raises: see :class:`FinishError`
+        self.errors: Optional[list[tuple]] = None
         failure = getattr(machine, "failure", None)
         if failure is not None:
             self.reconciled |= failure.confirmed
@@ -706,6 +725,9 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
     (none), ``"four_counter"`` (Mattern/AM++), ``"vector_count"``
     (X10-style), or ``"barrier"`` (the *incorrect* naive scheme of
     Fig. 5, kept for demonstration).
+
+    Once the block has terminated here, a shipped function that raised
+    on this image in it makes this raise :class:`FinishError`.
     """
     from repro.core import termination
 
@@ -726,4 +748,6 @@ def finish_end(ctx, detector: str = "epoch") -> Generator[Any, Any, int]:
         ctx.machine.racecheck.finish_exit(ctx, frame.key)
     ctx.machine.stats.incr("finish.completed")
     ctx.machine.stats.incr("finish.rounds_total", rounds)
+    if frame.errors:
+        raise FinishError(frame.key, frame.errors)
     return rounds

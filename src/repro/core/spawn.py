@@ -150,6 +150,12 @@ def handle_exec(machine, ctx, fn, args, event_ref, rc_vc, spawn_id, key,
             yield from fn(image, *args)
         else:
             machine.stats.incr("spawn.dedup_skipped")
+    except Exception as exc:
+        if frame is None:
+            # No finish governs it: its failure ends the run at once.
+            machine.sim.call_soon(machine.fail, image.name, exc)
+        else:
+            frame.errors = [*(frame.errors or ()), (image.name, exc)]
     finally:
         if racecheck is not None:
             # Publish the body's final clock before the completion

@@ -21,13 +21,14 @@ clock, statistics and busy-time accounting the benchmark harness reads.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.engine import LivenessError, Simulator
 from repro.sim.rng import RngPool
-from repro.sim.tasks import Task, TaskFailed, with_task_note
+from repro.sim.tasks import Task, with_task_note
 from repro.sim.trace import IntervalAccumulator, Stats
 from repro.net.faults import FaultPlan
 from repro.net.topology import MachineParams
@@ -181,7 +182,6 @@ class Machine:
                       if isinstance(failure_detection, FailureConfig)
                       else FailureConfig())
             self.failure = FailureService(self, config)
-        self._failure_started = False
         # Crash scripts: scheduled kills and send-count triggers.  Fault
         # *menus* (crash_choice / partition_choice) resolve against the
         # schedule source first, so crash and partition timing live in
@@ -514,29 +514,39 @@ class Machine:
             img = Image(self, rank, name=f"main@{rank}")
             tasks.append(Task(self.sim, kernel(img, *args),
                               name=f"main@{rank}", owner=rank))
+        if self.failure is not None and not self._main_tasks:
+            self.failure.start()
         self._main_tasks.extend(tasks)
-        if self.failure is not None:
-            if not self._failure_started:
-                self._failure_started = True
-                self.failure.start()
-            for t in tasks:
-                t.done_future.add_done_callback(
-                    lambda _f: self.failure.check_stop())
+        for t in tasks:
+            t.done_future.add_done_callback(partial(self._main_done, t.name))
         return tasks
 
-    def _liveness_check(self, sim: Simulator) -> None:
-        """Drain hook: distinguish *quiescence without completion* caused
-        by message loss from an application-level deadlock.
+    def _main_done(self, name: str, fut) -> None:
+        """Done-callback of every main program, on both backends: the
+        one way a run fails.  A main that raised ends the run at once:
+        its own exception (the engine's TaskFailed wrapper dropped)
+        leaves the event loop from here."""
+        if fut.exception() is not None:
+            self.fail(name, fut.exception().__cause__)
+        if self.failure is not None:
+            self.failure.check_stop()
 
-        Runs every time the event queue drains.  When main programs are
-        still blocked and the network has demonstrably lost traffic, the
-        stall is the fault injector's doing — raise a
-        :class:`~repro.sim.engine.LivenessError` carrying counter
-        snapshots.  With no fault evidence we stay silent and let
-        :meth:`run` raise its usual :class:`DeadlockError`, and a failed
-        image keeps surfacing its own exception as the root cause."""
-        blocked = self._blocked_mains()
-        if not blocked or self._failed_main() is not None:
+    @staticmethod
+    def fail(name: str, exc: BaseException) -> None:
+        """Raise ``exc`` noted with ``name``, the activation it escaped
+        from: the event that calls this ends the run."""
+        raise with_task_note(exc, name)
+
+    def _liveness_check(self, sim: Simulator) -> None:
+        """Drain hook, the one place that decides what a drained run
+        with main programs blocked on live images means: a crash wedged
+        them (:class:`~repro.runtime.failure.ImageFailureError`), lost
+        traffic stalled them (:class:`~repro.sim.engine.LivenessError`
+        with counter snapshots), or, with no fault evidence, an
+        application deadlock (:class:`DeadlockError`)."""
+        blocked = [t.name for t in self._main_tasks if not
+                   t.done_future.done and t.owner not in self.dead_images]
+        if not blocked:
             return
         if self.dead_images:
             # Crashed image wedged its survivors (no failure detector, or
@@ -546,60 +556,25 @@ class Machine:
             raise build_failure_error(
                 self, reason="image crash wedged surviving images")
         if self.stats["net.drops"] == 0 and self.stats["net.ack_drops"] == 0:
-            return
+            raise DeadlockError(
+                f"simulation drained with blocked main programs: {blocked} "
+                f"(t={self.sim.now:.6f}s)")
         from repro.core.finish import stall_report
 
         raise LivenessError(stall_report(self, blocked))
 
-    def _blocked_mains(self) -> list[str]:
-        """Names of the main programs still running on a live image."""
-        dead = self.dead_images
-        return [t.name for t in self._main_tasks
-                if not t.done_future.done
-                and (t.owner is None or t.owner not in dead)]
-
-    def _failed_main(self) -> Optional[Task]:
-        """The first main program, in rank order, that raised."""
-        for t in self._main_tasks:
-            if t.done_future.done and t.done_future.exception():
-                return t
-        return None
-
-    @staticmethod
-    def _failure(task: Task) -> BaseException:
-        """What a failed main program raised, as it raised it (the
-        engine's TaskFailed wrapper dropped, as a process run drops it),
-        with a note naming the task."""
-        exc = task.done_future.exception()
-        if isinstance(exc, TaskFailed) and exc.__cause__ is not None:
-            exc = exc.__cause__
-        return with_task_note(exc, task.name)
-
     def run(self, max_events: Optional[int] = None) -> list[Any]:
         """Run the simulation to completion and return the main-program
-        results in rank order.  A main program that raised re-raises
-        its own exception (noted with the task's name); otherwise raises
-        :class:`DeadlockError` with the blocked ranks if the machine
-        wedges, or lets the liveness watchdog's
-        :class:`~repro.sim.engine.LivenessError` propagate when injected
-        faults stalled the workload."""
+        results in rank order.  The first error ends the run and
+        propagates: a main program's own exception (noted with the
+        task's name, see :meth:`_main_done`), or the drain hook's
+        verdict on blocked mains (:meth:`_liveness_check`)."""
         if self.remote_ranks:
             raise RuntimeError(
                 "Machine.run drives a machine that hosts every rank; a "
                 "worker of a multi-process run is driven by "
                 "repro.backend.parallel")
         self.sim.run(max_events=max_events)
-        # A failed image often wedges its peers (they wait for its
-        # collectives); surface the root cause, not the symptom.
-        failed = self._failed_main()
-        if failed is not None:
-            raise self._failure(failed)
-        blocked = self._blocked_mains()
-        if blocked:
-            raise DeadlockError(
-                f"simulation drained with blocked main programs: {blocked} "
-                f"(t={self.sim.now:.6f}s)"
-            )
         # A main that completed before its image crashed still has a
         # result; only mains the crash interrupted report None.
         return [t.done_future.result() if t.done_future.done else None
@@ -634,6 +609,11 @@ def run_spmd(kernel: Callable, n_images: int,
     ``finalize(machine, rank)`` probes each rank once the run is over,
     where that rank's machine lives; the values land in ``run.extras``
     in rank order.
+
+    On either backend the first error ends the run and is raised here
+    as itself, noted with its task (``task 'main@1' failed``); shipped
+    functions that raised inside a ``finish`` raise a
+    :class:`~repro.core.finish.FinishError` from its ``end finish``.
 
     ``backend`` selects the execution substrate: ``"sim"`` (default)
     runs every image on the deterministic simulator and returns the

@@ -9,8 +9,6 @@ live worker process, no extra coordinator thread.
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
 
 import pytest
@@ -20,14 +18,6 @@ from repro.backend.parallel import ParallelTimeoutError, ProcessRunner
 from repro.backend.wire import WireError
 
 pytestmark = pytest.mark.parallel
-
-
-@pytest.fixture
-def leaves_nothing_behind():
-    threads = threading.active_count()
-    yield
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
 
 
 def _remote(img, fn):

@@ -1,9 +1,11 @@
 """Tests for the finish construct (paper §III-A)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.finish import Epoch, FinishUsageError
+from repro.core.finish import Epoch, FinishError, FinishUsageError
 from repro.sim.tasks import TaskFailed
 
 
@@ -30,6 +32,46 @@ class TestEpoch:
         a.fold_from(b)
         assert (a.sent, a.delivered, a.received, a.completed) == (11, 2, 3, 4)
         assert (b.sent, b.delivered, b.received, b.completed) == (0, 0, 0, 0)
+
+
+class TestFinishError:
+    def test_end_finish_raises_every_failure_on_its_image(self, spmd):
+        """Each image's ``end finish`` raises what its shipped functions
+        raised there, in order, the first as the cause; the run ends
+        with the first such error."""
+
+        def bad(img, i):
+            yield from img.compute(1e-6 * (i + 1))
+            raise KeyError(i)
+
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 0:
+                for i in range(2):
+                    yield from img.spawn(bad, 1, i)
+            yield from img.finish_end()
+
+        with pytest.raises(FinishError, match="main@1") as caught:
+            spmd(kernel, n=3)
+        err = caught.value
+        assert err.key == (0, 0)
+        assert [(name, exc.args) for name, exc in err.errors] == [
+            ("bad@1", (0,)), ("bad@1", (1,))]
+        assert err.__cause__ is err.errors[0][1]
+
+    def test_crosses_a_pickle_as_itself(self):
+        """The process wire pickles it: a cause does not survive that,
+        so the arguments carry every name and exception."""
+        err = FinishError((0, 3), [("f@1", ValueError("v")),
+                                   ("g@1", KeyError("k"))])
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is FinishError
+        assert str(back) == str(err) == (
+            "finish(0, 3): f@1 raised ValueError('v'); "
+            "g@1 raised KeyError('k')")
+        assert [(name, type(exc), exc.args) for name, exc in back.errors] == [
+            ("f@1", ValueError, ("v",)), ("g@1", KeyError, ("k",))]
+        assert isinstance(back.__cause__, ValueError)
 
 
 class TestBasicFinish:

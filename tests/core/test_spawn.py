@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.spawn import payload_size, SPAWN_HEADER_BYTES, REF_BYTES
 from repro.net.active_messages import AMSizeError
+from repro.runtime.program import Machine
 from repro.sim.tasks import TaskFailed
 
 
@@ -108,6 +109,30 @@ class TestExecution:
         _m, results = spmd(kernel, n=2, setup=setup)
         # wait covers ship + 5us execution + notify hop
         assert results[0] > 5e-6
+
+    def test_failure_outside_any_finish_ends_the_run_at_once(self):
+        """No finish governs an explicitly completed function: its
+        exception ends the run as a main program's does, noted with
+        the function's activation, long before image 1's main returns."""
+
+        def remote(img):
+            yield from img.compute(1e-6)
+            raise ValueError("explicitly completed bug")
+
+        def kernel(img):
+            ev = img.machine.event_by_name("done")
+            if img.rank == 0:
+                yield from img.spawn(remote, 1, event=ev)
+                yield from img.event_wait(ev)
+            else:
+                yield from img.compute(1.0)
+
+        machine = Machine(2)
+        machine.make_event(name="done")
+        machine.launch(kernel)
+        with pytest.raises(ValueError, match="remote@1"):
+            machine.run()
+        assert machine.sim.now < 1e-3
 
     def test_transitive_spawn_chain_runs_everywhere(self, spmd):
         visits = []

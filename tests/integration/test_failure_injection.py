@@ -4,13 +4,32 @@ misbehaves or the network is hostile."""
 import numpy as np
 import pytest
 
-from repro import MachineParams, run_spmd
+from repro import FinishError, Machine, MachineParams, run_spmd
+from repro.net.active_messages import AMSizeError
+
+
+def _finish_error(kernel, n):
+    """Run ``kernel`` on ``n`` images, expecting its shipped functions
+    to fail it: the block must still have terminated with balanced
+    counters (the images' sent, received and completed sum alike) before
+    ``end finish`` raised the :class:`FinishError`, noted ``main@1``."""
+    machine = Machine(n)
+    machine.launch(kernel)
+    with pytest.raises(FinishError, match="main@1") as caught:
+        machine.run(max_events=2_000_000)
+    frames = machine._frames.values()
+    sent = sum(f.c_sent for f in frames)
+    assert sent == sum(f.c_delivered for f in frames)
+    assert sent == sum(f.c_received for f in frames)
+    assert sent == sum(f.c_completed for f in frames)
+    assert machine.stats["finish.completed"] >= 1
+    return machine, caught.value
 
 
 class TestFailingShippedFunctions:
-    def test_finish_terminates_when_shipped_function_raises(self, spmd):
-        """A crashing shipped function still counts as completed (its
-        failure is its own problem) — finish must not hang."""
+    def test_finish_terminates_when_shipped_function_raises(self):
+        """A crashing shipped function still counts as completed, so
+        finish terminates; then its ``end finish`` raises the failure."""
 
         def bomb(img):
             yield from img.compute(1e-6)
@@ -23,10 +42,11 @@ class TestFailingShippedFunctions:
             rounds = yield from img.finish_end()
             return rounds
 
-        _m, results = spmd(kernel, n=3)
-        assert all(r >= 1 for r in results)
+        _m, err = _finish_error(kernel, 3)
+        assert [name for name, _exc in err.errors] == ["bomb@1"]
+        assert isinstance(err.__cause__, RuntimeError)
 
-    def test_crash_in_chain_does_not_orphan_counters(self, spmd):
+    def test_crash_in_chain_does_not_orphan_counters(self):
         """A crash mid-chain: work spawned before the raise completes,
         work after it never starts, finish still terminates."""
         done = []
@@ -47,10 +67,12 @@ class TestFailingShippedFunctions:
             yield from img.finish_end()
             return list(done)
 
-        _m, results = spmd(kernel, n=3)
-        assert results[0] == [0]
+        _m, err = _finish_error(kernel, 3)
+        assert done == [0]
+        assert [name for name, _exc in err.errors] == ["middle@1"]
+        assert isinstance(err.__cause__, ValueError)
 
-    def test_refused_spawn_leaves_finish_balanced(self, spmd):
+    def test_refused_spawn_leaves_finish_balanced(self):
         """A spawn whose argument is over ``am_medium_max`` is refused
         before it leaves (``AMSizeError`` in the shipped function that
         made it): its send must not stay counted, or the frame never
@@ -69,10 +91,11 @@ class TestFailingShippedFunctions:
                 yield from img.spawn(shipper, 1)
             return (yield from img.finish_end())
 
-        machine, results = spmd(kernel, n=2)
-        assert all(r >= 1 for r in results)
+        machine, err = _finish_error(kernel, 2)
         assert machine.stats["finish.sends_failed"] == 1
         assert machine.stats["spawn.executed"] == 1
+        assert [name for name, _exc in err.errors] == ["shipper@1"]
+        assert isinstance(err.__cause__, AMSizeError)
 
     def test_main_kernel_exception_is_not_swallowed(self, spmd):
         def kernel(img):

@@ -116,6 +116,23 @@ class TestDetectorShutdown:
         assert results == [0, 1, 2, 3]
         assert m.stats["fail.detectors"] == 4
 
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_a_main_that_raises_ends_the_run_at_once(self, recover):
+        """Heartbeats keep the event queue busy, so no drain ever comes:
+        the main's own exception must end the run by itself, well inside
+        a budget the heartbeats alone would exhaust."""
+
+        def kernel(img):
+            yield from img.finish_begin()
+            yield from img.compute(1e-6)
+            if img.rank == 0:
+                raise TypeError("rank 0 bug")
+            yield from img.finish_end()
+
+        with pytest.raises(TypeError, match="main@0"):
+            run_spmd(kernel, 2, max_events=5_000,
+                     failure_detection=FailureConfig(recover=recover))
+
     def test_detectors_die_with_their_image(self):
         """The dead image's own detector is killed by the crash; only
         survivors keep heartbeating (3 targets per round, not 4)."""
