@@ -26,11 +26,7 @@ from repro.net.faults import (
     Partition,
     Straggler,
 )
-from repro.net.topology import (
-    MachineParams,
-    UniformTopology,
-    HierarchicalTopology,
-)
+from repro.net.topology import MachineParams
 from repro.net.transport import PeerFailedError, RetryExhaustedError
 from repro.sim.engine import LivenessError
 from repro.runtime import (
@@ -68,8 +64,6 @@ __all__ = [
     "ImageFailureError",
     "LivenessError",
     "MachineParams",
-    "UniformTopology",
-    "HierarchicalTopology",
     "ANY",
     "READ",
     "WRITE",

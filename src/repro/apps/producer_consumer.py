@@ -31,6 +31,8 @@ VARIANTS = ("cofence", "events", "finish")
 COPY_BYTES = 80
 #: destinations per round (paper: 5)
 FANOUT = 5
+#: simulated cost of producing the next round's buffer, seconds
+PRODUCE_COST = 1.0e-6
 
 
 @dataclass
@@ -39,8 +41,6 @@ class PCConfig:
 
     iterations: int = 200
     variant: str = "cofence"
-    #: simulated cost of producing the next round's buffer
-    produce_cost: float = 1.0e-6
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -90,7 +90,7 @@ def pc_kernel(img, config: PCConfig) -> Generator[Any, Any, float]:
             # legal because the chosen synchronization guaranteed at
             # least local data completion.  The instrumented write is how
             # the race detector checks exactly that.
-            yield from img.compute(config.produce_cost)
+            yield from img.compute(PRODUCE_COST)
             img.local_write(src, (src + 1) % 251)
     yield from img.finish_end()
     return img.now

@@ -123,18 +123,8 @@ class UTSConfig:
     tree: TreeParams = field(default_factory=TreeParams)
     #: simulated CPU seconds to process one node (hash + bookkeeping)
     node_cost: float = 2.0e-6
-    #: queue length below which an image will not give work away
-    share_threshold: int = 4
     #: levels image 0 expands before the initial distribution
     init_sharing_depth: int = 2
-    #: failed steal attempts before quiescing into lifelines (paper: 1)
-    steal_attempts: int = 1
-    #: exponential-backoff ceiling on consecutive steal rounds skipped by
-    #: an image whose previous steals came back empty (1, 2, 4, ... cap).
-    #: An idle image in a work-starved phase otherwise re-steals on every
-    #: lifeline push it receives, flooding victims with fruitless
-    #: ``_steal_work`` shipments at scale.
-    steal_backoff_cap: int = 64
     #: termination detector for the enclosing finish (Fig. 18 compares
     #: "epoch" against "wave_unbounded")
     detector: str = "epoch"
@@ -183,6 +173,15 @@ class _UTSState:
 
 #: packed wire bytes per work item (20-byte digest + 4-byte depth)
 ITEM_BYTES = DESCRIPTOR_BYTES + 4
+
+#: queue length at or below which an image will not give work away
+SHARE_THRESHOLD = 4
+#: exponential-backoff ceiling on consecutive steal rounds skipped by an
+#: image whose previous steals came back empty (1, 2, 4, ... cap).  An
+#: idle image in a work-starved phase otherwise re-steals on every
+#: lifeline push it receives, flooding victims with fruitless
+#: ``_steal_work`` shipments at scale.
+STEAL_BACKOFF_CAP = 64
 
 
 def chunk_limit(machine) -> int:
@@ -240,9 +239,9 @@ def _process_loop(img, config: UTSConfig) -> Generator[Any, Any, None]:
             st.queue.extend(expand(desc, depth, config.tree))
             # Fig. 15 lines 7-11: if someone needs work, push them some.
             while (st.lifelines_in
-                   and len(st.queue) > config.share_threshold):
+                   and len(st.queue) > SHARE_THRESHOLD):
                 target = st.lifelines_in.popleft()
-                chunk = _take_chunk(machine, st, config)
+                chunk = _take_chunk(machine, st)
                 if not chunk:
                     st.lifelines_in.appendleft(target)
                     break
@@ -252,11 +251,11 @@ def _process_loop(img, config: UTSConfig) -> Generator[Any, Any, None]:
         st.processing = False
 
 
-def _take_chunk(machine, st: _UTSState, config: UTSConfig) -> list:
+def _take_chunk(machine, st: _UTSState) -> list:
     """Reserve up to a medium-AM's worth of work from the queue bottom
     (oldest nodes root the largest subtrees)."""
     give = min(chunk_limit(machine),
-               max(0, len(st.queue) - config.share_threshold // 2))
+               max(0, len(st.queue) - SHARE_THRESHOLD // 2))
     chunk, st.queue[:give] = st.queue[:give], []
     return chunk
 
@@ -279,7 +278,7 @@ def _push_work(img, blob: bytes) -> Generator[Any, Any, None]:
             st.steal_skip -= 1
             machine.stats.incr("uts.steals_skipped")
         else:
-            yield from _attempt_steals(img, config)
+            yield from _attempt_steal(img)
         st.lifelines_set = False
         yield from _establish_lifelines(img)
 
@@ -304,10 +303,10 @@ def _steal_work(img, thief: int) -> Generator[Any, Any, None]:
     (Fig. 3: the whole steal is two one-way spawns)."""
     machine = img.machine
     st = _state_of(machine, img.rank)
-    config = machine.scratch.get("uts.config")
     machine.stats.incr("uts.steals_attempted")
-    if config is not None and len(st.queue) > config.share_threshold:
-        chunk = _take_chunk(machine, st, config)
+    if (machine.scratch.get("uts.config") is not None
+            and len(st.queue) > SHARE_THRESHOLD):
+        chunk = _take_chunk(machine, st)
         if chunk:
             machine.stats.incr("uts.steals_successful")
             yield from img.spawn(_steal_reply, thief, pack_items(chunk))
@@ -323,21 +322,22 @@ def _set_lifeline(img, waiter: int) -> Generator[Any, Any, None]:
     yield from img.compute(1e-7)
 
 
-def _attempt_steals(img, config: UTSConfig) -> Generator[Any, Any, None]:
+def _attempt_steal(img) -> Generator[Any, Any, None]:
+    """Ship one steal to a random victim (the paper's single attempt
+    before quiescing into lifelines)."""
     st = _state_of(img.machine, img.rank)
     if st.steal_pending:
         # The previous round is still unanswered — it found nothing (a
         # successful steal would have reset this flag).  Back off
         # exponentially before the round we are about to send.
         st.steal_fails += 1
-        st.steal_skip = min(1 << st.steal_fails, config.steal_backoff_cap)
-    for _ in range(config.steal_attempts):
-        victim = int(img.rng.integers(0, img.nimages))
-        if victim == img.team_rank():
-            victim = (victim + 1) % img.nimages
-        if img.nimages > 1:
-            yield from img.spawn(_steal_work, victim, img.team_rank())
-            st.steal_pending = True
+        st.steal_skip = min(1 << st.steal_fails, STEAL_BACKOFF_CAP)
+    victim = int(img.rng.integers(0, img.nimages))
+    if victim == img.team_rank():
+        victim = (victim + 1) % img.nimages
+    if img.nimages > 1:
+        yield from img.spawn(_steal_work, victim, img.team_rank())
+        st.steal_pending = True
 
 
 def _establish_lifelines(img) -> Generator[Any, Any, None]:
@@ -383,7 +383,7 @@ def uts_kernel(img, config: UTSConfig) -> Generator[Any, Any, int]:
 
     yield from _process_loop(img, config)
     # Fig. 15 lines 13-20: steal once, then set up lifelines.
-    yield from _attempt_steals(img, config)
+    yield from _attempt_steal(img)
     yield from _establish_lifelines(img)
     rounds = yield from img.finish_end(detector=config.detector)
 

@@ -28,7 +28,6 @@ from repro.explore.strategies import (
 from repro.explore.explorer import (
     ExplorationReport,
     Explorer,
-    Finding,
     RunOutcome,
     check_replay_determinism,
     make_spmd_target,
@@ -41,7 +40,6 @@ __all__ = [
     "DefaultSource",
     "ExplorationReport",
     "Explorer",
-    "Finding",
     "PCTSource",
     "PCTStrategy",
     "RandomWalkSource",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.sim.engine import LivenessError, SimulationError
@@ -37,7 +37,6 @@ from repro.explore.schedule import (
 __all__ = [
     "Explorer",
     "ExplorationReport",
-    "Finding",
     "RunOutcome",
     "check_replay_determinism",
     "make_spmd_target",
@@ -168,43 +167,6 @@ def make_spmd_target(kernel: Callable, n_images: int, *,
 
 
 @dataclass
-class Finding:
-    """One distinct failure a search produced: the failing schedule,
-    its outcome, the minimized reproduction, and the dedup identity
-    ``(kind, fingerprint)`` — the outcome kind plus the choice-tree
-    fingerprint of the *minimized* schedule, so two runs that shrink to
-    the same essential core count as one finding."""
-
-    schedule: Schedule
-    outcome: RunOutcome
-    minimized: Optional[Schedule] = None
-    found_at: Optional[int] = None
-
-    @property
-    def kind(self) -> str:
-        return self.outcome.kind
-
-    @property
-    def fingerprint(self) -> str:
-        return (self.minimized or self.schedule).fingerprint()
-
-    @property
-    def identity(self) -> tuple:
-        return (self.kind, self.fingerprint)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "found_at": self.found_at,
-            "outcome": self.outcome.to_json(),
-            "schedule_len": len(self.schedule),
-            "minimized_len": (len(self.minimized)
-                              if self.minimized else None),
-        }
-
-
-@dataclass
 class ExplorationReport:
     """What one strategy's search produced."""
 
@@ -215,7 +177,6 @@ class ExplorationReport:
     schedule: Optional[Schedule] = None     # first failing schedule
     outcome: Optional[RunOutcome] = None
     minimized: Optional[Schedule] = None
-    findings: List[Finding] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -229,7 +190,6 @@ class ExplorationReport:
                               if self.minimized else None),
             "minimized_nonzero": (self.minimized.nonzero_choices()
                                   if self.minimized else None),
-            "findings": [f.to_json() for f in self.findings],
         }
 
 
@@ -243,28 +203,13 @@ class Explorer:
         self.minimize = minimize
         self.minimize_budget = minimize_budget
 
-    def run_strategy(self, strategy, stop_on_first: bool = True,
-                     max_findings: Optional[int] = None
-                     ) -> ExplorationReport:
-        """Run up to ``budget`` schedules from ``strategy``.
-
-        With ``stop_on_first=True`` (default) the search stops at the
-        first failure, minimizing it if configured.  With
-        ``stop_on_first=False`` it keeps exploring, collecting every
-        *distinct* failure — deduped by :attr:`Finding.identity`, i.e.
-        outcome kind plus the minimized schedule's choice-tree
-        fingerprint — until the budget, the strategy, or
-        ``max_findings`` runs out.  The service loop uses this mode to
-        harvest several bugs from one sweep.
-        """
+    def run_strategy(self, strategy) -> ExplorationReport:
+        """Run up to ``budget`` schedules from ``strategy``, stopping at
+        the first failure and minimizing it if configured."""
         name = getattr(strategy, "name", type(strategy).__name__)
         runs = 0
-        findings: List[Finding] = []
-        seen_identities: set = set()
         for i in range(self.budget):
             if strategy.exhausted:
-                break
-            if max_findings is not None and len(findings) >= max_findings:
                 break
             inner = strategy.begin_run(i)
             recorder = RecordingSource(inner)
@@ -285,21 +230,10 @@ class Explorer:
             if self.minimize:
                 minimized = minimize_schedule(
                     self.target, schedule, budget=self.minimize_budget)
-            finding = Finding(schedule=schedule, outcome=outcome,
-                              minimized=minimized, found_at=i)
-            if finding.identity in seen_identities:
-                continue
-            seen_identities.add(finding.identity)
-            findings.append(finding)
-            if stop_on_first:
-                break
-        if findings:
-            first = findings[0]
             return ExplorationReport(
                 strategy=name, schedules_run=runs, found=True,
-                found_at=first.found_at, schedule=first.schedule,
-                outcome=first.outcome, minimized=first.minimized,
-                findings=findings,
+                found_at=i, schedule=schedule, outcome=outcome,
+                minimized=minimized,
             )
         return ExplorationReport(
             strategy=name, schedules_run=runs, found=False,

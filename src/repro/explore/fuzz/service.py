@@ -9,8 +9,8 @@ any claim by replaying the artifact.
 
 The fuzz loop per run:
 
-1. pick an input — a *seed run* from the configured strategy
-   (RandomWalk or PCT) while the corpus warms up, afterwards mostly a
+1. pick an input — a *seed run* from a random walk while the corpus
+   warms up (the first ``_SEED_RUNS`` runs), afterwards mostly a
    *mutation* of a corpus entry (rarity-weighted parent selection,
    :mod:`mutate` operators, directed fault-menu bumps toward untried
    alternatives);
@@ -23,8 +23,9 @@ The fuzz loop per run:
    every fault context gets its obvious channel-wide lag pushes tried
    immediately instead of waiting on random mutator luck;
 4. failures are queued; the parent minimizes (ddmin), strictly
-   re-verifies replay determinism, dedups by (kind, minimized
-   fingerprint) and writes each survivor to the findings directory.
+   re-verifies replay determinism (``_VERIFY_REPLAYS`` replays), dedups
+   by (kind, minimized fingerprint) and writes each survivor to the
+   findings directory.
 
 ``workers=0`` runs the same loop inline — single process, fully
 deterministic for a given seed — which is what the acceptance tests
@@ -54,13 +55,20 @@ from repro.explore.schedule import (
     ReplaySource,
     Schedule,
 )
-from repro.explore.strategies import PCTStrategy, RandomWalkStrategy
+from repro.explore.strategies import RandomWalkStrategy
 from repro.explore.fuzz.corpus import Corpus, CorpusEntry, FindingStore
 from repro.explore.fuzz.coverage import CoverageMap, features
 from repro.explore.fuzz.mutate import mutate_records
 
 __all__ = ["FuzzConfig", "FuzzFinding", "FuzzReport", "FuzzService",
            "TargetSpec"]
+
+#: random-walk runs before the loop starts mutating the corpus
+_SEED_RUNS = 8
+#: share of post-warm-up runs that mutate a corpus entry
+_MUTATION_BIAS = 0.8
+#: strict replays a minimized failure must pass to count as verified
+_VERIFY_REPLAYS = 2
 
 
 @dataclass
@@ -104,13 +112,9 @@ class FuzzConfig:
     budget: int = 2000
     workers: int = 0
     seed: int = 0
-    seed_runs: int = 8            # strategy-driven runs before mutating
-    mutation_bias: float = 0.8
-    seed_strategy: str = "random-walk"   # or "pct"
     max_findings: Optional[int] = None
     minimize_budget: int = 300
     sync_every: int = 50          # per-worker schedules per round
-    verify_replays: int = 2
     lag_steps: int = DEFAULT_LAG_STEPS
     lag_slack: float = DEFAULT_LAG_SLACK
 
@@ -169,17 +173,6 @@ class FuzzReport:
                 "schedules_per_sec": round(self.schedules_per_sec, 1)}
 
 
-def _make_strategy(name: str, seed: int, lag_steps: int,
-                   lag_slack: float):
-    if name == "pct":
-        return PCTStrategy(seed=seed, lag_steps=lag_steps,
-                           lag_slack=lag_slack)
-    if name == "random-walk":
-        return RandomWalkStrategy(seed=seed, lag_steps=lag_steps,
-                                  lag_slack=lag_slack)
-    raise ValueError(f"unknown seed strategy {name!r}")
-
-
 def _pick_parent(corpus: Corpus, coverage: CoverageMap,
                  rng: random.Random) -> CorpusEntry:
     """Rarity-weighted parent selection over the (sorted) corpus."""
@@ -233,8 +226,8 @@ def _fuzz_segment(target: Callable, config: FuzzConfig,
                                   lag_steps=config.lag_steps,
                                   lag_slack=config.lag_slack)
             label = "burst"
-        elif (len(corpus) > 0 and run_index >= config.seed_runs
-                and rng.random() < config.mutation_bias):
+        elif (len(corpus) > 0 and run_index >= _SEED_RUNS
+                and rng.random() < _MUTATION_BIAS):
             parent = _pick_parent(corpus, snapshot, rng)
             untried = snapshot.fault_untried(parent.schedule.records)
             records = mutate_records(parent.schedule.records, rng,
@@ -281,9 +274,9 @@ def _pool_worker(payload: dict) -> dict:
     for doc in payload["corpus"]:
         corpus.add(Schedule.from_json(doc))
     rng = random.Random(payload["rng_seed"])
-    strategy = _make_strategy(config.seed_strategy,
-                              payload["strategy_seed"],
-                              config.lag_steps, config.lag_slack)
+    strategy = RandomWalkStrategy(seed=payload["strategy_seed"],
+                                  lag_steps=config.lag_steps,
+                                  lag_slack=config.lag_slack)
     result = _fuzz_segment(
         target, config, snapshot, corpus, rng, strategy,
         payload["budget"], payload["run_index_start"],
@@ -340,7 +333,7 @@ class FuzzService:
         minimized = minimize_schedule(target, schedule,
                                       budget=self.config.minimize_budget)
         verified = check_replay_determinism(
-            target, minimized, times=self.config.verify_replays)
+            target, minimized, times=_VERIFY_REPLAYS)
         if not verified:
             # A finding that does not replay deterministically would
             # poison the findings directory; record it unverified but
@@ -370,8 +363,9 @@ class FuzzService:
 
         if cfg.workers <= 0:
             rng = random.Random(cfg.seed * 1_000_003 + 1)
-            strategy = _make_strategy(cfg.seed_strategy, cfg.seed,
-                                      cfg.lag_steps, cfg.lag_slack)
+            strategy = RandomWalkStrategy(seed=cfg.seed,
+                                          lag_steps=cfg.lag_steps,
+                                          lag_slack=cfg.lag_slack)
             pending: List[List] = []
             while total_runs < cfg.budget:
                 if (cfg.max_findings is not None

@@ -227,8 +227,7 @@ def _fig14(cores, bunch_sizes, updates_per_image) -> dict:
         by_cores = results[label] = {}
         for n in cores:
             params = MachineParams.uniform(
-                n, flow_credits=credits, flow_credit_scope="source",
-                flow_stall_penalty=1.2e-7, ack_latency_factor=2.0)
+                n, flow_credits=credits, ack_latency_factor=2.0)
             by_cores[n] = {
                 bunch: run_randomaccess(n, RAConfig(
                     variant="function-shipping",
@@ -783,8 +782,7 @@ EXPERIMENTS["crash"] = Experiment(
 # Gray failures — phi-accrual vs fixed-timeout detection (DESIGN §12)
 # --------------------------------------------------------------------- #
 
-_GRAYFAIL = dict(period=2e-5, timeout=5e-5, confirm_timeout=1e-3,
-                 phi_suspect=12.0)
+_GRAYFAIL = dict(period=2e-5, timeout=5e-5, confirm_timeout=1e-3)
 _STRAGGLE = 12.0
 
 

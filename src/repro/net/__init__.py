@@ -2,8 +2,8 @@
 
 Layers, bottom to top:
 
-- :mod:`repro.net.topology` — where latency comes from (uniform and
-  node-hierarchical models) and the LogGP-flavoured machine parameters;
+- :mod:`repro.net.topology` — the LogGP-flavoured machine parameters
+  (one wire latency between images, a cheaper one to oneself);
 - :mod:`repro.net.transport` — NICs with serialized injection, message
   delivery, optional delivery acknowledgments and jitter;
 - :mod:`repro.net.flowcontrol` — credit-based limits on outstanding
@@ -18,12 +18,7 @@ One-sided data movement is not a layer here: ``copy_async``
 messages, like every other operation of the runtime.
 """
 
-from repro.net.topology import (
-    MachineParams,
-    Topology,
-    UniformTopology,
-    HierarchicalTopology,
-)
+from repro.net.topology import MachineParams
 from repro.net.transport import Message, Network
 from repro.net.flowcontrol import CreditManager
 from repro.net.active_messages import (
@@ -34,9 +29,6 @@ from repro.net.active_messages import (
 
 __all__ = [
     "MachineParams",
-    "Topology",
-    "UniformTopology",
-    "HierarchicalTopology",
     "Message",
     "Network",
     "CreditManager",

@@ -141,7 +141,7 @@ class AMLayer:
                 ) -> Generator[Any, Any, Message]:
         """Credit-aware send; use with ``yield from`` inside a task.
 
-        Blocks while the (src, dst) credit pool is exhausted, then sends
+        Blocks while ``src``'s credit pool is exhausted, then sends
         with ``send()`` — a :meth:`request_nb` from ``src`` to ``dst``
         that asks for the delivery ack, which returns the credit.  A send
         refused before it leaves returns the credit at once.  Without a
@@ -150,14 +150,13 @@ class AMLayer:
         credits = self.credits
         if credits is None:
             return send()
-        yield from credits.acquire(src, dst)
+        yield from credits.acquire(src)
         try:
             msg = send()
         except Exception:
-            credits.release(src, dst)
+            credits.release(src)
             raise
-        msg.delivered.add_done_callback(
-            lambda _f: credits.release(src, dst))
+        msg.delivered.add_done_callback(lambda _f: credits.release(src))
         return msg
 
     # ------------------------------------------------------------------ #

@@ -11,78 +11,60 @@ sustained retry.
 
 Model:
 
-- a token pool per directed pair (``scope="pair"``) or per source NIC
-  (``scope="source"``, the GASNet-node-token behaviour — uniform-random
-  traffic like RandomAccess only pressures the source pool);
+- a token pool per sending image (GASNet node tokens: uniform-random
+  traffic like RandomAccess pressures the source's pool, whatever the
+  destination);
 - each blocked acquire counts a *stall*; consecutive stalls form a run
   that ends when an acquire succeeds without blocking (the network
   drained);
-- a stall's penalty grows with the run: ``stall_penalty * min(run,
-  backoff_limit)`` — the poll loop walking an ever-deeper retry queue.
+- a stall's penalty grows with the run: ``STALL_PENALTY * min(run,
+  BACKOFF_LIMIT)`` — the poll loop walking an ever-deeper retry queue.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Hashable
+from typing import Any, Generator
 
 from repro.sim.engine import Simulator
 from repro.sim.tasks import Delay, Semaphore
 from repro.sim.trace import Stats
 
-_SCOPES = ("pair", "source")
+#: Retry-cycle cost of one stall, seconds, before the run multiplier
+#: (the value that reproduces the Fig. 14 anomaly).
+STALL_PENALTY = 1.2e-7
+#: Cap on the run multiplier.
+BACKOFF_LIMIT = 64
 
 
 class CreditManager:
-    """Outstanding-message credits with run-proportional stall penalty.
+    """Per-source outstanding-message credits with run-proportional
+    stall penalty.
 
     Parameters
     ----------
     credits:
-        Tokens per pool (per directed pair or per source, by ``scope``).
-    stall_penalty:
-        Retry-cycle cost; a stall in a run of length r costs
-        ``stall_penalty * min(r, backoff_limit)``.
-    backoff_limit:
-        Cap on the run multiplier.
-    scope:
-        ``"pair"`` or ``"source"`` pooling.
+        Tokens per sending image.
     """
 
     def __init__(self, sim: Simulator, credits: int,
-                 stall_penalty: float = 2.0e-6,
-                 backoff_limit: int = 64,
-                 scope: str = "pair",
                  stats: Stats | None = None):
         if credits <= 0:
             raise ValueError(f"credits must be positive, got {credits}")
-        if stall_penalty < 0:
-            raise ValueError("stall_penalty must be non-negative")
-        if backoff_limit < 1:
-            raise ValueError("backoff_limit must be >= 1")
-        if scope not in _SCOPES:
-            raise ValueError(f"scope must be one of {_SCOPES}")
         self.sim = sim
         self.credits = credits
-        self.stall_penalty = stall_penalty
-        self.backoff_limit = backoff_limit
-        self.scope = scope
         self.stats = stats if stats is not None else Stats()
-        self._pools: dict[Hashable, Semaphore] = {}
-        self._stall_runs: dict[Hashable, int] = {}
+        self._pools: dict[int, Semaphore] = {}
+        self._stall_runs: dict[int, int] = {}
 
-    def _key(self, src: int, dst: int) -> Hashable:
-        return (src, dst) if self.scope == "pair" else src
-
-    def _pool(self, src: int, dst: int) -> Semaphore:
-        key = self._key(src, dst)
-        pool = self._pools.get(key)
+    def _pool(self, src: int) -> Semaphore:
+        pool = self._pools.get(src)
         if pool is None:
-            pool = Semaphore(self.sim, self.credits, name=f"credits{key}")
-            self._pools[key] = pool
+            pool = Semaphore(self.sim, self.credits, name=f"credits{src}")
+            self._pools[src] = pool
         return pool
 
-    def acquire(self, src: int, dst: int) -> Generator[Any, Any, None]:
-        """Take one credit for a ``src → dst`` message; blocks (and pays
+    def acquire(self, src: int) -> Generator[Any, Any, None]:
+        """Take one of ``src``'s credits for a message; blocks (and pays
         the run-scaled stall penalty) when the pool is empty.  Use with
         ``yield from``.
 
@@ -92,23 +74,21 @@ class CreditManager:
         the network (a bunched ``finish``) therefore resets the retry
         cost, while back-to-back saturation pays ever-longer retries.
         """
-        key = self._key(src, dst)
-        pool = self._pool(src, dst)
+        pool = self._pool(src)
         if pool.available == self.credits:
-            self._stall_runs[key] = 0
+            self._stall_runs[src] = 0
         if pool.try_acquire():
             return
-        run = self._stall_runs.get(key, 0) + 1
-        self._stall_runs[key] = run
+        run = self._stall_runs.get(src, 0) + 1
+        self._stall_runs[src] = run
         self.stats.incr("flow.stalls")
         yield from pool.acquire()
-        if self.stall_penalty > 0:
-            yield Delay(self.stall_penalty * min(run, self.backoff_limit))
+        yield Delay(STALL_PENALTY * min(run, BACKOFF_LIMIT))
 
-    def release(self, src: int, dst: int) -> None:
+    def release(self, src: int) -> None:
         """Return one credit (called when the ack arrives)."""
-        self._pool(src, dst).release()
+        self._pool(src).release()
 
-    def outstanding(self, src: int, dst: int) -> int:
-        """Credits currently in use for the pool (diagnostic)."""
-        return self.credits - self._pool(src, dst).available
+    def outstanding(self, src: int) -> int:
+        """Credits currently in use for ``src``'s pool (diagnostic)."""
+        return self.credits - self._pool(src).available

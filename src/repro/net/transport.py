@@ -7,8 +7,8 @@ Cost model per message (see :class:`repro.net.topology.MachineParams`):
    ``o_send + size / bandwidth``.  When injection ends, the **source buffer
    has been read** — this is the transport-level "local data completion"
    event the `cofence` construct builds on.
-2. *Wire*: the message then spends ``topology.latency(src, dst)`` on the
-   wire (optionally jittered, which can reorder messages between a pair —
+2. *Wire*: the message then spends ``wire_latency`` (``self_latency``
+   when ``src == dst``) on the wire (optionally jittered, which can reorder messages between a pair —
    the termination detector must tolerate this).
 3. *Delivery*: at arrival the receiver is charged ``o_recv`` and the
    message's ``on_deliver`` callback runs.  One arrival is one simulator
@@ -30,8 +30,8 @@ runs a reliable-delivery protocol above the faulty wire:
   **exactly once** per message) and acknowledges every copy, so a lost
   ack is healed by the retransmission it provokes;
 - the sender retransmits unacknowledged messages on an exponentially
-  backed-off timer (``rto_safety`` × the message's nominal round trip,
-  doubled by ``rto_backoff`` per attempt) and gives up with
+  backed-off timer (``_RTO_SAFETY`` × the message's nominal round trip,
+  multiplied by ``_RTO_BACKOFF`` per attempt) and gives up with
   :class:`RetryExhaustedError` after ``retry_cap`` retries.
 
 ``Message.delivered`` then means "the protocol-level ack for a delivered
@@ -73,6 +73,13 @@ _FALLBACK_FAULT_SS = np.random.SeedSequence(0xFA117)
 
 #: Jitter factors drawn from the generator per refill.
 _JITTER_BLOCK = 512
+
+#: First retransmission timeout as a multiple of a message's nominal
+#: round trip (injection + wire + ``o_recv`` + ack return).  It must
+#: exceed 1 or clean-network sends would spuriously retransmit.
+_RTO_SAFETY = 4.0
+#: Factor the timeout grows by per retry (exponential backoff).
+_RTO_BACKOFF = 2.0
 
 
 class RetryExhaustedError(RuntimeError):
@@ -583,7 +590,7 @@ class Network(Transport):
                 service = cost * f.service_factor(src, start)
         inject_end = nic_free_at[src] = start + service
 
-        lat = p.topology.latency_unchecked(src, dst)
+        lat = p.self_latency if src == dst else p.wire_latency
         scripted = False
         if pend is None:
             counts = stats.counts
@@ -676,7 +683,7 @@ class Network(Transport):
                 sim.schedule_at(arrive + p.o_recv, self._run_delivery_batch,
                                 msg, pend, lat)
         if pend is not None:
-            rto = pend.rto0 * (p.rto_backoff ** pend.attempt)
+            rto = pend.rto0 * (_RTO_BACKOFF ** pend.attempt)
             pend.timer = sim.schedule_at(inject_end + rto,
                                          self._retransmit, pend)
 
@@ -772,12 +779,12 @@ class Network(Transport):
     # ------------------------------------------------------------------ #
 
     def _nominal_rto(self, cost: float, lat: float) -> float:
-        """First retransmission timeout: ``rto_safety`` × the message's
+        """First retransmission timeout: ``_RTO_SAFETY`` × the message's
         nominal round trip, from its injection cost and wire latency
         before stragglers and jitter stretch them."""
         p = self.params
-        return p.rto_safety * (cost + lat + p.o_recv
-                               + p.ack_latency_factor * lat)
+        return _RTO_SAFETY * (cost + lat + p.o_recv
+                              + p.ack_latency_factor * lat)
 
     def _retransmit(self, pend: _PendingSend) -> None:
         if pend.acked:

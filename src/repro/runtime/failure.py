@@ -58,10 +58,10 @@ available:
 - ``detector="phi"``: Hayashibara-style phi-accrual — each observer
   keeps a window of the last ``_WINDOW`` (100) per-peer delivery
   inter-arrival times and suspects when
-  ``phi = -log10(P(a delivery this late or later))`` crosses
-  ``phi_suspect``.  The window adapts to a straggler's degraded cadence,
-  so sustained slowness stops triggering once observed; fewer than 4
-  samples falls back to the timeout rule.
+  ``phi = -log10(P(a delivery this late or later))`` reaches
+  ``_PHI_SUSPECT`` (12).  The window adapts to a straggler's degraded
+  cadence, so sustained slowness stops triggering once observed; fewer
+  than 4 samples falls back to the timeout rule.
 
 *Confirmation* is time-based for both rules — ``elapsed >
 confirm_timeout`` — because accrued improbability must never be allowed
@@ -155,20 +155,16 @@ class FailureConfig:
                           rules); default 3 timeouts.  Must exceed
                           ``timeout`` so confirmation never races
                           suspicion.
-    ``phi_suspect``     — phi threshold for suspicion (``"phi"`` only);
-                          phi = 8 means the silence had probability
-                          1e-8 under the observed arrival distribution.
     """
 
     __slots__ = ("period", "timeout", "recover", "detector",
-                 "confirm_timeout", "phi_suspect")
+                 "confirm_timeout")
 
     def __init__(self, period: float = 5e-5,
                  timeout: Optional[float] = None,
                  recover: bool = False,
                  detector: str = "timeout",
-                 confirm_timeout: Optional[float] = None,
-                 phi_suspect: float = 8.0):
+                 confirm_timeout: Optional[float] = None):
         if period <= 0:
             raise ValueError(f"heartbeat period must be positive, got {period}")
         if timeout is None:
@@ -189,15 +185,11 @@ class FailureConfig:
                 f"suspicion timeout ({timeout}): confirmation is the "
                 "irreversible level"
             )
-        if phi_suspect <= 0:
-            raise ValueError(
-                f"phi_suspect must be positive, got {phi_suspect}")
         self.period = period
         self.timeout = timeout
         self.recover = recover
         self.detector = detector
         self.confirm_timeout = confirm_timeout
-        self.phi_suspect = phi_suspect
 
     def __repr__(self) -> str:
         return (f"FailureConfig(period={self.period}, timeout={self.timeout}, "
@@ -213,6 +205,10 @@ _MEMBER = "fail.member"
 _TREE_RADIX = 4
 #: per-(observer, peer) inter-arrival samples kept for the phi estimate
 _WINDOW = 100
+#: phi threshold for suspicion under ``detector="phi"``: phi = 12 means
+#: the silence had probability 1e-12 under the observed arrival
+#: distribution
+_PHI_SUSPECT = 12.0
 
 
 class _SparseCounters(dict):
@@ -442,7 +438,6 @@ class FailureService:
         period = cfg.period
         timeout = cfg.timeout
         confirm_timeout = cfg.confirm_timeout
-        phi_suspect = cfg.phi_suspect
         phi = self._phi
         faults = machine.faults
         straggling = faults is not None and bool(faults.stragglers)
@@ -473,7 +468,7 @@ class FailureService:
                         self.confirm(peer)
                     continue
                 if phi:
-                    if self._phi_value(rank, peer, elapsed) >= phi_suspect:
+                    if self._phi_value(rank, peer, elapsed) >= _PHI_SUSPECT:
                         self.publish(peer)
                 elif elapsed > timeout:
                     self.publish(peer)

@@ -154,12 +154,8 @@ class Machine:
         self.sim.add_drain_hook(self._liveness_check)
         credits = None
         if params.flow_credits is not None:
-            credits = CreditManager(
-                self.sim, params.flow_credits,
-                stall_penalty=params.flow_stall_penalty,
-                scope=params.flow_credit_scope,
-                stats=self.stats,
-            )
+            credits = CreditManager(self.sim, params.flow_credits,
+                                    stats=self.stats)
         self.credits = credits
         self._families = dict(_FAMILIES)
         self.am = AMLayer(self.network, credit_manager=credits,

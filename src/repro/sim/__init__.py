@@ -17,7 +17,6 @@ from repro.sim.tasks import (
     Delay,
     Task,
     TaskFailed,
-    Channel,
     Semaphore,
     Condition,
     all_of,
@@ -33,7 +32,6 @@ __all__ = [
     "Delay",
     "Task",
     "TaskFailed",
-    "Channel",
     "Semaphore",
     "Condition",
     "all_of",

@@ -28,9 +28,9 @@ quiescent at the current instant (``sim.quiescent_at_now()``), the generator
 is resumed synchronously instead of bouncing through ``call_soon``.  The
 quiescence gate is what keeps this an invisible optimization: with nothing
 else due at this timestamp, the scheduled continuation would have run next
-anyway, so eliding the event cannot reorder anything.  Wait queues
-(:class:`Channel`, :class:`Semaphore`) are deques, so many-waiter wake-ups
-are O(1) per wake instead of O(n) ``list.pop(0)`` shifts — FIFO order is
+anyway, so eliding the event cannot reorder anything.  A
+:class:`Semaphore`'s wait queue is a deque, so many-waiter wake-ups are
+O(1) per wake instead of O(n) ``list.pop(0)`` shifts — FIFO order is
 unchanged.
 """
 
@@ -42,8 +42,8 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.sim.engine import Simulator, SimulationError
 
 #: Cap on synchronous resumptions per :meth:`Task._step` activation.  Long
-#: already-resolved chains (e.g. draining a full channel) bounce through the
-#: scheduler every N steps, bounding Python stack growth (the trampoline is
+#: already-resolved chains (e.g. a loop over resolved futures) bounce through
+#: the scheduler every N steps, bounding Python stack growth (the trampoline is
 #: iterative) and one activation's ability to starve the event loop.
 _TRAMPOLINE_CAP = 64
 
@@ -438,38 +438,6 @@ class Task:
     def __repr__(self) -> str:
         done = self._resume_cb is None and not self._killed
         return f"<Task {self.name} {'done' if done else 'live'}>"
-
-
-class Channel:
-    """An unbounded FIFO queue with blocking receive.
-
-    ``put`` is immediate; ``get()`` is a generator to be used with
-    ``yield from`` and blocks until an item is available.  Multiple
-    blocked receivers are served in FIFO order (deque-backed, O(1) wakes).
-    """
-
-    def __init__(self, sim: Simulator, name: str = "channel"):
-        self.sim = sim
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._waiters: deque[Future] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._waiters:
-            self._waiters.popleft().set_result(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Generator[Any, Any, Any]:
-        if self._items:
-            return self._items.popleft()
-        fut = Future(f"{self.name}.get")
-        self._waiters.append(fut)
-        item = yield fut
-        return item
 
 
 class Semaphore:

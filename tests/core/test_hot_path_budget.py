@@ -386,7 +386,7 @@ def test_clock_points_keep_the_eager_schedule(spmd):
         assert msg.delivered is None or msg.delivered.done
         return sim.now
 
-    lat = params.topology.latency(0, 1)
+    lat = params.wire_latency
     assert last_event(drop=True, want_ack=False) == 0.0 + service
     assert last_event(drop=False, want_ack=True) == (
         0.0 + service + lat + params.o_recv + params.ack_latency_factor * lat)

@@ -85,63 +85,6 @@ class TestExplorer:
         assert not report.found
 
 
-class TestMultiFindings:
-    """``stop_on_first=False``: one sweep harvests every distinct
-    failure, deduped by (kind, minimized fingerprint)."""
-
-    def _two_bug_target(self):
-        # two *different* minimal cores: choice 1 alone and choice 3
-        # alone each fail; minimization separates any mixed find
-        return make_synthetic_target(
-            6, lambda c: c[1] != 0 or c[3] != 0)
-
-    def test_collects_distinct_findings(self):
-        explorer = Explorer(self._two_bug_target(), budget=60,
-                            minimize=True, minimize_budget=300)
-        report = explorer.run_strategy(RandomWalkStrategy(seed=0),
-                                       stop_on_first=False)
-        assert report.found
-        assert len(report.findings) >= 2
-        identities = {f.identity for f in report.findings}
-        assert len(identities) == len(report.findings)  # deduped
-        cores = {tuple(i for i, r in enumerate(f.minimized.records)
-                       if r.choice != 0)
-                 for f in report.findings}
-        assert (1,) in cores and (3,) in cores
-
-    def test_max_findings_stops_the_sweep(self):
-        explorer = Explorer(self._two_bug_target(), budget=60,
-                            minimize=True, minimize_budget=300)
-        report = explorer.run_strategy(RandomWalkStrategy(seed=0),
-                                       stop_on_first=False,
-                                       max_findings=1)
-        assert len(report.findings) == 1
-        assert report.schedules_run < 60
-
-    def test_duplicate_identities_collapse(self):
-        # a single essential core (binary points, so the culprit has
-        # only one failing value): every failing run minimizes to the
-        # same fingerprint and the sweep reports exactly one finding
-        target = make_synthetic_target(6, lambda c: c[2] != 0, n=2)
-        explorer = Explorer(target, budget=40, minimize=True,
-                            minimize_budget=300)
-        report = explorer.run_strategy(RandomWalkStrategy(seed=0),
-                                       stop_on_first=False)
-        assert report.found
-        assert len(report.findings) == 1
-
-    def test_back_compat_fields_mirror_first_finding(self):
-        explorer = Explorer(self._two_bug_target(), budget=60,
-                            minimize=True, minimize_budget=300)
-        report = explorer.run_strategy(RandomWalkStrategy(seed=0),
-                                       stop_on_first=False)
-        first = report.findings[0]
-        assert report.found_at == first.found_at
-        assert report.schedule is first.schedule
-        assert report.minimized is first.minimized
-        assert report.to_json()["findings"]
-
-
 class TestMinimizer:
     def test_shrinks_to_single_culprit(self):
         # only index 5 matters; random walks set many others too

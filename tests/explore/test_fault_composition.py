@@ -21,7 +21,7 @@ from repro.explore import (
 )
 from repro.explore.schedule import DefaultSource
 from repro.net.faults import FaultPlan
-from repro.net.topology import MachineParams, UniformTopology
+from repro.net.topology import MachineParams
 
 
 def _partition_plan() -> FaultPlan:
@@ -35,7 +35,7 @@ def _target(faults):
     # reliable=True so a menu-picked partition delays traffic (park +
     # retransmit) instead of losing it outright — the run completes
     # either way and only the seeded ordering bug counts as a failure.
-    params = MachineParams(topology=UniformTopology(2), reliable=True)
+    params = MachineParams(2, reliable=True)
     return make_ordering_bug_target(params=params, faults=faults)
 
 
@@ -87,7 +87,7 @@ class TestComposedSearchSpace:
         the crash changes the run (image 2's result vanishes) without
         masking the baseline's clean pass."""
         plan = FaultPlan().crash_choice(2, [1e-4, 5e-4])
-        params = MachineParams(topology=UniformTopology(3), reliable=True)
+        params = MachineParams(3, reliable=True)
         target = make_ordering_bug_target(n_images=3, params=params,
                                           faults=plan)
 
@@ -136,7 +136,7 @@ class TestResolvedFaults:
 
     def test_outcome_carries_fault_picks(self):
         plan = FaultPlan().crash_choice(2, [1e-4, 5e-4])
-        params = MachineParams(topology=UniformTopology(3), reliable=True)
+        params = MachineParams(3, reliable=True)
         target = make_ordering_bug_target(n_images=3, params=params,
                                           faults=plan)
         outcome = target(DefaultSource())

@@ -151,9 +151,7 @@ class TestHostileNetworks:
         from repro.apps.uts import (TreeParams, UTSConfig, run_uts,
                                     sequential_tree_size)
         tree = TreeParams(max_depth=5)
-        params = MachineParams.uniform(
-            4, flow_credits=1, flow_credit_scope="source",
-            flow_stall_penalty=1e-6)
+        params = MachineParams.uniform(4, flow_credits=1)
         result = run_uts(4, UTSConfig(tree=tree), params=params)
         assert result.total_nodes == sequential_tree_size(tree)
 

@@ -21,7 +21,7 @@ from repro.apps.uts import (
     sequential_tree_size,
 )
 from repro.net.faults import FaultPlan
-from repro.net.topology import MachineParams, UniformTopology
+from repro.net.topology import MachineParams
 from repro.runtime.failure import FailureConfig
 
 TREE = TreeParams(b0=4, max_depth=7, seed=19)
@@ -56,7 +56,7 @@ class TestHealingPartitionScenario:
         (UTS undercount 2582/19438).  Rounds now require a report from
         every member not confirmed dead."""
         n = 4
-        params = MachineParams(topology=UniformTopology(n), reliable=True)
+        params = MachineParams(n, reliable=True)
         plan = FaultPlan().partition([[0, 1], [2, 3]], at=3e-4,
                                      heal_at=1.5e-3)
         r = run_uts(n, UTSConfig(tree=TREE), seed=42, params=params,
@@ -76,7 +76,7 @@ class TestGrayFailureDeterminism:
                                       heal_at=1.5e-3),
     ], ids=["straggler", "partition"])
     def test_identical_seed_and_plan_replay_bit_identical(self, plan_maker):
-        params = MachineParams(topology=UniformTopology(4), reliable=True)
+        params = MachineParams(4, reliable=True)
 
         def once():
             r = run_uts(4, UTSConfig(tree=TREE), seed=7, params=params,

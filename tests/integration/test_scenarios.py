@@ -4,7 +4,7 @@ several constructs at once."""
 import numpy as np
 import pytest
 
-from repro import HierarchicalTopology, MachineParams, run_spmd
+from repro import MachineParams, run_spmd
 
 
 class TestBroadcastDoubleBuffering:
@@ -147,15 +147,12 @@ class TestConcurrentSubteamFinishes:
         spmd(kernel, n=4)
 
 
-class TestHierarchicalMachine:
-    def test_everything_composes_on_a_clustered_topology(self):
-        """Smoke the full construct set on a hierarchical (node-based)
-        topology with flow control and jitter at once."""
+class TestFlowControlAndJitter:
+    def test_everything_composes_under_flow_control_and_jitter(self):
+        """Smoke the full construct set with flow control and jitter at
+        once."""
         n = 16
-        params = MachineParams(
-            topology=HierarchicalTopology(n, images_per_node=4),
-            flow_credits=8, jitter=0.3,
-        )
+        params = MachineParams(n, flow_credits=8, jitter=0.3)
 
         def worker(img):
             yield from img.compute(1e-6)

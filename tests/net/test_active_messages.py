@@ -154,7 +154,7 @@ class TestCredits:
 
         Task(sim, sender())
         sim.run()
-        assert am.credits.outstanding(0, 1) == 0
+        assert am.credits.outstanding(0) == 0
 
     def test_refused_send_returns_its_credit(self):
         """A send the AM layer refuses before it leaves gives its credit
@@ -171,7 +171,7 @@ class TestCredits:
                     category=AMCategory.SHORT, want_ack=True))
             except AMSizeError as exc:
                 caught.append(exc)
-            caught.append(am.credits.outstanding(0, 1))
+            caught.append(am.credits.outstanding(0))
             yield from am.request(0, 1, self.send(am))
             caught.append("sent")
 
@@ -179,7 +179,7 @@ class TestCredits:
         sim.run()
         assert [type(c) for c in caught[:1]] == [AMSizeError]
         assert caught[1:] == [0, "sent"]
-        assert am.credits.outstanding(0, 1) == 0
+        assert am.credits.outstanding(0) == 0
 
     def test_request_without_credit_manager_does_not_ack(self):
         sim, am = make_am()

@@ -5,7 +5,7 @@ import pytest
 from repro import MachineParams, run_spmd
 from repro.sim.engine import Simulator
 from repro.sim.tasks import Delay, Task
-from repro.net.flowcontrol import CreditManager
+from repro.net.flowcontrol import STALL_PENALTY, CreditManager
 
 
 class TestCreditManager:
@@ -15,67 +15,83 @@ class TestCreditManager:
         done = []
 
         def t():
-            yield from cm.acquire(0, 1)
-            yield from cm.acquire(0, 1)
+            yield from cm.acquire(0)
+            yield from cm.acquire(0)
             done.append(sim.now)
 
         Task(sim, t())
         sim.run()
         assert done == [0.0]
-        assert cm.outstanding(0, 1) == 2
+        assert cm.outstanding(0) == 2
 
-    def test_pairs_are_independent(self):
+    def test_destinations_of_one_source_share_a_pool(self):
+        """GASNet node tokens: a message to a second destination waits
+        for the credit a message to the first one holds, while another
+        source's pool is untouched."""
         sim = Simulator()
         cm = CreditManager(sim, credits=1)
-        done = []
+        trace = []
 
         def t():
-            yield from cm.acquire(0, 1)
-            yield from cm.acquire(0, 2)  # different pair: no blocking
-            done.append(sim.now)
+            # AMLayer.request acquires for a src -> dst message; the
+            # pool is keyed by src alone.
+            yield from cm.acquire(0)      # 0 -> 1
+            yield from cm.acquire(1)      # 1 -> 2: another source
+            trace.append(("other source", sim.now))
+            yield from cm.acquire(0)      # 0 -> 2: waits for 0 -> 1
+            trace.append(("second destination", sim.now))
 
         Task(sim, t())
+        sim.schedule(5.0, cm.release, 0)
         sim.run()
-        assert done == [0.0]
+        assert trace == [("other source", 0.0),
+                         ("second destination", 5.0 + STALL_PENALTY)]
+        assert cm.stats["flow.stalls"] == 1
 
     def test_exhaustion_blocks_until_release(self):
         sim = Simulator()
-        cm = CreditManager(sim, credits=1, stall_penalty=0.0)
+        cm = CreditManager(sim, credits=1)
         trace = []
 
         def t():
-            yield from cm.acquire(0, 1)
+            yield from cm.acquire(0)
             trace.append(("first", sim.now))
-            yield from cm.acquire(0, 1)
+            yield from cm.acquire(0)
             trace.append(("second", sim.now))
 
         Task(sim, t())
-        sim.schedule(5.0, cm.release, 0, 1)
+        sim.schedule(5.0, cm.release, 0)
         sim.run()
-        assert trace == [("first", 0.0), ("second", 5.0)]
+        # release time + a run of one stall x the penalty
+        assert trace == [("first", 0.0), ("second", 5.0 + 1 * STALL_PENALTY)]
 
     def test_stall_penalty_charged_on_block(self):
         sim = Simulator()
-        cm = CreditManager(sim, credits=1, stall_penalty=1.0)
+        cm = CreditManager(sim, credits=1)
         trace = []
 
         def t():
-            yield from cm.acquire(0, 1)
-            yield from cm.acquire(0, 1)
+            yield from cm.acquire(0)
+            yield from cm.acquire(0)
+            trace.append(sim.now)
+            # the pool never drained back to capacity: the run goes on
+            yield from cm.acquire(0)
             trace.append(sim.now)
 
         Task(sim, t())
-        sim.schedule(5.0, cm.release, 0, 1)
+        sim.schedule(5.0, cm.release, 0)
+        sim.schedule(10.0, cm.release, 0)
         sim.run()
-        assert trace == [6.0]
-        assert cm.stats["flow.stalls"] == 1
+        # release time + run length x the penalty
+        assert trace == [5.0 + 1 * STALL_PENALTY, 10.0 + 2 * STALL_PENALTY]
+        assert cm.stats["flow.stalls"] == 2
 
     def test_no_stall_counted_when_credits_available(self):
         sim = Simulator()
         cm = CreditManager(sim, credits=3)
 
         def t():
-            yield from cm.acquire(0, 1)
+            yield from cm.acquire(0)
             yield Delay(0)
 
         Task(sim, t())
@@ -85,15 +101,13 @@ class TestCreditManager:
     def test_release_before_acquire_adds_credit(self):
         sim = Simulator()
         cm = CreditManager(sim, credits=1)
-        cm.release(0, 1)
-        assert cm.outstanding(0, 1) == -1  # pool grew past initial size
+        cm.release(0)
+        assert cm.outstanding(0) == -1  # pool grew past initial size
 
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             CreditManager(sim, credits=0)
-        with pytest.raises(ValueError):
-            CreditManager(sim, credits=1, stall_penalty=-1.0)
 
 
 def _shipped(img):
@@ -124,7 +138,7 @@ class TestSpawnUnderCredits:
         assert machine.stats["flow.stalls"] == 1
         # the one credit came back with the first spawn's delivery ack
         assert times["first"] < times["ack"] <= times["second"]
-        assert machine.credits.outstanding(0, 1) == 0
+        assert machine.credits.outstanding(0) == 0
 
     def test_no_stall_with_a_credit_per_spawn(self):
         def kernel(img):

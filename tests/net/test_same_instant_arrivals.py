@@ -12,14 +12,14 @@ clock point (DESIGN.md §3.3), which costs no event.
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.net.topology import MachineParams, UniformTopology
+from repro.net.topology import MachineParams
 from repro.net.transport import Message, Network, PeerFailedError
 
 
 def make_net(n=4, **kwargs):
     sim = Simulator()
     defaults = dict(
-        topology=UniformTopology(n, wire_latency=1e-6, self_latency=1e-7),
+        n_images=n, wire_latency=1e-6, self_latency=1e-7,
         bandwidth=1e9, o_send=0.0, o_recv=0.0,
     )
     defaults.update(kwargs)

@@ -1,46 +1,32 @@
-"""Unit tests for network cost models."""
+"""Unit tests for the network cost model."""
 
 import pytest
 
-from repro.net.topology import (
-    HierarchicalTopology,
-    MachineParams,
-    UniformTopology,
-)
+from repro.net.topology import MachineParams
+from repro.net.transport import Message, Network
+from repro.sim.engine import Simulator
 
 
 class TestUniformTopology:
     def test_remote_and_self_latency(self):
-        t = UniformTopology(4, wire_latency=1e-6, self_latency=1e-8)
-        assert t.latency(0, 1) == 1e-6
-        assert t.latency(3, 0) == 1e-6
-        assert t.latency(2, 2) == 1e-8
-
-    def test_out_of_range_pair(self):
-        t = UniformTopology(2)
-        with pytest.raises(ValueError):
-            t.latency(0, 2)
-        with pytest.raises(ValueError):
-            t.latency(-1, 0)
+        sim = Simulator()
+        net = Network(sim, MachineParams(4, wire_latency=1e-6,
+                                         self_latency=1e-8,
+                                         o_send=0.0, o_recv=0.0))
+        arrived = {}
+        for src, dst in ((0, 1), (3, 0), (2, 2)):
+            net.send(Message(src, dst, 0, None, on_deliver=lambda m:
+                             arrived.setdefault((m.src, m.dst), sim.now)))
+        sim.run()
+        assert arrived == {(0, 1): 1e-6, (3, 0): 1e-6, (2, 2): 1e-8}
 
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
-            UniformTopology(0)
-        with pytest.raises(ValueError):
-            UniformTopology(2, wire_latency=0)
-
-
-class TestHierarchicalTopology:
-    def test_intra_vs_inter_node(self):
-        t = HierarchicalTopology(16, images_per_node=4,
-                                 intra_latency=1e-7, inter_latency=2e-6)
-        assert t.latency(0, 3) == 1e-7   # same node
-        assert t.latency(0, 4) == 2e-6   # different node
-        assert t.node_of(5) == 1
-
-    def test_self_latency(self):
-        t = HierarchicalTopology(8, self_latency=5e-8)
-        assert t.latency(1, 1) == 5e-8
+        with pytest.raises(ValueError, match="n_images"):
+            MachineParams.uniform(0)
+        with pytest.raises(ValueError, match="wire_latency"):
+            MachineParams.uniform(2, wire_latency=0)
+        with pytest.raises(ValueError, match="self_latency"):
+            MachineParams.uniform(2, self_latency=0)
 
 
 class TestMachineParams:
@@ -52,7 +38,8 @@ class TestMachineParams:
 
     def test_uniform_forwarding_of_latency_kwargs(self):
         p = MachineParams.uniform(4, wire_latency=9e-6)
-        assert p.topology.latency(0, 1) == 9e-6
+        assert p.wire_latency == 9e-6
+        assert p.self_latency == 1e-7
 
     def test_am_medium_max_default(self):
         # Sized so a shipped steal carries exactly 9 UTS items (§IV-C);
@@ -67,6 +54,9 @@ class TestMachineParams:
             MachineParams.uniform(2, jitter=1.5)
         with pytest.raises(ValueError):
             MachineParams.uniform(2, flow_credits=0)
+        with pytest.raises(ValueError, match="ack_latency_factor"):
+            MachineParams.uniform(2, ack_latency_factor=-1.0)
+        assert MachineParams.uniform(
+            2, ack_latency_factor=0.0).ack_latency_factor == 0.0
         with pytest.raises(ValueError):
             MachineParams.uniform(2).transfer_time(-1)
-

@@ -5,14 +5,14 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.trace import Stats
-from repro.net.topology import MachineParams, UniformTopology
+from repro.net.topology import MachineParams
 from repro.net.transport import Message, Network
 
 
 def make_net(n=4, **kwargs):
     sim = Simulator()
     defaults = dict(
-        topology=UniformTopology(n, wire_latency=1e-6, self_latency=1e-7),
+        n_images=n, wire_latency=1e-6, self_latency=1e-7,
         bandwidth=1e9, o_send=1e-7, o_recv=1e-7,
     )
     defaults.update(kwargs)
@@ -110,8 +110,7 @@ class TestJitterAndStats:
         def run_once():
             sim = Simulator()
             params = MachineParams(
-                topology=UniformTopology(4, wire_latency=1e-6,
-                                         self_latency=1e-7),
+                n_images=4, wire_latency=1e-6, self_latency=1e-7,
                 bandwidth=1e9, o_send=1e-7, o_recv=1e-7, jitter=0.5)
             net = Network(sim, params, seed=7)
             order = []
@@ -155,8 +154,7 @@ class TestJitterStream:
         # arrival time *is* its jittered latency, to the last bit.
         sim = Simulator()
         params = MachineParams(
-            topology=UniformTopology(4, wire_latency=self.WIRE,
-                                     self_latency=self.LOOPBACK),
+            n_images=4, wire_latency=self.WIRE, self_latency=self.LOOPBACK,
             o_send=0.0, o_recv=0.0, jitter=self.JITTER)
         return sim, Network(sim, params, seed=self.SEED)
 
@@ -252,8 +250,7 @@ class TestFallbackRngSeeding:
         for _ in range(2):
             sim = Simulator()
             params = MachineParams(
-                topology=UniformTopology(4, wire_latency=1e-6,
-                                         self_latency=1e-7),
+                n_images=4, wire_latency=1e-6, self_latency=1e-7,
                 bandwidth=1e9, o_send=1e-7, o_recv=1e-7, jitter=0.5)
             net = Network(sim, params, seed=42)
             runs.append(self._delivery_times(net, sim))
@@ -266,8 +263,7 @@ class TestFallbackRngSeeding:
         for _ in range(2):
             sim = Simulator()
             params = MachineParams(
-                topology=UniformTopology(4, wire_latency=1e-6,
-                                         self_latency=1e-7),
+                n_images=4, wire_latency=1e-6, self_latency=1e-7,
                 bandwidth=1e9, o_send=1e-7, o_recv=1e-7)
             net = Network(sim, params, faults=FaultPlan(drop=0.5))
             decisions.append([net.faults.roll_drop(0, 1)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.backend.transport import ProcessTransport
 from repro.net.faults import FaultPlan
-from repro.net.topology import MachineParams, UniformTopology
+from repro.net.topology import MachineParams
 from repro.net.transport import (
     Message,
     Network,
@@ -27,7 +27,7 @@ from repro.sim.trace import Stats
 
 def make_params(n, **kwargs):
     defaults = dict(
-        topology=UniformTopology(n, wire_latency=1e-6, self_latency=1e-7),
+        n_images=n, wire_latency=1e-6, self_latency=1e-7,
         bandwidth=1e9, o_send=1e-7, o_recv=1e-7,
     )
     defaults.update(kwargs)

@@ -5,14 +5,14 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.net.faults import FaultPlan, NicStall
-from repro.net.topology import MachineParams, UniformTopology
+from repro.net.topology import MachineParams
 from repro.net.transport import Message, Network, RetryExhaustedError
 
 
 def make_net(n=4, faults=None, **kwargs):
     sim = Simulator()
     defaults = dict(
-        topology=UniformTopology(n, wire_latency=1e-6, self_latency=1e-7),
+        n_images=n, wire_latency=1e-6, self_latency=1e-7,
         bandwidth=1e9, o_send=1e-7, o_recv=1e-7, reliable=True,
     )
     defaults.update(kwargs)
@@ -124,7 +124,7 @@ class TestRetransmissionPolicy:
         rto*backoff, ... — measured from each retransmission's injection."""
         sim, net = make_net(
             faults=FaultPlan(drop=0.9999, seed=4),
-            retry_cap=3, rto_safety=4.0, rto_backoff=2.0)
+            retry_cap=3)
         with pytest.raises(RetryExhaustedError):
             net.send(Message(0, 1, 1000, None))
             sim.run()

@@ -6,10 +6,10 @@ import pytest
 
 from repro.core.finish import stall_report
 from repro.net.faults import FaultPlan
-from repro.net.topology import MachineParams, UniformTopology
 from repro.net.transport import Message
 from repro.runtime.failure import FailureConfig, ImageFailureError
-from repro.runtime.program import run_spmd
+from repro.runtime.program import DeadlockError, run_spmd
+from repro.sim.engine import SimulationError
 
 
 def idle_kernel(img, cost=2e-3):
@@ -177,8 +177,7 @@ class TestTwoLevelMembership:
                                     period=5e-5, detector="timeout"))
         m_phi, _ = run_spmd(idle_kernel, 4, args=(5e-3,), faults=plan(),
                             failure_detection=FailureConfig(
-                                period=5e-5, detector="phi",
-                                phi_suspect=12.0))
+                                period=5e-5, detector="phi"))
         false_timeout = m_timeout.stats["fail.false_suspected"]
         false_phi = m_phi.stats["fail.false_suspected"]
         assert false_phi < false_timeout, (false_phi, false_timeout)
@@ -319,3 +318,24 @@ class TestKillImage:
                         failure_detection=FailureConfig())
         with pytest.raises(ValueError):
             m.kill_image(7)
+
+
+def _skips_the_barrier(img):
+    if img.rank == 0:
+        yield from img.barrier()
+
+
+class TestDeadlockUnderDetector:
+    @pytest.mark.xfail(
+        strict=True, raises=SimulationError,
+        reason="CHANGES.md FOUND line (runtime/program.py with "
+               "runtime/failure.py): heartbeats keep the event queue "
+               "alive, so the drain hook never sees the deadlock and the "
+               "run ends at max_events")
+    @pytest.mark.parametrize("config", [FailureConfig(),
+                                        FailureConfig(recover=True)],
+                             ids=["report", "recover"])
+    def test_application_deadlock_raises_deadlock_error(self, config):
+        with pytest.raises(DeadlockError):
+            run_spmd(_skips_the_barrier, 2, failure_detection=config,
+                     max_events=20_000)

@@ -220,4 +220,4 @@ class TestEventPosting:
         m.sim.schedule(1e-6, ev.post, 1)
         m.sim.run()
         # action fires at the initiator after the notify hop back
-        assert fired and fired[0] > 1e-6 + m.params.topology.latency(1, 0)
+        assert fired and fired[0] > 1e-6 + m.params.wire_latency

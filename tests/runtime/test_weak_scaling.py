@@ -27,7 +27,7 @@ from repro.apps.uts import (
 )
 from repro.core.finish import FinishFrame
 from repro.net.faults import FaultPlan
-from repro.net.topology import MachineParams, UniformTopology
+from repro.net.topology import MachineParams
 from repro.runtime.failure import FailureConfig
 from repro.runtime.program import Machine, run_spmd
 
@@ -218,7 +218,7 @@ class TestFtEpochVerdictsWithSparseState:
         of report aggregation: exact count, nothing re-executed, nobody
         confirmed dead."""
         n = 16
-        params = MachineParams(topology=UniformTopology(n), reliable=True)
+        params = MachineParams(n, reliable=True)
         plan = FaultPlan().partition(
             [list(range(8)), list(range(8, 16))], at=3e-4, heal_at=1.5e-3)
         r = run_uts(n, UTSConfig(tree=self.TREE), seed=42, params=params,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.tasks import (
-    Channel,
     Condition,
     Delay,
     Future,
@@ -220,54 +219,8 @@ class TestTask:
 
 
 # --------------------------------------------------------------------- #
-# Channel / Semaphore / Condition
+# Semaphore / Condition
 # --------------------------------------------------------------------- #
-
-class TestChannel:
-    def test_put_then_get(self):
-        sim = Simulator()
-        ch = Channel(sim)
-        ch.put("x")
-        got = []
-
-        def consumer():
-            item = yield from ch.get()
-            got.append(item)
-
-        Task(sim, consumer())
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        ch = Channel(sim)
-        got = []
-
-        def consumer():
-            item = yield from ch.get()
-            got.append((sim.now, item))
-
-        Task(sim, consumer())
-        sim.schedule(2.0, ch.put, "late")
-        sim.run()
-        assert got == [(2.0, "late")]
-
-    def test_fifo_ordering_of_items_and_waiters(self):
-        sim = Simulator()
-        ch = Channel(sim)
-        got = []
-
-        def consumer(tag):
-            item = yield from ch.get()
-            got.append((tag, item))
-
-        Task(sim, consumer("first"))
-        Task(sim, consumer("second"))
-        sim.schedule(1.0, ch.put, "a")
-        sim.schedule(2.0, ch.put, "b")
-        sim.run()
-        assert got == [("first", "a"), ("second", "b")]
-
 
 class TestSemaphore:
     def test_counts(self):

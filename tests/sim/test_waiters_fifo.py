@@ -1,6 +1,6 @@
 """Many-waiters FIFO tests for the synchronization primitives.
 
-The wait queues (Channel, Semaphore, and the runtime lock table) moved
+The wait queues (Semaphore and the runtime lock table) moved
 from ``list.pop(0)`` to ``collections.deque`` — O(1) wakeups instead of
 O(n) shifts.  A deque preserves FIFO order only if every producer
 appends and every consumer pops left, so these tests drive *many*
@@ -8,64 +8,9 @@ waiters through each primitive and assert strict arrival-order service.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.tasks import Channel, Delay, Semaphore, Task
+from repro.sim.tasks import Delay, Semaphore, Task
 
 N_WAITERS = 64
-
-
-def test_channel_many_waiters_fifo():
-    sim = Simulator()
-    served = []
-
-    def consumer(tag):
-        item = yield from ch.get()
-        served.append((tag, item))
-
-    ch = Channel(sim)
-    for tag in range(N_WAITERS):
-        Task(sim, consumer(tag))
-    for item in range(N_WAITERS):
-        sim.schedule(1.0 + item, ch.put, item)
-    sim.run()
-    assert served == [(i, i) for i in range(N_WAITERS)]
-
-
-def test_channel_burst_of_puts_services_waiters_in_order():
-    sim = Simulator()
-    served = []
-
-    def consumer(tag):
-        item = yield from ch.get()
-        served.append((tag, item))
-
-    ch = Channel(sim)
-    for tag in range(N_WAITERS):
-        Task(sim, consumer(tag))
-
-    def burst():
-        for item in range(N_WAITERS):
-            ch.put(item)
-
-    sim.schedule(1.0, burst)
-    sim.run()
-    assert served == [(i, i) for i in range(N_WAITERS)]
-
-
-def test_channel_buffered_items_drain_fifo():
-    sim = Simulator()
-    ch = Channel(sim)
-    for item in range(N_WAITERS):
-        ch.put(item)
-    got = []
-
-    def consumer():
-        for _ in range(N_WAITERS):
-            item = yield from ch.get()
-            got.append(item)
-
-    Task(sim, consumer())
-    sim.run()
-    assert got == list(range(N_WAITERS))
 
 
 def test_semaphore_many_waiters_fifo():
