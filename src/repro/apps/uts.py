@@ -27,6 +27,7 @@ sharing and work stealing [Saraswat et al.]:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -34,9 +35,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
+from repro.core.spawn import SPAWN_HEADER_BYTES
+
 
 #: bytes per node descriptor (the SHA-1 digest)
 DESCRIPTOR_BYTES = 20
+
+#: a child index or a depth on the wire, the descriptor's first word as
+#: the child-count draw, and one packed work item, compiled once
+_I32 = struct.Struct(">i")
+_U32 = struct.Struct(">I")
+_ITEM = struct.Struct(f">{DESCRIPTOR_BYTES}si")
 
 
 @dataclass(frozen=True)
@@ -69,12 +78,12 @@ class TreeParams:
 
 def root_descriptor(params: TreeParams) -> bytes:
     """The SHA-1 descriptor of the root node."""
-    return hashlib.sha1(struct.pack(">i", params.seed)).digest()
+    return hashlib.sha1(_I32.pack(params.seed)).digest()
 
 
 def child_descriptor(parent: bytes, index: int) -> bytes:
     """Descriptor of the ``index``-th child (SHA-1 of parent ∥ index)."""
-    return hashlib.sha1(parent + struct.pack(">i", index)).digest()
+    return hashlib.sha1(parent + _I32.pack(index)).digest()
 
 
 def num_children(descriptor: bytes, depth: int, params: TreeParams) -> int:
@@ -86,11 +95,16 @@ def num_children(descriptor: bytes, depth: int, params: TreeParams) -> int:
     if depth >= params.max_depth:
         return 0
     # low 32 bits of the descriptor as a uniform draw
-    u = struct.unpack(">I", descriptor[:4])[0] / 2.0 ** 32
+    u = _U32.unpack_from(descriptor)[0] / 2.0 ** 32
     if u >= 1.0:  # pragma: no cover - unreachable with 32-bit draw
         u = 1.0 - 2.0 ** -33
-    denominator = math.log(1.0 - 1.0 / (1.0 + params.b0))
-    return int(math.floor(math.log(1.0 - u) / denominator))
+    return int(math.floor(math.log(1.0 - u) / _log_denominator(params.b0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _log_denominator(b0: float) -> float:
+    """``log(1 - 1/(1+b0))``, the same for every node of a tree."""
+    return math.log(1.0 - 1.0 / (1.0 + b0))
 
 
 def expand(descriptor: bytes, depth: int, params: TreeParams
@@ -189,31 +203,35 @@ def chunk_limit(machine) -> int:
     (descriptor, depth) records fit in one medium AM after the spawn
     header — 9 with default parameters, matching the paper's GASNet
     constraint (§IV-C.1a)."""
-    from repro.core.spawn import SPAWN_HEADER_BYTES
     budget = machine.params.am_medium_max - SPAWN_HEADER_BYTES
     return max(1, budget // ITEM_BYTES)
 
 
 def pack_items(items: list[tuple[bytes, int]]) -> bytes:
     """Pack work items into the flat AM payload representation."""
-    return b"".join(desc + struct.pack(">i", depth) for desc, depth in items)
+    pack = _I32.pack
+    out = []
+    for i, (desc, depth) in enumerate(items):
+        if len(desc) != DESCRIPTOR_BYTES:
+            raise ValueError(
+                f"work item {i}: descriptor of {len(desc)} bytes, "
+                f"expected {DESCRIPTOR_BYTES}")
+        out.append(desc + pack(depth))
+    return b"".join(out)
 
 
 def unpack_items(blob: bytes) -> list[tuple[bytes, int]]:
     """Inverse of :func:`pack_items`."""
     if len(blob) % ITEM_BYTES:
         raise ValueError(f"corrupt work payload of {len(blob)} bytes")
-    out = []
-    for off in range(0, len(blob), ITEM_BYTES):
-        desc = blob[off:off + DESCRIPTOR_BYTES]
-        (depth,) = struct.unpack(
-            ">i", blob[off + DESCRIPTOR_BYTES:off + ITEM_BYTES])
-        out.append((desc, depth))
-    return out
+    return list(_ITEM.iter_unpack(blob))
 
 
 def _uts_scratch(machine) -> dict:
-    return machine.scratch.setdefault("uts.states", {})
+    states = machine.scratch.get("uts.states")
+    if states is None:
+        states = machine.scratch["uts.states"] = {}
+    return states
 
 
 def _state_of(machine, rank: int) -> _UTSState:

@@ -627,10 +627,10 @@ def count_delivery_outcome(frame: FinishFrame, stamp: tuple, fut) -> None:
     """Done-callback of a counted send's ``delivered`` future: count it
     delivered on success, uncount the send if the transport reported the
     peer failed."""
-    if fut.exception() is None:
-        count_delivered(frame, stamp)
+    if fut._exc is None:
+        frame.on_delivered(stamp)
     else:
-        count_send_failed(frame, stamp)
+        frame.on_send_failed(stamp)
 
 
 def count_received(machine, ctx, key: Optional[tuple], tag: Optional[bool]

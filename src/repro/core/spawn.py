@@ -75,6 +75,8 @@ def _pack(args: tuple) -> tuple[int, tuple]:
         cls = arg.__class__
         if cls is int or cls is float:
             size += WORD  # what sizeof charges a scalar; immutable
+        elif cls is bytes:
+            size += len(arg)  # what sizeof charges it; immutable
         elif isinstance(arg, _BY_REFERENCE):
             size += REF_BYTES
         else:
@@ -146,7 +148,7 @@ def handle_exec(machine, ctx, fn, args, event_ref, rc_vc, spawn_id, key,
         if executed is None or spawn_id not in executed:
             if executed is not None:
                 executed.add(spawn_id)
-            machine.stats.incr("spawn.executed")
+            machine.stats.counts["spawn.executed"] += 1
             yield from fn(image, *args)
         else:
             machine.stats.incr("spawn.dedup_skipped")
@@ -207,7 +209,7 @@ def spawn(ctx, fn, target: int, *args: Any,
         return ctx.register(
             AsyncOp("spawn", _CLASSES, RESOLVED, RESOLVED, RESOLVED))
 
-    machine.stats.incr("spawn.initiated")
+    machine.stats.counts["spawn.initiated"] += 1
     rcop = rc_vc = None
     if machine.racecheck is not None:
         rcop = machine.racecheck.spawn_begin(ctx, implicit)
@@ -219,7 +221,7 @@ def spawn(ctx, fn, target: int, *args: Any,
     if am.credits is None:
         msg = fin.count_send(*request)
     else:
-        msg = yield from am.request(ctx.rank, dst,
+        msg = yield from am.request(ctx.rank,
                                     partial(fin.count_send, *request))
     # The initiator cannot observe execution completion without an event;
     # global completion is finish's business.  local_op is the strongest

@@ -137,15 +137,15 @@ class AMLayer:
         network.stats.counts[category_stat] += 1
         return network.send(msg, want_ack, best_effort)
 
-    def request(self, src: int, dst: int, send: Callable[[], Message]
+    def request(self, src: int, send: Callable[[], Message]
                 ) -> Generator[Any, Any, Message]:
         """Credit-aware send; use with ``yield from`` inside a task.
 
         Blocks while ``src``'s credit pool is exhausted, then sends
-        with ``send()`` — a :meth:`request_nb` from ``src`` to ``dst``
-        that asks for the delivery ack, which returns the credit.  A send
-        refused before it leaves returns the credit at once.  Without a
-        credit manager this is ``send()``.
+        with ``send()`` — a :meth:`request_nb` from ``src`` that asks
+        for the delivery ack, which returns the credit.  A send refused
+        before it leaves returns the credit at once.  Without a credit
+        manager this is ``send()``.
         """
         credits = self.credits
         if credits is None:

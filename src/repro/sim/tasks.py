@@ -507,11 +507,19 @@ class Condition:
 
     def wake(self) -> None:
         """Re-check all waiting predicates; resolve those now true."""
-        if not self._waiters:
+        waiters = self._waiters
+        if not waiters:
+            return
+        if len(waiters) == 1:
+            # the common case (one task waits on a finish frame)
+            pred, fut = waiters[0]
+            if pred():
+                self._waiters = []
+                fut.set_result(None)
             return
         still: list[tuple[Callable[[], bool], Future]] = []
         ready: list[Future] = []
-        for pred, fut in self._waiters:
+        for pred, fut in waiters:
             if pred():
                 ready.append(fut)
             else:

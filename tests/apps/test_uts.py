@@ -59,6 +59,35 @@ class TestTreeGeneration:
         assert sequential_tree_size(TreeParams(b0=4, max_depth=4, seed=19)) == 296
         assert sequential_tree_size(TreeParams(b0=4, max_depth=6, seed=19)) == 4845
 
+    def test_expand_matches_the_reference_formulas(self):
+        """Every node of the depth-6 tree expands as the written-out
+        formulas say: the first descriptor word as the draw, the log
+        denominator recomputed per node, SHA-1 of parent ∥ index."""
+        import hashlib
+        import math
+        import struct
+
+        def reference_expand(desc, depth, p):
+            if depth >= p.max_depth:
+                return []
+            u = struct.unpack(">I", desc[:4])[0] / 2.0 ** 32
+            n = int(math.floor(math.log(1.0 - u)
+                               / math.log(1.0 - 1.0 / (1.0 + p.b0))))
+            return [(hashlib.sha1(desc + struct.pack(">i", i)).digest(),
+                     depth + 1) for i in range(n)]
+
+        p = TreeParams(b0=4, max_depth=6, seed=19)
+        seen = 0
+        stack = [(root_descriptor(p), 0)]
+        while stack:
+            desc, depth = stack.pop()
+            kids = reference_expand(desc, depth, p)
+            assert num_children(desc, depth, p) == len(kids)
+            assert expand(desc, depth, p) == kids
+            seen += 1
+            stack.extend(kids)
+        assert seen == 4845
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             TreeParams(b0=0)
@@ -82,6 +111,15 @@ class TestPacking:
     def test_corrupt_payload_rejected(self):
         with pytest.raises(ValueError, match="corrupt"):
             unpack_items(b"x" * 25)
+
+    @pytest.mark.parametrize("width", [19, 21, 0])
+    def test_wrong_width_descriptor_rejected(self, width):
+        # A 19- and a 21-byte descriptor used to pack into 48 bytes that
+        # unpacked as two other items (depths 256 and 2).
+        items = [(bytes(20), 1), (bytes(width), 2)]
+        with pytest.raises(ValueError, match=f"item 1: descriptor of "
+                                             f"{width} bytes"):
+            pack_items(items)
 
     def test_chunk_limit_is_nine_items_by_default(self):
         # Paper §IV-C.1a: GASNet's medium packet caps a steal at 9 items.

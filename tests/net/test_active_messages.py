@@ -134,8 +134,8 @@ class TestCredits:
         am.register("h", lambda ctx: None)
 
         def sender():
-            yield from am.request(0, 1, self.send(am))
-            yield from am.request(0, 1, self.send(am))
+            yield from am.request(0, self.send(am))
+            yield from am.request(0, self.send(am))
             done.append(sim.now)
 
         Task(sim, sender())
@@ -150,7 +150,7 @@ class TestCredits:
 
         def sender():
             for _ in range(6):
-                yield from am.request(0, 1, self.send(am))
+                yield from am.request(0, self.send(am))
 
         Task(sim, sender())
         sim.run()
@@ -166,13 +166,13 @@ class TestCredits:
 
         def sender():
             try:
-                yield from am.request(0, 1, partial(
+                yield from am.request(0, partial(
                     am.request_nb, 0, 1, "h", payload_size=8,
                     category=AMCategory.SHORT, want_ack=True))
             except AMSizeError as exc:
                 caught.append(exc)
             caught.append(am.credits.outstanding(0))
-            yield from am.request(0, 1, self.send(am))
+            yield from am.request(0, self.send(am))
             caught.append("sent")
 
         Task(sim, sender())
@@ -187,7 +187,7 @@ class TestCredits:
         receipts = []
 
         def sender():
-            r = yield from am.request(0, 1, self.send(am, want_ack=False))
+            r = yield from am.request(0, self.send(am, want_ack=False))
             receipts.append(r)
 
         Task(sim, sender())

@@ -70,6 +70,16 @@ class TestIntervalAccumulator:
         assert acc.busy.tolist() == [3.0, 0.0, 3.0]
         assert acc.total() == 6.0
 
+    def test_busy_is_float64_with_exact_sums(self):
+        acc = IntervalAccumulator(2)
+        for d in (0.1, 0.2, 0.3, 1e-7):
+            acc.add(1, d)
+        busy = acc.busy
+        assert busy.dtype == np.float64
+        # the same additions in the same order, bit for bit
+        assert busy.tolist() == [0.0, ((0.1 + 0.2) + 0.3) + 1e-7]
+        assert acc.total() == busy[1]
+
     def test_negative_duration_rejected(self):
         acc = IntervalAccumulator(1)
         with pytest.raises(ValueError):

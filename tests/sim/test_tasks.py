@@ -268,6 +268,76 @@ class TestSemaphore:
 
 
 class TestCondition:
+    def test_wake_resolves_a_single_waiter(self):
+        sim = Simulator()
+        cond = Condition(sim)
+        state = {"ready": False}
+        trace = []
+
+        def waiter():
+            yield from cond.wait_until(lambda: state["ready"])
+            trace.append(sim.now)
+
+        def ready():
+            state["ready"] = True
+            cond.wake()
+
+        Task(sim, waiter())
+        sim.schedule(1.0, cond.wake)
+        sim.schedule(2.0, ready)
+        sim.run()
+        assert trace == [2.0]
+        assert cond.waiting == 0
+
+    def test_raising_predicate_stays_queued(self):
+        sim = Simulator()
+        cond = Condition(sim)
+        state = {"mode": "wait"}
+        trace = []
+
+        def pred():
+            if state["mode"] == "raise":
+                raise RuntimeError("predicate failed")
+            return state["mode"] == "go"
+
+        def waiter():
+            yield from cond.wait_until(pred)
+            trace.append(sim.now)
+
+        Task(sim, waiter())
+        sim.run()
+        state["mode"] = "raise"
+        with pytest.raises(RuntimeError, match="predicate failed"):
+            cond.wake()
+        assert cond.waiting == 1 and trace == []
+        state["mode"] = "go"
+        cond.wake()
+        sim.run()
+        assert trace == [0.0]
+        assert cond.waiting == 0
+
+    def test_wake_resolves_two_waiters_in_order(self):
+        sim = Simulator()
+        cond = Condition(sim)
+        state = {"go": False}
+        trace = []
+
+        def waiter(name):
+            yield from cond.wait_until(lambda: state["go"])
+            trace.append(name)
+
+        Task(sim, waiter("first"))
+        Task(sim, waiter("second"))
+
+        def go():
+            state["go"] = True
+            cond.wake()
+
+        sim.schedule(1.0, go)
+        sim.run()
+        assert trace == ["first", "second"]
+        assert cond.waiting == 0
+
     def test_wait_until_already_true_does_not_block(self):
         sim = Simulator()
         cond = Condition(sim)
