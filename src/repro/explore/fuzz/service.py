@@ -49,7 +49,6 @@ from repro.explore.explorer import (
     minimize_schedule,
 )
 from repro.explore.schedule import (
-    DEFAULT_LAG_SLACK,
     DEFAULT_LAG_STEPS,
     RecordingSource,
     ReplaySource,
@@ -104,10 +103,9 @@ class TargetSpec:
 @dataclass
 class FuzzConfig:
     """Service knobs.  ``budget`` is the total schedule count across
-    all workers; ``lag_steps``/``lag_slack`` set the delivery-lag
-    quantization of the search space (both the seed strategies and
-    mutation replays use them, so every searcher faces the same
-    space)."""
+    all workers; ``lag_steps`` sets the delivery-lag quantization of the
+    search space (both the seed strategies and mutation replays use it,
+    so every searcher faces the same space)."""
 
     budget: int = 2000
     workers: int = 0
@@ -116,7 +114,6 @@ class FuzzConfig:
     minimize_budget: int = 300
     sync_every: int = 50          # per-worker schedules per round
     lag_steps: int = DEFAULT_LAG_STEPS
-    lag_slack: float = DEFAULT_LAG_SLACK
 
 
 @dataclass
@@ -223,8 +220,7 @@ def _fuzz_segment(target: Callable, config: FuzzConfig,
         if pending_bursts:
             records = pending_bursts.pop(0)
             source = ReplaySource(records, strict=False,
-                                  lag_steps=config.lag_steps,
-                                  lag_slack=config.lag_slack)
+                                  lag_steps=config.lag_steps)
             label = "burst"
         elif (len(corpus) > 0 and run_index >= _SEED_RUNS
                 and rng.random() < _MUTATION_BIAS):
@@ -275,8 +271,7 @@ def _pool_worker(payload: dict) -> dict:
         corpus.add(Schedule.from_json(doc))
     rng = random.Random(payload["rng_seed"])
     strategy = RandomWalkStrategy(seed=payload["strategy_seed"],
-                                  lag_steps=config.lag_steps,
-                                  lag_slack=config.lag_slack)
+                                  lag_steps=config.lag_steps)
     result = _fuzz_segment(
         target, config, snapshot, corpus, rng, strategy,
         payload["budget"], payload["run_index_start"],
@@ -364,8 +359,7 @@ class FuzzService:
         if cfg.workers <= 0:
             rng = random.Random(cfg.seed * 1_000_003 + 1)
             strategy = RandomWalkStrategy(seed=cfg.seed,
-                                          lag_steps=cfg.lag_steps,
-                                          lag_slack=cfg.lag_slack)
+                                          lag_steps=cfg.lag_steps)
             pending: List[List] = []
             while total_runs < cfg.budget:
                 if (cfg.max_findings is not None

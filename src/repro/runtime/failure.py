@@ -77,6 +77,7 @@ import math
 from collections import deque
 from typing import Optional
 
+from repro.core import spawn
 from repro.net.active_messages import AMCategory
 from repro.sim.tasks import Delay, Task
 
@@ -211,6 +212,20 @@ _WINDOW = 100
 _PHI_SUSPECT = 12.0
 
 
+#: Membership transitions (DESIGN §12.2).  A peer's level is 0 while
+#: trusted, 1 while suspected and 2 once confirmed (``confirmed`` is a
+#: subset of ``suspects``).  Per op: the levels it applies from and the
+#: transport call that moves the peer.
+_TRANSITIONS = {
+    "suspect": ((0,), "mark_suspect"),
+    "confirm": ((0, 1), "confirm_dead"),
+    "unsuspect": ((1,), "unmark_suspect"),
+    "resurrect": ((2,), "unconfirm"),
+}
+#: the transitions that lift a verdict; only a live peer can earn one
+_HEALS = ("unsuspect", "resurrect")
+
+
 class _SparseCounters(dict):
     """Per-rank int counters that read 0 for untouched ranks without
     ever storing them — ``c[r] += 1`` materializes only rank ``r``."""
@@ -332,11 +347,6 @@ class FailureService:
             return
         self.stop()
 
-    def notify_death(self, rank: int) -> None:
-        """The simulator killed ``rank`` (ground truth, *not* published
-        to survivors — suspicion still takes a detector timeout)."""
-        self.check_stop()
-
     # ------------------------------------------------------------------ #
     # Detection
     # ------------------------------------------------------------------ #
@@ -407,11 +417,9 @@ class FailureService:
         # A delivery IS life: lift any wrong verdict about the sender
         # before the message's own callbacks run (the transport calls
         # this hook first), so its counter stamps land un-reconciled.
-        if src in self.confirmed:
-            if src not in self.machine.dead_images:
-                self.resurrect(src)
-        elif src in self.suspects:
-            self.unsuspect(src)
+        if src in self.suspects:
+            self.transition(
+                "resurrect" if src in self.confirmed else "unsuspect", src)
 
     def _phi_value(self, observer: int, peer: int, elapsed: float) -> float:
         """Hayashibara phi: -log10 of the probability that a delivery
@@ -465,13 +473,13 @@ class FailureService:
                     # Level two is time-based for BOTH rules: only hard
                     # silence may trigger the irreversible verdict.
                     if elapsed > confirm_timeout:
-                        self.confirm(peer)
+                        self.transition("confirm", peer)
                     continue
                 if phi:
                     if self._phi_value(rank, peer, elapsed) >= _PHI_SUSPECT:
-                        self.publish(peer)
+                        self.transition("suspect", peer)
                 elif elapsed > timeout:
-                    self.publish(peer)
+                    self.transition("suspect", peer)
             for peer in peers:
                 if peer == rank or peer in self.confirmed:
                     continue
@@ -512,100 +520,89 @@ class FailureService:
                 kind="fail.member",
             )
 
-    def publish(self, peer: int, gossip: bool = True) -> None:
-        """Level one — SUSPECTED: park traffic toward ``peer`` in the
-        transport quarantine.  Revocable; nothing is reconciled yet."""
-        if peer in self.suspects:
-            return
+    def transition(self, op: str, peer: int, gossip: bool = True) -> None:
+        """Apply membership transition ``op`` to ``peer`` if it still
+        changes anything: the one way membership moves (DESIGN §12.2).
+
+        ``op`` is a verdict, ``"suspect"`` (level one: park traffic
+        toward ``peer`` in the transport quarantine, reconcile nothing)
+        or ``"confirm"`` (level two: fail the quarantined traffic,
+        reconcile the survivors' finish frames and re-execute the lost
+        spawns), or a heal, which only a delivery from a live peer
+        earns: ``"unsuspect"`` (flush the quarantine) or ``"resurrect"``
+        (replay the reconciliation algebra in reverse).  A heal bumps
+        the peer's incarnation.  ``gossip=False`` applies a transition
+        another machine made; one already applied is a no-op."""
+        levels, step = _TRANSITIONS[op]
         machine = self.machine
-        machine.network.mark_suspect(peer)
+        heal = op in _HEALS
+        if ((peer in self.suspects) + (peer in self.confirmed) not in levels
+                or (heal and peer in machine.dead_images)):
+            return
+        move = getattr(machine.network, step)
+        if op != "unsuspect":
+            move(peer)
         self.gen += 1
         now = machine.sim.now
-        self.suspected_at[peer] = now
-        machine.stats.incr("fail.suspected")
-        t_dead = machine.dead_at.get(peer)
-        if t_dead is None:
-            machine.stats.incr("fail.false_suspected")
+        name = f"fail.{op}ed"
+        machine.stats.incr(name)
+        args = {"gen": self.gen}
+        if heal:
+            self.incarnations[peer] += 1
+            args["incarnation"] = self.incarnations[peer]
+            self.recovered.add(peer)
+            t0 = self.suspected_at.pop(peer, None)
+            if t0 is not None:
+                self.time_to_unsuspect.append(now - t0)
         else:
-            self.suspect_latency.append(now - t_dead)
+            if op == "suspect":
+                self.suspected_at[peer] = now
+            t_dead = machine.dead_at.get(peer)
+            if t_dead is None:
+                machine.stats.incr(f"fail.false_{op}ed")
+            else:
+                getattr(self, f"{op}_latency").append(now - t_dead)
         if machine.tracer is not None:
-            machine.tracer.instant(peer, "fail.suspected", now,
-                                   args={"gen": self.gen})
+            machine.tracer.instant(peer, name, now, args=args)
+        if heal:
+            self._heal_frames(peer)
+            if op == "unsuspect":
+                # Flush after the heal: quarantined deliveries must find
+                # the frames un-reconciled when their counter callbacks
+                # run.
+                move(peer)
         if gossip:
-            self._gossip("suspect", peer)
-        self.check_stop()
+            self._gossip(op, peer)
+        if not heal:
+            if op == "confirm":
+                self._reconcile_frames(peer)
+            self.check_stop()
 
-    def confirm(self, peer: int, gossip: bool = True) -> None:
-        """Level two — CONFIRMED_DEAD: fail the quarantined traffic and
-        reconcile the survivors' finish frames."""
-        if peer in self.confirmed:
-            return
+    def _reconcile_frames(self, peer: int) -> None:
+        """``peer`` was CONFIRMED dead: reconcile every surviving image's
+        finish frames and, with recovery enabled, re-execute the lost
+        spawns from their surviving senders' ledgers (only open blocks
+        keep one, see ``FinishFrame.close``).  Mere suspicion never
+        reaches here: reconciling on a false suspicion would
+        double-count when the straggler's delayed messages land."""
         machine = self.machine
-        machine.network.confirm_dead(peer)
-        self.gen += 1
-        now = machine.sim.now
-        machine.stats.incr("fail.confirmed")
-        t_dead = machine.dead_at.get(peer)
-        if t_dead is None:
-            machine.stats.incr("fail.false_confirmed")
-        else:
-            self.confirm_latency.append(now - t_dead)
-        if machine.tracer is not None:
-            machine.tracer.instant(peer, "fail.confirmed", now,
-                                   args={"gen": self.gen})
-        if gossip:
-            self._gossip("confirm", peer)
-        machine._on_confirm(peer)
-        self.check_stop()
+        for (rank, _key), frame in sorted(machine._frames.items()):
+            if rank in machine.dead_images or rank in self.confirmed:
+                continue
+            entries = frame.reconcile_failure(peer)
+            if entries:
+                self.orphans[peer] = self.orphans.get(peer, 0) + len(entries)
+                spawn.reexecute_lost(frame, entries)
 
-    def unsuspect(self, peer: int, gossip: bool = True) -> None:
-        """A merely-suspected peer delivered: the suspicion was false.
-        Bump its incarnation and flush the quarantined traffic."""
-        if peer in self.confirmed or peer in self.machine.dead_images:
-            return
+    def _heal_frames(self, peer: int) -> None:
+        """``peer`` spoke again: every frame that reconciled it away adds
+        its exact-subtraction stamp back, so its counts are neither
+        dropped nor double-subtracted (DESIGN §12)."""
         machine = self.machine
-        self.gen += 1
-        self.incarnations[peer] += 1
-        self.recovered.add(peer)
-        t0 = self.suspected_at.pop(peer, None)
-        now = machine.sim.now
-        if t0 is not None:
-            self.time_to_unsuspect.append(now - t0)
-        machine.stats.incr("fail.unsuspected")
-        if machine.tracer is not None:
-            machine.tracer.instant(peer, "fail.unsuspected", now,
-                                   args={"gen": self.gen,
-                                         "incarnation": self.incarnations[peer]})
-        machine._on_heal(peer)
-        # Flush after the heal: quarantined deliveries must find the
-        # frames un-reconciled when their counter callbacks run.
-        machine.network.unmark_suspect(peer)
-        if gossip:
-            self._gossip("unsuspect", peer)
-
-    def resurrect(self, peer: int, gossip: bool = True) -> None:
-        """A *confirmed* peer delivered — the irreversible verdict was
-        wrong after all.  Undo it: replay the reconciliation algebra in
-        reverse so the peer's counter stamps count again."""
-        machine = self.machine
-        if peer in machine.dead_images:
-            return  # physically dead; a live delivery cannot happen
-        machine.network.unconfirm(peer)
-        self.gen += 1
-        self.incarnations[peer] += 1
-        self.recovered.add(peer)
-        t0 = self.suspected_at.pop(peer, None)
-        now = machine.sim.now
-        if t0 is not None:
-            self.time_to_unsuspect.append(now - t0)
-        machine.stats.incr("fail.resurrected")
-        if machine.tracer is not None:
-            machine.tracer.instant(peer, "fail.resurrected", now,
-                                   args={"gen": self.gen,
-                                         "incarnation": self.incarnations[peer]})
-        machine._on_heal(peer)
-        if gossip:
-            self._gossip("resurrect", peer)
+        for (rank, _key), frame in sorted(machine._frames.items()):
+            if rank not in machine.dead_images:
+                frame.unreconcile(peer)
+        self.orphans.pop(peer, None)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -643,22 +640,11 @@ def _heartbeat_handler(ctx) -> None:
 
 
 def _make_member_handler(machine):
-    """Apply a gossiped membership transition, guarded so an already-
-    applied (or since-reversed) transition is a no-op — the idempotence
-    that keeps per-machine generation counters converging in process
-    mode (see :meth:`FailureService._gossip`)."""
+    """Apply a gossiped membership transition; its guard makes an
+    already-applied (or since-reversed) one a no-op, which keeps the
+    per-machine generation counters converging in process mode (see
+    :meth:`FailureService._gossip`)."""
     def handle_member(ctx, op: str, peer: int) -> None:
-        service = machine.failure
-        if service is None:
-            return
-        if op == "suspect":
-            service.publish(peer, gossip=False)
-        elif op == "confirm":
-            service.confirm(peer, gossip=False)
-        elif op == "unsuspect":
-            if peer in service.suspects and peer not in service.confirmed:
-                service.unsuspect(peer, gossip=False)
-        elif op == "resurrect":
-            if peer in service.confirmed:
-                service.resurrect(peer, gossip=False)
+        if machine.failure is not None:
+            machine.failure.transition(op, peer, gossip=False)
     return handle_member

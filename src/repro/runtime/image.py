@@ -149,7 +149,9 @@ class Image(Activation):
         """Team members not suspected dead, in world-rank order."""
         team = team if team is not None else self.team_world
         failure = self.machine.failure
-        return team.alive_members(failure.suspects if failure else ())
+        if failure is None:
+            return sorted(team)
+        return failure.alive_members(team)
 
     def suspected_images(self, team: Optional[Team] = None) -> list[int]:
         """World ranks currently SUSPECTED but not yet confirmed dead —

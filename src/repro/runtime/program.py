@@ -355,38 +355,7 @@ class Machine:
             self.tracer.instant(rank, "fail.crash", self.sim.now,
                                 args={"tasks_killed": killed})
         if self.failure is not None:
-            self.failure.notify_death(rank)
-
-    def _on_confirm(self, peer: int) -> None:
-        """Failure-service callback: a suspect was CONFIRMED dead.
-        Reconcile every surviving image's finish frames and, with
-        recovery enabled, re-execute the lost spawns from their
-        surviving senders' ledgers (only open blocks keep one, see
-        ``FinishFrame.close``).  Mere suspicion never reaches
-        here — reconciliation on a false suspicion would double-count
-        when the straggler's delayed messages eventually land."""
-        service = self.failure
-        for (rank, _key), frame in sorted(self._frames.items()):
-            if (rank in self.dead_images or rank in service.confirmed):
-                continue
-            entries = frame.reconcile_failure(peer)
-            if entries:
-                service.orphans[peer] = (service.orphans.get(peer, 0)
-                                         + len(entries))
-                spawn.reexecute_lost(frame, entries)
-
-    def _on_heal(self, peer: int) -> None:
-        """Failure-service callback: a suspicion turned out to be false
-        (the peer spoke again).  Replay the compensating algebra: every
-        frame that reconciled ``peer`` away adds its exact-subtraction
-        stamp back, so the healed peer's counts are neither dropped nor
-        double-subtracted (DESIGN §12)."""
-        service = self.failure
-        for (rank, _key), frame in sorted(self._frames.items()):
-            if rank in self.dead_images:
-                continue
-            frame.unreconcile(peer)
-        service.orphans.pop(peer, None)
+            self.failure.check_stop()
 
     # ------------------------------------------------------------------ #
     # Services for the core operation modules

@@ -119,14 +119,6 @@ class Team:
                 out.append((child_pos + root) % self.size)
         return out
 
-    def alive_members(self, suspects) -> list[int]:
-        """Members not in ``suspects`` (a set of world ranks), in world
-        rank order — the membership view fault-tolerant protocols
-        iterate (see :mod:`repro.runtime.failure`)."""
-        if not suspects:
-            return list(self.members)
-        return [r for r in self.members if r not in suspects]
-
     def hypercube_neighbors(self, team_rank: int) -> list[int]:
         """Team ranks at XOR offsets 2^0, 2^1, ... (UTS lifelines,
         paper §IV-C: lifelines are set on hypercube neighbors)."""

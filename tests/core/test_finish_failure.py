@@ -186,7 +186,7 @@ class TestStallReportFailureDiagnostics:
     def test_lists_dead_and_suspected_images(self):
         machine = Machine(4, seed=0, failure_detection=FailureConfig())
         machine.kill_image(1)
-        machine.failure.publish(1)
+        machine.failure.transition("suspect", 1)
         report = stall_report(machine, blocked=[0])
         assert "dead images: [1]" in report
         assert "suspected images: [1]" in report

@@ -36,7 +36,7 @@ SURFACE = {
     UTSConfig: ["tree", "node_cost", "init_sharing_depth", "detector"],
     PCConfig: ["iterations", "variant"],
     FuzzConfig: ["budget", "workers", "seed", "max_findings",
-                 "minimize_budget", "sync_every", "lag_steps", "lag_slack"],
+                 "minimize_budget", "sync_every", "lag_steps"],
     CreditManager.__init__: ["sim", "credits", "stats"],
     Explorer.run_strategy: ["strategy"],
 }

@@ -330,7 +330,7 @@ class TestQuarantine:
         assert 1 in w.net.suspects and 1 in w.net.confirmed
 
     def test_unconfirm_lifts_the_verdict_and_sends_transmit_again(self):
-        """What ``FailureService.resurrect`` calls; idempotent, and a
+        """What a ``resurrect`` transition calls; idempotent, and a
         no-op on an image under no verdict."""
         w = self.wire()
         w.net.confirm_dead(1)

@@ -2,13 +2,17 @@
 queries, two-level membership (suspected / confirmed / recovered, with
 incarnation numbers), and detector shutdown."""
 
+import hashlib
+
 import pytest
 
+from repro.apps.uts import TreeParams, UTSConfig, uts_kernel
 from repro.core.finish import stall_report
 from repro.net.faults import FaultPlan
 from repro.net.transport import Message
-from repro.runtime.failure import FailureConfig, ImageFailureError
-from repro.runtime.program import DeadlockError, run_spmd
+from repro.runtime.failure import (FailureConfig, ImageFailureError,
+                                   _make_member_handler)
+from repro.runtime.program import DeadlockError, Machine, run_spmd
 from repro.sim.engine import SimulationError
 
 
@@ -104,6 +108,23 @@ class TestImageQueries:
         run_spmd(kernel, 2)
         assert seen["failed"] == []
         assert seen["alive"] == [0, 1]
+
+    @pytest.mark.parametrize("detection", [None, FailureConfig()],
+                             ids=["no-detector", "detector"])
+    def test_alive_images_in_world_rank_order(self, detection):
+        """On a team whose split keys reverse the world order, the team
+        lists its members 3, 2, 1, 0; ``alive_images`` still answers in
+        world-rank order, like ``failed_images`` does."""
+        seen = {}
+
+        def kernel(img):
+            team = yield from img.team_split(img.team_world, 0, -img.rank)
+            if img.rank == 0:
+                seen["members"] = list(team)
+                seen["alive"] = img.alive_images(team)
+
+        run_spmd(kernel, 4, failure_detection=detection)
+        assert seen == {"members": [3, 2, 1, 0], "alive": [0, 1, 2, 3]}
 
 
 class TestDetectorShutdown:
@@ -339,3 +360,83 @@ class TestDeadlockUnderDetector:
         with pytest.raises(DeadlockError):
             run_spmd(_skips_the_barrier, 2, failure_detection=config,
                      max_events=20_000)
+
+
+def run_digest(machine, results) -> str:
+    """sha256 over what a run computed: its stats, its end time, its
+    event count and its results."""
+    h = hashlib.sha256()
+    h.update(repr(sorted(machine.stats.as_dict().items())).encode())
+    h.update(machine.sim.now.hex().encode())
+    h.update(str(machine.sim.events_processed).encode())
+    h.update(repr(results).encode())
+    return h.hexdigest()
+
+
+class TestOneTransition:
+    """Every membership change goes through ``FailureService.transition``;
+    two runs through all four transitions are pinned bit for bit."""
+
+    @pytest.mark.parametrize("op, setup", [
+        ("suspect", ()),
+        ("confirm", ()),
+        ("unsuspect", ("suspect",)),
+        ("resurrect", ("confirm",)),
+    ])
+    def test_repeated_transition_applies_once(self, op, setup):
+        """Applied twice locally and once more as received gossip, a
+        transition bumps the generation and its counter once."""
+        machine = Machine(4, seed=0, failure_detection=FailureConfig())
+        service = machine.failure
+        for prior in setup:
+            service.transition(prior, 1)
+        gen = service.gen
+        service.transition(op, 1)
+        service.transition(op, 1)
+        _make_member_handler(machine)(None, op, 1)
+        assert service.gen == gen + 1
+        assert machine.stats[f"fail.{op}ed"] == 1
+
+    @pytest.mark.parametrize("op, verdict", [("unsuspect", "suspect"),
+                                             ("resurrect", "confirm")])
+    def test_no_heal_for_a_dead_image(self, op, verdict):
+        """Only a live peer can lift a verdict, e.g. through stale
+        gossip about an image that has since crashed."""
+        machine = Machine(4, seed=0, failure_detection=FailureConfig())
+        service = machine.failure
+        machine.kill_image(1)
+        service.transition(verdict, 1)
+        gen = service.gen
+        _make_member_handler(machine)(None, op, 1)
+        assert service.gen == gen and 1 in service.suspects
+        assert machine.stats[f"fail.{op}ed"] == 0
+
+    def test_all_four_transitions_are_pinned(self):
+        """The scenario of ``test_false_confirmation_resurrects_on_heal``:
+        suspicions that heal, a false confirmation and its resurrection."""
+        cfg = FailureConfig(period=5e-5, timeout=1.5e-4,
+                            confirm_timeout=5e-4)
+        plan = FaultPlan()
+        for dst in (0, 2, 3):
+            plan.flap_link(1, dst, at=2e-4, down_for=8e-4, up_for=1.0)
+        m, results = run_spmd(idle_kernel, 4, args=(5e-3,), faults=plan,
+                              failure_detection=cfg)
+        counts = {k: m.stats[f"fail.{k}"] for k in (
+            "suspected", "unsuspected", "confirmed", "resurrected")}
+        assert counts == {"suspected": 7, "unsuspected": 6,
+                          "confirmed": 1, "resurrected": 1}
+        assert run_digest(m, results) == (
+            "123c0327ca81562fcf7403a15d6d5caca6cabc844c0874a7ce584560790b6c70")
+
+    def test_uts_crash_recovery_is_pinned(self):
+        """A crash confirmed and reconciled, its lost spawns re-executed:
+        the exact tree count, and the same run bit for bit."""
+        tree = TreeParams(b0=4, max_depth=7, seed=19)
+        m, results = run_spmd(uts_kernel, 4, args=(UTSConfig(tree=tree),),
+                              seed=42, faults=FaultPlan().crash_at(2, 1e-5),
+                              failure_detection=FailureConfig(recover=True))
+        assert sum(n for n in results if n is not None) == 19438
+        assert m.stats["fail.confirmed"] == 1
+        assert m.stats["spawn.recovered"] == 2
+        assert run_digest(m, results) == (
+            "abdceff944d1a3d7a781f3a74d348222387ba270eafb96c98c4c69a3bc59f98b")
