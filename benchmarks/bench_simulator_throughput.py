@@ -11,6 +11,8 @@ The workload bodies live in module-level ``run_*`` functions so that
 pytest-benchmark tests below.
 """
 
+import numpy as np
+
 from repro.net.topology import MachineParams
 from repro.net.transport import Message, Network
 from repro.sim.engine import Simulator
@@ -21,6 +23,7 @@ RAW_EVENTS = 50_000
 TASK_STEPS, TASK_COUNT = 2_000, 8
 AM_ROUNDS, AM_IMAGES = 300, 4
 WIRE_MSGS, WIRE_WAVE, WIRE_IMAGES, WIRE_JITTER = 10_000, 100, 8, 0.02
+COLL_ROUNDS, COLL_IMAGES = 4, 64
 
 
 def run_raw_event_loop(n: int = RAW_EVENTS) -> int:
@@ -87,6 +90,34 @@ def run_wire_throughput(msgs: int = WIRE_MSGS, wave: int = WIRE_WAVE,
     return acked
 
 
+def run_collective_rounds(rounds: int = COLL_ROUNDS,
+                          images: int = COLL_IMAGES) -> int:
+    """The collective engine over the layers beneath it: per round an
+    ``allreduce_async`` and a ``broadcast_async`` inside a ``finish``
+    (whose termination detection runs its own allreduce waves), then one
+    blocking ``allreduce``.  Returns the rounds the images got right,
+    summed over images."""
+
+    def kernel(img):
+        n = img.nimages
+        right = 0
+        for r in range(rounds):
+            total = np.zeros(1)
+            root = r % n
+            buf = np.full(4, float(r)) if img.rank == root else np.zeros(4)
+            yield from img.finish_begin()
+            img.allreduce_async(float(img.rank), result_buf=total)
+            img.broadcast_async(buf, root=root)
+            yield from img.finish_end()
+            top = yield from img.allreduce(img.rank, op="max")
+            right += (total[0] == n * (n - 1) / 2 and buf.sum() == 4.0 * r
+                      and top == n - 1)
+        return right
+
+    _machine, right = run_spmd(kernel, images)
+    return sum(right)
+
+
 def test_raw_event_loop_throughput(benchmark):
     assert benchmark(run_raw_event_loop) == RAW_EVENTS
 
@@ -101,3 +132,7 @@ def test_am_round_trip_throughput(benchmark):
 
 def test_wire_throughput(benchmark):
     assert benchmark(run_wire_throughput) == WIRE_MSGS
+
+
+def test_collective_round_throughput(benchmark):
+    assert benchmark(run_collective_rounds) == COLL_IMAGES * COLL_ROUNDS

@@ -39,11 +39,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_simulator_throughput import (  # noqa: E402
     AM_IMAGES,
     AM_ROUNDS,
+    COLL_IMAGES,
+    COLL_ROUNDS,
     RAW_EVENTS,
     TASK_COUNT,
     TASK_STEPS,
     WIRE_MSGS,
     run_am_round_trip,
+    run_collective_rounds,
     run_raw_event_loop,
     run_task_switch,
     run_wire_throughput,
@@ -67,6 +70,8 @@ BENCHES = [
      AM_IMAGES * AM_ROUNDS, AM_IMAGES * AM_ROUNDS, "spawns"),
     ("test_wire_throughput", run_wire_throughput, WIRE_MSGS, WIRE_MSGS,
      "messages"),
+    ("test_collective_round_throughput", run_collective_rounds,
+     COLL_IMAGES * COLL_ROUNDS, COLL_ROUNDS, "rounds"),
     ("test_fuzz_schedule_throughput", run_fuzz_schedules, FUZZ_SCHEDULES,
      FUZZ_SCHEDULES, "schedules"),
 ]

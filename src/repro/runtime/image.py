@@ -298,13 +298,15 @@ class Image(Activation):
     # ------------------------------------------------------------------ #
 
     def finish_begin(self, team: Optional[Team] = None):
-        """Enter a finish block; see :func:`repro.core.finish.finish_begin`."""
-        return (yield from _finish.finish_begin(self, team=team))
+        """Enter a finish block; see :func:`repro.core.finish.finish_begin`.
+        Returns that generator itself: use with ``yield from``."""
+        return _finish.finish_begin(self, team=team)
 
     def finish_end(self, detector: str = "epoch"):
         """Leave a finish block (global termination detection); returns the
-        number of allreduce waves used."""
-        return (yield from _finish.finish_end(self, detector=detector))
+        number of allreduce waves used.  Returns the generator of
+        :func:`repro.core.finish.finish_end` itself."""
+        return _finish.finish_end(self, detector=detector)
 
     def cofence(self, downward: Optional[str] = None,
                 upward: Optional[str] = None):

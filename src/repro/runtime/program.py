@@ -205,6 +205,8 @@ class Machine:
         self._events: dict[str, EventVar] = {}
         self._locks: dict[str, LockVar] = {}
         self._frames: dict[tuple, Any] = {}
+        #: the collective records, (image, team id, seq) -> record;
+        #: :mod:`repro.core.collectives` adds and drops them
         self._coll_states: dict[tuple, Any] = {}
         #: open dictionary for cross-module transient state (copy tokens,
         #: detector scratch, lock grants, ...)
@@ -372,21 +374,6 @@ class Machine:
                                 seq)
             self._frames[full_key] = frame
         return frame
-
-    def next_coll_seq(self, world_rank: int, team_id: int) -> int:
-        return self.image_state(world_rank).next_coll_seq(team_id)
-
-    def coll_state(self, world_rank: int, team_id: int, seq: int,
-                   factory: Callable[[], Any]) -> Any:
-        key = (world_rank, team_id, seq)
-        state = self._coll_states.get(key)
-        if state is None:
-            state = factory()
-            self._coll_states[key] = state
-        return state
-
-    def drop_coll_state(self, world_rank: int, team_id: int, seq: int) -> None:
-        self._coll_states.pop((world_rank, team_id, seq), None)
 
     def post_event(self, event: EventVar, home: int, from_rank: int,
                    count: int = 1) -> None:

@@ -21,10 +21,16 @@ WORD = 8
 CONTAINER_OVERHEAD = 16
 
 
+#: the size of a value of exactly one of these types (not a subclass:
+#: ``np.float64`` is a float, and weighs its ``nbytes``)
+_SCALARS = {type(None): 0, bool: 1, int: WORD, float: WORD, complex: WORD}
+
+
 def sizeof(value: Any) -> int:
     """Simulated size of ``value`` in bytes."""
-    if value is None:
-        return 0
+    size = _SCALARS.get(value.__class__)
+    if size is not None:
+        return size
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, np.generic):

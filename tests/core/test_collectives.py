@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import collectives
 from repro.core.collectives import op_function
 
 
@@ -245,3 +246,46 @@ class TestTeamSplit:
         assert list(results[0]) == [0, 1]
         assert list(results[5]) == [4, 5]
         assert list(results[7]) == [6, 7]
+
+
+#: a rooted collective per row, called with ``(img, root, radix)``
+_ROOTED = {
+    "broadcast": lambda img, root, radix: collectives.broadcast(
+        img, img.rank, root=root, radix=radix),
+    "reduce": lambda img, root, radix: collectives.reduce(
+        img, img.rank, root=root, radix=radix),
+    "gather": lambda img, root, radix: collectives.gather(
+        img, img.rank, root=root, radix=radix),
+    "scatter": lambda img, root, radix: collectives.scatter(
+        img, list(range(4)) if img.rank == root else None, root=root,
+        radix=radix),
+    "allreduce": lambda img, root, radix: collectives.allreduce(
+        img, img.rank, root=root, radix=radix),
+}
+
+
+class TestRootAndRadixValidation:
+    """A root outside the team or a radix below 1 is refused at the call,
+    on every image, before it takes a sequence number: the next
+    collective on the team still matches up."""
+
+    @pytest.mark.parametrize("name", sorted(_ROOTED))
+    @pytest.mark.parametrize("arg, bad", [
+        ("root", 4), ("root", -1), ("root", 7), ("radix", 0), ("radix", -2)])
+    def test_rejected_on_every_image(self, spmd, name, arg, bad):
+        root, radix = (bad, 2) if arg == "root" else (0, bad)
+
+        def kernel(img):
+            with pytest.raises(ValueError,
+                               match=rf"{arg} {bad} .*size 4\)") as caught:
+                yield from _ROOTED[name](img, root, radix)
+            assert name in str(caught.value)
+            # the team's sequence stays aligned
+            total = yield from img.allreduce(img.rank + 1)
+            value = yield from img.broadcast(
+                "x" if img.rank == 3 else None, root=3)
+            return total, value
+
+        machine, results = spmd(kernel, n=4)
+        assert results == [(10, "x")] * 4
+        assert machine._coll_states == {}

@@ -215,3 +215,53 @@ class TestCompositeCollectives:
         _m, results = spmd(kernel, n=3)
         # finish waited for the composite collective to complete
         assert results == [[100, 101, 102]] * 3
+
+
+#: a rooted asynchronous collective per row, called with
+#: ``(img, buf, root, radix)``; gather and scatter take no radix
+_ROOTED_ASYNC = {
+    "broadcast_async": lambda img, buf, root, radix: img.broadcast_async(
+        buf, root=root, radix=radix),
+    "reduce_async": lambda img, buf, root, radix: img.reduce_async(
+        1.0, recvbuf=buf, root=root, radix=radix),
+    "gather_async": lambda img, buf, root, _radix: img.gather_async(
+        1.0, root=root),
+    "scatter_async": lambda img, buf, root, _radix: img.scatter_async(
+        [1.0] * 4 if img.rank == root else None, root=root),
+    "allreduce_async": lambda img, buf, _root, radix: img.allreduce_async(
+        1.0, result_buf=buf, radix=radix),
+}
+
+
+class TestRootAndRadixValidation:
+    """Inside a finish, a rooted collective with a root outside the team
+    (or a radix below 1) raises at the call on every image — it used to
+    return a handle that left every buffer untouched — and registers
+    nothing: the next collective still matches up and the finish closes."""
+
+    @pytest.mark.parametrize("name, arg, bad", [
+        *((name, "root", bad)
+          for name in ("broadcast_async", "reduce_async", "gather_async",
+                       "scatter_async")
+          for bad in (4, -1, 7)),
+        *((name, "radix", bad)
+          for name in ("broadcast_async", "reduce_async", "allreduce_async")
+          for bad in (0, -2)),
+    ])
+    def test_rejected_inside_finish(self, spmd, name, arg, bad):
+        root, radix = (bad, 2) if arg == "root" else (0, bad)
+
+        def kernel(img):
+            buf = np.full(2, float(img.rank))
+            yield from img.finish_begin()
+            with pytest.raises(ValueError,
+                               match=rf"{arg} {bad} .*size 4\)"):
+                _ROOTED_ASYNC[name](img, buf, root, radix)
+            assert img.pending == []
+            img.broadcast_async(buf, root=1)
+            yield from img.finish_end()
+            return buf.tolist()
+
+        machine, results = spmd(kernel, n=4)
+        assert results == [[1.0, 1.0]] * 4
+        assert machine._coll_states == {}
