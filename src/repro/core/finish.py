@@ -700,7 +700,8 @@ def finish_begin(ctx, team: Optional[Team] = None
         )
     state = ctx.image_state
     parent = state.finish_stack[-1] if state.finish_stack else None
-    if parent is not None and not team.is_subset_of(parent.team):
+    if (parent is not None and team is not parent.team
+            and not team.is_subset_of(parent.team)):
         raise FinishUsageError(
             f"nested finish team {team.id} is not a subset of the "
             f"enclosing finish team {parent.team.id}"
