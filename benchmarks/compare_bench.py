@@ -5,11 +5,9 @@ Usage (what the CI ``perf-smoke`` job runs)::
     PYTHONPATH=src python benchmarks/run_all.py --quick --out /tmp/now.json
     python benchmarks/compare_bench.py BENCH_simulator.json /tmp/now.json
 
-Exits non-zero when any benchmark's *calibration-normalized* cost grew
-by more than ``--threshold`` (default 15%) over the committed reference.
-Normalized costs divide out the machine's raw interpreter speed, so the
-gate transfers between the committing machine and CI hardware; residual
-noise is what the threshold absorbs.
+Exits non-zero when any benchmark's ``nominal_s`` (machine-portable
+seconds, see ``run_all.py``) grew by more than :data:`THRESHOLD` over the
+committed reference; residual noise is what the threshold absorbs.
 
 ``--update-baseline`` rewrites the reference file from the current run
 instead of comparing (the sanctioned way to move the baseline after an
@@ -28,6 +26,9 @@ from pathlib import Path
 
 EXIT_REGRESSION = 1
 EXIT_NO_BASELINE = 2
+
+#: allowed fractional growth of a bench's nominal_s (and of bytes_per_image)
+THRESHOLD = 0.15
 
 #: two processes on two cores must beat one by this on CPU-bound work ...
 CPU_BOUND_MIN_SPEEDUP = 1.2
@@ -63,9 +64,6 @@ def main() -> None:
                     help="committed BENCH_simulator.json")
     ap.add_argument("current", type=Path,
                     help="fresh run_all.py output to check")
-    ap.add_argument("--threshold", type=float, default=0.15,
-                    help="allowed fractional growth in normalized cost "
-                         "(default 0.15 = 15%%)")
     ap.add_argument("--update-baseline", action="store_true",
                     help="overwrite REFERENCE with CURRENT instead of "
                          "comparing")
@@ -93,23 +91,22 @@ def main() -> None:
         if cur_bench is None:
             failures.append(f"{name}: missing from current run")
             continue
-        ref_cost = ref_bench["normalized_cost"]
-        cur_cost = cur_bench["normalized_cost"]
-        growth = cur_cost / ref_cost - 1.0
-        status = "FAIL" if growth > args.threshold else "ok"
-        print(f"{status:4s} {name}: normalized cost {ref_cost:.3f} -> "
-              f"{cur_cost:.3f} ({growth:+.1%})")
-        if growth > args.threshold:
-            failures.append(
-                f"{name}: normalized cost grew {growth:+.1%} "
-                f"(threshold {args.threshold:.0%})")
+        ref_s = ref_bench["nominal_s"]
+        cur_s = cur_bench["nominal_s"]
+        growth = cur_s / ref_s - 1.0
+        status = "FAIL" if growth > THRESHOLD else "ok"
+        print(f"{status:4s} {name}: nominal {ref_s * 1e3:.2f} -> "
+              f"{cur_s * 1e3:.2f} ms ({growth:+.1%})")
+        if growth > THRESHOLD:
+            failures.append(f"{name}: nominal_s grew {growth:+.1%} "
+                            f"(threshold {THRESHOLD:.0%})")
 
     # New benchmarks (or whole sections) that the committed baseline
     # predates are a warning, not a failure: a schema bump must be able
     # to land before its re-recorded baseline during a stacked rebase.
     _warn_new_keys(ref, cur, args.reference)
 
-    failures += _check_weak_scaling(ref, cur, args.threshold)
+    failures += _check_weak_scaling(ref, cur)
     failures += _check_parallel(cur)
 
     if failures:
@@ -117,8 +114,8 @@ def main() -> None:
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         raise SystemExit(EXIT_REGRESSION)
-    print("\nno regression beyond threshold "
-          f"({args.threshold:.0%}) — {len(ref_benches)} benches ok")
+    print(f"\nno regression beyond threshold ({THRESHOLD:.0%}) — "
+          f"{len(ref_benches)} benches ok")
 
 
 def _warn_new_keys(ref: dict, cur: dict, ref_path: Path) -> None:
@@ -139,7 +136,7 @@ def _warn_new_keys(ref: dict, cur: dict, ref_path: Path) -> None:
           "<current.json> --update-baseline")
 
 
-def _check_weak_scaling(ref: dict, cur: dict, threshold: float) -> list[str]:
+def _check_weak_scaling(ref: dict, cur: dict) -> list[str]:
     """Gate ``bytes_per_image`` at each weak-scaling point.
 
     Heap bytes are machine-portable (unlike wall times), so they are
@@ -162,14 +159,14 @@ def _check_weak_scaling(ref: dict, cur: dict, threshold: float) -> list[str]:
         ref_bytes = ref_point["bytes_per_image"]
         cur_bytes = cur_point["bytes_per_image"]
         growth = cur_bytes / ref_bytes - 1.0
-        status = "FAIL" if growth > threshold else "ok"
+        status = "FAIL" if growth > THRESHOLD else "ok"
         print(f"{status:4s} weak_scaling p={p}: {ref_bytes:.0f} -> "
               f"{cur_bytes:.0f} B/img ({growth:+.1%}); startup "
               f"{cur_point['startup_s_per_image'] * 1e6:.2f} us/img")
-        if growth > threshold:
+        if growth > THRESHOLD:
             failures.append(
                 f"weak_scaling p={p}: bytes_per_image grew {growth:+.1%} "
-                f"(threshold {threshold:.0%})")
+                f"(threshold {THRESHOLD:.0%})")
     return failures
 
 

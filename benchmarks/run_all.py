@@ -1,41 +1,44 @@
 """Perf-regression harness for the simulation substrate.
 
-Measures the ``bench_simulator_throughput`` workloads with a plain
-``time.perf_counter`` best-of-rounds protocol and writes
-``BENCH_simulator.json`` next to the repo root.  The file keeps two
-sections:
+Times the ``bench_simulator_throughput`` and ``bench_fuzz_throughput``
+workloads and writes ``BENCH_simulator.json`` next to the repo root.
 
-- ``benches`` — the current engine's numbers on this machine;
-- ``pre_pr_baseline`` — the numbers recorded with the engine as it stood
-  before the hot-path overhaul (written once with ``--record-baseline``
-  and carried forward verbatim afterwards), so ``speedup_vs_pre_pr``
-  documents the win on the same machine and harness.
-
-Because absolute wall times do not transfer between machines, every run
-also measures a fixed pure-Python *calibration loop*; the comparison
-script (``benchmarks/compare_bench.py``) works on calibration-normalized
-costs, which makes the >15% regression gate meaningful on CI hardware
-that is faster or slower than the machine that committed the baseline.
+Every bench runs in :data:`INTERPRETERS` fresh interpreters, taken in
+turn across the benches so that a slow spell on a shared host lands on
+a few samples of each.  In each interpreter the body runs once to warm
+up and to check its return value, then :data:`REPS` times, each
+repetition bracketed by the end-to-end benchmark's calibration loop
+(``benchmarks/e2e/estimator.py``) and converted to *nominal seconds*.
+The recorded number, ``nominal_s``, is the median over every repetition
+of every interpreter; ``benchmarks/compare_bench.py`` gates it.  (Not
+the best repetition per interpreter: a minimum of ratios favours the
+repetition whose calibration ran slow, and scatters more run to run.)
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py --quick
-    PYTHONPATH=src python benchmarks/compare_bench.py BENCH_simulator.json \
-        /tmp/bench_now.json
+    PYTHONPATH=src python benchmarks/run_all.py --quick --out /tmp/now.json
+    python benchmarks/compare_bench.py BENCH_simulator.json /tmp/now.json
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import platform
+import statistics
+import subprocess
 import sys
-import time
 from pathlib import Path
+from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE))
 
+from benchmarks.e2e.estimator import calibrate, in_timebase  # noqa: E402
 from bench_simulator_throughput import (  # noqa: E402
     AM_IMAGES,
     AM_ROUNDS,
@@ -58,7 +61,12 @@ from bench_fuzz_throughput import (  # noqa: E402
 from bench_parallel import measure_parallel  # noqa: E402
 from bench_weak_scaling import measure_weak_scaling  # noqa: E402
 
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
+DEFAULT_OUT = HERE.parent / "BENCH_simulator.json"
+
+#: fresh interpreters per bench
+INTERPRETERS = 5
+#: timed repetitions per interpreter
+REPS = 5
 
 #: (name, workload, expected return, unit count, unit name)
 BENCHES = [
@@ -77,76 +85,71 @@ BENCHES = [
 ]
 
 
-def _calibration_workload() -> int:
-    """A fixed pure-Python loop; its wall time captures how fast this
-    machine runs interpreter bytecode, which is what every simulator
-    workload is made of."""
-    acc = 0
-    for i in range(200_000):
-        acc = (acc + i) % 1_000_003
-    return acc
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
-def best_of(fn, rounds: int, warmup: int = 1) -> float:
-    """Minimum wall time over ``rounds`` runs (the low-noise estimator
-    micro-benchmarks want; the mean is dominated by scheduler noise)."""
-    for _ in range(warmup):
+def time_bench(name: str) -> None:
+    """In a fresh interpreter: warm ``name`` up, check its return value,
+    and print its repetitions in nominal seconds."""
+    [(fn, expected)] = [(b[1], b[2]) for b in BENCHES if b[0] == name]
+    result = fn()
+    if result != expected:
+        raise SystemExit(
+            f"{name}: workload returned {result!r}, expected {expected!r}"
+            " — refusing to record a broken benchmark")
+    calibrate()  # the first pass in a process grows the heap: discard it
+    gc.collect()
+    cal = calibrate()
+    reps = []
+    for _ in range(REPS):
+        start = perf_counter()
         fn()
-    return min(_timed(fn) for _ in range(rounds))
+        wall = perf_counter() - start
+        gc.collect()
+        before, cal = cal, calibrate()
+        reps.append(in_timebase("cal", wall, before, cal))
+    print(json.dumps(reps))
 
 
-def measure(rounds: int) -> dict:
-    calib = best_of(_calibration_workload, rounds)
+def _samples(name: str) -> list[float]:
+    code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); "
+            f"import run_all; run_all.time_bench({name!r})")
+    # one hash seed, as benchmarks/e2e/run.py: every interpreter lays out
+    # its dicts and sets alike
+    done = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          text=True, env=dict(os.environ, PYTHONHASHSEED="0"))
+    if done.returncode != 0:
+        raise SystemExit(f"{name}: timing interpreter exited "
+                         f"{done.returncode}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def measure() -> dict:
+    samples: dict[str, list[float]] = {b[0]: [] for b in BENCHES}
+    for _ in range(INTERPRETERS):
+        for name in samples:
+            samples[name] += _samples(name)
     benches = {}
-    for name, fn, expected, units, unit_name in BENCHES:
-        result = fn()
-        if result != expected:
-            raise SystemExit(
-                f"{name}: workload returned {result!r}, expected "
-                f"{expected!r} — refusing to record a broken benchmark")
-        # Calibration rounds are interleaved with bench rounds so both
-        # minima come from the same few-minute window: a machine-wide
-        # slow spell (noisy neighbors on shared hardware) hits both and
-        # cancels in the ratio, where one calibration measured minutes
-        # apart would record the slowdown as a regression.  The minima
-        # are taken independently — min-of-ratios would let a single
-        # slow calibration round fake a fast bench.
-        best = float("inf")
-        bench_calib = float("inf")
-        for _ in range(rounds):
-            bench_calib = min(bench_calib, _timed(_calibration_workload))
-            best = min(best, _timed(fn))
-        best_norm = best / bench_calib
+    for name, _fn, _expected, units, unit_name in BENCHES:
+        nominal = statistics.median(samples[name])
         benches[name] = {
-            "best_s": best,
+            "nominal_s": nominal,
+            "samples": samples[name],
             "units": units,
             "unit_name": unit_name,
-            "per_second": units / best,
-            # cost relative to this machine's interpreter speed —
-            # the machine-portable number the regression gate compares
-            "normalized_cost": best_norm,
+            "per_second": units / nominal,
         }
-        print(f"  {name}: {best * 1e3:8.2f} ms  "
-              f"({units / best:,.0f} {unit_name}/s, "
-              f"normalized {best_norm:.3f})")
-    return {"calibration_s": calib, "benches": benches}
+        q1, _, q3 = statistics.quantiles(samples[name])
+        print(f"  {name}: {nominal * 1e3:8.2f} nominal ms  "
+              f"({units / nominal:,.0f} {unit_name}/s, "
+              f"IQR {(q3 - q1) / nominal:.1%})")
+    return benches
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--quick", action="store_true",
-                    help="5 rounds per bench instead of 15")
+                    help="smaller weak-scaling and process-backend "
+                         "sections (the benches are timed alike)")
     ap.add_argument("--out", type=Path, default=DEFAULT_OUT,
                     help=f"output JSON (default {DEFAULT_OUT})")
-    ap.add_argument("--record-baseline", action="store_true",
-                    help="also store this run as the pre-PR baseline "
-                         "(only done once, on the pre-overhaul engine)")
     ap.add_argument("--skip-weak-scaling", action="store_true",
                     help="skip the weak-scaling section (footprint + "
                          "paper-scale app runs)")
@@ -154,22 +157,20 @@ def main() -> None:
                     help="skip the process-backend scaling section")
     args = ap.parse_args()
 
-    rounds = 5 if args.quick else 15
-    print(f"run_all: {rounds} rounds per bench "
-          f"(python {platform.python_version()})")
-    run = measure(rounds)
-
+    print(f"run_all: {INTERPRETERS} interpreters x {REPS} repetitions per "
+          f"bench (python {platform.python_version()})")
+    benches = measure()
     doc = {
-        "schema": 3,
+        "schema": 4,
         "python": platform.python_version(),
-        "rounds": rounds,
-        "calibration_s": run["calibration_s"],
-        "benches": run["benches"],
+        "interpreters": INTERPRETERS,
+        "reps": REPS,
+        "benches": benches,
         # headline number for the fuzzing service (DESIGN.md §15); the
-        # regression gate runs on the bench's normalized_cost, this key
-        # just makes the throughput easy to quote
+        # regression gate runs on the bench's nominal_s, this key just
+        # makes the throughput easy to quote
         "fuzz_schedules_per_sec":
-            run["benches"]["test_fuzz_schedule_throughput"]["per_second"],
+            benches["test_fuzz_schedule_throughput"]["per_second"],
     }
 
     if not args.skip_weak_scaling:
@@ -179,33 +180,6 @@ def main() -> None:
     if not args.skip_parallel:
         print("process-backend scaling (DESIGN.md §14):")
         doc["parallel"] = measure_parallel(quick=args.quick)
-
-    prior = None
-    if args.out.exists():
-        try:
-            prior = json.loads(args.out.read_text())
-        except json.JSONDecodeError:
-            prior = None
-
-    if args.record_baseline:
-        doc["pre_pr_baseline"] = {
-            "calibration_s": run["calibration_s"],
-            "benches": run["benches"],
-        }
-    elif prior is not None and "pre_pr_baseline" in prior:
-        doc["pre_pr_baseline"] = prior["pre_pr_baseline"]
-
-    base = doc.get("pre_pr_baseline")
-    if base is not None:
-        speedups = {}
-        for name, cur in doc["benches"].items():
-            old = base["benches"].get(name)
-            if old is not None:
-                speedups[name] = (old["normalized_cost"]
-                                  / cur["normalized_cost"])
-        doc["speedup_vs_pre_pr"] = speedups
-        for name, s in speedups.items():
-            print(f"  speedup vs pre-PR {name}: {s:.2f}x")
 
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")

@@ -42,7 +42,7 @@ from repro.runtime import lock as lock_mod
 from repro.runtime.lock import LockVar
 from repro.runtime.team import Team
 from repro.core import collectives, copy_async, spawn
-from repro.core.finish import FinishFrame
+from repro.core.finish import FinishFrame, FinishUsageError
 from repro.core.termination import ft_epoch, vector_count
 
 _EVENT_POST = "event.post"
@@ -470,16 +470,25 @@ class Machine:
             self.failure.start()
         self._main_tasks.extend(tasks)
         for t in tasks:
-            t.done_future.add_done_callback(partial(self._main_done, t.name))
+            t.done_future.add_done_callback(
+                partial(self._main_done, t.name, t.owner))
         return tasks
 
-    def _main_done(self, name: str, fut) -> None:
+    def _main_done(self, name: str, rank: int, fut) -> None:
         """Done-callback of every main program, on both backends: the
         one way a run fails.  A main that raised ends the run at once:
         its own exception (the engine's TaskFailed wrapper dropped)
-        leaves the event loop from here."""
+        leaves the event loop from here.  So does a main that returned
+        inside an open ``finish``, with :class:`FinishUsageError`: that
+        block never terminates, and the errors of the functions shipped
+        in it would be lost with it."""
         if fut.exception() is not None:
             self.fail(name, fut.exception().__cause__)
+        open_blocks = len(self.image_state(rank).finish_stack)
+        if open_blocks:
+            self.fail(name, FinishUsageError(
+                f"image {rank}: main program returned inside "
+                f"{open_blocks} open finish block(s)"))
         if self.failure is not None:
             self.failure.check_stop()
 

@@ -16,6 +16,7 @@ import pytest
 from repro import run_spmd
 from repro.backend.parallel import ParallelTimeoutError, ProcessRunner
 from repro.backend.wire import WireError
+from repro.core.finish import FinishUsageError
 
 pytestmark = pytest.mark.parallel
 
@@ -45,6 +46,17 @@ def _key_error_on_rank_0_while_rank_1_waits(img):
     return img.rank
 
 
+def _raises(img):
+    raise ValueError("lost with its finish")
+    yield  # pragma: no cover - makes this a shipped generator
+
+
+def _returns_inside_finish(img):
+    yield from img.finish_begin()
+    yield from img.spawn(_raises, 1 - img.rank)
+    return 0
+
+
 def _never_returns(img):
     while True:
         yield from img.compute(0.01)
@@ -59,6 +71,17 @@ def test_unpicklable_shipped_argument_is_a_wire_error(leaves_nothing_behind):
 def test_application_exception_keeps_its_type(backend, leaves_nothing_behind):
     with pytest.raises(KeyError, match="(?s)missing on rank 1.*main@1"):
         run_spmd(_key_error_on_rank_1, 2, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["sim", "process"])
+def test_main_returning_inside_finish_is_a_usage_error(backend,
+                                                       leaves_nothing_behind):
+    """The block never ends, so the error of the function shipped in it
+    would be lost with it: the run fails instead of returning [0, 0]."""
+    with pytest.raises(FinishUsageError, match=(
+            r"(?s)image (\d): main program returned inside 1 open finish "
+            r"block.*main@\1")):
+        run_spmd(_returns_inside_finish, 2, backend=backend)
 
 
 def test_first_error_ends_the_run_at_once(leaves_nothing_behind):

@@ -149,6 +149,18 @@ class TestBasicFinish:
 
         spmd(kernel, n=1)
 
+    def test_main_returning_inside_finish_rejected(self, spmd):
+        def kernel(img):
+            yield from img.finish_begin()
+            if img.rank == 1:
+                yield from img.finish_begin()
+                return
+            yield from img.finish_end()
+
+        with pytest.raises(FinishUsageError, match=(
+                "image 1: main program returned inside 2 open finish")):
+            spmd(kernel, n=2)
+
     def test_nonmember_team_rejected(self, spmd):
         def kernel(img):
             sub = img.machine.intern_team([0])
