@@ -16,7 +16,8 @@ overhead, not the (schedule-dependent) cost of minimizing findings.
 ``BENCH_simulator.json``.
 """
 
-from repro.explore.fuzz import FuzzConfig, FuzzService, TargetSpec
+from repro.apps.recovery_bug import make_recovery_bug_target
+from repro.explore.fuzz import FuzzConfig, FuzzService
 
 FUZZ_SCHEDULES = 60
 
@@ -26,10 +27,8 @@ _LATE_CRASH_MENU = [3.3e-4]
 
 
 def run_fuzz_schedules(budget: int = FUZZ_SCHEDULES) -> int:
-    """Inline (workers=0) fuzz loop over the recovery-bug target."""
-    spec = TargetSpec(
-        "repro.apps.recovery_bug:make_recovery_bug_target",
-        {"crash_menu": _LATE_CRASH_MENU})
-    config = FuzzConfig(budget=budget, workers=0, seed=1, lag_steps=4)
-    service = FuzzService(spec, config)
+    """The fuzz loop over the recovery-bug target."""
+    service = FuzzService(
+        make_recovery_bug_target(crash_menu=_LATE_CRASH_MENU),
+        FuzzConfig(budget=budget, seed=1, lag_steps=4))
     return service.run().schedules_run

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.engine import LivenessError, SimulationError
 from repro.net.transport import RetryExhaustedError
@@ -166,6 +166,21 @@ def make_spmd_target(kernel: Callable, n_images: int, *,
     return target
 
 
+def record_run(target: Callable, source: ScheduleSource,
+               meta: dict) -> Tuple[Schedule, RunOutcome]:
+    """Run ``target`` once under ``source``, recording every choice;
+    returns the run as a replayable :class:`Schedule` (stamped with the
+    target's fault-plan config) and its outcome."""
+    recorder = RecordingSource(source)
+    outcome = target(recorder)
+    schedule = Schedule(
+        recorder.records, meta=meta,
+        fault_plan=getattr(target, "fault_config", None),
+        outcome=outcome.to_json(),
+        lag_steps=recorder.lag_steps, lag_slack=recorder.lag_slack)
+    return schedule, outcome
+
+
 @dataclass
 class ExplorationReport:
     """What one strategy's search produced."""
@@ -211,18 +226,10 @@ class Explorer:
         for i in range(self.budget):
             if strategy.exhausted:
                 break
-            inner = strategy.begin_run(i)
-            recorder = RecordingSource(inner)
-            outcome = self.target(recorder)
+            schedule, outcome = record_run(
+                self.target, strategy.begin_run(i),
+                {"strategy": name, "run": i})
             runs += 1
-            schedule = Schedule(
-                recorder.records,
-                meta={"strategy": name, "run": i},
-                fault_plan=getattr(self.target, "fault_config", None),
-                outcome=outcome.to_json(),
-                lag_steps=recorder.lag_steps,
-                lag_slack=recorder.lag_slack,
-            )
             strategy.observe(schedule, outcome)
             if not outcome.failed:
                 continue

@@ -1,9 +1,9 @@
 """Coverage-guided schedule×fault fuzzing service (DESIGN.md §15).
 
 Layers: :mod:`coverage` (the novelty signal over recorded choice
-streams), :mod:`corpus` (fingerprint-keyed on-disk schedule corpus and
+streams), :mod:`corpus` (the fingerprint-keyed schedule corpus and the
 findings store), :mod:`mutate` (structure-aware choice-sequence
-mutators), :mod:`service` (the worker-pool orchestration loop).
+mutators), :mod:`service` (the in-process fuzz loop).
 """
 
 from repro.explore.fuzz.coverage import CoverageMap, fault_digest, features
@@ -14,7 +14,6 @@ from repro.explore.fuzz.service import (
     FuzzFinding,
     FuzzReport,
     FuzzService,
-    TargetSpec,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "FuzzFinding",
     "FuzzReport",
     "FuzzService",
-    "TargetSpec",
     "fault_digest",
     "features",
     "mutate_records",

@@ -1,13 +1,9 @@
-"""On-disk corpus and findings store for the fuzzing service.
+"""Schedule corpus and findings store for the fuzzing service.
 
-A *corpus* is a directory of interesting :class:`Schedule` artifacts —
-runs that produced novel coverage — deduped by choice-tree fingerprint
+A *corpus* holds interesting :class:`Schedule` artifacts — runs that
+produced novel coverage — deduped by choice-tree fingerprint
 (:meth:`Schedule.fingerprint`: a digest of exactly what replay
-consumes).  Entries are plain schedule JSON named ``<fingerprint>.json``
-so corpora from different workers/machines merge by file union; because
-replay determinism makes a schedule a pure function of its choice
-sequence, the merged corpus replays identically no matter which worker
-contributed which entry or in what order they merged.
+consumes) and iterated in fingerprint order.
 
 A *findings* directory holds verified failures: minimized schedules
 (with their fault-plan config and recorded outcome embedded) named
@@ -19,7 +15,7 @@ essential core are one finding.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.explore.schedule import Schedule
 from repro.explore.fuzz.coverage import features
@@ -28,10 +24,9 @@ __all__ = ["Corpus", "CorpusEntry", "FindingStore"]
 
 
 class CorpusEntry:
-    """One corpus member: the schedule plus its (recomputed) feature
-    set.  Features are derived from the records, not stored — the
-    derivation is deterministic, so recomputation on load cannot drift
-    from what the recording worker saw."""
+    """One corpus member: the schedule plus its feature set, computed
+    from the records unless the caller already has it (the derivation
+    is deterministic, so both agree)."""
 
     __slots__ = ("schedule", "fingerprint", "feats")
 
@@ -48,20 +43,12 @@ class CorpusEntry:
 
 
 class Corpus:
-    """Fingerprint-keyed schedule collection, optionally persistent.
-
-    With ``root`` set, every accepted entry is written to
-    ``root/<fingerprint>.json`` immediately and :meth:`load` /
-    :meth:`merge_dir` pick entries back up.  Iteration order is always
+    """Fingerprint-keyed schedule collection.  Iteration order is
     sorted by fingerprint, so anything derived from a scan of the
-    corpus is independent of insertion and filesystem order.
-    """
+    corpus is independent of insertion order."""
 
-    def __init__(self, root: Optional[str] = None):
-        self.root = root
+    def __init__(self):
         self.entries: Dict[str, CorpusEntry] = {}
-        if root:
-            os.makedirs(root, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,36 +68,7 @@ class Corpus:
         if entry.fingerprint in self.entries:
             return None
         self.entries[entry.fingerprint] = entry
-        if self.root:
-            schedule.save(os.path.join(self.root,
-                                       f"{entry.fingerprint}.json"))
         return entry
-
-    def load(self) -> int:
-        """Load every ``*.json`` under ``root`` not already in memory.
-        Returns the number of entries added."""
-        if not self.root or not os.path.isdir(self.root):
-            return 0
-        return self._ingest_dir(self.root)
-
-    def merge_dir(self, other_root: str) -> int:
-        """Union another corpus directory into this one (persisting the
-        new entries if this corpus has a root).  Merge is idempotent
-        and commutative: the result is keyed by fingerprint only."""
-        return self._ingest_dir(other_root)
-
-    def _ingest_dir(self, directory: str) -> int:
-        added = 0
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".json"):
-                continue
-            fp_hint = name[:-len(".json")]
-            if fp_hint in self.entries:
-                continue
-            schedule = Schedule.load(os.path.join(directory, name))
-            if self.add(schedule) is not None:
-                added += 1
-        return added
 
     def fingerprints(self) -> List[str]:
         return sorted(self.entries)

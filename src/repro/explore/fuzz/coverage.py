@@ -48,7 +48,6 @@ map is byte-identical under ``PYTHONHASHSEED`` variation):
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 __all__ = ["CoverageMap", "fault_digest", "features"]
@@ -113,14 +112,11 @@ def features(records: Sequence) -> Set[str]:
 
 
 class CoverageMap:
-    """Seen-feature counts, mergeable across workers.
+    """Seen-feature counts.
 
     ``observe`` returns the subset of features that are new — the
-    novelty signal.  ``merge`` sums counts, so merging worker maps is
-    commutative and associative: the merged map does not depend on
-    merge order.  Serialization sorts keys, so two maps with equal
-    contents produce byte-identical JSON regardless of insertion order
-    or hash seed.
+    novelty signal.  ``merge`` sums counts, so folding a round's local
+    map in is commutative and associative.
     """
 
     def __init__(self, counts: Optional[Dict[str, int]] = None):
@@ -154,25 +150,6 @@ class CoverageMap:
     def merge(self, other: "CoverageMap") -> None:
         for f, c in other.counts.items():
             self.counts[f] = self.counts.get(f, 0) + c
-
-    # -- serialization ------------------------------------------------- #
-
-    def to_json(self) -> dict:
-        return {"counts": {k: self.counts[k]
-                           for k in sorted(self.counts)}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CoverageMap":
-        return cls(counts=data.get("counts", {}))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=0, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "CoverageMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
     def fault_untried(self, records: Sequence) -> Dict[int, List[int]]:
         """For each ``"fault"`` record position in ``records``, the menu

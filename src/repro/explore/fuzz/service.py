@@ -1,11 +1,9 @@
 """The coverage-guided schedule×fault fuzzing service (DESIGN.md §15).
 
-Orchestration: a pool of OS-process workers (``multiprocessing``), each
-running the same *fuzz loop* against its own freshly-built target.
-Replay determinism (a run is a pure function of program, seed, fault
-plan and choice sequence) is what makes this fleet mergeable: a worker
-result is just schedules + a feature map, and the parent can re-verify
-any claim by replaying the artifact.
+One in-process loop over one target.  Replay determinism (a run is a
+pure function of program, seed, fault plan and choice sequence) makes
+the whole service deterministic for a given seed, and lets it
+re-verify any claim by replaying the artifact.
 
 The fuzz loop per run:
 
@@ -22,45 +20,35 @@ The fuzz loop per run:
    raise-to-max mutation per delivery-lag key of the new entry, so
    every fault context gets its obvious channel-wide lag pushes tried
    immediately instead of waiting on random mutator luck;
-4. failures are queued; the parent minimizes (ddmin), strictly
+4. failures are queued; the service minimizes (ddmin), strictly
    re-verifies replay determinism (``_VERIFY_REPLAYS`` replays), dedups
    by (kind, minimized fingerprint) and writes each survivor to the
    findings directory.
 
-``workers=0`` runs the same loop inline — single process, fully
-deterministic for a given seed — which is what the acceptance tests
-use; ``workers=N`` fans rounds of ``sync_every`` schedules out to the
-pool and merges between rounds (coverage merge is commutative, the
-corpus is fingerprint-keyed, so the merged state does not depend on
-arrival order).
+The loop runs in rounds of ``sync_every`` schedules: within a round,
+novelty is judged against the coverage map as it stood at the round's
+start plus the round's own local map, which is merged in at the
+round's end, where queued failures are processed.
 """
 
 from __future__ import annotations
 
-import importlib
-import multiprocessing
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.explore.explorer import (
     check_replay_determinism,
     minimize_schedule,
+    record_run,
 )
-from repro.explore.schedule import (
-    DEFAULT_LAG_STEPS,
-    RecordingSource,
-    ReplaySource,
-    Schedule,
-)
+from repro.explore.schedule import DEFAULT_LAG_STEPS, ReplaySource, Schedule
 from repro.explore.strategies import RandomWalkStrategy
 from repro.explore.fuzz.corpus import Corpus, CorpusEntry, FindingStore
 from repro.explore.fuzz.coverage import CoverageMap, features
 from repro.explore.fuzz.mutate import mutate_records
 
-__all__ = ["FuzzConfig", "FuzzFinding", "FuzzReport", "FuzzService",
-           "TargetSpec"]
+__all__ = ["FuzzConfig", "FuzzFinding", "FuzzReport", "FuzzService"]
 
 #: random-walk runs before the loop starts mutating the corpus
 _SEED_RUNS = 8
@@ -71,49 +59,25 @@ _VERIFY_REPLAYS = 2
 
 
 @dataclass
-class TargetSpec:
-    """A picklable recipe for building a target in a worker process:
-    ``factory`` is ``"package.module:callable"``; the callable is
-    invoked with ``kwargs`` and must return a
-    :func:`make_spmd_target`-style ``target(source) -> RunOutcome``.
-    Keeping construction in the worker sidesteps pickling machines,
-    fault plans and closures."""
-
-    factory: str
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def build(self) -> Callable:
-        mod_name, _, attr = self.factory.partition(":")
-        if not attr:
-            raise ValueError(
-                f"target factory {self.factory!r} must look like "
-                f"'package.module:callable'")
-        factory = getattr(importlib.import_module(mod_name), attr)
-        return factory(**self.kwargs)
-
-    def to_json(self) -> dict:
-        return {"factory": self.factory, "kwargs": dict(self.kwargs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TargetSpec":
-        return cls(factory=data["factory"],
-                   kwargs=dict(data.get("kwargs", {})))
-
-
-@dataclass
 class FuzzConfig:
-    """Service knobs.  ``budget`` is the total schedule count across
-    all workers; ``lag_steps`` sets the delivery-lag quantization of the
-    search space (both the seed strategies and mutation replays use it,
-    so every searcher faces the same space)."""
+    """Service knobs.  ``budget`` is the total schedule count;
+    ``lag_steps`` sets the delivery-lag quantization of the search
+    space (both the seed strategy and mutation replays use it, so every
+    searcher faces the same space)."""
 
     budget: int = 2000
-    workers: int = 0
     seed: int = 0
     max_findings: Optional[int] = None
     minimize_budget: int = 300
-    sync_every: int = 50          # per-worker schedules per round
+    sync_every: int = 50          # schedules per coverage-merge round
     lag_steps: int = DEFAULT_LAG_STEPS
+
+    def __post_init__(self):
+        for name, least in (("budget", 0), ("minimize_budget", 0),
+                            ("sync_every", 1), ("lag_steps", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"FuzzConfig.{name} must be >= {least}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -145,8 +109,6 @@ class FuzzReport:
     findings: List[FuzzFinding]
     corpus_size: int
     coverage_features: int
-    elapsed: float
-    workers: int
 
     @property
     def found(self) -> bool:
@@ -155,19 +117,6 @@ class FuzzReport:
     @property
     def first_find_at(self) -> Optional[int]:
         return min((f.found_at for f in self.findings), default=None)
-
-    @property
-    def schedules_per_sec(self) -> float:
-        return self.schedules_run / self.elapsed if self.elapsed else 0.0
-
-    def to_json(self) -> dict:
-        return {"schedules_run": self.schedules_run,
-                "findings": [f.to_json() for f in self.findings],
-                "corpus_size": self.corpus_size,
-                "coverage_features": self.coverage_features,
-                "elapsed": self.elapsed, "workers": self.workers,
-                "first_find_at": self.first_find_at,
-                "schedules_per_sec": round(self.schedules_per_sec, 1)}
 
 
 def _pick_parent(corpus: Corpus, coverage: CoverageMap,
@@ -202,18 +151,15 @@ def _burst_candidates(entry: CorpusEntry) -> List[List]:
 def _fuzz_segment(target: Callable, config: FuzzConfig,
                   snapshot: CoverageMap, corpus: Corpus,
                   rng: random.Random, strategy, budget: int,
-                  run_index_start: int, fault_config,
-                  pending_bursts: List[List]) -> dict:
+                  run_index_start: int, pending_bursts: List[List]
+                  ) -> Tuple[CoverageMap, List[Tuple[int, Schedule]]]:
     """Run ``budget`` schedules, mutating ``corpus`` and
     ``pending_bursts`` in place.  Novelty is judged against
-    ``snapshot`` plus this segment's own local map; the local map is
-    returned for the caller to merge (commutatively) into the global
-    one."""
+    ``snapshot`` plus this segment's own local map.  Returns the local
+    map, for the caller to merge into ``snapshot``, and the failing
+    schedules with their offsets in the segment."""
     local = CoverageMap()
-    failures: List[Schedule] = []
-    fail_offsets: List[int] = []
-    new_schedules: List[Schedule] = []
-    runs = 0
+    failures: List[Tuple[int, Schedule]] = []
     for i in range(budget):
         run_index = run_index_start + i
         label = "mutation"
@@ -234,101 +180,60 @@ def _fuzz_segment(target: Callable, config: FuzzConfig,
         else:
             source = strategy.begin_run(run_index)
             label = strategy.name
-        recorder = RecordingSource(source)
-        outcome = target(recorder)
-        runs += 1
-        schedule = Schedule(
-            recorder.records,
-            meta={"strategy": label, "run": run_index},
-            fault_plan=fault_config, outcome=outcome.to_json(),
-            lag_steps=recorder.lag_steps,
-            lag_slack=recorder.lag_slack)
-        feats = features(recorder.records)
+        schedule, outcome = record_run(
+            target, source, {"strategy": label, "run": run_index})
+        feats = features(schedule.records)
         novel = {f for f in feats if f not in snapshot and f not in local}
         local.observe(feats)
         if novel:
             entry = corpus.add(schedule, feats)
-            if entry is not None:
-                new_schedules.append(schedule)
-                if any(f.startswith("ctx|") for f in novel):
-                    pending_bursts.extend(_burst_candidates(entry))
+            if entry is not None and any(f.startswith("ctx|")
+                                         for f in novel):
+                pending_bursts.extend(_burst_candidates(entry))
         if outcome.failed:
-            failures.append(schedule)
-            fail_offsets.append(i)
-    return {"runs": runs, "local": local, "failures": failures,
-            "fail_offsets": fail_offsets, "new_schedules": new_schedules}
-
-
-def _pool_worker(payload: dict) -> dict:
-    """Entry point executed in a worker process.  Everything crossing
-    the boundary is JSON-shaped."""
-    spec = TargetSpec.from_json(payload["spec"])
-    config = FuzzConfig(**payload["config"])
-    target = spec.build()
-    snapshot = CoverageMap.from_json(payload["coverage"])
-    corpus = Corpus()
-    for doc in payload["corpus"]:
-        corpus.add(Schedule.from_json(doc))
-    rng = random.Random(payload["rng_seed"])
-    strategy = RandomWalkStrategy(seed=payload["strategy_seed"],
-                                  lag_steps=config.lag_steps)
-    result = _fuzz_segment(
-        target, config, snapshot, corpus, rng, strategy,
-        payload["budget"], payload["run_index_start"],
-        getattr(target, "fault_config", None), [])
-    return {
-        "runs": result["runs"],
-        "coverage": result["local"].to_json(),
-        "failures": [s.to_json() for s in result["failures"]],
-        "fail_offsets": result["fail_offsets"],
-        "new_schedules": [s.to_json() for s in result["new_schedules"]],
-    }
+            failures.append((i, schedule))
+    return local, failures
 
 
 class FuzzService:
-    """Coverage-guided fuzzing over one target spec.
+    """Coverage-guided fuzzing over one target.
 
     Parameters
     ----------
-    spec:
-        The :class:`TargetSpec` to fuzz.
+    target:
+        A :func:`make_spmd_target`-style ``target(source) -> RunOutcome``,
+        e.g. what ``make_ordering_bug_target()`` returns.
     config:
         Service knobs (:class:`FuzzConfig`).
-    corpus_dir / findings_dir:
-        Optional persistence roots.  An existing corpus directory is
-        loaded and continues to grow (resumable fuzzing; merging a
-        colleague's corpus is :meth:`Corpus.merge_dir`); findings are
-        written as self-contained minimized schedule JSON.
+    findings_dir:
+        Optional persistence root: verified findings are written there
+        as self-contained minimized schedule JSON, and the ones already
+        there are not reported again.
     """
 
-    def __init__(self, spec: TargetSpec,
+    def __init__(self, target: Callable,
                  config: Optional[FuzzConfig] = None,
-                 corpus_dir: Optional[str] = None,
                  findings_dir: Optional[str] = None):
-        self.spec = spec
+        self.target = target
         self.config = config or FuzzConfig()
-        self.corpus = Corpus(corpus_dir)
-        self.corpus.load()
+        self.corpus = Corpus()
         self.findings_store = FindingStore(findings_dir)
         self.findings_store.load()
         self.coverage = CoverageMap()
-        for entry in self.corpus:
-            self.coverage.observe(entry.feats)
 
     # -- failure processing -------------------------------------------- #
 
-    def _process_failure(self, target: Callable, schedule: Schedule,
-                         found_at: int,
+    def _process_failure(self, schedule: Schedule, found_at: int,
                          findings: List[FuzzFinding]) -> None:
         if (self.config.max_findings is not None
                 and len(findings) >= self.config.max_findings):
             return
         kind = (schedule.outcome or {}).get("kind", "unknown")
         message = (schedule.outcome or {}).get("message", "")
-        minimized = minimize_schedule(target, schedule,
+        minimized = minimize_schedule(self.target, schedule,
                                       budget=self.config.minimize_budget)
         verified = check_replay_determinism(
-            target, minimized, times=_VERIFY_REPLAYS)
+            self.target, minimized, times=_VERIFY_REPLAYS)
         if not verified:
             # A finding that does not replay deterministically would
             # poison the findings directory; record it unverified but
@@ -350,92 +255,26 @@ class FuzzService:
 
     def run(self) -> FuzzReport:
         cfg = self.config
-        target = self.spec.build()
-        fault_config = getattr(target, "fault_config", None)
         findings: List[FuzzFinding] = []
         total_runs = 0
-        started = time.monotonic()
-
-        if cfg.workers <= 0:
-            rng = random.Random(cfg.seed * 1_000_003 + 1)
-            strategy = RandomWalkStrategy(seed=cfg.seed,
-                                          lag_steps=cfg.lag_steps)
-            pending: List[List] = []
-            while total_runs < cfg.budget:
-                if (cfg.max_findings is not None
-                        and len(findings) >= cfg.max_findings):
-                    break
-                chunk = min(cfg.sync_every, cfg.budget - total_runs)
-                result = _fuzz_segment(
-                    target, cfg, self.coverage, self.corpus, rng,
-                    strategy, chunk, total_runs, fault_config, pending)
-                self.coverage.merge(result["local"])
-                for sched, off in zip(result["failures"],
-                                      result["fail_offsets"]):
-                    self._process_failure(target, sched,
-                                          total_runs + off + 1, findings)
-                total_runs += result["runs"]
-        else:
-            total_runs = self._run_pool(target, findings)
-
-        elapsed = time.monotonic() - started
+        rng = random.Random(cfg.seed * 1_000_003 + 1)
+        strategy = RandomWalkStrategy(seed=cfg.seed,
+                                      lag_steps=cfg.lag_steps)
+        pending: List[List] = []
+        while total_runs < cfg.budget:
+            if (cfg.max_findings is not None
+                    and len(findings) >= cfg.max_findings):
+                break
+            chunk = min(cfg.sync_every, cfg.budget - total_runs)
+            local, failures = _fuzz_segment(
+                self.target, cfg, self.coverage, self.corpus, rng,
+                strategy, chunk, total_runs, pending)
+            self.coverage.merge(local)
+            for offset, schedule in failures:
+                self._process_failure(schedule, total_runs + offset + 1,
+                                      findings)
+            total_runs += chunk
         return FuzzReport(
             schedules_run=total_runs, findings=findings,
             corpus_size=len(self.corpus),
-            coverage_features=len(self.coverage),
-            elapsed=elapsed, workers=cfg.workers)
-
-    def _run_pool(self, target: Callable,
-                  findings: List[FuzzFinding]) -> int:
-        cfg = self.config
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        total_runs = 0
-        run_index = [0] * cfg.workers    # per-worker strategy counters
-        round_no = 0
-        with ctx.Pool(processes=cfg.workers) as pool:
-            while total_runs < cfg.budget:
-                if (cfg.max_findings is not None
-                        and len(findings) >= cfg.max_findings):
-                    break
-                remaining = cfg.budget - total_runs
-                per_worker = [min(cfg.sync_every,
-                                  max(0, remaining - w * cfg.sync_every))
-                              for w in range(cfg.workers)]
-                payloads = []
-                corpus_docs = [e.schedule.to_json() for e in self.corpus]
-                coverage_doc = self.coverage.to_json()
-                for w, budget in enumerate(per_worker):
-                    if budget <= 0:
-                        continue
-                    payloads.append({
-                        "spec": self.spec.to_json(),
-                        "config": vars(cfg),
-                        "coverage": coverage_doc,
-                        "corpus": corpus_docs,
-                        "budget": budget,
-                        "rng_seed": (cfg.seed * 1_000_003
-                                     + w * 10_007 + round_no * 101 + 1),
-                        "strategy_seed": cfg.seed + 7919 * (w + 1),
-                        "run_index_start": run_index[w],
-                    })
-                results = pool.map(_pool_worker, payloads)
-                # Merge in worker order: coverage merge is commutative
-                # and the corpus is fingerprint-keyed, so the merged
-                # state is order-independent; iterating in a fixed
-                # order just makes the *report* deterministic too.
-                for w, res in enumerate(results):
-                    total_runs += res["runs"]
-                    run_index[w] += res["runs"]
-                    self.coverage.merge(
-                        CoverageMap.from_json(res["coverage"]))
-                    for doc in res["new_schedules"]:
-                        self.corpus.add(Schedule.from_json(doc))
-                    for doc, off in zip(res["failures"],
-                                        res["fail_offsets"]):
-                        self._process_failure(
-                            target, Schedule.from_json(doc),
-                            total_runs, findings)
-                round_no += 1
-        return total_runs
+            coverage_features=len(self.coverage))

@@ -954,21 +954,23 @@ def _fuzz(rw_budget, fuzz_budget, seeds) -> dict:
     the invariant trips.  Random walk has to roll the whole conjunction
     at once; the corpus climbs it.  A random walk that never finds is
     charged its budget."""
+    from repro.apps.ordering_bug import make_ordering_bug_target
+    from repro.apps.recovery_bug import make_recovery_bug_target
     from repro.explore import Explorer, RandomWalkStrategy
-    from repro.explore.fuzz import FuzzConfig, FuzzService, TargetSpec
+    from repro.explore.fuzz import FuzzConfig, FuzzService
 
     lag_steps = 4
     results: dict = {"targets": {}}
-    for name in ("ordering_bug", "recovery_bug"):
-        spec = TargetSpec(f"repro.apps.{name}:make_{name}_target")
-        target = spec.build()
+    for name, make_target in (("ordering_bug", make_ordering_bug_target),
+                              ("recovery_bug", make_recovery_bug_target)):
+        target = make_target()
         rows = results["targets"][name] = []
         for seed in seeds:
             rw = Explorer(target, budget=rw_budget, minimize=False
                           ).run_strategy(RandomWalkStrategy(
                               seed=seed, lag_steps=lag_steps))
-            report = FuzzService(spec, FuzzConfig(
-                budget=fuzz_budget, workers=0, seed=seed,
+            report = FuzzService(target, FuzzConfig(
+                budget=fuzz_budget, seed=seed,
                 lag_steps=lag_steps, max_findings=1)).run()
             rows.append({
                 "seed": seed,

@@ -1,7 +1,7 @@
-"""Corpus and findings-store tests: fingerprint dedup, persistence,
-and the merge-determinism properties that make fleet results mergeable
-(the corpus is keyed by choice-tree fingerprint; coverage digests are
-hashlib, so nothing depends on insertion order or hash seed)."""
+"""Corpus and findings-store tests: fingerprint dedup, sorted
+iteration, findings persistence, and hash-seed stability (the corpus is
+keyed by choice-tree fingerprint; coverage digests are hashlib, so
+nothing depends on insertion order or hash seed)."""
 
 import subprocess
 import sys
@@ -37,51 +37,9 @@ class TestCorpus:
         fps = [e.fingerprint for e in corpus]
         assert fps == sorted(fps) == corpus.fingerprints()
 
-    def test_persistence_round_trip(self, tmp_path):
-        root = str(tmp_path / "corpus")
-        corpus = Corpus(root)
-        entry = corpus.add(make_schedule([2, 1]))
-        reloaded = Corpus(root)
-        assert reloaded.load() == 1
-        assert reloaded.fingerprints() == [entry.fingerprint]
-        assert (reloaded.entries[entry.fingerprint].schedule.choices()
-                == [2, 1])
-
-    def test_merge_dir_union_is_order_independent(self, tmp_path):
-        """Two workers' corpora (overlapping) union to the same corpus
-        whichever merges first — and every merged entry replays from
-        its own records, so the union behaves identically too."""
-        a_root, b_root = str(tmp_path / "a"), str(tmp_path / "b")
-        a, b = Corpus(a_root), Corpus(b_root)
-        for choices in ([1], [2], [1, 2]):
-            a.add(make_schedule(choices))
-        for choices in ([2], [3], [2, 3]):
-            b.add(make_schedule(choices))
-
-        ab = Corpus()
-        ab.merge_dir(a_root)
-        ab.merge_dir(b_root)
-        ba = Corpus()
-        ba.merge_dir(b_root)
-        ba.merge_dir(a_root)
-
-        assert ab.fingerprints() == ba.fingerprints()
-        assert len(ab) == 5                   # [2] deduped
-        for fp in ab.fingerprints():
-            assert (ab.entries[fp].schedule.records
-                    == ba.entries[fp].schedule.records)
-
-    def test_merge_is_idempotent(self, tmp_path):
-        root = str(tmp_path / "a")
-        a = Corpus(root)
-        a.add(make_schedule([1]))
-        merged = Corpus()
-        assert merged.merge_dir(root) == 1
-        assert merged.merge_dir(root) == 0
-
     def test_fingerprints_are_hashseed_stable(self):
         """Fingerprint and corpus order must not depend on the process
-        hash seed, or two workers' corpora would not be mergeable."""
+        hash seed, or a seeded fuzz run would not repeat."""
         script = (
             "from repro.explore.fuzz.corpus import Corpus\n"
             "from repro.explore.schedule import ChoiceRecord, Schedule\n"

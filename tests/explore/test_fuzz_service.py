@@ -1,44 +1,36 @@
-"""Fuzzing-service tests: target specs, inline determinism, the worker
-pool, finding verification/persistence, and the committed findings
-artifact (which must keep replaying as the engine evolves)."""
+"""Fuzzing-service tests: config validation, determinism and the
+pinned trajectory, finding verification/persistence, and the committed
+findings artifact (which must keep replaying as the engine evolves)."""
 
 import os
 
 import pytest
 
+from repro.apps.ordering_bug import make_ordering_bug_target
+from repro.apps.recovery_bug import make_recovery_bug_target
 from repro.explore import Schedule, check_replay_determinism
-from repro.explore.fuzz import (
-    FuzzConfig,
-    FuzzService,
-    TargetSpec,
-)
-
-ORDERING_SPEC = TargetSpec(
-    "repro.apps.ordering_bug:make_ordering_bug_target", {})
+from repro.explore.fuzz import FuzzConfig, FuzzService
 
 COMMITTED_FINDING = os.path.join(
     os.path.dirname(__file__), os.pardir, "data", "findings",
     "invariant-f8d9bad3cbfc.json")
 
 
-class TestTargetSpec:
-    def test_build_and_json_round_trip(self):
-        spec = TargetSpec.from_json(ORDERING_SPEC.to_json())
-        target = spec.build()
-        from repro.explore.schedule import DefaultSource
-        assert not target(DefaultSource()).failed
-
-    def test_rejects_malformed_factory(self):
-        with pytest.raises(ValueError):
-            TargetSpec("no.colon.here").build()
+@pytest.mark.parametrize("field,value", [
+    ("sync_every", 0), ("lag_steps", 0), ("lag_steps", -1),
+    ("budget", -1), ("minimize_budget", -1)])
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        FuzzConfig(**{field: value})
 
 
 class TestInlineService:
     def _run(self, **overrides):
-        kwargs = dict(budget=200, workers=0, seed=0, sync_every=25,
+        kwargs = dict(budget=200, seed=0, sync_every=25,
                       max_findings=1, minimize_budget=120)
         kwargs.update(overrides)
-        return FuzzService(ORDERING_SPEC, FuzzConfig(**kwargs)).run()
+        return FuzzService(make_ordering_bug_target(),
+                           FuzzConfig(**kwargs)).run()
 
     def test_finds_ordering_bug_verified(self):
         report = self._run()
@@ -62,11 +54,31 @@ class TestInlineService:
         report = self._run(max_findings=1, budget=300)
         assert len(report.findings) == 1
 
+    @pytest.mark.parametrize("make_target,config,pinned", [
+        (make_ordering_bug_target,
+         dict(budget=200, seed=0, sync_every=25, max_findings=1,
+              minimize_budget=120),
+         (25, 1, 21, 116, "97a5bc8d4cd7")),
+        (make_recovery_bug_target,
+         dict(budget=1500, seed=0, lag_steps=4, max_findings=1,
+              minimize_budget=300, sync_every=10),
+         (50, 46, 46, 529, "c87c1e89bc78")),
+    ], ids=["ordering_bug", "recovery_bug"])
+    def test_pinned_trajectory(self, make_target, config, pinned):
+        """The seeded search path, fixed across versions of the code:
+        a change to the loop, the mutators or the coverage features
+        that moves the trajectory shows up here."""
+        report = FuzzService(make_target(), FuzzConfig(**config)).run()
+        assert (report.schedules_run, report.first_find_at,
+                report.corpus_size, report.coverage_features,
+                report.findings[0].fingerprint[:12]) == pinned
+
     def test_findings_persist_and_replay_from_disk(self, tmp_path):
         findings_dir = str(tmp_path / "findings")
+        target = make_ordering_bug_target()
         report = FuzzService(
-            ORDERING_SPEC,
-            FuzzConfig(budget=200, workers=0, seed=0, max_findings=1,
+            target,
+            FuzzConfig(budget=200, seed=0, max_findings=1,
                        minimize_budget=120),
             findings_dir=findings_dir).run()
         assert report.found
@@ -77,48 +89,14 @@ class TestInlineService:
         # no fault menus, so its fault plan is legitimately absent)
         assert loaded.outcome["kind"] == "invariant"
         assert loaded.lag_steps >= 2
-        target = ORDERING_SPEC.build()
         assert check_replay_determinism(target, loaded, times=2)
-
-    def test_corpus_resumes_from_disk(self, tmp_path):
-        corpus_dir = str(tmp_path / "corpus")
-        first = FuzzService(
-            ORDERING_SPEC, FuzzConfig(budget=60, workers=0, seed=0),
-            corpus_dir=corpus_dir)
-        first.run()
-        assert len(first.corpus) > 0
-        resumed = FuzzService(
-            ORDERING_SPEC, FuzzConfig(budget=1, workers=0, seed=1),
-            corpus_dir=corpus_dir)
-        assert (resumed.corpus.fingerprints()
-                == first.corpus.fingerprints())
-        # resumed coverage is seeded from the corpus entries
-        assert len(resumed.coverage) > 0
-
-
-class TestPoolService:
-    def test_two_workers_find_and_verify(self):
-        config = FuzzConfig(budget=300, workers=2, seed=0,
-                            sync_every=25, max_findings=1,
-                            minimize_budget=120)
-        report = FuzzService(ORDERING_SPEC, config).run()
-        assert report.workers == 2
-        assert report.found
-        finding = report.findings[0]
-        assert finding.verified and finding.kind == "invariant"
-        # pool findings replay in the parent like inline ones
-        target = ORDERING_SPEC.build()
-        assert check_replay_determinism(target, finding.minimized,
-                                        times=2)
 
 
 class TestCommittedFinding:
     """The repo ships one recovery-bug finding produced by the service;
-    it must replay bit-identically from its JSON alone (also exercised
-    by the CI fuzz-smoke job)."""
+    it must replay bit-identically from its JSON alone."""
 
     def test_replays_and_reproduces_the_failure(self):
-        from repro.apps.recovery_bug import make_recovery_bug_target
         schedule = Schedule.load(COMMITTED_FINDING)
         assert schedule.outcome["kind"] == "invariant"
         # minimization carried the replay metadata onto the artifact

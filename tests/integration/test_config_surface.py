@@ -35,8 +35,8 @@ SURFACE = {
                     "confirm_timeout"],
     UTSConfig: ["tree", "node_cost", "init_sharing_depth", "detector"],
     PCConfig: ["iterations", "variant"],
-    FuzzConfig: ["budget", "workers", "seed", "max_findings",
-                 "minimize_budget", "sync_every", "lag_steps"],
+    FuzzConfig: ["budget", "seed", "max_findings", "minimize_budget",
+                 "sync_every", "lag_steps"],
     CreditManager.__init__: ["sim", "credits", "stats"],
     Explorer.run_strategy: ["strategy"],
 }

@@ -12,16 +12,16 @@ only when the mechanism actually degrades.
 
 import pytest
 
+from repro.apps.ordering_bug import make_ordering_bug_target
+from repro.apps.recovery_bug import make_recovery_bug_target
 from repro.explore import Explorer, RandomWalkStrategy, Schedule, \
     check_replay_determinism
-from repro.explore.fuzz import FuzzConfig, FuzzService, TargetSpec
+from repro.explore.fuzz import FuzzConfig, FuzzService
 
-#: the two seeded bugs, as picklable target specs
-SPECS = {
-    "ordering_bug": TargetSpec(
-        "repro.apps.ordering_bug:make_ordering_bug_target", {}),
-    "recovery_bug": TargetSpec(
-        "repro.apps.recovery_bug:make_recovery_bug_target", {}),
+#: the two seeded bugs
+TARGETS = {
+    "ordering_bug": make_ordering_bug_target(),
+    "recovery_bug": make_recovery_bug_target(),
 }
 SEEDS = (0, 1, 2, 3)
 LAG_STEPS = 4          # both searchers face the same quantized space
@@ -36,8 +36,7 @@ class TestCoverageGuidedBeatsRandomWalk:
         rw_total = 0
         fuzz_total = 0
         artifacts = []
-        for name, spec in sorted(SPECS.items()):
-            target = spec.build()
+        for name, target in sorted(TARGETS.items()):
             for seed in SEEDS:
                 explorer = Explorer(target, budget=RW_CAP,
                                     minimize=False)
@@ -47,13 +46,13 @@ class TestCoverageGuidedBeatsRandomWalk:
                              else RW_CAP)
 
                 service = FuzzService(
-                    spec,
-                    # sync_every=10: the inline loop stops on chunk
-                    # boundaries, so coarse chunks would overcharge the
+                    target,
+                    # sync_every=10: the loop stops on round
+                    # boundaries, so coarse rounds would overcharge the
                     # fuzzer for schedules it never needed (the search
                     # trajectory itself is chunk-size independent)
-                    FuzzConfig(budget=FUZZ_BUDGET, workers=0,
-                               seed=seed, lag_steps=LAG_STEPS,
+                    FuzzConfig(budget=FUZZ_BUDGET, seed=seed,
+                               lag_steps=LAG_STEPS,
                                max_findings=1, minimize_budget=300,
                                sync_every=10),
                     findings_dir=str(findings_root / f"{name}-{seed}"))
@@ -65,7 +64,7 @@ class TestCoverageGuidedBeatsRandomWalk:
                 assert finding.verified, (name, seed,
                                           finding.to_json())
                 fuzz_total += fuzz_report.schedules_run
-                artifacts.append((spec, finding.path))
+                artifacts.append((target, finding.path))
         return rw_total, fuzz_total, artifacts
 
     def test_at_least_ten_x_fewer_schedules(self, totals):
@@ -78,9 +77,8 @@ class TestCoverageGuidedBeatsRandomWalk:
     def test_every_finding_replays_from_its_artifact(self, totals):
         _, _, artifacts = totals
         assert artifacts
-        for spec, path in artifacts:
+        for target, path in artifacts:
             schedule = Schedule.load(path)
-            target = spec.build()
             assert check_replay_determinism(target, schedule, times=2)
             outcome = target(schedule.source(strict=True))
             assert outcome.failed and outcome.kind == "invariant"
