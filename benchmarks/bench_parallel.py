@@ -14,22 +14,25 @@ overlaps across workers even when the host throttles the benchmark to
 one core (CI containers).  ``cpu_count`` is recorded with the section
 so a flat curve on starved hardware can be read for what it is.
 
-Beside that curve sits one CPU-bound point, ``uts_cpu_bound``: a depth-8
-tree at the default 2 µs node cost on 1 and 2 processes.  The run loop's
-own poll outlasts a 2 µs timer, so no node sleeps: the wall is the
-interpreter's work (a SHA-1 and the queue handling per node, ~10 µs)
-and a second process helps only if the two really run at once.  Whether
-they can is measured, not assumed — ``cpu_count`` counts what a shared
-container may not get — and recorded as ``cpu_scaling``: how many times
-faster two processes finish twice the hashing of one.  Three
-interleaved rounds: the UTS points keep their best, the hashing its
-worst.
+Beside that curve sits one CPU-bound pair, ``cpu_bound_rounds``: a
+depth-8 tree at the default 2 µs node cost on 1 and 2 processes.  A
+2 µs timer is due when the run loop comes back to it or, if not, once
+the poll the loop then makes is over, so no node sleeps: the wall is
+the interpreter's work (a SHA-1 and the queue handling per node,
+~10 µs) and a second process helps only if the two really run at once.
+Whether they can is measured, not assumed — ``cpu_count`` counts what a
+shared container may not get — as ``cpu_scaling``: how many times
+faster two processes finish twice the hashing of one.  On a shared host
+the second core comes and goes within seconds, so each of three rounds
+runs the pair twice, in the order 1, 2, 2, 1 processes, brackets it
+with a probe before and one after (a round's closing probe opens the
+next), and records its own.
 
 ``compare_bench._check_parallel`` gates the section on
-*self-consistency* — largest-p throughput must beat 1-process, and the
-CPU-bound 2-process point 1.2 × its 1-process one where the recording
-host had two cores that ran at once — rather than on machine-specific
-absolute numbers.
+*self-consistency* — largest-p throughput must beat 1-process, and in
+every round whose two probes both saw two cores run at once, the
+CPU-bound 2-process point must beat its 1-process one by 1.2 × — rather
+than on machine-specific absolute numbers.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ FULL_POINTS = (1, 2, 4, 8)
 
 #: the CPU-bound point: ~78k nodes at the default node cost
 CPU_BOUND = UTSConfig(tree=TreeParams(b0=4.0, max_depth=8, seed=19))
-CPU_BOUND_POINTS = (1, 2)
+#: process counts of one round, in order: a drift within the round
+#: weighs on both counts alike
+CPU_BOUND_ORDER = (1, 2, 2, 1)
 
 TIMER_BOUND = UTSConfig(tree=TREE, node_cost=NODE_COST,
                         init_sharing_depth=INIT_SHARING_DEPTH)
@@ -114,29 +119,22 @@ def measure_parallel(quick: bool = False) -> dict:
     speedup = points[-1]["nodes_per_s"] / points[0]["nodes_per_s"]
     print(f"  parallel speedup {points[-1]['processes']}p vs 1p: "
           f"{speedup:.2f}x on {os.cpu_count()} cores")
-    # Three interleaved rounds: on a shared host the second core comes
-    # and goes within seconds.  The UTS points keep their best round,
-    # the hashing its worst — the gate should bite only where the second
-    # core was there throughout.
-    cpu_bound: dict[int, dict] = {}
-    scaling = float("inf")
+    rounds = []
+    probe = cpu_scaling()
     for _ in range(3):
-        for p in CPU_BOUND_POINTS:
-            point = run_point(p, CPU_BOUND)
-            best = cpu_bound.setdefault(p, point)
-            if point["nodes_per_s"] > best["nodes_per_s"]:
-                cpu_bound[p] = point
-        scaling = min(scaling, cpu_scaling())
-    for p, point in cpu_bound.items():
-        print(f"  parallel cpu-bound p={p}: {point['nodes_per_s']:,.0f} "
-              f"nodes/s (wall {point['wall_s']:.2f}s)")
-    print(f"  two processes hash at least {scaling:.2f}x as fast as one")
+        pair = [run_point(p, CPU_BOUND) for p in CPU_BOUND_ORDER]
+        probes = [probe, cpu_scaling()]
+        probe = probes[1]
+        rounds.append({"cpu_scaling": probes, "points": pair})
+        rates = ", ".join(f"p={pt['processes']} {pt['nodes_per_s']:,.0f}"
+                          for pt in pair)
+        print(f"  parallel cpu-bound: {rates} nodes/s; hashing scaled "
+              f"{probes[0]:.2f}x before, {probes[1]:.2f}x after")
     return {
         "cpu_count": os.cpu_count(),
-        "cpu_scaling": scaling,
         "node_cost_s": NODE_COST,
         "uts_scaling": points,
-        "uts_cpu_bound": list(cpu_bound.values()),
+        "cpu_bound_rounds": rounds,
     }
 
 

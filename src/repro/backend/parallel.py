@@ -8,13 +8,13 @@ and a :class:`~repro.backend.transport.ProcessTransport`, then launches
 *only its own rank's* main program.  All cross-rank interaction in this
 runtime is active-message-mediated, so nothing else is needed: an AM
 addressed to rank ``d`` is pickled and queued on this worker's
-:class:`_Conduit`, which the run loop drives at its progress points
-(DESIGN.md §14.5) — one thread per process, no helper.
+:class:`_Conduit`, which the run loop flushes and polls (DESIGN.md
+§14.5) — one thread per process, no helper.
 
 Protocol (one non-blocking pipe per ordered pair of workers and one
 control pipe per worker, each carrying *records* — an 8-byte length,
 then the pickled list of every frame put toward that destination since
-the last progress point; one multiprocessing queue back to the parent):
+the last flush; one multiprocessing queue back to the parent):
 
 - ``("am", src, seq, want_ack, blob)`` — frame: a pickled active message;
 - ``("ack", src, seq)``             — frame: delivery confirmation;
@@ -74,11 +74,12 @@ class ParallelTimeoutError(RuntimeError):
 
 class _Conduit:
     """What a worker's transport sees: its rank plus ``put(dst, frame)``
-    toward any other worker.  ``put`` only queues; :meth:`progress`,
-    called on the run loop, moves the bytes — over pipes with one writer
-    and one reader each, so no lock, and non-blocking at both ends, so
-    two workers sending each other more than a pipe holds cannot
-    deadlock and a dead peer's full pipe stalls nobody."""
+    toward any other worker.  ``put`` only queues; :meth:`flush` and
+    :meth:`progress`, called on the run loop, move the bytes — over
+    pipes with one writer and one reader each, so no lock, and
+    non-blocking at both ends, so two workers sending each other more
+    than a pipe holds cannot deadlock and a dead peer's full pipe
+    stalls nobody."""
 
     def __init__(self, rank: int, readers=(), writers=()):
         self.rank = rank
@@ -107,11 +108,10 @@ class _Conduit:
                 for dst, frames in self._outbox.items()
                 if frames or dst in self._tails}
 
-    def progress(self, timeout: Optional[float]) -> None:
-        """One progress point: write each destination's queued frames as
-        one record (keeping what the pipe refuses), wait up to
-        ``timeout`` for something to arrive — or for a refused tail's
-        pipe to drain — and dispatch every frame that has."""
+    def flush(self) -> None:
+        """Write each destination's queued frames as one record, resuming
+        a refused tail first and keeping what the pipe refuses; waits
+        for nothing."""
         tails = self._tails
         for dst, frames in self._outbox.items():
             tail = tails.pop(dst, None)
@@ -126,7 +126,13 @@ class _Conduit:
                 except BlockingIOError:
                     tails[dst] = tail
                     break
-        blocked = [self._writers[dst] for dst in tails]
+
+    def progress(self, timeout: Optional[float]) -> None:
+        """One progress point: :meth:`flush`, wait up to ``timeout`` for
+        something to arrive — or for a refused tail's pipe to drain —
+        and dispatch every frame that has."""
+        self.flush()
+        blocked = [self._writers[dst] for dst in self._tails]
         t0 = time.monotonic()
         readable = select.select(self._readers, blocked, (), timeout)[0]
         self.parked_s += time.monotonic() - t0
@@ -243,6 +249,7 @@ def _worker_main(spec: dict) -> None:
         task = machine.launch(spec["kernel"], args=spec["args"])[0]
         sched = machine.sim
         sched.progress = conduit.progress
+        sched.flush = conduit.flush
         conduit.deliver = machine.network.deliver_frame
         conduit.stop = sched.stop
 

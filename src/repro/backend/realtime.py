@@ -24,11 +24,14 @@ deterministic simulator (DESIGN.md §14):
 
 One thread per process runs :meth:`run` and thus every task, AM handler
 and timer, and no other runs beside it: the conduit makes progress *on*
-the loop (DESIGN.md §14.5).  Whenever the ready deque runs dry, and at
-least every :data:`_PROGRESS_EVERY` ready events, the loop calls
-:attr:`RealtimeScheduler.progress` — the worker wires its conduit's
-there — which writes what was sent, dispatches what has arrived and,
-with nothing runnable, waits for the next of either.
+the loop (DESIGN.md §14.5).  The worker wires its conduit's ``flush``
+and ``progress`` into :attr:`RealtimeScheduler.flush` and
+:attr:`RealtimeScheduler.progress`.  When the ready deque runs dry and a
+timer is already due, the loop only flushes — writes what was sent —
+and runs the timer.  It polls — writes, then dispatches what has
+arrived — every :data:`_PROGRESS_EVERY` ready events, and whenever
+nothing is runnable or due; if nothing became runnable, it parks in
+``progress`` until the next timer or arrival.
 """
 
 from __future__ import annotations
@@ -45,10 +48,15 @@ from repro.sim.engine import OwnedTasks, run_loop_gc
 #: Scheduled entry: ``[time, seq, fn, args]``; ``fn is None`` = cancelled.
 Event = List[Any]
 
-#: Ready events run back to back before the conduit gets a turn: bounds
-#: how long a frame waits behind a chain of continuations that never
-#: empties the deque (the argument of ``sim.tasks._TRAMPOLINE_CAP``).
+#: Ready events run back to back before the conduit is polled: bounds
+#: how long an inbound frame waits while the loop is busy — behind a
+#: chain of continuations that never empties the deque, or timers that
+#: are always due (the argument of ``sim.tasks._TRAMPOLINE_CAP``).
 _PROGRESS_EVERY = 64
+
+
+def _nothing() -> None:
+    """The flush of a loop with no conduit attached."""
 
 
 class RealtimeScheduler(OwnedTasks):
@@ -69,6 +77,10 @@ class RealtimeScheduler(OwnedTasks):
         #: conduit attached it only sleeps
         self.progress: Callable[[Optional[float]], Any] = partial(
             select.select, (), (), ())
+        #: ``flush()``, called where the loop runs a due timer without
+        #: polling: writes what was sent, waits for nothing.  With no
+        #: conduit attached there is nothing to write
+        self.flush: Callable[[], Any] = _nothing
 
     # ------------------------------------------------------------------ #
     # Substrate surface
@@ -158,6 +170,16 @@ class RealtimeScheduler(OwnedTasks):
                     self._events_processed += 1
                     fn(*entry[3])
                 continue
+            if burst:
+                # Dry, inside the burst: with a timer already due, write
+                # what was sent (the peer must not wait on our poll) and
+                # run the timer; the poll waits for the burst's end.
+                now = time.monotonic() - self._t0
+                while heap and (heap[0][0] <= now or heap[0][2] is None):
+                    ready.append(heappop(heap))
+                if ready:
+                    self.flush()
+                    continue
             # A progress point: write, poll, dispatch; then due timers
             # (and cancelled heads, which the ready deque skips) move
             # over; with nothing runnable after both — and no shutdown

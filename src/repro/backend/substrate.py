@@ -10,8 +10,8 @@ tasks.  Two implementations exist:
 - :class:`repro.sim.engine.Simulator` — the single-threaded
   deterministic discrete-event engine (virtual time, the oracle);
 - :class:`repro.backend.realtime.RealtimeScheduler` — a wall-clock
-  event loop, one thread per OS process, that also drives the conduit
-  at its progress points (the true-parallel backend).
+  event loop, one thread per OS process, that also flushes and polls
+  the conduit (the true-parallel backend).
 
 ``Machine(backend="sim"|"process")`` selects between them uniformly;
 the operation modules never branch on which one they run over.

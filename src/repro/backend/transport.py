@@ -5,8 +5,8 @@
 view, the quarantine and the hooks are the base class's, shared with
 the simulator's ``Network``.  Each active message is pickled with the
 wire format (:mod:`repro.backend.wire`) and handed to the conduit as one
-frame; the sender's run loop writes it at its next progress point and
-the destination's, at one of its own, calls :meth:`deliver_frame`, which
+frame; the sender's run loop writes it at its next flush and the
+destination's, at one of its polls, calls :meth:`deliver_frame`, which
 unpickles and dispatches it through the same ``AMLayer._on_deliver`` the
 simulator uses.
 
@@ -90,8 +90,8 @@ class ProcessTransport(Transport):
     # ------------------------------------------------------------------ #
 
     def deliver_frame(self, item: tuple) -> None:
-        """Dispatch one conduit frame.  Called at a progress point of the
-        run loop; a frame that fails to decode raises out of the loop so
+        """Dispatch one conduit frame.  Called at a poll of the run
+        loop; a frame that fails to decode raises out of the loop so
         the worker reports a structured error instead of hanging."""
         tag = item[0]
         if tag == "am":

@@ -15,7 +15,7 @@ essential core are one finding.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.explore.schedule import Schedule
 from repro.explore.fuzz.coverage import features
@@ -53,9 +53,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self.entries
-
     def __iter__(self):
         for fp in sorted(self.entries):
             yield self.entries[fp]
@@ -69,9 +66,6 @@ class Corpus:
             return None
         self.entries[entry.fingerprint] = entry
         return entry
-
-    def fingerprints(self) -> List[str]:
-        return sorted(self.entries)
 
 
 class FindingStore:

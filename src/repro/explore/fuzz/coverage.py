@@ -119,8 +119,8 @@ class CoverageMap:
     map in is commutative and associative.
     """
 
-    def __init__(self, counts: Optional[Dict[str, int]] = None):
-        self.counts: Dict[str, int] = dict(counts or {})
+    def __init__(self):
+        self.counts: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -137,10 +137,6 @@ class CoverageMap:
             else:
                 self.counts[f] += 1
         return new
-
-    def novel(self, feats: Iterable[str]) -> Set[str]:
-        """Like :meth:`observe` but read-only."""
-        return {f for f in feats if f not in self.counts}
 
     def rarity(self, feats: Iterable[str]) -> float:
         """Energy signal: the sum of inverse seen-counts — schedules

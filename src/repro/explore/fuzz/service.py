@@ -92,14 +92,6 @@ class FuzzFinding:
     path: Optional[str] = None    # findings-dir artifact, if persistent
     minimized: Optional[Schedule] = None
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "message": self.message,
-                "fingerprint": self.fingerprint,
-                "found_at": self.found_at, "verified": self.verified,
-                "path": self.path,
-                "minimized_len": (len(self.minimized)
-                                  if self.minimized else None)}
-
 
 @dataclass
 class FuzzReport:

@@ -172,7 +172,7 @@ def transports(pair):
     seen = []
     nets = []
     for end in (a, b):
-        machine = SimpleNamespace(am=SimpleNamespace(
+        machine = SimpleNamespace(scratch={}, am=SimpleNamespace(
             _on_deliver=lambda msg, end=end: seen.append(
                 (msg.payload, end.conduit.pending()))))
         net = ProcessTransport(Simulator(), MachineParams.uniform(2),
@@ -271,6 +271,59 @@ def test_a_progress_point_at_least_every_64_ready_events():
     sched.call_soon(sched.stop)
     sched.run()
     assert points == [(64, 0.0), (128, 0.0)]
+
+
+class RecordingConduit:
+    """The loop's two calls into a conduit, logged: what was still queued
+    when each poll and each park began, and what was written, in order."""
+
+    def __init__(self):
+        self.outbox: list = []
+        self.written: list = []
+        self.polls: list[int] = []
+        self.parks: list[int] = []
+
+    def put(self, frame) -> None:
+        self.outbox.append(frame)
+
+    def flush(self) -> None:
+        self.written += self.outbox
+        self.outbox.clear()
+
+    def progress(self, timeout) -> None:
+        (self.polls if timeout == 0.0 else self.parks).append(
+            len(self.outbox))
+        self.flush()
+        if timeout:
+            time.sleep(timeout)  # nothing can arrive: the park is a nap
+
+
+def test_due_timers_flush_without_polling_and_the_loop_polls_every_64():
+    """A compute-bound image: every step sends one frame, then sleeps
+    for less than the loop takes to come back.  Each dry point flushes
+    the step's frame and runs the due timer; only every 64th event, and
+    the point before a park, polls."""
+    sched = RealtimeScheduler()
+    conduit = RecordingConduit()
+    sched.progress, sched.flush = conduit.progress, conduit.flush
+    steps = 640
+
+    def image():
+        for i in range(steps):
+            conduit.put(i)
+            yield Delay(1e-9)
+        yield Delay(1e-3)  # nothing runnable or due: poll, then park
+        sched.stop()
+
+    Task(sched, image())
+    with deadline(30):
+        sched.run()
+    assert len(conduit.polls) <= steps // 64 + 3
+    # a poll finds at most the frame of the step that just ran: every
+    # earlier one was flushed at its own dry point
+    assert max(conduit.polls) <= 1
+    assert conduit.parks and set(conduit.parks) == {0}
+    assert conduit.written == list(range(steps))
 
 
 def test_a_shutdown_the_poll_dispatched_is_not_parked_on():

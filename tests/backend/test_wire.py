@@ -12,6 +12,8 @@ the receiver's instances, never be copied.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,41 @@ def test_lambda_rejected_at_send_time(pair):
     a, _ = pair
     with pytest.raises(WireError):
         dump_frame(a, (lambda img: None,))
+
+
+def test_a_failed_dump_leaves_the_next_frame_whole(pair):
+    """The pickler is reused: what a refused frame half-wrote or
+    memoized must not reach the next one."""
+    a, b = pair
+    grid = a.coarray_by_name("grid")
+
+    def closure(img):
+        yield
+
+    with pytest.raises(WireError, match="module-level"):
+        dump_frame(a, (grid.ref(1, 3), np.arange(4), closure))
+    fn, ref, data = roundtrip(a, b, (_shipped_kernel, grid.ref(2, 5),
+                                     np.arange(4)))
+    assert fn is _shipped_kernel
+    assert ref.coarray is b.coarray_by_name("grid")
+    assert (ref.world_rank, ref.index) == (2, 5)
+    np.testing.assert_array_equal(data, np.arange(4))
+
+
+def test_one_buffer_sent_twice_arrives_as_each_value(pair):
+    """Mutated between two sends, one array is two payloads: no memo
+    entry survives from one frame to the next."""
+    a, b = pair
+    buf = np.zeros(4, dtype=np.int64)
+    first = dump_frame(a, (buf,))
+    buf[:] = 7
+    second = dump_frame(a, (buf,))
+    np.testing.assert_array_equal(load_frame(b, first)[0], np.zeros(4))
+    np.testing.assert_array_equal(load_frame(b, second)[0], np.full(4, 7))
+    # ... and the sender's pickler keeps no reference to what it sent
+    sent = weakref.ref(buf)
+    del buf
+    assert sent() is None
 
 
 # --------------------------------------------------------------------- #

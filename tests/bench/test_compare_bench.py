@@ -73,3 +73,35 @@ def test_bytes_per_image_growth_fails(tmp_path, monkeypatch, grown, code):
     ref = _doc({"raw": 0.010}, footprint={64: 100.0, 1024: 20.0})
     cur = _doc({"raw": 0.010}, footprint={64: 100.0, 1024: 20.0 * grown})
     assert _compare(tmp_path, monkeypatch, ref, cur) == code
+
+
+def _cpu_bound_round(ratio, before, after):
+    """A round's four runs of one 100k-node tree: 1 s on one process,
+    ``1 / ratio`` s on two."""
+    return {"cpu_scaling": [before, after],
+            "points": [{"processes": p, "nodes": 100_000,
+                        "wall_s": 1.0 if p == 1 else 1.0 / ratio}
+                       for p in (1, 2, 2, 1)]}
+
+
+@pytest.mark.parametrize("rounds, code", [
+    # a slow pair whose own probes both saw two cores: fails
+    ([(2.0, 1.9, 1.8), (1.03, 1.61, 1.7)], 1),
+    # the same pair with one probe that did not: printed, not gated
+    ([(2.0, 1.9, 1.8), (1.03, 1.61, 1.2)], 0),
+    ([(1.3, 1.5, 1.5)], 0),
+])
+def test_cpu_bound_gate_is_per_round(tmp_path, monkeypatch, capsys, rounds,
+                                     code):
+    cur = _doc({"raw": 0.010})
+    cur["parallel"] = {
+        "cpu_count": 2,
+        "uts_scaling": [{"processes": 1, "nodes_per_s": 3000.0,
+                         "wall_s": 1.6},
+                        {"processes": 4, "nodes_per_s": 9000.0,
+                         "wall_s": 0.5}],
+        "cpu_bound_rounds": [_cpu_bound_round(*r) for r in rounds]}
+    assert _compare(tmp_path, monkeypatch, _doc({"raw": 0.010}), cur) == code
+    if code:
+        assert "round 1: 2-process 103,000 vs 1-process 100,000" in \
+            capsys.readouterr().err

@@ -93,12 +93,6 @@ class TestCoverageMap:
         assert cov.observe({"b", "c"}) == {"c"}
         assert cov.counts == {"a": 1, "b": 2, "c": 1}
 
-    def test_novel_is_read_only(self):
-        cov = CoverageMap()
-        cov.observe({"a"})
-        assert cov.novel({"a", "b"}) == {"b"}
-        assert "b" not in cov
-
     def test_rarity_prefers_rare_features(self):
         cov = CoverageMap()
         for _ in range(9):
@@ -107,12 +101,15 @@ class TestCoverageMap:
         assert cov.rarity({"rare"}) > cov.rarity({"common"})
 
     def test_merge_is_commutative(self):
-        a = CoverageMap({"x": 2, "y": 1})
-        b = CoverageMap({"y": 3, "z": 1})
-        ab = CoverageMap(a.counts)
-        ab.merge(b)
-        ba = CoverageMap(b.counts)
-        ba.merge(a)
+        a, b = CoverageMap(), CoverageMap()
+        for feats in ({"x", "y"}, {"x"}):
+            a.observe(feats)
+        for feats in ({"y", "z"}, {"y"}, {"y"}):
+            b.observe(feats)
+        ab, ba = CoverageMap(), CoverageMap()
+        for merged, order in ((ab, (a, b)), (ba, (b, a))):
+            for part in order:
+                merged.merge(part)
         assert ab.counts == ba.counts == {"x": 2, "y": 4, "z": 1}
 
     def test_fault_untried_lists_unseen_alternatives(self):

@@ -72,9 +72,10 @@ def conduit_wire(n=4):
     frames = [[] for _ in range(n)]
     fleet = []
     # what a transport needs of its machine: something to unpickle
-    # against, and the AM layer's deliver callback
+    # against (its scratch holds the wire's codec), and the AM layer's
+    # deliver callback
     machine = SimpleNamespace(
-        am=SimpleNamespace(_on_deliver=delivered.append))
+        scratch={}, am=SimpleNamespace(_on_deliver=delivered.append))
 
     class Conduit:
         def __init__(self, rank):
