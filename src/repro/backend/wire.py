@@ -187,4 +187,5 @@ def dump_frame(machine, obj: Any) -> bytes:
 def load_frame(machine, data: bytes) -> Any:
     """Unpickle a frame, resolving interned names against ``machine``'s
     registries."""
+    # A fresh unpickler per frame: a C unpickler's memo cannot be reset.
     return _Unpickler(io.BytesIO(data), _codec(machine).found).load()

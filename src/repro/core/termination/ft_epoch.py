@@ -42,6 +42,8 @@ from typing import Any, Generator
 
 from repro.net.active_messages import AMCategory
 from repro.core.finish import FinishFrame
+from repro.runtime.team import (FT_TREE_RADIX, heap_children,
+                                heap_descendants, heap_parent)
 
 _REPORT = "ft.report"
 _VERDICT = "ft.verdict"
@@ -60,9 +62,6 @@ def _verdict_slot(key, r) -> tuple:
 
 def _collect_slot(key, r, node) -> tuple:
     return ("ft.collect", key, r, node)
-
-
-_TREE_RADIX = 4
 
 
 def _layout(machine, team_id: int, gen: int):
@@ -93,22 +92,6 @@ def _layout(machine, team_id: int, gen: int):
     return layout
 
 
-def _subtree_need(pos: int, size: int) -> int:
-    """Number of descendants below position ``pos`` — how many subtree
-    reports the node must fold in before sending its aggregate up."""
-    total = -1  # exclude pos itself
-    frontier = [pos]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            total += 1
-            first = _TREE_RADIX * p + 1
-            if first < size:
-                nxt.extend(range(first, min(first + _TREE_RADIX, size)))
-        frontier = nxt
-    return total
-
-
 def _accept_report(machine, key, r, team_id, node: int, sender: int,
                    subtotal: int, count: int, gen: int) -> None:
     """One report-tree step at ``node``: fold in a subtree aggregate
@@ -131,8 +114,9 @@ def _accept_report(machine, key, r, team_id, node: int, sender: int,
     slot = _collect_slot(key, r, node)
     state = machine.scratch.get(slot)
     if state is None or state["gen"] != gen:
+        need = heap_descendants(pos, len(order), FT_TREE_RADIX)
         state = {"gen": gen, "own": None, "sum": 0, "count": 0,
-                 "from": set(), "need": _subtree_need(pos, len(order))}
+                 "from": set(), "need": need}
         machine.scratch[slot] = state
     if sender == node:
         if state["own"] is not None:
@@ -155,7 +139,7 @@ def _accept_report(machine, key, r, team_id, node: int, sender: int,
         machine.stats.incr("ft.rounds_decided")
         _broadcast_verdict(machine, key, r, team_id, node, gen)
         return
-    parent = order[(pos - 1) // _TREE_RADIX]
+    parent = order[heap_parent(pos, FT_TREE_RADIX)]
     machine.am.request_nb(
         node, parent, _REPORT,
         args=(team_id, key, r, node, total, total_count, gen),
@@ -176,8 +160,7 @@ def _broadcast_verdict(machine, key, r, team_id, node: int, gen: int) -> None:
     pos = pos_of.get(node)
     if pos is None:
         return
-    first = _TREE_RADIX * pos + 1
-    for c in range(first, min(first + _TREE_RADIX, len(order))):
+    for c in heap_children(pos, len(order), FT_TREE_RADIX):
         machine.am.request_nb(
             node, order[c], _VERDICT, args=(key, r, team_id, gen, verdict),
             category=AMCategory.SHORT, kind="ft.verdict",

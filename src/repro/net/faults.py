@@ -498,19 +498,8 @@ class FaultPlan:
 
     def clone(self) -> "FaultPlan":
         """A fresh plan with identical configuration and virgin per-run
-        state (rng position, kind counts)."""
-        plan = FaultPlan(drop=self.drop, duplicate=self.duplicate,
-                         reorder=self.reorder, ack_drop=self.ack_drop,
-                         link_drop=dict(self.link_drop), stalls=self.stalls,
-                         stragglers=self.stragglers,
-                         partitions=self.partitions, flaps=self.flaps,
-                         seed=self.seed)
-        plan._scripted = set(self._scripted)
-        plan.crashes = dict(self.crashes)
-        plan.crash_after_sends = dict(self.crash_after_sends)
-        plan.crash_choices = dict(self.crash_choices)
-        plan.partition_choices = list(self.partition_choices)
-        return plan
+        state (rng position, kind counts): the config round trip."""
+        return self.from_config(self.to_config())
 
     def bind(self, rng: np.random.Generator) -> None:
         """Install the random stream (the machine calls this to derive

@@ -33,9 +33,9 @@ fast path pays one membership check, not two.
 Hierarchical monitoring (DESIGN §13)
 ------------------------------------
 Monitoring is *not* all-pairs.  Live images are arranged in a radix
-tree (``_TREE_RADIX`` = 4) over the current non-confirmed membership,
-and each image heartbeats and watches only its tree neighbours —
-parent plus up to ``_TREE_RADIX`` children, so one period
+tree (``team.FT_TREE_RADIX`` = 4) over the current non-confirmed
+membership, and each image heartbeats and watches only its tree
+neighbours — parent plus up to ``FT_TREE_RADIX`` children, so one period
 costs O(p) messages total instead of O(p²) and every observer tracks
 O(1) peers.  Suspicion and confirmation publish into the shared
 membership sets, so detection latency is still one observer's timeout,
@@ -79,6 +79,7 @@ from typing import Optional
 
 from repro.core import spawn
 from repro.net.active_messages import AMCategory
+from repro.runtime.team import FT_TREE_RADIX, heap_children, heap_parent
 from repro.sim.tasks import Delay, Task
 
 
@@ -201,9 +202,6 @@ class FailureConfig:
 _HB = "fail.hb"
 _MEMBER = "fail.member"
 
-#: fan-out of the hierarchical monitoring tree: each image heartbeats
-#: and watches its parent and up to this many children (never all pairs)
-_TREE_RADIX = 4
 #: per-(observer, peer) inter-arrival samples kept for the phi estimate
 _WINDOW = 100
 #: phi threshold for suspicion under ``detector="phi"``: phi = 12 means
@@ -368,7 +366,7 @@ class FailureService:
 
     def monitored_peers(self, rank: int) -> frozenset:
         """World ranks ``rank`` heartbeats and watches: its parent and
-        children in the ``_TREE_RADIX``-ary monitoring tree over the
+        children in the ``FT_TREE_RADIX``-ary monitoring tree over the
         current non-confirmed membership.  A rank that is itself
         confirmed (wrongly — it is calling this, so it is alive) gets
         the surrogate root so it can announce its own resurrection."""
@@ -392,12 +390,9 @@ class FailureService:
                 # Confirmed-but-calling: alive despite the verdict.
                 # Probe the surrogate root until a delivery resurrects.
                 return frozenset(order[:1])
-        out = []
-        if pos > 0:
-            out.append(rank_at((pos - 1) // _TREE_RADIX))
-        first_child = _TREE_RADIX * pos + 1
-        for c in range(first_child, min(first_child + _TREE_RADIX, size)):
-            out.append(rank_at(c))
+        parent = heap_parent(pos, FT_TREE_RADIX)
+        out = [] if parent is None else [rank_at(parent)]
+        out.extend(map(rank_at, heap_children(pos, size, FT_TREE_RADIX)))
         return frozenset(out)
 
     def _on_delivery(self, src: int, dst: int) -> None:
@@ -457,7 +452,7 @@ class FailureService:
                 delay *= faults.service_factor(rank, sim.now)
             yield Delay(delay)
             now = sim.now
-            # O(_TREE_RADIX) work per tick: only tree neighbours are
+            # O(FT_TREE_RADIX) work per tick: only tree neighbours are
             # watched and heartbeated, never all peers.
             peers = sorted(self.monitored_peers(rank))
             heard = self._last_heard.get(rank)

@@ -6,8 +6,9 @@ collective communication.  All images start in ``team_world``; new teams
 are created collectively with ``team_split`` (implemented in
 :mod:`repro.core.collectives` since it is itself a collective operation).
 
-This module holds the pure membership structure plus the tree-shape
-helpers that every collective uses.  A team is immutable, so the tree
+This module holds the pure membership structure plus the one k-ary heap
+layout every tree in the runtime uses (the collectives, the failure
+service, the fault-tolerant finish).  A team is immutable, so the tree
 shape the collective engine asks for on every call is memoized on the
 team (:meth:`Team.tree_shape`, in world ranks).
 """
@@ -19,6 +20,32 @@ from typing import Iterator, Sequence
 
 #: bound on :meth:`Team.tree_shape`'s memo, in shapes per member
 _SHAPES_PER_MEMBER = 16
+#: fan-out of the fault-tolerance trees: the failure service's
+#: monitoring tree and the fault-tolerant finish's report tree
+FT_TREE_RADIX = 4
+
+
+def heap_parent(pos: int, radix: int) -> int | None:
+    """Parent position of ``pos`` in the heap layout (None for the root)."""
+    return None if pos == 0 else (pos - 1) // radix
+
+
+def heap_children(pos: int, size: int, radix: int) -> range:
+    """Child positions of ``pos`` in a heap layout of ``size`` nodes."""
+    first = radix * pos + 1
+    return range(first, min(first + radix, size))
+
+
+def heap_descendants(pos: int, size: int, radix: int) -> int:
+    """Number of positions below ``pos``: each level of its subtree is
+    one contiguous run of positions, ``[lo, hi]`` -> ``[radix*lo + 1,
+    radix*hi + radix]``."""
+    total = -1  # exclude pos itself
+    lo = hi = pos
+    while lo < size:
+        total += min(hi, size - 1) - lo + 1
+        lo, hi = radix * lo + 1, radix * hi + radix
+    return total
 
 
 class Team:
@@ -110,21 +137,15 @@ class Team:
         """Parent of ``team_rank`` in a ``radix``-ary tree rooted at
         ``root`` (ranks rotated so the root maps to position 0).
         Returns None for the root."""
-        pos = (team_rank - root) % self.size
-        if pos == 0:
-            return None
-        parent_pos = (pos - 1) // radix
-        return (parent_pos + root) % self.size
+        size = self.size
+        parent = heap_parent((team_rank - root) % size, radix)
+        return None if parent is None else (parent + root) % size
 
     def tree_children(self, team_rank: int, root: int = 0, radix: int = 2) -> list[int]:
         """Children of ``team_rank`` in the same tree."""
-        pos = (team_rank - root) % self.size
-        out = []
-        for i in range(radix):
-            child_pos = radix * pos + 1 + i
-            if child_pos < self.size:
-                out.append((child_pos + root) % self.size)
-        return out
+        size = self.size
+        return [(c + root) % size
+                for c in heap_children((team_rank - root) % size, size, radix)]
 
     def tree_shape(self, team_rank: int, root: int,
                    radix: int) -> tuple[int | None, tuple[int, ...]]:

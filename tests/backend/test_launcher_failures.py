@@ -9,6 +9,8 @@ live worker process, no extra coordinator thread.
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
@@ -62,6 +64,17 @@ def _never_returns(img):
         yield from img.compute(0.01)
 
 
+def _rank(img):
+    yield from img.compute(1e-6)
+    return img.rank
+
+
+def _rank_0_returns_rank_1_never(img):
+    if img.rank == 0:
+        return 0
+    yield from _never_returns(img)
+
+
 def test_unpicklable_shipped_argument_is_a_wire_error(leaves_nothing_behind):
     with pytest.raises(WireError, match="cannot cross a process boundary"):
         run_spmd(_ships_a_lambda, 2, backend="process")
@@ -102,3 +115,39 @@ def test_hung_kernel_times_out_with_the_partial_run(leaves_nothing_behind):
     partial = caught.value.partial
     assert partial is not None
     assert partial.results == [None, None]
+
+
+def test_worker_killed_during_shutdown(leaves_nothing_behind):
+    """Every rank has reported when the coordinator starts shutting the
+    fleet down; a worker SIGKILLed then changes nothing the caller sees:
+    ``wait`` returns the reported results and reaps every worker."""
+    runner = ProcessRunner(_rank, 2).start()
+    shutdown = runner._shutdown
+
+    def shutdown_after_a_kill(run):
+        runner.kill_worker(1)
+        shutdown(run)
+
+    runner._shutdown = shutdown_after_a_kill
+    run = runner.wait(timeout=20)
+    assert run.results == [0, 1]
+    assert run.dead_images == set()
+    assert runner._procs[1].exitcode == -signal.SIGKILL
+
+
+def test_worker_exits_when_its_control_pipe_closes(leaves_nothing_behind):
+    """The coordinator holds every pipe end for the length of the run, so
+    end-of-file on a worker's control pipe means the coordinator is gone:
+    the worker's loop ends — its main program still running — and the
+    process exits by itself."""
+    runner = ProcessRunner(_rank_0_returns_rank_1_never, 2).start()
+    control = runner._pipes[runner.n_images]
+    for end in control[1]:  # the worker keeps its own read end
+        os.close(end)
+    control[1] = os.pipe()  # what the coordinator closes at the end
+    worker = runner._procs[1]
+    worker.join(timeout=10)
+    assert worker.exitcode == 0
+    run = runner.wait(timeout=20)
+    assert run.results == [0, None]
+    assert run.dead_images == {1}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runtime.team import Team
+from repro.runtime.team import (Team, heap_children, heap_descendants,
+                                heap_parent)
 
 
 class TestMembership:
@@ -108,6 +109,27 @@ class TestTreeShape:
                             tuple(members[c] for c in
                                   t.tree_children(r, root, radix)))
         assert 0 < len(t._shapes) <= 16 * size
+
+
+class TestHeapLayout:
+    @pytest.mark.parametrize("radix", range(1, 6))
+    def test_descendants_count_the_subtree(self, radix):
+        """``heap_descendants`` counts what walking ``heap_children``
+        reaches, and every child names its parent, for every position
+        of every size up to 40 (the fault-tolerant finish folds exactly
+        this many subtree reports before it forwards its own)."""
+        for size in range(1, 41):
+            for pos in range(size):
+                below, frontier = 0, [pos]
+                while frontier:
+                    kids = [c for p in frontier
+                            for c in heap_children(p, size, radix)]
+                    for c in kids:
+                        assert heap_parent(c, radix) in frontier
+                    below += len(kids)
+                    frontier = kids
+                assert heap_descendants(pos, size, radix) == below
+        assert heap_parent(0, radix) is None
 
 
 class TestHypercube:
