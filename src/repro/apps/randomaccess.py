@@ -23,6 +23,7 @@ Two implementations, as in the paper:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
@@ -32,57 +33,65 @@ from repro.sim.tasks import Semaphore, all_of
 
 #: the HPCC polynomial
 POLY = np.uint64(7)
+POLY_INT = 7
+TOP_BIT = 1 << 63
+MASK = (1 << 64) - 1
 _PERIOD = 1317624576693539401  # period of the HPCC sequence
+
+
+@functools.cache
+def _square_table() -> tuple[tuple[int, ...], ...]:
+    """Squaring in the HPCC field, a byte at a time: row ``k`` maps byte
+    ``b`` to the square of ``b << 8k``.  Squaring is linear over GF(2),
+    so a state's square is the xor of its eight bytes' rows.  Built on
+    the first jump-ahead, not at import."""
+    squares = []  # squares[j] = x^(2j) mod POLY, the reference's m2
+    temp = 1
+    for _ in range(64):
+        squares.append(temp)
+        for _ in range(2):
+            temp = ((temp << 1) ^ (POLY_INT if temp & TOP_BIT else 0)) & MASK
+    rows = []
+    for k in range(8):
+        row = [0] * 256
+        for b in range(1, 256):
+            low = b & -b
+            row[b] = row[b ^ low] ^ squares[8 * k + low.bit_length() - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def hpcc_starts(n: int) -> int:
     """The n-th element of the HPCC random stream (jump-ahead).
 
-    Direct port of the reference ``HPCC_starts``: square-and-multiply
-    over the GF(2) companion matrix of the polynomial.
+    The reference ``HPCC_starts``: square-and-multiply over the GF(2)
+    companion matrix of the polynomial, each squaring looked up a byte
+    at a time (:func:`_square_table`) instead of a bit at a time.
     """
     n = int(n) % _PERIOD
     if n == 0:
         return 1
-
-    m2 = [0] * 64
-    temp = 1
-    for i in range(64):
-        m2[i] = temp
-        for _ in range(2):
-            temp = ((temp << 1) ^ (POLY_INT if temp & TOP_BIT else 0)) & MASK
-
-    i = 62
-    while i >= 0 and not (n >> i) & 1:
-        i -= 1
-
+    t0, t1, t2, t3, t4, t5, t6, t7 = _square_table()
     ran = 2
-    while i > 0:
-        temp = 0
-        for j in range(64):
-            if (ran >> j) & 1:
-                temp ^= m2[j]
-        ran = temp
-        i -= 1
+    for i in range(n.bit_length() - 2, -1, -1):
+        ran = (t0[ran & 255] ^ t1[ran >> 8 & 255] ^ t2[ran >> 16 & 255]
+               ^ t3[ran >> 24 & 255] ^ t4[ran >> 32 & 255]
+               ^ t5[ran >> 40 & 255] ^ t6[ran >> 48 & 255] ^ t7[ran >> 56])
         if (n >> i) & 1:
             ran = ((ran << 1) ^ (POLY_INT if ran & TOP_BIT else 0)) & MASK
     return ran
 
 
-POLY_INT = 7
-TOP_BIT = 1 << 63
-MASK = (1 << 64) - 1
-
-
 def hpcc_stream(start: int, count: int) -> np.ndarray:
     """``count`` successive values of the HPCC sequence from ``start``
-    (vectorizable 64-bit LFSR step, exact HPCC semantics)."""
-    out = np.empty(count, dtype=np.uint64)
+    (64-bit LFSR step, exact HPCC semantics), stepped on Python ints and
+    converted once."""
+    out = []
     ran = start
-    for i in range(count):
+    for _ in range(count):
         ran = ((ran << 1) ^ (POLY_INT if ran & TOP_BIT else 0)) & MASK
-        out[i] = ran
-    return out
+        out.append(ran)
+    return np.array(out, dtype=np.uint64)
 
 
 @dataclass
@@ -159,7 +168,7 @@ def _update_entry(img, index: int, value: int) -> Generator[Any, Any, None]:
     (§IV-B)."""
     table = img.machine.coarray_by_name("ra_table")
     local = table.local_at(img.rank)
-    local[index] = np.uint64(local[index]) ^ np.uint64(value)
+    local[index] ^= value
     yield from img.compute(2e-8)
 
 
@@ -171,6 +180,9 @@ def _kernel_function_shipping(img, config: RAConfig
                     + config.updates_per_image * img.rank),
         config.updates_per_image)
     owners, locals_ = _owner_and_index(stream, img.nimages, local_size)
+    # Python ints once, not a numpy scalar per element per update
+    owners, locals_ = owners.tolist(), locals_.tolist()
+    values = stream.tolist()
 
     finish_blocks = 0
     for start in range(0, config.updates_per_image, config.bunch_size):
@@ -179,8 +191,8 @@ def _kernel_function_shipping(img, config: RAConfig
         stop = min(start + config.bunch_size, config.updates_per_image)
         for i in range(start, stop):
             yield from img.compute(5e-8)  # index generation
-            yield from img.spawn(_update_entry, int(owners[i]),
-                                 int(locals_[i]), int(stream[i]))
+            yield from img.spawn(_update_entry, owners[i], locals_[i],
+                                 values[i])
         yield from img.finish_end()
     return finish_blocks
 

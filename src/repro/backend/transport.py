@@ -83,7 +83,7 @@ class ProcessTransport(Transport):
         if msg.on_deliver is not None:
             msg.on_deliver(msg)
         if msg.delivered is not None and not msg.delivered.done:
-            msg.delivered.set_result(None)
+            self._settle(msg)
 
     # ------------------------------------------------------------------ #
     # Receive path
@@ -113,7 +113,7 @@ class ProcessTransport(Transport):
             _, src, seq = item
             msg = self._awaiting.pop((src, seq), None)
             if msg is not None and not msg.delivered.done:
-                msg.delivered.set_result(None)
+                self._settle(msg)
 
     # ------------------------------------------------------------------ #
 
@@ -121,13 +121,13 @@ class ProcessTransport(Transport):
         """A peer process died: its acks will never come.  Failing the
         messages awaiting them is what turns an OS-level kill into the same
         :class:`PeerFailedError` signal the recovery ledger re-executes
-        on (``spawn._delivery_outcome``)."""
+        on (``spawn._recover_lost``)."""
         verdict = "confirmed dead" if suspected else "crashed"
         for key in [k for k in self._awaiting if k[0] == image]:
             msg = self._awaiting.pop(key)
             self.stats.incr("net.peer_failed")
             if not msg.delivered.done:
-                msg.delivered.set_exception(PeerFailedError(
+                self._settle(msg, PeerFailedError(
                     f"ack for {msg!r} abandoned: image "
                     f"{image} is {verdict}", peer=image,
                     suspected=suspected))

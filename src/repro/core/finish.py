@@ -74,9 +74,13 @@ handlers send on, leaves through :func:`count_send` and lands through
 function its spawner runs, rerouted or recovered, is counted as a
 loopback message by :func:`count_loopback`).  The send
 path counts the send, appends the frame key and epoch tag to the
-handler's arguments, asks for the delivery ack and registers
-:func:`count_delivery_outcome` on it; a send the AM layer refuses
-before it leaves is uncounted at once.  The arrival path counts the
+handler's arguments, asks for the delivery ack and leaves the frame and
+send stamp on the message (``Message.counted``): the transport calls
+:func:`count_delivery_outcome` with them right before it resolves the
+ack, so no callback, closure or listener list is built per send.  A
+send the AM layer refuses before it leaves is uncounted at once, and
+one the transport fails at once (its destination confirmed dead) is
+counted failed by the send path itself.  The arrival path counts the
 message received and hands the handler its frame and receive stamp,
 which are the cause of any send the handler makes; it counts the
 message completed when the handler returns.  An uncounted message
@@ -101,7 +105,6 @@ counter events that name it are ignored.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.tasks import Condition
@@ -590,10 +593,11 @@ def count_send(machine, frame: Optional[FinishFrame], cause: Optional[tuple],
     ``src`` to ``dst`` (the rest as :meth:`AMLayer.request_nb`), counted
     on ``frame`` unless it is None, with the frame key and epoch tag
     appended to ``args``.  A counted send asks for the delivery ack and
-    registers :func:`count_delivery_outcome` on it; one the AM layer
-    refuses before it leaves (an over-size payload, an argument the
-    process wire cannot carry) is uncounted and the error re-raised.
-    ``cause`` is the sending activation's receive stamp (see
+    leaves ``(frame, stamp)`` in the message's ``counted`` slot, whose
+    outcome the transport counts (:func:`count_delivery_outcome`); one
+    the AM layer refuses before it leaves (an over-size payload, an
+    argument the process wire cannot carry) is uncounted and the error
+    re-raised.  ``cause`` is the sending activation's receive stamp (see
     :meth:`FinishFrame.on_send`).  Returns the sent message."""
     request_nb = machine.am.request_nb
     if frame is None:
@@ -609,8 +613,13 @@ def count_send(machine, frame: Optional[FinishFrame], cause: Optional[tuple],
     except Exception:
         count_send_failed(frame, stamp)
         raise
-    msg.delivered.add_done_callback(
-        partial(count_delivery_outcome, frame, stamp))
+    delivered = msg.delivered
+    if delivered._done:
+        # Failed inside the send (destination confirmed dead, or its
+        # quarantine full), before the message could carry the count.
+        count_delivery_outcome(frame, stamp, delivered._exc)
+    else:
+        msg.counted = (frame, stamp)
     return msg
 
 
@@ -623,11 +632,13 @@ def count_send_failed(frame: FinishFrame, stamp: tuple) -> None:
     frame.on_send_failed(stamp)
 
 
-def count_delivery_outcome(frame: FinishFrame, stamp: tuple, fut) -> None:
-    """Done-callback of a counted send's ``delivered`` future: count it
-    delivered on success, uncount the send if the transport reported the
-    peer failed."""
-    if fut._exc is None:
+def count_delivery_outcome(frame: FinishFrame, stamp: tuple,
+                           exc: Optional[BaseException]) -> None:
+    """The transport's ``count_outcome`` hook, called with a counted
+    message's ``(frame, stamp)`` right before its ``delivered`` resolves:
+    count it delivered, or uncount the send when it failed (``exc``,
+    the peer failed)."""
+    if exc is None:
         frame.on_delivered(stamp)
     else:
         frame.on_send_failed(stamp)

@@ -215,14 +215,15 @@ def spawn(ctx, fn, target: int, *args: Any,
         rcop = machine.racecheck.spawn_begin(ctx, implicit)
         rc_vc = rcop.vc_local()
     am = machine.am
-    request = (machine, frame, ctx.cause, ctx.rank, dst, _EXEC,
-               (fn, shipped_args, event_ref, rc_vc, spawn_id), None, size,
-               AMCategory.MEDIUM, True, "spawn")
+    wire = (fn, shipped_args, event_ref, rc_vc, spawn_id)
     if am.credits is None:
-        msg = fin.count_send(*request)
+        msg = fin.count_send(machine, frame, ctx.cause, ctx.rank, dst, _EXEC,
+                             wire, None, size, AMCategory.MEDIUM, True,
+                             "spawn")
     else:
-        msg = yield from am.request(ctx.rank,
-                                    partial(fin.count_send, *request))
+        msg = yield from am.request(ctx.rank, partial(
+            fin.count_send, machine, frame, ctx.cause, ctx.rank, dst, _EXEC,
+            wire, None, size, AMCategory.MEDIUM, True, "spawn"))
     # The initiator cannot observe execution completion without an event;
     # global completion is finish's business.  local_op is the strongest
     # initiator-side guarantee the handle itself carries.

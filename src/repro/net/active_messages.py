@@ -49,6 +49,9 @@ class AMLayer:
         self.sim = network.sim
         self.params = network.params
         self.credits = credit_manager
+        #: every message's ``on_deliver``, bound once rather than per
+        #: message
+        self._deliver = self._on_deliver
         #: asked, with the name, to install the handler family a name
         #: nobody registered belongs to — the first time that name is
         #: requested *or delivered* here
@@ -132,7 +135,7 @@ class AMLayer:
         if not 0 <= payload_size <= max_size:
             raise self._size_error(category, payload_size)
         msg = Message(src, dst, payload_size, payload, kind or record[2],
-                      self._on_deliver, handler, args)
+                      self._deliver, handler, args)
         network = self.network
         network.stats.counts[category_stat] += 1
         return network.send(msg, want_ack, best_effort)

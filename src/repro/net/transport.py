@@ -145,10 +145,16 @@ class Message:
     - ``delivered`` resolves, at the sender after the ack round trip,
       when the deliver callback has run at the destination — only on a
       send that asked for an ack; None otherwise.
+
+    ``counted`` is None, or the ``(frame, stamp)`` a ``finish`` counted
+    the send under: the transport hands it to its ``count_outcome`` hook
+    just before it resolves ``delivered``, so the count needs no
+    listener of its own on the future.
     """
 
     __slots__ = ("seq", "src", "dst", "size", "payload", "kind", "on_deliver",
-                 "handler", "args", "delivered", "_at", "_injected")
+                 "handler", "args", "delivered", "counted", "_at",
+                 "_injected")
 
     def __init__(self, src: int, dst: int, size: int, payload: Any,
                  kind: str = "msg",
@@ -170,6 +176,7 @@ class Message:
         self.handler = handler
         self.args = args
         self.delivered: Optional[Future] = None
+        self.counted: Optional[tuple] = None
         self._at: Any = None
         self._injected: Optional[Future] = None
 
@@ -283,6 +290,11 @@ class Transport:
         #: the triggering send completes first) when the fault plan's
         #: ``crash_after_n_sends`` threshold is reached
         self.on_crash: Optional[Callable[[int], None]] = None
+        #: finish accounting hook: called as ``fn(frame, stamp, exc)``
+        #: with a message's ``counted`` pair right before its
+        #: ``delivered`` resolves (``exc`` None on delivery, else the
+        #: failure): :meth:`_settle`
+        self.count_outcome: Optional[Callable] = None
 
     # ------------------------------------------------------------------ #
     # What a subclass supplies
@@ -359,6 +371,19 @@ class Transport:
         self._transmit(msg, best_effort)
         return msg
 
+    def _settle(self, msg: Message,
+                exc: Optional[BaseException] = None) -> None:
+        """Resolve ``msg.delivered``, failed with ``exc`` if given.  A
+        counted message's outcome is counted first, ahead of every
+        listener on the future."""
+        counted = msg.counted
+        if counted is not None:
+            self.count_outcome(counted[0], counted[1], exc)
+        if exc is None:
+            msg.delivered.set_result(None)
+        else:
+            msg.delivered.set_exception(exc)
+
     def _fail_send(self, msg: Message, message: str,
                    suspected: bool) -> None:
         """Abandon a send that was never transmitted: a typed failure on
@@ -366,7 +391,7 @@ class Transport:
         resolves — the source buffer is the caller's again."""
         self.stats.incr("net.peer_failed")
         if msg.delivered is not None and not msg.delivered.done:
-            msg.delivered.set_exception(PeerFailedError(
+            self._settle(msg, PeerFailedError(
                 message, peer=msg.dst, suspected=suspected))
         self.sim.call_soon(msg.injected.set_result, None)
 
@@ -672,16 +697,18 @@ class Network(Transport):
                     flow_args["attempt"] = pend.attempt
                 self.tracer.flow(msg.kind, src, inject_end, dst, arrive,
                                  args=flow_args)
-            sim.schedule_at(arrive + p.o_recv, self._run_delivery_batch,
-                            msg, pend, lat)
+            # Scheduled as the plain function with the network as its
+            # first argument: no bound method is built per copy in flight.
+            arrival = Network._run_delivery_batch
+            sim.schedule_at(arrive + p.o_recv, arrival, self, msg, pend, lat)
             if duplicated:
                 # The reliable receiver suppresses the second copy;
                 # without the protocol the handler really runs twice
                 # (chaos mode).
                 stats.incr("net.dups")
                 arrive += f.duplicate_lag(lat)
-                sim.schedule_at(arrive + p.o_recv, self._run_delivery_batch,
-                                msg, pend, lat)
+                sim.schedule_at(arrive + p.o_recv, arrival, self, msg, pend,
+                                lat)
         if pend is not None:
             rto = pend.rto0 * (_RTO_BACKOFF ** pend.attempt)
             pend.timer = sim.schedule_at(inject_end + rto,
@@ -718,7 +745,7 @@ class Network(Transport):
                 # otherwise notice the downed link (a reliable send's
                 # timer reaches the same verdict on its own).
                 self.stats.incr("net.peer_failed")
-                delivered.set_exception(PeerFailedError(
+                self._settle(msg, PeerFailedError(
                     f"delivery of {msg!r} discarded: image {dst} crashed "
                     "with the message in flight",
                     peer=dst, suspected=False))
@@ -735,44 +762,50 @@ class Network(Transport):
                 # No ack asked for, or this is a duplicate copy: the
                 # first copy's ack is due no later than this one's.
                 return
-            if not delivered._callbacks:
-                # Nobody listens yet: the ack is a clock point.
+            if not delivered._callbacks and msg.counted is None:
+                # Nobody listens yet and no finish counts it: the ack is
+                # a clock point.
                 ack_at = sim.now + self.params.ack_latency_factor * lat
                 seq = sim.reserve(ack_at)
                 if seq:
                     delivered._clock = (sim, ack_at, seq)
                     delivered.__class__ = ClockPoint
                     return
-            acked, arg = self._resolve_delivered, msg
-        else:
-            rx = self._rx_states.get(pend.link)
-            if rx is None:
-                rx = self._rx_states[pend.link] = _RxState()
-            if rx.record(pend.lseq):
-                # Duplicate copy (injected dup or retransmission
-                # overlap): suppress the handler but re-ack, healing a
-                # lost ack.
-                self.stats.incr("net.dups_suppressed")
-            elif msg.on_deliver is not None:
-                msg.on_deliver(msg)
-            f = self.faults
-            if f is not None and src != dst:
-                if f.roll_ack_drop(dst, src):
-                    self.stats.incr("net.ack_drops")
-                    return
-                if f.gray and f.link_down(dst, src, sim.now):
-                    # The reverse link is severed: the ack is lost on
-                    # the wire.
-                    self.stats.incr("net.link_down_drops")
-                    self.stats.incr("net.ack_drops")
-                    return
-            acked, arg = self._on_ack, pend
-        sim.schedule(self.params.ack_latency_factor * lat, acked, arg)
+            sim.schedule(self.params.ack_latency_factor * lat,
+                         Network._resolve_delivered, self, msg)
+            return
+        rx = self._rx_states.get(pend.link)
+        if rx is None:
+            rx = self._rx_states[pend.link] = _RxState()
+        if rx.record(pend.lseq):
+            # Duplicate copy (injected dup or retransmission
+            # overlap): suppress the handler but re-ack, healing a
+            # lost ack.
+            self.stats.incr("net.dups_suppressed")
+        elif msg.on_deliver is not None:
+            msg.on_deliver(msg)
+        f = self.faults
+        if f is not None and src != dst:
+            if f.roll_ack_drop(dst, src):
+                self.stats.incr("net.ack_drops")
+                return
+            if f.gray and f.link_down(dst, src, sim.now):
+                # The reverse link is severed: the ack is lost on
+                # the wire.
+                self.stats.incr("net.link_down_drops")
+                self.stats.incr("net.ack_drops")
+                return
+        sim.schedule(self.params.ack_latency_factor * lat, self._on_ack, pend)
 
-    @staticmethod
-    def _resolve_delivered(msg: Message) -> None:
-        if not msg.delivered.done:
-            msg.delivered.set_result(None)
+    def _resolve_delivered(self, msg: Message) -> None:
+        """The ack event of an unreliable send (:meth:`_settle`, inline:
+        every counted spawn and put ends here)."""
+        delivered = msg.delivered
+        if not delivered._done:
+            counted = msg.counted
+            if counted is not None:
+                self.count_outcome(counted[0], counted[1], None)
+            delivered.set_result(None)
 
     # ------------------------------------------------------------------ #
     # Reliable protocol: timers, acks, abandonment
@@ -847,7 +880,7 @@ class Network(Transport):
         self.stats.incr("net.peer_failed")
         delivered = pend.msg.delivered
         if delivered is not None and not delivered.done:
-            delivered.set_exception(exc)
+            self._settle(pend.msg, exc)
 
     def _peer_down(self, image: int, suspected: bool) -> None:
         if suspected:
@@ -879,7 +912,7 @@ class Network(Transport):
             pend.timer = None
         self.stats.incr("net.acks")
         if pend.msg.delivered is not None:
-            pend.msg.delivered.set_result(None)
+            self._settle(pend.msg)
 
     # ------------------------------------------------------------------ #
 

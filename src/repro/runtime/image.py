@@ -42,6 +42,8 @@ from repro.core import spawn as _spawn
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.program import Machine
 
+_INF = float("inf")
+
 
 class ImageState:
     """Durable per-rank state shared by all of the rank's activations.
@@ -193,23 +195,29 @@ class Image(Activation):
     # Computation
     # ------------------------------------------------------------------ #
 
-    def compute(self, seconds: float) -> Generator[Any, Any, None]:
+    def compute(self, seconds: float) -> tuple[Delay]:
         """Model ``seconds`` of local computation (accrues busy time,
         which the harness turns into load-balance and efficiency plots).
         An active straggler fault on this image stretches the wall-clock
         duration by its service factor — the *work* is unchanged, the
-        image is just slow (gray failure, DESIGN §12)."""
-        if seconds < 0:
-            raise ValueError(f"negative compute time {seconds!r}")
-        self.machine.busy.add(self.rank, seconds)
-        faults = self.machine.faults
+        image is just slow (gray failure, DESIGN §12).
+
+        A plain call, not a generator: it returns its one ``Delay`` in a
+        tuple for ``yield from`` to iterate, so a compute step builds no
+        generator frame."""
+        if not 0.0 <= seconds < _INF:
+            raise ValueError(
+                f"compute time must be finite and non-negative, got "
+                f"{seconds!r}")
+        machine = self.machine
+        machine.busy.add(self.rank, seconds)
+        faults = machine.faults
         wall = seconds
         if faults is not None and faults.stragglers:
             wall = seconds * faults.service_factor(self.rank, self.now)
-        if self.machine.tracer is not None:
-            self.machine.tracer.span(self.rank, "compute", self.now,
-                                     wall)
-        yield Delay(wall)
+        if machine.tracer is not None:
+            machine.tracer.span(self.rank, "compute", self.now, wall)
+        return (Delay(wall),)
 
     # ------------------------------------------------------------------ #
     # Asynchronous operations (paper §II-C)

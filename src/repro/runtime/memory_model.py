@@ -180,9 +180,14 @@ class Activation:
         keep = []
         waits = []
         for op in pending:
-            local_done = op.local_data.done
-            if local_done and op.global_done.done:
-                continue
+            # A settled point answers from ``_done``; only a pending one
+            # (perhaps a clock point come due) asks the ``done`` property.
+            local = op.local_data
+            local_done = local._done or local.done
+            if local_done:
+                done = op.global_done
+                if done._done or done.done:
+                    continue
             keep.append(op)
             if fence is not None:
                 # may_pass, inlined: every class of the op is allowed

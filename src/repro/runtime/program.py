@@ -42,7 +42,8 @@ from repro.runtime import lock as lock_mod
 from repro.runtime.lock import LockVar
 from repro.runtime.team import Team
 from repro.core import collectives, copy_async, spawn
-from repro.core.finish import FinishFrame, FinishUsageError
+from repro.core.finish import (FinishFrame, FinishUsageError,
+                               count_delivery_outcome)
 from repro.core.termination import ft_epoch, vector_count
 
 _EVENT_POST = "event.post"
@@ -183,6 +184,7 @@ class Machine:
         # schedule source first, so crash and partition timing live in
         # the same recorded choice sequence as message ordering.
         self.network.on_crash = self.kill_image
+        self.network.count_outcome = count_delivery_outcome
         if faults is not None:
             faults.resolve_choices(self.schedule_source)
             for image, t_crash in sorted(faults.scheduled_crashes().items()):

@@ -47,6 +47,8 @@ from repro.sim.engine import Simulator, SimulationError
 #: iterative) and one activation's ability to starve the event loop.
 _TRAMPOLINE_CAP = 64
 
+_INF = float("inf")
+
 
 class TaskFailed(RuntimeError):
     """An exception escaped a task's generator."""
@@ -68,8 +70,11 @@ class Delay:
     __slots__ = ("dt",)
 
     def __init__(self, dt: float):
-        if dt < 0:
-            raise SimulationError(f"negative Delay {dt!r}")
+        if not 0.0 <= dt < _INF:
+            if dt < 0.0 and dt != -_INF:
+                raise SimulationError(f"negative Delay {dt!r}")
+            # NaN would run as no time at all, inf end the run at t=inf
+            raise ValueError(f"non-finite Delay {dt!r}")
         self.dt = dt
 
     def __repr__(self) -> str:

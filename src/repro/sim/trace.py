@@ -16,6 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
+_INF = float("inf")
+
 
 class Stats:
     """Named monotonic counters with hierarchical keys.
@@ -69,8 +71,11 @@ class IntervalAccumulator:
         self._busy = [0.0] * n_streams
 
     def add(self, stream: int, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"negative duration {duration!r}")
+        if not 0.0 <= duration < _INF:
+            # a NaN would poison the stream's total for good
+            raise ValueError(
+                f"duration must be finite and non-negative, got "
+                f"{duration!r}")
         if stream < 0 or stream >= self.n_streams:
             # A negative stream would silently wrap via numpy indexing and
             # credit another stream's busy time.

@@ -36,6 +36,51 @@ class TestStream:
         assert whole[50:].tolist() == second_half.tolist()
 
 
+class TestJumpAhead:
+    """``hpcc_starts`` at large ``n``, pinned to the values of the
+    bit-at-a-time reference port it replaced (the property tests compare
+    it with ``hpcc_stream`` only at small ``n``)."""
+
+    def test_two_to_the_forty_plus_k(self):
+        assert [hpcc_starts(2**40 + k) for k in (0, 1, 2, 3, 5, 8, 13)] == [
+            0x100000116, 0x20000022c, 0x400000458, 0x8000008b0,
+            0x20000022c0, 0x10000011600, 0x20000022c000]
+        assert [hpcc_starts(2**40 + k) for k in (999_983, 123_456_789)] == [
+            0xc50a1dbe7fa723c0, 0x753f5e7197014ba7]
+
+    def test_near_two_to_the_sixty_three(self):
+        # 2**63 - 1 is a multiple of the period
+        assert [hpcc_starts(2**63 + d) for d in (-3, -2, -1, 0, 1, 2)] == [
+            0xc000000000000002, 0x8000000000000003, 0x1, 0x2, 0x4, 0x8]
+        assert [hpcc_starts(2**62 + k) for k in (0, 1, 7, 12345)] == [
+            0x100000003, 0x200000006, 0x8000000180, 0xc20000f13a000111]
+        assert [hpcc_starts(n) for n in (
+            0x123456789abcdef, 2**63 + 999_983, 2**64 - 1, 10**18)] == [
+            0x4ce330b5daf8e6e3, 0xd85bc0de85b06ad4, 0x2,
+            0xba6adaeb2e8cf33c]
+
+    def test_randomaccess_offsets(self):
+        """The 64 images' starts of the benchmark's RandomAccess stream,
+        999 983 + 128·r."""
+        starts = [hpcc_starts(999_983 + 128 * r) for r in range(64)]
+        assert starts[:4] == [0x6c2de06f42d8356a, 0x1e446726643bb677,
+                              0x831389d9b76e08dc, 0xbe6533241c36a65a]
+        assert starts[63] == 0xd78c7937950ac587
+        folded = 0
+        for value in starts:
+            folded ^= value
+        assert folded == 0xe1bb98d99bc4498a
+
+    def test_small_n_and_the_period(self):
+        assert [hpcc_starts(n) for n in (
+            1, 2, 3, 63, 64, 65, 127, 128, 1000, 999_983)] == [
+            2, 4, 8, 9223372036854775808, 7, 14, 9223372036854775817, 21,
+            13165951353710706947, 7795133298515653994]
+        period = 1317624576693539401
+        assert [hpcc_starts(period + d) for d in (-1, 0, 1)] == [
+            0x8000000000000003, 0x1, 0x2]
+
+
 class TestIndexing:
     def test_owner_and_index_cover_table(self):
         ran = hpcc_stream(1, 1000)

@@ -69,6 +69,13 @@ def _rank(img):
     return img.rank
 
 
+def _rank_1_computes_nan(img):
+    yield from img.compute(1e-6)
+    if img.rank == 1:
+        yield from img.compute(float("nan"))
+    return img.rank
+
+
 def _rank_0_returns_rank_1_never(img):
     if img.rank == 0:
         return 0
@@ -84,6 +91,16 @@ def test_unpicklable_shipped_argument_is_a_wire_error(leaves_nothing_behind):
 def test_application_exception_keeps_its_type(backend, leaves_nothing_behind):
     with pytest.raises(KeyError, match="(?s)missing on rank 1.*main@1"):
         run_spmd(_key_error_on_rank_1, 2, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["sim", "process"])
+def test_non_finite_compute_time_is_refused(backend, leaves_nothing_behind):
+    """A NaN used to run as no time and book NaN busy seconds on the
+    simulator, and to reach the conduit's ``select`` on processes."""
+    with pytest.raises(ValueError, match=(
+            r"(?s)compute time must be finite and non-negative, got nan"
+            r".*main@1")):
+        run_spmd(_rank_1_computes_nan, 2, backend=backend)
 
 
 @pytest.mark.parametrize("backend", ["sim", "process"])

@@ -15,7 +15,11 @@ and a whole run's delivered spawns leave no cycle for the collector.
 A completion point nobody listens to costs no event, and one that is
 listened to, or read, behaves as an eager event would (DESIGN.md §3.3).
 A collective record takes its tree shape from its team and resolves its
-team at most once.
+team at most once.  A counted message carries its finish count on the
+message itself: nothing listens on its ``delivered`` for the count, the
+count moves at the ack event and not before, and a send the transport
+refuses at once is uncounted exactly once.  ``Image.compute`` builds no
+generator.
 """
 
 import inspect
@@ -25,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro import FaultPlan, MachineParams, run_spmd
+from repro.core import finish as fin_mod
 from repro.apps.randomaccess import RAConfig, _ra_setup, ra_kernel
 from repro.apps.uts import TreeParams, UTSConfig, uts_kernel
 from repro.core import collectives as coll_mod
@@ -32,7 +37,7 @@ from repro.core import copy_async as copy_mod
 from repro.core import spawn as spawn_mod
 from repro.core.completion import AsyncOp
 from repro.net.active_messages import AMLayer
-from repro.net.transport import Message, Network
+from repro.net.transport import Message, Network, PeerFailedError
 from repro.runtime.image import Image
 from repro.runtime.memory_model import Activation
 from repro.runtime.program import Machine
@@ -301,6 +306,125 @@ def test_halo_step_budget(monkeypatch, spmd):
     assert "cofence" not in names and "notify.release" not in names
     assert counts["event_refs"] == 0
     assert counts["parked"] == 0
+
+
+def _spawn_one(img):
+    return (yield from img.spawn(_touch, 1))
+
+
+def _put_one(img):
+    T = img.machine.coarray_by_name("T")
+    return img.copy_async(T.ref(1), np.ones(8))
+    yield  # a generator, like the spawn variant
+
+
+@pytest.mark.parametrize("issue", [_spawn_one, _put_one],
+                         ids=["spawn", "put"])
+def test_counted_send_listens_on_nothing(spmd, issue):
+    """The finish count of a counted spawn or put travels on the message
+    (``Message.counted``): its ``delivered``, which is the handle's
+    ``global_done``, has no done-callback until someone waits on it."""
+    seen = []
+
+    def kernel(img):
+        yield from img.finish_begin()
+        if img.rank == 0:
+            op = yield from issue(img)
+            frame = img.current_frame()
+            seen.append((op.global_done._callbacks, frame.c_sent))
+        yield from img.finish_end()
+
+    machine, _ = spmd(kernel, n=2, setup=lambda m: m.coarray("T", shape=8))
+    assert seen == [(None, 1)]
+    frames = [f for (rank, _k), f in machine._frames.items() if rank == 0]
+    assert [(f.c_sent, f.c_delivered) for f in frames] == [(1, 1)]
+
+
+def test_delivered_count_moves_at_the_ack_event(spmd, monkeypatch):
+    """The spawner's ``delivered`` count is unchanged while the shipped
+    function runs at the target, and has moved by the time the ack
+    resolves the handle — before any listener on it runs, at the instant
+    of the ack event."""
+    log = []
+    on_delivered = fin_mod.FinishFrame.on_delivered
+
+    def counting(frame, stamp):
+        log.append(("counted", frame.machine.sim.now, frame.c_delivered))
+        on_delivered(frame, stamp)
+
+    monkeypatch.setattr(fin_mod.FinishFrame, "on_delivered", counting)
+
+    def remote(img, frame):
+        log.append(("ran", img.now, frame.c_delivered))
+        yield from img.compute(1e-7)
+
+    def kernel(img):
+        yield from img.finish_begin()
+        if img.rank == 0:
+            frame = img.current_frame()
+            op = yield from img.spawn(remote, 1, frame)
+            op.global_done.add_done_callback(lambda _f: log.append(
+                ("acked", img.now, frame.c_delivered)))
+            log.append(("sent", img.now, frame.c_delivered))
+            yield op.global_done
+        yield from img.finish_end()
+
+    spmd(kernel, n=2)
+    (sent, t0, d0), (ran, t1, d1), (counted, t2, d2), (acked, t3, d3) = log
+    assert (sent, ran, counted, acked) == ("sent", "ran", "counted", "acked")
+    assert (d0, d1, d2, d3) == (0, 0, 0, 1)
+    assert t0 < t1 < t2 == t3
+
+
+@pytest.mark.parametrize("when", ["confirmed", "quarantined"])
+def test_refused_counted_send_is_uncounted_once(when):
+    """A counted send toward a confirmed-dead image fails inside the send
+    (the send path uncounts it itself); one parked toward a suspect fails
+    when the verdict comes (the transport uncounts it).  Either way the
+    count goes exactly once, and nothing uncounts it again later."""
+    machine = Machine(2)
+    machine.am.register("test.noop", lambda msg, key, tag: None)
+    frame = machine.get_or_create_frame(0, (0, 0))
+    net = machine.network
+    if when == "confirmed":
+        net.confirm_dead(1)
+    else:
+        net.mark_suspect(1)
+    msg = fin_mod.count_send(machine, frame, None, 0, 1, "test.noop", ())
+    if when == "quarantined":
+        assert (msg.delivered.done, frame.c_sent) == (False, 1)
+        net.confirm_dead(1)
+    assert isinstance(msg.delivered.exception(), PeerFailedError)
+    machine.sim.run()
+    assert (frame.c_sent, frame.c_delivered) == (0, 0)
+    assert machine.stats["finish.sends_failed"] == 1
+
+
+def test_compute_builds_no_generator(spmd):
+    """A compute step is a plain call that hands ``yield from`` its one
+    ``Delay``: no generator frame is built for it."""
+    log = []
+
+    def kernel(img):
+        entered = []
+
+        def profile(frame, event, _arg):
+            if (event == "call"
+                    and frame.f_code.co_flags & inspect.CO_GENERATOR):
+                entered.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            steps = img.compute(1e-6)
+        finally:
+            sys.setprofile(None)
+        log.append((entered, inspect.isgenerator(steps)))
+        yield from steps
+        log.append(img.now)
+
+    machine, _ = spmd(kernel, n=1)
+    assert log == [([], False), 1e-6]
+    assert machine.busy.busy.tolist() == [1e-6]
 
 
 def test_blocking_allreduce_budget(counts, spmd):

@@ -110,6 +110,25 @@ class TestRunSpmd:
         m, _ = run_spmd(kernel, n_images=2)
         assert m.busy.busy.tolist() == pytest.approx([2e-6, 4e-6])
 
+    @pytest.mark.parametrize("seconds", [float("inf"), float("-inf"),
+                                         float("nan"), -1e-6])
+    def test_bad_compute_time_refused_before_it_is_booked(self, seconds):
+        # inf used to end the run at t=inf, NaN to book NaN busy time
+        log = {}
+
+        def kernel(img):
+            yield from img.compute(1e-6)
+            try:
+                yield from img.compute(seconds)
+            except ValueError as exc:
+                log[img.rank] = str(exc)
+
+        m, _ = run_spmd(kernel, n_images=2)
+        assert log == {r: f"compute time must be finite and non-negative, "
+                          f"got {seconds!r}" for r in (0, 1)}
+        assert m.busy.busy.tolist() == [1e-6, 1e-6]
+        assert m.sim.now == pytest.approx(1e-6)
+
     def test_summary(self):
         def kernel(img):
             yield from img.compute(1e-6)

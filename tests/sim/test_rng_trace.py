@@ -85,6 +85,15 @@ class TestIntervalAccumulator:
         with pytest.raises(ValueError):
             acc.add(0, -1.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        # a NaN would turn the stream's total into NaN for good
+        acc = IntervalAccumulator(2)
+        acc.add(0, 1.0)
+        with pytest.raises(ValueError, match=repr(duration)):
+            acc.add(0, duration)
+        assert acc.busy.tolist() == [1.0, 0.0]
+
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             IntervalAccumulator(0)

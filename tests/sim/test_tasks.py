@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.tasks import (
     Condition,
     Delay,
@@ -181,6 +181,17 @@ class TestTask:
         sim.run()
         assert t.done_future.result() == 20
         assert sim.now == 2.0
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"),
+                                    float("-inf")])
+    def test_non_finite_delay_rejected(self, dt):
+        # a NaN would run as no time at all, inf end the run at t=inf
+        with pytest.raises(ValueError, match=f"non-finite Delay {dt!r}"):
+            Delay(dt)
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError, match="negative Delay -1.0"):
+            Delay(-1.0)
 
     def test_bad_directive_is_an_error(self):
         sim = Simulator()
